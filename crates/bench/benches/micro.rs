@@ -173,7 +173,7 @@ fn bench_consensus_cycle(c: &mut Criterion) {
 /// replica of the pre-refactor per-connection blocking reader thread.
 fn bench_reactor_transport(c: &mut Criterion) {
     use canopus_kv::{ClientReply, OpResult};
-    use canopus_net::tcp::{read_frame, spawn_node_obs, write_frame, NetObs, PeerMap};
+    use canopus_net::tcp::{bind_loopback, read_frame, spawn_node_obs, write_frame, NetObs};
     use canopus_net::FaultRules;
     use canopus_sim::{Context, Process};
     use std::net::{TcpListener, TcpStream};
@@ -252,11 +252,10 @@ fn bench_reactor_transport(c: &mut Criterion) {
         TcpListener,
         canopus_net::tcp::TcpNodeHandle<CanopusMsg>,
     ) {
-        let mut peers = PeerMap::new();
-        let node_l = TcpListener::bind("127.0.0.1:0").unwrap();
-        peers.insert(NodeId(0), node_l.local_addr().unwrap());
-        let client_l = TcpListener::bind("127.0.0.1:0").unwrap();
-        peers.insert(CLIENT, client_l.local_addr().unwrap());
+        // Listener 0 is the node's, listener 1 (= `CLIENT`) the client's.
+        let (mut listeners, peers) = bind_loopback(2);
+        let client_l = listeners.pop().unwrap();
+        let node_l = listeners.pop().unwrap();
         let addr = peers.get(NodeId(0)).unwrap();
         let handle = spawn_node_obs::<CanopusMsg>(
             NodeId(0),

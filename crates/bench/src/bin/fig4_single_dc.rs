@@ -12,7 +12,8 @@
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin fig4_single_dc [--quick]`
 
-use canopus_epaxos::EpaxosConfig;
+use canopus::CanopusMsg;
+use canopus_epaxos::{EpaxosConfig, EpaxosMsg};
 use canopus_harness::*;
 use canopus_sim::Dur;
 
@@ -38,10 +39,10 @@ fn main() {
 
         // Canopus at three write ratios.
         for writes in [0.2, 0.5, 1.0] {
-            let cfg = canopus_config_for(&spec);
+            let cfg = CanopusMsg::sim_config(&spec);
             let result = find_max_throughput(
                 |rate| {
-                    run_canopus(
+                    run::<CanopusMsg>(
                         &spec,
                         &LoadSpec::new(rate).with_writes(writes),
                         cfg.clone(),
@@ -52,7 +53,7 @@ fn main() {
             );
             let max = result.max_throughput();
             let lat = latency_at_70pct(max, |rate| {
-                run_canopus(
+                run::<CanopusMsg>(
                     &spec,
                     &LoadSpec::new(rate).with_writes(writes),
                     cfg.clone(),
@@ -77,12 +78,12 @@ fn main() {
                 ..EpaxosConfig::default()
             };
             let result = find_max_throughput(
-                |rate| run_epaxos(&spec, &LoadSpec::new(rate), cfg.clone(), 42),
+                |rate| run::<EpaxosMsg>(&spec, &LoadSpec::new(rate), cfg.clone(), 42),
                 &search,
             );
             let max = result.max_throughput();
             let lat = latency_at_70pct(max, |rate| {
-                run_epaxos(&spec, &LoadSpec::new(rate), cfg.clone(), 43)
+                run::<EpaxosMsg>(&spec, &LoadSpec::new(rate), cfg.clone(), 43)
             });
             eprintln!(
                 "  epaxos {batch_ms}ms batch: max={} med@70%={}",

@@ -13,9 +13,10 @@
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin fig5_zookeeper [--quick]`
 
+use canopus::CanopusMsg;
 use canopus_harness::*;
 use canopus_sim::Dur;
-use canopus_zab::ZabConfig;
+use canopus_zab::{ZabConfig, ZabMsg};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -38,14 +39,14 @@ fn main() {
             ..ZabConfig::default()
         };
         let zk = find_max_throughput(
-            |rate| run_zab(&spec, &LoadSpec::new(rate), zab_cfg.clone(), 42),
+            |rate| run::<ZabMsg>(&spec, &LoadSpec::new(rate), zab_cfg.clone(), 42),
             &search,
         );
 
         // ZKCanopus (all nodes participate).
-        let cfg = canopus_config_for(&spec);
+        let cfg = CanopusMsg::sim_config(&spec);
         let zkc = find_max_throughput(
-            |rate| run_canopus(&spec, &LoadSpec::new(rate), cfg.clone(), 42),
+            |rate| run::<CanopusMsg>(&spec, &LoadSpec::new(rate), cfg.clone(), 42),
             &search,
         );
 

@@ -11,7 +11,8 @@
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin fig6_multi_dc [--quick]`
 
-use canopus_epaxos::EpaxosConfig;
+use canopus::CanopusMsg;
+use canopus_epaxos::{EpaxosConfig, EpaxosMsg};
 use canopus_harness::*;
 use canopus_sim::Dur;
 
@@ -44,9 +45,9 @@ fn main() {
             spec.max_rtt()
         );
 
-        let cfg = canopus_config_for(&spec);
+        let cfg = CanopusMsg::sim_config(&spec);
         let canopus = find_max_throughput(
-            |rate| run_canopus(&spec, &wan_load(rate), cfg.clone(), 42),
+            |rate| run::<CanopusMsg>(&spec, &wan_load(rate), cfg.clone(), 42),
             &search,
         );
         println!("\nCanopus ladder:");
@@ -69,7 +70,7 @@ fn main() {
             ..EpaxosConfig::default()
         };
         let epaxos = find_max_throughput(
-            |rate| run_epaxos(&spec, &wan_load(rate), ecfg.clone(), 42),
+            |rate| run::<EpaxosMsg>(&spec, &wan_load(rate), ecfg.clone(), 42),
             &search,
         );
         println!("EPaxos ladder:");

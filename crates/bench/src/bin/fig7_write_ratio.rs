@@ -10,7 +10,8 @@
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin fig7_write_ratio [--quick]`
 
-use canopus_epaxos::EpaxosConfig;
+use canopus::CanopusMsg;
+use canopus_epaxos::{EpaxosConfig, EpaxosMsg};
 use canopus_harness::*;
 use canopus_sim::Dur;
 
@@ -32,10 +33,10 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    let cfg = canopus_config_for(&spec);
+    let cfg = CanopusMsg::sim_config(&spec);
     for writes in [0.01, 0.2, 0.5] {
         let result = find_max_throughput(
-            |rate| run_canopus(&spec, &wan_load(rate, writes), cfg.clone(), 42),
+            |rate| run::<CanopusMsg>(&spec, &wan_load(rate, writes), cfg.clone(), 42),
             &search,
         );
         let max = result.max_throughput();
@@ -51,7 +52,7 @@ fn main() {
         ..EpaxosConfig::default()
     };
     let epaxos = find_max_throughput(
-        |rate| run_epaxos(&spec, &wan_load(rate, 0.2), ecfg.clone(), 42),
+        |rate| run::<EpaxosMsg>(&spec, &wan_load(rate, 0.2), ecfg.clone(), 42),
         &search,
     );
     rows.push(vec![

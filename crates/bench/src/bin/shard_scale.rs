@@ -11,7 +11,7 @@
 //! Zipf-skewed split showing the hot-shard imbalance the chaos suite
 //! exercises.
 //!
-//! Results are spliced into `BENCH_canopus.json` as the top-level
+//! Results are written into `BENCH_canopus.json` as the top-level
 //! `"sharded"` object; `--check` fails on a >20 % aggregate regression
 //! against the committed file.
 //!
@@ -19,10 +19,10 @@
 //!   cargo run --release -p canopus-bench --bin shard_scale -- \
 //!       [--out BENCH_canopus.json] [--check BENCH_canopus.json]
 
-use canopus::{CanopusConfig, ShardEngine};
-use canopus_bench::json::{extract_number, JsonObject};
+use canopus::{CanopusConfig, CanopusMsg, ShardMsg};
+use canopus_bench::json::{extract_number, replace_section, JsonObject};
 use canopus_harness::{
-    build_sharded_canopus_obs, canopus_config_for, fmt_rate, ClusterObs, DeploymentSpec, LoadSpec,
+    fmt_rate, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol,
 };
 use canopus_sim::Dur;
 
@@ -43,7 +43,7 @@ const SKEW_THETA: f64 = 0.99;
 const BENCH_FLIGHT_CAP: usize = 64;
 
 fn batched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
-    let mut cfg = canopus_config_for(spec);
+    let mut cfg = CanopusMsg::sim_config(spec);
     cfg.max_batch = 1000;
     cfg.max_linger = Dur::millis(1);
     cfg.max_pipeline_depth = 4;
@@ -60,21 +60,14 @@ struct ShardMeasured {
 fn measure(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ShardMeasured {
     let (cfg, client_batch) = batched(spec);
     let load = load.clone().with_client_batch(client_batch);
-    let mut cluster = build_sharded_canopus_obs(
-        spec,
-        &load,
-        cfg,
-        load.shards,
-        seed,
-        ClusterObs::on(BENCH_FLIGHT_CAP),
-    );
+    let mut cluster = ClusterBuilder::<ShardMsg>::new(spec, seed)
+        .config((cfg, load.shards))
+        .clients(Clients::OpenLoop(load.clone()))
+        .obs(ClusterObs::on(BENCH_FLIGHT_CAP))
+        .sim();
     cluster.sim.run_for(load.warmup + load.duration);
     let secs = (load.warmup + load.duration).as_secs_f64();
-    let engine = cluster
-        .sim
-        .node_any(cluster.nodes[0])
-        .downcast_ref::<ShardEngine>()
-        .expect("shard engine");
+    let engine = cluster.node(cluster.nodes[0]);
     let per_shard: Vec<f64> = (0..engine.shard_count())
         .map(|s| engine.shard(s).stats().committed_weight as f64 / secs)
         .collect();
@@ -82,37 +75,6 @@ fn measure(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ShardMeasured {
         aggregate_per_sec: per_shard.iter().sum(),
         per_shard_per_sec: per_shard,
     }
-}
-
-/// Replaces (or appends) the top-level `"sharded"` object in the recorded
-/// bench document (same brace-matching splice as the live_scale section).
-fn splice_sharded(doc: &str, section: &str) -> String {
-    let mut doc = doc.trim_end().to_string();
-    if let Some(start) = doc.find("\"sharded\"") {
-        let cut_start = doc[..start].rfind(',').unwrap_or(start);
-        let open = start + doc[start..].find('{').expect("sharded object");
-        let mut depth = 0usize;
-        let mut end = open;
-        for (i, c) in doc[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        doc.replace_range(cut_start..end, "");
-    }
-    let close = doc.rfind('}').expect("bench file is a JSON object");
-    let head = doc[..close].trim_end();
-    let sep = if head.ends_with('{') { "" } else { "," };
-    let indented = section.replace('\n', "\n  ");
-    format!("{head}{sep}\n  \"sharded\": {indented}\n}}\n")
 }
 
 fn rates_array(rates: &[f64]) -> Vec<String> {
@@ -270,8 +232,9 @@ fn main() {
         Some(path) => {
             let doc = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("cannot read bench doc {path}: {e}"));
-            std::fs::write(path, splice_sharded(&doc, &rendered)).expect("write bench doc");
-            eprintln!("spliced sharded section into {path}");
+            std::fs::write(path, replace_section(&doc, "sharded", &rendered))
+                .expect("write bench doc");
+            eprintln!("wrote the sharded section into {path}");
         }
         None => println!("{rendered}"),
     }

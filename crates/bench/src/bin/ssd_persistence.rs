@@ -7,6 +7,7 @@
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin ssd_persistence`
 
+use canopus::CanopusMsg;
 use canopus_harness::*;
 use canopus_sim::Dur;
 
@@ -14,13 +15,13 @@ fn main() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = LoadSpec::new(200_000.0);
 
-    let mem_cfg = canopus_config_for(&spec);
+    let mem_cfg = CanopusMsg::sim_config(&spec);
     let mut ssd_cfg = mem_cfg.clone();
     // One fsync per proposal batch on a 2013-era SSD (Intel S3700 class).
     ssd_cfg.costs.storage_per_batch = Dur::micros(120);
 
-    let mem = run_canopus(&spec, &load, mem_cfg, 42);
-    let ssd = run_canopus(&spec, &load, ssd_cfg, 42);
+    let mem = run::<CanopusMsg>(&spec, &load, mem_cfg, 42);
+    let ssd = run::<CanopusMsg>(&spec, &load, ssd_cfg, 42);
 
     let rows = vec![
         vec![

@@ -24,18 +24,15 @@
 //!       [--out PATH] [--check BASELINE.json]
 //!   BENCH_SWEEP=smoke|full   (default full; smoke skips the knee sweep)
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
-use canopus_bench::json::{escape, extract_number, number, JsonObject};
+use canopus::{CanopusConfig, CanopusMsg};
+use canopus_bench::json::{extract_number, number, JsonObject};
 use canopus_harness::{
-    build_canopus_obs, canopus_config_for, fmt_rate, ClusterObs, DeploymentSpec, LoadSpec,
-    RunResult, SearchSpec,
+    fmt_rate, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol, RunResult,
+    SearchSpec,
 };
 use canopus_net::{ClosFabric, LinkParams, Topology, WanMatrix};
-use canopus_obs::{bucket_bounds, HistogramSnapshot, Snapshot};
+use canopus_obs::{bucket_bounds, json_escape, HistogramSnapshot, Snapshot};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Simulation, Time};
-use canopus_workload::{LatencyRecorder, OpenLoopClient};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// The schema of the emitted JSON. Bump when keys change meaning.
 const SCHEMA_VERSION: u64 = 1;
@@ -76,33 +73,13 @@ fn measure(
     seed: u64,
     obs: ClusterObs,
 ) -> Measured {
-    let mut cluster = build_canopus_obs(spec, load, cfg, seed, obs);
-    cluster.sim.run_for(load.warmup + load.duration);
-    let mut writes = LatencyRecorder::default();
-    let mut reads = LatencyRecorder::default();
-    let mut rng = SmallRng::seed_from_u64(0xA77E);
-    for &c in &cluster.clients {
-        let client = cluster.sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        writes.merge(&client.writes, &mut rng);
-        reads.merge(&client.reads, &mut rng);
-    }
-    let mut total = writes.clone();
-    total.merge(&reads, &mut rng);
-    let healthy = cluster
-        .nodes
-        .iter()
-        .all(|&n| cluster.sim.node::<CanopusNode>(n).stats().committed_cycles > 0);
-    let node0 = cluster.sim.node::<CanopusNode>(cluster.nodes[0]).stats();
-    let run = RunResult {
-        offered: load.total_rate,
-        achieved: total.completed() as f64 / load.duration.as_secs_f64(),
-        median: total.median(),
-        p95: total.percentile(95.0),
-        mean: total.mean(),
-        write_median: writes.median(),
-        read_median: reads.median(),
-        healthy,
-    };
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(spec, seed)
+        .config(cfg)
+        .clients(Clients::OpenLoop(load.clone()))
+        .obs(obs)
+        .sim();
+    let run = cluster.measure(load);
+    let node0 = cluster.node(cluster.nodes[0]).stats();
     Measured {
         run,
         node0_committed_per_sec: node0.committed_weight as f64
@@ -154,7 +131,7 @@ fn metrics_json(snap: &Snapshot) -> String {
         .iter()
         .filter_map(|(name, v)| {
             name.strip_prefix("net.sent.bytes.")
-                .map(|kind| format!("\"{}\":{v}", escape(kind)))
+                .map(|kind| format!("\"{}\":{v}", json_escape(kind)))
         })
         .collect();
     if !bytes.is_empty() {
@@ -165,7 +142,7 @@ fn metrics_json(snap: &Snapshot) -> String {
 
 /// The two compared configurations, as (node config, client batch cap).
 fn unbatched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
-    let mut cfg = canopus_config_for(spec);
+    let mut cfg = CanopusMsg::sim_config(spec);
     cfg.max_batch = 1;
     cfg.max_linger = Dur::ZERO;
     cfg.max_pipeline_depth = 1;
@@ -173,7 +150,7 @@ fn unbatched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
 }
 
 fn batched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
-    let mut cfg = canopus_config_for(spec);
+    let mut cfg = CanopusMsg::sim_config(spec);
     cfg.max_batch = 1000;
     cfg.max_linger = Dur::millis(1);
     cfg.max_pipeline_depth = 4;

@@ -1,3 +1,5 @@
+use canopus::CanopusMsg;
+use canopus_epaxos::EpaxosMsg;
 use canopus_harness::*;
 use canopus_sim::Dur;
 use std::time::Instant;
@@ -8,8 +10,8 @@ fn main() {
         for rate in [200_000.0, 800_000.0, 1_600_000.0, 3_200_000.0] {
             let load = LoadSpec::new(rate);
             let t0 = Instant::now();
-            let cfg = canopus_config_for(&spec);
-            let r = run_canopus(&spec, &load, cfg, 1);
+            let cfg = CanopusMsg::sim_config(&spec);
+            let r = run::<CanopusMsg>(&spec, &load, cfg, 1);
             println!(
                 "canopus n={} rate={} achieved={} med={} wmed={} rmed={} healthy={} wall={:?}",
                 spec.node_count(),
@@ -25,7 +27,7 @@ fn main() {
         for rate in [200_000.0, 800_000.0] {
             let load = LoadSpec::new(rate);
             let t0 = Instant::now();
-            let r = run_epaxos(&spec, &load, canopus_epaxos::EpaxosConfig::default(), 1);
+            let r = run::<EpaxosMsg>(&spec, &load, canopus_epaxos::EpaxosConfig::default(), 1);
             println!(
                 "epaxos  n={} rate={} achieved={} med={} healthy={} wall={:?}",
                 spec.node_count(),
@@ -40,7 +42,7 @@ fn main() {
                 participants: 6.min(spec.node_count()),
                 ..canopus_zab::ZabConfig::default()
             };
-            let r = run_zab(&spec, &load, zcfg, 1);
+            let r = run::<canopus_zab::ZabMsg>(&spec, &load, zcfg, 1);
             println!(
                 "zab     n={} rate={} achieved={} med={} healthy={} wall={:?}",
                 spec.node_count(),
@@ -58,8 +60,8 @@ fn main() {
         load.warmup = Dur::millis(800);
         load.duration = Dur::millis(1200);
         let t0 = Instant::now();
-        let cfg = canopus_config_for(&spec);
-        let r = run_canopus(&spec, &load, cfg, 1);
+        let cfg = CanopusMsg::sim_config(&spec);
+        let r = run::<CanopusMsg>(&spec, &load, cfg, 1);
         println!(
             "canopus-wan n=9 rate={} achieved={} med={} wmed={} rmed={} healthy={} wall={:?}",
             fmt_rate(rate),
@@ -71,7 +73,7 @@ fn main() {
             t0.elapsed()
         );
         let t0 = Instant::now();
-        let r = run_epaxos(&spec, &load, canopus_epaxos::EpaxosConfig::default(), 1);
+        let r = run::<EpaxosMsg>(&spec, &load, canopus_epaxos::EpaxosConfig::default(), 1);
         println!(
             "epaxos-wan  n=9 rate={} achieved={} med={} healthy={} wall={:?}",
             fmt_rate(rate),

@@ -1,4 +1,4 @@
-use canopus::{CanopusMsg, CanopusNode};
+use canopus::CanopusMsg;
 use canopus_harness::*;
 use canopus_sim::Dur;
 use canopus_workload::OpenLoopClient;
@@ -8,11 +8,12 @@ fn main() {
     let mut load = LoadSpec::new(200_000.0);
     load.warmup = Dur::millis(800);
     load.duration = Dur::millis(1200);
-    let cfg = canopus_config_for(&spec);
-    let mut cluster = build_canopus(&spec, &load, cfg, 1);
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec, 1)
+        .clients(Clients::OpenLoop(load))
+        .sim();
     cluster.sim.run_for(Dur::millis(2000));
     for &n in &cluster.nodes {
-        let node = cluster.sim.node::<CanopusNode>(n);
+        let node = cluster.node(n);
         let s = node.stats();
         let avg_cycle_ms = if s.committed_cycles > 0 {
             s.cycle_latency_sum_ns as f64 / s.committed_cycles as f64 / 1e6

@@ -1,42 +1,56 @@
-//! Cluster builders: a full protocol deployment plus its clients on the
-//! topology-aware simulator.
+//! The one cluster builder: a full protocol deployment plus its clients,
+//! on the topology-aware simulator or on loopback TCP.
+//!
+//! ```no_run
+//! # use canopus::CanopusMsg;
+//! # use canopus_harness::{ClusterBuilder, DeploymentSpec};
+//! let spec = DeploymentSpec::paper_single_dc(3);
+//! let simulated = ClusterBuilder::<CanopusMsg>::new(&spec, 7).sim();
+//! let over_tcp = ClusterBuilder::<CanopusMsg>::new(&spec, 7).live();
+//! ```
 //!
 //! Per the paper's client model (§8.1), every protocol node has clients in
-//! its own rack/datacenter; we aggregate them into one open-loop Poisson
-//! client process per node, splitting the offered load evenly.
+//! its own rack/datacenter; we aggregate them into one client process per
+//! node — open-loop Poisson arrivals splitting the offered load evenly
+//! ([`Clients::OpenLoop`]), or a closed-loop [`HistoryClient`] recording
+//! what the chaos verdict replays ([`Clients::History`]).
 //!
-//! Every cluster is built over the composed fault-injection fabric
-//! [`ChaosFabric`] — a [`PartitionableFabric`] over a [`LossyFabric`] over
-//! the Clos topology — so the nemesis engine ([`canopus_sim::fault`]) can
-//! partition, impair, and heal any deployment mid-run. With no faults
-//! installed the decorators are pass-through and the event schedule is
-//! identical to the bare [`ClosFabric`].
+//! Every simulated cluster is built over the composed fault-injection
+//! fabric [`ChaosFabric`] — a [`PartitionableFabric`] over a
+//! [`LossyFabric`] over the Clos topology — so the nemesis engine
+//! ([`canopus_sim::fault`]) can partition, impair, and heal any deployment
+//! mid-run. With no faults installed the decorators are pass-through and
+//! the event schedule is identical to the bare [`ClosFabric`].
 
 use std::collections::BTreeSet;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CycleTrigger, EmulationTable, LotShape};
-use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
-use canopus_net::ClosFabric;
+use canopus::{EmulationTable, LotShape};
+use canopus_net::{ClosFabric, Wire};
 use canopus_obs::{NodeObs, Registry, Snapshot};
 use canopus_sim::fault::{FaultAction, FaultPlan, NemesisDriver};
 use canopus_sim::{
     impl_process_any, Dur, LossyFabric, NodeConfig, NodeId, PartitionableFabric, Payload, Process,
     Simulation, Time,
 };
-use canopus_workload::{OpenLoopClient, OpenLoopConfig, ProtocolMsg};
+use canopus_workload::{OpenLoopClient, OpenLoopConfig};
 
-use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
+use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
+use crate::live::{live_history_config, LiveCluster};
+use crate::protocol::Protocol;
+use crate::spec::{DeploymentSpec, LoadSpec};
 
-use crate::raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode};
-use crate::spec::{DeploymentSpec, LoadSpec, TopoSpec};
-
-/// The default fabric of every built cluster: partitions over loss over
-/// the Clos topology.
+/// The fabric of every simulated cluster: partitions over loss over the
+/// Clos topology.
 pub type ChaosFabric = PartitionableFabric<LossyFabric<ClosFabric>>;
 
-/// Observability configuration for a cluster build: disabled (the
-/// default for benchmarks — every recording is one branch) or enabled
-/// with per-node flight rings of `flight_cap` events.
+/// Flight-ring capacity clusters driven by history clients get unless
+/// [`ClusterBuilder::obs`] says otherwise: enough to hold the tail of a
+/// run's consensus events for the failure dump without unbounded memory.
+pub const CHAOS_FLIGHT_CAP: usize = 256;
+
+/// Observability configuration for a cluster build: disabled (every
+/// recording is one branch) or enabled with per-node flight rings of
+/// `flight_cap` events.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterObs {
     /// Capacity of each node's flight-recorder ring; 0 disables obs.
@@ -54,32 +68,38 @@ impl ClusterObs {
         ClusterObs { flight_cap }
     }
 
-    fn hub(&self, node: u32) -> NodeObs {
-        if self.flight_cap == 0 {
-            NodeObs::disabled()
-        } else {
-            NodeObs::enabled(node, self.flight_cap)
-        }
-    }
-
-    fn hubs(&self, n: usize) -> Vec<NodeObs> {
-        (0..n as u32).map(|i| self.hub(i)).collect()
-    }
-
-    fn net_registry(&self) -> Registry {
-        if self.flight_cap == 0 {
-            Registry::disabled()
-        } else {
-            Registry::new()
-        }
+    /// One hub per (node, pipeline) pair, node-major. A node hosting
+    /// several pipelines tags pipeline `s`'s flight events
+    /// `node * 256 + s`, which keeps the streams distinguishable in a
+    /// failure dump.
+    pub(crate) fn hubs(&self, nodes: usize, per_node: usize) -> Vec<NodeObs> {
+        (0..nodes as u32)
+            .flat_map(|node| (0..per_node as u32).map(move |s| (node, s)))
+            .map(|(node, s)| {
+                if self.flight_cap == 0 {
+                    NodeObs::disabled()
+                } else if per_node == 1 {
+                    NodeObs::enabled(node, self.flight_cap)
+                } else {
+                    NodeObs::enabled(node * 256 + s, self.flight_cap)
+                }
+            })
+            .collect()
     }
 }
 
-/// Builds the replacement process when the nemesis restarts a crashed
-/// node. Receives the crashed process when the kernel still holds it, so
-/// protocols with durable state can model recovery.
-pub type RestartFactory<M> =
-    Box<dyn FnMut(NodeId, Option<Box<dyn Process<M>>>) -> Box<dyn Process<M>>>;
+/// Node `id`'s slice of a node-major hub list (empty for ids past the
+/// protocol nodes, i.e. clients).
+pub(crate) fn node_hubs(hubs: &[NodeObs], per_node: usize, id: NodeId) -> &[NodeObs] {
+    let start = id.index() * per_node;
+    hubs.get(start..start + per_node).unwrap_or(&[])
+}
+
+/// Every hub's flight recorder, dumped (`last` events each) into one
+/// string — the panic artifact chaos failures attach.
+pub(crate) fn flight_dump(hubs: &[NodeObs], last: usize) -> String {
+    hubs.iter().map(|h| h.flight.dump_last(last)).collect()
+}
 
 /// A process that ignores every message: stands in for a replica whose
 /// protocol has no crash-recovery path (EPaxos, whose paper-scoped
@@ -102,55 +122,244 @@ impl<M: Payload> Process<M> for SilentNode<M> {
     impl_process_any!();
 }
 
-/// A built cluster: the simulation, the protocol node ids, the client
-/// process ids (parallel to the node list), and the restart policy the
-/// nemesis uses when a fault plan revives a crashed node.
-pub struct Cluster<M: Payload> {
+/// The emulation table for a deployment: one super-leaf per rack/DC.
+pub fn emulation_table_for(spec: &DeploymentSpec) -> EmulationTable {
+    let groups = spec.group_count();
+    let per = spec.per_group();
+    let shape = LotShape::flat(groups as u16);
+    let membership: Vec<Vec<NodeId>> = (0..groups)
+        .map(|g| (0..per).map(|i| NodeId((g * per + i) as u32)).collect())
+        .collect();
+    EmulationTable::new(shape, membership)
+}
+
+/// Which client model drives the cluster.
+#[derive(Clone, Debug)]
+pub enum Clients {
+    /// The paper's open-loop Poisson model at the given offered load
+    /// (simulator only) — what [`Cluster::measure`] reads.
+    OpenLoop(LoadSpec),
+    /// One closed-loop [`HistoryClient`] per node — what `verdict()`
+    /// replays. Turns commit-log recording on, and observability unless
+    /// [`ClusterBuilder::obs`] overrides it, so a failing verdict can dump
+    /// each node's flight recorder.
+    History(HistoryConfig),
+}
+
+/// Assembles a deployment of protocol `P`: the protocol's configuration,
+/// the client model, and observability, ending in [`ClusterBuilder::sim`]
+/// or [`ClusterBuilder::live`]. Everything left unset takes the default
+/// of the fabric the build ends on.
+pub struct ClusterBuilder<P: Protocol> {
+    spec: DeploymentSpec,
+    seed: u64,
+    config: Option<P::Config>,
+    clients: Option<Clients>,
+    obs: Option<ClusterObs>,
+}
+
+impl<P: Protocol> ClusterBuilder<P> {
+    /// A builder for `spec`; `seed` fixes every random choice of a
+    /// simulated run.
+    pub fn new(spec: &DeploymentSpec, seed: u64) -> Self {
+        ClusterBuilder {
+            spec: spec.clone(),
+            seed,
+            config: None,
+            clients: None,
+            obs: None,
+        }
+    }
+
+    /// The protocol configuration (default: [`Protocol::sim_config`] or
+    /// [`Protocol::live_config`]).
+    pub fn config(mut self, cfg: P::Config) -> Self {
+        self.config = Some(cfg);
+        self
+    }
+
+    /// The client model (default: history clients — [`HistoryConfig`]'s
+    /// default schedule in the simulator, [`live_history_config`] live).
+    pub fn clients(mut self, clients: Clients) -> Self {
+        self.clients = Some(clients);
+        self
+    }
+
+    /// Observability (default: off under open-loop clients, on with
+    /// [`CHAOS_FLIGHT_CAP`]-event rings under history clients). Recording
+    /// is observation-only — it never touches the RNG, the event queue, or
+    /// the trace hash, so enabling it cannot change an execution.
+    pub fn obs(mut self, obs: ClusterObs) -> Self {
+        self.obs = Some(obs);
+        self
+    }
+
+    /// The protocol config and hubs both terminals build nodes from.
+    fn resolve(
+        &self,
+        default_cfg: fn(&DeploymentSpec) -> P::Config,
+        clients: &Clients,
+    ) -> (P::Config, Vec<NodeObs>) {
+        let cfg = self.config.clone();
+        let cfg = cfg.unwrap_or_else(|| default_cfg(&self.spec));
+        let (cfg, default_obs) = match clients {
+            Clients::OpenLoop(_) => (cfg, ClusterObs::off()),
+            Clients::History(_) => (P::recording(cfg), ClusterObs::on(CHAOS_FLIGHT_CAP)),
+        };
+        let obs = self.obs.unwrap_or(default_obs);
+        let hubs = obs.hubs(self.spec.node_count(), P::pipelines(&cfg) as usize);
+        (cfg, hubs)
+    }
+
+    /// Builds the deployment on the deterministic simulator.
+    pub fn sim(self) -> Cluster<P> {
+        let clients = self
+            .clients
+            .clone()
+            .unwrap_or_else(|| Clients::History(HistoryConfig::default()));
+        let (cfg, hubs) = self.resolve(P::sim_config, &clients);
+        let (spec, seed) = (self.spec, self.seed);
+        let n = spec.node_count();
+        let per_node = P::pipelines(&cfg) as usize;
+
+        let mut topo = spec.build_topology();
+        // Place one client per protocol node in the same rack.
+        let client_slots: Vec<NodeId> = (0..n)
+            .map(|i| {
+                let rack = topo.rack_of(NodeId(i as u32));
+                topo.add_node(rack)
+            })
+            .collect();
+        let fabric = PartitionableFabric::new(LossyFabric::new(ClosFabric::new(topo), 0.0));
+        let mut sim = Simulation::new(fabric, seed);
+        let node_cfg = NodeConfig::default().with_lanes(per_node as u32);
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| {
+                let id = NodeId(i as u32);
+                let node = P::node(id, &spec, &cfg, seed, node_hubs(&hubs, per_node, id));
+                assert_eq!(sim.add_node_with(Box::new(node), node_cfg), id);
+                id
+            })
+            .collect();
+        // Client machines are dedicated (15 machines for 180 clients in
+        // the paper); don't let them become the bottleneck.
+        let client_cfg = NodeConfig {
+            base_msg_cost: Dur::nanos(200),
+            per_send_cost: Dur::nanos(100),
+            lanes: 1,
+        };
+        for (i, &slot) in client_slots.iter().enumerate() {
+            let client: Box<dyn Process<P>> = match &clients {
+                Clients::OpenLoop(load) => Box::new(OpenLoopClient::<P>::new(
+                    nodes[i],
+                    OpenLoopConfig {
+                        rate_per_sec: load.total_rate / n as f64,
+                        write_ratio: load.write_ratio,
+                        tick: Dur::millis(1),
+                        op_bytes: 16,
+                        warmup: load.warmup,
+                        max_batch: load.client_max_batch,
+                        shards: load.shards,
+                        shard_theta: load.shard_theta,
+                        ..OpenLoopConfig::default()
+                    },
+                    seed ^ (0xC11E47 + i as u64),
+                )),
+                Clients::History(hcfg) => {
+                    Box::new(HistoryClient::<P>::new(i, n, nodes[i], hcfg.clone()))
+                }
+            };
+            let id = sim.add_node_with(client, client_cfg);
+            assert_eq!(id, slot, "client ids must match topology");
+        }
+        let net_registry = if hubs.iter().any(NodeObs::is_enabled) {
+            Registry::new()
+        } else {
+            Registry::disabled()
+        };
+        sim.set_net_metrics(net_registry.clone());
+        Cluster {
+            sim,
+            nodes,
+            clients: client_slots,
+            spec,
+            cfg,
+            seed,
+            ever_crashed: BTreeSet::new(),
+            hubs,
+            net_registry,
+        }
+    }
+
+    /// Spawns the deployment on loopback TCP, one reactor-backed node loop
+    /// per protocol node plus one [`crate::ClientMux`] node hosting the
+    /// history clients.
+    ///
+    /// # Panics
+    /// Panics when built with [`Clients::OpenLoop`]: the live fabric hosts
+    /// history clients only.
+    pub fn live(self) -> LiveCluster<P>
+    where
+        P: Wire + Send,
+    {
+        let clients = self
+            .clients
+            .clone()
+            .unwrap_or_else(|| Clients::History(live_history_config()));
+        let Clients::History(hcfg) = &clients else {
+            panic!("live clusters are driven by history clients, not an open-loop load");
+        };
+        let (cfg, hubs) = self.resolve(P::live_config, &clients);
+        LiveCluster::spawn(self.spec, cfg, self.seed, hcfg, hubs)
+    }
+}
+
+/// A simulated cluster: the simulation, the protocol node ids, and the
+/// client process ids (parallel to the node list).
+pub struct Cluster<P: Protocol> {
     /// The simulation, ready to run.
-    pub sim: Simulation<M, ChaosFabric>,
+    pub sim: Simulation<P, ChaosFabric>,
     /// Protocol node ids (dense, starting at 0).
     pub nodes: Vec<NodeId>,
     /// One aggregated client per node, in node order.
     pub clients: Vec<NodeId>,
-    restart_factory: RestartFactory<M>,
+    spec: DeploymentSpec,
+    cfg: P::Config,
+    seed: u64,
     ever_crashed: BTreeSet<NodeId>,
-    /// One observability hub per protocol node (all disabled unless the
-    /// cluster was built with [`ClusterObs::on`]).
+    /// [`Protocol::pipelines`] observability hubs per protocol node,
+    /// node-major (all inert when obs is off).
     hubs: Vec<NodeObs>,
     /// The registry the simulator's network layer counts sent messages
     /// and bytes into (by wire kind).
     net_registry: Registry,
 }
 
-impl<M: Payload> Cluster<M> {
-    /// Mutable access to the fault-injection fabric — the supported way
-    /// for tests to install partitions, loss, and isolation, instead of
-    /// reaching through `Simulation` internals.
-    pub fn fabric_mut(&mut self) -> &mut ChaosFabric {
-        self.sim.fabric_mut()
-    }
-
-    /// Immutable access to the fault-injection fabric.
-    pub fn fabric(&self) -> &ChaosFabric {
-        self.sim.fabric()
+impl<P: Protocol> Cluster<P> {
+    /// Node `id`'s state machine.
+    ///
+    /// # Panics
+    /// Panics if the node is crashed, or was restarted as something other
+    /// than a `P::Node` (EPaxos's [`SilentNode`]).
+    pub fn node(&self, id: NodeId) -> &P::Node {
+        self.sim.node::<P::Node>(id)
     }
 
     /// Applies `plan` while running the simulation for `horizon` of
-    /// virtual time from now, restarting crashed nodes through the
-    /// cluster's per-protocol restart policy. Returns the concrete action
-    /// timeline that was applied.
+    /// virtual time from now, restarting crashed nodes through
+    /// [`Protocol::restart`]. Returns the concrete action timeline that
+    /// was applied.
     pub fn apply_plan(&mut self, plan: &FaultPlan, horizon: Dur) -> Vec<(Time, FaultAction)> {
         let mut driver = NemesisDriver::new(plan, self.sim.now(), horizon);
         let until = self.sim.now() + horizon;
-        driver.run(&mut self.sim, until, &mut *self.restart_factory);
+        let (spec, cfg, seed, hubs) = (&self.spec, &self.cfg, self.seed, &self.hubs);
+        let per_node = P::pipelines(cfg) as usize;
+        driver.run(&mut self.sim, until, &mut |id, old| {
+            P::restart(id, old, spec, cfg, seed, node_hubs(hubs, per_node, id))
+        });
         self.ever_crashed
             .extend(driver.ever_crashed().iter().copied());
         driver.applied().to_vec()
-    }
-
-    /// Nodes the nemesis has crashed at least once.
-    pub fn ever_crashed(&self) -> &BTreeSet<NodeId> {
-        &self.ever_crashed
     }
 
     /// Protocol nodes that are alive and were never crashed — the set the
@@ -163,24 +372,46 @@ impl<M: Payload> Cluster<M> {
             .collect()
     }
 
-    /// Per-node observability hubs (empty or inert when obs is off).
-    pub fn obs_hubs(&self) -> &[NodeObs] {
-        &self.hubs
-    }
-
-    /// The registry the simulated network counts into.
-    pub fn net_registry(&self) -> &Registry {
-        &self.net_registry
+    /// Runs the chaos verdict over a cluster driven by history clients:
+    /// agreement (global and per-key), client FIFO, linearizability of
+    /// reads (where the protocol promises it), post-heal convergence, and
+    /// the protocol's [`Protocol::extra_checks`].
+    ///
+    /// Only **trusted** nodes — alive and never crashed — are held to the
+    /// bar: a restarted node's log legitimately restarts mid-history, and
+    /// its recovery semantics are protocol-specific. `convergence_exempt`
+    /// names trusted nodes whose clients are excused from the convergence
+    /// check (e.g. a Canopus node that was isolated from its super-leaf
+    /// peers gets tombstoned and, by design, stays excluded until a rejoin
+    /// path exists).
+    pub fn verdict(
+        &self,
+        converge_after: Time,
+        convergence_exempt: &BTreeSet<NodeId>,
+    ) -> ChaosReport {
+        let trusted_ids = self.trusted_nodes();
+        let trusted: Vec<(NodeId, &P::Node)> =
+            trusted_ids.iter().map(|&n| (n, self.node(n))).collect();
+        let clients: Vec<ClientHistory<'_>> = self
+            .nodes
+            .iter()
+            .zip(&self.clients)
+            .filter(|(node, _)| trusted_ids.contains(node))
+            .map(|(&node, &client)| ClientHistory {
+                node,
+                client,
+                ops: self.sim.node::<HistoryClient<P>>(client).ops(),
+            })
+            .collect();
+        // One virtual clock stamps every node and client, so read/write
+        // intervals are comparable.
+        history::verdict::<P>(&trusted, &clients, converge_after, convergence_exempt, true)
     }
 
     /// Every node's flight recorder, dumped (`last` events each) into one
     /// string — the panic artifact chaos failures attach.
     pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
+        flight_dump(&self.hubs, last)
     }
 
     /// One merged snapshot: every node's registry plus the network
@@ -192,468 +423,4 @@ impl<M: Payload> Cluster<M> {
         }
         snap
     }
-}
-
-/// Tuning knobs common to all protocol builders.
-fn client_node_config() -> NodeConfig {
-    // Client machines are dedicated (15 machines for 180 clients in the
-    // paper); don't let them become the bottleneck.
-    NodeConfig {
-        base_msg_cost: Dur::nanos(200),
-        per_send_cost: Dur::nanos(100),
-        lanes: 1,
-    }
-}
-
-/// Builds a cluster from explicit node, client, and restart factories —
-/// the generic assembly the per-protocol builders and the chaos harness
-/// share. `make_client(i, target)` builds the client co-located with node
-/// `i`. Protocol nodes get the default single-lane [`NodeConfig`]; the
-/// sharded builders use [`build_custom_cfg`] to give each node one CPU
-/// lane per hosted shard.
-pub fn build_custom<M>(
-    spec: &DeploymentSpec,
-    seed: u64,
-    make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<M>>,
-    restart_factory: RestartFactory<M>,
-) -> Cluster<M>
-where
-    M: Payload,
-{
-    build_custom_cfg(
-        spec,
-        seed,
-        NodeConfig::default(),
-        make_node,
-        make_client,
-        restart_factory,
-    )
-}
-
-/// [`build_custom`] with an explicit [`NodeConfig`] for the protocol
-/// nodes (clients keep their own dedicated-machine config).
-pub fn build_custom_cfg<M>(
-    spec: &DeploymentSpec,
-    seed: u64,
-    node_cfg: NodeConfig,
-    mut make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-    mut make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<M>>,
-    restart_factory: RestartFactory<M>,
-) -> Cluster<M>
-where
-    M: Payload,
-{
-    let mut topo = spec.build_topology();
-    let n = spec.node_count();
-    // Place one client per protocol node in the same rack.
-    let mut client_slots = Vec::with_capacity(n);
-    for i in 0..n {
-        let rack = topo.rack_of(NodeId(i as u32));
-        client_slots.push(topo.add_node(rack));
-    }
-    let fabric = PartitionableFabric::new(LossyFabric::new(ClosFabric::new(topo), 0.0));
-    let mut sim = Simulation::new(fabric, seed);
-    let mut nodes = Vec::with_capacity(n);
-    for i in 0..n {
-        let id = sim.add_node_with(make_node(NodeId(i as u32)), node_cfg);
-        assert_eq!(id, NodeId(i as u32), "node ids must match topology");
-        nodes.push(id);
-    }
-    let mut clients = Vec::with_capacity(n);
-    for (i, &slot) in client_slots.iter().enumerate() {
-        let id = sim.add_node_with(make_client(i, nodes[i]), client_node_config());
-        assert_eq!(id, slot, "client ids must match topology");
-        clients.push(id);
-    }
-    Cluster {
-        sim,
-        nodes,
-        clients,
-        restart_factory,
-        ever_crashed: BTreeSet::new(),
-        hubs: Vec::new(),
-        net_registry: Registry::disabled(),
-    }
-}
-
-/// Attaches pre-built hubs and a network registry to a freshly built
-/// cluster: the hubs become visible through [`Cluster::obs_hubs`] and the
-/// simulated network starts counting into `net_registry`. Recording is
-/// observation-only — it never touches the RNG, the event queue, or the
-/// trace hash, so enabling obs cannot change an execution.
-fn install_obs<M: Payload>(cluster: &mut Cluster<M>, hubs: Vec<NodeObs>, net_registry: Registry) {
-    cluster.sim.set_net_metrics(net_registry.clone());
-    cluster.hubs = hubs;
-    cluster.net_registry = net_registry;
-}
-
-fn open_loop_client_factory<M>(
-    load: &LoadSpec,
-    n: usize,
-    seed: u64,
-) -> impl FnMut(usize, NodeId) -> Box<dyn Process<M>>
-where
-    M: Payload + ProtocolMsg,
-    OpenLoopClient<M>: Process<M>,
-{
-    let per_client_rate = load.total_rate / n as f64;
-    let load = load.clone();
-    move |i, target| {
-        let cfg = OpenLoopConfig {
-            rate_per_sec: per_client_rate,
-            write_ratio: load.write_ratio,
-            tick: Dur::millis(1),
-            op_bytes: 16,
-            warmup: load.warmup,
-            max_batch: load.client_max_batch,
-            shards: load.shards,
-            shard_theta: load.shard_theta,
-            ..OpenLoopConfig::default()
-        };
-        Box::new(OpenLoopClient::<M>::new(
-            target,
-            cfg,
-            seed ^ (0xC11E47 + i as u64),
-        ))
-    }
-}
-
-/// The default Canopus configuration for a deployment: self-clocked cycles
-/// in a single datacenter, pipelined 5 ms cycles across datacenters (§8.2).
-pub fn canopus_config_for(spec: &DeploymentSpec) -> CanopusConfig {
-    match spec.topo {
-        TopoSpec::SingleDc { .. } => CanopusConfig {
-            trigger: CycleTrigger::OnCommit,
-            fetch_timeout: Dur::millis(25),
-            failure_timeout: Dur::millis(60),
-            raft: canopus_raft::RaftConfig {
-                heartbeat_interval: Dur::millis(5),
-                election_timeout_min: Dur::millis(25),
-                election_timeout_max: Dur::millis(50),
-            },
-            record_log: false,
-            ..CanopusConfig::default()
-        },
-        TopoSpec::MultiDc { .. } => CanopusConfig {
-            record_log: false,
-            ..CanopusConfig::wide_area()
-        },
-    }
-}
-
-/// The emulation table for a deployment: one super-leaf per rack/DC.
-pub fn emulation_table_for(spec: &DeploymentSpec) -> EmulationTable {
-    let groups = spec.group_count();
-    let per = spec.per_group();
-    let shape = LotShape::flat(groups as u16);
-    let membership: Vec<Vec<NodeId>> = (0..groups)
-        .map(|g| (0..per).map(|i| NodeId((g * per + i) as u32)).collect())
-        .collect();
-    EmulationTable::new(shape, membership)
-}
-
-/// Builds a Canopus cluster over custom clients (the chaos harness path).
-/// A restarted node comes back as a fresh process; the survivors'
-/// tombstone machinery keeps it excluded (crash-stop rejoin is a ROADMAP
-/// item), which is safe but means its clients see no further progress.
-pub fn build_canopus_with(
-    spec: &DeploymentSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<CanopusMsg>>,
-    obs: ClusterObs,
-) -> Cluster<CanopusMsg> {
-    let table = emulation_table_for(spec);
-    let restart_table = table.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(spec.node_count());
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                CanopusNode::new(id, table.clone(), cfg.clone(), seed)
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, _old| {
-            Box::new(
-                CanopusNode::new(id, restart_table.clone(), restart_cfg.clone(), seed)
-                    .with_obs(restart_hubs[id.0 as usize].clone()),
-            )
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a Canopus cluster: one super-leaf per rack/datacenter.
-pub fn build_canopus(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-) -> Cluster<CanopusMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_canopus_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// [`build_canopus`] with observability attached — the benchmark path
-/// uses this to emit batch-size and pipeline-occupancy metrics next to
-/// each ladder point.
-pub fn build_canopus_obs(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-    obs: ClusterObs,
-) -> Cluster<CanopusMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_canopus_with(spec, cfg, seed, clients, obs)
-}
-
-/// Observability hubs for a sharded cluster: one hub per (node, shard)
-/// pair, node-major, so each LOT instance records to its own registry and
-/// flight recorder. Flight events are tagged `node * 256 + shard`, which
-/// keeps per-shard streams distinguishable in a failure dump.
-fn sharded_hubs(obs: &ClusterObs, n: usize, shards: u16) -> Vec<NodeObs> {
-    (0..n as u32)
-        .flat_map(|node| (0..u32::from(shards)).map(move |s| (node, s)))
-        .map(|(node, s)| {
-            if obs.flight_cap == 0 {
-                NodeObs::disabled()
-            } else {
-                NodeObs::enabled(node * 256 + s, obs.flight_cap)
-            }
-        })
-        .collect()
-}
-
-/// Builds a shard-parallel Canopus cluster over custom clients: every
-/// node hosts `shards` independent LOT instances behind one transport
-/// identity ([`canopus::ShardEngine`]), with one CPU lane per shard so
-/// the pipelines commit concurrently. Per-shard configuration goes
-/// through `cfg_of(shard)` — uniform tuning passes the same config for
-/// every shard. A restarted node comes back as a fresh engine (the
-/// survivors' per-shard tombstone machinery keeps it excluded, exactly
-/// as in the unsharded builder).
-pub fn build_sharded_canopus_with(
-    spec: &DeploymentSpec,
-    mut cfg_of: impl FnMut(u16) -> CanopusConfig,
-    shards: u16,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<canopus::ShardMsg>>,
-    obs: ClusterObs,
-) -> Cluster<canopus::ShardMsg> {
-    let shards = shards.max(1);
-    let table = emulation_table_for(spec);
-    let restart_table = table.clone();
-    let cfgs: Vec<CanopusConfig> = (0..shards).map(&mut cfg_of).collect();
-    let restart_cfgs = cfgs.clone();
-    let hubs = sharded_hubs(&obs, spec.node_count(), shards);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let engine =
-        move |id: NodeId, table: &EmulationTable, cfgs: &[CanopusConfig], hubs: &[NodeObs]| {
-            let per_node = hubs[id.0 as usize * shards as usize..].to_vec();
-            Box::new(
-                canopus::ShardEngine::with_configs(id, table.clone(), shards, seed, |s| {
-                    cfgs[s as usize].clone()
-                })
-                .with_obs(move |s| per_node[s as usize].clone()),
-            )
-        };
-    let restart_engine = engine;
-    let mut cluster = build_custom_cfg(
-        spec,
-        seed,
-        NodeConfig::default().with_lanes(u32::from(shards)),
-        |id| engine(id, &table, &cfgs, &node_hubs),
-        make_client,
-        Box::new(move |id, _old| restart_engine(id, &restart_table, &restart_cfgs, &restart_hubs)),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a shard-parallel Canopus cluster driven by the paper's
-/// open-loop client model, with the clients splitting their offered load
-/// across the shards per the [`LoadSpec`]'s shard routing (uniform or
-/// Zipf-skewed).
-pub fn build_sharded_canopus(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    shards: u16,
-    seed: u64,
-) -> Cluster<canopus::ShardMsg> {
-    build_sharded_canopus_obs(spec, load, cfg, shards, seed, ClusterObs::off())
-}
-
-/// [`build_sharded_canopus`] with observability attached — the shard
-/// scaling bench reads per-shard batch and pipeline metrics from the
-/// per-(node, shard) hubs.
-pub fn build_sharded_canopus_obs(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    shards: u16,
-    seed: u64,
-    obs: ClusterObs,
-) -> Cluster<canopus::ShardMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_sharded_canopus_with(spec, |_| cfg.clone(), shards, seed, clients, obs)
-}
-
-/// Builds an EPaxos cluster over custom clients. EPaxos has no recovery
-/// protocol (failure-free scope, see the crate docs), so a restarted
-/// replica is re-installed as a permanently silent crash-stop process —
-/// restarting it with empty state would silently break quorum-
-/// intersection memory and could corrupt the dependency graph.
-pub fn build_epaxos_with(
-    spec: &DeploymentSpec,
-    cfg: EpaxosConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<EpaxosMsg>>,
-    obs: ClusterObs,
-) -> Cluster<EpaxosMsg> {
-    let n = spec.node_count();
-    let replicas: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                EpaxosNode::new(id, replicas.clone(), cfg.clone())
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(|_id, _old| Box::new(SilentNode::<EpaxosMsg>::default())),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds an EPaxos cluster over the same deployment.
-pub fn build_epaxos(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: EpaxosConfig,
-    seed: u64,
-) -> Cluster<EpaxosMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_epaxos_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// Builds a ZooKeeper-model cluster over custom clients. A restarted node
-/// comes back amnesiac as a *follower* ([`ZabNode::recovering`] — even a
-/// former leader must not reclaim leadership with an empty log) and
-/// resyncs its full history from the current leader (gap detection +
-/// `ResyncRequest`), modelling Zab's synchronization phase.
-pub fn build_zab_with(
-    spec: &DeploymentSpec,
-    cfg: ZabConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<ZabMsg>>,
-    obs: ClusterObs,
-) -> Cluster<ZabMsg> {
-    let n = spec.node_count();
-    let ensemble: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_ensemble = ensemble.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                ZabNode::new(id, ensemble.clone(), cfg.clone())
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, _old| {
-            Box::new(
-                ZabNode::recovering(id, restart_ensemble.clone(), restart_cfg.clone())
-                    .with_obs(restart_hubs[id.0 as usize].clone()),
-            )
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a ZooKeeper-model cluster: `participants` quorum members (leader
-/// = node 0), the rest observers — the paper's Figure 5 configuration.
-pub fn build_zab(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: ZabConfig,
-    seed: u64,
-) -> Cluster<ZabMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_zab_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// Builds a Raft KV cluster over custom clients. A restarted node
-/// recovers its durable Raft state (term, vote, log) from the crashed
-/// process and rejoins as a follower.
-pub fn build_raftkv_with(
-    spec: &DeploymentSpec,
-    cfg: RaftKvConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<RaftKvMsg>>,
-    obs: ClusterObs,
-) -> Cluster<RaftKvMsg> {
-    let n = spec.node_count();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_members = members.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                RaftKvNode::new(id, members.clone(), cfg.clone(), seed)
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, old| {
-            let recovered = old.and_then(|p| p.into_any().downcast::<RaftKvNode>().ok());
-            let hub = restart_hubs[id.0 as usize].clone();
-            match recovered {
-                Some(node) => Box::new(RaftKvNode::recover(&node, seed).with_obs(hub)),
-                None => Box::new(
-                    RaftKvNode::new(id, restart_members.clone(), restart_cfg.clone(), seed)
-                        .with_obs(hub),
-                ),
-            }
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a Raft KV cluster driven by the paper's open-loop client model.
-pub fn build_raftkv(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: RaftKvConfig,
-    seed: u64,
-) -> Cluster<RaftKvMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_raftkv_with(spec, cfg, seed, clients, ClusterObs::off())
 }

@@ -1,7 +1,8 @@
 //! Live-cluster chaos: the nemesis engine over real TCP sockets.
 //!
-//! [`LiveCluster`] spawns a protocol deployment on the reactor-backed TCP
-//! transport (`canopus_net::tcp`), plus one [`HistoryClient`] per node —
+//! [`LiveCluster`] (built by [`crate::ClusterBuilder::live`]) runs a
+//! protocol deployment on the reactor-backed TCP transport
+//! (`canopus_net::tcp`), plus one [`HistoryClient`] per node —
 //! all of them multiplexed onto a single extra transport node by a
 //! [`ClientMux`] — every loop sharing one [`FaultRules`] table.
 //! [`LiveCluster::run_plan`] then replays the *same* [`FaultPlan`]s the
@@ -13,20 +14,19 @@
 //!   `PartitionableFabric<LossyFabric<_>>`;
 //! * `Crash` stops the node's loop (keeping its final process state) and
 //!   marks it crashed in the rules so peers drop its traffic;
-//! * `Restart` rebuilds a replacement process through the cluster's
-//!   per-protocol [`RestartFactory`] — the same policies the simulator
-//!   uses (ZAB resyncs as a recovering follower, Raft KV recovers its
-//!   durable state, EPaxos re-installs a crash-stop silent node) — and
-//!   respawns the loop on the *same* listening socket (kept alive across
-//!   the crash via `TcpListener::try_clone`, so no rebind race).
+//! * `Restart` rebuilds a replacement process through
+//!   [`Protocol::restart`] — the same policy the simulator applies (ZAB
+//!   resyncs as a recovering follower, Raft KV recovers its durable
+//!   state, EPaxos re-installs a crash-stop silent node) — and respawns
+//!   the loop on the *same* listening socket (kept alive across the crash
+//!   via `TcpListener::try_clone`, so no rebind race).
 //!
 //! After the run, [`LiveCluster::shutdown`] collects every final process
 //! and [`LiveOutcome::verdict`] runs the shared chaos verdict: agreement,
 //! client FIFO, read validity, and post-heal convergence. The
 //! linearizability *timing* check is skipped — live nodes measure time
 //! from their own spawn instants, and cross-node clock-base skew makes
-//! read/write interval comparisons unsound (see
-//! [`crate::history::chaos_verdict_parts`]).
+//! read/write interval comparisons unsound.
 //!
 //! # Timing
 //!
@@ -50,37 +50,25 @@
 //! loss, and crash/restart under ZAB and Raft KV, whose recovery paths
 //! are sound without a failure-detector race.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CycleTrigger, EmulationTable, LotShape};
-use canopus_net::tcp::{spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
+use canopus::{CanopusConfig, CycleTrigger};
+use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
 use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
 use canopus_raft::RaftConfig;
 use canopus_sim::fault::{FaultAction, FaultPlan, NemesisFabric, NemesisSchedule};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
-use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 
-use crate::cluster::RestartFactory;
-use crate::history::{
-    chaos_verdict_parts, ChaosProtocol, ChaosReport, ClientHistory, HistoryClient, HistoryConfig,
-};
+use crate::cluster::{flight_dump, node_hubs};
+use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
 use crate::mux::ClientMux;
-use crate::raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode};
-use crate::scenarios::{ChaosTimeline, ChaosTopology};
-
-/// Flight-ring capacity per live node: the tail of a run's consensus
-/// events, kept small because each live node is a handful of OS threads.
-pub const LIVE_FLIGHT_CAP: usize = 256;
-
-/// Re-attaches a node's observability hub to a freshly built process —
-/// needed on restart because the per-protocol restart factories build
-/// bare processes. Each live builder supplies the protocol's downcast.
-pub type AttachObs<M> = Box<dyn Fn(Box<dyn Process<M>>, NodeObs) -> Box<dyn Process<M>>>;
+use crate::protocol::Protocol;
+use crate::scenarios::ChaosTimeline;
+use crate::spec::{DeploymentSpec, TopoSpec};
 
 /// The default real-time "tick" for live clusters. Every live election,
 /// failure, and fetch timeout is a multiple of the unit; runs read it via
@@ -109,7 +97,7 @@ pub fn live_time_unit() -> Dur {
 
 /// Raft timing for live sockets: 1-unit heartbeats, 6–12-unit elections
 /// (the values PR 1 validated under concurrent stress on loaded hosts).
-pub fn live_raft_config() -> RaftConfig {
+pub(crate) fn live_raft_config() -> RaftConfig {
     let unit = live_time_unit();
     RaftConfig {
         heartbeat_interval: unit,
@@ -134,28 +122,6 @@ pub fn live_canopus_config() -> CanopusConfig {
     }
 }
 
-/// ZAB configuration for live sockets (8-unit election silence).
-pub fn live_zab_config(participants: usize) -> ZabConfig {
-    let unit = live_time_unit();
-    ZabConfig {
-        participants,
-        heartbeat: unit,
-        election_timeout: unit * 8,
-        tick_interval: unit / 5,
-        ..ZabConfig::default()
-    }
-}
-
-/// Raft KV configuration for live sockets.
-pub fn live_raftkv_config() -> RaftKvConfig {
-    let unit = live_time_unit();
-    RaftKvConfig {
-        raft: live_raft_config(),
-        tick_interval: unit / 5,
-        ..RaftKvConfig::default()
-    }
-}
-
 /// The wall-clock chaos schedule matched to the live timeouts: faults at
 /// 6 units, heal at 24, convergence probes from 30, clients stop at 40,
 /// run ends at 45 (2.25 s per run with the default unit).
@@ -171,12 +137,14 @@ pub fn live_timeline() -> ChaosTimeline {
 }
 
 /// The live suite's deployment: two super-leaves of three — the smallest
-/// shape where every live protocol tolerates the catalog faults, kept
-/// lean because each node is a handful of real OS threads.
-pub fn live_topology() -> ChaosTopology {
-    ChaosTopology {
-        groups: 2,
-        per_group: 3,
+/// shape where every live protocol tolerates the catalog faults.
+pub fn live_spec() -> DeploymentSpec {
+    DeploymentSpec {
+        topo: TopoSpec::SingleDc {
+            racks: 2,
+            nodes_per_rack: 3,
+        },
+        link: Default::default(),
     }
 }
 
@@ -208,134 +176,97 @@ struct LiveSlot<M: Payload> {
 
 /// A protocol deployment plus its history clients on loopback TCP, with
 /// runtime fault injection.
-pub struct LiveCluster<M: ChaosProtocol + Wire + Send> {
+pub struct LiveCluster<P: Protocol + Wire + Send> {
+    spec: DeploymentSpec,
+    cfg: P::Config,
     seed: u64,
     start: Instant,
     rules: Arc<FaultRules>,
     peers: PeerMap,
-    nodes: Vec<LiveSlot<M>>,
+    nodes: Vec<LiveSlot<P>>,
     /// The single transport node hosting every history client (sessions
     /// keep their classic virtual ids `n..2n` inside the [`ClientMux`]).
-    mux: LiveSlot<M>,
-    /// Final states of currently-crashed nodes (fed to the restart
-    /// factory, mirroring `Simulation::take_crashed`).
-    down: BTreeMap<NodeId, Box<dyn Process<M>>>,
+    mux: LiveSlot<P>,
+    /// Final states of currently-crashed nodes (fed to
+    /// [`Protocol::restart`], mirroring `Simulation::take_crashed`).
+    down: BTreeMap<NodeId, Box<dyn Process<P>>>,
     ever_crashed: BTreeSet<NodeId>,
-    restart_factory: RestartFactory<M>,
-    /// One observability hub per protocol node (inert unless spawned via
-    /// [`LiveCluster::spawn_obs`]).
+    /// [`Protocol::pipelines`] observability hubs per protocol node,
+    /// node-major (all inert when obs is off).
     hubs: Vec<NodeObs>,
-    attach: Option<AttachObs<M>>,
 }
 
-impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
-    /// Binds `n` protocol nodes plus one client-mux node on loopback
-    /// ephemeral ports and spawns every loop. `make_node(id)` builds the
-    /// protocol processes; the mux hosts `n` [`HistoryClient`] sessions
-    /// (virtual ids `n..2n`, each targeting its co-indexed node) behind a
-    /// single listener — the peer map points every virtual client id at
-    /// that listener, so replies multiplex over one connection per node.
-    pub fn spawn(
-        n: usize,
-        hcfg: &HistoryConfig,
+impl<P: Protocol + Wire + Send> LiveCluster<P> {
+    /// Binds one listener per protocol node plus one for the client mux on
+    /// loopback ephemeral ports and spawns every loop. The mux hosts `n`
+    /// [`HistoryClient`] sessions (virtual ids `n..2n`, each targeting its
+    /// co-indexed node) behind a single listener — the peer map points
+    /// every virtual client id at that listener, so replies multiplex over
+    /// one connection per node. Enabled hubs are wired into both the
+    /// node's process and its transport (per-peer traffic, flush sizes,
+    /// queue depth).
+    pub(crate) fn spawn(
+        spec: DeploymentSpec,
+        cfg: P::Config,
         seed: u64,
-        make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-        restart_factory: RestartFactory<M>,
-    ) -> Self {
-        Self::spawn_obs(n, hcfg, seed, make_node, restart_factory, None)
-    }
-
-    /// [`LiveCluster::spawn`] with observability: when `attach` is given,
-    /// every protocol node gets an enabled hub ([`LIVE_FLIGHT_CAP`]-event
-    /// flight ring + registry) wired into both its process (via `attach`)
-    /// and its transport (per-peer traffic, flush sizes, queue depth).
-    pub fn spawn_obs(
-        n: usize,
         hcfg: &HistoryConfig,
-        seed: u64,
-        mut make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-        restart_factory: RestartFactory<M>,
-        attach: Option<AttachObs<M>>,
+        hubs: Vec<NodeObs>,
     ) -> Self {
-        let hubs: Vec<NodeObs> = (0..n as u32)
-            .map(|i| {
-                if attach.is_some() {
-                    NodeObs::enabled(i, LIVE_FLIGHT_CAP)
-                } else {
-                    NodeObs::disabled()
-                }
-            })
-            .collect();
-        let rules = Arc::new(FaultRules::new(seed));
-        let mut peers = PeerMap::new();
-        let bind = |id: NodeId, peers: &mut PeerMap| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            peers.insert(id, listener.local_addr().expect("local addr"));
-            listener
-        };
-        let node_listeners: Vec<TcpListener> =
-            (0..n).map(|i| bind(NodeId(i as u32), &mut peers)).collect();
-        // One listener carries every client session: all virtual client
-        // ids map to the mux's address, so each protocol node keeps a
-        // single connection to the whole client population.
+        let n = spec.node_count();
+        let (mut listeners, mut peers) = bind_loopback(n + 1);
         let mux_id = NodeId(n as u32);
-        let mux_listener = bind(mux_id, &mut peers);
         let mux_addr = peers.get(mux_id).expect("mux addr");
         for i in 1..n {
             peers.insert(NodeId((n + i) as u32), mux_addr);
         }
-
         let mut cluster = LiveCluster {
+            spec,
+            cfg,
             seed,
             start: Instant::now(),
-            rules,
+            rules: Arc::new(FaultRules::new(seed)),
             peers,
             nodes: Vec::with_capacity(n),
             mux: LiveSlot {
                 id: mux_id,
-                listener: mux_listener,
+                listener: listeners.pop().expect("mux listener"),
                 handle: None,
             },
             down: BTreeMap::new(),
             ever_crashed: BTreeSet::new(),
-            restart_factory,
             hubs,
-            attach,
         };
-        for (i, listener) in node_listeners.into_iter().enumerate() {
+        for (i, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(i as u32);
-            let process = cluster.attach_obs(id, make_node(id));
-            let handle = cluster.launch(id, &listener, process);
+            let node = P::node(id, &cluster.spec, &cluster.cfg, seed, cluster.hubs_of(id));
+            let handle = cluster.launch(id, &listener, Box::new(node));
             cluster.nodes.push(LiveSlot {
                 id,
                 listener,
                 handle: Some(handle),
             });
         }
-        let mux = ClientMux::<M>::new(n, n as u32, hcfg, seed);
+        let mux = ClientMux::<P>::new(n, n as u32, hcfg, seed);
         let handle = cluster.launch(mux_id, &cluster.mux.listener, Box::new(mux));
         cluster.mux.handle = Some(handle);
         cluster
     }
 
-    /// Runs a fresh process through the obs attach hook, when both exist.
-    fn attach_obs(&self, id: NodeId, process: Box<dyn Process<M>>) -> Box<dyn Process<M>> {
-        match (&self.attach, self.hubs.get(id.0 as usize)) {
-            (Some(attach), Some(hub)) if hub.is_enabled() => attach(process, hub.clone()),
-            _ => process,
-        }
+    /// Node `id`'s hubs (empty for the client mux).
+    fn hubs_of(&self, id: NodeId) -> &[NodeObs] {
+        node_hubs(&self.hubs, P::pipelines(&self.cfg) as usize, id)
     }
 
     fn launch(
         &self,
         id: NodeId,
         listener: &TcpListener,
-        process: Box<dyn Process<M>>,
-    ) -> TcpNodeHandle<M> {
+        process: Box<dyn Process<P>>,
+    ) -> TcpNodeHandle<P> {
         let listener = listener.try_clone().expect("clone listener");
         let net_obs = self
-            .hubs
-            .get(id.0 as usize)
+            .hubs_of(id)
+            .first()
             .filter(|hub| hub.is_enabled())
             .map(|hub| NetObs::new(hub.clone()))
             .unwrap_or_default();
@@ -353,40 +284,6 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
     /// Wall-clock time since the cluster started, as a [`Time`].
     pub fn now(&self) -> Time {
         Time::from_nanos(self.start.elapsed().as_nanos() as u64)
-    }
-
-    /// The shared fault table (e.g. for ad-hoc faults outside a plan).
-    pub fn rules(&self) -> &Arc<FaultRules> {
-        &self.rules
-    }
-
-    /// Protocol node ids.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.iter().map(|s| s.id).collect()
-    }
-
-    /// Per-node observability hubs (inert unless spawned with obs).
-    pub fn obs_hubs(&self) -> &[NodeObs] {
-        &self.hubs
-    }
-
-    /// Every node's metrics registry, snapshotted: `(node id, snapshot)`.
-    pub fn metrics_snapshots(&self) -> Vec<(NodeId, Snapshot)> {
-        self.hubs
-            .iter()
-            .enumerate()
-            .map(|(i, hub)| (NodeId(i as u32), hub.metrics.snapshot()))
-            .collect()
-    }
-
-    /// Every node's flight recorder, dumped (`last` events each) into one
-    /// string — the panic artifact chaos failures attach.
-    pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
     }
 
     /// Replays `plan` against the live cluster over the next `horizon` of
@@ -437,73 +334,56 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
         sched.record(at, action);
     }
 
+    fn flight_event(&self, id: NodeId, kind: ObsEvent) {
+        if let Some(hub) = self.hubs_of(id).first() {
+            hub.event(self.now().as_nanos(), kind);
+        }
+    }
+
     /// Crash-stops a live node: peers start dropping its traffic, then its
-    /// loop is stopped and its final state kept for the restart factory.
+    /// loop is stopped and its final state kept for [`Protocol::restart`].
     /// Returns `false` if the node was already down.
     fn crash(&mut self, id: NodeId) -> bool {
-        let slot = &mut self.nodes[id.0 as usize];
-        let Some(handle) = slot.handle.take() else {
+        let Some(handle) = self.nodes[id.index()].handle.take() else {
             return false;
         };
         // Mark first so in-flight traffic is dropped while the loop winds
         // down — the closest live analogue of an instantaneous crash.
         self.rules.set_crashed(id, true);
-        if let Some(hub) = self.hubs.get(id.0 as usize) {
-            hub.event(self.now().as_nanos(), ObsEvent::Crash);
-        }
-        let process = handle.stop();
-        self.down.insert(id, process);
+        self.flight_event(id, ObsEvent::Crash);
+        self.down.insert(id, handle.stop());
         true
     }
 
-    /// Restarts a crashed node through the restart factory, on the same
+    /// Restarts a crashed node through [`Protocol::restart`], on the same
     /// listening socket. No-op if the node is up.
     fn restart(&mut self, id: NodeId) {
-        if self.nodes[id.0 as usize].handle.is_some() {
+        if self.nodes[id.index()].handle.is_some() {
             return;
         }
         let old = self.down.remove(&id);
-        let process = (self.restart_factory)(id, old);
-        let process = self.attach_obs(id, process);
-        if let Some(hub) = self.hubs.get(id.0 as usize) {
-            hub.event(self.now().as_nanos(), ObsEvent::Restart);
-        }
-        let listener = self.nodes[id.0 as usize]
-            .listener
-            .try_clone()
-            .expect("clone listener");
+        let hubs = self.hubs_of(id);
+        let process = P::restart(id, old, &self.spec, &self.cfg, self.seed, hubs);
+        self.flight_event(id, ObsEvent::Restart);
         // Clear the crash mark before the replacement loop starts, or its
         // first sends and receives race the still-set mark and get
         // dropped (the mirror of crash()'s mark-before-stop ordering).
         self.rules.set_crashed(id, false);
-        let handle = self.launch(id, &listener, process);
-        self.nodes[id.0 as usize].handle = Some(handle);
+        let handle = self.launch(id, &self.nodes[id.index()].listener, process);
+        self.nodes[id.index()].handle = Some(handle);
     }
 
     /// Stops every loop (the client mux first, so no new operations race
     /// the teardown) and returns the final processes for the verdict. The
     /// mux is unpacked into its sessions, so the outcome keeps its
     /// one-entry-per-client shape.
-    pub fn shutdown(mut self) -> LiveOutcome<M> {
-        let n = self.nodes.len();
+    pub fn shutdown(mut self) -> LiveOutcome<P> {
         let handle = self.mux.handle.take().expect("mux is never crashed");
         let mux = handle
             .stop()
             .into_any()
-            .downcast::<ClientMux<M>>()
+            .downcast::<ClientMux<P>>()
             .expect("client mux");
-        let clients: Vec<(NodeId, NodeId, Box<dyn Process<M>>)> = mux
-            .into_sessions()
-            .into_iter()
-            .enumerate()
-            .map(|(i, session)| {
-                (
-                    NodeId((n + i) as u32),
-                    NodeId(i as u32),
-                    Box::new(session) as Box<dyn Process<M>>,
-                )
-            })
-            .collect();
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for slot in &mut self.nodes {
             match slot.handle.take() {
@@ -519,7 +399,7 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
         }
         LiveOutcome {
             nodes,
-            clients,
+            clients: mux.into_sessions(),
             ever_crashed: self.ever_crashed,
             hubs: self.hubs,
         }
@@ -528,7 +408,7 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
 
 /// Network fault actions map straight onto the shared [`FaultRules`]
 /// table — the live counterpart of the simulator fabric's implementation.
-impl<M: ChaosProtocol + Wire + Send> NemesisFabric for LiveCluster<M> {
+impl<P: Protocol + Wire + Send> NemesisFabric for LiveCluster<P> {
     fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
         self.rules.cut_groups(a, b);
     }
@@ -549,94 +429,68 @@ impl<M: ChaosProtocol + Wire + Send> NemesisFabric for LiveCluster<M> {
     }
 }
 
-/// The final state of a live run: every node's and client's process,
-/// ready for the chaos verdict.
-pub struct LiveOutcome<M: ChaosProtocol> {
+/// The final state of a live run: every node's final process and every
+/// client's history, ready for the chaos verdict.
+pub struct LiveOutcome<P: Protocol> {
     /// `(id, final process, was up at shutdown)` for every protocol node.
-    pub nodes: Vec<(NodeId, Box<dyn Process<M>>, bool)>,
-    /// `(client id, its node, final process)` for every client.
-    pub clients: Vec<(NodeId, NodeId, Box<dyn Process<M>>)>,
+    pub nodes: Vec<(NodeId, Box<dyn Process<P>>, bool)>,
+    /// The history clients: client `i` has id `n + i` and targets node `i`.
+    pub clients: Vec<HistoryClient<P>>,
     /// Nodes the nemesis crashed at least once.
     pub ever_crashed: BTreeSet<NodeId>,
-    /// Per-node observability hubs, retained across shutdown so a failing
-    /// verdict can still dump flight recorders and collect metrics.
-    pub hubs: Vec<NodeObs>,
+    /// Observability hubs, retained across shutdown so a failing verdict
+    /// can still dump flight recorders and collect metrics.
+    hubs: Vec<NodeObs>,
 }
 
-impl<M: ChaosProtocol> LiveOutcome<M> {
+impl<P: Protocol> LiveOutcome<P> {
     /// Every node's flight recorder, dumped (`last` events each) into one
     /// string — the panic artifact chaos failures attach.
     pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
+        flight_dump(&self.hubs, last)
     }
 
-    /// Every node's metrics registry, snapshotted: `(node id, snapshot)`.
-    pub fn metrics_snapshots(&self) -> Vec<(NodeId, Snapshot)> {
+    /// Every hub's metrics registry, snapshotted: `(hub id, snapshot)`.
+    pub fn metrics_snapshots(&self) -> Vec<(u32, Snapshot)> {
         self.hubs
             .iter()
-            .enumerate()
-            .map(|(i, hub)| (NodeId(i as u32), hub.metrics.snapshot()))
+            .map(|hub| (hub.node, hub.metrics.snapshot()))
             .collect()
     }
 
-    /// Nodes held to the full safety and convergence bar: up at shutdown
-    /// and never crashed.
-    pub fn trusted_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|(id, _, up)| *up && !self.ever_crashed.contains(id))
-            .map(|&(id, _, _)| id)
-            .collect()
-    }
-
-    /// A client's recorded history.
-    pub fn client_ops(&self, client: NodeId) -> &[crate::history::HistoryOp] {
-        let (_, _, p) = self
-            .clients
-            .iter()
-            .find(|(id, _, _)| *id == client)
-            .expect("known client");
-        p.as_any()
-            .downcast_ref::<HistoryClient<M>>()
-            .expect("history client")
-            .ops()
-    }
-
-    /// Runs the shared chaos verdict over the recovered states: agreement
-    /// (global + per-key), client FIFO, read validity, and post-heal
-    /// convergence. Linearizability timing is skipped (no common clock
-    /// across live nodes).
+    /// Runs the shared chaos verdict over the recovered states of the
+    /// trusted nodes (up at shutdown and never crashed): global and per-key
+    /// agreement, client FIFO, read validity, post-heal convergence, and
+    /// the protocol's [`Protocol::extra_checks`].
     pub fn verdict(
         &self,
         converge_after: Time,
         convergence_exempt: &BTreeSet<NodeId>,
     ) -> ChaosReport {
-        let trusted_ids = self.trusted_nodes();
-        let trusted: Vec<(NodeId, &dyn Any)> = self
+        let trusted: Vec<(NodeId, &P::Node)> = self
             .nodes
             .iter()
-            .filter(|(id, _, _)| trusted_ids.contains(id))
-            .map(|(id, p, _)| (*id, p.as_any()))
+            .filter(|(id, _, up)| *up && !self.ever_crashed.contains(id))
+            .map(|(id, p, _)| {
+                let node = p.as_any().downcast_ref::<P::Node>();
+                (*id, node.expect("a never-crashed node is a P::Node"))
+            })
             .collect();
+        let n = self.nodes.len();
         let clients: Vec<ClientHistory<'_>> = self
             .clients
             .iter()
-            .filter(|(_, node, _)| trusted_ids.contains(node))
-            .map(|(client, node, p)| ClientHistory {
-                node: *node,
-                client: *client,
-                ops: p
-                    .as_any()
-                    .downcast_ref::<HistoryClient<M>>()
-                    .expect("history client")
-                    .ops(),
+            .enumerate()
+            .map(|(i, c)| ClientHistory {
+                node: NodeId(i as u32),
+                client: NodeId((n + i) as u32),
+                ops: c.ops(),
             })
+            .filter(|ch| trusted.iter().any(|&(id, _)| id == ch.node))
             .collect();
-        chaos_verdict_parts::<M>(
+        // Each live node counts time from its own spawn instant: no
+        // shared clock, so no linearizability timing pass.
+        history::verdict::<P>(
             &trusted,
             &clients,
             converge_after,
@@ -644,143 +498,4 @@ impl<M: ChaosProtocol> LiveOutcome<M> {
             false,
         )
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-protocol live builders
-// ---------------------------------------------------------------------
-
-/// A live Canopus cluster (commit-log recording on, for the verdict).
-pub fn live_chaos_canopus(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<CanopusMsg> {
-    let cfg = CanopusConfig {
-        record_log: true,
-        ..live_canopus_config()
-    };
-    live_chaos_canopus_with(topo, hcfg, seed, cfg)
-}
-
-/// [`live_chaos_canopus`] with the throughput knobs engaged: an
-/// eighth-unit batching window (the same scale as the clients' issue gap,
-/// so windows really do aggregate concurrent clients) and `depth` cycles
-/// in flight, over real sockets. The live chaos suite runs partition
-/// scenarios against this builder to show batching and pipelining leave
-/// the verdict unchanged outside the simulator too.
-pub fn live_chaos_canopus_batched(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    depth: u64,
-) -> LiveCluster<CanopusMsg> {
-    let cfg = CanopusConfig {
-        record_log: true,
-        max_linger: live_time_unit() / 8,
-        max_pipeline_depth: depth.max(1),
-        ..live_canopus_config()
-    };
-    live_chaos_canopus_with(topo, hcfg, seed, cfg)
-}
-
-fn live_chaos_canopus_with(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    cfg: CanopusConfig,
-) -> LiveCluster<CanopusMsg> {
-    let shape = LotShape::flat(topo.groups as u16);
-    let membership: Vec<Vec<NodeId>> = (0..topo.groups).map(|g| topo.leaf(g)).collect();
-    let table = EmulationTable::new(shape, membership);
-    let restart_table = table.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        topo.node_count(),
-        hcfg,
-        seed,
-        |id| Box::new(CanopusNode::new(id, table.clone(), cfg.clone(), seed)),
-        Box::new(move |id, _old| {
-            Box::new(CanopusNode::new(
-                id,
-                restart_table.clone(),
-                restart_cfg.clone(),
-                seed,
-            ))
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p
-                .into_any()
-                .downcast::<CanopusNode>()
-                .expect("canopus node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
-}
-
-/// A live ZAB cluster (≤ 5 quorum participants, the rest observers); a
-/// restarted node boots as a recovering follower and resyncs its history.
-pub fn live_chaos_zab(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<ZabMsg> {
-    let n = topo.node_count();
-    let cfg = live_zab_config(n.min(5));
-    let ensemble: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_ensemble = ensemble.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        n,
-        hcfg,
-        seed,
-        |id| Box::new(ZabNode::new(id, ensemble.clone(), cfg.clone())),
-        Box::new(move |id, _old| {
-            Box::new(ZabNode::recovering(
-                id,
-                restart_ensemble.clone(),
-                restart_cfg.clone(),
-            ))
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p.into_any().downcast::<ZabNode>().expect("zab node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
-}
-
-/// A live Raft KV cluster; a restarted node recovers its durable Raft
-/// state (term, vote, log) from the crashed process.
-pub fn live_chaos_raftkv(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<RaftKvMsg> {
-    let n = topo.node_count();
-    let cfg = live_raftkv_config();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_members = members.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        n,
-        hcfg,
-        seed,
-        |id| Box::new(RaftKvNode::new(id, members.clone(), cfg.clone(), seed)),
-        Box::new(move |id, old| {
-            let recovered = old.and_then(|p| p.into_any().downcast::<RaftKvNode>().ok());
-            match recovered {
-                Some(node) => Box::new(RaftKvNode::recover(&node, seed)),
-                None => Box::new(RaftKvNode::new(
-                    id,
-                    restart_members.clone(),
-                    restart_cfg.clone(),
-                    seed,
-                )),
-            }
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p.into_any().downcast::<RaftKvNode>().expect("raft kv node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
 }

@@ -5,15 +5,14 @@
 //! is the system's maximum throughput, and representative latency is
 //! reported at 70 % of that maximum.
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
-use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
-use canopus_sim::{Dur, Payload};
-use canopus_workload::{LatencyRecorder, OpenLoopClient, ProtocolMsg};
-use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
+use canopus::{CanopusConfig, CanopusMsg};
+use canopus_sim::Dur;
+use canopus_workload::{LatencyRecorder, OpenLoopClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::cluster::{build_canopus, build_epaxos, build_zab, Cluster};
+use crate::cluster::{Clients, Cluster, ClusterBuilder};
+use crate::protocol::Protocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 
 /// The outcome of one measured run.
@@ -53,79 +52,49 @@ impl RunResult {
     }
 }
 
-/// Collects client recorders into a [`RunResult`].
-fn collect<M>(
-    cluster: &Cluster<M>,
-    load: &LoadSpec,
-    progressed: impl Fn(&Cluster<M>) -> bool,
-) -> RunResult
-where
-    M: Payload + ProtocolMsg,
-{
-    let mut writes = LatencyRecorder::default();
-    let mut reads = LatencyRecorder::default();
-    let mut rng = SmallRng::seed_from_u64(0xA77E);
-    for &c in &cluster.clients {
-        let client = cluster.sim.node::<OpenLoopClient<M>>(c);
-        writes.merge(&client.writes, &mut rng);
-        reads.merge(&client.reads, &mut rng);
-    }
-    let mut total = writes.clone();
-    total.merge(&reads, &mut rng);
-    let achieved = total.completed() as f64 / load.duration.as_secs_f64();
-    RunResult {
-        offered: load.total_rate,
-        achieved,
-        median: total.median(),
-        p95: total.percentile(95.0),
-        mean: total.mean(),
-        write_median: writes.median(),
-        read_median: reads.median(),
-        healthy: progressed(cluster),
+impl<P: Protocol> Cluster<P> {
+    /// Runs a cluster driven by [`Clients::OpenLoop`]`(load)` through
+    /// `load`'s warmup and measured window and collects the client
+    /// recorders into a [`RunResult`].
+    pub fn measure(&mut self, load: &LoadSpec) -> RunResult {
+        self.sim.run_for(load.warmup + load.duration);
+        let mut writes = LatencyRecorder::default();
+        let mut reads = LatencyRecorder::default();
+        let mut rng = SmallRng::seed_from_u64(0xA77E);
+        for &c in &self.clients {
+            let client = self.sim.node::<OpenLoopClient<P>>(c);
+            writes.merge(&client.writes, &mut rng);
+            reads.merge(&client.reads, &mut rng);
+        }
+        let mut total = writes.clone();
+        total.merge(&reads, &mut rng);
+        let nodes: Vec<&P::Node> = self.nodes.iter().map(|&n| self.node(n)).collect();
+        RunResult {
+            offered: load.total_rate,
+            achieved: total.completed() as f64 / load.duration.as_secs_f64(),
+            median: total.median(),
+            p95: total.percentile(95.0),
+            mean: total.mean(),
+            write_median: writes.median(),
+            read_median: reads.median(),
+            healthy: P::healthy(&nodes),
+        }
     }
 }
 
-/// Runs a Canopus deployment and measures it.
-pub fn run_canopus(
+/// Runs a deployment of protocol `P` under the paper's open-loop client
+/// model on the simulator and measures it.
+pub fn run<P: Protocol>(
     spec: &DeploymentSpec,
     load: &LoadSpec,
-    cfg: CanopusConfig,
+    cfg: P::Config,
     seed: u64,
 ) -> RunResult {
-    let mut cluster = build_canopus(spec, load, cfg, seed);
-    cluster.sim.run_for(load.warmup + load.duration);
-    collect::<CanopusMsg>(&cluster, load, |c| {
-        c.nodes
-            .iter()
-            .all(|&n| c.sim.node::<CanopusNode>(n).stats().committed_cycles > 0)
-    })
-}
-
-/// Runs an EPaxos deployment and measures it.
-pub fn run_epaxos(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: EpaxosConfig,
-    seed: u64,
-) -> RunResult {
-    let mut cluster = build_epaxos(spec, load, cfg, seed);
-    cluster.sim.run_for(load.warmup + load.duration);
-    collect::<EpaxosMsg>(&cluster, load, |c| {
-        c.nodes
-            .iter()
-            .all(|&n| c.sim.node::<EpaxosNode>(n).stats().executed_weight > 0)
-    })
-}
-
-/// Runs a ZooKeeper-model deployment and measures it.
-pub fn run_zab(spec: &DeploymentSpec, load: &LoadSpec, cfg: ZabConfig, seed: u64) -> RunResult {
-    let mut cluster = build_zab(spec, load, cfg, seed);
-    cluster.sim.run_for(load.warmup + load.duration);
-    collect::<ZabMsg>(&cluster, load, |c| {
-        c.nodes
-            .iter()
-            .any(|&n| c.sim.node::<ZabNode>(n).stats().applied_weight > 0)
-    })
+    ClusterBuilder::<P>::new(spec, seed)
+        .config(cfg)
+        .clients(Clients::OpenLoop(load.clone()))
+        .sim()
+        .measure(load)
 }
 
 /// Parameters of the max-throughput search.
@@ -205,7 +174,7 @@ pub fn deterministic_check(
     cfg: CanopusConfig,
     seed: u64,
 ) -> bool {
-    let a = run_canopus(spec, load, cfg.clone(), seed);
-    let b = run_canopus(spec, load, cfg, seed);
+    let a = run::<CanopusMsg>(spec, load, cfg.clone(), seed);
+    let b = run::<CanopusMsg>(spec, load, cfg, seed);
     a.achieved == b.achieved && a.median == b.median && a.p95 == b.p95
 }

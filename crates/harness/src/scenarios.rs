@@ -6,8 +6,8 @@
 //! from one catalog. Scenarios are parameterized by:
 //!
 //! * a [`ChaosTopology`] — how many super-leaves/racks and nodes per
-//!   group the deployment has (the simulator suite uses 3 × 3, the live
-//!   suite a lighter 2 × 3), and
+//!   group the deployment's [`DeploymentSpec`] has (the simulator suite
+//!   uses 3 × 3, the live suite a lighter 2 × 3), and
 //! * a [`ChaosTimeline`] — when faults land, heal, and when the
 //!   convergence probes begin. Virtual-time runs use the tight PR 2
 //!   schedule; wall-clock runs use a stretched schedule matched to the
@@ -24,6 +24,8 @@ use std::collections::BTreeSet;
 use canopus_sim::fault::{FaultEvent, FaultPlan};
 use canopus_sim::{Dur, NodeId, Time};
 
+use crate::spec::DeploymentSpec;
+
 /// Node placement the scenarios cut along: `groups` super-leaves of
 /// `per_group` nodes, ids dense and group-major (node `g * per_group + i`).
 #[derive(Copy, Clone, Debug)]
@@ -35,11 +37,11 @@ pub struct ChaosTopology {
 }
 
 impl ChaosTopology {
-    /// The simulator suite's 3 racks × 3 nodes.
-    pub fn sim_default() -> Self {
+    /// The groups of `spec`: one per rack/datacenter.
+    pub fn of(spec: &DeploymentSpec) -> Self {
         ChaosTopology {
-            groups: 3,
-            per_group: 3,
+            groups: spec.group_count() as u32,
+            per_group: spec.per_group() as u32,
         }
     }
 
@@ -107,7 +109,8 @@ pub struct ChaosScenario {
     /// The fault schedule.
     pub plan: FaultPlan,
     /// Trusted nodes whose clients are excused from the convergence check
-    /// for `protocol` (safety is still enforced for them). A closure so
+    /// for the protocol family named ([`crate::Protocol::FAMILY`]; safety
+    /// is still enforced for them). A closure so
     /// scenarios can bind the exemption to the node the plan actually
     /// impairs in the given topology.
     pub exempt: Box<dyn Fn(&str) -> BTreeSet<NodeId>>,
@@ -389,7 +392,7 @@ mod tests {
     /// schedule exactly — the chaos suite's trace hashes depend on it.
     #[test]
     fn sim_defaults_reproduce_pr2_schedule() {
-        let topo = ChaosTopology::sim_default();
+        let topo = ChaosTopology::of(&DeploymentSpec::paper_single_dc(3));
         let t = ChaosTimeline::sim_default();
 
         let crash = leader_crash_mid_round(&topo, &t);
@@ -425,7 +428,7 @@ mod tests {
     #[test]
     fn catalog_v2_fingerprint_is_pinned() {
         assert_eq!(CATALOG_VERSION, 2);
-        let topo = ChaosTopology::sim_default();
+        let topo = ChaosTopology::of(&DeploymentSpec::paper_single_dc(3));
         let t = ChaosTimeline::sim_default();
         assert_eq!(
             catalog_fingerprint(&topo, &t),

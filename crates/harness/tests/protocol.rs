@@ -1,0 +1,263 @@
+//! What the one-trait harness makes possible: a protocol the harness has
+//! never heard of runs on both fabrics and through the verdict given one
+//! `impl Protocol`, and every protocol's restart policy is observable
+//! through the same trait on the simulator.
+
+use std::collections::BTreeMap;
+
+use bytes::{Bytes, BytesMut};
+use canopus::CanopusMsg;
+use canopus_epaxos::EpaxosMsg;
+use canopus_harness::{
+    live_timeline, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryClient, HistoryConfig,
+    HistoryOp, Protocol, RaftKvMsg, SilentNode, TopoSpec, WriteRecords,
+};
+use canopus_kv::{ClientReply, ClientRequest, Key, Op, OpResult};
+use canopus_net::{Wire, WireError};
+use canopus_obs::NodeObs;
+use canopus_sim::fault::{FaultEvent, FaultPlan};
+use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Time};
+use canopus_workload::ProtocolMsg;
+use canopus_zab::{ZabMsg, ZabRole};
+
+// ---------------------------------------------------------------------
+// (a) A toy fifth protocol: one node answering from its own map
+// ---------------------------------------------------------------------
+
+#[derive(Debug)]
+enum EchoMsg {
+    Request(ClientRequest),
+    Reply(ClientReply),
+}
+
+impl Payload for EchoMsg {
+    fn wire_size(&self) -> usize {
+        self.to_bytes().len()
+    }
+}
+
+impl ProtocolMsg for EchoMsg {
+    fn request(req: ClientRequest) -> Self {
+        EchoMsg::Request(req)
+    }
+    fn reply(&self) -> Option<&ClientReply> {
+        match self {
+            EchoMsg::Reply(r) => Some(r),
+            EchoMsg::Request(_) => None,
+        }
+    }
+}
+
+impl Wire for EchoMsg {
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            EchoMsg::Request(r) => {
+                0u8.encode(buf);
+                r.encode(buf);
+            }
+            EchoMsg::Reply(r) => {
+                1u8.encode(buf);
+                r.encode(buf);
+            }
+        }
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(EchoMsg::Request(Wire::decode(buf)?)),
+            1 => Ok(EchoMsg::Reply(Wire::decode(buf)?)),
+            _ => Err(WireError::Invalid("EchoMsg tag")),
+        }
+    }
+}
+
+#[derive(Default)]
+struct EchoNode {
+    store: BTreeMap<Key, Bytes>,
+    writes: WriteRecords,
+}
+
+impl Process<EchoMsg> for EchoNode {
+    fn on_message(&mut self, from: NodeId, msg: EchoMsg, ctx: &mut Context<'_, EchoMsg>) {
+        let EchoMsg::Request(req) = msg else { return };
+        let result = match req.op {
+            Op::Put { key, value } => {
+                self.store.insert(key, value);
+                let record = (req.client, req.op_id, ctx.now());
+                self.writes.entry(key).or_default().push(record);
+                OpResult::Written
+            }
+            Op::Get { key } => OpResult::Value(self.store.get(&key).cloned()),
+            _ => OpResult::Batch,
+        };
+        let reply = ClientReply {
+            op_id: req.op_id,
+            weight: 1,
+            result,
+        };
+        ctx.send(from, EchoMsg::Reply(reply));
+    }
+    impl_process_any!();
+}
+
+/// Everything the harness needs to know about the protocol.
+impl Protocol for EchoMsg {
+    type Node = EchoNode;
+    type Config = ();
+    const NAME: &'static str = "echo";
+    const LINEARIZABLE_READS: bool = true;
+
+    fn sim_config(_: &DeploymentSpec) {}
+    fn live_config(_: &DeploymentSpec) {}
+    fn node(_: NodeId, _: &DeploymentSpec, _: &(), _: u64, _: &[NodeObs]) -> EchoNode {
+        EchoNode::default()
+    }
+    fn write_records(node: &EchoNode) -> WriteRecords {
+        node.writes.clone()
+    }
+    fn global_log(_: &EchoNode) -> Option<Vec<(NodeId, u64)>> {
+        None
+    }
+    fn healthy(nodes: &[&EchoNode]) -> bool {
+        nodes.iter().all(|n| !n.writes.is_empty())
+    }
+}
+
+fn one_node() -> DeploymentSpec {
+    DeploymentSpec {
+        topo: TopoSpec::SingleDc {
+            racks: 1,
+            nodes_per_rack: 1,
+        },
+        link: Default::default(),
+    }
+}
+
+#[test]
+fn a_fifth_protocol_is_one_impl_block() {
+    let hcfg = HistoryConfig::default();
+    let mut sim = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).sim();
+    sim.sim.run_for(Dur::millis(2000));
+    let report = sim.verdict(hcfg.probe_at, &Default::default());
+    assert!(report.ok(), "sim: {:#?}", report.violations);
+    assert!(
+        report.ops_ok > 50 && report.reads_checked > 10,
+        "{report:?}"
+    );
+    assert!(EchoMsg::healthy(&[sim.node(NodeId(0))]));
+
+    let t = live_timeline();
+    let mut live = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).live();
+    live.run_plan(&FaultPlan::new(), t.run_for);
+    let report = live
+        .shutdown()
+        .verdict(t.converge_after(), &Default::default());
+    assert!(report.ok(), "live: {:#?}", report.violations);
+    assert!(report.ops_ok > 20, "{report:?}");
+}
+
+// ---------------------------------------------------------------------
+// (b) Restart policies, through the trait
+// ---------------------------------------------------------------------
+
+fn cluster<P: Protocol>() -> Cluster<P> {
+    ClusterBuilder::new(&DeploymentSpec::paper_single_dc(3), 0xD0C)
+        .clients(Clients::History(HistoryConfig {
+            // No probe phase: the steady-state workload runs throughout.
+            probe_at: Time::ZERO + Dur::secs(3600),
+            stop_at: Time::ZERO + Dur::secs(3600),
+            ..HistoryConfig::default()
+        }))
+        .sim()
+}
+
+/// Runs 300 ms, crashes `victims`, restarts them 300 ms later, and stops
+/// right after the restart; the caller runs on from there.
+fn crash_and_restart<P: Protocol>(cluster: &mut Cluster<P>, victims: &[NodeId]) {
+    cluster.sim.run_for(Dur::millis(300));
+    let mut plan = FaultPlan::new();
+    for &v in victims {
+        plan = plan
+            .at(Dur::ZERO, FaultEvent::Crash(v))
+            .at(Dur::millis(300), FaultEvent::Restart(v));
+    }
+    cluster.apply_plan(&plan, Dur::millis(301));
+}
+
+/// Canopus: the replacement is a fresh node that replays the super-leaf
+/// log from cycle 1 — including its own tombstone, so it stays excluded:
+/// it follows the survivors' commits but never again serves a write.
+#[test]
+fn canopus_restarts_fresh_and_stays_excluded() {
+    let mut c = cluster::<CanopusMsg>();
+    crash_and_restart(&mut c, &[NodeId(1)]);
+    let restarted_at = c.sim.now();
+    assert_eq!(c.node(NodeId(1)).stats().committed_cycles, 0, "fresh");
+    c.sim.run_for(Dur::millis(600));
+    let writes_served_since = |i: usize| {
+        let ops = c.sim.node::<HistoryClient<CanopusMsg>>(c.clients[i]).ops();
+        let served = |o: &&HistoryOp| o.is_write && o.clean() && o.invoke > restarted_at;
+        ops.iter().filter(served).count()
+    };
+    assert_eq!(writes_served_since(1), 0, "excluded");
+    assert!(writes_served_since(0) > 10, "survivors carry on");
+    let (back, peer) = (c.node(NodeId(1)).stats(), c.node(NodeId(0)).stats());
+    assert_eq!(back.commit_digest, peer.commit_digest, "replayed the log");
+}
+
+/// ZAB: even the former leader comes back as a follower with nothing
+/// applied, then resyncs the whole history from the current leader.
+#[test]
+fn zab_leader_restarts_as_follower_and_resyncs() {
+    let mut c = cluster::<ZabMsg>();
+    c.sim.run_for(Dur::millis(1));
+    assert_eq!(c.node(NodeId(0)).role(), ZabRole::Leader);
+    crash_and_restart(&mut c, &[NodeId(0)]);
+    assert_ne!(c.node(NodeId(0)).role(), ZabRole::Leader);
+    assert!(c.node(NodeId(0)).applied_log().is_empty(), "amnesiac");
+    c.sim.run_for(Dur::millis(600));
+    let (back, peer) = (c.node(NodeId(0)), c.node(NodeId(1)));
+    assert_ne!(back.role(), ZabRole::Leader, "never reclaims leadership");
+    let (back, peer) = (back.applied_log(), peer.applied_log());
+    assert!(back.len() > 50, "resynced only {} entries", back.len());
+    let common = back.len().min(peer.len());
+    assert_eq!(back[..common], peer[..common], "resynced a different log");
+}
+
+/// Raft KV: term, vote and log are durable, so a power cycle of the whole
+/// cluster loses nothing that was applied — fresh nodes would come back
+/// with empty logs and no memory of it.
+#[test]
+fn raftkv_keeps_its_log_across_a_full_power_cycle() {
+    let mut c = cluster::<RaftKvMsg>();
+    let everyone = c.nodes.clone();
+    c.sim.run_for(Dur::millis(300));
+    let applied_before = c.node(NodeId(0)).applied_log().to_vec();
+    assert!(applied_before.len() > 20);
+    crash_and_restart(&mut c, &everyone);
+    c.sim.run_for(Dur::millis(600));
+    for &n in &everyone {
+        let applied = c.node(n).applied_log();
+        assert!(
+            applied.starts_with(&applied_before),
+            "{n} lost applied entries across the restart"
+        );
+        assert!(applied.len() > applied_before.len(), "{n} made no progress");
+    }
+}
+
+/// EPaxos has no recovery protocol: the replacement is a silent
+/// crash-stop process, and the other replicas keep committing without it.
+#[test]
+fn epaxos_restart_stays_silent() {
+    let mut c = cluster::<EpaxosMsg>();
+    crash_and_restart(&mut c, &[NodeId(1)]);
+    let executed_before = c.node(NodeId(0)).stats().executed_weight;
+    c.sim.run_for(Dur::millis(600));
+    let _: &SilentNode<EpaxosMsg> = c.sim.node(NodeId(1));
+    assert!(c.node(NodeId(0)).stats().executed_weight > executed_before);
+    let report = c.verdict(
+        Time::ZERO + Dur::secs(3600),
+        &c.nodes.iter().copied().collect(),
+    );
+    assert!(report.ok(), "{:#?}", report.violations);
+}

@@ -6,9 +6,8 @@
 //! the long-running bench binaries (`crates/harness/examples/smoke.rs` is
 //! the full, slower sweep of the same pipeline).
 
-use canopus_harness::{
-    canopus_config_for, deterministic_check, run_canopus, DeploymentSpec, LoadSpec,
-};
+use canopus::CanopusMsg;
+use canopus_harness::{deterministic_check, run, DeploymentSpec, LoadSpec, Protocol};
 use canopus_sim::Dur;
 
 fn quick_load(rate: f64) -> LoadSpec {
@@ -22,8 +21,8 @@ fn quick_load(rate: f64) -> LoadSpec {
 fn canopus_cycle_end_to_end_quick() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = quick_load(100_000.0);
-    let cfg = canopus_config_for(&spec);
-    let r = run_canopus(&spec, &load, cfg, 1);
+    let cfg = CanopusMsg::sim_config(&spec);
+    let r = run::<CanopusMsg>(&spec, &load, cfg, 1);
     assert!(r.healthy, "cluster diverged or lost commits: {r:?}");
     assert!(
         r.achieved > load.total_rate * 0.5,
@@ -42,7 +41,7 @@ fn canopus_cycle_end_to_end_quick() {
 fn canopus_run_is_deterministic_quick() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = quick_load(50_000.0);
-    let cfg = canopus_config_for(&spec);
+    let cfg = CanopusMsg::sim_config(&spec);
     assert!(
         deterministic_check(&spec, &load, cfg, 7),
         "identical seeds must reproduce identical commit digests"

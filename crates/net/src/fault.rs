@@ -2,8 +2,8 @@
 //!
 //! [`FaultRules`] is a shared, cluster-wide rule table — directional link
 //! cuts, node isolation, a crashed-node set, global and per-sender loss
-//! probabilities — consulted by every node loop spawned with
-//! [`crate::tcp::run_node_with_rules`]. It is the live-socket analogue of
+//! probabilities — consulted by every node loop
+//! ([`crate::tcp::run_node_obs`]). It is the live-socket analogue of
 //! the simulator's `PartitionableFabric<LossyFabric<_>>` composition, and
 //! the live nemesis driver in `canopus-harness` applies the same
 //! `FaultPlan` actions to it that the virtual-time driver applies to a

@@ -4,8 +4,8 @@
 //! The previous transport spawned ~2 threads per connection (a blocking
 //! reader plus a per-peer writer), which capped live topologies at the
 //! 9-node loopback suites. The reactor replaces all of that with
-//! [`pool`]: `N` event loops, each owning an epoll instance, an eventfd
-//! waker, and a command channel. Nodes register through [`NodeIo`]:
+//! `pool`: `N` event loops, each owning an epoll instance, an eventfd
+//! waker, and a command channel. Nodes register through `NodeIo`:
 //!
 //! - **Listeners** are readiness-driven: accept runs when epoll reports
 //!   the listening socket readable, never on a sleep poll.
@@ -21,10 +21,10 @@
 //!   unreachable, queued frames are shed as loss, exactly like the old
 //!   writer threads. Writes drain a bounded per-peer byte queue with
 //!   coalesced flushes (one `write` for a burst of small frames, bounded
-//!   by [`MAX_COALESCE_BYTES`]).
+//!   by `MAX_COALESCE_BYTES`).
 //! - **Backpressure** is explicit: when a peer's queue hits its
-//!   high-water mark, [`NodeIo::send`] returns
-//!   [`SendOutcome::Backpressure`] synchronously and raises the node's
+//!   high-water mark, `NodeIo::send` returns
+//!   `SendOutcome::Backpressure` synchronously and raises the node's
 //!   [`SendGate`] until the loop drains the queue below low water.
 //!   Clients can watch the gate to shed or defer load instead of
 //!   blocking.

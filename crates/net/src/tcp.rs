@@ -51,7 +51,7 @@ const READ_CHUNK: usize = 64 << 10;
 ///
 /// A length prefix above [`MAX_FRAME`] is rejected with an
 /// `InvalidData` error before any payload allocation, and the payload
-/// buffer grows incrementally ([`READ_CHUNK`] at a time) as bytes arrive,
+/// buffer grows incrementally (`READ_CHUNK` at a time) as bytes arrive,
 /// so a corrupt prefix can never trigger an unbounded — or even a large
 /// speculative — allocation.
 pub fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<Option<Bytes>> {
@@ -292,59 +292,13 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Runs one node over TCP until shutdown; returns the final process state.
+/// Runs one node over TCP until shutdown, with a shared runtime fault
+/// table and an observability bundle; returns the final process state.
 ///
 /// `listener` must already be bound; `peers` maps every destination the
 /// process will send to. Messages to unknown peers are dropped (consensus
 /// protocols treat this as loss) with a flight-recorder event and a
 /// `net.drops.no_address` count when observability is attached.
-///
-/// Equivalent to [`run_node_with_rules`] with an empty, never-activated
-/// [`FaultRules`] table.
-pub fn run_node<M>(
-    id: NodeId,
-    process: Box<dyn Process<M>>,
-    listener: TcpListener,
-    peers: PeerMap,
-    shutdown: Receiver<()>,
-    seed: u64,
-) -> Box<dyn Process<M>>
-where
-    M: Wire + Payload + Send,
-{
-    let rules = Arc::new(FaultRules::new(seed));
-    run_node_with_rules(id, process, listener, peers, shutdown, seed, rules)
-}
-
-/// Runs one node over TCP with a shared runtime fault table.
-///
-/// Equivalent to [`run_node_obs`] with a disabled [`NetObs`] bundle.
-pub fn run_node_with_rules<M>(
-    id: NodeId,
-    process: Box<dyn Process<M>>,
-    listener: TcpListener,
-    peers: PeerMap,
-    shutdown: Receiver<()>,
-    seed: u64,
-    rules: Arc<FaultRules>,
-) -> Box<dyn Process<M>>
-where
-    M: Wire + Payload + Send,
-{
-    run_node_obs(
-        id,
-        process,
-        listener,
-        peers,
-        shutdown,
-        seed,
-        rules,
-        NetObs::disabled(),
-    )
-}
-
-/// Runs one node over TCP with a shared runtime fault table and an
-/// observability bundle.
 ///
 /// `rules` is consulted on the send path (full verdict, including
 /// probabilistic loss) and on the receive path (deterministic cuts,
@@ -572,33 +526,9 @@ fn apply_effects<M>(
     }
 }
 
-/// Spawns [`run_node_with_rules`] on a fresh thread and returns the
-/// node's handle. `listener` must already be bound (its local address
-/// becomes the handle's `addr`).
-pub fn spawn_node_with_rules<M>(
-    id: NodeId,
-    process: Box<dyn Process<M>>,
-    listener: TcpListener,
-    peers: PeerMap,
-    seed: u64,
-    rules: Arc<FaultRules>,
-) -> TcpNodeHandle<M>
-where
-    M: Wire + Payload + Send,
-{
-    spawn_node_obs(
-        id,
-        process,
-        listener,
-        peers,
-        seed,
-        rules,
-        NetObs::disabled(),
-    )
-}
-
-/// [`spawn_node_with_rules`] with an observability bundle attached to the
-/// node's transport.
+/// Spawns [`run_node_obs`] on a fresh thread and returns the node's
+/// handle. `listener` must already be bound (its local address becomes the
+/// handle's `addr`).
 pub fn spawn_node_obs<M>(
     id: NodeId,
     process: Box<dyn Process<M>>,
@@ -624,73 +554,55 @@ where
     }
 }
 
-/// Spawns a whole cluster on loopback TCP with ephemeral ports.
+/// Binds `n` listeners on loopback ephemeral ports and registers listener
+/// `i` as [`NodeId`]`(i)` in a fresh [`PeerMap`]. Binding everything before
+/// anything is spawned makes the peer map complete from the first send;
+/// ids that share a listener (client sessions behind one mux) are aliased
+/// by a further [`PeerMap::insert`] of that listener's address.
+pub fn bind_loopback(n: usize) -> (Vec<TcpListener>, PeerMap) {
+    let mut peers = PeerMap::new();
+    let listeners = (0..n)
+        .map(|i| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            peers.insert(NodeId(i as u32), listener.local_addr().expect("local addr"));
+            listener
+        })
+        .collect();
+    (listeners, peers)
+}
+
+/// Spawns a whole cluster on loopback TCP with ephemeral ports, sharing
+/// one [`FaultRules`] table so a test or nemesis driver can partition,
+/// impair, and heal it mid-run.
 ///
 /// Returns one handle per process, in order. Intended for examples and
-/// integration tests; production deployments would use [`run_node`] with
-/// externally managed listeners and peer maps.
+/// integration tests; deployments use [`run_node_obs`] with externally
+/// managed listeners and peer maps.
 pub fn spawn_local_cluster<M>(
     processes: Vec<Box<dyn Process<M>>>,
     seed: u64,
-) -> Vec<TcpNodeHandle<M>>
-where
-    M: Wire + Payload + Send,
-{
-    spawn_local_cluster_with_rules(processes, seed, Arc::new(FaultRules::new(seed)))
-}
-
-/// [`spawn_local_cluster`] with a shared [`FaultRules`] table, so a test
-/// or nemesis driver can partition, impair, and heal the live cluster
-/// mid-run.
-pub fn spawn_local_cluster_with_rules<M>(
-    processes: Vec<Box<dyn Process<M>>>,
-    seed: u64,
     rules: Arc<FaultRules>,
 ) -> Vec<TcpNodeHandle<M>>
 where
     M: Wire + Payload + Send,
 {
-    let obs = processes.iter().map(|_| NetObs::disabled()).collect();
-    spawn_local_cluster_obs(processes, seed, rules, obs)
-}
-
-/// [`spawn_local_cluster_with_rules`] with one observability bundle per
-/// node (`obs[i]` is attached to node `i`'s transport). Panics unless
-/// `obs.len() == processes.len()`.
-pub fn spawn_local_cluster_obs<M>(
-    processes: Vec<Box<dyn Process<M>>>,
-    seed: u64,
-    rules: Arc<FaultRules>,
-    obs: Vec<NetObs>,
-) -> Vec<TcpNodeHandle<M>>
-where
-    M: Wire + Payload + Send,
-{
-    assert_eq!(obs.len(), processes.len(), "one NetObs per process");
-    let mut listeners = Vec::new();
-    let mut peers = PeerMap::new();
-    for (i, _) in processes.iter().enumerate() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        peers.insert(NodeId(i as u32), addr);
-        listeners.push((listener, addr));
-    }
-    let mut handles = Vec::new();
-    for (i, ((process, obs), (listener, _))) in
-        processes.into_iter().zip(obs).zip(listeners).enumerate()
-    {
-        let id = NodeId(i as u32);
-        handles.push(spawn_node_obs(
-            id,
-            process,
-            listener,
-            peers.clone(),
-            seed.wrapping_add(i as u64),
-            Arc::clone(&rules),
-            obs,
-        ));
-    }
-    handles
+    let (listeners, peers) = bind_loopback(processes.len());
+    processes
+        .into_iter()
+        .zip(listeners)
+        .enumerate()
+        .map(|(i, (process, listener))| {
+            spawn_node_obs(
+                NodeId(i as u32),
+                process,
+                listener,
+                peers.clone(),
+                seed.wrapping_add(i as u64),
+                Arc::clone(&rules),
+                NetObs::disabled(),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -831,8 +743,7 @@ mod tests {
         };
         let rules = Arc::new(FaultRules::new(3));
         rules.cut_groups(&[NodeId(0)], &[NodeId(1)]);
-        let handles =
-            spawn_local_cluster_with_rules::<Num>(vec![Box::new(a), Box::new(b)], 7, rules.clone());
+        let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7, rules.clone());
         std::thread::sleep(StdDuration::from_millis(200));
         let mut processes = Vec::new();
         for h in handles {
@@ -859,7 +770,8 @@ mod tests {
             count: 0,
             seen: Vec::new(),
         };
-        let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7);
+        let rules = Arc::new(FaultRules::new(7));
+        let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7, rules);
         // Give delivery a moment.
         std::thread::sleep(StdDuration::from_millis(300));
         let mut processes = Vec::new();
@@ -874,7 +786,7 @@ mod tests {
     /// Spawns a lone sink node with no peers; returns its handle.
     fn spawn_sink() -> TcpNodeHandle<Num> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        spawn_node_with_rules::<Num>(
+        spawn_node_obs::<Num>(
             NodeId(0),
             Box::new(Counter {
                 peer: None,
@@ -885,6 +797,7 @@ mod tests {
             PeerMap::new(),
             11,
             Arc::new(FaultRules::new(11)),
+            NetObs::disabled(),
         )
     }
 

@@ -81,7 +81,7 @@ impl WanMatrix {
         WanMatrix::new(names, rtt)
     }
 
-    /// The first `n` sites of [`paper_table1`], matching the paper's 3-, 5-,
+    /// The first `n` sites of [`Self::paper_table1`], matching the paper's 3-, 5-,
     /// and 7-datacenter configurations.
     ///
     /// # Panics

@@ -371,20 +371,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
             .unwrap_or_else(|| panic!("{id} is not a {}", std::any::type_name::<P>()))
     }
 
-    /// Borrows a node's process state as `&dyn Any`, for extractors that
-    /// downcast generically (e.g. the chaos verdict, which also accepts
-    /// processes recovered from a live TCP cluster).
-    ///
-    /// # Panics
-    /// Panics if the node crashed.
-    pub fn node_any(&self, id: NodeId) -> &dyn std::any::Any {
-        self.nodes[id.index()]
-            .process
-            .as_ref()
-            .unwrap_or_else(|| panic!("{id} has crashed"))
-            .as_any()
-    }
-
     /// Mutably borrows a node's process state, downcast to `P`.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! A live Canopus cluster over real TCP sockets.
 //!
 //! The same `CanopusNode` state machines that drive every simulation in
-//! this repository here run unmodified on the thread-based TCP transport
+//! this repository here run unmodified on the reactor-backed TCP transport
 //! (`canopus_net::tcp`): six nodes in two super-leaves listen on loopback
 //! TCP, a TCP client (registered in the peer map as node 6) submits writes
 //! and a read through real sockets and receives real replies, and the
@@ -13,7 +13,7 @@
 //! and the per-node registry (consensus counters plus per-peer wire
 //! traffic) is printed as text exposition at exit.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +22,7 @@ use bytes::Bytes;
 use canopus::{CanopusMsg, CanopusNode, EmulationTable, LotShape};
 use canopus_harness::live_canopus_config;
 use canopus_kv::{ClientRequest, Op, OpResult};
-use canopus_net::tcp::{read_frame, run_node_obs, write_frame, NetObs, PeerMap};
+use canopus_net::tcp::{bind_loopback, read_frame, run_node_obs, write_frame, NetObs};
 use canopus_net::wire::Wire;
 use canopus_net::FaultRules;
 use canopus_obs::NodeObs;
@@ -53,15 +53,8 @@ fn main() {
 
     // Bind every listener up front so the peer map is complete, including
     // the client's own inbound socket (node 6 in the message namespace).
-    let mut listeners = Vec::new();
-    let mut peers = PeerMap::new();
-    for i in 0..NODES {
-        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-        peers.insert(NodeId(i), l.local_addr().expect("addr"));
-        listeners.push(l);
-    }
-    let client_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    peers.insert(CLIENT_ID, client_listener.local_addr().expect("addr"));
+    let (mut listeners, peers) = bind_loopback(NODES as usize + 1);
+    let client_listener = listeners.pop().expect("client listener");
 
     println!("spawning {NODES} Canopus nodes on loopback TCP ...");
     let mut handles = Vec::new();

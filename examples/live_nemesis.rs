@@ -16,22 +16,23 @@
 //! registry (consensus counters, per-peer wire traffic, fault drops) at
 //! exit. Exits non-zero if any safety or convergence check fails.
 
+use canopus::CanopusMsg;
 use canopus_harness::scenarios::superleaf_partition;
-use canopus_harness::{live_chaos_canopus, live_history_config, live_timeline, live_topology};
+use canopus_harness::{live_spec, live_timeline, ChaosTopology, ClusterBuilder, Protocol};
 
 fn main() {
     let show_metrics = std::env::args().any(|a| a == "--metrics");
-    let topo = live_topology();
+    let spec = live_spec();
     let t = live_timeline();
-    let scenario = superleaf_partition(&topo, &t);
+    let scenario = superleaf_partition(&ChaosTopology::of(&spec), &t);
     let seed = 7;
 
     println!(
         "spawning {} Canopus nodes + {} history clients on loopback TCP ...",
-        topo.node_count(),
-        topo.node_count()
+        spec.node_count(),
+        spec.node_count()
     );
-    let mut cluster = live_chaos_canopus(&topo, &live_history_config(), seed);
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec, seed).live();
 
     println!(
         "running scenario `{}` on the wall clock ({} ms horizon):",
@@ -51,7 +52,7 @@ fn main() {
             print!("{}", snap.to_text());
         }
     }
-    let report = outcome.verdict(t.converge_after(), &(scenario.exempt)("canopus"));
+    let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(CanopusMsg::FAMILY));
     println!(
         "verdict [{}]: {} ops ok, {} timed out, {} reads validity-checked",
         report.protocol, report.ops_ok, report.ops_timed_out, report.reads_checked

@@ -32,14 +32,13 @@
 //! with a hundred node threads sharing a few cores, scheduling hiccups are
 //! long enough to trip the tighter failure timeouts.
 
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape};
-use canopus_bench::json::JsonObject;
+use canopus_bench::json::{replace_section, JsonObject};
 use canopus_harness::{live_canopus_config, live_time_unit};
-use canopus_net::tcp::{spawn_node_obs, NetObs, PeerMap};
+use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs};
 use canopus_net::{FaultRules, SendGate};
 use canopus_sim::{Dur, NodeId, Time};
 use canopus_workload::{LatencyRecorder, SessionMux, SessionMuxConfig};
@@ -66,39 +65,6 @@ fn peak_rss_mib() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024)
-}
-
-/// Replaces (or appends) the top-level `"live_scale"` object in the
-/// recorded bench document. `section` is a rendered JSON object.
-fn splice_live_scale(doc: &str, section: &str) -> String {
-    let mut doc = doc.trim_end().to_string();
-    if let Some(start) = doc.find("\"live_scale\"") {
-        // The block is always written by this function, so it is a plain
-        // object of numeric fields: brace matching needs no string care.
-        let cut_start = doc[..start].rfind(',').unwrap_or(start);
-        let open = start + doc[start..].find('{').expect("live_scale object");
-        let mut depth = 0usize;
-        let mut end = open;
-        for (i, c) in doc[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        doc.replace_range(cut_start..end, "");
-    }
-    let close = doc.rfind('}').expect("bench file is a JSON object");
-    let head = doc[..close].trim_end();
-    let sep = if head.ends_with('{') { "" } else { "," };
-    let indented = section.replace('\n', "\n  ");
-    format!("{head}{sep}\n  \"live_scale\": {indented}\n}}\n")
 }
 
 fn main() {
@@ -170,13 +136,7 @@ fn main() {
         ..live_canopus_config()
     };
 
-    let mut peers = PeerMap::new();
-    let mut node_listeners = Vec::new();
-    for i in 0..nodes + muxes {
-        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-        peers.insert(NodeId(i as u32), l.local_addr().expect("addr"));
-        node_listeners.push(l);
-    }
+    let (mut node_listeners, peers) = bind_loopback(nodes + muxes);
     let mux_listeners = node_listeners.split_off(nodes);
 
     println!("spawning {nodes} Canopus nodes ...");
@@ -376,7 +336,8 @@ fn main() {
         if let Some(rss) = peak_rss_mib() {
             section.field_int("peak_rss_mib", rss);
         }
-        std::fs::write(path, splice_live_scale(&doc, &section.render())).expect("write bench file");
+        let doc = replace_section(&doc, "live_scale", &section.render());
+        std::fs::write(path, doc).expect("write bench file");
         println!("\nrecorded `live_scale` section in {path}");
     }
     println!("\nLive {nodes}-node cluster sustained {served} sessions. ✓");

@@ -10,8 +10,8 @@
 //! Exits non-zero if any safety or convergence check fails, so the smoke
 //! verification path can run it directly.
 
-use canopus::CanopusNode;
-use canopus_harness::{chaos_canopus, chaos_verdict, DeploymentSpec, HistoryConfig};
+use canopus::CanopusMsg;
+use canopus_harness::{Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig};
 use canopus_sim::fault::{FaultEvent, FaultPlan};
 use canopus_sim::{Dur, NodeId, Time};
 
@@ -24,7 +24,9 @@ fn main() {
         ..HistoryConfig::default()
     };
     let seed = 7;
-    let mut cluster = chaos_canopus(&spec, &hcfg, seed);
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec, seed)
+        .clients(Clients::History(hcfg))
+        .sim();
     cluster.sim.enable_trace_hash();
 
     // Cut super-leaf 0 from super-leaves 1 and 2 at t=200 ms; heal at
@@ -38,13 +40,8 @@ fn main() {
         )
         .at(Dur::millis(900), FaultEvent::HealAll);
 
-    let committed = |cluster: &canopus_harness::Cluster<_>| {
-        cluster
-            .sim
-            .node::<CanopusNode>(NodeId(0))
-            .stats()
-            .committed_cycles
-    };
+    let committed =
+        |cluster: &Cluster<CanopusMsg>| cluster.node(NodeId(0)).stats().committed_cycles;
 
     println!("phase 1: healthy cluster, faults scheduled");
     let applied = cluster.apply_plan(&plan, Dur::millis(2100));
@@ -57,11 +54,7 @@ fn main() {
         committed(&cluster)
     );
 
-    let report = chaos_verdict(
-        &cluster,
-        Time::ZERO + Dur::millis(1100),
-        &Default::default(),
-    );
+    let report = cluster.verdict(Time::ZERO + Dur::millis(1100), &Default::default());
     println!(
         "verdict [{}]: {} ops ok, {} timed out, {} reads linearizability-checked",
         report.protocol, report.ops_ok, report.ops_timed_out, report.reads_checked

@@ -15,18 +15,18 @@
 //! Seed count: 20 by default (the acceptance sweep), `CHAOS_SEEDS=ci` for
 //! a quick fixed set in CI, `CHAOS_SEEDS=extended` for a deep local sweep.
 
+use canopus::{CanopusConfig, CanopusMsg};
+use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
-    asymmetric_loss as asymmetric_loss_in, crash_restart_churn as crash_restart_churn_in,
-    leader_crash_mid_round as leader_crash_mid_round_in, link_flapping as link_flapping_in,
-    majority_minority_split as majority_minority_split_in, node_isolated as node_isolated_in,
-    partition_then_crash_restart as partition_then_crash_restart_in,
-    superleaf_partition as superleaf_partition_in,
+    asymmetric_loss, crash_restart_churn, leader_crash_mid_round, link_flapping,
+    majority_minority_split, node_isolated, partition_then_crash_restart, superleaf_partition,
 };
 use canopus_harness::{
-    chaos_canopus, chaos_canopus_batched, chaos_canopus_with_obs, chaos_epaxos, chaos_raftkv,
-    chaos_verdict, chaos_zab, ChaosProtocol, ChaosReport, ChaosScenario, ChaosTimeline,
-    ChaosTopology, Cluster, ClusterObs, DeploymentSpec, HistoryConfig,
+    ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology, Clients, Cluster, ClusterBuilder,
+    ClusterObs, DeploymentSpec, HistoryClient, HistoryConfig, Protocol, RaftKvMsg,
 };
+use canopus_sim::Dur;
+use canopus_zab::ZabMsg;
 
 // ---------------------------------------------------------------------
 // Deployment and timeline
@@ -40,50 +40,25 @@ fn spec() -> DeploymentSpec {
 }
 
 /// The scenario catalog lives in `canopus_harness::scenarios` (shared
-/// with the live-TCP suite); these wrappers pin the simulator topology
-/// and PR 2's virtual-time schedule.
+/// with the live-TCP suite); the simulator suite cuts along [`spec`]'s
+/// racks on PR 2's virtual-time schedule.
 fn topo() -> ChaosTopology {
-    ChaosTopology::sim_default()
+    ChaosTopology::of(&spec())
 }
 
 fn timeline() -> ChaosTimeline {
     ChaosTimeline::sim_default()
 }
 
-fn superleaf_partition() -> ChaosScenario {
-    superleaf_partition_in(&topo(), &timeline())
-}
-fn majority_minority_split() -> ChaosScenario {
-    majority_minority_split_in(&topo(), &timeline())
-}
-fn leader_crash_mid_round() -> ChaosScenario {
-    leader_crash_mid_round_in(&topo(), &timeline())
-}
-fn crash_restart_churn() -> ChaosScenario {
-    crash_restart_churn_in(&topo(), &timeline())
-}
-fn asymmetric_loss() -> ChaosScenario {
-    asymmetric_loss_in(&topo(), &timeline())
-}
-fn link_flapping() -> ChaosScenario {
-    link_flapping_in(&topo(), &timeline())
-}
-fn node_isolated() -> ChaosScenario {
-    node_isolated_in(&topo(), &timeline())
-}
-fn partition_then_crash_restart() -> ChaosScenario {
-    partition_then_crash_restart_in(&topo(), &timeline())
-}
-
 /// Canopus with the throughput knobs on: 1 ms super-leaf batching windows
 /// and 4 cycles in flight. The batched sweeps assert the same verdict as
 /// the defaults — the knobs must not trade safety for throughput.
-fn chaos_canopus_batched4(
-    spec: &DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<canopus::CanopusMsg> {
-    chaos_canopus_batched(spec, hcfg, seed, 4)
+fn batched4() -> CanopusConfig {
+    CanopusConfig {
+        max_linger: Dur::millis(1),
+        max_pipeline_depth: 4,
+        ..CanopusMsg::sim_config(&spec())
+    }
 }
 
 fn seeds() -> Vec<u64> {
@@ -110,18 +85,23 @@ fn history_config() -> HistoryConfig {
     }
 }
 
-fn run_one<M: ChaosProtocol>(
-    build: fn(&DeploymentSpec, &HistoryConfig, u64) -> Cluster<M>,
+/// `cfg: None` is the protocol's default simulator configuration.
+fn builder<P: Protocol>(cfg: Option<P::Config>, seed: u64) -> ClusterBuilder<P> {
+    let b = ClusterBuilder::new(&spec(), seed).clients(Clients::History(history_config()));
+    match cfg {
+        Some(cfg) => b.config(cfg),
+        None => b,
+    }
+}
+
+fn run_one<P: Protocol>(
+    cfg: Option<P::Config>,
     scenario: &ChaosScenario,
     seed: u64,
-) -> (ChaosReport, Cluster<M>) {
-    let mut cluster = build(&spec(), &history_config(), seed);
+) -> (ChaosReport, Cluster<P>) {
+    let mut cluster = builder::<P>(cfg, seed).sim();
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = chaos_verdict(
-        &cluster,
-        timeline().converge_after(),
-        &(scenario.exempt)(M::NAME),
-    );
+    let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::FAMILY));
     (report, cluster)
 }
 
@@ -129,12 +109,9 @@ fn run_one<M: ChaosProtocol>(
 /// whole ring.
 const DUMP_EVENTS: usize = 40;
 
-fn sweep<M: ChaosProtocol>(
-    build: fn(&DeploymentSpec, &HistoryConfig, u64) -> Cluster<M>,
-    scenario: ChaosScenario,
-) {
+fn sweep<M: Protocol>(cfg: Option<M::Config>, scenario: ChaosScenario) {
     for seed in seeds() {
-        let (report, cluster) = run_one(build, &scenario, seed);
+        let (report, cluster) = run_one::<M>(cfg.clone(), &scenario, seed);
         assert!(
             report.ok(),
             "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
@@ -167,8 +144,8 @@ fn sweep<M: ChaosProtocol>(
 #[test]
 #[should_panic(expected = "flight recorder dump")]
 fn broken_verdict_dumps_flight_recorders() {
-    let scenario = superleaf_partition();
-    let (report, cluster) = run_one(chaos_canopus, &scenario, 0xBAD5EED);
+    let scenario = superleaf_partition(&topo(), &timeline());
+    let (report, cluster) = run_one::<CanopusMsg>(None, &scenario, 0xBAD5EED);
     assert!(
         report.ops_ok == 0, // deliberately impossible: healthy runs commit ops
         "deliberately broken bar ({} ops committed)
@@ -179,58 +156,53 @@ fn broken_verdict_dumps_flight_recorders() {
 }
 
 macro_rules! chaos_matrix {
-    ($($test:ident: $builder:ident / $msg:ty => $scenario:ident;)*) => {
+    ($($test:ident: $msg:ty $(, $cfg:expr)? => $scenario:ident;)*) => {
         $(
             #[test]
             fn $test() {
-                sweep::<$msg>($builder, $scenario());
+                sweep::<$msg>(None$(.or(Some($cfg)))?, $scenario(&topo(), &timeline()));
             }
         )*
     };
 }
 
-use canopus::CanopusMsg;
-use canopus_epaxos::EpaxosMsg;
-use canopus_harness::RaftKvMsg;
-use canopus_zab::ZabMsg;
-
 chaos_matrix! {
-    canopus_superleaf_partition: chaos_canopus / CanopusMsg => superleaf_partition;
-    canopus_majority_minority:   chaos_canopus / CanopusMsg => majority_minority_split;
-    canopus_leader_crash:        chaos_canopus / CanopusMsg => leader_crash_mid_round;
-    canopus_churn:               chaos_canopus / CanopusMsg => crash_restart_churn;
-    canopus_asymmetric_loss:     chaos_canopus / CanopusMsg => asymmetric_loss;
-    canopus_link_flapping:       chaos_canopus / CanopusMsg => link_flapping;
-    canopus_node_isolated:       chaos_canopus / CanopusMsg => node_isolated;
-    canopus_partition_crash_restart: chaos_canopus / CanopusMsg => partition_then_crash_restart;
+    canopus_superleaf_partition: CanopusMsg => superleaf_partition;
+    canopus_majority_minority: CanopusMsg => majority_minority_split;
+    canopus_leader_crash: CanopusMsg => leader_crash_mid_round;
+    canopus_churn: CanopusMsg => crash_restart_churn;
+    canopus_asymmetric_loss: CanopusMsg => asymmetric_loss;
+    canopus_link_flapping: CanopusMsg => link_flapping;
+    canopus_node_isolated: CanopusMsg => node_isolated;
+    canopus_partition_crash_restart: CanopusMsg => partition_then_crash_restart;
 
-    canopus_batched_superleaf_partition:     chaos_canopus_batched4 / CanopusMsg => superleaf_partition;
-    canopus_batched_churn:                   chaos_canopus_batched4 / CanopusMsg => crash_restart_churn;
-    canopus_batched_partition_crash_restart: chaos_canopus_batched4 / CanopusMsg => partition_then_crash_restart;
+    canopus_batched_superleaf_partition: CanopusMsg, batched4() => superleaf_partition;
+    canopus_batched_churn: CanopusMsg, batched4() => crash_restart_churn;
+    canopus_batched_partition_crash_restart: CanopusMsg, batched4() => partition_then_crash_restart;
 
-    raftkv_superleaf_partition:  chaos_raftkv / RaftKvMsg => superleaf_partition;
-    raftkv_majority_minority:    chaos_raftkv / RaftKvMsg => majority_minority_split;
-    raftkv_leader_crash:         chaos_raftkv / RaftKvMsg => leader_crash_mid_round;
-    raftkv_churn:                chaos_raftkv / RaftKvMsg => crash_restart_churn;
-    raftkv_asymmetric_loss:      chaos_raftkv / RaftKvMsg => asymmetric_loss;
-    raftkv_link_flapping:        chaos_raftkv / RaftKvMsg => link_flapping;
-    raftkv_node_isolated:        chaos_raftkv / RaftKvMsg => node_isolated;
+    raftkv_superleaf_partition: RaftKvMsg => superleaf_partition;
+    raftkv_majority_minority: RaftKvMsg => majority_minority_split;
+    raftkv_leader_crash: RaftKvMsg => leader_crash_mid_round;
+    raftkv_churn: RaftKvMsg => crash_restart_churn;
+    raftkv_asymmetric_loss: RaftKvMsg => asymmetric_loss;
+    raftkv_link_flapping: RaftKvMsg => link_flapping;
+    raftkv_node_isolated: RaftKvMsg => node_isolated;
 
-    epaxos_superleaf_partition:  chaos_epaxos / EpaxosMsg => superleaf_partition;
-    epaxos_majority_minority:    chaos_epaxos / EpaxosMsg => majority_minority_split;
-    epaxos_leader_crash:         chaos_epaxos / EpaxosMsg => leader_crash_mid_round;
-    epaxos_churn:                chaos_epaxos / EpaxosMsg => crash_restart_churn;
-    epaxos_asymmetric_loss:      chaos_epaxos / EpaxosMsg => asymmetric_loss;
-    epaxos_link_flapping:        chaos_epaxos / EpaxosMsg => link_flapping;
-    epaxos_node_isolated:        chaos_epaxos / EpaxosMsg => node_isolated;
+    epaxos_superleaf_partition: EpaxosMsg => superleaf_partition;
+    epaxos_majority_minority: EpaxosMsg => majority_minority_split;
+    epaxos_leader_crash: EpaxosMsg => leader_crash_mid_round;
+    epaxos_churn: EpaxosMsg => crash_restart_churn;
+    epaxos_asymmetric_loss: EpaxosMsg => asymmetric_loss;
+    epaxos_link_flapping: EpaxosMsg => link_flapping;
+    epaxos_node_isolated: EpaxosMsg => node_isolated;
 
-    zab_superleaf_partition:     chaos_zab / ZabMsg => superleaf_partition;
-    zab_majority_minority:       chaos_zab / ZabMsg => majority_minority_split;
-    zab_leader_crash:            chaos_zab / ZabMsg => leader_crash_mid_round;
-    zab_churn:                   chaos_zab / ZabMsg => crash_restart_churn;
-    zab_asymmetric_loss:         chaos_zab / ZabMsg => asymmetric_loss;
-    zab_link_flapping:           chaos_zab / ZabMsg => link_flapping;
-    zab_node_isolated:           chaos_zab / ZabMsg => node_isolated;
+    zab_superleaf_partition: ZabMsg => superleaf_partition;
+    zab_majority_minority: ZabMsg => majority_minority_split;
+    zab_leader_crash: ZabMsg => leader_crash_mid_round;
+    zab_churn: ZabMsg => crash_restart_churn;
+    zab_asymmetric_loss: ZabMsg => asymmetric_loss;
+    zab_link_flapping: ZabMsg => link_flapping;
+    zab_node_isolated: ZabMsg => node_isolated;
 }
 
 // ---------------------------------------------------------------------
@@ -242,8 +214,8 @@ chaos_matrix! {
 #[test]
 fn determinism_same_plan_same_seed_identical_traces() {
     let run = |seed: u64| {
-        let scenario = superleaf_partition();
-        let mut cluster = chaos_canopus(&spec(), &history_config(), seed);
+        let scenario = superleaf_partition(&topo(), &timeline());
+        let mut cluster = builder::<CanopusMsg>(None, seed).sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
         let histories: Vec<Vec<String>> = cluster
@@ -252,7 +224,7 @@ fn determinism_same_plan_same_seed_identical_traces() {
             .map(|&c| {
                 cluster
                     .sim
-                    .node::<canopus_harness::HistoryClient<CanopusMsg>>(c)
+                    .node::<HistoryClient<CanopusMsg>>(c)
                     .ops()
                     .iter()
                     .map(|op| format!("{op:?}"))
@@ -287,8 +259,8 @@ fn determinism_same_plan_same_seed_identical_traces() {
 #[test]
 fn determinism_obs_enabled_matches_disabled() {
     let run = |obs: ClusterObs| {
-        let scenario = superleaf_partition();
-        let mut cluster = chaos_canopus_with_obs(&spec(), &history_config(), 11, obs);
+        let scenario = superleaf_partition(&topo(), &timeline());
+        let mut cluster = builder::<CanopusMsg>(None, 11).obs(obs).sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
         (
@@ -310,8 +282,8 @@ fn determinism_obs_enabled_matches_disabled() {
 #[test]
 fn determinism_crash_restart_raftkv() {
     let run = || {
-        let scenario = crash_restart_churn();
-        let mut cluster = chaos_raftkv(&spec(), &history_config(), 11);
+        let scenario = crash_restart_churn(&topo(), &timeline());
+        let mut cluster = builder::<RaftKvMsg>(None, 11).sim();
         cluster.sim.enable_trace_hash();
         cluster.apply_plan(&scenario.plan, timeline().run_for);
         (

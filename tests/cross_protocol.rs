@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: all three protocols driven through the
 //! harness on the topology-aware fabric.
 
-use canopus::CanopusNode;
-use canopus_epaxos::{EpaxosConfig, EpaxosNode};
+use canopus::CanopusMsg;
+use canopus_epaxos::EpaxosMsg;
 use canopus_harness::*;
 use canopus_sim::Dur;
-use canopus_zab::{ZabConfig, ZabNode};
+use canopus_zab::{ZabConfig, ZabMsg};
 
 fn small_load(rate: f64) -> LoadSpec {
     let mut load = LoadSpec::new(rate);
@@ -14,25 +14,29 @@ fn small_load(rate: f64) -> LoadSpec {
     load
 }
 
+/// `P` with its default simulator configuration under open-loop `load`.
+fn open_loop<P: Protocol>(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ClusterBuilder<P> {
+    ClusterBuilder::new(spec, seed).clients(Clients::OpenLoop(load.clone()))
+}
+
 #[test]
 fn canopus_single_dc_serves_load_with_agreement() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = small_load(30_000.0);
-    let cfg = canopus_config_for(&spec);
-    let mut cluster = build_canopus(&spec, &load, cfg, 7);
+    let mut cluster = open_loop::<CanopusMsg>(&spec, &load, 7).sim();
     cluster.sim.run_for(load.warmup + load.duration);
     // Everyone committed and digests agree.
-    let d0 = cluster.sim.node::<CanopusNode>(cluster.nodes[0]).stats();
+    let d0 = cluster.node(cluster.nodes[0]).stats();
     assert!(d0.committed_cycles > 10);
     for &n in &cluster.nodes {
-        let s = cluster.sim.node::<CanopusNode>(n).stats();
+        let s = cluster.node(n).stats();
         assert!(s.committed_cycles > 0, "{n} made no progress");
     }
     // Nodes at the same commit point have the same digest: compare the two
     // with equal committed_cycles.
     let mut by_cycles: std::collections::BTreeMap<u64, u64> = Default::default();
     for &n in &cluster.nodes {
-        let s = cluster.sim.node::<CanopusNode>(n).stats();
+        let s = cluster.node(n).stats();
         if let Some(&d) = by_cycles.get(&s.committed_cycles) {
             assert_eq!(d, s.commit_digest, "digest mismatch at equal commit point");
         } else {
@@ -47,8 +51,7 @@ fn canopus_multi_dc_latency_tracks_wan_rtt() {
     let mut load = small_load(50_000.0);
     load.warmup = Dur::millis(500);
     load.duration = Dur::millis(700);
-    let cfg = canopus_config_for(&spec);
-    let result = run_canopus(&spec, &load, cfg, 11);
+    let result = run::<CanopusMsg>(&spec, &load, CanopusMsg::sim_config(&spec), 11);
     assert!(result.healthy);
     let median = result.median.expect("measured");
     // Completion is bounded below by ~half the max RTT (the nearest DC's
@@ -68,15 +71,11 @@ fn canopus_multi_dc_latency_tracks_wan_rtt() {
 fn epaxos_cluster_converges_under_load() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = small_load(30_000.0);
-    let cfg = EpaxosConfig {
-        batch_duration: Dur::millis(2),
-        ..EpaxosConfig::default()
-    };
-    let mut cluster = build_epaxos(&spec, &load, cfg, 9);
+    let mut cluster = open_loop::<EpaxosMsg>(&spec, &load, 9).sim();
     cluster
         .sim
         .run_for(load.warmup + load.duration + Dur::millis(100));
-    let w0 = cluster.sim.node::<EpaxosNode>(cluster.nodes[0]).stats();
+    let w0 = cluster.node(cluster.nodes[0]).stats();
     assert!(w0.executed_weight > 0);
     assert!(w0.fast_path > 0, "synthetic load takes the fast path");
     assert_eq!(w0.slow_path, 0, "0% interference: no slow path");
@@ -90,17 +89,17 @@ fn zab_observers_scale_reads_leader_caps_writes() {
         participants: 6,
         ..ZabConfig::default()
     };
-    let mut cluster = build_zab(&spec, &load, cfg, 13);
+    let mut cluster = open_loop::<ZabMsg>(&spec, &load, 13).config(cfg).sim();
     cluster
         .sim
         .run_for(load.warmup + load.duration + Dur::millis(200));
     // All writes flow through node 0 (the leader); reads are served all over.
     let mut reads_served_away_from_leader = 0;
     for &n in &cluster.nodes[1..] {
-        reads_served_away_from_leader += cluster.sim.node::<ZabNode>(n).stats().reads_served;
+        reads_served_away_from_leader += cluster.node(n).stats().reads_served;
     }
     assert!(reads_served_away_from_leader > 0);
-    let leader = cluster.sim.node::<ZabNode>(cluster.nodes[0]).stats();
+    let leader = cluster.node(cluster.nodes[0]).stats();
     assert!(leader.applied_weight > 0, "leader applied transactions");
 }
 
@@ -108,14 +107,14 @@ fn zab_observers_scale_reads_leader_caps_writes() {
 fn whole_stack_is_deterministic() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = small_load(20_000.0);
-    let cfg = canopus_config_for(&spec);
+    let cfg = CanopusMsg::sim_config(&spec);
     assert!(deterministic_check(&spec, &load, cfg, 31337));
 }
 
 #[test]
 fn throughput_search_finds_a_knee() {
     let spec = DeploymentSpec::paper_single_dc(3);
-    let cfg = canopus_config_for(&spec);
+    let cfg = CanopusMsg::sim_config(&spec);
     let search = SearchSpec {
         start_rate: 50_000.0,
         growth: 4.0,
@@ -123,7 +122,7 @@ fn throughput_search_finds_a_knee() {
         max_steps: 6,
     };
     let result = find_max_throughput(
-        |rate| run_canopus(&spec, &small_load(rate), cfg.clone(), 3),
+        |rate| run::<CanopusMsg>(&spec, &small_load(rate), cfg.clone(), 3),
         &search,
     );
     let best = result.best.expect("at least the first point sustains");

@@ -3,12 +3,12 @@
 //!
 //! Each run spawns a 2-super-leaf × 3-node deployment plus one
 //! closed-loop [`canopus_harness::HistoryClient`] per node on the
-//! thread-based TCP transport, replays a `FaultPlan` on the wall clock
+//! reactor-backed TCP transport, replays a `FaultPlan` on the wall clock
 //! through the shared `FaultRules` table (crashes stop and respawn real
 //! node loops), and then runs the shared chaos verdict over the recovered
 //! states: agreement (global + per-key), client FIFO, read validity, and
 //! post-heal convergence. Linearizability timing is not checked live —
-//! nodes have no common clock base (see `chaos_verdict_parts`).
+//! nodes have no common clock base (see `LiveOutcome::verdict`).
 //!
 //! The verdict is deterministic (it must pass for every seed), the
 //! byte-level trace is not — this is a real scheduler and a real network
@@ -24,14 +24,14 @@
 //! partition and loss scenarios while ZAB and Raft KV cover
 //! crash/restart.
 
-use canopus::CanopusMsg;
+use canopus::{CanopusConfig, CanopusMsg, ShardMsg};
+use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
     asymmetric_loss, leader_crash_mid_round, superleaf_partition, ChaosScenario,
 };
 use canopus_harness::{
-    live_chaos_canopus, live_chaos_canopus_batched, live_chaos_raftkv, live_chaos_zab,
-    live_history_config, live_timeline, live_topology, ChaosProtocol, ChaosTimeline, ChaosTopology,
-    HistoryConfig, LiveCluster, RaftKvMsg,
+    live_spec, live_time_unit, live_timeline, ChaosTimeline, ChaosTopology, ClusterBuilder,
+    Protocol, RaftKvMsg,
 };
 use canopus_net::Wire;
 use canopus_zab::ZabMsg;
@@ -49,15 +49,21 @@ fn seeds() -> Vec<u64> {
     (1..=n).map(|i| 0x11FE + i).collect()
 }
 
-fn sweep<M: ChaosProtocol + Wire + Send>(
-    build: fn(&ChaosTopology, &HistoryConfig, u64) -> LiveCluster<M>,
+/// `cfg: None` is the protocol's default live configuration.
+fn sweep<M: Protocol + Wire + Send>(
+    cfg: Option<M::Config>,
     scenario_fn: fn(&ChaosTopology, &ChaosTimeline) -> ChaosScenario,
 ) {
-    let topo = live_topology();
+    let spec = live_spec();
     let t = live_timeline();
     for seed in seeds() {
-        let scenario = scenario_fn(&topo, &t);
-        let mut cluster = build(&topo, &live_history_config(), seed);
+        let scenario = scenario_fn(&ChaosTopology::of(&spec), &t);
+        let builder = ClusterBuilder::<M>::new(&spec, seed);
+        let mut cluster = match cfg.clone() {
+            Some(cfg) => builder.config(cfg),
+            None => builder,
+        }
+        .live();
         let applied = cluster.run_plan(&scenario.plan, t.run_for);
         assert!(
             !applied.is_empty(),
@@ -66,7 +72,7 @@ fn sweep<M: ChaosProtocol + Wire + Send>(
             scenario.name
         );
         let outcome = cluster.shutdown();
-        let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(M::NAME));
+        let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(M::FAMILY));
         assert!(
             report.ok(),
             "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
@@ -94,41 +100,55 @@ fn sweep<M: ChaosProtocol + Wire + Send>(
 
 #[test]
 fn live_canopus_superleaf_partition() {
-    sweep::<CanopusMsg>(live_chaos_canopus, superleaf_partition);
+    sweep::<CanopusMsg>(None, superleaf_partition);
 }
 
 #[test]
 fn live_canopus_asymmetric_loss() {
-    sweep::<CanopusMsg>(live_chaos_canopus, asymmetric_loss);
+    sweep::<CanopusMsg>(None, asymmetric_loss);
 }
 
-/// The throughput knobs (batching window + 4-deep pipelining) over real
-/// sockets, with the same partition scenario and the same verdict bar as
-/// the default configuration above.
+/// The throughput knobs over real sockets — an eighth-unit batching window
+/// (the same scale as the clients' issue gap, so windows really do
+/// aggregate concurrent clients) and 4-deep pipelining — with the same
+/// partition scenario and the same verdict bar as the default
+/// configuration above.
 #[test]
 fn live_canopus_batched_superleaf_partition() {
-    fn build(topo: &ChaosTopology, hcfg: &HistoryConfig, seed: u64) -> LiveCluster<CanopusMsg> {
-        live_chaos_canopus_batched(topo, hcfg, seed, 4)
-    }
-    sweep::<CanopusMsg>(build, superleaf_partition);
+    let batched = CanopusConfig {
+        max_linger: live_time_unit() / 8,
+        max_pipeline_depth: 4,
+        ..CanopusMsg::live_config(&live_spec())
+    };
+    sweep::<CanopusMsg>(Some(batched), superleaf_partition);
+}
+
+#[test]
+fn live_sharded_canopus_superleaf_partition() {
+    sweep::<ShardMsg>(None, superleaf_partition);
+}
+
+#[test]
+fn live_epaxos_superleaf_partition() {
+    sweep::<EpaxosMsg>(None, superleaf_partition);
 }
 
 #[test]
 fn live_zab_superleaf_partition() {
-    sweep::<ZabMsg>(live_chaos_zab, superleaf_partition);
+    sweep::<ZabMsg>(None, superleaf_partition);
 }
 
 #[test]
 fn live_zab_leader_crash_restart() {
-    sweep::<ZabMsg>(live_chaos_zab, leader_crash_mid_round);
+    sweep::<ZabMsg>(None, leader_crash_mid_round);
 }
 
 #[test]
 fn live_zab_asymmetric_loss() {
-    sweep::<ZabMsg>(live_chaos_zab, asymmetric_loss);
+    sweep::<ZabMsg>(None, asymmetric_loss);
 }
 
 #[test]
 fn live_raftkv_leader_crash_restart() {
-    sweep::<RaftKvMsg>(live_chaos_raftkv, leader_crash_mid_round);
+    sweep::<RaftKvMsg>(None, leader_crash_mid_round);
 }

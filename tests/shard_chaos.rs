@@ -10,12 +10,11 @@
 
 use std::collections::BTreeSet;
 
-use canopus::{ShardEngine, ShardMsg};
+use canopus::{CanopusMsg, ShardMsg};
+use canopus_harness::scenarios::{crash_restart_churn, superleaf_partition};
 use canopus_harness::{
-    chaos_canopus, chaos_sharded_canopus, chaos_verdict, chaos_verdict_sharded,
-    cross_shard_atomicity_partition as cross_shard_atomicity_partition_in,
-    hot_shard_skew as hot_shard_skew_in, ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology,
-    Cluster, DeploymentSpec, HistoryConfig,
+    cross_shard_atomicity_partition, hot_shard_skew, ChaosReport, ChaosScenario, ChaosTimeline,
+    ChaosTopology, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig, Protocol,
 };
 use canopus_sim::NodeId;
 
@@ -26,7 +25,7 @@ fn spec() -> DeploymentSpec {
 }
 
 fn topo() -> ChaosTopology {
-    ChaosTopology::sim_default()
+    ChaosTopology::of(&spec())
 }
 
 fn timeline() -> ChaosTimeline {
@@ -69,18 +68,26 @@ fn seeds() -> Vec<u64> {
     (1..=n).map(|i| 0x5A4D + i).collect()
 }
 
+/// A `shards`-shard engine per node (otherwise the default simulator
+/// configuration) under history clients.
+fn sharded(hcfg: &HistoryConfig, seed: u64, shards: u16) -> Cluster<ShardMsg> {
+    ClusterBuilder::new(&spec(), seed)
+        .config((CanopusMsg::sim_config(&spec()), shards))
+        .clients(Clients::History(hcfg.clone()))
+        .sim()
+}
+
 fn run_one(
     hcfg: &HistoryConfig,
     scenario: &ChaosScenario,
     seed: u64,
     shards: u16,
 ) -> (ChaosReport, Cluster<ShardMsg>) {
-    let mut cluster = chaos_sharded_canopus(&spec(), hcfg, seed, shards);
+    let mut cluster = sharded(hcfg, seed, shards);
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = chaos_verdict_sharded(
-        &cluster,
+    let report = cluster.verdict(
         timeline().converge_after(),
-        &(scenario.exempt)("canopus"),
+        &(scenario.exempt)(ShardMsg::FAMILY),
     );
     (report, cluster)
 }
@@ -119,30 +126,24 @@ fn sweep(hcfg: HistoryConfig, scenario: ChaosScenario) {
 
 #[test]
 fn sharded_superleaf_partition() {
-    sweep(
-        history_config(),
-        canopus_harness::scenarios::superleaf_partition(&topo(), &timeline()),
-    );
+    sweep(history_config(), superleaf_partition(&topo(), &timeline()));
 }
 
 #[test]
 fn sharded_crash_restart_churn() {
-    sweep(
-        history_config(),
-        canopus_harness::scenarios::crash_restart_churn(&topo(), &timeline()),
-    );
+    sweep(history_config(), crash_restart_churn(&topo(), &timeline()));
 }
 
 #[test]
 fn sharded_hot_shard_skew() {
-    sweep(hot_shard_config(), hot_shard_skew_in(&topo(), &timeline()));
+    sweep(hot_shard_config(), hot_shard_skew(&topo(), &timeline()));
 }
 
 #[test]
 fn sharded_cross_shard_atomicity_partition() {
     sweep(
         multi_put_config(),
-        cross_shard_atomicity_partition_in(&topo(), &timeline()),
+        cross_shard_atomicity_partition(&topo(), &timeline()),
     );
 }
 
@@ -152,17 +153,12 @@ fn sharded_cross_shard_atomicity_partition() {
 /// absent).
 #[test]
 fn cross_shard_txns_flow_under_partition() {
-    let scenario = cross_shard_atomicity_partition_in(&topo(), &timeline());
+    let scenario = cross_shard_atomicity_partition(&topo(), &timeline());
     let (report, cluster) = run_one(&multi_put_config(), &scenario, 0x5A4D + 1, SHARDS);
     assert!(report.ok(), "violations: {:#?}", report.violations);
     let trusted = cluster.trusted_nodes();
     let node = trusted.first().copied().expect("some trusted node");
-    let engine = cluster
-        .sim
-        .node_any(node)
-        .downcast_ref::<ShardEngine>()
-        .expect("shard engine");
-    let stats = engine.stats();
+    let stats = cluster.node(node).stats();
     assert!(
         stats.txns_started > 10,
         "expected cross-shard transactions, got {stats:?}"
@@ -183,7 +179,7 @@ fn cross_shard_txns_flow_under_partition() {
 /// drifted across restart would split a key's history between pipelines.
 #[test]
 fn key_to_shard_stable_across_restart() {
-    let scenario = canopus_harness::scenarios::crash_restart_churn(&topo(), &timeline());
+    let scenario = crash_restart_churn(&topo(), &timeline());
     let (report, cluster) = run_one(&history_config(), &scenario, 0x5A4D + 2, SHARDS);
     assert!(report.ok(), "violations: {:#?}", report.violations);
     for i in 0..spec().node_count() {
@@ -191,11 +187,7 @@ fn key_to_shard_stable_across_restart() {
         if !cluster.sim.is_alive(node) {
             continue;
         }
-        let engine = cluster
-            .sim
-            .node_any(node)
-            .downcast_ref::<ShardEngine>()
-            .expect("shard engine");
+        let engine = cluster.node(node);
         let router = engine.router();
         for s in 0..engine.shard_count() {
             for cc in engine.shard(s).committed_log() {
@@ -226,14 +218,13 @@ fn key_to_shard_stable_across_restart() {
 // ---------------------------------------------------------------------
 
 fn traced_run(hcfg: &HistoryConfig, seed: u64, shards: u16) -> (u64, u64) {
-    let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
-    let mut cluster = chaos_sharded_canopus(&spec(), hcfg, seed, shards);
+    let scenario = superleaf_partition(&topo(), &timeline());
+    let mut cluster = sharded(hcfg, seed, shards);
     cluster.sim.enable_trace_hash();
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = chaos_verdict_sharded(
-        &cluster,
+    let report = cluster.verdict(
         timeline().converge_after(),
-        &(scenario.exempt)("canopus"),
+        &(scenario.exempt)(ShardMsg::FAMILY),
     );
     assert!(report.ok(), "violations: {:#?}", report.violations);
     (
@@ -276,14 +267,15 @@ fn single_shard_trace_hash_is_pinned() {
 #[test]
 fn single_shard_matches_plain_semantics() {
     let seed = 0x5A4D + 3;
-    let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
+    let scenario = superleaf_partition(&topo(), &timeline());
 
-    let mut plain = chaos_canopus(&spec(), &history_config(), seed);
+    let mut plain = ClusterBuilder::<CanopusMsg>::new(&spec(), seed)
+        .clients(Clients::History(history_config()))
+        .sim();
     plain.apply_plan(&scenario.plan, timeline().run_for);
-    let plain_report = chaos_verdict(
-        &plain,
+    let plain_report = plain.verdict(
         timeline().converge_after(),
-        &(scenario.exempt)("canopus"),
+        &(scenario.exempt)(CanopusMsg::FAMILY),
     );
 
     let (sharded_report, _) = run_one(&history_config(), &scenario, seed, 1);
@@ -309,9 +301,9 @@ fn single_shard_matches_plain_semantics() {
 /// report.
 #[test]
 fn sharded_verdict_handles_exemptions() {
-    let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
+    let scenario = superleaf_partition(&topo(), &timeline());
     let (_, cluster) = run_one(&history_config(), &scenario, 0x5A4D + 4, SHARDS);
     let all: BTreeSet<NodeId> = (0..spec().node_count() as u32).map(NodeId).collect();
-    let report = chaos_verdict_sharded(&cluster, timeline().converge_after(), &all);
+    let report = cluster.verdict(timeline().converge_after(), &all);
     assert!(report.ok(), "violations: {:#?}", report.violations);
 }
