@@ -37,7 +37,11 @@ impl Bytes {
 
     /// Copies a slice into a fresh `Bytes`.
     pub fn copy_from_slice(bytes: &[u8]) -> Bytes {
-        Bytes::from_vec(bytes.to_vec())
+        Bytes {
+            data: Arc::from(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
     }
 
     fn from_vec(vec: Vec<u8>) -> Bytes {

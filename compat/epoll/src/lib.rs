@@ -1,16 +1,18 @@
-//! Vendored minimal `epoll` + `eventfd` wrapper (offline build shim).
+//! Vendored minimal `epoll` wrapper (offline build shim).
 //!
-//! The reactor in `canopus-net` needs exactly four kernel facilities that
-//! std does not expose: an epoll instance, an eventfd waker, a nonblocking
-//! `connect(2)`, and level-triggered readiness notification. This crate
-//! wraps those via direct FFI to the C library symbols that are always
-//! linked on Linux — no external crates, mirroring the other `compat/`
-//! shims. Like them it lives outside the workspace, which is also what
-//! permits the `unsafe` FFI here while the workspace denies `unsafe_code`.
+//! The node event loop in `canopus-net` needs exactly three kernel
+//! facilities that std does not expose: an epoll instance with
+//! level-triggered readiness notification, a wait whose timeout is precise
+//! to the nanosecond (the loop's timers are armed from the same wait), and
+//! a nonblocking `connect(2)`. This crate wraps those via direct FFI to the
+//! C library symbols that are always linked on Linux — no external crates,
+//! mirroring the other `compat/` shims. Like them it lives outside the
+//! workspace, which is also what permits the `unsafe` FFI here while the
+//! workspace denies `unsafe_code`.
 //!
 //! The API is deliberately tiny and level-triggered only: [`Poller`]
-//! (add/modify/delete/wait), [`Interest`], [`Events`]/[`Event`], [`Waker`],
-//! and [`connect_nonblocking`]. Linux-only by design (the repo's target
+//! (add/modify/delete/wait), [`Interest`], [`Events`]/[`Event`], and
+//! [`connect_nonblocking`]. Linux-only by design (the repo's target
 //! platform); other platforms fail to compile with a clear message.
 
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
@@ -20,8 +22,9 @@ compile_error!("epoll-shim is Linux-only; gate the `tcp` feature off on other pl
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_int, c_long, c_void};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 // Constant values for Linux x86_64 / aarch64 (identical on both).
@@ -36,8 +39,8 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
-const EFD_CLOEXEC: c_int = 0x80000;
-const EFD_NONBLOCK: c_int = 0x800;
+/// `epoll_pwait2(2)`: the same number on every Linux architecture.
+const SYS_EPOLL_PWAIT2: c_long = 441;
 
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
@@ -46,7 +49,8 @@ const SOCK_NONBLOCK: c_int = 0x800;
 const SOCK_CLOEXEC: c_int = 0x80000;
 
 const EINTR: i32 = 4;
-const EAGAIN: i32 = 11;
+const EPERM: i32 = 1;
+const ENOSYS: i32 = 38;
 const EINPROGRESS: i32 = 115;
 
 /// Kernel ABI for `struct epoll_event`: packed on x86_64, naturally
@@ -57,6 +61,14 @@ const EINPROGRESS: i32 = 115;
 struct EpollEvent {
     events: u32,
     data: u64,
+}
+
+/// Kernel ABI for `struct __kernel_timespec`: both fields 64-bit on every
+/// architecture.
+#[repr(C)]
+struct KernelTimespec {
+    tv_sec: i64,
+    tv_nsec: i64,
 }
 
 #[repr(C)]
@@ -80,10 +92,8 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn syscall(num: c_long, ...) -> c_long;
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
 }
@@ -242,29 +252,39 @@ impl Poller {
 
     /// Waits for readiness, filling `events`. `None` blocks indefinitely.
     /// Returns the number of events (0 on timeout or `EINTR`).
+    ///
+    /// The timeout is honoured to the nanosecond (`epoll_pwait2`, Linux
+    /// 5.11): an event loop that arms 200 µs timers from this wait must
+    /// not have them rounded to the millisecond. Where the call does not
+    /// exist — `ENOSYS` from an older kernel, `EPERM` from a seccomp
+    /// profile that predates syscall 441 — it fails once and every wait
+    /// from then on uses `epoll_wait` with the timeout rounded *up* to
+    /// whole milliseconds, so a nonzero timeout never spins as zero.
     pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
-        let millis: c_int = match timeout {
-            None => -1,
-            Some(d) => {
-                // Round up so a nonzero timeout never spins as zero.
-                let ms = d.as_millis();
-                if ms == 0 && d.as_nanos() > 0 {
-                    1
-                } else {
-                    ms.min(c_int::MAX as u128) as c_int
-                }
+        static NO_PWAIT2: AtomicBool = AtomicBool::new(false);
+        let mut n = -1;
+        if !NO_PWAIT2.load(Ordering::Relaxed) {
+            n = self.pwait2(events, timeout);
+            let errno = io::Error::last_os_error().raw_os_error();
+            if n < 0 && matches!(errno, Some(ENOSYS | EPERM)) {
+                NO_PWAIT2.store(true, Ordering::Relaxed);
             }
-        };
-        // SAFETY: buffer pointer/length describe `events.buf`, valid for
-        // the duration of the call.
-        let n = unsafe {
-            epoll_wait(
-                self.fd,
-                events.buf.as_mut_ptr(),
-                events.buf.len() as c_int,
-                millis,
-            )
-        };
+        }
+        if NO_PWAIT2.load(Ordering::Relaxed) {
+            let millis = timeout.map_or(-1, |d| {
+                d.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+            });
+            // SAFETY: buffer pointer/length describe `events.buf`, valid
+            // for the duration of the call.
+            n = unsafe {
+                epoll_wait(
+                    self.fd,
+                    events.buf.as_mut_ptr(),
+                    events.buf.len() as c_int,
+                    millis,
+                )
+            } as c_long;
+        }
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.raw_os_error() == Some(EINTR) {
@@ -275,6 +295,31 @@ impl Poller {
         }
         events.len = n as usize;
         Ok(events.len)
+    }
+
+    /// The raw `epoll_pwait2` call: event count, or -1 with `errno` set.
+    fn pwait2(&self, events: &mut Events, timeout: Option<Duration>) -> c_long {
+        let ts = timeout.map(|d| KernelTimespec {
+            tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: d.subsec_nanos() as i64,
+        });
+        let ts_ptr = ts
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const KernelTimespec);
+        // SAFETY: the buffer pointer/length describe `events.buf` and
+        // `ts_ptr` is null or points at `ts`, all valid for the duration
+        // of the call; a null sigmask leaves the signal mask alone.
+        unsafe {
+            syscall(
+                SYS_EPOLL_PWAIT2,
+                self.fd,
+                events.buf.as_mut_ptr(),
+                events.buf.len() as c_int,
+                ts_ptr,
+                std::ptr::null::<c_void>(),
+                0usize,
+            )
+        }
     }
 }
 
@@ -288,64 +333,6 @@ impl Drop for Poller {
 }
 
 impl AsRawFd for Poller {
-    fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
-/// An eventfd-backed waker: `wake()` from any thread makes the poller's
-/// next (or current) `wait` return with the waker's token readable.
-pub struct Waker {
-    fd: RawFd,
-}
-
-impl Waker {
-    /// Creates the eventfd (nonblocking, cloexec) and registers it with
-    /// `poller` under `token`.
-    pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-        // SAFETY: plain syscall, no pointers.
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        let waker = Waker { fd };
-        poller.add(fd, token, Interest::READ)?;
-        Ok(waker)
-    }
-
-    /// Signals the poller. Cheap and safe to call from any thread.
-    pub fn wake(&self) -> io::Result<()> {
-        let one: u64 = 1;
-        // SAFETY: writes 8 bytes from a valid local. An EAGAIN (counter
-        // saturated) still leaves the fd readable, which is all we need.
-        let n = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.raw_os_error() == Some(EAGAIN) {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Drains the eventfd counter so level-triggered polling quiesces.
-    pub fn drain(&self) {
-        let mut buf: u64 = 0;
-        // SAFETY: reads 8 bytes into a valid local; nonblocking fd.
-        unsafe {
-            read(self.fd, (&mut buf as *mut u64).cast(), 8);
-        }
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        // SAFETY: fd is owned by this Waker and closed exactly once.
-        unsafe {
-            close(self.fd);
-        }
-    }
-}
-
-impl AsRawFd for Waker {
     fn as_raw_fd(&self) -> RawFd {
         self.fd
     }
@@ -451,27 +438,25 @@ mod tests {
     }
 
     #[test]
-    fn waker_wakes_a_blocked_wait() {
+    fn sub_millisecond_timeouts_are_not_rounded_to_a_millisecond() {
         let poller = Poller::new().unwrap();
-        let waker = std::sync::Arc::new(Waker::new(&poller, 1).unwrap());
-        let w = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            w.wake().unwrap();
-        });
         let mut events = Events::with_capacity(8);
-        let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events.iter().next().unwrap().token, 1);
-        waker.drain();
-        // Drained: the next wait times out instead of spinning.
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(5)))
-            .unwrap();
-        assert_eq!(n, 0);
-        t.join().unwrap();
+        let rounds = 200;
+        let t0 = std::time::Instant::now();
+        for _ in 0..rounds {
+            let n = poller
+                .wait(&mut events, Some(Duration::from_micros(100)))
+                .unwrap();
+            assert_eq!(n, 0);
+        }
+        let elapsed = t0.elapsed();
+        assert!(elapsed >= Duration::from_micros(100) * rounds);
+        // Rounded up to 1 ms each this would take 200 ms; the kernel's
+        // 50 µs timer slack and a busy host stay far below that.
+        assert!(
+            elapsed < Duration::from_millis(120),
+            "200 x 100 µs waits took {elapsed:?}"
+        );
     }
 
     #[test]

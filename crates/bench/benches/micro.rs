@@ -168,10 +168,10 @@ fn bench_consensus_cycle(c: &mut Criterion) {
     });
 }
 
-/// The reactor transport's hot path: wakeup-to-dispatch round trips and
-/// framed throughput through one shared event loop, against a local
-/// replica of the pre-refactor per-connection blocking reader thread.
-fn bench_reactor_transport(c: &mut Criterion) {
+/// The TCP transport's hot path: request-to-reply round trips and framed
+/// throughput through one node loop, against a local replica of a
+/// per-connection blocking reader thread.
+fn bench_node_loop_transport(c: &mut Criterion) {
     use canopus_kv::{ClientReply, OpResult};
     use canopus_net::tcp::{bind_loopback, read_frame, spawn_node_obs, write_frame, NetObs};
     use canopus_net::FaultRules;
@@ -205,7 +205,7 @@ fn bench_reactor_transport(c: &mut Criterion) {
         );
     }
 
-    /// Replies to every request: one reply per reactor dispatch.
+    /// Replies to every request: one reply per step.
     struct Echo;
     impl Process<CanopusMsg> for Echo {
         fn on_message(
@@ -242,7 +242,7 @@ fn bench_reactor_transport(c: &mut Criterion) {
         canopus_sim::impl_process_any!();
     }
 
-    /// Spawns `process` as reactor node 0 plus a raw client connection to
+    /// Spawns `process` as node 0 plus a raw client connection to
     /// it; returns (request stream, client listener, node handle).
     fn client_and_node(
         process: Box<dyn Process<CanopusMsg>>,
@@ -271,7 +271,7 @@ fn bench_reactor_transport(c: &mut Criterion) {
         (tx, client_l, handle)
     }
 
-    c.bench_function("reactor_rtt_wakeup_to_dispatch", |b| {
+    c.bench_function("node_loop_rtt", |b| {
         let (mut tx, client_l, handle) = client_and_node(Box::new(Echo), 7);
         write_frame(&mut tx, &CLIENT.to_bytes()).unwrap();
         // Prime one round trip so the reply connection exists before the
@@ -290,10 +290,10 @@ fn bench_reactor_transport(c: &mut Criterion) {
         handle.stop();
     });
 
-    // Frames/sec through one reactor loop: each iteration pushes `BATCH`
+    // Frames/sec through one node loop: each iteration pushes `BATCH`
     // framed requests and waits for the sink's ack, so per-frame cost is
     // the reported time divided by 1024.
-    c.bench_function("reactor_frames_1k_one_loop", |b| {
+    c.bench_function("node_loop_frames_1k", |b| {
         let (mut tx, client_l, handle) = client_and_node(Box::new(Sink { seen: 0 }), 8);
         write_frame(&mut tx, &CLIENT.to_bytes()).unwrap();
         let frame = request(1);
@@ -313,9 +313,9 @@ fn bench_reactor_transport(c: &mut Criterion) {
         handle.stop();
     });
 
-    // The pre-refactor shape: a dedicated blocking reader thread on the
-    // connection, same framing and decode, acking every `BATCH` frames
-    // over a channel.
+    // The thread-per-connection shape: a dedicated blocking reader thread
+    // on the connection, same framing and decode, acking every `BATCH`
+    // frames over a channel.
     c.bench_function("reader_thread_frames_1k_baseline", |b| {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = l.local_addr().unwrap();
@@ -355,6 +355,6 @@ criterion_group!(
     bench_zero_copy_decode,
     bench_lot_math,
     bench_consensus_cycle,
-    bench_reactor_transport
+    bench_node_loop_transport
 );
 criterion_main!(benches);

@@ -112,6 +112,11 @@ impl Default for CanopusConfig {
     }
 }
 
+/// The super-leaf batching window of every configuration that batches:
+/// long enough for the requests of one burst to share a proposal, short
+/// against a cycle.
+pub const BATCH_LINGER: Dur = Dur::millis(1);
+
 impl CanopusConfig {
     /// The paper's multi-datacenter configuration: pipelining on, 5 ms
     /// cycle timer, 1000-request batches (§8.2). Failure and election
@@ -141,7 +146,7 @@ impl CanopusConfig {
     /// scenarios exercise; every other knob keeps its default.
     pub fn batched_pipelined(depth: u64) -> Self {
         CanopusConfig {
-            max_linger: Dur::millis(1),
+            max_linger: BATCH_LINGER,
             max_pipeline_depth: depth.max(1),
             ..Self::default()
         }

@@ -113,6 +113,25 @@ impl EmulationTable {
         }
     }
 
+    /// The live members of every super-leaf, in super-leaf order.
+    pub fn membership(&self) -> Vec<Vec<NodeId>> {
+        (self.members.iter())
+            .map(|set| set.iter().copied().collect())
+            .collect()
+    }
+
+    /// Replaces the membership with another node's [`Self::membership`]
+    /// (state transfer). Unlike the initial table, a super-leaf may by now
+    /// be empty.
+    pub fn set_membership(&mut self, membership: Vec<Vec<NodeId>>) {
+        assert_eq!(membership.len(), self.members.len(), "same LOT shape");
+        self.home.clear();
+        for (s, (set, list)) in self.members.iter_mut().zip(membership).enumerate() {
+            *set = list.into_iter().collect();
+            self.home.extend(set.iter().map(|&n| (n, s as u32)));
+        }
+    }
+
     /// Applies a batch of committed updates in order.
     pub fn apply_all(&mut self, updates: &[MembershipUpdate]) {
         for u in updates {

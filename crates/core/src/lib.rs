@@ -47,9 +47,9 @@ pub mod proposal;
 pub mod shard;
 pub mod types;
 
-pub use config::{CanopusConfig, CostModel, CycleTrigger, ReadMode};
+pub use config::{CanopusConfig, CostModel, CycleTrigger, ReadMode, BATCH_LINGER};
 pub use emulation::EmulationTable;
-pub use msg::{BroadcastItem, CanopusMsg};
+pub use msg::{BroadcastItem, CanopusMsg, Snapshot};
 pub use node::{CanopusNode, CanopusStats, CommittedCycle, CommittedOp, CommittedSet};
 pub use proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
 pub use shard::{ShardEngine, ShardEngineStats, ShardMsg};

@@ -3,10 +3,12 @@
 //! Three planes share one message enum so a single transport carries them:
 //! the super-leaf reliable-broadcast plane (Raft traffic), the inter-super-
 //! leaf plane (proposal-request / proposal-response, §4.2), and the client
-//! plane (requests in, replies out).
+//! plane (requests in, replies out). A fourth pair of messages is for the
+//! rare member that restarted without its broadcast logs: it asks a
+//! super-leaf peer for a [`Snapshot`].
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{ClientReply, ClientRequest};
+use canopus_kv::{ClientReply, ClientRequest, Key, KvStore};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_raft::RaftMsg;
 use canopus_sim::{NodeId, Payload};
@@ -82,6 +84,77 @@ impl Wire for BroadcastItem {
     }
 }
 
+/// The replicated part of a node's state between two events: what every
+/// member of a super-leaf that has consumed the same broadcast deliveries
+/// holds identically. A member that lost its broadcast logs — which the
+/// groups compact, so they cannot replay them — takes this over from a
+/// peer and carries on from `points`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Snapshot {
+    /// Per broadcast group (by owner), the `(index, term)` of the last
+    /// delivery the state reflects.
+    pub points: Vec<(NodeId, (u64, u64))>,
+    /// Highest committed cycle, and the commit counters up to it.
+    pub last_committed: CycleId,
+    /// [`crate::CanopusStats::commit_digest`] at that cycle.
+    pub commit_digest: u64,
+    /// [`crate::CanopusStats::committed_cycles`] at that cycle.
+    pub committed_cycles: u64,
+    /// [`crate::CanopusStats::committed_weight`] at that cycle.
+    pub committed_weight: u64,
+    /// The emulation table's membership.
+    pub membership: Vec<Vec<NodeId>>,
+    /// Every node that was ever a member of the super-leaf.
+    pub roster: Vec<NodeId>,
+    /// Tombstones delivered: member → first cycle it is excluded from.
+    pub tombstoned: Vec<(NodeId, CycleId)>,
+    /// Rejoin markers delivered: member → first cycle it is back in.
+    pub rejoined: Vec<(NodeId, CycleId)>,
+    /// Write leases: key → last cycle covered.
+    pub leases: Vec<(Key, u64)>,
+    /// The store after `last_committed`.
+    pub store: KvStore,
+    /// Round-1 proposals delivered for cycles still in flight.
+    pub round1: Vec<(NodeId, VnodeState)>,
+    /// Remote vnode states delivered for cycles still in flight.
+    pub remote: Vec<VnodeState>,
+}
+
+impl Wire for Snapshot {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.points.encode(buf);
+        self.last_committed.encode(buf);
+        self.commit_digest.encode(buf);
+        self.committed_cycles.encode(buf);
+        self.committed_weight.encode(buf);
+        self.membership.encode(buf);
+        self.roster.encode(buf);
+        self.tombstoned.encode(buf);
+        self.rejoined.encode(buf);
+        self.leases.encode(buf);
+        self.store.encode(buf);
+        self.round1.encode(buf);
+        self.remote.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(Snapshot {
+            points: Wire::decode(buf)?,
+            last_committed: Wire::decode(buf)?,
+            commit_digest: Wire::decode(buf)?,
+            committed_cycles: Wire::decode(buf)?,
+            committed_weight: Wire::decode(buf)?,
+            membership: Wire::decode(buf)?,
+            roster: Wire::decode(buf)?,
+            tombstoned: Wire::decode(buf)?,
+            rejoined: Wire::decode(buf)?,
+            leases: Wire::decode(buf)?,
+            store: Wire::decode(buf)?,
+            round1: Wire::decode(buf)?,
+            remote: Wire::decode(buf)?,
+        })
+    }
+}
+
 /// All Canopus wire messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CanopusMsg {
@@ -103,6 +176,14 @@ pub enum CanopusMsg {
         /// The requested state.
         state: VnodeState,
     },
+    /// A super-leaf member that lost its broadcast logs asks for a peer's
+    /// state.
+    StateRequest,
+    /// The peer's answer.
+    StateResponse {
+        /// Its state at the moment it answered.
+        snapshot: Box<Snapshot>,
+    },
 }
 
 impl Payload for CanopusMsg {
@@ -113,6 +194,8 @@ impl Payload for CanopusMsg {
             CanopusMsg::Reply(_) => 1 + 14,
             CanopusMsg::ProposalRequest { vnode, .. } => 1 + 9 + 2 * vnode.depth(),
             CanopusMsg::ProposalResponse { state } => 1 + state.wire_bytes(),
+            CanopusMsg::StateRequest => 1,
+            CanopusMsg::StateResponse { snapshot } => 1 + snapshot.encoded_len(),
         }
     }
 
@@ -123,6 +206,8 @@ impl Payload for CanopusMsg {
             CanopusMsg::Reply(_) => "reply",
             CanopusMsg::ProposalRequest { .. } => "proposal_request",
             CanopusMsg::ProposalResponse { .. } => "proposal_response",
+            CanopusMsg::StateRequest => "state_request",
+            CanopusMsg::StateResponse { .. } => "state_response",
         }
     }
 }
@@ -151,6 +236,11 @@ impl Wire for CanopusMsg {
                 4u8.encode(buf);
                 state.encode(buf);
             }
+            CanopusMsg::StateRequest => 5u8.encode(buf),
+            CanopusMsg::StateResponse { snapshot } => {
+                6u8.encode(buf);
+                snapshot.encode(buf);
+            }
         }
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -164,6 +254,10 @@ impl Wire for CanopusMsg {
             }),
             4 => Ok(CanopusMsg::ProposalResponse {
                 state: VnodeState::decode(buf)?,
+            }),
+            5 => Ok(CanopusMsg::StateRequest),
+            6 => Ok(CanopusMsg::StateResponse {
+                snapshot: Box::new(Snapshot::decode(buf)?),
             }),
             _ => Err(WireError::Invalid("canopus msg tag")),
         }
@@ -202,6 +296,30 @@ mod tests {
         )
     }
 
+    fn sample_snapshot() -> Snapshot {
+        let mut store = KvStore::new();
+        store.put(9, Bytes::from_static(b"12345678"));
+        Snapshot {
+            points: vec![
+                (NodeId(0), (40, 1)),
+                (NodeId(1), (38, 2)),
+                (NodeId(2), (41, 1)),
+            ],
+            last_committed: CycleId(3),
+            commit_digest: 0xfeed,
+            committed_cycles: 3,
+            committed_weight: 17,
+            membership: vec![vec![NodeId(0), NodeId(2)], vec![]],
+            roster: vec![NodeId(0), NodeId(1), NodeId(2)],
+            tombstoned: vec![(NodeId(1), CycleId(3))],
+            rejoined: vec![],
+            leases: vec![(9, 6)],
+            store,
+            round1: vec![(NodeId(2), sample_state())],
+            remote: vec![sample_state()],
+        }
+    }
+
     #[test]
     fn all_variants_round_trip() {
         let msgs = vec![
@@ -226,6 +344,10 @@ mod tests {
             },
             CanopusMsg::ProposalResponse {
                 state: sample_state(),
+            },
+            CanopusMsg::StateRequest,
+            CanopusMsg::StateResponse {
+                snapshot: Box::new(sample_snapshot()),
             },
         ];
         for msg in msgs {

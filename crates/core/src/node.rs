@@ -9,6 +9,14 @@
 //! or through write leases (§7.2), and pipelines cycles for wide-area
 //! deployments (§7.1).
 //!
+//! The broadcast groups compact their logs (everything delivered locally and
+//! held by every member goes), so a member that restarts without its logs
+//! cannot replay them. Its groups report that (`needs_snapshot`) and the
+//! node asks a super-leaf peer for a [`Snapshot`] — the replicated part of
+//! the peer's state plus where it stands in each group's log — takes it
+//! over wholesale, and follows the deliveries from there. That is state
+//! transfer only: such a node is still tombstoned and stays excluded.
+//!
 //! Failure handling follows the paper's crash-stop model: peer silence is
 //! detected by heartbeat timeout; the survivor that wins the dead member's
 //! broadcast group election appends a **tombstone** to that group's log.
@@ -30,7 +38,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{CanopusConfig, CycleTrigger, ReadMode};
 use crate::emulation::EmulationTable;
-use crate::msg::{BroadcastItem, CanopusMsg};
+use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
 use crate::proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
 use crate::types::{CycleId, VnodeId};
 
@@ -214,6 +222,9 @@ pub struct CanopusNode {
     /// Broadcast items that could not be proposed while our own group's
     /// leadership was usurped; retried each tick after reclaiming.
     unsent_items: VecDeque<BroadcastItem>,
+    /// State transfer: when the next request may go out, and how many
+    /// went (peers are asked in turn).
+    state_requests: (Time, usize),
 
     // Commit products.
     store: KvStore,
@@ -304,6 +315,7 @@ impl CanopusNode {
             pending_tombstones: BTreeMap::new(),
             remote_suspects: BTreeSet::new(),
             unsent_items: VecDeque::new(),
+            state_requests: (Time::ZERO, 0),
             store: KvStore::new(),
             committed_log: Vec::new(),
             stats: CanopusStats::default(),
@@ -349,6 +361,26 @@ impl CanopusNode {
     /// The replicated store.
     pub fn store(&self) -> &KvStore {
         &self.store
+    }
+
+    /// What this node currently holds on to: `(Raft log entries in memory
+    /// across its super-leaf's broadcast groups, client operations inside
+    /// retained cycle states)`. Both are bounded in a healthy cluster
+    /// however long it runs.
+    pub fn retained(&self) -> (usize, usize) {
+        let ops = |s: &VnodeState| s.sets.iter().map(|set| set.ops.len()).sum::<usize>();
+        let cycle_ops = self
+            .cycles
+            .values()
+            .flat_map(|e| {
+                (e.round1.values())
+                    .chain(e.remote.values())
+                    .chain(e.ancestors.iter().flatten())
+            })
+            .map(ops)
+            .sum();
+        let raft = self.bcast.as_ref().map_or(0, |b| b.retained_entries());
+        (raft, cycle_ops)
     }
 
     /// Highest committed cycle.
@@ -1031,10 +1063,18 @@ impl CanopusNode {
     }
 
     fn commit_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
+        // From here on the cycle's state serves only late proposal-requests
+        // from lagging super-leaves, and `lookup_state` answers those from
+        // the non-root ancestors: the inputs of the merges, the fetch
+        // bookkeeping and the root itself are released now, not
+        // `state_retention` cycles later.
         let root = {
             let entry = self.cycles.get_mut(&c).expect("ready");
             entry.committed = true;
-            entry.ancestors[self.height - 1].clone().expect("root done")
+            entry.round1 = BTreeMap::new();
+            entry.remote = BTreeMap::new();
+            entry.fetches = BTreeMap::new();
+            entry.ancestors[self.height - 1].take().expect("root done")
         };
         let now = ctx.now();
 
@@ -1279,6 +1319,123 @@ impl CanopusNode {
     }
 
     // ------------------------------------------------------------------
+    // State transfer (a member that lost its broadcast logs)
+    // ------------------------------------------------------------------
+
+    /// Asks the super-leaf peers in turn, one per `fetch_timeout`, for as
+    /// long as some broadcast group says its log cannot serve this node.
+    fn request_state_if_lost(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
+        let lost = self.bcast.as_ref().expect("started").needs_snapshot();
+        let (not_before, asked) = self.state_requests;
+        if !lost || ctx.now() < not_before {
+            return;
+        }
+        let peers: Vec<NodeId> = (self.superleaf_roster.iter().copied())
+            .filter(|&p| p != self.me)
+            .collect();
+        if let Some(&peer) = peers.get(asked % peers.len().max(1)) {
+            ctx.send(peer, CanopusMsg::StateRequest);
+        }
+        self.state_requests = (ctx.now() + self.cfg.fetch_timeout, asked + 1);
+    }
+
+    fn handle_state_request(&mut self, from: NodeId, ctx: &mut Context<'_, CanopusMsg>) {
+        let bcast = self.bcast.as_ref().expect("started");
+        if !self.superleaf_roster.contains(&from) || bcast.needs_snapshot() {
+            return; // not ours to serve, or lost ourselves
+        }
+        let in_flight = || self.cycles.range(self.last_committed.next()..);
+        let snapshot = Snapshot {
+            points: bcast.delivered_points(),
+            last_committed: self.last_committed,
+            commit_digest: self.stats.commit_digest,
+            committed_cycles: self.stats.committed_cycles,
+            committed_weight: self.stats.committed_weight,
+            membership: self.table.membership(),
+            roster: self.superleaf_roster.iter().copied().collect(),
+            tombstoned: self.tombstoned.iter().map(|(&n, &c)| (n, c)).collect(),
+            rejoined: self.rejoined.iter().map(|(&n, &c)| (n, c)).collect(),
+            leases: self.lease_until.iter().map(|(&k, &c)| (k, c)).collect(),
+            store: self.store.clone(),
+            round1: in_flight()
+                .flat_map(|(_, e)| e.round1.iter().map(|(&n, s)| (n, s.clone())))
+                .collect(),
+            remote: in_flight()
+                .flat_map(|(_, e)| e.remote.values().cloned())
+                .collect(),
+        };
+        ctx.send(
+            from,
+            CanopusMsg::StateResponse {
+                snapshot: Box::new(snapshot),
+            },
+        );
+    }
+
+    /// Takes over a peer's replicated state and resumes every broadcast
+    /// group where that state stands. Whatever this node did since it came
+    /// up without its logs (cycles it started on its own numbering, items
+    /// it could not broadcast) was never part of the super-leaf's history
+    /// and goes; reads waiting on such cycles are ordered afresh.
+    fn handle_state_response(
+        &mut self,
+        from: NodeId,
+        snapshot: Snapshot,
+        ctx: &mut Context<'_, CanopusMsg>,
+    ) {
+        let bcast = self.bcast.as_mut().expect("started");
+        if !bcast.needs_snapshot()
+            || !self.superleaf_roster.contains(&from)
+            || snapshot.last_committed < self.last_committed
+            || !bcast.resume_at(&snapshot.points, ctx.now(), &mut self.rng)
+        {
+            return; // stale, or behind a group here: the next request will do
+        }
+        self.table.set_membership(snapshot.membership);
+        self.superleaf_roster = snapshot.roster.into_iter().collect();
+        self.tombstoned = snapshot.tombstoned.into_iter().collect();
+        self.rejoined = snapshot.rejoined.into_iter().collect();
+        self.lease_until = snapshot.leases.into_iter().collect();
+        self.store = snapshot.store;
+        self.stats.commit_digest = snapshot.commit_digest;
+        self.stats.committed_cycles = snapshot.committed_cycles;
+        self.stats.committed_weight = snapshot.committed_weight;
+        self.last_committed = snapshot.last_committed;
+        self.last_started = snapshot.last_committed;
+        self.max_seen_cycle = snapshot.last_committed;
+        self.linger_until = None;
+        self.cycles.clear();
+        self.unsent_items.clear();
+        self.pending_tombstones.clear();
+        for read in &mut self.pending_reads {
+            read.ordering_cycle = CycleId(0);
+        }
+        for (origin, state) in snapshot.round1 {
+            let c = state.cycle;
+            self.note_cycle_seen(c);
+            let own = origin == self.me;
+            let entry = self.cycle_entry(c);
+            entry.round1.insert(origin, state);
+            if own {
+                // Proposed before the restart and still in flight: it
+                // stands, and must not be proposed a second time.
+                entry.started = true;
+                self.last_started = self.last_started.max(c);
+            }
+        }
+        for state in snapshot.remote {
+            self.note_cycle_seen(state.cycle);
+            let vnode = state.vnode.clone();
+            self.cycle_entry(state.cycle).remote.insert(vnode, state);
+        }
+        self.maybe_start_cycles(ctx);
+        let in_flight: Vec<CycleId> = self.cycles.keys().copied().collect();
+        for c in in_flight {
+            self.advance_cycle(c, ctx);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Timers
     // ------------------------------------------------------------------
 
@@ -1290,6 +1447,7 @@ impl CanopusNode {
             bcast.tick(now, &mut self.rng, &mut out)
         };
         self.flush_raft(out, ctx);
+        self.request_state_if_lost(ctx);
 
         // Reclaim our broadcast group if usurped, then flush queued items.
         if !self.unsent_items.is_empty() {
@@ -1493,6 +1651,10 @@ impl Process<CanopusMsg> for CanopusNode {
                 self.handle_proposal_request(from, cycle, vnode, ctx)
             }
             CanopusMsg::ProposalResponse { state } => self.handle_proposal_response(state, ctx),
+            CanopusMsg::StateRequest => self.handle_state_request(from, ctx),
+            CanopusMsg::StateResponse { snapshot } => {
+                self.handle_state_response(from, *snapshot, ctx)
+            }
         }
     }
 

@@ -467,6 +467,48 @@ fn on_commit_pipelining_overlaps_cycles() {
 }
 
 #[test]
+fn retained_state_stays_bounded_over_ten_thousand_broadcasts() {
+    // One write a millisecond is one cycle a millisecond, and every cycle
+    // delivers four broadcasts at every node: its super-leaf's three
+    // proposals and the other super-leaf's state.
+    const CYCLES: u64 = 2_600;
+    let cfg = CanopusConfig {
+        record_log: false,
+        ..CanopusConfig::default()
+    };
+    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 21);
+    let script: Vec<(Dur, Op)> = (0..CYCLES)
+        .map(|k| (Dur::millis(k + 1), put(k, 1)))
+        .collect();
+    add_client(&mut cluster, NodeId(0), script);
+    let (mut most_raft, mut most_ops) = (0, 0);
+    for _ in 0..CYCLES / 100 + 1 {
+        cluster.sim.run_for(Dur::millis(100));
+        for &n in &cluster.nodes {
+            let (raft, ops) = cluster.sim.node::<CanopusNode>(n).retained();
+            most_raft = most_raft.max(raft);
+            most_ops = most_ops.max(ops);
+        }
+    }
+    for &n in &cluster.nodes {
+        let s = stats_of(&cluster, n);
+        assert_eq!(s.committed_weight, CYCLES);
+        assert!(
+            s.committed_cycles * 4 >= 10_000,
+            "{} cycles",
+            s.committed_cycles
+        );
+    }
+    // Three groups of a few entries each; one operation per retained
+    // cycle in the one ancestor a late proposal-request can ask for.
+    assert!(most_raft <= 9, "{most_raft} Raft entries retained");
+    assert!(
+        most_ops <= 2 * cfg.state_retention as usize,
+        "{most_ops} operations retained in cycle state"
+    );
+}
+
+#[test]
 fn node_failure_excludes_and_consensus_continues() {
     let cfg = CanopusConfig {
         failure_timeout: Dur::millis(15),
@@ -525,6 +567,66 @@ fn node_failure_excludes_and_consensus_continues() {
             None,
             "{n} still lists the dead node"
         );
+    }
+}
+
+#[test]
+fn restarted_member_takes_over_a_peers_state_and_follows() {
+    // Pipelined cycles under steady load from both super-leaves, so the
+    // broadcast logs are long compacted when node 1 comes back with
+    // nothing, and the peer it asks has cycles in flight when it answers.
+    let cfg = CanopusConfig {
+        failure_timeout: Dur::millis(15),
+        fetch_timeout: Dur::millis(40),
+        max_pipeline_depth: 4,
+        record_log: false,
+        ..CanopusConfig::default()
+    };
+    let shape = LotShape::flat(2);
+    let mut cluster = build_cluster(shape.clone(), 3, &cfg, 33);
+    for (target, base) in [(NodeId(0), 0), (NodeId(3), 10_000)] {
+        let script: Vec<(Dur, Op)> = (0..2_500)
+            .map(|k| (Dur::micros(200 * k + 70), put(base + k % 50, k as u8)))
+            .collect();
+        add_client(&mut cluster, target, script);
+    }
+    cluster.sim.run_for(Dur::millis(50));
+    cluster.sim.crash(NodeId(1));
+    cluster.sim.run_for(Dur::millis(150));
+    let survivor = cluster.sim.node::<CanopusNode>(NodeId(0));
+    assert_eq!(survivor.emulation_table().superleaf_of(NodeId(1)), None);
+    let committed_before = survivor.stats().committed_cycles;
+    assert!(committed_before > 100, "{committed_before} cycles");
+
+    let members = |s: u32| (0..3).map(|i| NodeId(3 * s + i)).collect();
+    let table = EmulationTable::new(shape, vec![members(0), members(1)]);
+    let fresh = CanopusNode::new(NodeId(1), table, cfg.clone(), 34);
+    cluster.sim.restart(NodeId(1), Box::new(fresh));
+    cluster.sim.run_for(Dur::millis(150));
+    // Caught up while the load is still on ...
+    let back = stats_of(&cluster, NodeId(1));
+    assert!(
+        back.committed_cycles > committed_before,
+        "{} cycles",
+        back.committed_cycles
+    );
+    // ... and, once it is off, level with the survivors in every respect.
+    cluster.sim.run_for(Dur::millis(400));
+    let (back, peer) = (stats_of(&cluster, NodeId(1)), stats_of(&cluster, NodeId(0)));
+    assert_eq!(peer.committed_weight, 5_000);
+    assert_eq!(back.commit_digest, peer.commit_digest);
+    assert_eq!(back.committed_cycles, peer.committed_cycles);
+    assert_eq!(back.committed_weight, peer.committed_weight);
+    let node = |n| cluster.sim.node::<CanopusNode>(NodeId(n));
+    assert_eq!(node(1).store().digest(), node(0).store().digest());
+    assert_eq!(
+        node(1).emulation_table().digest(),
+        node(0).emulation_table().digest()
+    );
+    // A member that follows again holds nobody's log back.
+    for n in 0..3 {
+        let (raft, _) = node(n).retained();
+        assert!(raft <= 9, "node {n} retains {raft} Raft entries");
     }
 }
 

@@ -291,7 +291,7 @@ impl<P: Protocol> ClusterBuilder<P> {
         }
     }
 
-    /// Spawns the deployment on loopback TCP, one reactor-backed node loop
+    /// Spawns the deployment on loopback TCP, one node loop (one thread)
     /// per protocol node plus one [`crate::ClientMux`] node hosting the
     /// history clients.
     ///

@@ -1,7 +1,7 @@
 //! Live-cluster chaos: the nemesis engine over real TCP sockets.
 //!
 //! [`LiveCluster`] (built by [`crate::ClusterBuilder::live`]) runs a
-//! protocol deployment on the reactor-backed TCP transport
+//! protocol deployment on the TCP transport
 //! (`canopus_net::tcp`), plus one [`HistoryClient`] per node —
 //! all of them multiplexed onto a single extra transport node by a
 //! [`ClientMux`] — every loop sharing one [`FaultRules`] table.
@@ -55,7 +55,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use canopus::{CanopusConfig, CycleTrigger};
+use canopus::{CanopusConfig, CycleTrigger, BATCH_LINGER};
 use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
 use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
@@ -106,13 +106,17 @@ pub(crate) fn live_raft_config() -> RaftConfig {
     }
 }
 
-/// Canopus configuration for live sockets: self-clocked cycles, 4-unit
+/// Canopus configuration for live sockets: self-clocked cycles behind the
+/// 1 ms batching window (without it one request anywhere starts a cycle
+/// that drags every node through a broadcast and the LOT rounds, and an
+/// idle-ish cluster free-runs at the speed of its transport), 4-unit
 /// fetch retries, and a 40-unit (2 s) failure detector so OS scheduling
 /// hiccups never look like node failures.
 pub fn live_canopus_config() -> CanopusConfig {
     let unit = live_time_unit();
     CanopusConfig {
         trigger: CycleTrigger::OnCommit,
+        max_linger: BATCH_LINGER,
         fetch_timeout: unit * 4,
         failure_timeout: unit * 40,
         tick_interval: unit / 5,

@@ -1,8 +1,8 @@
 //! Multiplexed client sessions: many [`HistoryClient`]s on one transport
 //! node.
 //!
-//! The first live clusters ran one TCP node — listener, reactor
-//! registration, inbox thread — *per client*. That model caps a machine at
+//! The first live clusters ran one TCP node — listener, event loop,
+//! thread — *per client*. That model caps a machine at
 //! a few hundred clients long before the protocol does. [`ClientMux`]
 //! hosts every history client of a live cluster inside a single
 //! [`Process`]: each session keeps its own virtual [`NodeId`] (so write

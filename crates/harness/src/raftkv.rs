@@ -20,7 +20,7 @@ use bytes::{Bytes, BytesMut};
 use canopus_kv::{ClientReply, ClientRequest, CostModel, Key, KvStore, Op, OpResult};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
-use canopus_raft::{Entry, GroupId, Outbox, RaftConfig, RaftCore, RaftMsg};
+use canopus_raft::{DurableState, GroupId, Outbox, RaftConfig, RaftCore, RaftMsg};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Time, Timer};
 use canopus_workload::ProtocolMsg;
 use rand::rngs::SmallRng;
@@ -152,14 +152,8 @@ pub struct RaftKvStats {
 
 /// How a node boots: fresh, or recovering durable Raft state after a crash.
 enum Boot {
-    Fresh {
-        initial_leader: bool,
-    },
-    Recovered {
-        term: u64,
-        voted_for: Option<NodeId>,
-        log: Vec<Entry>,
-    },
+    Fresh { initial_leader: bool },
+    Recovered(DurableState),
 }
 
 /// One node of the Raft KV service.
@@ -297,19 +291,17 @@ impl RaftKvNode {
     pub fn recover(old: &RaftKvNode, seed: u64) -> Self {
         let mut node = RaftKvNode::new(old.me, old.members.clone(), old.cfg.clone(), seed);
         if let Some(core) = old.core.as_ref() {
-            let (term, voted_for, log) = core.persistent_state();
-            for entry in log.iter().filter(|e| !e.data.is_empty()) {
+            // This node never compacts its Raft log: the store is rebuilt by
+            // replaying it from the first entry.
+            let state = core.persistent_state();
+            for entry in state.log.iter().filter(|e| !e.data.is_empty()) {
                 if let Some((origin, req)) = Self::decode_entry(entry.data.clone()) {
                     if origin == old.me {
                         node.replayed.insert((req.client, req.op_id));
                     }
                 }
             }
-            node.boot = Some(Boot::Recovered {
-                term,
-                voted_for,
-                log,
-            });
+            node.boot = Some(Boot::Recovered(state));
         }
         node
     }
@@ -455,20 +447,14 @@ impl Process<RaftKvMsg> for RaftKvNode {
                 now,
                 &mut self.rng,
             ),
-            Boot::Recovered {
-                term,
-                voted_for,
-                log,
-            } => RaftCore::restore(
+            Boot::Recovered(state) => RaftCore::restore(
                 GroupId(0),
                 self.me,
                 self.members.clone(),
                 self.cfg.raft,
                 now,
                 &mut self.rng,
-                term,
-                voted_for,
-                log,
+                state,
             ),
         };
         self.core = Some(core);

@@ -183,9 +183,12 @@ fn crash_and_restart<P: Protocol>(cluster: &mut Cluster<P>, victims: &[NodeId]) 
     cluster.apply_plan(&plan, Dur::millis(301));
 }
 
-/// Canopus: the replacement is a fresh node that replays the super-leaf
-/// log from cycle 1 — including its own tombstone, so it stays excluded:
-/// it follows the survivors' commits but never again serves a write.
+/// Canopus: the replacement is a fresh node. The super-leaf's broadcast
+/// logs have long discarded what every member held, so it cannot replay
+/// them from cycle 1; it takes over a peer's state instead and follows the
+/// deliveries from there — its own tombstone included, so it stays
+/// excluded: it follows the survivors' commits but never again serves a
+/// write. And once it follows, it holds nobody's log back.
 #[test]
 fn canopus_restarts_fresh_and_stays_excluded() {
     let mut c = cluster::<CanopusMsg>();
@@ -201,7 +204,14 @@ fn canopus_restarts_fresh_and_stays_excluded() {
     assert_eq!(writes_served_since(1), 0, "excluded");
     assert!(writes_served_since(0) > 10, "survivors carry on");
     let (back, peer) = (c.node(NodeId(1)).stats(), c.node(NodeId(0)).stats());
-    assert_eq!(back.commit_digest, peer.commit_digest, "replayed the log");
+    assert_eq!(back.commit_digest, peer.commit_digest, "caught up");
+    assert_eq!(back.committed_cycles, peer.committed_cycles);
+    assert_eq!(
+        c.node(NodeId(1)).store().digest(),
+        c.node(NodeId(0)).store().digest()
+    );
+    let (raft_entries, _) = c.node(NodeId(0)).retained();
+    assert!(raft_entries <= 9, "{raft_entries} entries held back");
 }
 
 /// ZAB: even the former leader comes back as a follower with nothing

@@ -6,7 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use canopus_net::wire::{Wire, WireError};
 
 use crate::op::Key;
 
@@ -20,7 +21,7 @@ pub struct Versioned {
 }
 
 /// In-memory key-value store with per-key versions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
     map: BTreeMap<Key, Versioned>,
     applied_writes: u64,
@@ -88,6 +89,33 @@ impl KvStore {
     }
 }
 
+/// The whole store, for state transfer to a replica that lost its own.
+impl Wire for KvStore {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.applied_writes.encode(buf);
+        (self.map.len() as u32).encode(buf);
+        for (key, v) in &self.map {
+            key.encode(buf);
+            v.version.encode(buf);
+            v.value.encode(buf);
+        }
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let applied_writes = u64::decode(buf)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..u32::decode(buf)? {
+            let key = Key::decode(buf)?;
+            let version = u64::decode(buf)?;
+            let value = Bytes::decode(buf)?;
+            map.insert(key, Versioned { version, value });
+        }
+        Ok(KvStore {
+            map,
+            applied_writes,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +132,17 @@ mod tests {
         assert_eq!(v.value, Bytes::from_static(b"b"));
         assert_eq!(s.applied_writes(), 3);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn round_trips_on_wire() {
+        let mut s = KvStore::new();
+        s.put(1, Bytes::from_static(b"a"));
+        s.put(1, Bytes::from_static(b"b"));
+        s.put(7, Bytes::new());
+        let back = KvStore::from_bytes(s.to_bytes()).expect("decode");
+        assert_eq!(back, s);
+        assert_eq!(back.applied_writes(), 3);
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   and WAN bottlenecks emerge from first principles.
 //! * [`wire`] — the hand-rolled binary codec shared by the simulator's
 //!   size accounting and the real transport.
-//! * [`tcp`] — a reactor-backed TCP driver (behind the `tcp` feature, on
-//!   by default) that runs unmodified [`canopus_sim::Process`] state
-//!   machines over real sockets: a fixed pool of epoll event loops (one
-//!   per core) carries every connection, so live clusters scale to
-//!   hundreds of nodes on one machine.
+//! * [`tcp`] — the TCP driver (behind the `tcp` feature, on by default)
+//!   that runs unmodified [`canopus_sim::Process`] state machines over
+//!   real sockets, run to completion: the thread that runs a node is its
+//!   event loop, steps the process and arms its timers.
+//! * [`reactor`] — the socket half of that loop: the node's listener and
+//!   connections on one epoll instance, frame reassembly, coalesced
+//!   writes, bounded per-peer queues and the [`SendGate`].
 //! * [`fault`] — the runtime fault table ([`FaultRules`]) the TCP
 //!   transport consults, so the nemesis engine can partition, impair, and
 //!   crash a *live* cluster the same way it does a simulated one.

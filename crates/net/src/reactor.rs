@@ -1,75 +1,67 @@
-//! Poll-based reactor: a fixed pool of epoll event loops (one per core)
-//! that carries every TCP connection in the process.
+//! The socket half of a node's event loop: one epoll instance owned by the
+//! node thread, with the node's listener, its inbound connections and its
+//! outbound connections all registered on it.
 //!
-//! The previous transport spawned ~2 threads per connection (a blocking
-//! reader plus a per-peer writer), which capped live topologies at the
-//! 9-node loopback suites. The reactor replaces all of that with
-//! `pool`: `N` event loops, each owning an epoll instance, an eventfd
-//! waker, and a command channel. Nodes register through `NodeIo`:
+//! There is no thread in this module and nothing is shared: a `Reactor`
+//! is a plain value that [`crate::tcp::run_node_obs`] owns and drives from
+//! the node's own loop, so a message costs one thread wake-up — the
+//! receiver's `epoll_wait` returning — and queue accounting is ordinary
+//! integers.
 //!
-//! - **Listeners** are readiness-driven: accept runs when epoll reports
-//!   the listening socket readable, never on a sleep poll.
-//! - **Inbound connections** stay on the loop that accepted them. Frames
-//!   are reassembled incrementally (partial frames survive across
-//!   readiness events; a length prefix over [`MAX_FRAME`] is rejected
-//!   before any payload allocation) and handed to the node's dispatch
-//!   closure, which decodes and forwards to the node-loop inbox.
-//! - **Outbound connections** are sharded across loops by
-//!   `hash(node, addr)` and deduplicated per remote address, so many
-//!   virtual senders at one address share one socket. Connects are
-//!   nonblocking with exponential backoff (10 ms → 1 s); while a peer is
-//!   unreachable, queued frames are shed as loss, exactly like the old
-//!   writer threads. Writes drain a bounded per-peer byte queue with
-//!   coalesced flushes (one `write` for a burst of small frames, bounded
-//!   by `MAX_COALESCE_BYTES`).
-//! - **Backpressure** is explicit: when a peer's queue hits its
-//!   high-water mark, `NodeIo::send` returns
-//!   `SendOutcome::Backpressure` synchronously and raises the node's
-//!   [`SendGate`] until the loop drains the queue below low water.
-//!   Clients can watch the gate to shed or defer load instead of
-//!   blocking.
-//!
-//! Loop-global health counters (iterations, readiness events,
-//! queue-full incidents, connection churn) live in the process-wide
-//! reactor registry: [`canopus_obs::reactor_snapshot`].
+//! - **Listener and inbound connections** are readiness-driven. Every
+//!   ready socket is drained per `Reactor::poll`; frames are reassembled
+//!   incrementally (a partial frame survives across readiness events; a
+//!   length prefix over [`MAX_FRAME`] closes the connection before any
+//!   payload is buffered) and handed to the caller one by one. The first
+//!   frame of a connection is the sender's [`NodeId`].
+//! - **Outbound connections** are one per remote address, so many virtual
+//!   destinations at one address share one socket. Connects are
+//!   nonblocking with exponential backoff (10 ms → 1 s); frames queued
+//!   while a peer is unreachable are shed as loss on each failed attempt,
+//!   like the simulator's fabric drops what a dead link carries.
+//! - **Sends coalesce.** `Reactor::send` only appends the frame to the
+//!   peer's buffer; `Reactor::flush`, called once per loop iteration,
+//!   hands each peer everything queued for it in one `write`. What the
+//!   kernel does not take stays buffered and write interest is armed until
+//!   it drains.
+//! - **Backpressure** is explicit: a peer's unwritten bytes are bounded
+//!   (`CANOPUS_NET_QUEUE_BYTES`, default 2 MiB). At the bound `send` first
+//!   writes what the socket will take (a burst inside one loop iteration
+//!   is not a blocked peer); if the bound still stands it returns
+//!   `SendOutcome::Backpressure` without queueing and raises the node's
+//!   [`SendGate`] until the buffer drains below half of it.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use canopus_obs::{Histogram, ReactorObs};
+use canopus_obs::{Counter, Histogram};
 use canopus_sim::NodeId;
-use epoll_shim::{connect_nonblocking, Events, Interest, Poller, Waker};
+use epoll_shim::{connect_nonblocking, Event, Events, Interest, Poller};
 
 use crate::wire::{Wire, MAX_FRAME};
 
-/// Read buffer size per loop; also the growth bound for partial-frame
-/// reassembly compaction.
+/// Bytes asked of the kernel per `read`.
 const READ_CHUNK: usize = 64 << 10;
 
-/// Largest unwritten coalesced batch a connection builds before it stops
-/// pulling frames off its queue. Bounds both buffer growth and the
-/// latency a queued frame can accrue behind earlier ones in one flush.
-pub(crate) const MAX_COALESCE_BYTES: usize = 1 << 20;
+/// Reads per connection per poll: a peer that never stops sending yields
+/// to the other sockets (level-triggered epoll reports it again).
+const READS_PER_POLL: usize = 16;
 
-/// Default per-peer write-queue bound in bytes (headers included). A
-/// send that would exceed it gets an explicit [`SendOutcome::Backpressure`].
+/// Default bound on a peer's unwritten bytes (headers included).
 const DEFAULT_HIGH_WATER: usize = 2 << 20;
-
-/// Epoll timeout when nothing else bounds the wait.
-const IDLE_WAIT: Duration = Duration::from_millis(200);
 
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 const BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// Token reserved for each loop's eventfd waker.
-const WAKER_TOKEN: u64 = 0;
+const LISTENER_TOKEN: u64 = 0;
+/// Set in the token of an outbound connection; the rest is its index.
+const OUT_BIT: u64 = 1 << 63;
 
 /// Appends one length-prefixed frame to a coalescing buffer.
 pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
@@ -78,7 +70,7 @@ pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Per-peer write-queue bound, overridable via `CANOPUS_NET_QUEUE_BYTES`.
-pub(crate) fn high_water() -> usize {
+fn high_water() -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
         std::env::var("CANOPUS_NET_QUEUE_BYTES")
@@ -89,18 +81,21 @@ pub(crate) fn high_water() -> usize {
     })
 }
 
-fn low_water() -> usize {
-    high_water() / 2
+/// Event loops shared between nodes: none. Every node thread is its own
+/// loop, so there is nothing to count or configure; the function remains
+/// because livebench prints it.
+pub fn loop_count() -> usize {
+    0
 }
 
-/// Transport saturation signal shared between a node's reactor
-/// connections and its clients.
+/// Transport saturation signal shared between a node's loop and its
+/// clients (the one piece of transport state another thread reads).
 ///
-/// The reactor raises the gate when any of the node's peer queues hits
-/// its high-water mark and lowers it once the queue drains below low
-/// water. Open-loop clients consult [`SendGate::is_saturated`] to shed
-/// or defer arrivals instead of piling onto a full queue; `incidents`
-/// counts every raise for test assertions and capacity reports.
+/// The loop raises the gate when any of the node's peer queues hits its
+/// high-water mark and lowers it once the queue drains below low water.
+/// Open-loop clients consult [`SendGate::is_saturated`] to shed or defer
+/// arrivals instead of piling onto a full queue; `incidents` counts every
+/// raise for test assertions and capacity reports.
 #[derive(Clone, Debug, Default)]
 pub struct SendGate {
     saturated: Arc<AtomicUsize>,
@@ -133,67 +128,7 @@ impl SendGate {
     }
 }
 
-/// What a node's dispatch closure tells the reactor after each inbound
-/// frame.
-pub(crate) enum DispatchVerdict {
-    /// Keep reading.
-    Continue,
-    /// The node's inbox is gone (shutdown); close the connection.
-    Closed,
-    /// The frame failed to decode; close the connection (mirrors the old
-    /// reader thread's `InvalidData` exit).
-    Corrupt,
-}
-
-/// Decodes one inbound frame and forwards it to the node loop.
-pub(crate) type Dispatch = Arc<dyn Fn(NodeId, Bytes) -> DispatchVerdict + Send + Sync>;
-
-/// Immutable per-node state shared with every loop that carries one of
-/// the node's connections.
-pub(crate) struct Registration {
-    key: u64,
-    self_id: NodeId,
-    dispatch: Dispatch,
-    gate: Option<SendGate>,
-    flush_bytes: Histogram,
-}
-
-/// Queue accounting shared between [`NodeIo::send`] (node-loop thread)
-/// and the event loop that owns the connection.
-struct ConnShared {
-    /// Bytes (payload + 4-byte headers) accepted but not yet moved into
-    /// the connection's write buffer.
-    queued: AtomicUsize,
-    /// True between a high-water raise and the matching low-water lower.
-    full: AtomicBool,
-}
-
-impl ConnShared {
-    fn new() -> Arc<ConnShared> {
-        Arc::new(ConnShared {
-            queued: AtomicUsize::new(0),
-            full: AtomicBool::new(false),
-        })
-    }
-
-    /// Loop-side: release `n` queued bytes and lower the gate once the
-    /// queue drains below low water.
-    fn release(&self, n: usize, gate: &Option<SendGate>) {
-        let before = self.queued.fetch_sub(n, Ordering::Relaxed);
-        if before.saturating_sub(n) <= low_water()
-            && self
-                .full
-                .compare_exchange(true, false, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            if let Some(gate) = gate {
-                gate.lower();
-            }
-        }
-    }
-}
-
-/// Synchronous verdict for one [`NodeIo::send`].
+/// Verdict of one [`Reactor::send`].
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum SendOutcome {
     /// Queued for delivery (best-effort, like every transport send).
@@ -202,860 +137,496 @@ pub(crate) enum SendOutcome {
     Backpressure,
 }
 
-enum Cmd {
-    AddListener {
-        listener: TcpListener,
-        reg: Arc<Registration>,
-    },
-    Connect {
-        addr: SocketAddr,
-        reg: Arc<Registration>,
-        shared: Arc<ConnShared>,
-    },
-    Send {
-        key: u64,
-        addr: SocketAddr,
-        frame: Bytes,
-    },
-    CloseNode {
-        key: u64,
-        ack: mpsc::SyncSender<()>,
-    },
-}
-
-struct LoopHandle {
-    tx: Sender<Cmd>,
-    waker: Arc<Waker>,
-    /// Set by submitters after enqueueing; cleared by the loop after
-    /// draining. Coalesces eventfd writes for command bursts.
-    cmd_pending: Arc<AtomicBool>,
-}
-
-impl LoopHandle {
-    fn submit(&self, cmd: Cmd) {
-        if self.tx.send(cmd).is_ok() && !self.cmd_pending.swap(true, Ordering::AcqRel) {
-            let _ = self.waker.wake();
-        }
-    }
-}
-
-/// The process-wide pool of reactor event loops.
-pub(crate) struct ReactorPool {
-    loops: Vec<LoopHandle>,
-    next_key: AtomicU64,
-}
-
-impl ReactorPool {
-    fn loop_for(&self, key: u64, addr: SocketAddr) -> usize {
-        // FNV-1a over (key, addr) spreads connections across loops
-        // without any coordination.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |b: u64| {
-            h ^= b;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(key);
-        match addr {
-            SocketAddr::V4(v4) => {
-                mix(u32::from(*v4.ip()) as u64);
-                mix(v4.port() as u64);
-            }
-            SocketAddr::V6(v6) => {
-                for c in v6.ip().segments() {
-                    mix(c as u64);
-                }
-                mix(v6.port() as u64);
-            }
-        }
-        (h % self.loops.len() as u64) as usize
-    }
-}
-
-/// Number of event loops: `CANOPUS_REACTOR_LOOPS` override, else one per
-/// available core, clamped to `1..=16`.
-pub fn loop_count() -> usize {
-    if let Ok(n) = std::env::var("CANOPUS_REACTOR_LOOPS") {
-        if let Ok(n) = n.parse::<usize>() {
-            return n.clamp(1, 64);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(1, 16)
-}
-
-/// The lazily started global reactor pool.
-pub(crate) fn pool() -> &'static ReactorPool {
-    static POOL: OnceLock<ReactorPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let n = loop_count();
-        let mut loops = Vec::with_capacity(n);
-        for idx in 0..n {
-            let poller = Poller::new().expect("epoll_create1");
-            let waker = Arc::new(Waker::new(&poller, WAKER_TOKEN).expect("eventfd"));
-            let (tx, rx) = mpsc::channel();
-            let cmd_pending = Arc::new(AtomicBool::new(false));
-            let handle_waker = Arc::clone(&waker);
-            let handle_pending = Arc::clone(&cmd_pending);
-            std::thread::Builder::new()
-                .name(format!("canopus-reactor-{idx}"))
-                .spawn(move || run_loop(poller, waker, rx, cmd_pending))
-                .expect("spawn reactor loop");
-            loops.push(LoopHandle {
-                tx,
-                waker: handle_waker,
-                cmd_pending: handle_pending,
-            });
-        }
-        ReactorPool {
-            loops,
-            next_key: AtomicU64::new(1),
-        }
-    })
-}
-
-struct OutRef {
-    loop_idx: usize,
-    shared: Arc<ConnShared>,
-}
-
-/// A node's handle into the reactor: registers the listener, opens and
-/// reuses outbound connections (one per remote address), and reports
-/// backpressure synchronously.
-pub(crate) struct NodeIo {
-    key: u64,
-    reg: Arc<Registration>,
-    conns: HashMap<SocketAddr, OutRef>,
-    high_water: usize,
-}
-
-impl NodeIo {
-    /// Registers `listener` for readiness-driven accept and returns the
-    /// node's send handle. `dispatch` runs on reactor threads.
-    pub(crate) fn register(
-        self_id: NodeId,
-        listener: TcpListener,
-        dispatch: Dispatch,
-        gate: Option<SendGate>,
-        flush_bytes: Histogram,
-    ) -> NodeIo {
-        let pool = pool();
-        let key = pool.next_key.fetch_add(1, Ordering::Relaxed);
-        let reg = Arc::new(Registration {
-            key,
-            self_id,
-            dispatch,
-            gate,
-            flush_bytes,
-        });
-        listener
-            .set_nonblocking(true)
-            .expect("set listener nonblocking");
-        let idx = (key % pool.loops.len() as u64) as usize;
-        pool.loops[idx].submit(Cmd::AddListener {
-            listener,
-            reg: Arc::clone(&reg),
-        });
-        NodeIo {
-            key,
-            reg,
-            conns: HashMap::new(),
-            high_water: high_water(),
-        }
-    }
-
-    /// Queues one frame for `addr`, opening (and thereafter reusing) the
-    /// connection on its sharded loop. Returns
-    /// [`SendOutcome::Backpressure`] without queueing when the peer's
-    /// write queue is at high water.
-    pub(crate) fn send(&mut self, addr: SocketAddr, frame: Bytes) -> SendOutcome {
-        let pool = pool();
-        let entry = self.conns.entry(addr).or_insert_with(|| {
-            let shared = ConnShared::new();
-            let loop_idx = pool.loop_for(self.key, addr);
-            pool.loops[loop_idx].submit(Cmd::Connect {
-                addr,
-                reg: Arc::clone(&self.reg),
-                shared: Arc::clone(&shared),
-            });
-            OutRef { loop_idx, shared }
-        });
-        let cost = frame.len() + 4;
-        if entry.shared.queued.load(Ordering::Relaxed) >= self.high_water {
-            if entry
-                .shared
-                .full
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                if let Some(gate) = &self.reg.gate {
-                    gate.raise();
-                }
-            }
-            return SendOutcome::Backpressure;
-        }
-        entry.shared.queued.fetch_add(cost, Ordering::Relaxed);
-        pool.loops[entry.loop_idx].submit(Cmd::Send {
-            key: self.key,
-            addr,
-            frame,
-        });
-        SendOutcome::Queued
-    }
-
-    /// Current queue depth in bytes toward `addr` (0 if no connection).
-    pub(crate) fn queued_bytes(&self, addr: SocketAddr) -> usize {
-        self.conns
-            .get(&addr)
-            .map(|c| c.shared.queued.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Deregisters the node from every loop: the listener, all inbound
-    /// connections dispatching to it, and all outbound connections. Waits
-    /// for each loop's acknowledgement, so when this returns every fd the
-    /// node owned is closed — shutdown leaks nothing.
-    pub(crate) fn close(self) {
-        let pool = pool();
-        let (ack_tx, ack_rx) = mpsc::sync_channel(pool.loops.len());
-        for l in &pool.loops {
-            l.submit(Cmd::CloseNode {
-                key: self.key,
-                ack: ack_tx.clone(),
-            });
-        }
-        drop(ack_tx);
-        for _ in 0..pool.loops.len() {
-            let _ = ack_rx.recv();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Event-loop internals.
-// ---------------------------------------------------------------------
-
 struct InConn {
     stream: TcpStream,
-    reg: Arc<Registration>,
     /// Sender id from the handshake frame; `None` until it arrives.
     peer: Option<NodeId>,
-    /// Partial-frame reassembly buffer; `start` is the parse cursor.
-    buf: Vec<u8>,
-    start: usize,
+    /// Bytes of a frame whose end has not arrived yet.
+    partial: Vec<u8>,
 }
 
 enum OutState {
-    Connecting(TcpStream),
+    /// No socket; a connect attempt is scheduled in `Reactor::retries`.
     Backoff,
+    Connecting(TcpStream),
     Ready(TcpStream),
 }
 
 struct OutConn {
     addr: SocketAddr,
-    reg: Arc<Registration>,
-    shared: Arc<ConnShared>,
     state: OutState,
-    /// Frames accepted but not yet framed into `pending`.
-    queue: VecDeque<Bytes>,
-    /// Framed bytes being written; `pending_off` marks how much already
-    /// reached the socket.
+    /// Framed bytes; `written` marks how much already reached the socket.
     pending: Vec<u8>,
-    pending_off: usize,
+    written: usize,
+    /// Whether the socket is registered for writability.
+    want_write: bool,
+    /// Listed in `Reactor::dirty` for the next flush.
+    dirty: bool,
+    /// Between a high-water raise of the gate and the matching lower.
+    full: bool,
     backoff: Duration,
 }
 
 impl OutConn {
     fn unwritten(&self) -> usize {
-        self.pending.len() - self.pending_off
-    }
-
-    /// Sheds everything queued (the peer is unreachable: this is loss,
-    /// exactly like the old writer threads draining while disconnected).
-    /// Only queue frames carry accounting — bytes already coalesced into
-    /// `pending` were released when they moved — so only those are freed.
-    fn shed_queue(&mut self) {
-        self.pending.clear();
-        self.pending_off = 0;
-        let mut freed = 0usize;
-        for f in self.queue.drain(..) {
-            freed += f.len() + 4;
-        }
-        if freed > 0 {
-            self.shared.release(freed, &self.reg.gate);
-        }
+        self.pending.len() - self.written
     }
 }
 
-enum Entry {
-    Listener {
+/// What the loop reports into a node's hub; every handle is a no-op when
+/// the hub is disabled.
+pub(crate) struct ReactorMetrics {
+    /// Bytes per `write`.
+    pub(crate) flush_bytes: Histogram,
+    /// Connect attempts scheduled after a failed or broken outbound link.
+    pub(crate) reconnects: Counter,
+}
+
+/// One node's sockets on one epoll instance. Dropping it closes them all.
+pub(crate) struct Reactor {
+    self_id: NodeId,
+    poller: Poller,
+    events: Events,
+    ready: Vec<Event>,
+    listener: TcpListener,
+    inbound: HashMap<u64, InConn>,
+    next_inbound: u64,
+    outbound: Vec<OutConn>,
+    out_index: HashMap<SocketAddr, usize>,
+    /// Outbound connections with bytes queued since the last flush.
+    dirty: Vec<usize>,
+    /// `(when, outbound index)` of scheduled connect attempts.
+    retries: Vec<(Instant, usize)>,
+    scratch: Vec<u8>,
+    high_water: usize,
+    gate: Option<SendGate>,
+    metrics: ReactorMetrics,
+}
+
+impl Reactor {
+    /// Registers `listener` (already bound) on a fresh epoll instance.
+    pub(crate) fn new(
+        self_id: NodeId,
         listener: TcpListener,
-        reg: Arc<Registration>,
-    },
-    In(InConn),
-    Out(OutConn),
-}
-
-struct Retry {
-    at: Instant,
-    token: u64,
-}
-
-impl PartialEq for Retry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.token == other.token
-    }
-}
-impl Eq for Retry {}
-impl PartialOrd for Retry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Retry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on deadline.
-        (other.at, other.token).cmp(&(self.at, self.token))
-    }
-}
-
-struct LoopState {
-    poller: Poller,
-    obs: ReactorObs,
-    entries: HashMap<u64, Entry>,
-    /// Outbound connection index: (node key, remote addr) → token.
-    out_index: HashMap<(u64, SocketAddr), u64>,
-    /// Every token belonging to a node key, for CloseNode teardown.
-    node_tokens: HashMap<u64, HashSet<u64>>,
-    retries: BinaryHeap<Retry>,
-    next_token: u64,
-}
-
-impl LoopState {
-    fn alloc_token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token
+        gate: Option<SendGate>,
+        metrics: ReactorMetrics,
+    ) -> io::Result<Reactor> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        Ok(Reactor {
+            self_id,
+            poller,
+            events: Events::with_capacity(256),
+            ready: Vec::new(),
+            listener,
+            inbound: HashMap::new(),
+            next_inbound: LISTENER_TOKEN,
+            outbound: Vec::new(),
+            out_index: HashMap::new(),
+            dirty: Vec::new(),
+            retries: Vec::new(),
+            scratch: vec![0u8; READ_CHUNK],
+            high_water: high_water(),
+            gate,
+            metrics,
+        })
     }
 
-    fn track(&mut self, key: u64, token: u64) {
-        self.node_tokens.entry(key).or_default().insert(token);
-    }
-
-    fn untrack(&mut self, key: u64, token: u64) {
-        if let Some(set) = self.node_tokens.get_mut(&key) {
-            set.remove(&token);
-            if set.is_empty() {
-                self.node_tokens.remove(&key);
-            }
-        }
-    }
-}
-
-fn run_loop(
-    poller: Poller,
-    waker: Arc<Waker>,
-    cmd_rx: Receiver<Cmd>,
-    cmd_pending: Arc<AtomicBool>,
-) {
-    let mut st = LoopState {
-        poller,
-        obs: ReactorObs::global(),
-        entries: HashMap::new(),
-        out_index: HashMap::new(),
-        node_tokens: HashMap::new(),
-        retries: BinaryHeap::new(),
-        next_token: WAKER_TOKEN,
-    };
-    let mut events = Events::with_capacity(512);
-    let mut scratch = vec![0u8; READ_CHUNK];
-    loop {
-        let timeout = match st.retries.peek() {
-            Some(r) => {
-                r.at.saturating_duration_since(Instant::now())
-                    .min(IDLE_WAIT)
-            }
-            None => IDLE_WAIT,
-        };
-        if st.poller.wait(&mut events, Some(timeout)).is_err() {
-            return;
-        }
-        st.obs.iterations.inc();
-
-        // Drain commands (the waker is why most waits return early). The
-        // pending flag is cleared before the final drain pass so a
-        // submitter racing this point still produces a wakeup.
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => handle_cmd(&mut st, cmd),
-                Err(mpsc::TryRecvError::Empty) => {
-                    cmd_pending.store(false, Ordering::Release);
-                    match cmd_rx.try_recv() {
-                        Ok(cmd) => {
-                            handle_cmd(&mut st, cmd);
-                            continue;
-                        }
-                        Err(mpsc::TryRecvError::Empty) => break,
-                        Err(mpsc::TryRecvError::Disconnected) => return,
-                    }
-                }
-                Err(mpsc::TryRecvError::Disconnected) => return,
-            }
-        }
-
-        for ev in events.iter() {
-            if ev.token == WAKER_TOKEN {
-                waker.drain();
-                st.obs.wakeups.inc();
-                continue;
-            }
-            st.obs.readiness_events.inc();
-            handle_event(
-                &mut st,
-                &mut scratch,
-                ev.token,
-                ev.readable(),
-                ev.writable(),
-            );
-        }
-
-        // Fire due reconnect timers.
+    /// Waits up to `timeout` for readiness, then drains every ready
+    /// socket: accepts, completes connects, resumes blocked writes, and
+    /// hands each complete inbound frame to `on_frame(sender, frame)`. A
+    /// `false` from `on_frame` (the frame does not decode) closes that
+    /// connection, not the node. Due reconnects are started on the way out.
+    pub(crate) fn poll(
+        &mut self,
+        timeout: Duration,
+        on_frame: &mut dyn FnMut(NodeId, Bytes) -> bool,
+    ) -> io::Result<()> {
         let now = Instant::now();
-        while let Some(r) = st.retries.peek() {
-            if r.at > now {
-                break;
+        let timeout = self
+            .retries
+            .iter()
+            .map(|&(at, _)| at.saturating_duration_since(now))
+            .fold(timeout, Duration::min);
+        self.poller.wait(&mut self.events, Some(timeout))?;
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        ready.extend(self.events.iter());
+        for ev in &ready {
+            if ev.token == LISTENER_TOKEN {
+                self.accept_ready();
+            } else if ev.token & OUT_BIT != 0 {
+                self.out_event((ev.token & !OUT_BIT) as usize, ev.readable());
+            } else if !self.read_inbound(ev.token, on_frame) {
+                if let Some(conn) = self.inbound.remove(&ev.token) {
+                    let _ = self.poller.delete(conn.stream.as_raw_fd());
+                }
             }
-            let token = st.retries.pop().expect("peeked").token;
-            start_connect(&mut st, token);
         }
+        self.ready = ready;
+        if !self.retries.is_empty() {
+            let now = Instant::now();
+            let mut due = Vec::new();
+            self.retries.retain(|&(at, idx)| {
+                let is_due = at <= now;
+                if is_due {
+                    due.push(idx);
+                }
+                !is_due
+            });
+            for idx in due {
+                self.start_connect(idx);
+            }
+        }
+        Ok(())
     }
-}
 
-fn handle_cmd(st: &mut LoopState, cmd: Cmd) {
-    match cmd {
-        Cmd::AddListener { listener, reg } => {
-            let token = st.alloc_token();
-            if st
-                .poller
-                .add(listener.as_raw_fd(), token, Interest::READ)
-                .is_err()
-            {
-                return;
-            }
-            st.track(reg.key, token);
-            st.entries.insert(token, Entry::Listener { listener, reg });
-        }
-        Cmd::Connect { addr, reg, shared } => {
-            let token = st.alloc_token();
-            st.out_index.insert((reg.key, addr), token);
-            st.track(reg.key, token);
-            st.entries.insert(
-                token,
-                Entry::Out(OutConn {
-                    addr,
-                    reg,
-                    shared,
-                    state: OutState::Backoff,
-                    queue: VecDeque::new(),
-                    pending: Vec::new(),
-                    pending_off: 0,
-                    backoff: BACKOFF_MIN,
-                }),
-            );
-            start_connect(st, token);
-        }
-        Cmd::Send { key, addr, frame } => {
-            let Some(&token) = st.out_index.get(&(key, addr)) else {
-                return;
-            };
-            if let Some(Entry::Out(out)) = st.entries.get_mut(&token) {
-                out.queue.push_back(frame);
-                flush_out(st, token);
-            }
-        }
-        Cmd::CloseNode { key, ack } => {
-            if let Some(tokens) = st.node_tokens.remove(&key) {
-                for token in tokens {
-                    if let Some(entry) = st.entries.remove(&token) {
-                        teardown_entry(st, entry);
+    fn accept_ready(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    self.next_inbound += 1;
+                    let token = self.next_inbound;
+                    if self
+                        .poller
+                        .add(stream.as_raw_fd(), token, Interest::READ)
+                        .is_ok()
+                    {
+                        self.inbound.insert(
+                            token,
+                            InConn {
+                                stream,
+                                peer: None,
+                                partial: Vec::new(),
+                            },
+                        );
                     }
                 }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: the backlog is drained
             }
-            st.out_index.retain(|(k, _), _| *k != key);
-            let _ = ack.send(());
         }
     }
-}
 
-/// Deregisters and drops an entry's socket (fd closes on drop).
-fn teardown_entry(st: &mut LoopState, entry: Entry) {
-    match entry {
-        Entry::Listener { listener, .. } => {
-            let _ = st.poller.delete(listener.as_raw_fd());
-        }
-        Entry::In(conn) => {
-            let _ = st.poller.delete(conn.stream.as_raw_fd());
-            st.obs.conns_closed.inc();
-        }
-        Entry::Out(mut conn) => {
-            match &conn.state {
-                OutState::Connecting(s) | OutState::Ready(s) => {
-                    let _ = st.poller.delete(s.as_raw_fd());
-                    st.obs.conns_closed.inc();
-                }
-                OutState::Backoff => {}
-            }
-            conn.shed_queue();
-        }
-    }
-}
-
-fn handle_event(
-    st: &mut LoopState,
-    scratch: &mut [u8],
-    token: u64,
-    readable: bool,
-    writable: bool,
-) {
-    // Take the entry out so IO can run without aliasing the maps; it is
-    // reinserted unless the connection closed.
-    let Some(mut entry) = st.entries.remove(&token) else {
-        return;
-    };
-    let keep = match &mut entry {
-        Entry::Listener { listener, reg } => {
-            accept_ready(st, listener, reg);
-            true
-        }
-        Entry::In(conn) => handle_in_readable(st, scratch, conn),
-        Entry::Out(_) => {
-            st.entries.insert(token, entry);
-            handle_out_event(st, scratch, token, readable, writable);
-            return;
-        }
-    };
-    if keep {
-        st.entries.insert(token, entry);
-    } else {
-        let reg_key = match &entry {
-            Entry::In(c) => c.reg.key,
-            Entry::Listener { reg, .. } => reg.key,
-            Entry::Out(o) => o.reg.key,
+    /// Reads what an inbound connection has and dispatches its complete
+    /// frames. Returns `false` when the connection must close.
+    fn read_inbound(
+        &mut self,
+        token: u64,
+        on_frame: &mut dyn FnMut(NodeId, Bytes) -> bool,
+    ) -> bool {
+        let Some(conn) = self.inbound.get_mut(&token) else {
+            return true;
         };
-        st.untrack(reg_key, token);
-        teardown_entry(st, entry);
-    }
-}
-
-fn accept_ready(st: &mut LoopState, listener: &TcpListener, reg: &Arc<Registration>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = st.alloc_token();
-                if st
-                    .poller
-                    .add(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    continue;
-                }
-                st.obs.accepted.inc();
-                st.track(reg.key, token);
-                st.entries.insert(
-                    token,
-                    Entry::In(InConn {
-                        stream,
-                        reg: Arc::clone(reg),
-                        peer: None,
-                        buf: Vec::new(),
-                        start: 0,
-                    }),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Reads everything available and dispatches complete frames. Returns
-/// `false` when the connection must close.
-fn handle_in_readable(st: &mut LoopState, scratch: &mut [u8], conn: &mut InConn) -> bool {
-    loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => return false, // clean EOF
-            Ok(n) => {
-                conn.buf.extend_from_slice(&scratch[..n]);
-                if !parse_frames(st, conn) {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Drains complete frames out of the reassembly buffer. A partial frame
-/// simply stays buffered until the next readiness event. Returns `false`
-/// on a corrupt frame, an oversized length prefix, or a closed inbox.
-fn parse_frames(st: &mut LoopState, conn: &mut InConn) -> bool {
-    loop {
-        let avail = conn.buf.len() - conn.start;
-        if avail < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(
-            conn.buf[conn.start..conn.start + 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        if len > MAX_FRAME {
-            // Rejected before any payload allocation: the buffer only
-            // ever holds bytes that actually arrived.
-            return false;
-        }
-        if avail - 4 < len {
-            break;
-        }
-        let frame = Bytes::from(conn.buf[conn.start + 4..conn.start + 4 + len].to_vec());
-        conn.start += 4 + len;
-        match conn.peer {
-            None => match NodeId::from_bytes(frame) {
-                Ok(peer) => conn.peer = Some(peer),
+        for _ in 0..READS_PER_POLL {
+            let n = match conn.stream.read(&mut self.scratch) {
+                Ok(0) => return false, // clean EOF
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return false,
-            },
-            Some(peer) => {
-                st.obs.frames_in.inc();
-                match (conn.reg.dispatch)(peer, frame) {
-                    DispatchVerdict::Continue => {}
-                    DispatchVerdict::Closed | DispatchVerdict::Corrupt => return false,
-                }
-            }
-        }
-    }
-    // Compact once the consumed prefix outgrows a read chunk.
-    if conn.start == conn.buf.len() {
-        conn.buf.clear();
-        conn.start = 0;
-    } else if conn.start > READ_CHUNK {
-        conn.buf.copy_within(conn.start.., 0);
-        let remain = conn.buf.len() - conn.start;
-        conn.buf.truncate(remain);
-        conn.start = 0;
-    }
-    true
-}
-
-fn handle_out_event(
-    st: &mut LoopState,
-    scratch: &mut [u8],
-    token: u64,
-    readable: bool,
-    writable: bool,
-) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    match &mut out.state {
-        OutState::Connecting(stream) => {
-            if writable || readable {
-                match stream.take_error() {
-                    Ok(None) => {
-                        st.obs.conns_opened.inc();
-                        establish(st, token);
-                    }
-                    _ => disconnect_out(st, token),
-                }
-            }
-        }
-        OutState::Ready(stream) => {
-            if readable {
-                // Peers never send on our outbound links; readable here
-                // means EOF/error (or stray bytes we discard).
-                loop {
-                    match stream.read(scratch) {
-                        Ok(0) => {
-                            disconnect_out(st, token);
-                            return;
-                        }
-                        Ok(_) => continue,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            disconnect_out(st, token);
-                            return;
-                        }
-                    }
-                }
-            }
-            if writable {
-                flush_out(st, token);
-            }
-        }
-        OutState::Backoff => {}
-    }
-}
-
-/// Starts (or restarts) the nonblocking connect for an outbound entry.
-fn start_connect(st: &mut LoopState, token: u64) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    if !matches!(out.state, OutState::Backoff) {
-        return;
-    }
-    match connect_nonblocking(out.addr) {
-        Ok((stream, done)) => {
-            if st
-                .poller
-                .add(stream.as_raw_fd(), token, Interest::BOTH)
-                .is_err()
-            {
-                out.state = OutState::Backoff;
-                schedule_retry(st, token);
-                return;
-            }
-            if done {
-                out.state = OutState::Ready(stream);
-                st.obs.conns_opened.inc();
-                establish(st, token);
+            };
+            // The common case parses straight out of the read buffer; only
+            // the tail of a frame still in flight is copied aside.
+            let read = &self.scratch[..n];
+            let mut block = if conn.partial.is_empty() {
+                let Some(end) = complete_frames(read) else {
+                    return false; // over-limit prefix
+                };
+                conn.partial.extend_from_slice(&read[end..]);
+                Bytes::copy_from_slice(&read[..end])
             } else {
-                out.state = OutState::Connecting(stream);
+                conn.partial.extend_from_slice(read);
+                let Some(end) = complete_frames(&conn.partial) else {
+                    return false;
+                };
+                let block = Bytes::copy_from_slice(&conn.partial[..end]);
+                conn.partial.drain(..end);
+                block
+            };
+            while !block.is_empty() {
+                let len = u32::from_le_bytes(block[..4].try_into().expect("4 bytes")) as usize;
+                let _ = block.split_to(4);
+                let frame = block.split_to(len);
+                match conn.peer {
+                    None => match NodeId::from_bytes(frame) {
+                        Ok(peer) => conn.peer = Some(peer),
+                        Err(_) => return false,
+                    },
+                    Some(peer) => {
+                        if !on_frame(peer, frame) {
+                            return false;
+                        }
+                    }
+                }
+            }
+            if n < self.scratch.len() {
+                return true; // the socket had less than we asked for
             }
         }
-        Err(_) => schedule_retry(st, token),
+        true
     }
-}
 
-/// Transitions a connected outbound socket to `Ready`: handshake frame
-/// first, then whatever is queued.
-fn establish(st: &mut LoopState, token: u64) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    let stream = match std::mem::replace(&mut out.state, OutState::Backoff) {
-        OutState::Connecting(s) | OutState::Ready(s) => s,
-        OutState::Backoff => return,
-    };
-    let _ = stream.set_nodelay(true);
-    out.state = OutState::Ready(stream);
-    out.backoff = BACKOFF_MIN;
-    let hello = out.reg.self_id.to_bytes();
-    let mut framed = Vec::with_capacity(hello.len() + 4);
-    append_frame(&mut framed, &hello);
-    // Handshake goes ahead of anything already pending (there is nothing
-    // pending on a fresh connection; this is belt and braces).
-    framed.extend_from_slice(&out.pending[out.pending_off..]);
-    out.pending = framed;
-    out.pending_off = 0;
-    flush_out(st, token);
-}
-
-/// Drops the socket, sheds the queue as loss, and schedules a retry.
-fn disconnect_out(st: &mut LoopState, token: u64) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    match std::mem::replace(&mut out.state, OutState::Backoff) {
-        OutState::Connecting(s) | OutState::Ready(s) => {
-            let _ = st.poller.delete(s.as_raw_fd());
-            st.obs.conns_closed.inc();
+    fn out_event(&mut self, idx: usize, readable: bool) {
+        match &mut self.outbound[idx].state {
+            OutState::Connecting(stream) => match stream.take_error() {
+                Ok(None) => self.establish(idx),
+                _ => self.disconnect(idx),
+            },
+            OutState::Ready(stream) => {
+                // Peers never send on our outbound links: readable means
+                // EOF or an error (stray bytes are discarded).
+                if readable && !matches!(stream.read(&mut self.scratch), Ok(n) if n > 0) {
+                    self.disconnect(idx);
+                } else {
+                    self.flush_out(idx);
+                }
+            }
+            OutState::Backoff => {}
         }
-        OutState::Backoff => {}
     }
-    out.shed_queue();
-    schedule_retry(st, token);
-}
 
-fn schedule_retry(st: &mut LoopState, token: u64) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    out.state = OutState::Backoff;
-    // Frames queued while unreachable are shed as loss on each failed
-    // attempt, mirroring the old writer threads.
-    out.shed_queue();
-    let at = Instant::now() + out.backoff;
-    out.backoff = (out.backoff * 2).min(BACKOFF_MAX);
-    st.obs.reconnects.inc();
-    st.retries.push(Retry { at, token });
-}
-
-/// Moves queued frames into the coalescing buffer (bounded) and writes as
-/// much as the socket accepts, keeping write interest armed only while
-/// there is something left to send.
-fn flush_out(st: &mut LoopState, token: u64) {
-    let Some(Entry::Out(out)) = st.entries.get_mut(&token) else {
-        return;
-    };
-    if !matches!(out.state, OutState::Ready(_)) {
-        return;
+    fn out_token(idx: usize) -> u64 {
+        OUT_BIT | idx as u64
     }
-    // Frame queued payloads into `pending`, releasing their queue
-    // accounting as they move (the queue bound covers un-coalesced
-    // frames; `pending` is bounded by MAX_COALESCE_BYTES + one frame).
-    while out.unwritten() < MAX_COALESCE_BYTES {
-        let Some(frame) = out.queue.pop_front() else {
-            break;
+
+    /// Starts the nonblocking connect of an outbound entry in backoff.
+    fn start_connect(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
+        let Ok((stream, done)) = connect_nonblocking(out.addr) else {
+            return self.schedule_retry(idx);
         };
-        append_frame(&mut out.pending, &frame);
-        st.obs.frames_out.inc();
-        out.shared.release(frame.len() + 4, &out.reg.gate);
-    }
-    let mut wrote = 0usize;
-    let mut broken = false;
-    if let OutState::Ready(stream) = &mut out.state {
-        while out.pending_off < out.pending.len() {
-            match stream.write(&out.pending[out.pending_off..]) {
-                Ok(0) => {
-                    broken = true;
-                    break;
-                }
-                Ok(n) => {
-                    out.pending_off += n;
-                    wrote += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    broken = true;
-                    break;
-                }
-            }
+        if self
+            .poller
+            .add(stream.as_raw_fd(), Self::out_token(idx), Interest::BOTH)
+            .is_err()
+        {
+            return self.schedule_retry(idx);
+        }
+        out.want_write = true;
+        out.state = OutState::Connecting(stream);
+        if done {
+            self.establish(idx);
         }
     }
-    if wrote > 0 {
-        out.reg.flush_bytes.observe(wrote as u64);
+
+    /// A connect completed: the handshake goes ahead of whatever was
+    /// queued while it was in progress.
+    fn establish(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
+        let OutState::Connecting(stream) = std::mem::replace(&mut out.state, OutState::Backoff)
+        else {
+            return;
+        };
+        let _ = stream.set_nodelay(true);
+        out.state = OutState::Ready(stream);
+        out.backoff = BACKOFF_MIN;
+        let mut framed = Vec::with_capacity(out.pending.len() + 8);
+        append_frame(&mut framed, &self.self_id.to_bytes());
+        framed.extend_from_slice(&out.pending);
+        out.pending = framed;
+        self.flush_out(idx);
     }
-    if out.pending_off == out.pending.len() {
+
+    /// Drops the socket and schedules the next attempt.
+    fn disconnect(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
+        if let OutState::Connecting(s) | OutState::Ready(s) =
+            std::mem::replace(&mut out.state, OutState::Backoff)
+        {
+            let _ = self.poller.delete(s.as_raw_fd());
+        }
+        self.schedule_retry(idx);
+    }
+
+    /// The peer is unreachable: what was queued for it is lost, and the
+    /// next attempt waits twice as long as this one did.
+    fn schedule_retry(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
         out.pending.clear();
-        out.pending_off = 0;
-    } else if out.pending_off > MAX_COALESCE_BYTES {
-        out.pending.copy_within(out.pending_off.., 0);
-        let remain = out.pending.len() - out.pending_off;
-        out.pending.truncate(remain);
-        out.pending_off = 0;
+        out.written = 0;
+        self.retries.push((Instant::now() + out.backoff, idx));
+        out.backoff = (out.backoff * 2).min(BACKOFF_MAX);
+        self.metrics.reconnects.inc();
+        self.settle_gate(idx);
     }
-    if broken {
-        disconnect_out(st, token);
-        return;
+
+    /// Lowers the gate once a full queue has drained below low water.
+    fn settle_gate(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
+        if out.full && out.unwritten() <= self.high_water / 2 {
+            out.full = false;
+            if let Some(gate) = &self.gate {
+                gate.lower();
+            }
+        }
     }
-    // Level-triggered epoll: keep write interest only while data waits,
-    // otherwise an idle socket would wake the loop forever.
-    let want_write = out.unwritten() > 0 || !out.queue.is_empty();
-    if let OutState::Ready(stream) = &out.state {
-        let interest = if want_write {
-            Interest::BOTH
-        } else {
-            Interest::READ
+
+    /// Queues one frame for `addr`, opening (and thereafter reusing) the
+    /// connection. Nothing reaches the socket before [`Reactor::flush`].
+    pub(crate) fn send(&mut self, addr: SocketAddr, payload: &[u8]) -> SendOutcome {
+        let idx = match self.out_index.get(&addr) {
+            Some(&idx) => idx,
+            None => {
+                let idx = self.outbound.len();
+                self.outbound.push(OutConn {
+                    addr,
+                    state: OutState::Backoff,
+                    pending: Vec::new(),
+                    written: 0,
+                    want_write: false,
+                    dirty: false,
+                    full: false,
+                    backoff: BACKOFF_MIN,
+                });
+                self.out_index.insert(addr, idx);
+                self.start_connect(idx);
+                idx
+            }
         };
-        let _ = st.poller.modify(stream.as_raw_fd(), token, interest);
+        if self.outbound[idx].unwritten() >= self.high_water {
+            // Everything sent since the last flush is still queued here;
+            // only what the socket will not take counts against the bound.
+            self.flush_out(idx);
+        }
+        let out = &mut self.outbound[idx];
+        if out.unwritten() >= self.high_water {
+            if !out.full {
+                out.full = true;
+                if let Some(gate) = &self.gate {
+                    gate.raise();
+                }
+            }
+            return SendOutcome::Backpressure;
+        }
+        append_frame(&mut out.pending, payload);
+        if !out.dirty {
+            out.dirty = true;
+            self.dirty.push(idx);
+        }
+        SendOutcome::Queued
+    }
+
+    /// Unwritten bytes queued toward `addr` (0 if no connection).
+    pub(crate) fn queued_bytes(&self, addr: SocketAddr) -> usize {
+        self.out_index
+            .get(&addr)
+            .map_or(0, |&idx| self.outbound[idx].unwritten())
+    }
+
+    /// Hands every peer that was sent to since the last flush its queued
+    /// frames in one `write`.
+    pub(crate) fn flush(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for idx in dirty.drain(..) {
+            self.outbound[idx].dirty = false;
+            self.flush_out(idx);
+        }
+        self.dirty = dirty;
+    }
+
+    /// One `write` of a ready connection's unwritten bytes; write interest
+    /// stays armed exactly while some remain.
+    fn flush_out(&mut self, idx: usize) {
+        let out = &mut self.outbound[idx];
+        let OutState::Ready(stream) = &mut out.state else {
+            return;
+        };
+        if out.written < out.pending.len() {
+            match stream.write(&out.pending[out.written..]) {
+                Ok(0) => return self.disconnect(idx),
+                Ok(n) => {
+                    out.written += n;
+                    self.metrics.flush_bytes.observe(n as u64);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => return self.disconnect(idx),
+            }
+        }
+        if out.written == out.pending.len() {
+            out.pending.clear();
+            out.written = 0;
+        } else if out.written >= self.high_water {
+            out.pending.drain(..out.written);
+            out.written = 0;
+        }
+        // Level-triggered epoll: an idle socket with write interest would
+        // wake the loop forever.
+        let want_write = out.written < out.pending.len();
+        if want_write != out.want_write {
+            out.want_write = want_write;
+            let interest = if want_write {
+                Interest::BOTH
+            } else {
+                Interest::READ
+            };
+            let _ = self
+                .poller
+                .modify(stream.as_raw_fd(), Self::out_token(idx), interest);
+        }
+        self.settle_gate(idx);
+    }
+}
+
+/// Length of the longest prefix of `data` made of complete frames, or
+/// `None` if it runs into a length prefix over [`MAX_FRAME`] — rejected on
+/// sight, so only bytes that actually arrived are ever buffered.
+fn complete_frames(data: &[u8]) -> Option<usize> {
+    let mut end = 0;
+    while data.len() - end >= 4 {
+        let len = u32::from_le_bytes(data[end..end + 4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_FRAME {
+            return None;
+        }
+        if data.len() - end - 4 < len {
+            break;
+        }
+        end += 4 + len;
+    }
+    Some(end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_burst_over_the_bound_to_an_idle_socket_is_not_shed() {
+        // The peer accepts and never reads, but 48 KiB fit its kernel
+        // buffers many times over: the socket is idle, not blocked.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = peer.local_addr().unwrap();
+        let hub = canopus_obs::NodeObs::disabled();
+        let gate = SendGate::new();
+        let mut reactor = Reactor::new(
+            NodeId(0),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            Some(gate.clone()),
+            ReactorMetrics {
+                flush_bytes: hub.metrics.histogram("net.flush_bytes"),
+                reconnects: hub.metrics.counter("net.reconnects"),
+            },
+        )
+        .unwrap();
+        reactor.high_water = 32 << 10;
+        assert_eq!(reactor.send(addr, b"open"), SendOutcome::Queued);
+        let _held = peer.accept().unwrap();
+        while reactor.queued_bytes(addr) > 0 {
+            reactor.flush();
+            let idle = reactor.poll(Duration::from_millis(10), &mut |_, _| true);
+            idle.unwrap();
+        }
+        // One loop iteration's worth of sends, half again the bound, with
+        // no flush in between.
+        for _ in 0..48 {
+            assert_eq!(reactor.send(addr, &[7u8; 1020]), SendOutcome::Queued);
+        }
+        assert!(reactor.queued_bytes(addr) < 32 << 10);
+        assert_eq!(gate.incidents(), 0);
     }
 }

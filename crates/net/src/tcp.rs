@@ -1,6 +1,16 @@
 //! TCP transport: runs the same sans-IO [`Process`] state machines over
-//! real sockets, one node-loop thread per node on top of the shared
-//! [`reactor`](crate::reactor) pool (one epoll event loop per core).
+//! real sockets, run to completion — the thread that calls
+//! [`run_node_obs`] *is* the node's event loop and owns its sockets.
+//!
+//! One iteration of the loop: wait on the node's epoll instance (its
+//! listener, inbound and outbound connections — see
+//! [`reactor`](crate::reactor)) until a socket is ready or the next timer
+//! is due; drain every ready socket and decode what arrived; step the
+//! process over the whole batch; fire the timers that are due; then hand
+//! each peer everything the steps queued for it in one `write`. No message
+//! is passed to another thread on the way in or out, so a hop between two
+//! nodes costs one thread wake-up (the receiver's), and a deployment has
+//! exactly one thread per node and nothing to configure.
 //!
 //! Frames are a 4-byte little-endian length prefix followed by the
 //! [`Wire`]-encoded message. The first frame on every connection is a
@@ -16,29 +26,29 @@
 //! This module exists to make the library deployable, and to demonstrate
 //! that the protocol crates are genuinely IO-free: `examples/live_cluster.rs`
 //! runs a Canopus group over loopback TCP with zero changes to protocol
-//! code, and `examples/live_scale.rs` runs 100+ nodes on one machine —
-//! the reactor keeps the thread count proportional to nodes and cores,
-//! not connections.
+//! code, and `examples/live_scale.rs` runs 100+ nodes on one machine, one
+//! thread each.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use bytes::Bytes;
-use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
+use bytes::{Bytes, BytesMut};
+use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
 use canopus_sim::{Context, Effect, NodeId, Payload, Process, Time, Timer, TimerId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::fault::FaultRules;
-use crate::reactor::{DispatchVerdict, NodeIo, SendGate, SendOutcome};
+use crate::reactor::{Reactor, ReactorMetrics, SendGate, SendOutcome};
 use crate::wire::{Wire, WireError, MAX_FRAME};
 
-/// How long the node loop waits before re-checking the shutdown signal.
+/// Longest wait of the node loop: how often it re-checks the shutdown
+/// signal when neither a socket nor a timer wakes it.
 const POLL_INTERVAL: StdDuration = StdDuration::from_millis(20);
 
 /// Largest chunk a frame's payload buffer grows by per read. A corrupt
@@ -87,10 +97,9 @@ pub fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> std::io::Result<
 }
 
 /// Observability bundle for one TCP node: the node's hub plus a wall-clock
-/// origin so reactor-side recordings can stamp flight events without access
-/// to the node loop's clock, plus an optional [`SendGate`] surfacing
-/// transport backpressure to clients. Clones share the underlying registry,
-/// recorder, and gate.
+/// origin for stamping the transport's flight events, plus an optional
+/// [`SendGate`] surfacing transport backpressure to clients. Clones share
+/// the underlying registry, recorder, and gate.
 #[derive(Clone, Default)]
 pub struct NetObs {
     hub: NodeObs,
@@ -149,7 +158,6 @@ struct NodeNetMetrics {
     fault_drops_send: Counter,
     fault_drops_recv: Counter,
     backpressure_drops: Counter,
-    flush_bytes: Histogram,
     no_addr_drops: Counter,
     /// Peers already flagged in the flight recorder, so a saturated or
     /// misconfigured link leaves one event, not one per shed message.
@@ -166,7 +174,6 @@ impl NodeNetMetrics {
             fault_drops_send: m.counter("net.drops.fault.send"),
             fault_drops_recv: m.counter("net.drops.fault.recv"),
             backpressure_drops: m.counter("net.drops.backpressure"),
-            flush_bytes: m.histogram("net.flush_bytes"),
             no_addr_drops: m.counter("net.drops.no_address"),
             flagged: HashSet::new(),
             obs,
@@ -259,7 +266,8 @@ pub struct TcpNodeHandle<M: Payload> {
 }
 
 impl<M: Payload> TcpNodeHandle<M> {
-    /// Requests shutdown and returns the final process state.
+    /// Requests shutdown and returns the final process state. When this
+    /// returns, every fd the node opened is closed.
     pub fn stop(mut self) -> Box<dyn Process<M>> {
         if let Some(tx) = self.shutdown.take() {
             let _ = tx.send(());
@@ -268,37 +276,14 @@ impl<M: Payload> TcpNodeHandle<M> {
     }
 }
 
-struct TimerEntry {
-    at: Time,
-    id: TimerId,
-    token: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.id.0) == (other.at, other.id.0)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on (at, id).
-        (other.at, other.id.0).cmp(&(self.at, self.id.0))
-    }
-}
-
 /// Runs one node over TCP until shutdown, with a shared runtime fault
 /// table and an observability bundle; returns the final process state.
 ///
-/// `listener` must already be bound; `peers` maps every destination the
-/// process will send to. Messages to unknown peers are dropped (consensus
-/// protocols treat this as loss) with a flight-recorder event and a
-/// `net.drops.no_address` count when observability is attached.
+/// The calling thread becomes the node's one and only event loop (see the
+/// module docs). `listener` must already be bound; `peers` maps every
+/// destination the process will send to. Messages to unknown peers are
+/// dropped (consensus protocols treat this as loss) with a flight-recorder
+/// event and a `net.drops.no_address` count when observability is attached.
 ///
 /// `rules` is consulted on the send path (full verdict, including
 /// probabilistic loss) and on the receive path (deterministic cuts,
@@ -307,15 +292,13 @@ impl Ord for TimerEntry {
 /// single relaxed atomic load; see [`FaultRules`].
 ///
 /// `obs` records per-peer message/byte counts by wire kind on both paths,
-/// fault-rule and backpressure drop counts, coalesced-flush sizes, and
-/// per-peer write-queue depth in bytes. A disabled bundle costs one branch
-/// per recording. Listening, reading, connecting, and writing all run on
-/// the shared reactor pool; this function's thread only drives the state
-/// machine and its timers.
+/// fault-rule and backpressure drop counts, reconnects, bytes per `write`,
+/// and per-peer write-queue depth in bytes. A disabled bundle costs one
+/// branch per recording.
 #[allow(clippy::too_many_arguments)]
 pub fn run_node_obs<M>(
     id: NodeId,
-    mut process: Box<dyn Process<M>>,
+    process: Box<dyn Process<M>>,
     listener: TcpListener,
     peers: PeerMap,
     shutdown: Receiver<()>,
@@ -326,201 +309,174 @@ pub fn run_node_obs<M>(
 where
     M: Wire + Payload + Send,
 {
-    let gate = obs.gate.clone();
-    let mut metrics = NodeNetMetrics::new(obs);
-    let start = Instant::now();
-    let now_fn = move || Time::from_nanos(start.elapsed().as_nanos() as u64);
+    let reactor_metrics = ReactorMetrics {
+        flush_bytes: obs.hub.metrics.histogram("net.flush_bytes"),
+        reconnects: obs.hub.metrics.counter("net.reconnects"),
+    };
+    let reactor = Reactor::new(id, listener, obs.gate.clone(), reactor_metrics)
+        .expect("epoll instance for the node loop");
+    let metrics = NodeNetMetrics::new(obs);
+    let mut node = NodeLoop {
+        id,
+        process,
+        start: Instant::now(),
+        rng: SmallRng::seed_from_u64(seed),
+        next_timer_id: 0,
+        timers: BTreeMap::new(),
+        armed: HashMap::new(),
+        reactor,
+        encode_buf: BytesMut::new(),
+        peers,
+        rules,
+        metrics,
+    };
+    node.step(|process, ctx| process.on_start(ctx));
 
-    let (inbox_tx, inbox_rx) = mpsc::channel::<(NodeId, M)>();
-
-    // Inbound frames are decoded on reactor threads and forwarded here;
-    // the node loop below applies the receive-path fault check so rules
-    // landing while a message is in flight still drop it.
-    let dispatch: crate::reactor::Dispatch =
-        Arc::new(
-            move |from: NodeId, frame: Bytes| match M::from_bytes(frame) {
-                Ok(msg) => {
-                    if inbox_tx.send((from, msg)).is_err() {
-                        DispatchVerdict::Closed
-                    } else {
-                        DispatchVerdict::Continue
-                    }
-                }
-                Err(_) => DispatchVerdict::Corrupt,
-            },
-        );
-    let mut io = NodeIo::register(id, listener, dispatch, gate, metrics.flush_bytes.clone());
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut next_timer_id: u64 = 0;
-    let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
-    let mut armed: HashSet<u64> = HashSet::new();
-
-    // Start the process.
-    {
-        let mut ctx = Context::detached(now_fn(), id, &mut rng, &mut next_timer_id);
-        process.on_start(&mut ctx);
-        let (effects, _) = ctx.into_effects();
-        apply_effects(
-            id,
-            effects,
-            now_fn(),
-            &mut timers,
-            &mut armed,
-            &mut io,
-            &peers,
-            &rules,
-            &mut metrics,
-        );
-    }
-
-    'run: loop {
-        // A dropped handle (sender disconnected) counts as shutdown, like
-        // the closed-oneshot semantics this loop replaces — otherwise a
-        // handle dropped without stop() would leak a live node forever.
-        match shutdown.try_recv() {
-            Ok(()) => break 'run,
-            Err(mpsc::TryRecvError::Disconnected) => break 'run,
-            Err(mpsc::TryRecvError::Empty) => {}
+    let mut inbox: Vec<(NodeId, M)> = Vec::new();
+    // A dropped handle (sender disconnected) counts as shutdown — otherwise
+    // a handle dropped without stop() would leak a live node forever.
+    while matches!(shutdown.try_recv(), Err(mpsc::TryRecvError::Empty)) {
+        node.fire_due_timers();
+        node.reactor.flush();
+        let wait = node
+            .timers
+            .first_key_value()
+            .map_or(POLL_INTERVAL, |(&(at, _), _)| {
+                StdDuration::from_nanos(at.saturating_since(node.now()).as_nanos())
+                    .min(POLL_INTERVAL)
+            });
+        let polled = node.reactor.poll(wait, &mut |from, frame| {
+            M::from_bytes(frame)
+                .map(|msg| inbox.push((from, msg)))
+                .is_ok()
+        });
+        // Interrupted waits come back as `Ok`; anything else means the
+        // epoll instance itself is unusable. A node must not just vanish.
+        if let Err(e) = polled {
+            panic!("node {id}: waiting on its epoll instance failed: {e}");
         }
-        // Pop expired/cancelled timer heads to find the next real deadline.
-        let next_deadline = loop {
-            match timers.peek() {
-                Some(entry) if !armed.contains(&entry.id.0) => {
-                    timers.pop();
-                }
-                Some(entry) => break Some(entry.at),
-                None => break None,
+        for (from, msg) in inbox.drain(..) {
+            // Receive-path fault check: deterministic rules only (loss
+            // was already rolled once at the sender).
+            if node.rules.should_drop_link(from, id) {
+                node.metrics.fault_drops_recv.inc();
+                continue;
             }
-        };
-        let now = now_fn();
-        if let Some(at) = next_deadline {
-            if at <= now {
-                if let Some(entry) = timers.pop() {
-                    if armed.remove(&entry.id.0) {
-                        let timer = Timer {
-                            id: entry.id,
-                            token: entry.token,
-                        };
-                        let mut ctx = Context::detached(now, id, &mut rng, &mut next_timer_id);
-                        process.on_timer(timer, &mut ctx);
-                        let (effects, _) = ctx.into_effects();
-                        apply_effects(
-                            id,
-                            effects,
-                            now_fn(),
-                            &mut timers,
-                            &mut armed,
-                            &mut io,
-                            &peers,
-                            &rules,
-                            &mut metrics,
-                        );
-                    }
-                }
-                continue 'run;
-            }
-        }
-        // Wait for the next message, but never past the next timer deadline
-        // or the shutdown-poll interval.
-        let wait = match next_deadline {
-            Some(at) => {
-                StdDuration::from_nanos(at.saturating_since(now).as_nanos()).min(POLL_INTERVAL)
-            }
-            None => POLL_INTERVAL,
-        };
-        match inbox_rx.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                // Receive-path fault check: deterministic rules only (loss
-                // was already rolled once at the sender).
-                if rules.should_drop_link(from, id) {
-                    metrics.fault_drops_recv.inc();
-                    continue 'run;
-                }
-                metrics.count_recv(from, msg.kind(), msg.wire_size() as u64);
-                let mut ctx = Context::detached(now_fn(), id, &mut rng, &mut next_timer_id);
-                process.on_message(from, msg, &mut ctx);
-                let (effects, _) = ctx.into_effects();
-                apply_effects(
-                    id,
-                    effects,
-                    now_fn(),
-                    &mut timers,
-                    &mut armed,
-                    &mut io,
-                    &peers,
-                    &rules,
-                    &mut metrics,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break 'run,
+            node.metrics
+                .count_recv(from, msg.kind(), msg.wire_size() as u64);
+            node.step(|process, ctx| process.on_message(from, msg, ctx));
         }
     }
-
-    // Synchronous deregistration: when close() returns, every fd the node
-    // owned (listener registration, inbound and outbound connections) has
-    // been torn down on its loop — shutdown leaks nothing.
-    io.close();
-    drop(inbox_rx);
-    process
+    // Dropping the loop closes its epoll instance, the listener and every
+    // connection: shutdown leaks nothing.
+    node.process
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_effects<M>(
-    self_id: NodeId,
-    effects: Vec<Effect<M>>,
-    now: Time,
-    timers: &mut BinaryHeap<TimerEntry>,
-    armed: &mut HashSet<u64>,
-    io: &mut NodeIo,
-    peers: &PeerMap,
-    rules: &FaultRules,
-    metrics: &mut NodeNetMetrics,
-) where
+/// One node's event loop state: the process, its timers, and its sockets,
+/// all owned by the thread that called [`run_node_obs`].
+struct NodeLoop<M: Payload> {
+    id: NodeId,
+    process: Box<dyn Process<M>>,
+    start: Instant,
+    rng: SmallRng,
+    next_timer_id: u64,
+    /// Armed timers by `(deadline, id)`, each carrying its token.
+    timers: BTreeMap<(Time, u64), u64>,
+    /// Deadline of every armed timer, for cancellation by id.
+    armed: HashMap<u64, Time>,
+    reactor: Reactor,
+    /// Reused by every send: a message is encoded here, then framed into
+    /// its peer's write buffer.
+    encode_buf: BytesMut,
+    peers: PeerMap,
+    rules: Arc<FaultRules>,
+    metrics: NodeNetMetrics,
+}
+
+impl<M> NodeLoop<M>
+where
     M: Wire + Payload + Send,
 {
-    for effect in effects {
-        match effect {
-            Effect::Send { to, msg } => {
-                // Send-path fault check: full verdict, including the
-                // probabilistic loss roll (exactly once per message).
-                if rules.should_drop(self_id, to) {
-                    metrics.fault_drops_send.inc();
-                    continue;
+    fn now(&self) -> Time {
+        Time::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Runs one handler of the process and applies its effects.
+    fn step(&mut self, call: impl FnOnce(&mut dyn Process<M>, &mut Context<'_, M>)) {
+        let mut ctx =
+            Context::detached(self.now(), self.id, &mut self.rng, &mut self.next_timer_id);
+        call(self.process.as_mut(), &mut ctx);
+        let (effects, _) = ctx.into_effects();
+        let now = self.now();
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg } => self.send(to, msg),
+                Effect::SetTimer { id, after, token } => {
+                    let at = now + after;
+                    self.armed.insert(id.0, at);
+                    self.timers.insert((at, id.0), token);
                 }
-                let Some(addr) = peers.get(to) else {
-                    // No address book entry: consensus treats this as
-                    // loss, but it is almost always a deployment bug, so
-                    // flag the link and count every message shed on it.
-                    metrics.no_addr_drops.inc();
-                    metrics.flag_drop(to, "no_address");
-                    continue;
-                };
-                metrics.count_sent(to, msg.kind(), msg.wire_size() as u64);
-                match io.send(addr, msg.to_bytes()) {
-                    SendOutcome::Queued => {
-                        metrics.set_queue_bytes(to, io.queued_bytes(addr));
-                    }
-                    SendOutcome::Backpressure => {
-                        // The peer's bounded queue is full: shed as loss
-                        // (never stall the protocol loop) and leave the
-                        // gate raised for clients to observe.
-                        metrics.backpressure_drops.inc();
-                        metrics.flag_drop(to, "backpressure");
+                Effect::CancelTimer { id } => {
+                    if let Some(at) = self.armed.remove(&id.0) {
+                        self.timers.remove(&(at, id.0));
                     }
                 }
             }
-            Effect::SetTimer { id, after, token } => {
-                armed.insert(id.0);
-                timers.push(TimerEntry {
-                    at: now + after,
-                    id,
-                    token,
-                });
+        }
+    }
+
+    /// Fires every timer that is due now (one armed by a handler below for
+    /// "immediately" waits for the next iteration, so messages are never
+    /// starved).
+    fn fire_due_timers(&mut self) {
+        let now = self.now();
+        while let Some(entry) = self.timers.first_entry() {
+            let &(at, id) = entry.key();
+            if at > now {
+                break;
             }
-            Effect::CancelTimer { id } => {
-                armed.remove(&id.0);
+            let token = entry.remove();
+            self.armed.remove(&id);
+            let timer = Timer {
+                id: TimerId(id),
+                token,
+            };
+            self.step(|process, ctx| process.on_timer(timer, ctx));
+        }
+    }
+
+    fn send(&mut self, to: NodeId, msg: M) {
+        // Send-path fault check: full verdict, including the probabilistic
+        // loss roll (exactly once per message).
+        if self.rules.should_drop(self.id, to) {
+            self.metrics.fault_drops_send.inc();
+            return;
+        }
+        let Some(addr) = self.peers.get(to) else {
+            // No address book entry: consensus treats this as loss, but it
+            // is almost always a deployment bug, so flag the link and count
+            // every message shed on it.
+            self.metrics.no_addr_drops.inc();
+            self.metrics.flag_drop(to, "no_address");
+            return;
+        };
+        self.metrics
+            .count_sent(to, msg.kind(), msg.wire_size() as u64);
+        self.encode_buf.clear();
+        msg.encode(&mut self.encode_buf);
+        match self.reactor.send(addr, &self.encode_buf) {
+            SendOutcome::Queued => {
+                if self.metrics.obs.hub.is_enabled() {
+                    self.metrics
+                        .set_queue_bytes(to, self.reactor.queued_bytes(addr));
+                }
+            }
+            SendOutcome::Backpressure => {
+                // The peer's bounded queue is full: shed as loss (never
+                // stall the protocol loop) and leave the gate raised for
+                // clients to observe.
+                self.metrics.backpressure_drops.inc();
+                self.metrics.flag_drop(to, "backpressure");
             }
         }
     }
@@ -669,8 +625,7 @@ mod tests {
     #[test]
     fn coalesced_flush_parses_back_into_individual_frames() {
         // One buffer holding three frames — exactly what a coalesced
-        // reactor flush sends in a single write — must decode frame by
-        // frame.
+        // flush sends in a single write — must decode frame by frame.
         let mut buf = Vec::new();
         append_frame(&mut buf, b"alpha");
         append_frame(&mut buf, b"");
@@ -808,8 +763,8 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         client.set_nodelay(true).unwrap();
         // Handshake then two frames, dribbled a few bytes at a time with
-        // pauses, so the reactor sees many readiness events per frame and
-        // must hold partial headers and partial payloads across them.
+        // pauses, so the loop sees many readiness events per frame and must
+        // hold partial headers and partial payloads across them.
         let mut stream_bytes = Vec::new();
         append_frame(&mut stream_bytes, &NodeId(9).to_bytes());
         append_frame(&mut stream_bytes, &Num(41).to_bytes());
@@ -831,9 +786,9 @@ mod tests {
         let handle = spawn_sink();
         let addr = handle.addr;
         // Connection 1: handshake, then a huge-but-legal length prefix
-        // with only a sliver of body, then EOF. The reactor must reject
-        // or drop it without buffering the claimed size and without
-        // taking the node down.
+        // with only a sliver of body, then EOF. The loop must reject or
+        // drop it without buffering the claimed size and without taking
+        // the node down.
         {
             let mut bad = TcpStream::connect(addr).unwrap();
             let mut bytes = Vec::new();
@@ -856,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn over_limit_prefix_rejected_by_reactor_without_allocation() {
+    fn over_limit_prefix_closes_the_connection_without_allocation() {
         let handle = spawn_sink();
         let addr = handle.addr;
         let mut bad = TcpStream::connect(addr).unwrap();
@@ -865,16 +820,17 @@ mod tests {
         // Over MAX_FRAME: must be rejected on sight of the prefix.
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         bad.write_all(&bytes).unwrap();
-        // The reactor closes the connection: the next read sees EOF.
+        // The loop closes the connection: the next read sees EOF.
         bad.set_read_timeout(Some(StdDuration::from_secs(5)))
             .unwrap();
         let mut buf = [0u8; 1];
         let n = bad.read(&mut buf).unwrap_or(0);
-        assert_eq!(n, 0, "reactor must close the offending connection");
+        assert_eq!(n, 0, "the offending connection must be closed");
         drop(handle.stop());
     }
 
-    /// A process that blasts large payloads at one peer on start.
+    /// A process that opens its link to one peer on start and blasts large
+    /// payloads at it, inside one step, 50 ms later.
     struct Blaster {
         peer: NodeId,
         frames: usize,
@@ -902,19 +858,23 @@ mod tests {
 
     impl Process<Blob> for Blaster {
         fn on_start(&mut self, ctx: &mut Context<'_, Blob>) {
+            ctx.send(self.peer, Blob(vec![0xAB; 1]));
+            ctx.set_timer(canopus_sim::Dur::millis(50), 0);
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: Blob, _ctx: &mut Context<'_, Blob>) {}
+        fn on_timer(&mut self, _timer: Timer, ctx: &mut Context<'_, Blob>) {
             for _ in 0..self.frames {
                 ctx.send(self.peer, Blob(vec![0xAB; self.frame_len]));
             }
         }
-        fn on_message(&mut self, _from: NodeId, _msg: Blob, _ctx: &mut Context<'_, Blob>) {}
         impl_process_any!();
     }
 
     #[test]
     fn full_write_queue_signals_backpressure_and_raises_gate() {
         // A listener that accepts but never reads: the kernel buffers
-        // fill, then the bounded reactor queue fills, then sends must
-        // come back as explicit backpressure.
+        // fill, then the bounded peer queue fills, then sends must come
+        // back as explicit backpressure.
         let sink = TcpListener::bind("127.0.0.1:0").unwrap();
         let sink_addr = sink.local_addr().unwrap();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
@@ -926,7 +886,7 @@ mod tests {
                     held.push(s);
                 }
                 match stop_rx.recv_timeout(StdDuration::from_millis(10)) {
-                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
                     _ => return,
                 }
             }
@@ -952,9 +912,10 @@ mod tests {
             Arc::new(FaultRules::new(5)),
             obs,
         );
-        // The blast happens in on_start, before the node loop spins; by
-        // the time sends return the queue must have saturated.
-        std::thread::sleep(StdDuration::from_millis(300));
+        // The blast happens inside one step on an established link: at
+        // the bound the loop writes what the socket takes, the unread
+        // peer's kernel buffers fill, and the queue saturates.
+        std::thread::sleep(StdDuration::from_millis(400));
         let dropped = hub
             .metrics
             .snapshot()
@@ -972,9 +933,9 @@ mod tests {
 
     #[test]
     fn fault_rules_same_seed_same_sequence_identical_decisions() {
-        // The reactor changed *when* and *on which thread* verdicts are
-        // taken, but determinism must only depend on (seed, query
-        // sequence). Replay the same interrogation twice and compare.
+        // Whenever and on whichever thread verdicts are taken, they must
+        // depend only on (seed, query sequence). Replay the same
+        // interrogation twice and compare.
         let interrogate = |rules: &FaultRules| -> Vec<bool> {
             let mut verdicts = Vec::new();
             for round in 0..200u32 {
@@ -997,7 +958,7 @@ mod tests {
         assert!(!a.iter().all(|&v| v), "loss at 0.5 must pass something");
 
         // Deterministic rules (cuts/isolation/crash marks) must not
-        // depend on query order at all — reactor loops interleave them
+        // depend on query order at all — node loops interleave them
         // arbitrarily across threads.
         let rules = std::sync::Arc::new(build());
         let mut joins = Vec::new();
@@ -1015,5 +976,179 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
+    }
+
+    /// Sends one number to the peer every millisecond; records what it
+    /// receives.
+    struct Ticker {
+        peer: NodeId,
+        next: u64,
+        seen: Vec<u64>,
+    }
+
+    impl Process<Num> for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+            ctx.set_timer(canopus_sim::Dur::millis(1), 0);
+        }
+        fn on_message(&mut self, _from: NodeId, msg: Num, _ctx: &mut Context<'_, Num>) {
+            self.seen.push(msg.0);
+        }
+        fn on_timer(&mut self, _timer: Timer, ctx: &mut Context<'_, Num>) {
+            self.next += 1;
+            ctx.send(self.peer, Num(self.next));
+            ctx.set_timer(canopus_sim::Dur::millis(1), 0);
+        }
+        impl_process_any!();
+    }
+
+    #[test]
+    fn peer_that_goes_away_and_comes_back_is_reconnected_with_backoff() {
+        // The peer is a bare listener owned by the test: it can be dropped
+        // and bound again on the same port, which a node handle cannot.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = peer.local_addr().unwrap();
+        let mut peers = PeerMap::new();
+        peers.insert(NodeId(1), peer_addr);
+        let hub = NodeObs::enabled(0, 16);
+        let handle = spawn_node_obs::<Num>(
+            NodeId(0),
+            Box::new(Ticker {
+                peer: NodeId(1),
+                next: 0,
+                seen: Vec::new(),
+            }),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            peers,
+            3,
+            Arc::new(FaultRules::new(3)),
+            NetObs::new(hub.clone()),
+        );
+        // Handshake, then numbers in order with no gap.
+        let read_some = |listener: &TcpListener| -> Vec<u64> {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(StdDuration::from_secs(5)))
+                .unwrap();
+            let hello = read_frame(&mut stream).unwrap().unwrap();
+            assert_eq!(NodeId::from_bytes(hello).unwrap(), NodeId(0));
+            (0..20)
+                .map(|_| {
+                    Num::from_bytes(read_frame(&mut stream).unwrap().unwrap())
+                        .unwrap()
+                        .0
+                })
+                .collect()
+        };
+        let first = read_some(&peer);
+        assert!(first.windows(2).all(|w| w[1] == w[0] + 1), "{first:?}");
+        // The peer goes away for 300 ms: connects are refused.
+        drop(peer);
+        std::thread::sleep(StdDuration::from_millis(300));
+        let reconnects = |hub: &NodeObs| hub.metrics.snapshot().counter("net.reconnects").unwrap();
+        let while_down = reconnects(&hub);
+        // 10 + 20 + 40 + 80 + 160 ms of back-off fit in the outage; a retry
+        // per failed send would be hundreds.
+        assert!((2..=8).contains(&while_down), "{while_down} reconnects");
+        // It comes back on the same port: frames flow again, later ones.
+        let peer = TcpListener::bind(peer_addr).unwrap();
+        let second = read_some(&peer);
+        assert!(second.windows(2).all(|w| w[1] == w[0] + 1), "{second:?}");
+        assert!(second[0] > *first.last().unwrap() + 100, "{second:?}");
+        drop(handle.stop());
+    }
+
+    #[test]
+    fn a_burst_inside_one_step_reaches_the_socket_in_one_write() {
+        let a = Counter {
+            peer: Some(NodeId(1)),
+            count: 500,
+            seen: Vec::new(),
+        };
+        let b = Counter {
+            peer: None,
+            count: 0,
+            seen: Vec::new(),
+        };
+        let hub = NodeObs::enabled(0, 16);
+        let (mut listeners, peers) = bind_loopback(2);
+        let rules = Arc::new(FaultRules::new(2));
+        let sink = spawn_node_obs::<Num>(
+            NodeId(1),
+            Box::new(b),
+            listeners.pop().unwrap(),
+            peers.clone(),
+            2,
+            rules.clone(),
+            NetObs::disabled(),
+        );
+        let burst = spawn_node_obs::<Num>(
+            NodeId(0),
+            Box::new(a),
+            listeners.pop().unwrap(),
+            peers,
+            2,
+            rules,
+            NetObs::new(hub.clone()),
+        );
+        std::thread::sleep(StdDuration::from_millis(200));
+        drop(burst.stop());
+        let got = sink.stop();
+        let counter = got.as_any().downcast_ref::<Counter>().unwrap();
+        assert_eq!(counter.seen, (1..=500).collect::<Vec<_>>());
+        // 500 frames of 4 + 8 bytes behind the 4 + 4-byte handshake. A
+        // loopback connect completes at once, so the handshake may go out
+        // alone; the burst itself is one write.
+        let snap = hub.metrics.snapshot();
+        let flushes = snap.histogram("net.flush_bytes").unwrap();
+        assert_eq!(flushes.sum, 8 + 500 * 12);
+        assert!(flushes.count <= 2, "{} writes", flushes.count);
+    }
+
+    /// Chains `left` timers of 200 µs each, then notes when the last fired.
+    struct Chain {
+        left: u32,
+        done_at: Option<Time>,
+    }
+
+    impl Process<Num> for Chain {
+        fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+            ctx.set_timer(canopus_sim::Dur::micros(200), 0);
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: Num, _ctx: &mut Context<'_, Num>) {}
+        fn on_timer(&mut self, _timer: Timer, ctx: &mut Context<'_, Num>) {
+            self.left -= 1;
+            if self.left == 0 {
+                self.done_at = Some(ctx.now());
+            } else {
+                ctx.set_timer(canopus_sim::Dur::micros(200), 0);
+            }
+        }
+        impl_process_any!();
+    }
+
+    #[test]
+    fn chained_sub_millisecond_timers_keep_their_pace() {
+        let handle = spawn_node_obs::<Num>(
+            NodeId(0),
+            Box::new(Chain {
+                left: 1_000,
+                done_at: None,
+            }),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            PeerMap::new(),
+            4,
+            Arc::new(FaultRules::new(4)),
+            NetObs::disabled(),
+        );
+        std::thread::sleep(StdDuration::from_millis(600));
+        let done = handle.stop();
+        let chain = done.as_any().downcast_ref::<Chain>().unwrap();
+        let took = chain
+            .done_at
+            .expect("1 000 timers of 200 µs fire within 600 ms");
+        // Nominal is 200 ms; a wait rounded up to whole milliseconds would
+        // take a second.
+        assert!(took >= Time::from_nanos(200_000_000), "{took:?}");
+        assert!(took <= Time::from_nanos(400_000_000), "{took:?}");
     }
 }

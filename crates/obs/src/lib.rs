@@ -25,14 +25,22 @@
 
 mod flight;
 mod metrics;
-mod reactor;
 
 pub use flight::{EventKind, FlightEvent, FlightRecorder, DUMP_HEADER};
 pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot,
     HISTOGRAM_BUCKETS,
 };
-pub use reactor::{reactor_registry, reactor_snapshot, ReactorObs};
+
+/// The process-global transport counters: none exist. They belonged to a
+/// reactor pool shared by every node; each node thread now owns its
+/// sockets and reports transport figures (`net.flush_bytes`,
+/// `net.reconnects`, drops, queue depth) into its own hub. The function
+/// stays, returning an empty snapshot, because livebench calls it; a
+/// benchmark issue removes the `net.reactor.*` rows and then this.
+pub fn reactor_snapshot() -> Snapshot {
+    Snapshot::default()
+}
 
 /// Everything one node carries: its metrics registry plus its flight
 /// recorder. Cloning shares the underlying storage, so a harness can keep

@@ -159,23 +159,28 @@ fn snapshot_under_concurrent_writes() {
         let reg = reg.clone();
         let stop = stop.clone();
         thread::spawn(move || {
-            let mut last = 0u64;
+            // A snapshot reads a histogram's count and its buckets at
+            // different instants while the writers run, so the two cannot
+            // be compared with each other; each on its own only grows, and
+            // never past what will have been written in the end.
+            let total = (THREADS as u64) * PER_THREAD;
+            let (mut last, mut last_count, mut last_buckets) = (0u64, 0u64, 0u64);
             let mut iterations = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = reg.snapshot();
                 let now = snap.counter("total").unwrap_or(0);
                 assert!(now >= last, "counter went backwards: {last} -> {now}");
+                assert!(now <= total, "counter {now} past the final {total}");
                 last = now;
                 if let Some(h) = snap.histogram("vals") {
-                    let bucket_total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
-                    // In-flight observes may make count lag the buckets
-                    // (or vice versa) but never by more than the writers
-                    // could have in flight.
+                    let buckets: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
+                    assert!(h.count >= last_count, "count {last_count} -> {}", h.count);
                     assert!(
-                        bucket_total.abs_diff(h.count) <= THREADS as u64,
-                        "buckets {bucket_total} vs count {}",
-                        h.count
+                        buckets >= last_buckets,
+                        "buckets {last_buckets} -> {buckets}"
                     );
+                    assert!(h.count <= total && buckets <= total);
+                    (last_count, last_buckets) = (h.count, buckets);
                 }
                 iterations += 1;
             }

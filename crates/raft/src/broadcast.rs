@@ -117,6 +117,9 @@ impl SuperLeafBroadcast {
         self.drain_deliveries()
     }
 
+    /// Hands over what the groups committed and lets each group drop the
+    /// part of its log nobody needs any more: a delivered payload lives on
+    /// in the host, not here.
     fn drain_deliveries(&mut self) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
         for (&owner, group) in self.groups.iter_mut() {
@@ -127,8 +130,50 @@ impl SuperLeafBroadcast {
                     data,
                 });
             }
+            group.compact();
         }
         deliveries
+    }
+
+    /// Log entries held in memory, summed over the groups.
+    pub fn retained_entries(&self) -> usize {
+        self.groups.values().map(RaftCore::retained_len).sum()
+    }
+
+    /// Whether some group has discarded entries this node does not hold:
+    /// it lost its logs, and only a peer's state can bring it back.
+    pub fn needs_snapshot(&self) -> bool {
+        self.groups.values().any(RaftCore::needs_snapshot)
+    }
+
+    /// Where this node's host stands in every group's log, by owner: the
+    /// `(index, term)` of the last entry each group delivered.
+    pub fn delivered_points(&self) -> Vec<(NodeId, (u64, u64))> {
+        (self.groups.iter())
+            .map(|(&owner, group)| (owner, group.delivered_point()))
+            .collect()
+    }
+
+    /// Moves every group to a peer's [`Self::delivered_points`], for a
+    /// host that has taken over that peer's state. All or nothing: false
+    /// if any group here has already delivered past its point.
+    pub fn resume_at(
+        &mut self,
+        points: &[(NodeId, (u64, u64))],
+        now: Time,
+        rng: &mut SmallRng,
+    ) -> bool {
+        let behind = |(owner, point): &(NodeId, (u64, u64))| {
+            (self.groups.get(owner)).is_some_and(|g| g.delivered_point().0 <= point.0)
+        };
+        if points.len() != self.groups.len() || !points.iter().all(behind) {
+            return false;
+        }
+        for (owner, point) in points {
+            let group = self.groups.get_mut(owner).expect("checked");
+            group.resume_at(*point, now, rng);
+        }
+        true
     }
 
     /// Whether this node currently leads its own broadcast group.

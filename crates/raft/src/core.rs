@@ -17,13 +17,31 @@
 //! conflict truncation, commit only of current-term entries by counting
 //! replicas, and a no-op entry appended on leadership change so earlier-term
 //! entries commit promptly.
+//!
+//! Two things keep a long-lived group cheap. Replication is pipelined: a
+//! follower's `next_index` advances when an append is *sent*, so each entry
+//! travels to each follower once and a failed reply backs up. And the log
+//! is bounded: a host that has consumed its deliveries calls
+//! [`RaftCore::compact`], which discards the prefix that is delivered
+//! locally *and* that every member is known to hold — the leader knows the
+//! smallest match index, followers are told what the leader discarded on
+//! every AppendEntries. Nothing a silent member still lacks is ever
+//! dropped, so any successor leader can complete replication.
+//!
+//! What compaction cannot serve is a member that comes back *without* the
+//! log it once acknowledged. Such a member is never skipped ahead silently:
+//! it refuses the appends, reports [`RaftCore::needs_snapshot`], and stays
+//! where it is until its host has obtained the state behind some peer's
+//! [`RaftCore::delivered_point`] and calls [`RaftCore::resume_at`]. (A host
+//! that rebuilds its state by replaying the log from the first entry, like
+//! the Raft KV baseline, simply never compacts.)
 
 use bytes::{Bytes, BytesMut};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_sim::{Dur, NodeId, Time};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Identifies a Raft group. In super-leaf broadcast, the group id is the
 /// owner node's id.
@@ -99,6 +117,10 @@ pub enum RaftMsg {
         entries: Vec<Entry>,
         /// Leader's commit index.
         commit: u64,
+        /// Index up to which the leader has discarded its log: every
+        /// member held those entries, so a follower that has delivered
+        /// them may discard them too.
+        discarded: u64,
     },
     /// Response to `AppendEntries`.
     AppendReply {
@@ -131,7 +153,7 @@ impl RaftMsg {
             RaftMsg::RequestVote { .. } => 29,
             RaftMsg::VoteReply { .. } => 14,
             RaftMsg::AppendEntries { entries, .. } => {
-                33 + entries.iter().map(|e| 12 + e.data.len()).sum::<usize>()
+                41 + entries.iter().map(|e| 12 + e.data.len()).sum::<usize>()
             }
             RaftMsg::AppendReply { .. } => 22,
         }
@@ -170,6 +192,7 @@ impl Wire for RaftMsg {
                 prev_term,
                 entries,
                 commit,
+                discarded,
             } => {
                 2u8.encode(buf);
                 group.encode(buf);
@@ -178,6 +201,7 @@ impl Wire for RaftMsg {
                 prev_term.encode(buf);
                 entries.encode(buf);
                 commit.encode(buf);
+                discarded.encode(buf);
             }
             RaftMsg::AppendReply {
                 group,
@@ -214,6 +238,7 @@ impl Wire for RaftMsg {
                 prev_term: u64::decode(buf)?,
                 entries: Vec::<Entry>::decode(buf)?,
                 commit: u64::decode(buf)?,
+                discarded: u64::decode(buf)?,
             }),
             3 => Ok(RaftMsg::AppendReply {
                 group: GroupId::decode(buf)?,
@@ -262,6 +287,20 @@ pub enum Role {
 /// Outbound message buffer: `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, RaftMsg)>;
 
+/// The state Raft requires a member to keep across a crash.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DurableState {
+    /// Current term.
+    pub term: u64,
+    /// Who got this member's vote in `term`.
+    pub voted_for: Option<NodeId>,
+    /// `(index, term)` of the last discarded entry; `(0, 0)` for a log
+    /// that was never compacted.
+    pub base: (u64, u64),
+    /// The retained entries; the first has index `base.0 + 1`.
+    pub log: Vec<Entry>,
+}
+
 /// A single Raft group member.
 #[derive(Debug)]
 pub struct RaftCore {
@@ -273,10 +312,18 @@ pub struct RaftCore {
     term: u64,
     voted_for: Option<NodeId>,
     votes: BTreeSet<NodeId>,
-    /// Log entries; `log[i]` has index `i + 1`.
-    log: Vec<Entry>,
+    /// Retained log entries; `log[i]` has index `base_index + i + 1`.
+    log: VecDeque<Entry>,
+    /// Index and term of the last discarded entry (0, 0: none).
+    base_index: u64,
+    base_term: u64,
+    /// Highest index every member is known to hold: the smallest match
+    /// index as leader, what the leader reports discarded as follower.
+    held_by_all: u64,
     commit_index: u64,
     delivered: u64,
+    /// The leader has discarded entries this member does not hold.
+    needs_snapshot: bool,
     election_deadline: Time,
     next_heartbeat: Time,
     next_index: BTreeMap<NodeId, u64>,
@@ -311,9 +358,13 @@ impl RaftCore {
             term: 1,
             voted_for: None,
             votes: BTreeSet::new(),
-            log: Vec::new(),
+            log: VecDeque::new(),
+            base_index: 0,
+            base_term: 0,
+            held_by_all: 0,
             commit_index: 0,
             delivered: 0,
+            needs_snapshot: false,
             election_deadline: Time::ZERO,
             next_heartbeat: Time::ZERO,
             next_index: BTreeMap::new(),
@@ -330,14 +381,20 @@ impl RaftCore {
     /// This member's durable state — the fields Raft requires to survive a
     /// crash (current term, vote, log). Volatile state (commit index,
     /// delivery cursor, role) is re-derived after recovery.
-    pub fn persistent_state(&self) -> (u64, Option<NodeId>, Vec<Entry>) {
-        (self.term, self.voted_for, self.log.clone())
+    pub fn persistent_state(&self) -> DurableState {
+        DurableState {
+            term: self.term,
+            voted_for: self.voted_for,
+            base: (self.base_index, self.base_term),
+            log: self.log.iter().cloned().collect(),
+        }
     }
 
     /// Rebuilds a member from recovered durable state. The node boots as a
-    /// follower; its committed entries re-deliver through the normal commit
-    /// path once a leader advances its commit index, so the host replays
-    /// them into its state machine exactly once.
+    /// follower; its retained committed entries re-deliver through the
+    /// normal commit path once a leader advances its commit index, so the
+    /// host replays them into its state machine exactly once. What was
+    /// discarded before the crash had been delivered before it.
     pub fn restore(
         group: GroupId,
         me: NodeId,
@@ -345,14 +402,16 @@ impl RaftCore {
         cfg: RaftConfig,
         now: Time,
         rng: &mut SmallRng,
-        term: u64,
-        voted_for: Option<NodeId>,
-        log: Vec<Entry>,
+        state: DurableState,
     ) -> Self {
         let mut core = RaftCore::new(group, me, members, cfg, false, now, rng);
-        core.term = term.max(1);
-        core.voted_for = voted_for;
-        core.log = log;
+        core.term = state.term.max(1);
+        core.voted_for = state.voted_for;
+        (core.base_index, core.base_term) = state.base;
+        core.log = state.log.into();
+        core.held_by_all = core.base_index;
+        core.commit_index = core.base_index;
+        core.delivered = core.base_index;
         core.reset_election_deadline(now, rng);
         core
     }
@@ -382,9 +441,14 @@ impl RaftCore {
         self.commit_index
     }
 
-    /// Number of entries in the log.
+    /// Index of the last log entry (discarded ones count).
     pub fn log_len(&self) -> u64 {
-        self.log.len() as u64
+        self.last_log_index()
+    }
+
+    /// Number of entries currently held in memory.
+    pub fn retained_len(&self) -> usize {
+        self.log.len()
     }
 
     /// Whether this member currently leads the group.
@@ -402,18 +466,23 @@ impl RaftCore {
     }
 
     fn last_log_index(&self) -> u64 {
-        self.log.len() as u64
+        self.base_index + self.log.len() as u64
     }
 
     fn last_log_term(&self) -> u64 {
-        self.log.last().map_or(0, |e| e.term)
+        self.log.back().map_or(self.base_term, |e| e.term)
+    }
+
+    /// The retained entry at `index` (which must be above the base).
+    fn entry(&self, index: u64) -> &Entry {
+        &self.log[(index - self.base_index - 1) as usize]
     }
 
     fn term_at(&self, index: u64) -> u64 {
-        if index == 0 {
-            0
+        if index == self.base_index {
+            self.base_term
         } else {
-            self.log[(index - 1) as usize].term
+            self.entry(index).term
         }
     }
 
@@ -439,8 +508,8 @@ impl RaftCore {
 
         // Commit entries from prior terms by appending a no-op in our term
         // (Raft §5.4.2). Skipped for a fresh log: there is nothing to flush.
-        if !self.log.is_empty() {
-            self.log.push(Entry {
+        if self.last_log_index() > 0 {
+            self.log.push_back(Entry {
                 term: self.term,
                 data: Bytes::new(),
             });
@@ -465,7 +534,7 @@ impl RaftCore {
             return None;
         }
         assert!(!data.is_empty(), "empty payloads are reserved for no-ops");
-        self.log.push(Entry {
+        self.log.push_back(Entry {
             term: self.term,
             data,
         });
@@ -490,11 +559,20 @@ impl RaftCore {
         self.next_heartbeat = now + self.cfg.heartbeat_interval;
     }
 
+    /// Sends `peer` everything from its `next_index` on and moves
+    /// `next_index` past it, so an entry travels to a follower once; a
+    /// failed reply backs `next_index` up again.
     fn send_append(&mut self, peer: NodeId, out: &mut Outbox) {
-        let next = *self.next_index.get(&peer).unwrap_or(&1);
+        // Everything up to the base is held by every member.
+        let next = (*self.next_index.get(&peer).unwrap_or(&1)).max(self.base_index + 1);
         let prev_index = next - 1;
         let prev_term = self.term_at(prev_index);
-        let entries: Vec<Entry> = self.log[(next - 1) as usize..].to_vec();
+        let entries: Vec<Entry> = self
+            .log
+            .range((prev_index - self.base_index) as usize..)
+            .cloned()
+            .collect();
+        self.next_index.insert(peer, self.last_log_index() + 1);
         out.push((
             peer,
             RaftMsg::AppendEntries {
@@ -504,6 +582,7 @@ impl RaftCore {
                 prev_term,
                 entries,
                 commit: self.commit_index,
+                discarded: self.base_index,
             },
         ));
     }
@@ -620,6 +699,7 @@ impl RaftCore {
                 prev_term,
                 entries,
                 commit,
+                discarded,
                 ..
             } => {
                 if term > self.term || (term == self.term && self.role == Role::Candidate) {
@@ -639,8 +719,19 @@ impl RaftCore {
                 }
                 // term == self.term and we are a follower.
                 self.reset_election_deadline(now, rng);
-                // Consistency check.
-                if prev_index > self.last_log_index() || self.term_at(prev_index) != prev_term {
+                if discarded > self.last_log_index() {
+                    // Every member held what the leader discarded, so this
+                    // one lost its log (a restart without it). The entries
+                    // are gone from the group; only the host can get what
+                    // they amounted to. Until it has, refuse: the check
+                    // below fails, since no append starts before `discarded`.
+                    self.needs_snapshot = true;
+                }
+                // Consistency check. Below the base there is nothing to
+                // compare and no need to: those entries are committed.
+                if prev_index > self.last_log_index()
+                    || (prev_index >= self.base_index && self.term_at(prev_index) != prev_term)
+                {
                     // Hint: back up to our log end (simple but effective).
                     let hint = self.last_log_index().min(prev_index.saturating_sub(1));
                     out.push((
@@ -658,20 +749,20 @@ impl RaftCore {
                 let mut index = prev_index;
                 for entry in entries {
                     index += 1;
-                    if index <= self.last_log_index() {
+                    if index <= self.base_index {
+                        // already held and discarded
+                    } else if index <= self.last_log_index() {
                         if self.term_at(index) != entry.term {
-                            self.log.truncate((index - 1) as usize);
-                            self.log.push(entry);
+                            self.log.truncate((index - self.base_index - 1) as usize);
+                            self.log.push_back(entry);
                         }
                         // else: already have it
                     } else {
-                        self.log.push(entry);
+                        self.log.push_back(entry);
                     }
                 }
-                let new_commit = commit.min(index.max(self.last_log_index().min(index)));
-                if new_commit > self.commit_index {
-                    self.commit_index = new_commit;
-                }
+                self.commit_index = self.commit_index.max(commit.min(index));
+                self.held_by_all = self.held_by_all.max(discarded.min(index));
                 out.push((
                     from,
                     RaftMsg::AppendReply {
@@ -696,14 +787,20 @@ impl RaftCore {
                     return;
                 }
                 if success {
-                    self.match_index.insert(from, match_index);
-                    self.next_index.insert(from, match_index + 1);
+                    // Replies to pipelined appends may arrive late: both
+                    // indices only ever move forward here.
+                    let matched = self.match_index.entry(from).or_insert(0);
+                    *matched = (*matched).max(match_index);
+                    let next = self.next_index.entry(from).or_insert(1);
+                    *next = (*next).max(match_index + 1);
                     let old_commit = self.commit_index;
                     self.recompute_commit();
                     if self.commit_index > old_commit {
                         // Eagerly notify followers so they deliver without
                         // waiting for the next heartbeat (keeps super-leaf
                         // broadcast latency at ~1.5 RTT instead of +interval).
+                        // Entries went out when they were proposed, so the
+                        // notification itself is empty.
                         self.broadcast_appends(now, out);
                     }
                 } else {
@@ -715,8 +812,14 @@ impl RaftCore {
                         .saturating_sub(1)
                         .max(1)
                         .min(match_index + 1);
-                    self.next_index.insert(from, next.max(1));
-                    self.send_append(from, out);
+                    self.next_index.insert(from, next);
+                    // A follower that lacks discarded entries cannot be
+                    // served from this log (see `needs_snapshot`); the
+                    // heartbeat keeps asking, an immediate resend would
+                    // only be refused again.
+                    if next > self.base_index {
+                        self.send_append(from, out);
+                    }
                 }
             }
         }
@@ -740,6 +843,7 @@ impl RaftCore {
             })
             .collect();
         candidates.sort_unstable();
+        self.held_by_all = self.held_by_all.max(candidates[0]);
         // The majority-th highest match index is replicated on a majority.
         let majority_index = candidates[candidates.len() - self.majority()];
         if majority_index > self.commit_index && self.term_at(majority_index) == self.term {
@@ -753,12 +857,69 @@ impl RaftCore {
         let mut out = Vec::new();
         while self.delivered < self.commit_index {
             self.delivered += 1;
-            let entry = &self.log[(self.delivered - 1) as usize];
+            let entry = self.entry(self.delivered);
             if !entry.data.is_empty() {
                 out.push((self.delivered, entry.data.clone()));
             }
         }
         out
+    }
+
+    /// Discards the log prefix that has been delivered to the host *and*
+    /// that every member of the group is known to hold. An entry some
+    /// member — however long silent — may still lack is kept, so whoever
+    /// leads the group can always bring that member up to date.
+    pub fn compact(&mut self) {
+        let upto = self.held_by_all.min(self.delivered);
+        while self.base_index < upto {
+            let entry = self
+                .log
+                .pop_front()
+                .expect("delivered entries are retained");
+            self.base_index += 1;
+            self.base_term = entry.term;
+        }
+    }
+
+    /// Whether the leader has discarded entries this member does not hold
+    /// — which every member once held, so this one lost its log. The group
+    /// cannot help it any more; see [`RaftCore::resume_at`].
+    pub fn needs_snapshot(&self) -> bool {
+        self.needs_snapshot
+    }
+
+    /// `(index, term)` of the last entry handed to the host: the point in
+    /// this group's log that the host's state reflects.
+    pub fn delivered_point(&self) -> (u64, u64) {
+        (self.delivered, self.term_at(self.delivered))
+    }
+
+    /// Tells a member whose host has taken over a peer's state where in
+    /// this group's log that state stands (the peer's
+    /// [`RaftCore::delivered_point`]): everything up to there counts as
+    /// delivered. Entries held beyond it stay; a log that does not reach it
+    /// is dropped, and a member that believed it led the group on such a
+    /// log follows again. Returns false, changing nothing, if the point
+    /// lies behind what this member has already delivered.
+    pub fn resume_at(&mut self, (index, term): (u64, u64), now: Time, rng: &mut SmallRng) -> bool {
+        if index < self.delivered {
+            return false;
+        }
+        let held = (self.base_index..=self.last_log_index()).contains(&index)
+            && self.term_at(index) == term;
+        if !held {
+            self.log.clear();
+            (self.base_index, self.base_term) = (index, term);
+            if self.role != Role::Follower {
+                self.role = Role::Follower;
+                self.votes.clear();
+                self.reset_election_deadline(now, rng);
+            }
+        }
+        self.commit_index = self.commit_index.max(index);
+        self.delivered = index;
+        self.needs_snapshot = false;
+        true
     }
 }
 
@@ -882,6 +1043,7 @@ mod tests {
                 data: Bytes::from_static(b"2"),
             }],
             commit: 0,
+            discarded: 0,
         };
         let mut replies = Outbox::new();
         b.handle(NodeId(0), gap, now, &mut r, &mut replies);
@@ -1005,6 +1167,261 @@ mod tests {
         let _ = &mut a;
     }
 
+    /// Three members and the wire between them, with every message's
+    /// sender known. `deliver` runs until quiet, handing each member what
+    /// it commits and letting it compact, as a host would.
+    struct Net {
+        cores: Vec<RaftCore>,
+        rng: SmallRng,
+        now: Time,
+        wire: Vec<(NodeId, NodeId, RaftMsg)>,
+        delivered: Vec<Vec<(u64, Bytes)>>,
+        /// `(messages, entries carrying a payload)` put on the wire.
+        sent: (usize, usize),
+    }
+
+    impl Net {
+        fn trio() -> Net {
+            let (a, b, c, rng) = trio(Time::ZERO);
+            Net {
+                cores: vec![a, b, c],
+                rng,
+                now: Time::ZERO,
+                wire: Vec::new(),
+                delivered: vec![Vec::new(); 3],
+                sent: (0, 0),
+            }
+        }
+
+        fn post(&mut self, from: usize, out: Outbox) {
+            for (to, msg) in out {
+                self.sent.0 += 1;
+                if let RaftMsg::AppendEntries { entries, .. } = &msg {
+                    self.sent.1 += entries.iter().filter(|e| !e.data.is_empty()).count();
+                }
+                self.wire.push((NodeId(from as u32), to, msg));
+            }
+        }
+
+        fn propose(&mut self, leader: usize, data: Bytes) {
+            let mut out = Outbox::new();
+            self.cores[leader]
+                .propose(data, self.now, &mut out)
+                .expect("leads");
+            self.post(leader, out);
+        }
+
+        /// Delivers until quiet; `lost(from, to)` messages vanish.
+        fn deliver(&mut self, lost: impl Fn(usize, usize) -> bool) {
+            let mut rounds = 0;
+            while !self.wire.is_empty() {
+                rounds += 1;
+                assert!(rounds < 1000, "message storm");
+                for (from, to, msg) in std::mem::take(&mut self.wire) {
+                    if lost(from.index(), to.index()) {
+                        continue;
+                    }
+                    let mut out = Outbox::new();
+                    self.cores[to.index()].handle(from, msg, self.now, &mut self.rng, &mut out);
+                    self.post(to.index(), out);
+                }
+                for (core, got) in self.cores.iter_mut().zip(&mut self.delivered) {
+                    got.extend(core.take_delivered());
+                    core.compact();
+                }
+            }
+        }
+
+        fn tick(&mut self, member: usize, after: Dur) {
+            self.now += after;
+            let mut out = Outbox::new();
+            self.cores[member].tick(self.now, &mut self.rng, &mut out);
+            self.post(member, out);
+        }
+    }
+
+    fn payload(i: u64) -> Bytes {
+        Bytes::from(i.to_le_bytes().to_vec())
+    }
+
+    #[test]
+    fn one_proposal_ships_the_payload_once_per_follower() {
+        let mut net = Net::trio();
+        net.propose(0, payload(1));
+        net.deliver(|_, _| false);
+        // Two appends carrying the payload and their acks, then two empty
+        // commit notifications and theirs.
+        assert_eq!(net.sent, (8, 2));
+        for got in &net.delivered {
+            assert_eq!(got, &vec![(1, payload(1))]);
+        }
+
+        // An append that is lost is noticed at the next message from the
+        // leader (here the commit notification), refused, and sent again —
+        // once.
+        net.sent = (0, 0);
+        net.propose(0, payload(2));
+        let (_, to, _) = net.wire.remove(1);
+        assert_eq!(to, NodeId(2), "the append to c is the one dropped");
+        net.deliver(|_, _| false);
+        assert_eq!(net.sent.1, 3, "b, c (lost), c again");
+        for got in &net.delivered {
+            assert_eq!(got, &vec![(1, payload(1)), (2, payload(2))]);
+        }
+    }
+
+    #[test]
+    fn log_stays_bounded_over_ten_thousand_broadcasts() {
+        let mut net = Net::trio();
+        let mut most = 0;
+        for i in 1..=10_000 {
+            net.propose(0, payload(i));
+            most = most.max(net.cores[0].retained_len());
+            net.deliver(|_, _| false);
+            most = net
+                .cores
+                .iter()
+                .map(RaftCore::retained_len)
+                .fold(most, usize::max);
+        }
+        // The leader holds an entry until both followers have it; a
+        // follower learns that with the next append.
+        assert!(most <= 2, "{most} entries retained at some point");
+        for (core, got) in net.cores.iter().zip(&net.delivered) {
+            assert_eq!(core.log_len(), 10_000);
+            assert_eq!(got.len(), 10_000);
+            assert!(got.iter().zip(1..).all(|(d, i)| *d == (i, payload(i))));
+        }
+    }
+
+    #[test]
+    fn a_silent_member_loses_nothing_and_a_successor_brings_it_up_to_date() {
+        let mut net = Net::trio();
+        for i in 1..=50 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        // c goes silent. a and b commit on without it and keep everything
+        // c has not acknowledged, however much that is.
+        let c_silent = |from, to| from == 2 || to == 2;
+        for i in 51..=150 {
+            net.propose(0, payload(i));
+            net.deliver(c_silent);
+        }
+        assert_eq!(net.delivered[0].len(), 150);
+        assert_eq!(net.delivered[2].len(), 50);
+        assert!(net.cores[0].retained_len() >= 100);
+        assert!(net.cores[1].retained_len() >= 100);
+
+        // a fails, c is reachable again: b wins the election on its longer
+        // log and completes the replication a had begun.
+        let a_down = |from, to| from == 0 || to == 0;
+        net.tick(1, Dur::millis(50));
+        net.deliver(a_down);
+        assert!(net.cores[1].is_leader());
+        assert_eq!(net.delivered[2].len(), 150);
+        assert!(net.delivered[2]
+            .iter()
+            .zip(1..)
+            .all(|(d, i)| *d == (i, payload(i))));
+
+        // b leads on with c; a, silent now, still lacks nothing b dropped.
+        for i in 151..=160 {
+            net.propose(1, payload(i));
+            net.deliver(a_down);
+        }
+        assert_eq!(net.delivered[2].len(), 160);
+        assert!(net.cores[1].retained_len() >= 10);
+    }
+
+    #[test]
+    fn a_compacted_member_restores_and_carries_on() {
+        let mut net = Net::trio();
+        for i in 1..=20 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        let state = net.cores[2].persistent_state();
+        assert_eq!(state.base.0 + state.log.len() as u64, 20);
+        assert!(state.log.len() <= 2, "compacted");
+        let members = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let cfg = RaftConfig::default();
+        net.cores[2] = RaftCore::restore(
+            GroupId(0),
+            NodeId(2),
+            members,
+            cfg,
+            net.now,
+            &mut net.rng,
+            state,
+        );
+        assert_eq!(net.cores[2].log_len(), 20);
+        net.delivered[2].clear();
+        for i in 21..=25 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        // What it still held is delivered again (once), then the new ones.
+        let last: Vec<u64> = net.delivered[2].iter().map(|d| d.0).collect();
+        assert_eq!(last[last.len() - 5..], [21, 22, 23, 24, 25]);
+        assert!(last.windows(2).all(|w| w[1] == w[0] + 1), "{last:?}");
+    }
+
+    #[test]
+    fn a_member_that_lost_its_log_waits_for_its_host_and_resumes() {
+        let mut net = Net::trio();
+        for i in 1..=20 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        // c comes back with no memory at all. What it once held is gone
+        // from every log, so the group cannot replay it — and does not
+        // pretend to: c refuses, says so, and is skipped past nothing.
+        let members = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let now = net.now;
+        net.cores[2] = RaftCore::new(
+            GroupId(0),
+            NodeId(2),
+            members,
+            RaftConfig::default(),
+            false,
+            now,
+            &mut net.rng,
+        );
+        net.delivered[2].clear();
+        net.sent = (0, 0);
+        for i in 21..=25 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        assert!(net.cores[2].needs_snapshot());
+        assert!(!net.cores[0].needs_snapshot() && !net.cores[1].needs_snapshot());
+        assert_eq!(net.delivered[2], vec![]);
+        assert_eq!(net.cores[2].log_len(), 0);
+        // One refusal per append, not a resend storm.
+        assert!(net.sent.0 <= 5 * 8, "{} messages", net.sent.0);
+        // Nothing c lacks is dropped while it is stuck.
+        assert!(net.cores[0].retained_len() >= 5);
+
+        // c's host takes over b's state, which stands at b's delivered
+        // point; from there on the group serves c again.
+        let point = net.cores[1].delivered_point();
+        assert_eq!(point.0, 25);
+        let now = net.now;
+        assert!(net.cores[2].resume_at(point, now, &mut net.rng));
+        assert!(!net.cores[2].needs_snapshot());
+        for i in 26..=30 {
+            net.propose(0, payload(i));
+            net.deliver(|_, _| false);
+        }
+        let got: Vec<u64> = net.delivered[2].iter().map(|d| d.0).collect();
+        assert_eq!(got, [26, 27, 28, 29, 30]);
+        assert_eq!(net.delivered[0].len(), 30);
+        assert!(net.cores[0].retained_len() <= 2, "compacts again");
+        // A point behind what the host already consumed is refused.
+        assert!(!net.cores[2].resume_at((3, 1), now, &mut net.rng));
+    }
+
     #[test]
     fn single_member_group_commits_instantly() {
         let mut r = rng();
@@ -1057,6 +1474,7 @@ mod tests {
                     },
                 ],
                 commit: 4,
+                discarded: 3,
             },
             RaftMsg::AppendReply {
                 group: GroupId(1),

@@ -1,7 +1,7 @@
 //! A live Canopus cluster over real TCP sockets.
 //!
 //! The same `CanopusNode` state machines that drive every simulation in
-//! this repository here run unmodified on the reactor-backed TCP transport
+//! this repository here run unmodified on the run-to-completion TCP transport
 //! (`canopus_net::tcp`): six nodes in two super-leaves listen on loopback
 //! TCP, a TCP client (registered in the peer map as node 6) submits writes
 //! and a read through real sockets and receives real replies, and the

@@ -1,9 +1,9 @@
 //! A 100+ node live Canopus cluster sustaining 100 000+ client sessions.
 //!
-//! The reactor transport multiplexes every connection of every node onto a
-//! fixed pool of event loops (one per core), which is what makes this
-//! shape fit on a single machine: 108 Canopus nodes (36 super-leaves of
-//! three in a 6×6 LOT tree) listen on loopback TCP, and a handful of [`SessionMux`]
+//! The transport runs every node as one thread that owns all of the node's
+//! sockets on one epoll instance, which is what makes this shape fit on a
+//! single machine: 108 Canopus nodes (36 super-leaves of three in a 6×6
+//! LOT tree) listen on loopback TCP, and a handful of [`SessionMux`]
 //! processes host one hundred thousand concurrent closed-loop client
 //! sessions between them — each session ~32 bytes of state, replies routed
 //! back by op id alone, issues deferred tick-by-tick whenever the
@@ -106,13 +106,14 @@ fn main() {
     let ramp_ms = env_u64("LIVE_SCALE_RAMP_MS", 150_000);
     let seed = env_u64("LIVE_SCALE_SEED", 42);
 
-    // Sessions are virtual — only nodes and muxes own sockets. Budget:
-    // listeners, the intra-super-leaf mesh, one representative fetch
-    // channel per (node, sibling leaf), both request and reply directions
-    // between every node and every mux, and reactor plumbing. Both ends of
-    // every loopback connection live in this process, hence the ×2s.
+    // Sessions are virtual — only nodes and muxes own sockets. Budget: a
+    // listener and an epoll instance per loop, the intra-super-leaf mesh,
+    // one representative fetch channel per (node, sibling leaf), and both
+    // request and reply directions between every node and every mux. Both
+    // ends of every loopback connection live in this process, hence the
+    // ×2s.
     let fd_estimate =
-        (nodes + muxes) + groups * 12 + nodes * (groups - 1) * 2 + nodes * muxes * 4 + 64;
+        (nodes + muxes) * 2 + groups * 12 + nodes * (groups - 1) * 2 + nodes * muxes * 4 + 64;
     if let Some(limit) = fd_soft_limit() {
         assert!(
             (fd_estimate as u64) <= limit,
@@ -122,8 +123,7 @@ fn main() {
     }
     println!(
         "cluster: {nodes} nodes ({groups} super-leaves, LOT {shape_spec}), {sessions} sessions \
-         over {muxes} muxes, reactor loops: {}, time unit: {unit}",
-        canopus_net::reactor::loop_count()
+         over {muxes} muxes, one event loop each, time unit: {unit}"
     );
 
     let membership: Vec<Vec<NodeId>> = (0..groups)
@@ -319,7 +319,6 @@ fn main() {
             .field_int("run_secs", run.as_secs())
             .field_int("think_ms", think_ms)
             .field_int("time_unit_ms", unit.as_millis())
-            .field_int("reactor_loops", canopus_net::reactor::loop_count() as u64)
             .field_int("issued", issued)
             .field_int("completed", completed)
             .field_int("timeouts", timeouts)

@@ -3,7 +3,7 @@
 //!
 //! Each run spawns a 2-super-leaf × 3-node deployment plus one
 //! closed-loop [`canopus_harness::HistoryClient`] per node on the
-//! reactor-backed TCP transport, replays a `FaultPlan` on the wall clock
+//! TCP transport, replays a `FaultPlan` on the wall clock
 //! through the shared `FaultRules` table (crashes stop and respawn real
 //! node loops), and then runs the shared chaos verdict over the recovered
 //! states: agreement (global + per-key), client FIFO, read validity, and
