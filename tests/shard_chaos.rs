@@ -244,6 +244,33 @@ fn sharded_determinism_same_seed_identical() {
     assert_ne!(a.0, c.0, "different seeds should differ");
 }
 
+/// The plain node's execution, pinned by value: default simulator
+/// configuration, history clients, seed 7, one super-leaf partitioned and
+/// healed. `determinism_*` compare a run with a second run and the BENCH
+/// gates allow 20 %, so nothing else holds the unsharded path to the event.
+#[test]
+fn plain_trace_hash_is_pinned() {
+    let scenario = superleaf_partition(&topo(), &timeline());
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec(), 7)
+        .clients(Clients::History(history_config()))
+        .sim();
+    cluster.sim.enable_trace_hash();
+    cluster.apply_plan(&scenario.plan, timeline().run_for);
+    let report = cluster.verdict(
+        timeline().converge_after(),
+        &(scenario.exempt)(CanopusMsg::NAME),
+    );
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+    assert_eq!(
+        (
+            cluster.sim.trace_hash().expect("enabled"),
+            cluster.sim.events_processed()
+        ),
+        (0xeb02_61b7_3dbb_6feb, 148_994),
+        "plain trace drifted: if intentional, re-pin and say what moved it"
+    );
+}
+
 /// The single-shard engine's execution is pinned (catalog v2): a refactor
 /// of the shard multiplexing layer that changes even one event of the
 /// degenerate 1-shard case must be an explicit, versioned decision.
