@@ -1,15 +1,15 @@
-//! Shard scaling: aggregate committed throughput of the shard-parallel
-//! engine vs the single-pipeline baseline.
+//! Shard scaling: aggregate committed throughput of shard-parallel
+//! Canopus vs the single-pipeline baseline.
 //!
 //! Drives the paper's single-DC testbed (3 racks × 3 nodes) with the
 //! batched configuration (1 ms linger, 1000-op batches, 4 cycles in
-//! flight) at an offered rate far past one pipeline's knee, once with a
-//! 1-shard engine and once with 4 shards. Each shard is an independent
-//! LOT pipeline on its own CPU lane, so the 4-shard run should commit
-//! close to 4× the baseline; the bench *asserts* at least 3× (the
-//! acceptance bar) and records per-shard committed rates, including a
-//! Zipf-skewed split showing the hot-shard imbalance the chaos suite
-//! exercises.
+//! flight), once with 4 shards per node and once with one shard offered
+//! a quarter of the rate: the same load per pipeline, just past a
+//! pipeline's knee. Each shard is an independent LOT pipeline on its own
+//! CPU lane, so the 4-shard run should commit close to 4× the baseline;
+//! the bench *asserts* at least 3× (the acceptance bar) and records
+//! per-shard committed rates, including a Zipf-skewed split showing the
+//! hot-shard imbalance the chaos suite exercises.
 //!
 //! Results are written into `BENCH_canopus.json` as the top-level
 //! `"sharded"` object; `--check` fails on a >20 % aggregate regression
@@ -19,7 +19,7 @@
 //!   cargo run --release -p canopus-bench --bin shard_scale -- \
 //!       [--out BENCH_canopus.json] [--check BENCH_canopus.json]
 
-use canopus::{CanopusConfig, CanopusMsg, ShardMsg};
+use canopus::{CanopusConfig, CanopusMsg};
 use canopus_bench::json::{extract_number, replace_section, JsonObject};
 use canopus_harness::{
     fmt_rate, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol,
@@ -32,9 +32,9 @@ const REGRESSION_TOLERANCE: f64 = 0.20;
 /// Required 4-shard / 1-shard aggregate committed-throughput ratio.
 const MIN_SPEEDUP: f64 = 3.0;
 
-/// Offered rate for both runs: far past one batched pipeline's knee, so
-/// 1-shard run is capacity-bound and the 4-shard run has headroom to
-/// show its parallelism.
+/// Offered rate of the 4-shard runs. A quarter of it, what every pipeline
+/// gets, is just past one batched pipeline's knee (≈ 3.5 M/s), so each
+/// run is capacity-bound.
 const OFFERED_RATE: f64 = 16_000_000.0;
 
 /// Zipf exponent of the skewed split (shard 0 hottest).
@@ -57,19 +57,19 @@ struct ShardMeasured {
     per_shard_per_sec: Vec<f64>,
 }
 
-fn measure(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ShardMeasured {
+fn measure(spec: &DeploymentSpec, shards: u16, load: &LoadSpec, seed: u64) -> ShardMeasured {
     let (cfg, client_batch) = batched(spec);
     let load = load.clone().with_client_batch(client_batch);
-    let mut cluster = ClusterBuilder::<ShardMsg>::new(spec, seed)
-        .config((cfg, load.shards))
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(spec, seed)
+        .config(CanopusConfig { shards, ..cfg })
         .clients(Clients::OpenLoop(load.clone()))
         .obs(ClusterObs::on(BENCH_FLIGHT_CAP))
         .sim();
     cluster.sim.run_for(load.warmup + load.duration);
     let secs = (load.warmup + load.duration).as_secs_f64();
-    let engine = cluster.node(cluster.nodes[0]);
-    let per_shard: Vec<f64> = (0..engine.shard_count())
-        .map(|s| engine.shard(s).stats().committed_weight as f64 / secs)
+    let node = cluster.node(cluster.nodes[0]);
+    let per_shard: Vec<f64> = (0..node.lane_count())
+        .map(|s| node.lane(s).stats().committed_weight as f64 / secs)
         .collect();
     ShardMeasured {
         aggregate_per_sec: per_shard.iter().sum(),
@@ -94,40 +94,34 @@ fn main() {
     }
 
     let spec = DeploymentSpec::paper_single_dc(3);
-    let load = |shards: u16| {
-        let mut l = LoadSpec::new(OFFERED_RATE).with_shards(shards);
-        l.warmup = Dur::millis(100);
-        l.duration = Dur::millis(400);
-        l
+    let load = LoadSpec {
+        warmup: Dur::millis(100),
+        duration: Dur::millis(400),
+        ..LoadSpec::new(OFFERED_RATE)
     };
 
-    // A single pipeline collapses when offered far past its knee (ingest
-    // alone overcommits its one lane), so the baseline is its *best*
-    // operating point across the sweep rate and half of it — comparing
-    // the shard engine against a thrashing baseline would overstate the
-    // speedup.
-    let mut one = measure(&spec, &load(1), 42);
-    let mut one_rate = OFFERED_RATE;
+    // The baseline is one pipeline offered what each of the four is
+    // offered, a quarter of the rate — a single pipeline's sustained peak
+    // (3 M/s → 595 k/s, 4 M/s → 683 k/s committed). Further past its knee
+    // it does not commit more, and what node 0 counts there is not a rate:
+    // cycles grow to tens of thousands of ops, a commit is counted when its
+    // handler starts and charged afterwards, so a window that ends inside
+    // one counts CPU the lane never had (2.27 M/s read at 16 M/s offered,
+    // against `per_commit`'s bound of 1 M/s a lane).
+    let one_rate = OFFERED_RATE / 4.0;
+    let quarter = LoadSpec {
+        total_rate: one_rate,
+        ..load.clone()
+    };
+    let one = measure(&spec, 1, &quarter, 42);
     eprintln!(
         "== 1 shard @ {} offered ==   committed {}",
-        fmt_rate(OFFERED_RATE),
+        fmt_rate(one_rate),
         fmt_rate(one.aggregate_per_sec)
     );
-    let mut half = load(1);
-    half.total_rate = OFFERED_RATE / 2.0;
-    let one_half = measure(&spec, &half, 42);
-    eprintln!(
-        "== 1 shard @ {} offered ==   committed {}",
-        fmt_rate(OFFERED_RATE / 2.0),
-        fmt_rate(one_half.aggregate_per_sec)
-    );
-    if one_half.aggregate_per_sec > one.aggregate_per_sec {
-        one = one_half;
-        one_rate = OFFERED_RATE / 2.0;
-    }
 
     eprintln!("== 4 shards @ {} offered ==", fmt_rate(OFFERED_RATE));
-    let four = measure(&spec, &load(4), 42);
+    let four = measure(&spec, 4, &load, 42);
     eprintln!(
         "   committed {} aggregate, per shard: [{}]",
         fmt_rate(four.aggregate_per_sec),
@@ -143,13 +137,13 @@ fn main() {
     assert!(
         speedup >= MIN_SPEEDUP,
         "4-shard aggregate is only {speedup:.2}x the single pipeline \
-         ({:.0}/s vs {:.0}/s); the shard-parallel engine must deliver {MIN_SPEEDUP}x",
+         ({:.0}/s vs {:.0}/s); the shard-parallel node must deliver {MIN_SPEEDUP}x",
         four.aggregate_per_sec,
         one.aggregate_per_sec,
     );
 
     eprintln!("== 4 shards, Zipf theta={SKEW_THETA} ==");
-    let skewed = measure(&spec, &load(4).with_shard_skew(SKEW_THETA), 42);
+    let skewed = measure(&spec, 4, &load.with_shard_skew(SKEW_THETA), 42);
     eprintln!(
         "   committed {} aggregate, per shard: [{}]",
         fmt_rate(skewed.aggregate_per_sec),

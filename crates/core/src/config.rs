@@ -87,6 +87,11 @@ pub struct CanopusConfig {
     /// How many completed cycles to retain for answering late
     /// proposal-requests from lagging super-leaves.
     pub state_retention: u64,
+    /// Key-space shards, each an independent LOT pipeline (lane) inside
+    /// every node; the same value at every node of a deployment. 1 — the
+    /// default — is the paper's protocol: one pipeline orders everything.
+    /// Every other field applies to each lane alike.
+    pub shards: u16,
 }
 
 impl Default for CanopusConfig {
@@ -108,6 +113,7 @@ impl Default for CanopusConfig {
             costs: CostModel::default(),
             record_log: true,
             state_retention: 64,
+            shards: 1,
         }
     }
 }

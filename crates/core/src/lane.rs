@@ -1,0 +1,1675 @@
+//! One LOT pipeline of a Canopus pnode: the complete protocol state
+//! machine (paper §4–§7).
+//!
+//! A [`Lane`] is everything the paper calls a pnode except the transport
+//! identity, which the hosting [`crate::CanopusNode`] owns: an unsharded
+//! node is exactly one lane. It embeds the super-leaf reliable
+//! broadcast (per-member Raft groups, §4.3), executes consensus cycles of
+//! `h` rounds over the LOT (§4.2), self-synchronizes on outside prompting
+//! (§4.4), acts as a super-leaf representative fetching remote vnode states
+//! (§4.5), maintains the emulation table through committed membership
+//! updates (§4.6), linearizes reads by delaying them one or two cycles (§5)
+//! or through write leases (§7.2), and pipelines cycles for wide-area
+//! deployments (§7.1).
+//!
+//! The broadcast groups compact their logs (everything delivered locally and
+//! held by every member goes), so a member that restarts without its logs
+//! cannot replay them. Its groups report that (`needs_snapshot`) and the
+//! lane asks a super-leaf peer for a [`Snapshot`] — the replicated part of
+//! the peer's state plus where it stands in each group's log — takes it
+//! over wholesale, and follows the deliveries from there. That is state
+//! transfer only: such a node is still tombstoned and stays excluded.
+//!
+//! Failure handling follows the paper's crash-stop model: peer silence is
+//! detected by heartbeat timeout; the survivor that wins the dead member's
+//! broadcast group election appends a **tombstone** to that group's log.
+//! Because the tombstone is totally ordered with the member's own proposals
+//! (same Raft log), every survivor draws the identical boundary between
+//! cycles the dead member contributed to and cycles it is excluded from —
+//! making the proof's "excluded from contributing to the state of the
+//! super-leaf" step explicit and deterministic.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use bytes::Bytes;
+use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
+use canopus_net::wire::Wire;
+use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
+use canopus_raft::{Delivery, FailureDetector, Outbox, SuperLeafBroadcast};
+use canopus_sim::{Dur, NodeId, Time};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use crate::config::{CanopusConfig, CycleTrigger, ReadMode};
+use crate::emulation::EmulationTable;
+use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
+use crate::node::LaneCtx;
+use crate::proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
+use crate::types::{CycleId, VnodeId};
+
+/// Timer tokens.
+const TICK: u64 = 1;
+const CYCLE: u64 = 2;
+const LINGER: u64 = 3;
+
+/// One committed operation, as recorded in the commit log.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CommittedOp {
+    /// A key-value write; `version` is the key's version after this write.
+    Put {
+        /// Requesting client.
+        client: NodeId,
+        /// Client-assigned id.
+        op_id: u64,
+        /// Key written.
+        key: Key,
+        /// Version produced.
+        version: u64,
+    },
+    /// An aggregated synthetic write batch.
+    Synthetic {
+        /// Requesting client.
+        client: NodeId,
+        /// Client-assigned id.
+        op_id: u64,
+        /// Requests represented.
+        count: u32,
+    },
+    /// An atomic multi-key write (the part of a cross-shard transaction
+    /// sequenced in this instance's LOT, or a whole single-shard one).
+    MultiPut {
+        /// Requesting client.
+        client: NodeId,
+        /// Client-assigned id (shared across all shards' parts).
+        op_id: u64,
+        /// Keys written, in client order.
+        keys: Vec<Key>,
+    },
+}
+
+/// One origin's committed request set within a cycle.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommittedSet {
+    /// The origin node.
+    pub origin: NodeId,
+    /// Its operations, in FIFO order.
+    pub ops: Vec<CommittedOp>,
+}
+
+/// The commit record of one cycle.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommittedCycle {
+    /// The cycle.
+    pub cycle: CycleId,
+    /// Local commit time.
+    pub at: Time,
+    /// The total order of request sets.
+    pub sets: Vec<CommittedSet>,
+}
+
+/// Counters exposed by every lane.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct CanopusStats {
+    /// Cycles committed.
+    pub committed_cycles: u64,
+    /// Client write requests committed (all origins, weighted).
+    pub committed_weight: u64,
+    /// Write requests from this node's own clients (weighted).
+    pub own_writes: u64,
+    /// Reads served to this node's clients (weighted).
+    pub reads_served: u64,
+    /// Reads served immediately under the lease optimization.
+    pub lease_fast_reads: u64,
+    /// Proposal-requests answered for other super-leaves.
+    pub fetches_served: u64,
+    /// Running FNV digest of the commit history (agreement checks).
+    pub commit_digest: u64,
+    /// Sum of (commit − start) across committed cycles, nanoseconds.
+    pub cycle_latency_sum_ns: u64,
+}
+
+/// A buffered client read awaiting linearization (§5).
+#[derive(Clone, Debug)]
+struct PendingRead {
+    req: ClientRequest,
+    /// Commit of this cycle releases the read; 0 = not yet assigned.
+    ordering_cycle: CycleId,
+    /// Number of own-window writes received before this read — its
+    /// interleaving position within the node's own request set.
+    write_prefix: usize,
+}
+
+/// A representative's in-flight state fetch.
+#[derive(Clone, Debug)]
+struct Fetch {
+    sent_at: Time,
+    attempts: u32,
+    target: NodeId,
+    responded: bool,
+}
+
+/// Per-cycle protocol state.
+#[derive(Debug, Default)]
+struct CycleState {
+    started: bool,
+    /// When this node started the cycle (broadcast its round-1 proposal).
+    started_at: Time,
+    /// Last time this cycle made visible progress (used to age-gate the
+    /// liveness rescue path).
+    last_progress: Time,
+    /// Round-1 proposals by proposer.
+    round1: BTreeMap<NodeId, VnodeState>,
+    /// `ancestors[k]` = computed state of the height-`k+1` ancestor.
+    ancestors: Vec<Option<VnodeState>>,
+    /// Sibling vnode states delivered via super-leaf broadcast.
+    remote: BTreeMap<VnodeId, VnodeState>,
+    /// This node's in-flight fetches (as representative).
+    fetches: BTreeMap<VnodeId, Fetch>,
+    root_done: bool,
+    committed: bool,
+}
+
+/// One LOT pipeline: cycles, broadcast groups, failure detector, store and
+/// counters of its own. Hosted and driven by a [`crate::CanopusNode`].
+pub struct Lane {
+    cfg: CanopusConfig,
+    me: NodeId,
+    table: EmulationTable,
+    my_superleaf: usize,
+    my_parent: VnodeId,
+    height: usize,
+    rng: SmallRng,
+    bcast: Option<SuperLeafBroadcast>,
+    fd: FailureDetector,
+
+    // Client intake.
+    pending_writes: VecDeque<TimedOp>,
+    pending_weight: u64,
+    pending_reads: Vec<PendingRead>,
+    pending_updates: Vec<MembershipUpdate>,
+    /// Lease mode: writes parked until their key's lease activates.
+    awaiting_lease: BTreeMap<Key, Vec<TimedOp>>,
+    /// Lease mode: keys whose lease we will request in the next proposal.
+    requested_leases: BTreeSet<Key>,
+    /// Lease mode: key → last cycle its write lease covers.
+    lease_until: BTreeMap<Key, u64>,
+
+    // Cycle machinery.
+    cycles: BTreeMap<CycleId, CycleState>,
+    /// Batching window deadline (§ batching): set when the first request
+    /// of a batch arrives under a nonzero `max_linger`, cleared when the
+    /// cycle carrying the batch starts.
+    linger_until: Option<Time>,
+    last_started: CycleId,
+    last_committed: CycleId,
+    max_seen_cycle: CycleId,
+    /// Buffered proposal-requests for states not yet computed.
+    waiting_requests: Vec<(NodeId, CycleId, VnodeId)>,
+
+    // Exclusion bookkeeping (see module docs). The roster is every node
+    // that was ever a member of this super-leaf: round-1 expectations are
+    // evaluated against it plus the tombstone/rejoin markers (which are
+    // totally ordered within each member's broadcast group and therefore
+    // identical at every survivor), never against the mutable emulation
+    // table, whose update timing varies across nodes under pipelining.
+    superleaf_roster: BTreeSet<NodeId>,
+    tombstoned: BTreeMap<NodeId, CycleId>,
+    rejoined: BTreeMap<NodeId, CycleId>,
+    /// Peers the failure detector reported, whose tombstone has not yet
+    /// been delivered: retried every tick until the dead member's group has
+    /// a successor leader that lands the tombstone.
+    pending_tombstones: BTreeMap<NodeId, Time>,
+    /// Remote emulators that timed out a fetch; deprioritized when picking
+    /// emulators until they are heard from again (paper §A.4: "marks it as
+    /// such, and picks another live emulator").
+    remote_suspects: BTreeSet<NodeId>,
+
+    /// Encoded broadcast items that could not be proposed while our own
+    /// group's leadership was usurped; retried each tick after reclaiming.
+    unsent_items: VecDeque<Bytes>,
+    /// Encoded items our own group accepted from us and has not delivered
+    /// back yet, in broadcast order. Until it is committed an entry can
+    /// still be truncated by a usurper of the group — typically one that
+    /// this node, descheduled past the election timeout, proposed under its
+    /// stale term — so these go again once the group is reclaimed.
+    in_flight_items: VecDeque<Bytes>,
+    /// State transfer: when the next request may go out, and how many
+    /// went (peers are asked in turn).
+    state_requests: (Time, usize),
+
+    // Commit products.
+    store: KvStore,
+    committed_log: Vec<CommittedCycle>,
+    stats: CanopusStats,
+
+    // Observability (disabled by default; see [`crate::CanopusNode::with_obs`]).
+    obs: CanopusObs,
+}
+
+/// Pre-registered observability handles. All of them are no-ops costing
+/// one branch per update unless [`crate::CanopusNode::with_obs`] installed an
+/// enabled hub.
+struct CanopusObs {
+    hub: NodeObs,
+    cycles_started: Counter,
+    cycles_committed: Counter,
+    linger_fires: Counter,
+    tombstones: Counter,
+    rejoins: Counter,
+    batch_ops: Histogram,
+    batch_weight: Histogram,
+    pipeline_occupancy: Histogram,
+    in_flight: Gauge,
+}
+
+impl CanopusObs {
+    fn from_hub(hub: NodeObs) -> Self {
+        let m = &hub.metrics;
+        CanopusObs {
+            cycles_started: m.counter("canopus.cycles_started"),
+            cycles_committed: m.counter("canopus.cycles_committed"),
+            linger_fires: m.counter("canopus.linger_fires"),
+            tombstones: m.counter("canopus.tombstones"),
+            rejoins: m.counter("canopus.rejoins"),
+            batch_ops: m.histogram("canopus.batch_ops"),
+            batch_weight: m.histogram("canopus.batch_weight"),
+            pipeline_occupancy: m.histogram("canopus.pipeline_occupancy"),
+            in_flight: m.gauge("canopus.in_flight"),
+            hub,
+        }
+    }
+}
+
+impl Lane {
+    /// Creates the lane of node `me` seeded with `seed` (proposal numbers,
+    /// emulator choice, Raft timeouts).
+    pub(crate) fn new(me: NodeId, table: EmulationTable, cfg: CanopusConfig, seed: u64) -> Self {
+        let my_superleaf = table
+            .superleaf_of(me)
+            .unwrap_or_else(|| panic!("{me} is not in the emulation table"));
+        let shape = table.shape().clone();
+        let my_parent = shape.ancestor_of_superleaf(my_superleaf, 1);
+        let height = shape.height();
+        let peers: Vec<NodeId> = table
+            .members_of(my_superleaf)
+            .filter(|&p| p != me)
+            .collect();
+        let fd = FailureDetector::new(&peers, cfg.failure_timeout, Time::ZERO);
+        let superleaf_roster: BTreeSet<NodeId> = table.members_of(my_superleaf).collect();
+        Lane {
+            rng: SmallRng::seed_from_u64(seed ^ (me.0 as u64) << 32),
+            cfg,
+            me,
+            my_superleaf,
+            my_parent,
+            height,
+            table,
+            bcast: None,
+            fd,
+            pending_writes: VecDeque::new(),
+            pending_weight: 0,
+            pending_reads: Vec::new(),
+            pending_updates: Vec::new(),
+            awaiting_lease: BTreeMap::new(),
+            requested_leases: BTreeSet::new(),
+            lease_until: BTreeMap::new(),
+            cycles: BTreeMap::new(),
+            linger_until: None,
+            last_started: CycleId(0),
+            last_committed: CycleId(0),
+            max_seen_cycle: CycleId(0),
+            waiting_requests: Vec::new(),
+            superleaf_roster,
+            tombstoned: BTreeMap::new(),
+            rejoined: BTreeMap::new(),
+            pending_tombstones: BTreeMap::new(),
+            remote_suspects: BTreeSet::new(),
+            unsent_items: VecDeque::new(),
+            in_flight_items: VecDeque::new(),
+            state_requests: (Time::ZERO, 0),
+            store: KvStore::new(),
+            committed_log: Vec::new(),
+            stats: CanopusStats::default(),
+            obs: CanopusObs::from_hub(NodeObs::disabled()),
+        }
+    }
+
+    /// Installs an observability hub (metrics registry + flight recorder);
+    /// without it the lane carries a disabled hub whose updates cost one
+    /// branch each.
+    pub(crate) fn set_obs(&mut self, hub: NodeObs) {
+        self.obs = CanopusObs::from_hub(hub);
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> CanopusStats {
+        self.stats
+    }
+
+    /// The commit log (empty unless `cfg.record_log`).
+    pub fn committed_log(&self) -> &[CommittedCycle] {
+        &self.committed_log
+    }
+
+    /// The current emulation table (identical across nodes at equal commit
+    /// points; tests compare digests).
+    pub fn emulation_table(&self) -> &EmulationTable {
+        &self.table
+    }
+
+    /// The replicated store.
+    pub fn store(&self) -> &KvStore {
+        &self.store
+    }
+
+    /// What this node currently holds on to: `(Raft log entries in memory
+    /// across its super-leaf's broadcast groups, client operations inside
+    /// retained cycle states)`. Both are bounded in a healthy cluster
+    /// however long it runs.
+    pub fn retained(&self) -> (usize, usize) {
+        let ops = |s: &VnodeState| s.sets.iter().map(|set| set.ops.len()).sum::<usize>();
+        let cycle_ops = self
+            .cycles
+            .values()
+            .flat_map(|e| {
+                (e.round1.values())
+                    .chain(e.remote.values())
+                    .chain(e.ancestors.iter().flatten())
+            })
+            .map(ops)
+            .sum();
+        let raft = self.bcast.as_ref().map_or(0, |b| b.retained_entries());
+        (raft, cycle_ops)
+    }
+
+    /// Highest committed cycle.
+    pub fn last_committed(&self) -> CycleId {
+        self.last_committed
+    }
+
+    /// Highest started cycle.
+    pub fn last_started(&self) -> CycleId {
+        self.last_started
+    }
+
+    /// Human-readable diagnostic of in-flight protocol state.
+    pub fn debug_state(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{}: started={} committed={} tombstoned={:?} pending_ts={:?} roster={:?}",
+            self.me,
+            self.last_started.0,
+            self.last_committed.0,
+            self.tombstoned,
+            self.pending_tombstones.keys().collect::<Vec<_>>(),
+            self.superleaf_roster,
+        );
+        for (c, e) in self.cycles.range(self.last_committed.next()..) {
+            let _ = write!(
+                out,
+                "
+  {c:?}: started={} r1_from={:?} anc={:?} remote={:?} fetches={:?} root={}",
+                e.started,
+                e.round1.keys().collect::<Vec<_>>(),
+                e.ancestors.iter().map(|a| a.is_some()).collect::<Vec<_>>(),
+                e.remote.keys().collect::<Vec<_>>(),
+                e.fetches.keys().collect::<Vec<_>>(),
+                e.root_done,
+            );
+        }
+        out
+    }
+
+    // ------------------------------------------------------------------
+    // Broadcast plumbing
+    // ------------------------------------------------------------------
+
+    fn flush_raft(&mut self, out: Outbox, ctx: &mut LaneCtx<'_, '_>) {
+        for (to, msg) in out {
+            ctx.send(to, CanopusMsg::Raft(msg));
+        }
+    }
+
+    fn broadcast_item(&mut self, item: &BroadcastItem, ctx: &mut LaneCtx<'_, '_>) {
+        let data = item.to_bytes();
+        let mut out = Outbox::new();
+        let bcast = self.bcast.as_mut().expect("started");
+        match bcast.broadcast(data.clone(), ctx.now(), &mut out) {
+            Some(_) => self.in_flight_items.push_back(data),
+            // Not currently leading our own group: a peer transiently
+            // usurped it after a false failure suspicion (heavy CPU load
+            // delays heartbeats). Queue the item; the tick loop reclaims
+            // leadership and retries — proposals are never dropped.
+            None => self.unsent_items.push_back(data),
+        }
+        self.flush_raft(out, ctx);
+    }
+
+    /// Hands the lane what its broadcast groups committed.
+    fn deliver(&mut self, deliveries: Vec<Delivery>, ctx: &mut LaneCtx<'_, '_>) {
+        for d in deliveries {
+            if d.origin == self.me && self.in_flight_items.front() == Some(&d.data) {
+                self.in_flight_items.pop_front();
+            }
+            // Corrupt payloads cannot occur internally; ignore decode errors.
+            if let Ok(item) = BroadcastItem::from_bytes(d.data) {
+                self.handle_delivery(d.origin, item, ctx);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Client intake
+    // ------------------------------------------------------------------
+
+    fn lease_active_for_next_cycles(&self, key: Key) -> bool {
+        self.lease_until
+            .get(&key)
+            .is_some_and(|&until| until > self.last_started.0)
+    }
+
+    fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
+        // Aggregates are parsed once, not per represented op; the cost
+        // model amortizes their ingest (see CostModel::ingest_cost).
+        ctx.charge(self.cfg.costs.ingest_cost(req.op.weight()));
+        if req.op.is_write() {
+            let op = TimedOp {
+                req,
+                arrival: ctx.now(),
+            };
+            let leased_write =
+                self.cfg.read_mode == ReadMode::Leases && matches!(op.req.op, Op::Put { .. });
+            if leased_write {
+                if let Op::Put { key, .. } = op.req.op {
+                    if self.lease_active_for_next_cycles(key) {
+                        self.pending_weight += op.req.op.weight() as u64;
+                        self.pending_writes.push_back(op);
+                    } else {
+                        // Park until the lease round grants coverage.
+                        self.requested_leases.insert(key);
+                        self.awaiting_lease.entry(key).or_default().push(op);
+                    }
+                }
+            } else {
+                self.pending_weight += op.req.op.weight() as u64;
+                self.pending_writes.push_back(op);
+            }
+        } else {
+            // Reads: lease mode may serve immediately; otherwise delay for
+            // linearization (§5).
+            let fast = match (&self.cfg.read_mode, &req.op) {
+                (ReadMode::Leases, Op::Get { key }) => !self.lease_active_for_next_cycles(*key),
+                (ReadMode::Leases, Op::SyntheticRead { .. }) => true,
+                _ => false,
+            };
+            if fast {
+                self.stats.lease_fast_reads += req.op.weight() as u64;
+                self.serve_read(&req, ctx);
+            } else {
+                self.pending_reads.push(PendingRead {
+                    write_prefix: self.pending_writes.len(),
+                    req,
+                    ordering_cycle: CycleId(0),
+                });
+            }
+        }
+        self.maybe_start_cycles(ctx);
+    }
+
+    fn serve_read(&mut self, req: &ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
+        let weight = req.op.weight();
+        ctx.charge(Dur::nanos(
+            self.cfg.costs.per_read.as_nanos() * weight.min(4096) as u64,
+        ));
+        let result = match &req.op {
+            Op::Get { key } => {
+                let v = self.store.get(*key);
+                OpResult::Value(v.map(|v| v.value.clone()))
+            }
+            Op::SyntheticRead { .. } => OpResult::Batch,
+            _ => unreachable!("serve_read on a write"),
+        };
+        self.stats.reads_served += weight as u64;
+        ctx.send(
+            req.client,
+            CanopusMsg::Reply(ClientReply {
+                op_id: req.op_id,
+                weight,
+                result,
+            }),
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Cycle lifecycle
+    // ------------------------------------------------------------------
+
+    fn in_flight(&self) -> u64 {
+        self.last_started.0 - self.last_committed.0
+    }
+
+    fn has_local_work(&self) -> bool {
+        !self.pending_writes.is_empty()
+            || self
+                .pending_reads
+                .iter()
+                .any(|r| r.ordering_cycle == CycleId(0))
+            || !self.pending_updates.is_empty()
+            || !self.requested_leases.is_empty()
+    }
+
+    /// Whether the batching window for the next self-clocked cycle has
+    /// closed. Opens the window (and arms its timer) on the first call
+    /// with pending work, so a request never waits longer than
+    /// `max_linger` before its cycle starts.
+    fn linger_elapsed(&mut self, ctx: &mut LaneCtx<'_, '_>) -> bool {
+        if self.cfg.max_linger.is_zero() {
+            return true;
+        }
+        match self.linger_until {
+            Some(deadline) => {
+                let fired = ctx.now() >= deadline;
+                if fired {
+                    self.obs.linger_fires.inc();
+                    self.obs.hub.event(
+                        ctx.now().as_nanos(),
+                        ObsEvent::LingerFire {
+                            cycle: self.last_started.next().0,
+                            ops: self.pending_writes.len() as u64,
+                        },
+                    );
+                }
+                fired
+            }
+            None => {
+                self.linger_until = Some(ctx.now() + self.cfg.max_linger);
+                ctx.set_timer(self.cfg.max_linger, LINGER);
+                self.obs.hub.event(
+                    ctx.now().as_nanos(),
+                    ObsEvent::LingerArm {
+                        cycle: self.last_started.next().0,
+                        ops: self.pending_writes.len() as u64,
+                    },
+                );
+                false
+            }
+        }
+    }
+
+    /// Starts as many cycles as policy allows (§4.4 prompting, §7.1
+    /// pipelining, super-leaf batching via `max_linger`).
+    fn maybe_start_cycles(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        if self.bcast.is_none() {
+            return;
+        }
+        loop {
+            // Both trigger modes bound cycles in flight by the same knob;
+            // depth 1 reproduces the strict start-on-commit behavior.
+            if self.in_flight() >= self.cfg.max_pipeline_depth.max(1) {
+                return;
+            }
+            let prompted = self.max_seen_cycle > self.last_started;
+            let overflow = self.pending_weight >= self.cfg.max_batch as u64;
+            let start = prompted
+                || overflow
+                || (self.has_local_work()
+                    && match self.cfg.trigger {
+                        // Self-clocked: start once the batching window
+                        // closes (immediately when `max_linger` is zero).
+                        CycleTrigger::OnCommit => self.linger_elapsed(ctx),
+                        // Pipelined starts on timer/prompt/overflow only,
+                        // except for the very first cycle.
+                        CycleTrigger::Pipelined => self.last_started == CycleId(0),
+                    });
+            if !start {
+                return;
+            }
+            self.start_cycle(ctx);
+        }
+    }
+
+    fn start_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        let c = self.last_started.next();
+        self.last_started = c;
+        self.linger_until = None;
+
+        // Batch everything pending: writes, lease requests, membership
+        // updates. Reads buffered during the previous window are ordered by
+        // this cycle (§5).
+        let batch_weight = self.pending_weight;
+        let ops: Vec<TimedOp> = self.pending_writes.drain(..).collect();
+        self.pending_weight = 0;
+
+        let in_flight = self.in_flight();
+        self.obs.cycles_started.inc();
+        self.obs.batch_ops.observe(ops.len() as u64);
+        self.obs.batch_weight.observe(batch_weight);
+        self.obs.pipeline_occupancy.observe(in_flight);
+        self.obs.in_flight.set(in_flight as i64);
+        self.obs.hub.event(
+            ctx.now().as_nanos(),
+            ObsEvent::CycleStart {
+                cycle: c.0,
+                ops: ops.len() as u64,
+                weight: batch_weight,
+                in_flight,
+            },
+        );
+        let lease_requests: Vec<Key> = std::mem::take(&mut self.requested_leases)
+            .into_iter()
+            .collect();
+        let updates = std::mem::take(&mut self.pending_updates);
+        for read in &mut self.pending_reads {
+            if read.ordering_cycle == CycleId(0) {
+                read.ordering_cycle = c;
+                read.write_prefix = read.write_prefix.min(ops.len());
+            }
+        }
+
+        let set = RequestSet {
+            origin: self.me,
+            ops,
+            lease_requests,
+        };
+        let number = self.rng.gen::<u64>();
+        let state = VnodeState::round1(self.me, self.my_parent.clone(), c, number, set, updates);
+
+        if !self.cfg.costs.storage_per_batch.is_zero() {
+            ctx.charge(self.cfg.costs.storage_per_batch);
+        }
+
+        let now = ctx.now();
+        let entry = self.cycle_entry(c);
+        entry.started = true;
+        entry.started_at = now;
+        self.broadcast_item(&BroadcastItem::Proposal(state), ctx);
+        // Issue all remote fetches for this cycle up front (§4.7 event 2:
+        // representatives request remote states as soon as the cycle
+        // starts; emulators buffer until the state is ready).
+        self.plan_fetches(c, ctx);
+        self.note_cycle_seen(c);
+    }
+
+    /// Fetches-or-creates the cycle entry with its ancestor slots ready.
+    fn cycle_entry(&mut self, c: CycleId) -> &mut CycleState {
+        let height = self.height;
+        let entry = self.cycles.entry(c).or_default();
+        if entry.ancestors.is_empty() {
+            entry.ancestors = vec![None; height];
+        }
+        entry
+    }
+
+    fn note_cycle_seen(&mut self, c: CycleId) {
+        if c > self.max_seen_cycle {
+            self.max_seen_cycle = c;
+        }
+    }
+
+    /// The representative set: the first `representatives` non-excluded
+    /// members of this super-leaf, in id order (§4.5: representatives are
+    /// numbered and ordered; assignment needs no communication).
+    fn representative_set(&self) -> Vec<NodeId> {
+        self.superleaf_roster
+            .iter()
+            .copied()
+            .filter(|m| !self.tombstoned.contains_key(m))
+            .take(self.cfg.representatives.max(1))
+            .collect()
+    }
+
+    /// Issues the proposal-requests this node is responsible for in cycle
+    /// `c` (every round's fetches are issued immediately; responders buffer).
+    fn plan_fetches(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+        if self.height < 2 {
+            return;
+        }
+        let reps = self.representative_set();
+        if reps.is_empty() {
+            return;
+        }
+        let shape = self.table.shape().clone();
+        for r in 2..=self.height {
+            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
+            let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
+            let needed: Vec<VnodeId> = shape
+                .children(&target)
+                .into_iter()
+                .filter(|v| *v != own_child)
+                .collect();
+            for (j, vnode) in needed.into_iter().enumerate() {
+                let mut mine = false;
+                for k in 0..self.cfg.fetch_redundancy.max(1) {
+                    if reps[(j + k) % reps.len()] == self.me {
+                        mine = true;
+                    }
+                }
+                if !mine {
+                    continue;
+                }
+                let entry = self.cycle_entry(c);
+                if entry.remote.contains_key(&vnode) || entry.fetches.contains_key(&vnode) {
+                    continue;
+                }
+                self.issue_fetch(c, vnode, 0, ctx);
+            }
+        }
+    }
+
+    fn issue_fetch(&mut self, c: CycleId, vnode: VnodeId, attempt: u32, ctx: &mut LaneCtx<'_, '_>) {
+        let all = self.table.emulators(&vnode);
+        if all.is_empty() {
+            return; // subtree fully departed; cycle will stall (§3.3)
+        }
+        let preferred: Vec<NodeId> = all
+            .iter()
+            .copied()
+            .filter(|e| !self.remote_suspects.contains(e))
+            .collect();
+        let emulators = if preferred.is_empty() {
+            &all
+        } else {
+            &preferred
+        };
+        let pick = (self.rng.gen::<u32>() as usize + attempt as usize) % emulators.len();
+        let target = emulators[pick];
+        ctx.send(
+            target,
+            CanopusMsg::ProposalRequest {
+                cycle: c,
+                vnode: vnode.clone(),
+            },
+        );
+        let entry = self.cycle_entry(c);
+        entry.fetches.insert(
+            vnode,
+            Fetch {
+                sent_at: ctx.now(),
+                attempts: attempt + 1,
+                target,
+                responded: false,
+            },
+        );
+    }
+
+    /// Exclusion rule (see module docs): `m` contributes to cycle `c`
+    /// unless a tombstone covering `c` exists and no proposal from `m` for
+    /// `c` was delivered.
+    fn round1_complete(&self, c: CycleId) -> bool {
+        let Some(entry) = self.cycles.get(&c) else {
+            return false;
+        };
+        if !entry.started {
+            return false; // our own proposal is required
+        }
+        for &m in &self.superleaf_roster {
+            if let Some(&active_from) = self.rejoined.get(&m) {
+                if active_from > c {
+                    continue; // not yet participating
+                }
+            }
+            if entry.round1.contains_key(&m) {
+                continue;
+            }
+            match self.tombstoned.get(&m) {
+                Some(&from) if from <= c => continue, // excluded
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    fn handle_delivery(&mut self, origin: NodeId, item: BroadcastItem, ctx: &mut LaneCtx<'_, '_>) {
+        match item {
+            BroadcastItem::Proposal(state) => {
+                let c = state.cycle;
+                if c <= self.last_committed {
+                    return;
+                }
+                // A tombstoned member's later proposals must not resurrect
+                // it. The tombstone is totally ordered with the member's
+                // proposals inside its broadcast-group log, so every
+                // survivor draws the identical line: proposals delivered
+                // *before* the tombstone count (the designed boundary
+                // window), anything after — a restarted zombie replaying
+                // forward, an isolated node catching up — is dropped until
+                // a `Rejoin` marker lifts the exclusion. Without this, a
+                // revived proposal races into live round-1 maps at some
+                // survivors but not others and diverges the merge order.
+                if self.tombstoned.contains_key(&origin) {
+                    return;
+                }
+                self.note_cycle_seen(c);
+                let now = ctx.now();
+                let entry = self.cycle_entry(c);
+                entry.last_progress = now;
+                entry.round1.insert(origin, state);
+                self.maybe_start_cycles(ctx);
+                self.advance_cycle(c, ctx);
+            }
+            BroadcastItem::Remote(state) => {
+                let c = state.cycle;
+                if c <= self.last_committed {
+                    return;
+                }
+                self.note_cycle_seen(c);
+                let now = ctx.now();
+                let entry = self.cycle_entry(c);
+                entry.last_progress = now;
+                if let Some(fetch) = entry.fetches.get_mut(&state.vnode) {
+                    fetch.responded = true;
+                }
+                entry.remote.insert(state.vnode.clone(), state);
+                self.maybe_start_cycles(ctx);
+                self.advance_cycle(c, ctx);
+            }
+            BroadcastItem::Tombstone { node, from_cycle } => {
+                // Keep the earliest boundary if several survivors raced to
+                // tombstone the same member (min is order-independent, so
+                // every peer converges on the same exclusion range).
+                let entry = self.tombstoned.entry(node).or_insert(from_cycle);
+                if from_cycle < *entry {
+                    *entry = from_cycle;
+                }
+                self.obs.tombstones.inc();
+                self.obs.hub.event(
+                    ctx.now().as_nanos(),
+                    ObsEvent::Tombstone {
+                        cycle: from_cycle.0,
+                        group: node.0,
+                    },
+                );
+                self.pending_tombstones.remove(&node);
+                self.rejoined.remove(&node);
+                // Propose the membership change for the emulation tables of
+                // the whole tree (§4.6).
+                let update = MembershipUpdate::Leave { node };
+                if !self.pending_updates.contains(&update) {
+                    self.pending_updates.push(update);
+                }
+                // The exclusion may unblock round 1 of in-flight cycles.
+                let in_flight: Vec<CycleId> = self
+                    .cycles
+                    .keys()
+                    .copied()
+                    .filter(|&c| c > self.last_committed)
+                    .collect();
+                for c in in_flight {
+                    self.advance_cycle(c, ctx);
+                }
+            }
+            BroadcastItem::Rejoin { node, from_cycle } => {
+                self.superleaf_roster.insert(node);
+                self.tombstoned.remove(&node);
+                self.rejoined.insert(node, from_cycle);
+                self.obs.rejoins.inc();
+                self.obs.hub.event(
+                    ctx.now().as_nanos(),
+                    ObsEvent::Rejoin {
+                        cycle: from_cycle.0,
+                        group: node.0,
+                    },
+                );
+                let superleaf = self.my_superleaf as u32;
+                let update = MembershipUpdate::Join { node, superleaf };
+                if !self.pending_updates.contains(&update) {
+                    self.pending_updates.push(update);
+                }
+            }
+        }
+    }
+
+    /// Drives cycle `c` forward: completes round 1, merges any completable
+    /// higher rounds, answers buffered proposal-requests, and commits.
+    fn advance_cycle(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+        // Round 1.
+        let need_h1 = {
+            let Some(entry) = self.cycles.get(&c) else {
+                return;
+            };
+            !entry.ancestors.is_empty() && entry.ancestors[0].is_none()
+        };
+        if need_h1 {
+            if !self.round1_complete(c) {
+                return;
+            }
+            let entry = self.cycles.get_mut(&c).expect("exists");
+            let contributors: Vec<VnodeState> = entry.round1.values().cloned().collect();
+            let h1 = VnodeState::merge(self.my_parent.clone(), contributors);
+            entry.ancestors[0] = Some(h1);
+            self.obs.hub.event(
+                ctx.now().as_nanos(),
+                ObsEvent::RoundComplete {
+                    cycle: c.0,
+                    round: 1,
+                },
+            );
+            self.answer_waiting(c, ctx);
+        }
+
+        // Higher rounds.
+        let shape = self.table.shape().clone();
+        for r in 2..=self.height {
+            let done = {
+                let entry = self.cycles.get(&c).expect("exists");
+                entry.ancestors[r - 1].is_some()
+            };
+            if done {
+                continue;
+            }
+            let prev_ready = {
+                let entry = self.cycles.get(&c).expect("exists");
+                entry.ancestors[r - 2].is_some()
+            };
+            if !prev_ready {
+                return;
+            }
+            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
+            let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
+            let children = shape.children(&target);
+            let entry = self.cycles.get_mut(&c).expect("exists");
+            let mut states = Vec::with_capacity(children.len());
+            let mut complete = true;
+            for child in &children {
+                if *child == own_child {
+                    let mut own = entry.ancestors[r - 2].clone().expect("prev ready");
+                    // When a state rises a level, its tie-break becomes its
+                    // position among its new siblings.
+                    own.tie = own.vnode.last_digit() as u32;
+                    states.push(own);
+                } else if let Some(state) = entry.remote.get(child) {
+                    let mut s = state.clone();
+                    s.tie = s.vnode.last_digit() as u32;
+                    states.push(s);
+                } else {
+                    complete = false;
+                    break;
+                }
+            }
+            if !complete {
+                return;
+            }
+            let merged = VnodeState::merge(target, states);
+            entry.ancestors[r - 1] = Some(merged);
+            self.obs.hub.event(
+                ctx.now().as_nanos(),
+                ObsEvent::RoundComplete {
+                    cycle: c.0,
+                    round: r as u64,
+                },
+            );
+            self.answer_waiting(c, ctx);
+        }
+
+        // Root reached.
+        {
+            let entry = self.cycles.get_mut(&c).expect("exists");
+            if entry.ancestors[self.height - 1].is_some() {
+                entry.root_done = true;
+            }
+        }
+        self.try_commit(ctx);
+    }
+
+    /// Answers buffered proposal-requests that newly computed states satisfy.
+    fn answer_waiting(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+        let mut still_waiting = Vec::new();
+        let waiting = std::mem::take(&mut self.waiting_requests);
+        for (from, cycle, vnode) in waiting {
+            if cycle != c {
+                still_waiting.push((from, cycle, vnode));
+                continue;
+            }
+            match self.lookup_state(cycle, &vnode) {
+                Some(state) => {
+                    self.stats.fetches_served += 1;
+                    ctx.send(from, CanopusMsg::ProposalResponse { state });
+                }
+                None => still_waiting.push((from, cycle, vnode)),
+            }
+        }
+        self.waiting_requests = still_waiting;
+    }
+
+    fn lookup_state(&self, c: CycleId, vnode: &VnodeId) -> Option<VnodeState> {
+        let entry = self.cycles.get(&c)?;
+        let depth = vnode.depth();
+        let height = self.height.checked_sub(depth)?;
+        if height == 0 || height > self.height {
+            return None;
+        }
+        let state = entry.ancestors.get(height - 1)?.as_ref()?;
+        if state.vnode == *vnode {
+            Some(state.clone())
+        } else {
+            None
+        }
+    }
+
+    fn try_commit(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        loop {
+            let next = self.last_committed.next();
+            let ready = self
+                .cycles
+                .get(&next)
+                .map(|e| e.root_done && !e.committed)
+                .unwrap_or(false);
+            if !ready {
+                return;
+            }
+            self.commit_cycle(next, ctx);
+            self.maybe_start_cycles(ctx);
+        }
+    }
+
+    fn commit_cycle(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+        // From here on the cycle's state serves only late proposal-requests
+        // from lagging super-leaves, and `lookup_state` answers those from
+        // the non-root ancestors: the inputs of the merges, the fetch
+        // bookkeeping and the root itself are released now, not
+        // `state_retention` cycles later.
+        let root = {
+            let entry = self.cycles.get_mut(&c).expect("ready");
+            entry.committed = true;
+            entry.round1 = BTreeMap::new();
+            entry.remote = BTreeMap::new();
+            entry.fetches = BTreeMap::new();
+            entry.ancestors[self.height - 1].take().expect("root done")
+        };
+        let now = ctx.now();
+
+        // 1. Membership updates (§4.6) — identical at every node.
+        self.table.apply_all(&root.updates);
+
+        // 2. Lease grants (§7.2): requests in this cycle cover the next
+        //    `lease_span` cycles.
+        let mut unlocked: Vec<Key> = Vec::new();
+        for set in &root.sets {
+            for &key in &set.lease_requests {
+                self.lease_until.insert(key, c.0 + self.cfg.lease_span);
+                if set.origin == self.me {
+                    unlocked.push(key);
+                }
+            }
+        }
+
+        // 3. Apply the total order; interleave own reads at their recorded
+        //    positions (§5).
+        let mut own_reads: Vec<PendingRead> = Vec::new();
+        let mut rest: Vec<PendingRead> = Vec::new();
+        for r in std::mem::take(&mut self.pending_reads) {
+            if r.ordering_cycle == c {
+                own_reads.push(r);
+            } else {
+                rest.push(r);
+            }
+        }
+        self.pending_reads = rest;
+        own_reads.sort_by_key(|r| r.write_prefix);
+        let mut read_iter = own_reads.into_iter().peekable();
+
+        let mut total_weight: u64 = 0;
+        let mut record_sets = Vec::new();
+        for set in &root.sets {
+            let is_own = set.origin == self.me;
+            let mut record_ops = Vec::new();
+            if is_own {
+                // Serve reads positioned before the k-th own write.
+                for (k, op) in set.ops.iter().enumerate() {
+                    while read_iter.peek().is_some_and(|r| r.write_prefix <= k) {
+                        let r = read_iter.next().expect("peeked");
+                        self.serve_read(&r.req, ctx);
+                    }
+                    let rec = self.apply_write(op, true, ctx);
+                    record_ops.push(rec);
+                    total_weight += op.req.op.weight() as u64;
+                }
+                // Reads positioned after every own write.
+                for r in read_iter.by_ref() {
+                    self.serve_read(&r.req, ctx);
+                }
+            } else {
+                for op in &set.ops {
+                    let rec = self.apply_write(op, false, ctx);
+                    record_ops.push(rec);
+                    total_weight += op.req.op.weight() as u64;
+                }
+            }
+            record_sets.push(CommittedSet {
+                origin: set.origin,
+                ops: record_ops,
+            });
+        }
+        // If our own set was somehow absent (we never contributed — cannot
+        // happen for cycles we committed), serve leftover reads anyway.
+        for r in read_iter {
+            self.serve_read(&r.req, ctx);
+        }
+
+        // 4. Lease mode: release parked writes whose lease now covers the
+        //    upcoming cycles.
+        for key in unlocked {
+            if let Some(ops) = self.awaiting_lease.remove(&key) {
+                for op in ops {
+                    self.pending_weight += op.req.op.weight() as u64;
+                    self.pending_writes.push_back(op);
+                }
+            }
+        }
+
+        // 5. Bookkeeping.
+        let started_at = self.cycles.get(&c).map(|e| e.started_at).unwrap_or(now);
+        self.stats.cycle_latency_sum_ns += now.saturating_since(started_at).as_nanos();
+        self.stats.committed_cycles += 1;
+        self.stats.committed_weight += total_weight;
+        let mut digest = self.stats.commit_digest ^ 0xcbf29ce484222325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                digest ^= b as u64;
+                digest = digest.wrapping_mul(0x100000001b3);
+            }
+        };
+        mix(c.0);
+        for set in &root.sets {
+            mix(set.origin.0 as u64 + 1);
+            for op in &set.ops {
+                mix(op.req.op_id);
+                mix(op.req.client.0 as u64);
+                mix(op.req.op.weight() as u64);
+            }
+        }
+        self.stats.commit_digest = digest;
+        if self.cfg.record_log {
+            self.committed_log.push(CommittedCycle {
+                cycle: c,
+                at: now,
+                sets: record_sets,
+            });
+        }
+        self.last_committed = c;
+        self.obs.cycles_committed.inc();
+        self.obs.in_flight.set(self.in_flight() as i64);
+        self.obs.hub.event(
+            now.as_nanos(),
+            ObsEvent::Commit {
+                cycle: c.0,
+                weight: total_weight,
+            },
+        );
+
+        // 6. Prune retired cycle state.
+        let keep_from = CycleId(c.0.saturating_sub(self.cfg.state_retention));
+        let stale: Vec<CycleId> = self.cycles.range(..keep_from).map(|(&k, _)| k).collect();
+        for k in stale {
+            self.cycles.remove(&k);
+        }
+    }
+
+    fn apply_write(
+        &mut self,
+        op: &TimedOp,
+        is_own: bool,
+        ctx: &mut LaneCtx<'_, '_>,
+    ) -> CommittedOp {
+        let weight = op.req.op.weight();
+        ctx.charge(Dur::nanos(
+            self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
+        ));
+        let record = match &op.req.op {
+            Op::Put { key, value } => {
+                let version = self.store.put(*key, value.clone());
+                CommittedOp::Put {
+                    client: op.req.client,
+                    op_id: op.req.op_id,
+                    key: *key,
+                    version,
+                }
+            }
+            Op::SyntheticWrite { count, .. } => CommittedOp::Synthetic {
+                client: op.req.client,
+                op_id: op.req.op_id,
+                count: *count,
+            },
+            Op::MultiPut { puts } => {
+                // Commit work scales with touched keys, not request weight.
+                ctx.charge(Dur::nanos(
+                    self.cfg.costs.per_commit.as_nanos() * (puts.len().min(4096)) as u64,
+                ));
+                let mut keys = Vec::with_capacity(puts.len());
+                for (key, value) in puts {
+                    self.store.put(*key, value.clone());
+                    keys.push(*key);
+                }
+                CommittedOp::MultiPut {
+                    client: op.req.client,
+                    op_id: op.req.op_id,
+                    keys,
+                }
+            }
+            _ => unreachable!("reads are never in request sets"),
+        };
+        if is_own {
+            self.stats.own_writes += weight as u64;
+            let result = match op.req.op {
+                Op::Put { .. } | Op::MultiPut { .. } => OpResult::Written,
+                _ => OpResult::Batch,
+            };
+            ctx.send(
+                op.req.client,
+                CanopusMsg::Reply(ClientReply {
+                    op_id: op.req.op_id,
+                    weight,
+                    result,
+                }),
+            );
+        }
+        record
+    }
+
+    // ------------------------------------------------------------------
+    // Proposal-request serving (emulator role)
+    // ------------------------------------------------------------------
+
+    fn handle_proposal_request(
+        &mut self,
+        from: NodeId,
+        cycle: CycleId,
+        vnode: VnodeId,
+        ctx: &mut LaneCtx<'_, '_>,
+    ) {
+        self.note_cycle_seen(cycle);
+        match self.lookup_state(cycle, &vnode) {
+            Some(state) => {
+                self.stats.fetches_served += 1;
+                ctx.send(from, CanopusMsg::ProposalResponse { state });
+            }
+            None => {
+                // Buffer until computed (§4.7 events 3 and 5); the request
+                // is also outside prompting to start the cycle (§4.4).
+                self.waiting_requests.push((from, cycle, vnode));
+                self.maybe_start_cycles(ctx);
+            }
+        }
+    }
+
+    fn handle_proposal_response(&mut self, state: VnodeState, ctx: &mut LaneCtx<'_, '_>) {
+        let c = state.cycle;
+        if c <= self.last_committed {
+            return;
+        }
+        let already = self
+            .cycles
+            .get(&c)
+            .map(|e| {
+                e.remote.contains_key(&state.vnode)
+                    || e.fetches.get(&state.vnode).is_some_and(|f| f.responded)
+            })
+            .unwrap_or(false);
+        if already {
+            return; // redundant fetch answered twice
+        }
+        if let Some(entry) = self.cycles.get_mut(&c) {
+            if let Some(f) = entry.fetches.get_mut(&state.vnode) {
+                f.responded = true;
+            }
+        }
+        // Share with the super-leaf (self-delivery comes back through the
+        // broadcast, keeping every member's view identical).
+        self.broadcast_item(&BroadcastItem::Remote(state), ctx);
+    }
+
+    // ------------------------------------------------------------------
+    // State transfer (a member that lost its broadcast logs)
+    // ------------------------------------------------------------------
+
+    /// Asks the super-leaf peers in turn, one per `fetch_timeout`, for as
+    /// long as some broadcast group says its log cannot serve this node.
+    fn request_state_if_lost(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        let lost = self.bcast.as_ref().expect("started").needs_snapshot();
+        let (not_before, asked) = self.state_requests;
+        if !lost || ctx.now() < not_before {
+            return;
+        }
+        let peers: Vec<NodeId> = (self.superleaf_roster.iter().copied())
+            .filter(|&p| p != self.me)
+            .collect();
+        if let Some(&peer) = peers.get(asked % peers.len().max(1)) {
+            ctx.send(peer, CanopusMsg::StateRequest);
+        }
+        self.state_requests = (ctx.now() + self.cfg.fetch_timeout, asked + 1);
+    }
+
+    fn handle_state_request(&mut self, from: NodeId, ctx: &mut LaneCtx<'_, '_>) {
+        let bcast = self.bcast.as_ref().expect("started");
+        if !self.superleaf_roster.contains(&from) || bcast.needs_snapshot() {
+            return; // not ours to serve, or lost ourselves
+        }
+        let in_flight = || self.cycles.range(self.last_committed.next()..);
+        let snapshot = Snapshot {
+            points: bcast.delivered_points(),
+            last_committed: self.last_committed,
+            commit_digest: self.stats.commit_digest,
+            committed_cycles: self.stats.committed_cycles,
+            committed_weight: self.stats.committed_weight,
+            membership: self.table.membership(),
+            roster: self.superleaf_roster.iter().copied().collect(),
+            tombstoned: self.tombstoned.iter().map(|(&n, &c)| (n, c)).collect(),
+            rejoined: self.rejoined.iter().map(|(&n, &c)| (n, c)).collect(),
+            leases: self.lease_until.iter().map(|(&k, &c)| (k, c)).collect(),
+            store: self.store.clone(),
+            round1: in_flight()
+                .flat_map(|(_, e)| e.round1.iter().map(|(&n, s)| (n, s.clone())))
+                .collect(),
+            remote: in_flight()
+                .flat_map(|(_, e)| e.remote.values().cloned())
+                .collect(),
+        };
+        ctx.send(
+            from,
+            CanopusMsg::StateResponse {
+                snapshot: Box::new(snapshot),
+            },
+        );
+    }
+
+    /// Takes over a peer's replicated state and resumes every broadcast
+    /// group where that state stands. Whatever this node did since it came
+    /// up without its logs (cycles it started on its own numbering, items
+    /// it could not broadcast) was never part of the super-leaf's history
+    /// and goes; reads waiting on such cycles are ordered afresh.
+    fn handle_state_response(
+        &mut self,
+        from: NodeId,
+        snapshot: Snapshot,
+        ctx: &mut LaneCtx<'_, '_>,
+    ) {
+        let bcast = self.bcast.as_mut().expect("started");
+        if !bcast.needs_snapshot()
+            || !self.superleaf_roster.contains(&from)
+            || snapshot.last_committed < self.last_committed
+            || !bcast.resume_at(&snapshot.points, ctx.now(), &mut self.rng)
+        {
+            return; // stale, or behind a group here: the next request will do
+        }
+        self.table.set_membership(snapshot.membership);
+        self.superleaf_roster = snapshot.roster.into_iter().collect();
+        self.tombstoned = snapshot.tombstoned.into_iter().collect();
+        self.rejoined = snapshot.rejoined.into_iter().collect();
+        self.lease_until = snapshot.leases.into_iter().collect();
+        self.store = snapshot.store;
+        self.stats.commit_digest = snapshot.commit_digest;
+        self.stats.committed_cycles = snapshot.committed_cycles;
+        self.stats.committed_weight = snapshot.committed_weight;
+        self.last_committed = snapshot.last_committed;
+        self.last_started = snapshot.last_committed;
+        self.max_seen_cycle = snapshot.last_committed;
+        self.linger_until = None;
+        self.cycles.clear();
+        self.unsent_items.clear();
+        self.in_flight_items.clear();
+        self.pending_tombstones.clear();
+        for read in &mut self.pending_reads {
+            read.ordering_cycle = CycleId(0);
+        }
+        for (origin, state) in snapshot.round1 {
+            let c = state.cycle;
+            self.note_cycle_seen(c);
+            let own = origin == self.me;
+            let entry = self.cycle_entry(c);
+            entry.round1.insert(origin, state);
+            if own {
+                // Proposed before the restart and still in flight: it
+                // stands, and must not be proposed a second time.
+                entry.started = true;
+                self.last_started = self.last_started.max(c);
+            }
+        }
+        for state in snapshot.remote {
+            self.note_cycle_seen(state.cycle);
+            let vnode = state.vnode.clone();
+            self.cycle_entry(state.cycle).remote.insert(vnode, state);
+        }
+        self.maybe_start_cycles(ctx);
+        let in_flight: Vec<CycleId> = self.cycles.keys().copied().collect();
+        for c in in_flight {
+            self.advance_cycle(c, ctx);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Timers
+    // ------------------------------------------------------------------
+
+    fn on_tick(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        let now = ctx.now();
+        let mut out = Outbox::new();
+        let deliveries = {
+            let bcast = self.bcast.as_mut().expect("started");
+            bcast.tick(now, &mut self.rng, &mut out)
+        };
+        self.flush_raft(out, ctx);
+        self.request_state_if_lost(ctx);
+
+        // Reclaim our broadcast group if usurped, then flush queued items.
+        // What was in flight when the group was lost goes again, ahead of
+        // what was queued since; an item that did survive is delivered
+        // twice, which changes nothing.
+        let bcast = self.bcast.as_mut().expect("started");
+        if !bcast.leads_own_group() {
+            while let Some(data) = self.in_flight_items.pop_back() {
+                self.unsent_items.push_front(data);
+            }
+        }
+        if !self.unsent_items.is_empty() {
+            let mut out = Outbox::new();
+            if !bcast.leads_own_group() {
+                bcast.reclaim_own_group(now, &mut self.rng, &mut out);
+            } else {
+                while let Some(data) = self.unsent_items.pop_front() {
+                    if bcast.broadcast(data.clone(), now, &mut out).is_none() {
+                        self.unsent_items.push_front(data);
+                        break;
+                    }
+                    self.in_flight_items.push_back(data);
+                }
+            }
+            self.flush_raft(out, ctx);
+        }
+        self.deliver(deliveries, ctx);
+
+        // Failure detection: the survivor that wins the dead member's group
+        // election appends the tombstone. Detection usually precedes the
+        // election finishing, so proposals are retried until delivery.
+        for peer in self.fd.newly_failed(now) {
+            if !self.tombstoned.contains_key(&peer) {
+                self.pending_tombstones.entry(peer).or_insert(Time::ZERO);
+            }
+        }
+        let retry_gap = self.cfg.failure_timeout;
+        let due: Vec<NodeId> = self
+            .pending_tombstones
+            .iter()
+            .filter(|(_, &last)| now.saturating_since(last) >= retry_gap)
+            .map(|(&p, _)| p)
+            .collect();
+        for peer in due {
+            if self.tombstoned.contains_key(&peer) {
+                self.pending_tombstones.remove(&peer);
+                continue;
+            }
+            if self.fd.live_peers(now).contains(&peer) {
+                // Heard from it again: false suspicion, drop the intent.
+                self.pending_tombstones.remove(&peer);
+                continue;
+            }
+            self.pending_tombstones.insert(peer, now);
+            if self.bcast.as_ref().expect("started").leads_group_of(peer) {
+                let item = BroadcastItem::Tombstone {
+                    node: peer,
+                    from_cycle: self.last_committed.next(),
+                };
+                let data = item.to_bytes();
+                let mut out = Outbox::new();
+                self.bcast
+                    .as_mut()
+                    .expect("started")
+                    .propose_into(peer, data, now, &mut out);
+                self.flush_raft(out, ctx);
+            }
+        }
+
+        // Fetch retries: re-ask a different emulator after timeout.
+        let timeout = self.cfg.fetch_timeout;
+        let mut retries: Vec<(CycleId, VnodeId, u32, NodeId)> = Vec::new();
+        for (&c, entry) in self.cycles.range(self.last_committed.next()..) {
+            for (vnode, fetch) in &entry.fetches {
+                if !fetch.responded
+                    && !entry.remote.contains_key(vnode)
+                    && now.saturating_since(fetch.sent_at) >= timeout
+                {
+                    retries.push((c, vnode.clone(), fetch.attempts, fetch.target));
+                }
+            }
+        }
+        for (c, vnode, attempts, target) in retries {
+            self.remote_suspects.insert(target);
+            self.issue_fetch(c, vnode, attempts, ctx);
+        }
+
+        // Liveness safety net: if the oldest uncommitted cycle has a round
+        // whose sibling state is missing with no fetch in flight anywhere we
+        // can see (possible transiently when representative views diverge
+        // during membership churn), fetch it ourselves after a timeout.
+        // Duplicate Remote broadcasts are idempotent.
+        self.rescue_stalled_cycle(ctx);
+
+        ctx.set_timer(self.cfg.tick_interval, TICK);
+    }
+
+    /// Fetches any long-missing sibling state of the oldest uncommitted
+    /// cycle regardless of representative assignment.
+    fn rescue_stalled_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        let c = self.last_committed.next();
+        if c > self.last_started {
+            return;
+        }
+        let stuck_for = self.cfg.fetch_timeout;
+        let now = ctx.now();
+        let shape = self.table.shape().clone();
+        let mut to_fetch: Vec<VnodeId> = Vec::new();
+        {
+            let Some(entry) = self.cycles.get(&c) else {
+                return;
+            };
+            if entry.root_done || entry.ancestors.is_empty() {
+                return;
+            }
+            if now.saturating_since(entry.last_progress) < stuck_for {
+                return;
+            }
+            for r in 2..=self.height {
+                if entry.ancestors[r - 1].is_some() {
+                    continue;
+                }
+                if entry.ancestors[r - 2].is_none() {
+                    break; // earlier round still pending
+                }
+                let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
+                let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
+                for v in shape.children(&target) {
+                    if v == own_child || entry.remote.contains_key(&v) {
+                        continue;
+                    }
+                    match entry.fetches.get(&v) {
+                        Some(f) if now.saturating_since(f.sent_at) < stuck_for => {}
+                        Some(_) => {} // retry path handles it
+                        None => to_fetch.push(v),
+                    }
+                }
+                break; // only rescue the lowest incomplete round
+            }
+        }
+        for v in to_fetch {
+            self.issue_fetch(c, v, 0, ctx);
+        }
+    }
+
+    fn on_cycle_timer(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        if self.cfg.trigger == CycleTrigger::Pipelined {
+            let depth_ok = self.in_flight() < self.cfg.max_pipeline_depth;
+            // The periodic timer is the upper bound between cycle starts
+            // (§7.1); it fires a new cycle whenever local work is waiting.
+            // Idle datacenters still participate in cycles started
+            // elsewhere through outside prompting (§4.4), so a fully idle
+            // system quiesces instead of free-running empty cycles.
+            if depth_ok && self.has_local_work() {
+                self.start_cycle(ctx);
+            }
+            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
+        }
+    }
+}
+
+impl Lane {
+    pub(crate) fn on_start(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+        let members: Vec<NodeId> = self.table.members_of(self.my_superleaf).collect();
+        let mut bcast_rng = SmallRng::seed_from_u64(self.rng.gen());
+        self.bcast = Some(SuperLeafBroadcast::new(
+            self.me,
+            &members,
+            self.cfg.raft,
+            ctx.now(),
+            &mut bcast_rng,
+        ));
+        let peers: Vec<NodeId> = members.into_iter().filter(|&p| p != self.me).collect();
+        self.fd = FailureDetector::new(&peers, self.cfg.failure_timeout, ctx.now());
+        ctx.set_timer(self.cfg.tick_interval, TICK);
+        if self.cfg.trigger == CycleTrigger::Pipelined {
+            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
+        }
+    }
+
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut LaneCtx<'_, '_>) {
+        self.fd.record(from, ctx.now());
+        self.remote_suspects.remove(&from);
+        ctx.charge(self.cfg.costs.per_protocol_msg);
+        match msg {
+            CanopusMsg::Raft(raft_msg) => {
+                let mut out = Outbox::new();
+                let deliveries = {
+                    let bcast = self.bcast.as_mut().expect("started");
+                    bcast.handle(from, raft_msg, ctx.now(), &mut self.rng, &mut out)
+                };
+                self.flush_raft(out, ctx);
+                self.deliver(deliveries, ctx);
+            }
+            CanopusMsg::Request(req) => self.handle_client_request(req, ctx),
+            // Nodes never receive replies, and the node has taken the lane
+            // tag off before the frame gets here.
+            CanopusMsg::Reply(_) | CanopusMsg::Lane { .. } => {}
+            CanopusMsg::ProposalRequest { cycle, vnode } => {
+                self.handle_proposal_request(from, cycle, vnode, ctx)
+            }
+            CanopusMsg::ProposalResponse { state } => self.handle_proposal_response(state, ctx),
+            CanopusMsg::StateRequest => self.handle_state_request(from, ctx),
+            CanopusMsg::StateResponse { snapshot } => {
+                self.handle_state_response(from, *snapshot, ctx)
+            }
+        }
+    }
+
+    /// `token` is the one this lane armed the timer with.
+    pub(crate) fn on_timer(&mut self, token: u64, ctx: &mut LaneCtx<'_, '_>) {
+        match token {
+            TICK => self.on_tick(ctx),
+            CYCLE => self.on_cycle_timer(ctx),
+            // The batching window closed; the deadline check inside
+            // `linger_elapsed` ignores stale timers from already-started
+            // cycles (their `linger_until` was cleared).
+            LINGER => self.maybe_start_cycles(ctx),
+            _ => {}
+        }
+    }
+}

@@ -1,340 +1,209 @@
-//! The Canopus pnode: the complete protocol state machine (paper §4–§7).
+//! The Canopus pnode: one transport identity hosting one LOT pipeline per
+//! key-space shard.
 //!
-//! One [`CanopusNode`] is one pnode. It embeds the super-leaf reliable
-//! broadcast (per-member Raft groups, §4.3), executes consensus cycles of
-//! `h` rounds over the LOT (§4.2), self-synchronizes on outside prompting
-//! (§4.4), acts as a super-leaf representative fetching remote vnode states
-//! (§4.5), maintains the emulation table through committed membership
-//! updates (§4.6), linearizes reads by delaying them one or two cycles (§5)
-//! or through write leases (§7.2), and pipelines cycles for wide-area
-//! deployments (§7.1).
+//! Canopus totally orders *everything* through one LOT pipeline, but most
+//! KV traffic is single-key and only needs per-key order. A
+//! [`CanopusNode`] therefore hosts `cfg.shards` [`Lane`]s — each a complete
+//! protocol state machine with its own cycle pipeline, linger timer,
+//! batching window, broadcast-group logs, failure detector and store — all
+//! behind one transport identity (one socket set on TCP, one sim node), and
+//! routes every client request to the lane that owns it
+//! ([`canopus_kv::ShardRouter`]). With the default of one shard the node
+//! *is* its lane: the paper's pnode, unchanged to the event.
 //!
-//! The broadcast groups compact their logs (everything delivered locally and
-//! held by every member goes), so a member that restarts without its logs
-//! cannot replay them. Its groups report that (`needs_snapshot`) and the
-//! node asks a super-leaf peer for a [`Snapshot`] — the replicated part of
-//! the peer's state plus where it stands in each group's log — takes it
-//! over wholesale, and follows the deliveries from there. That is state
-//! transfer only: such a node is still tombstoned and stays excluded.
+//! ## Frames, seeds and timers
 //!
-//! Failure handling follows the paper's crash-stop model: peer silence is
-//! detected by heartbeat timeout; the survivor that wins the dead member's
-//! broadcast group election appends a **tombstone** to that group's log.
-//! Because the tombstone is totally ordered with the member's own proposals
-//! (same Raft log), every survivor draws the identical boundary between
-//! cycles the dead member contributed to and cycles it is excluded from —
-//! making the proof's "excluded from contributing to the state of the
-//! super-leaf" step explicit and deterministic.
+//! A lane reaches the world through a `LaneCtx`, a view of the node's
+//! real [`Context`] that marks what the lane does as the lane's:
+//!
+//! * A node with more than one lane wraps every protocol frame in
+//!   [`CanopusMsg::Lane`], which steers it to the same lane — and, in the
+//!   simulator, the same CPU lane — of the receiving node, so shards commit
+//!   concurrently instead of queueing behind one per-node CPU clock. A node
+//!   with one lane sends bare frames, and a bare frame belongs to lane 0.
+//!   Replies are never wrapped; they pass through the transaction join
+//!   below at the point the lane sends them.
+//! * A timer token carries the lane in its high bits
+//!   (`pack_token` / `unpack_token`). Timer ids are the real context's,
+//!   so a lane cancels a timer like any process does.
+//! * Lane 0 runs on the node's seed; lane `s > 0` on a stream derived from
+//!   it, so proposal numbers and Raft timeouts do not correlate across
+//!   lanes.
+//!
+//! Effects go straight to the real context in the order the lane produces
+//! them: nothing is buffered, replayed or renumbered.
+//!
+//! ## Cross-shard transactions: the anchor-shard protocol
+//!
+//! A multi-key write ([`Op::MultiPut`]) touching several shards is split
+//! into per-shard parts that share the client's `(client, op_id)`
+//! identity, and runs a deterministic two-phase commit with no extra
+//! wire messages:
+//!
+//! 1. **Sequence** — every touched shard independently orders its part in
+//!    its own LOT. LOT cycles never abort, so once a part is in a shard's
+//!    request set its commitment is inevitable; there is no prepare/abort
+//!    vote to take.
+//! 2. **Anchor** — the *anchor shard* (the lowest touched shard id, a
+//!    pure function of the key set) fixes the transaction's position in
+//!    the cross-shard serialization: the transaction is considered
+//!    committed at the anchor part's commit position, and the node
+//!    releases the single client reply only when every part has applied.
+//!
+//! Atomicity follows from the no-abort property: either the client's
+//! request reached the node (and then every part eventually commits on
+//! every correct node of its shard) or it did not; the chaos verdict
+//! checks exactly this all-or-nothing presence across per-shard logs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
-use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
-use canopus_net::wire::Wire;
-use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
-use canopus_raft::{FailureDetector, Outbox, SuperLeafBroadcast};
-use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use canopus_kv::{shard_hash, ClientReply, ClientRequest, KvStore, Op, OpResult, ShardRouter};
+use canopus_obs::NodeObs;
+use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Timer, TimerId};
 
-use crate::config::{CanopusConfig, CycleTrigger, ReadMode};
+use crate::config::CanopusConfig;
 use crate::emulation::EmulationTable;
-use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
-use crate::proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
-use crate::types::{CycleId, VnodeId};
+use crate::lane::{CanopusStats, CommittedCycle, Lane};
+use crate::msg::CanopusMsg;
+use crate::types::CycleId;
 
-/// Timer tokens.
-const TICK: u64 = 1;
-const CYCLE: u64 = 2;
-const LINGER: u64 = 3;
+/// Bits of a timer token holding the lane's own token; the lane id lives
+/// above them. Lane tokens are tiny constants (tick, cycle, linger).
+const TOKEN_BITS: u32 = 32;
 
-/// One committed operation, as recorded in the commit log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommittedOp {
-    /// A key-value write; `version` is the key's version after this write.
-    Put {
-        /// Requesting client.
-        client: NodeId,
-        /// Client-assigned id.
-        op_id: u64,
-        /// Key written.
-        key: Key,
-        /// Version produced.
-        version: u64,
-    },
-    /// An aggregated synthetic write batch.
-    Synthetic {
-        /// Requesting client.
-        client: NodeId,
-        /// Client-assigned id.
-        op_id: u64,
-        /// Requests represented.
-        count: u32,
-    },
-    /// An atomic multi-key write (the part of a cross-shard transaction
-    /// sequenced in this instance's LOT, or a whole single-shard one).
-    MultiPut {
-        /// Requesting client.
-        client: NodeId,
-        /// Client-assigned id (shared across all shards' parts).
-        op_id: u64,
-        /// Keys written, in client order.
-        keys: Vec<Key>,
-    },
+fn pack_token(lane: u16, token: u64) -> u64 {
+    debug_assert!(token < 1 << TOKEN_BITS, "lane token too wide");
+    (u64::from(lane) << TOKEN_BITS) | token
 }
 
-/// One origin's committed request set within a cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommittedSet {
-    /// The origin node.
-    pub origin: NodeId,
-    /// Its operations, in FIFO order.
-    pub ops: Vec<CommittedOp>,
+/// `(lane, the lane's own token)` of a token made by [`pack_token`].
+fn unpack_token(token: u64) -> (u16, u64) {
+    (
+        (token >> TOKEN_BITS) as u16,
+        token & ((1 << TOKEN_BITS) - 1),
+    )
 }
 
-/// The commit record of one cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommittedCycle {
-    /// The cycle.
-    pub cycle: CycleId,
-    /// Local commit time.
-    pub at: Time,
-    /// The total order of request sets.
-    pub sets: Vec<CommittedSet>,
-}
-
-/// Counters exposed by every node.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CanopusStats {
-    /// Cycles committed.
-    pub committed_cycles: u64,
-    /// Client write requests committed (all origins, weighted).
-    pub committed_weight: u64,
-    /// Write requests from this node's own clients (weighted).
-    pub own_writes: u64,
-    /// Reads served to this node's clients (weighted).
-    pub reads_served: u64,
-    /// Reads served immediately under the lease optimization.
-    pub lease_fast_reads: u64,
-    /// Proposal-requests answered for other super-leaves.
-    pub fetches_served: u64,
-    /// Running FNV digest of the commit history (agreement checks).
-    pub commit_digest: u64,
-    /// Sum of (commit − start) across committed cycles, nanoseconds.
-    pub cycle_latency_sum_ns: u64,
-}
-
-/// A buffered client read awaiting linearization (§5).
-#[derive(Clone, Debug)]
-struct PendingRead {
-    req: ClientRequest,
-    /// Commit of this cycle releases the read; 0 = not yet assigned.
-    ordering_cycle: CycleId,
-    /// Number of own-window writes received before this read — its
-    /// interleaving position within the node's own request set.
-    write_prefix: usize,
-}
-
-/// A representative's in-flight state fetch.
-#[derive(Clone, Debug)]
-struct Fetch {
-    sent_at: Time,
-    attempts: u32,
-    target: NodeId,
-    responded: bool,
-}
-
-/// Per-cycle protocol state.
+/// Cross-shard transactions whose parts have not all committed here, and
+/// how many there have been.
 #[derive(Debug, Default)]
-struct CycleState {
-    started: bool,
-    /// When this node started the cycle (broadcast its round-1 proposal).
-    started_at: Time,
-    /// Last time this cycle made visible progress (used to age-gate the
-    /// liveness rescue path).
-    last_progress: Time,
-    /// Round-1 proposals by proposer.
-    round1: BTreeMap<NodeId, VnodeState>,
-    /// `ancestors[k]` = computed state of the height-`k+1` ancestor.
-    ancestors: Vec<Option<VnodeState>>,
-    /// Sibling vnode states delivered via super-leaf broadcast.
-    remote: BTreeMap<VnodeId, VnodeState>,
-    /// This node's in-flight fetches (as representative).
-    fetches: BTreeMap<VnodeId, Fetch>,
-    root_done: bool,
-    committed: bool,
+struct TxnJoin {
+    /// `(client, op_id)` → parts still to commit.
+    open: BTreeMap<(NodeId, u64), u32>,
+    started: u64,
+    committed: u64,
+}
+
+impl TxnJoin {
+    /// Passes a lane's client reply through the transaction table: a part
+    /// of a cross-shard transaction releases the single client reply only
+    /// when it is the last part to commit.
+    fn resolve(&mut self, client: NodeId, reply: ClientReply) -> Option<ClientReply> {
+        let key = (client, reply.op_id);
+        let Some(parts_remaining) = self.open.get_mut(&key) else {
+            return Some(reply); // single-shard op: pass through
+        };
+        *parts_remaining -= 1;
+        if *parts_remaining > 0 {
+            return None;
+        }
+        self.open.remove(&key);
+        self.committed += 1;
+        Some(ClientReply {
+            op_id: reply.op_id,
+            weight: 1,
+            result: OpResult::Written,
+        })
+    }
+}
+
+/// What a lane sees of the node's context (see the module docs): sends and
+/// timer armings are marked as the lane's, everything else — the clock, CPU
+/// charges, timer cancellation — is the real context's, by deref.
+pub(crate) struct LaneCtx<'a, 'c> {
+    ctx: &'a mut Context<'c, CanopusMsg>,
+    lane: u16,
+    /// Whether protocol frames carry the lane: the node has several.
+    tagged: bool,
+    txns: &'a mut TxnJoin,
+}
+
+impl<'c> Deref for LaneCtx<'_, 'c> {
+    type Target = Context<'c, CanopusMsg>;
+    fn deref(&self) -> &Self::Target {
+        self.ctx
+    }
+}
+
+impl DerefMut for LaneCtx<'_, '_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.ctx
+    }
+}
+
+impl LaneCtx<'_, '_> {
+    pub(crate) fn send(&mut self, to: NodeId, msg: CanopusMsg) {
+        let msg = match msg {
+            CanopusMsg::Reply(reply) => match self.txns.resolve(to, reply) {
+                Some(reply) => CanopusMsg::Reply(reply),
+                None => return,
+            },
+            msg if self.tagged => CanopusMsg::Lane {
+                lane: self.lane,
+                msg: Box::new(msg),
+            },
+            msg => msg,
+        };
+        self.ctx.send(to, msg);
+    }
+
+    pub(crate) fn set_timer(&mut self, after: Dur, token: u64) -> TimerId {
+        self.ctx.set_timer(after, pack_token(self.lane, token))
+    }
 }
 
 /// The Canopus protocol node. Drive it with any [`Process`] runtime — the
 /// deterministic simulator or the real TCP transport.
 pub struct CanopusNode {
-    cfg: CanopusConfig,
     me: NodeId,
-    table: EmulationTable,
-    my_superleaf: usize,
-    my_parent: VnodeId,
-    height: usize,
-    rng: SmallRng,
-    bcast: Option<SuperLeafBroadcast>,
-    fd: FailureDetector,
-
-    // Client intake.
-    pending_writes: VecDeque<TimedOp>,
-    pending_weight: u64,
-    pending_reads: Vec<PendingRead>,
-    pending_updates: Vec<MembershipUpdate>,
-    /// Lease mode: writes parked until their key's lease activates.
-    awaiting_lease: BTreeMap<Key, Vec<TimedOp>>,
-    /// Lease mode: keys whose lease we will request in the next proposal.
-    requested_leases: BTreeSet<Key>,
-    /// Lease mode: key → last cycle its write lease covers.
-    lease_until: BTreeMap<Key, u64>,
-
-    // Cycle machinery.
-    cycles: BTreeMap<CycleId, CycleState>,
-    /// Batching window deadline (§ batching): set when the first request
-    /// of a batch arrives under a nonzero `max_linger`, cleared when the
-    /// cycle carrying the batch starts.
-    linger_until: Option<Time>,
-    last_started: CycleId,
-    last_committed: CycleId,
-    max_seen_cycle: CycleId,
-    /// Buffered proposal-requests for states not yet computed.
-    waiting_requests: Vec<(NodeId, CycleId, VnodeId)>,
-
-    // Exclusion bookkeeping (see module docs). The roster is every node
-    // that was ever a member of this super-leaf: round-1 expectations are
-    // evaluated against it plus the tombstone/rejoin markers (which are
-    // totally ordered within each member's broadcast group and therefore
-    // identical at every survivor), never against the mutable emulation
-    // table, whose update timing varies across nodes under pipelining.
-    superleaf_roster: BTreeSet<NodeId>,
-    tombstoned: BTreeMap<NodeId, CycleId>,
-    rejoined: BTreeMap<NodeId, CycleId>,
-    /// Peers the failure detector reported, whose tombstone has not yet
-    /// been delivered: retried every tick until the dead member's group has
-    /// a successor leader that lands the tombstone.
-    pending_tombstones: BTreeMap<NodeId, Time>,
-    /// Remote emulators that timed out a fetch; deprioritized when picking
-    /// emulators until they are heard from again (paper §A.4: "marks it as
-    /// such, and picks another live emulator").
-    remote_suspects: BTreeSet<NodeId>,
-
-    /// Broadcast items that could not be proposed while our own group's
-    /// leadership was usurped; retried each tick after reclaiming.
-    unsent_items: VecDeque<BroadcastItem>,
-    /// State transfer: when the next request may go out, and how many
-    /// went (peers are asked in turn).
-    state_requests: (Time, usize),
-
-    // Commit products.
-    store: KvStore,
-    committed_log: Vec<CommittedCycle>,
-    stats: CanopusStats,
-
-    // Observability (disabled by default; see [`CanopusNode::with_obs`]).
-    obs: CanopusObs,
-}
-
-/// Pre-registered observability handles. All of them are no-ops costing
-/// one branch per update unless [`CanopusNode::with_obs`] installed an
-/// enabled hub.
-struct CanopusObs {
-    hub: NodeObs,
-    cycles_started: Counter,
-    cycles_committed: Counter,
-    linger_fires: Counter,
-    tombstones: Counter,
-    rejoins: Counter,
-    batch_ops: Histogram,
-    batch_weight: Histogram,
-    pipeline_occupancy: Histogram,
-    in_flight: Gauge,
-}
-
-impl CanopusObs {
-    fn from_hub(hub: NodeObs) -> Self {
-        let m = &hub.metrics;
-        CanopusObs {
-            cycles_started: m.counter("canopus.cycles_started"),
-            cycles_committed: m.counter("canopus.cycles_committed"),
-            linger_fires: m.counter("canopus.linger_fires"),
-            tombstones: m.counter("canopus.tombstones"),
-            rejoins: m.counter("canopus.rejoins"),
-            batch_ops: m.histogram("canopus.batch_ops"),
-            batch_weight: m.histogram("canopus.batch_weight"),
-            pipeline_occupancy: m.histogram("canopus.pipeline_occupancy"),
-            in_flight: m.gauge("canopus.in_flight"),
-            hub,
-        }
-    }
+    router: ShardRouter,
+    lanes: Vec<Lane>,
+    txns: TxnJoin,
 }
 
 impl CanopusNode {
-    /// Creates a node. `table` must be the identical initial table at every
-    /// node (paper assumption A1); `seed` feeds this node's deterministic
-    /// RNG (proposal numbers, emulator choice, Raft timeouts).
+    /// Creates a node hosting `cfg.shards` lanes. `table` must be the
+    /// identical initial table at every node (paper assumption A1); `seed`
+    /// feeds the node's deterministic RNG streams (proposal numbers,
+    /// emulator choice, Raft timeouts), one per lane.
     pub fn new(me: NodeId, table: EmulationTable, cfg: CanopusConfig, seed: u64) -> Self {
-        let my_superleaf = table
-            .superleaf_of(me)
-            .unwrap_or_else(|| panic!("{me} is not in the emulation table"));
-        let shape = table.shape().clone();
-        let my_parent = shape.ancestor_of_superleaf(my_superleaf, 1);
-        let height = shape.height();
-        let peers: Vec<NodeId> = table
-            .members_of(my_superleaf)
-            .filter(|&p| p != me)
+        let router = ShardRouter::new(cfg.shards);
+        let lanes = (0..router.shards())
+            .map(|s| {
+                let lane_seed = match s {
+                    0 => seed,
+                    _ => seed ^ shard_hash(0x5AD0_0000 + u64::from(s)),
+                };
+                Lane::new(me, table.clone(), cfg.clone(), lane_seed)
+            })
             .collect();
-        let fd = FailureDetector::new(&peers, cfg.failure_timeout, Time::ZERO);
-        let superleaf_roster: BTreeSet<NodeId> = table.members_of(my_superleaf).collect();
         CanopusNode {
-            rng: SmallRng::seed_from_u64(seed ^ (me.0 as u64) << 32),
-            cfg,
             me,
-            my_superleaf,
-            my_parent,
-            height,
-            table,
-            bcast: None,
-            fd,
-            pending_writes: VecDeque::new(),
-            pending_weight: 0,
-            pending_reads: Vec::new(),
-            pending_updates: Vec::new(),
-            awaiting_lease: BTreeMap::new(),
-            requested_leases: BTreeSet::new(),
-            lease_until: BTreeMap::new(),
-            cycles: BTreeMap::new(),
-            linger_until: None,
-            last_started: CycleId(0),
-            last_committed: CycleId(0),
-            max_seen_cycle: CycleId(0),
-            waiting_requests: Vec::new(),
-            superleaf_roster,
-            tombstoned: BTreeMap::new(),
-            rejoined: BTreeMap::new(),
-            pending_tombstones: BTreeMap::new(),
-            remote_suspects: BTreeSet::new(),
-            unsent_items: VecDeque::new(),
-            state_requests: (Time::ZERO, 0),
-            store: KvStore::new(),
-            committed_log: Vec::new(),
-            stats: CanopusStats::default(),
-            obs: CanopusObs::from_hub(NodeObs::disabled()),
+            router,
+            lanes,
+            txns: TxnJoin::default(),
         }
     }
 
-    /// Installs an observability hub (metrics registry + flight recorder).
-    /// Builder-style so every existing `new` call site keeps compiling;
-    /// without this call the node carries a disabled hub whose updates
-    /// cost one branch each.
-    pub fn with_obs(mut self, hub: NodeObs) -> Self {
-        self.obs = CanopusObs::from_hub(hub);
+    /// Installs observability hubs (metrics registry + flight recorder),
+    /// `hubs[s]` for lane `s`. Builder-style; a lane without a hub carries
+    /// a disabled one whose updates cost one branch each.
+    pub fn with_obs(mut self, hubs: &[NodeObs]) -> Self {
+        for (lane, hub) in self.lanes.iter_mut().zip(hubs) {
+            lane.set_obs(hub.clone());
+        }
         self
-    }
-
-    /// This node's observability hub (disabled unless installed).
-    pub fn obs(&self) -> &NodeObs {
-        &self.obs.hub
     }
 
     /// This node's id.
@@ -342,1333 +211,367 @@ impl CanopusNode {
         self.me
     }
 
+    /// The op→shard router every node of the deployment shares.
+    pub fn router(&self) -> ShardRouter {
+        self.router
+    }
+
+    /// Number of hosted lanes (`cfg.shards`).
+    pub fn lane_count(&self) -> u16 {
+        self.router.shards()
+    }
+
+    /// Lane `s`, for per-shard inspection (log, stats, store).
+    pub fn lane(&self, s: u16) -> &Lane {
+        &self.lanes[s as usize]
+    }
+
+    /// Cross-shard transactions `(started, fully committed)` at this node:
+    /// split into more than one part, and reply released.
+    pub fn cross_shard_txns(&self) -> (u64, u64) {
+        (self.txns.started, self.txns.committed)
+    }
+
+    // The accessors below read lane 0 — the whole node unless it is
+    // sharded; `lane(s)` reaches the others.
+
     /// Current counters.
     pub fn stats(&self) -> CanopusStats {
-        self.stats
+        self.lanes[0].stats()
     }
 
     /// The commit log (empty unless `cfg.record_log`).
     pub fn committed_log(&self) -> &[CommittedCycle] {
-        &self.committed_log
+        self.lanes[0].committed_log()
     }
 
     /// The current emulation table (identical across nodes at equal commit
     /// points; tests compare digests).
     pub fn emulation_table(&self) -> &EmulationTable {
-        &self.table
+        self.lanes[0].emulation_table()
     }
 
     /// The replicated store.
     pub fn store(&self) -> &KvStore {
-        &self.store
+        self.lanes[0].store()
     }
 
-    /// What this node currently holds on to: `(Raft log entries in memory
-    /// across its super-leaf's broadcast groups, client operations inside
-    /// retained cycle states)`. Both are bounded in a healthy cluster
-    /// however long it runs.
+    /// See [`Lane::retained`].
     pub fn retained(&self) -> (usize, usize) {
-        let ops = |s: &VnodeState| s.sets.iter().map(|set| set.ops.len()).sum::<usize>();
-        let cycle_ops = self
-            .cycles
-            .values()
-            .flat_map(|e| {
-                (e.round1.values())
-                    .chain(e.remote.values())
-                    .chain(e.ancestors.iter().flatten())
-            })
-            .map(ops)
-            .sum();
-        let raft = self.bcast.as_ref().map_or(0, |b| b.retained_entries());
-        (raft, cycle_ops)
+        self.lanes[0].retained()
     }
 
     /// Highest committed cycle.
     pub fn last_committed(&self) -> CycleId {
-        self.last_committed
+        self.lanes[0].last_committed()
     }
 
     /// Highest started cycle.
     pub fn last_started(&self) -> CycleId {
-        self.last_started
+        self.lanes[0].last_started()
     }
 
-    /// Human-readable diagnostic of in-flight protocol state.
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{}: started={} committed={} tombstoned={:?} pending_ts={:?} roster={:?}",
-            self.me,
-            self.last_started.0,
-            self.last_committed.0,
-            self.tombstoned,
-            self.pending_tombstones.keys().collect::<Vec<_>>(),
-            self.superleaf_roster,
-        );
-        for (c, e) in self.cycles.range(self.last_committed.next()..) {
-            let _ = write!(
-                out,
-                "
-  {c:?}: started={} r1_from={:?} anc={:?} remote={:?} fetches={:?} root={}",
-                e.started,
-                e.round1.keys().collect::<Vec<_>>(),
-                e.ancestors.iter().map(|a| a.is_some()).collect::<Vec<_>>(),
-                e.remote.keys().collect::<Vec<_>>(),
-                e.fetches.keys().collect::<Vec<_>>(),
-                e.root_done,
-            );
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Broadcast plumbing
-    // ------------------------------------------------------------------
-
-    fn flush_raft(&mut self, out: Outbox, ctx: &mut Context<'_, CanopusMsg>) {
-        for (to, msg) in out {
-            ctx.send(to, CanopusMsg::Raft(msg));
-        }
-    }
-
-    fn broadcast_item(&mut self, item: &BroadcastItem, ctx: &mut Context<'_, CanopusMsg>) {
-        let data = item.to_bytes();
-        let mut out = Outbox::new();
-        let bcast = self.bcast.as_mut().expect("started");
-        if bcast.broadcast(data, ctx.now(), &mut out).is_none() {
-            // Not currently leading our own group: a peer transiently
-            // usurped it after a false failure suspicion (heavy CPU load
-            // delays heartbeats). Queue the item; the tick loop reclaims
-            // leadership and retries — proposals are never dropped.
-            self.unsent_items.push_back(item.clone());
-        }
-        self.flush_raft(out, ctx);
-    }
-
-    // ------------------------------------------------------------------
-    // Client intake
-    // ------------------------------------------------------------------
-
-    fn lease_active_for_next_cycles(&self, key: Key) -> bool {
-        self.lease_until
-            .get(&key)
-            .is_some_and(|&until| until > self.last_started.0)
-    }
-
-    fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut Context<'_, CanopusMsg>) {
-        // Aggregates are parsed once, not per represented op; the cost
-        // model amortizes their ingest (see CostModel::ingest_cost).
-        ctx.charge(self.cfg.costs.ingest_cost(req.op.weight()));
-        if req.op.is_write() {
-            let op = TimedOp {
-                req,
-                arrival: ctx.now(),
-            };
-            let leased_write =
-                self.cfg.read_mode == ReadMode::Leases && matches!(op.req.op, Op::Put { .. });
-            if leased_write {
-                if let Op::Put { key, .. } = op.req.op {
-                    if self.lease_active_for_next_cycles(key) {
-                        self.pending_weight += op.req.op.weight() as u64;
-                        self.pending_writes.push_back(op);
-                    } else {
-                        // Park until the lease round grants coverage.
-                        self.requested_leases.insert(key);
-                        self.awaiting_lease.entry(key).or_default().push(op);
-                    }
-                }
-            } else {
-                self.pending_weight += op.req.op.weight() as u64;
-                self.pending_writes.push_back(op);
-            }
-        } else {
-            // Reads: lease mode may serve immediately; otherwise delay for
-            // linearization (§5).
-            let fast = match (&self.cfg.read_mode, &req.op) {
-                (ReadMode::Leases, Op::Get { key }) => !self.lease_active_for_next_cycles(*key),
-                (ReadMode::Leases, Op::SyntheticRead { .. }) => true,
-                _ => false,
-            };
-            if fast {
-                self.stats.lease_fast_reads += req.op.weight() as u64;
-                self.serve_read(&req, ctx);
-            } else {
-                self.pending_reads.push(PendingRead {
-                    write_prefix: self.pending_writes.len(),
-                    req,
-                    ordering_cycle: CycleId(0),
-                });
-            }
-        }
-        self.maybe_start_cycles(ctx);
-    }
-
-    fn serve_read(&mut self, req: &ClientRequest, ctx: &mut Context<'_, CanopusMsg>) {
-        let weight = req.op.weight();
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_read.as_nanos() * weight.min(4096) as u64,
-        ));
-        let result = match &req.op {
-            Op::Get { key } => {
-                let v = self.store.get(*key);
-                OpResult::Value(v.map(|v| v.value.clone()))
-            }
-            Op::SyntheticRead { .. } => OpResult::Batch,
-            _ => unreachable!("serve_read on a write"),
+    /// Runs one callback of lane `s` against its view of `ctx`.
+    fn drive(
+        &mut self,
+        s: u16,
+        ctx: &mut Context<'_, CanopusMsg>,
+        f: impl FnOnce(&mut Lane, &mut LaneCtx<'_, '_>),
+    ) {
+        let mut view = LaneCtx {
+            ctx,
+            lane: s,
+            tagged: self.lanes.len() > 1,
+            txns: &mut self.txns,
         };
-        self.stats.reads_served += weight as u64;
-        ctx.send(
-            req.client,
-            CanopusMsg::Reply(ClientReply {
+        f(&mut self.lanes[s as usize], &mut view);
+    }
+
+    /// Routes one client request: single-shard ops go straight to their
+    /// owner; a cross-shard `MultiPut` is split into per-shard parts
+    /// sharing the client identity, registered in the transaction table.
+    fn route_client(
+        &mut self,
+        from: NodeId,
+        req: ClientRequest,
+        ctx: &mut Context<'_, CanopusMsg>,
+    ) {
+        if let Some(s) = self.router.shard_of(req.op_id, &req.op) {
+            self.drive(s, ctx, |lane, view| {
+                lane.on_message(from, CanopusMsg::Request(req), view)
+            });
+            return;
+        }
+        // Cross-shard MultiPut. The anchor (lowest touched shard) is
+        // implicit in the split: BTreeMap iteration order delivers the
+        // anchor part first, and the reply releases when all parts have
+        // committed.
+        let Op::MultiPut { puts } = &req.op else {
+            unreachable!("only MultiPut can span shards");
+        };
+        let parts = self.router.split_multi(puts);
+        debug_assert!(parts.len() > 1, "single-shard multiput routed above");
+        self.txns
+            .open
+            .insert((req.client, req.op_id), parts.len() as u32);
+        self.txns.started += 1;
+        for (s, shard_puts) in parts {
+            let part = ClientRequest {
+                client: req.client,
                 op_id: req.op_id,
-                weight,
-                result,
-            }),
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Cycle lifecycle
-    // ------------------------------------------------------------------
-
-    fn in_flight(&self) -> u64 {
-        self.last_started.0 - self.last_committed.0
-    }
-
-    fn has_local_work(&self) -> bool {
-        !self.pending_writes.is_empty()
-            || self
-                .pending_reads
-                .iter()
-                .any(|r| r.ordering_cycle == CycleId(0))
-            || !self.pending_updates.is_empty()
-            || !self.requested_leases.is_empty()
-    }
-
-    /// Whether the batching window for the next self-clocked cycle has
-    /// closed. Opens the window (and arms its timer) on the first call
-    /// with pending work, so a request never waits longer than
-    /// `max_linger` before its cycle starts.
-    fn linger_elapsed(&mut self, ctx: &mut Context<'_, CanopusMsg>) -> bool {
-        if self.cfg.max_linger.is_zero() {
-            return true;
-        }
-        match self.linger_until {
-            Some(deadline) => {
-                let fired = ctx.now() >= deadline;
-                if fired {
-                    self.obs.linger_fires.inc();
-                    self.obs.hub.event(
-                        ctx.now().as_nanos(),
-                        ObsEvent::LingerFire {
-                            cycle: self.last_started.next().0,
-                            ops: self.pending_writes.len() as u64,
-                        },
-                    );
-                }
-                fired
-            }
-            None => {
-                self.linger_until = Some(ctx.now() + self.cfg.max_linger);
-                ctx.set_timer(self.cfg.max_linger, LINGER);
-                self.obs.hub.event(
-                    ctx.now().as_nanos(),
-                    ObsEvent::LingerArm {
-                        cycle: self.last_started.next().0,
-                        ops: self.pending_writes.len() as u64,
-                    },
-                );
-                false
-            }
-        }
-    }
-
-    /// Starts as many cycles as policy allows (§4.4 prompting, §7.1
-    /// pipelining, super-leaf batching via `max_linger`).
-    fn maybe_start_cycles(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        if self.bcast.is_none() {
-            return;
-        }
-        loop {
-            // Both trigger modes bound cycles in flight by the same knob;
-            // depth 1 reproduces the strict start-on-commit behavior.
-            if self.in_flight() >= self.cfg.max_pipeline_depth.max(1) {
-                return;
-            }
-            let prompted = self.max_seen_cycle > self.last_started;
-            let overflow = self.pending_weight >= self.cfg.max_batch as u64;
-            let start = prompted
-                || overflow
-                || (self.has_local_work()
-                    && match self.cfg.trigger {
-                        // Self-clocked: start once the batching window
-                        // closes (immediately when `max_linger` is zero).
-                        CycleTrigger::OnCommit => self.linger_elapsed(ctx),
-                        // Pipelined starts on timer/prompt/overflow only,
-                        // except for the very first cycle.
-                        CycleTrigger::Pipelined => self.last_started == CycleId(0),
-                    });
-            if !start {
-                return;
-            }
-            self.start_cycle(ctx);
-        }
-    }
-
-    fn start_cycle(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let c = self.last_started.next();
-        self.last_started = c;
-        self.linger_until = None;
-
-        // Batch everything pending: writes, lease requests, membership
-        // updates. Reads buffered during the previous window are ordered by
-        // this cycle (§5).
-        let batch_weight = self.pending_weight;
-        let ops: Vec<TimedOp> = self.pending_writes.drain(..).collect();
-        self.pending_weight = 0;
-
-        let in_flight = self.in_flight();
-        self.obs.cycles_started.inc();
-        self.obs.batch_ops.observe(ops.len() as u64);
-        self.obs.batch_weight.observe(batch_weight);
-        self.obs.pipeline_occupancy.observe(in_flight);
-        self.obs.in_flight.set(in_flight as i64);
-        self.obs.hub.event(
-            ctx.now().as_nanos(),
-            ObsEvent::CycleStart {
-                cycle: c.0,
-                ops: ops.len() as u64,
-                weight: batch_weight,
-                in_flight,
-            },
-        );
-        let lease_requests: Vec<Key> = std::mem::take(&mut self.requested_leases)
-            .into_iter()
-            .collect();
-        let updates = std::mem::take(&mut self.pending_updates);
-        for read in &mut self.pending_reads {
-            if read.ordering_cycle == CycleId(0) {
-                read.ordering_cycle = c;
-                read.write_prefix = read.write_prefix.min(ops.len());
-            }
-        }
-
-        let set = RequestSet {
-            origin: self.me,
-            ops,
-            lease_requests,
-        };
-        let number = self.rng.gen::<u64>();
-        let state = VnodeState::round1(self.me, self.my_parent.clone(), c, number, set, updates);
-
-        if !self.cfg.costs.storage_per_batch.is_zero() {
-            ctx.charge(self.cfg.costs.storage_per_batch);
-        }
-
-        let now = ctx.now();
-        let entry = self.cycle_entry(c);
-        entry.started = true;
-        entry.started_at = now;
-        self.broadcast_item(&BroadcastItem::Proposal(state), ctx);
-        // Issue all remote fetches for this cycle up front (§4.7 event 2:
-        // representatives request remote states as soon as the cycle
-        // starts; emulators buffer until the state is ready).
-        self.plan_fetches(c, ctx);
-        self.note_cycle_seen(c);
-    }
-
-    /// Fetches-or-creates the cycle entry with its ancestor slots ready.
-    fn cycle_entry(&mut self, c: CycleId) -> &mut CycleState {
-        let height = self.height;
-        let entry = self.cycles.entry(c).or_default();
-        if entry.ancestors.is_empty() {
-            entry.ancestors = vec![None; height];
-        }
-        entry
-    }
-
-    fn note_cycle_seen(&mut self, c: CycleId) {
-        if c > self.max_seen_cycle {
-            self.max_seen_cycle = c;
-        }
-    }
-
-    /// The representative set: the first `representatives` non-excluded
-    /// members of this super-leaf, in id order (§4.5: representatives are
-    /// numbered and ordered; assignment needs no communication).
-    fn representative_set(&self) -> Vec<NodeId> {
-        self.superleaf_roster
-            .iter()
-            .copied()
-            .filter(|m| !self.tombstoned.contains_key(m))
-            .take(self.cfg.representatives.max(1))
-            .collect()
-    }
-
-    /// Issues the proposal-requests this node is responsible for in cycle
-    /// `c` (every round's fetches are issued immediately; responders buffer).
-    fn plan_fetches(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
-        if self.height < 2 {
-            return;
-        }
-        let reps = self.representative_set();
-        if reps.is_empty() {
-            return;
-        }
-        let shape = self.table.shape().clone();
-        for r in 2..=self.height {
-            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
-            let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
-            let needed: Vec<VnodeId> = shape
-                .children(&target)
-                .into_iter()
-                .filter(|v| *v != own_child)
-                .collect();
-            for (j, vnode) in needed.into_iter().enumerate() {
-                let mut mine = false;
-                for k in 0..self.cfg.fetch_redundancy.max(1) {
-                    if reps[(j + k) % reps.len()] == self.me {
-                        mine = true;
-                    }
-                }
-                if !mine {
-                    continue;
-                }
-                let entry = self.cycle_entry(c);
-                if entry.remote.contains_key(&vnode) || entry.fetches.contains_key(&vnode) {
-                    continue;
-                }
-                self.issue_fetch(c, vnode, 0, ctx);
-            }
-        }
-    }
-
-    fn issue_fetch(
-        &mut self,
-        c: CycleId,
-        vnode: VnodeId,
-        attempt: u32,
-        ctx: &mut Context<'_, CanopusMsg>,
-    ) {
-        let all = self.table.emulators(&vnode);
-        if all.is_empty() {
-            return; // subtree fully departed; cycle will stall (§3.3)
-        }
-        let preferred: Vec<NodeId> = all
-            .iter()
-            .copied()
-            .filter(|e| !self.remote_suspects.contains(e))
-            .collect();
-        let emulators = if preferred.is_empty() {
-            &all
-        } else {
-            &preferred
-        };
-        let pick = (self.rng.gen::<u32>() as usize + attempt as usize) % emulators.len();
-        let target = emulators[pick];
-        ctx.send(
-            target,
-            CanopusMsg::ProposalRequest {
-                cycle: c,
-                vnode: vnode.clone(),
-            },
-        );
-        let entry = self.cycle_entry(c);
-        entry.fetches.insert(
-            vnode,
-            Fetch {
-                sent_at: ctx.now(),
-                attempts: attempt + 1,
-                target,
-                responded: false,
-            },
-        );
-    }
-
-    /// Exclusion rule (see module docs): `m` contributes to cycle `c`
-    /// unless a tombstone covering `c` exists and no proposal from `m` for
-    /// `c` was delivered.
-    fn round1_complete(&self, c: CycleId) -> bool {
-        let Some(entry) = self.cycles.get(&c) else {
-            return false;
-        };
-        if !entry.started {
-            return false; // our own proposal is required
-        }
-        for &m in &self.superleaf_roster {
-            if let Some(&active_from) = self.rejoined.get(&m) {
-                if active_from > c {
-                    continue; // not yet participating
-                }
-            }
-            if entry.round1.contains_key(&m) {
-                continue;
-            }
-            match self.tombstoned.get(&m) {
-                Some(&from) if from <= c => continue, // excluded
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    fn handle_delivery(
-        &mut self,
-        origin: NodeId,
-        item: BroadcastItem,
-        ctx: &mut Context<'_, CanopusMsg>,
-    ) {
-        match item {
-            BroadcastItem::Proposal(state) => {
-                let c = state.cycle;
-                if c <= self.last_committed {
-                    return;
-                }
-                // A tombstoned member's later proposals must not resurrect
-                // it. The tombstone is totally ordered with the member's
-                // proposals inside its broadcast-group log, so every
-                // survivor draws the identical line: proposals delivered
-                // *before* the tombstone count (the designed boundary
-                // window), anything after — a restarted zombie replaying
-                // forward, an isolated node catching up — is dropped until
-                // a `Rejoin` marker lifts the exclusion. Without this, a
-                // revived proposal races into live round-1 maps at some
-                // survivors but not others and diverges the merge order.
-                if self.tombstoned.contains_key(&origin) {
-                    return;
-                }
-                self.note_cycle_seen(c);
-                let now = ctx.now();
-                let entry = self.cycle_entry(c);
-                entry.last_progress = now;
-                entry.round1.insert(origin, state);
-                self.maybe_start_cycles(ctx);
-                self.advance_cycle(c, ctx);
-            }
-            BroadcastItem::Remote(state) => {
-                let c = state.cycle;
-                if c <= self.last_committed {
-                    return;
-                }
-                self.note_cycle_seen(c);
-                let now = ctx.now();
-                let entry = self.cycle_entry(c);
-                entry.last_progress = now;
-                if let Some(fetch) = entry.fetches.get_mut(&state.vnode) {
-                    fetch.responded = true;
-                }
-                entry.remote.insert(state.vnode.clone(), state);
-                self.maybe_start_cycles(ctx);
-                self.advance_cycle(c, ctx);
-            }
-            BroadcastItem::Tombstone { node, from_cycle } => {
-                // Keep the earliest boundary if several survivors raced to
-                // tombstone the same member (min is order-independent, so
-                // every peer converges on the same exclusion range).
-                let entry = self.tombstoned.entry(node).or_insert(from_cycle);
-                if from_cycle < *entry {
-                    *entry = from_cycle;
-                }
-                self.obs.tombstones.inc();
-                self.obs.hub.event(
-                    ctx.now().as_nanos(),
-                    ObsEvent::Tombstone {
-                        cycle: from_cycle.0,
-                        group: node.0,
-                    },
-                );
-                self.pending_tombstones.remove(&node);
-                self.rejoined.remove(&node);
-                // Propose the membership change for the emulation tables of
-                // the whole tree (§4.6).
-                let update = MembershipUpdate::Leave { node };
-                if !self.pending_updates.contains(&update) {
-                    self.pending_updates.push(update);
-                }
-                // The exclusion may unblock round 1 of in-flight cycles.
-                let in_flight: Vec<CycleId> = self
-                    .cycles
-                    .keys()
-                    .copied()
-                    .filter(|&c| c > self.last_committed)
-                    .collect();
-                for c in in_flight {
-                    self.advance_cycle(c, ctx);
-                }
-            }
-            BroadcastItem::Rejoin { node, from_cycle } => {
-                self.superleaf_roster.insert(node);
-                self.tombstoned.remove(&node);
-                self.rejoined.insert(node, from_cycle);
-                self.obs.rejoins.inc();
-                self.obs.hub.event(
-                    ctx.now().as_nanos(),
-                    ObsEvent::Rejoin {
-                        cycle: from_cycle.0,
-                        group: node.0,
-                    },
-                );
-                let superleaf = self.my_superleaf as u32;
-                let update = MembershipUpdate::Join { node, superleaf };
-                if !self.pending_updates.contains(&update) {
-                    self.pending_updates.push(update);
-                }
-            }
-        }
-    }
-
-    /// Drives cycle `c` forward: completes round 1, merges any completable
-    /// higher rounds, answers buffered proposal-requests, and commits.
-    fn advance_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
-        // Round 1.
-        let need_h1 = {
-            let Some(entry) = self.cycles.get(&c) else {
-                return;
+                op: Op::MultiPut { puts: shard_puts },
             };
-            !entry.ancestors.is_empty() && entry.ancestors[0].is_none()
-        };
-        if need_h1 {
-            if !self.round1_complete(c) {
-                return;
-            }
-            let entry = self.cycles.get_mut(&c).expect("exists");
-            let contributors: Vec<VnodeState> = entry.round1.values().cloned().collect();
-            let h1 = VnodeState::merge(self.my_parent.clone(), contributors);
-            entry.ancestors[0] = Some(h1);
-            self.obs.hub.event(
-                ctx.now().as_nanos(),
-                ObsEvent::RoundComplete {
-                    cycle: c.0,
-                    round: 1,
-                },
-            );
-            self.answer_waiting(c, ctx);
-        }
-
-        // Higher rounds.
-        let shape = self.table.shape().clone();
-        for r in 2..=self.height {
-            let done = {
-                let entry = self.cycles.get(&c).expect("exists");
-                entry.ancestors[r - 1].is_some()
-            };
-            if done {
-                continue;
-            }
-            let prev_ready = {
-                let entry = self.cycles.get(&c).expect("exists");
-                entry.ancestors[r - 2].is_some()
-            };
-            if !prev_ready {
-                return;
-            }
-            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
-            let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
-            let children = shape.children(&target);
-            let entry = self.cycles.get_mut(&c).expect("exists");
-            let mut states = Vec::with_capacity(children.len());
-            let mut complete = true;
-            for child in &children {
-                if *child == own_child {
-                    let mut own = entry.ancestors[r - 2].clone().expect("prev ready");
-                    // When a state rises a level, its tie-break becomes its
-                    // position among its new siblings.
-                    own.tie = own.vnode.last_digit() as u32;
-                    states.push(own);
-                } else if let Some(state) = entry.remote.get(child) {
-                    let mut s = state.clone();
-                    s.tie = s.vnode.last_digit() as u32;
-                    states.push(s);
-                } else {
-                    complete = false;
-                    break;
-                }
-            }
-            if !complete {
-                return;
-            }
-            let merged = VnodeState::merge(target, states);
-            entry.ancestors[r - 1] = Some(merged);
-            self.obs.hub.event(
-                ctx.now().as_nanos(),
-                ObsEvent::RoundComplete {
-                    cycle: c.0,
-                    round: r as u64,
-                },
-            );
-            self.answer_waiting(c, ctx);
-        }
-
-        // Root reached.
-        {
-            let entry = self.cycles.get_mut(&c).expect("exists");
-            if entry.ancestors[self.height - 1].is_some() {
-                entry.root_done = true;
-            }
-        }
-        self.try_commit(ctx);
-    }
-
-    /// Answers buffered proposal-requests that newly computed states satisfy.
-    fn answer_waiting(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
-        let mut still_waiting = Vec::new();
-        let waiting = std::mem::take(&mut self.waiting_requests);
-        for (from, cycle, vnode) in waiting {
-            if cycle != c {
-                still_waiting.push((from, cycle, vnode));
-                continue;
-            }
-            match self.lookup_state(cycle, &vnode) {
-                Some(state) => {
-                    self.stats.fetches_served += 1;
-                    ctx.send(from, CanopusMsg::ProposalResponse { state });
-                }
-                None => still_waiting.push((from, cycle, vnode)),
-            }
-        }
-        self.waiting_requests = still_waiting;
-    }
-
-    fn lookup_state(&self, c: CycleId, vnode: &VnodeId) -> Option<VnodeState> {
-        let entry = self.cycles.get(&c)?;
-        let depth = vnode.depth();
-        let height = self.height.checked_sub(depth)?;
-        if height == 0 || height > self.height {
-            return None;
-        }
-        let state = entry.ancestors.get(height - 1)?.as_ref()?;
-        if state.vnode == *vnode {
-            Some(state.clone())
-        } else {
-            None
-        }
-    }
-
-    fn try_commit(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        loop {
-            let next = self.last_committed.next();
-            let ready = self
-                .cycles
-                .get(&next)
-                .map(|e| e.root_done && !e.committed)
-                .unwrap_or(false);
-            if !ready {
-                return;
-            }
-            self.commit_cycle(next, ctx);
-            self.maybe_start_cycles(ctx);
-        }
-    }
-
-    fn commit_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
-        // From here on the cycle's state serves only late proposal-requests
-        // from lagging super-leaves, and `lookup_state` answers those from
-        // the non-root ancestors: the inputs of the merges, the fetch
-        // bookkeeping and the root itself are released now, not
-        // `state_retention` cycles later.
-        let root = {
-            let entry = self.cycles.get_mut(&c).expect("ready");
-            entry.committed = true;
-            entry.round1 = BTreeMap::new();
-            entry.remote = BTreeMap::new();
-            entry.fetches = BTreeMap::new();
-            entry.ancestors[self.height - 1].take().expect("root done")
-        };
-        let now = ctx.now();
-
-        // 1. Membership updates (§4.6) — identical at every node.
-        self.table.apply_all(&root.updates);
-
-        // 2. Lease grants (§7.2): requests in this cycle cover the next
-        //    `lease_span` cycles.
-        let mut unlocked: Vec<Key> = Vec::new();
-        for set in &root.sets {
-            for &key in &set.lease_requests {
-                self.lease_until.insert(key, c.0 + self.cfg.lease_span);
-                if set.origin == self.me {
-                    unlocked.push(key);
-                }
-            }
-        }
-
-        // 3. Apply the total order; interleave own reads at their recorded
-        //    positions (§5).
-        let mut own_reads: Vec<PendingRead> = Vec::new();
-        let mut rest: Vec<PendingRead> = Vec::new();
-        for r in std::mem::take(&mut self.pending_reads) {
-            if r.ordering_cycle == c {
-                own_reads.push(r);
-            } else {
-                rest.push(r);
-            }
-        }
-        self.pending_reads = rest;
-        own_reads.sort_by_key(|r| r.write_prefix);
-        let mut read_iter = own_reads.into_iter().peekable();
-
-        let mut total_weight: u64 = 0;
-        let mut record_sets = Vec::new();
-        for set in &root.sets {
-            let is_own = set.origin == self.me;
-            let mut record_ops = Vec::new();
-            if is_own {
-                // Serve reads positioned before the k-th own write.
-                for (k, op) in set.ops.iter().enumerate() {
-                    while read_iter.peek().is_some_and(|r| r.write_prefix <= k) {
-                        let r = read_iter.next().expect("peeked");
-                        self.serve_read(&r.req, ctx);
-                    }
-                    let rec = self.apply_write(op, true, ctx);
-                    record_ops.push(rec);
-                    total_weight += op.req.op.weight() as u64;
-                }
-                // Reads positioned after every own write.
-                for r in read_iter.by_ref() {
-                    self.serve_read(&r.req, ctx);
-                }
-            } else {
-                for op in &set.ops {
-                    let rec = self.apply_write(op, false, ctx);
-                    record_ops.push(rec);
-                    total_weight += op.req.op.weight() as u64;
-                }
-            }
-            record_sets.push(CommittedSet {
-                origin: set.origin,
-                ops: record_ops,
+            self.drive(s, ctx, |lane, view| {
+                lane.on_message(from, CanopusMsg::Request(part), view)
             });
-        }
-        // If our own set was somehow absent (we never contributed — cannot
-        // happen for cycles we committed), serve leftover reads anyway.
-        for r in read_iter {
-            self.serve_read(&r.req, ctx);
-        }
-
-        // 4. Lease mode: release parked writes whose lease now covers the
-        //    upcoming cycles.
-        for key in unlocked {
-            if let Some(ops) = self.awaiting_lease.remove(&key) {
-                for op in ops {
-                    self.pending_weight += op.req.op.weight() as u64;
-                    self.pending_writes.push_back(op);
-                }
-            }
-        }
-
-        // 5. Bookkeeping.
-        let started_at = self.cycles.get(&c).map(|e| e.started_at).unwrap_or(now);
-        self.stats.cycle_latency_sum_ns += now.saturating_since(started_at).as_nanos();
-        self.stats.committed_cycles += 1;
-        self.stats.committed_weight += total_weight;
-        let mut digest = self.stats.commit_digest ^ 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(c.0);
-        for set in &root.sets {
-            mix(set.origin.0 as u64 + 1);
-            for op in &set.ops {
-                mix(op.req.op_id);
-                mix(op.req.client.0 as u64);
-                mix(op.req.op.weight() as u64);
-            }
-        }
-        self.stats.commit_digest = digest;
-        if self.cfg.record_log {
-            self.committed_log.push(CommittedCycle {
-                cycle: c,
-                at: now,
-                sets: record_sets,
-            });
-        }
-        self.last_committed = c;
-        self.obs.cycles_committed.inc();
-        self.obs.in_flight.set(self.in_flight() as i64);
-        self.obs.hub.event(
-            now.as_nanos(),
-            ObsEvent::Commit {
-                cycle: c.0,
-                weight: total_weight,
-            },
-        );
-
-        // 6. Prune retired cycle state.
-        let keep_from = CycleId(c.0.saturating_sub(self.cfg.state_retention));
-        let stale: Vec<CycleId> = self.cycles.range(..keep_from).map(|(&k, _)| k).collect();
-        for k in stale {
-            self.cycles.remove(&k);
-        }
-    }
-
-    fn apply_write(
-        &mut self,
-        op: &TimedOp,
-        is_own: bool,
-        ctx: &mut Context<'_, CanopusMsg>,
-    ) -> CommittedOp {
-        let weight = op.req.op.weight();
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
-        ));
-        let record = match &op.req.op {
-            Op::Put { key, value } => {
-                let version = self.store.put(*key, value.clone());
-                CommittedOp::Put {
-                    client: op.req.client,
-                    op_id: op.req.op_id,
-                    key: *key,
-                    version,
-                }
-            }
-            Op::SyntheticWrite { count, .. } => CommittedOp::Synthetic {
-                client: op.req.client,
-                op_id: op.req.op_id,
-                count: *count,
-            },
-            Op::MultiPut { puts } => {
-                // Commit work scales with touched keys, not request weight.
-                ctx.charge(Dur::nanos(
-                    self.cfg.costs.per_commit.as_nanos() * (puts.len().min(4096)) as u64,
-                ));
-                let mut keys = Vec::with_capacity(puts.len());
-                for (key, value) in puts {
-                    self.store.put(*key, value.clone());
-                    keys.push(*key);
-                }
-                CommittedOp::MultiPut {
-                    client: op.req.client,
-                    op_id: op.req.op_id,
-                    keys,
-                }
-            }
-            _ => unreachable!("reads are never in request sets"),
-        };
-        if is_own {
-            self.stats.own_writes += weight as u64;
-            let result = match op.req.op {
-                Op::Put { .. } | Op::MultiPut { .. } => OpResult::Written,
-                _ => OpResult::Batch,
-            };
-            ctx.send(
-                op.req.client,
-                CanopusMsg::Reply(ClientReply {
-                    op_id: op.req.op_id,
-                    weight,
-                    result,
-                }),
-            );
-        }
-        record
-    }
-
-    // ------------------------------------------------------------------
-    // Proposal-request serving (emulator role)
-    // ------------------------------------------------------------------
-
-    fn handle_proposal_request(
-        &mut self,
-        from: NodeId,
-        cycle: CycleId,
-        vnode: VnodeId,
-        ctx: &mut Context<'_, CanopusMsg>,
-    ) {
-        self.note_cycle_seen(cycle);
-        match self.lookup_state(cycle, &vnode) {
-            Some(state) => {
-                self.stats.fetches_served += 1;
-                ctx.send(from, CanopusMsg::ProposalResponse { state });
-            }
-            None => {
-                // Buffer until computed (§4.7 events 3 and 5); the request
-                // is also outside prompting to start the cycle (§4.4).
-                self.waiting_requests.push((from, cycle, vnode));
-                self.maybe_start_cycles(ctx);
-            }
-        }
-    }
-
-    fn handle_proposal_response(&mut self, state: VnodeState, ctx: &mut Context<'_, CanopusMsg>) {
-        let c = state.cycle;
-        if c <= self.last_committed {
-            return;
-        }
-        let already = self
-            .cycles
-            .get(&c)
-            .map(|e| {
-                e.remote.contains_key(&state.vnode)
-                    || e.fetches.get(&state.vnode).is_some_and(|f| f.responded)
-            })
-            .unwrap_or(false);
-        if already {
-            return; // redundant fetch answered twice
-        }
-        if let Some(entry) = self.cycles.get_mut(&c) {
-            if let Some(f) = entry.fetches.get_mut(&state.vnode) {
-                f.responded = true;
-            }
-        }
-        // Share with the super-leaf (self-delivery comes back through the
-        // broadcast, keeping every member's view identical).
-        self.broadcast_item(&BroadcastItem::Remote(state), ctx);
-    }
-
-    // ------------------------------------------------------------------
-    // State transfer (a member that lost its broadcast logs)
-    // ------------------------------------------------------------------
-
-    /// Asks the super-leaf peers in turn, one per `fetch_timeout`, for as
-    /// long as some broadcast group says its log cannot serve this node.
-    fn request_state_if_lost(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let lost = self.bcast.as_ref().expect("started").needs_snapshot();
-        let (not_before, asked) = self.state_requests;
-        if !lost || ctx.now() < not_before {
-            return;
-        }
-        let peers: Vec<NodeId> = (self.superleaf_roster.iter().copied())
-            .filter(|&p| p != self.me)
-            .collect();
-        if let Some(&peer) = peers.get(asked % peers.len().max(1)) {
-            ctx.send(peer, CanopusMsg::StateRequest);
-        }
-        self.state_requests = (ctx.now() + self.cfg.fetch_timeout, asked + 1);
-    }
-
-    fn handle_state_request(&mut self, from: NodeId, ctx: &mut Context<'_, CanopusMsg>) {
-        let bcast = self.bcast.as_ref().expect("started");
-        if !self.superleaf_roster.contains(&from) || bcast.needs_snapshot() {
-            return; // not ours to serve, or lost ourselves
-        }
-        let in_flight = || self.cycles.range(self.last_committed.next()..);
-        let snapshot = Snapshot {
-            points: bcast.delivered_points(),
-            last_committed: self.last_committed,
-            commit_digest: self.stats.commit_digest,
-            committed_cycles: self.stats.committed_cycles,
-            committed_weight: self.stats.committed_weight,
-            membership: self.table.membership(),
-            roster: self.superleaf_roster.iter().copied().collect(),
-            tombstoned: self.tombstoned.iter().map(|(&n, &c)| (n, c)).collect(),
-            rejoined: self.rejoined.iter().map(|(&n, &c)| (n, c)).collect(),
-            leases: self.lease_until.iter().map(|(&k, &c)| (k, c)).collect(),
-            store: self.store.clone(),
-            round1: in_flight()
-                .flat_map(|(_, e)| e.round1.iter().map(|(&n, s)| (n, s.clone())))
-                .collect(),
-            remote: in_flight()
-                .flat_map(|(_, e)| e.remote.values().cloned())
-                .collect(),
-        };
-        ctx.send(
-            from,
-            CanopusMsg::StateResponse {
-                snapshot: Box::new(snapshot),
-            },
-        );
-    }
-
-    /// Takes over a peer's replicated state and resumes every broadcast
-    /// group where that state stands. Whatever this node did since it came
-    /// up without its logs (cycles it started on its own numbering, items
-    /// it could not broadcast) was never part of the super-leaf's history
-    /// and goes; reads waiting on such cycles are ordered afresh.
-    fn handle_state_response(
-        &mut self,
-        from: NodeId,
-        snapshot: Snapshot,
-        ctx: &mut Context<'_, CanopusMsg>,
-    ) {
-        let bcast = self.bcast.as_mut().expect("started");
-        if !bcast.needs_snapshot()
-            || !self.superleaf_roster.contains(&from)
-            || snapshot.last_committed < self.last_committed
-            || !bcast.resume_at(&snapshot.points, ctx.now(), &mut self.rng)
-        {
-            return; // stale, or behind a group here: the next request will do
-        }
-        self.table.set_membership(snapshot.membership);
-        self.superleaf_roster = snapshot.roster.into_iter().collect();
-        self.tombstoned = snapshot.tombstoned.into_iter().collect();
-        self.rejoined = snapshot.rejoined.into_iter().collect();
-        self.lease_until = snapshot.leases.into_iter().collect();
-        self.store = snapshot.store;
-        self.stats.commit_digest = snapshot.commit_digest;
-        self.stats.committed_cycles = snapshot.committed_cycles;
-        self.stats.committed_weight = snapshot.committed_weight;
-        self.last_committed = snapshot.last_committed;
-        self.last_started = snapshot.last_committed;
-        self.max_seen_cycle = snapshot.last_committed;
-        self.linger_until = None;
-        self.cycles.clear();
-        self.unsent_items.clear();
-        self.pending_tombstones.clear();
-        for read in &mut self.pending_reads {
-            read.ordering_cycle = CycleId(0);
-        }
-        for (origin, state) in snapshot.round1 {
-            let c = state.cycle;
-            self.note_cycle_seen(c);
-            let own = origin == self.me;
-            let entry = self.cycle_entry(c);
-            entry.round1.insert(origin, state);
-            if own {
-                // Proposed before the restart and still in flight: it
-                // stands, and must not be proposed a second time.
-                entry.started = true;
-                self.last_started = self.last_started.max(c);
-            }
-        }
-        for state in snapshot.remote {
-            self.note_cycle_seen(state.cycle);
-            let vnode = state.vnode.clone();
-            self.cycle_entry(state.cycle).remote.insert(vnode, state);
-        }
-        self.maybe_start_cycles(ctx);
-        let in_flight: Vec<CycleId> = self.cycles.keys().copied().collect();
-        for c in in_flight {
-            self.advance_cycle(c, ctx);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
-    fn on_tick(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let now = ctx.now();
-        let mut out = Outbox::new();
-        let deliveries = {
-            let bcast = self.bcast.as_mut().expect("started");
-            bcast.tick(now, &mut self.rng, &mut out)
-        };
-        self.flush_raft(out, ctx);
-        self.request_state_if_lost(ctx);
-
-        // Reclaim our broadcast group if usurped, then flush queued items.
-        if !self.unsent_items.is_empty() {
-            let mut out = Outbox::new();
-            {
-                let bcast = self.bcast.as_mut().expect("started");
-                if !bcast.leads_own_group() {
-                    bcast.reclaim_own_group(now, &mut self.rng, &mut out);
-                } else {
-                    while let Some(item) = self.unsent_items.pop_front() {
-                        let data = item.to_bytes();
-                        if bcast.broadcast(data, now, &mut out).is_none() {
-                            self.unsent_items.push_front(item);
-                            break;
-                        }
-                    }
-                }
-            }
-            self.flush_raft(out, ctx);
-        }
-        for d in deliveries {
-            // Corrupt payloads cannot occur internally; ignore decode errors.
-            if let Ok(item) = BroadcastItem::from_bytes(d.data) {
-                self.handle_delivery(d.origin, item, ctx);
-            }
-        }
-
-        // Failure detection: the survivor that wins the dead member's group
-        // election appends the tombstone. Detection usually precedes the
-        // election finishing, so proposals are retried until delivery.
-        for peer in self.fd.newly_failed(now) {
-            if !self.tombstoned.contains_key(&peer) {
-                self.pending_tombstones.entry(peer).or_insert(Time::ZERO);
-            }
-        }
-        let retry_gap = self.cfg.failure_timeout;
-        let due: Vec<NodeId> = self
-            .pending_tombstones
-            .iter()
-            .filter(|(_, &last)| now.saturating_since(last) >= retry_gap)
-            .map(|(&p, _)| p)
-            .collect();
-        for peer in due {
-            if self.tombstoned.contains_key(&peer) {
-                self.pending_tombstones.remove(&peer);
-                continue;
-            }
-            if self.fd.live_peers(now).contains(&peer) {
-                // Heard from it again: false suspicion, drop the intent.
-                self.pending_tombstones.remove(&peer);
-                continue;
-            }
-            self.pending_tombstones.insert(peer, now);
-            if self.bcast.as_ref().expect("started").leads_group_of(peer) {
-                let item = BroadcastItem::Tombstone {
-                    node: peer,
-                    from_cycle: self.last_committed.next(),
-                };
-                let data = item.to_bytes();
-                let mut out = Outbox::new();
-                self.bcast
-                    .as_mut()
-                    .expect("started")
-                    .propose_into(peer, data, now, &mut out);
-                self.flush_raft(out, ctx);
-            }
-        }
-
-        // Fetch retries: re-ask a different emulator after timeout.
-        let timeout = self.cfg.fetch_timeout;
-        let mut retries: Vec<(CycleId, VnodeId, u32, NodeId)> = Vec::new();
-        for (&c, entry) in self.cycles.range(self.last_committed.next()..) {
-            for (vnode, fetch) in &entry.fetches {
-                if !fetch.responded
-                    && !entry.remote.contains_key(vnode)
-                    && now.saturating_since(fetch.sent_at) >= timeout
-                {
-                    retries.push((c, vnode.clone(), fetch.attempts, fetch.target));
-                }
-            }
-        }
-        for (c, vnode, attempts, target) in retries {
-            self.remote_suspects.insert(target);
-            self.issue_fetch(c, vnode, attempts, ctx);
-        }
-
-        // Liveness safety net: if the oldest uncommitted cycle has a round
-        // whose sibling state is missing with no fetch in flight anywhere we
-        // can see (possible transiently when representative views diverge
-        // during membership churn), fetch it ourselves after a timeout.
-        // Duplicate Remote broadcasts are idempotent.
-        self.rescue_stalled_cycle(ctx);
-
-        ctx.set_timer(self.cfg.tick_interval, TICK);
-    }
-
-    /// Fetches any long-missing sibling state of the oldest uncommitted
-    /// cycle regardless of representative assignment.
-    fn rescue_stalled_cycle(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let c = self.last_committed.next();
-        if c > self.last_started {
-            return;
-        }
-        let stuck_for = self.cfg.fetch_timeout;
-        let now = ctx.now();
-        let shape = self.table.shape().clone();
-        let mut to_fetch: Vec<VnodeId> = Vec::new();
-        {
-            let Some(entry) = self.cycles.get(&c) else {
-                return;
-            };
-            if entry.root_done || entry.ancestors.is_empty() {
-                return;
-            }
-            if now.saturating_since(entry.last_progress) < stuck_for {
-                return;
-            }
-            for r in 2..=self.height {
-                if entry.ancestors[r - 1].is_some() {
-                    continue;
-                }
-                if entry.ancestors[r - 2].is_none() {
-                    break; // earlier round still pending
-                }
-                let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
-                let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
-                for v in shape.children(&target) {
-                    if v == own_child || entry.remote.contains_key(&v) {
-                        continue;
-                    }
-                    match entry.fetches.get(&v) {
-                        Some(f) if now.saturating_since(f.sent_at) < stuck_for => {}
-                        Some(_) => {} // retry path handles it
-                        None => to_fetch.push(v),
-                    }
-                }
-                break; // only rescue the lowest incomplete round
-            }
-        }
-        for v in to_fetch {
-            self.issue_fetch(c, v, 0, ctx);
-        }
-    }
-
-    fn on_cycle_timer(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        if self.cfg.trigger == CycleTrigger::Pipelined {
-            let depth_ok = self.in_flight() < self.cfg.max_pipeline_depth;
-            // The periodic timer is the upper bound between cycle starts
-            // (§7.1); it fires a new cycle whenever local work is waiting.
-            // Idle datacenters still participate in cycles started
-            // elsewhere through outside prompting (§4.4), so a fully idle
-            // system quiesces instead of free-running empty cycles.
-            if depth_ok && self.has_local_work() {
-                self.start_cycle(ctx);
-            }
-            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
         }
     }
 }
 
 impl Process<CanopusMsg> for CanopusNode {
     fn on_start(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let members: Vec<NodeId> = self.table.members_of(self.my_superleaf).collect();
-        let mut bcast_rng = SmallRng::seed_from_u64(self.rng.gen());
-        self.bcast = Some(SuperLeafBroadcast::new(
-            self.me,
-            &members,
-            self.cfg.raft,
-            ctx.now(),
-            &mut bcast_rng,
-        ));
-        let peers: Vec<NodeId> = members.into_iter().filter(|&p| p != self.me).collect();
-        self.fd = FailureDetector::new(&peers, self.cfg.failure_timeout, ctx.now());
-        ctx.set_timer(self.cfg.tick_interval, TICK);
-        if self.cfg.trigger == CycleTrigger::Pipelined {
-            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
+        for s in 0..self.lane_count() {
+            self.drive(s, ctx, |lane, view| lane.on_start(view));
         }
     }
 
     fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut Context<'_, CanopusMsg>) {
-        self.fd.record(from, ctx.now());
-        self.remote_suspects.remove(&from);
-        ctx.charge(self.cfg.costs.per_protocol_msg);
         match msg {
-            CanopusMsg::Raft(raft_msg) => {
-                let mut out = Outbox::new();
-                let deliveries = {
-                    let bcast = self.bcast.as_mut().expect("started");
-                    bcast.handle(from, raft_msg, ctx.now(), &mut self.rng, &mut out)
-                };
-                self.flush_raft(out, ctx);
-                for d in deliveries {
-                    if let Ok(item) = BroadcastItem::from_bytes(d.data) {
-                        self.handle_delivery(d.origin, item, ctx);
-                    }
+            CanopusMsg::Request(req) => self.route_client(from, req, ctx),
+            CanopusMsg::Lane { lane, msg } => {
+                // A frame for a lane this node does not host (a peer
+                // configured with more shards) is dropped.
+                if lane < self.lane_count() {
+                    self.drive(lane, ctx, |l, view| l.on_message(from, *msg, view));
                 }
             }
-            CanopusMsg::Request(req) => self.handle_client_request(req, ctx),
-            CanopusMsg::Reply(_) => {} // nodes never receive replies
-            CanopusMsg::ProposalRequest { cycle, vnode } => {
-                self.handle_proposal_request(from, cycle, vnode, ctx)
-            }
-            CanopusMsg::ProposalResponse { state } => self.handle_proposal_response(state, ctx),
-            CanopusMsg::StateRequest => self.handle_state_request(from, ctx),
-            CanopusMsg::StateResponse { snapshot } => {
-                self.handle_state_response(from, *snapshot, ctx)
-            }
+            bare => self.drive(0, ctx, |lane, view| lane.on_message(from, bare, view)),
         }
     }
 
     fn on_timer(&mut self, timer: Timer, ctx: &mut Context<'_, CanopusMsg>) {
-        match timer.token {
-            TICK => self.on_tick(ctx),
-            CYCLE => self.on_cycle_timer(ctx),
-            // The batching window closed; the deadline check inside
-            // `linger_elapsed` ignores stale timers from already-started
-            // cycles (their `linger_until` was cleared).
-            LINGER => self.maybe_start_cycles(ctx),
-            _ => {}
-        }
+        let (s, token) = unpack_token(timer.token);
+        // Timer work belongs to the lane's CPU (cycle starts, linger
+        // fires — the CPU-heavy paths).
+        ctx.use_lane(u64::from(s));
+        self.drive(s, ctx, |lane, view| lane.on_timer(token, view));
     }
 
     impl_process_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{LotShape, VnodeId};
+    use bytes::Bytes;
+    use canopus_sim::{Effect, Payload, Time};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    fn table() -> EmulationTable {
+        EmulationTable::new(
+            LotShape::flat(1),
+            vec![vec![NodeId(0), NodeId(1), NodeId(2)]],
+        )
+    }
+
+    fn node(shards: u16) -> CanopusNode {
+        let cfg = CanopusConfig {
+            shards,
+            ..CanopusConfig::default()
+        };
+        CanopusNode::new(NodeId(0), table(), cfg, 11)
+    }
+
+    /// Runs `f` against a context nobody drives and returns what it did.
+    fn effects_of(f: impl FnOnce(&mut Context<'_, CanopusMsg>)) -> Vec<Effect<CanopusMsg>> {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut seq = 0;
+        let mut ctx = Context::detached(Time::ZERO, NodeId(0), &mut rng, &mut seq);
+        f(&mut ctx);
+        ctx.into_effects().0
+    }
+
+    fn fetch() -> CanopusMsg {
+        CanopusMsg::ProposalRequest {
+            cycle: CycleId(1),
+            vnode: VnodeId(vec![0]),
+        }
+    }
+
+    #[test]
+    fn timer_tokens_pack_and_unpack_the_lane() {
+        for (lane, token) in [(0, 1), (0, 3), (3, 2), (u16::MAX, (1 << TOKEN_BITS) - 1)] {
+            assert_eq!(unpack_token(pack_token(lane, token)), (lane, token));
+        }
+        assert_eq!(pack_token(0, 3), 3, "lane 0's tokens are the bare ones");
+
+        let mut node = node(4);
+        let armed: std::collections::BTreeSet<u16> = effects_of(|ctx| node.on_start(ctx))
+            .iter()
+            .filter_map(|e| match e {
+                Effect::SetTimer { token, .. } => Some(unpack_token(*token).0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(armed, (0..4).collect(), "every lane armed its tick");
+    }
+
+    #[test]
+    fn one_lane_sends_bare_frames() {
+        let mut node = node(1);
+        let sent = effects_of(|ctx| node.drive(0, ctx, |_, view| view.send(NodeId(1), fetch())));
+        assert!(matches!(&sent[..], [Effect::Send { msg, .. }] if *msg == fetch()));
+    }
+
+    /// The case the detached-context replay of the old sharding wrapper
+    /// could not serve: a lane's timer id is the real one, so cancelling
+    /// it cancels it.
+    #[test]
+    fn a_lane_of_four_cancels_a_timer_on_the_real_context() {
+        let mut node = node(4);
+        let effects = effects_of(|ctx| {
+            node.drive(2, ctx, |_, view| {
+                let id = view.set_timer(Dur::millis(1), 3);
+                view.cancel_timer(id);
+            })
+        });
+        let [Effect::SetTimer { id, token, .. }, Effect::CancelTimer { id: cancelled }] =
+            &effects[..]
+        else {
+            panic!("an arming and its cancellation, got {effects:?}");
+        };
+        assert_eq!(id, cancelled);
+        assert_eq!(unpack_token(*token), (2, 3));
+    }
+
+    #[test]
+    fn a_frame_for_a_lane_the_node_does_not_host_is_dropped() {
+        let frame = |lane| CanopusMsg::Lane {
+            lane,
+            msg: Box::new(fetch()),
+        };
+        let mut node = node(4);
+        effects_of(|ctx| node.on_start(ctx));
+        // A proposal-request for a cycle a lane has not started prompts it
+        // to start that cycle (§4.4): the trace a frame leaves.
+        let prompted = |node: &CanopusNode, s| node.lane(s).last_started() == CycleId(1);
+        effects_of(|ctx| node.on_message(NodeId(1), frame(3), ctx));
+        assert!(prompted(&node, 3));
+        effects_of(|ctx| node.on_message(NodeId(1), frame(4), ctx));
+        effects_of(|ctx| node.on_message(NodeId(1), frame(u16::MAX), ctx));
+        assert!(
+            (0..3).all(|s| !prompted(&node, s)),
+            "no other lane took one"
+        );
+        // A bare frame is lane 0's.
+        effects_of(|ctx| node.on_message(NodeId(1), fetch(), ctx));
+        assert!(prompted(&node, 0));
+    }
+
+    #[test]
+    fn lane_hint_agrees_with_the_router() {
+        let router = ShardRouter::new(4);
+        let request = |op_id, op| {
+            CanopusMsg::Request(ClientRequest {
+                client: NodeId(50),
+                op_id,
+                op,
+            })
+        };
+        for key in 0..200u64 {
+            let put = Op::Put {
+                key,
+                value: Bytes::new(),
+            };
+            assert_eq!(
+                (request(1, put).lane_hint() % 4) as u16,
+                router.shard_of_key(key),
+                "lane and shard must agree for key {key}"
+            );
+        }
+        // Keyless aggregates: lane and shard follow the op id.
+        for op_id in 0..50u64 {
+            let read = Op::SyntheticRead { count: 4 };
+            assert_eq!(
+                Some((request(op_id, read.clone()).lane_hint() % 4) as u16),
+                router.shard_of(op_id, &read)
+            );
+            assert_eq!(router.shard_of(op_id, &read), Some((op_id % 4) as u16));
+        }
+    }
+
+    #[test]
+    fn cross_shard_txn_releases_one_reply_when_all_parts_commit() {
+        let mut node = node(4);
+        let router = node.router();
+        let k0 = (0..).find(|k| router.shard_of_key(*k) == 0).unwrap();
+        let k3 = (0..).find(|k| router.shard_of_key(*k) == 3).unwrap();
+        let client = NodeId(40);
+        let req = ClientRequest {
+            client,
+            op_id: 5,
+            op: Op::MultiPut {
+                puts: vec![
+                    (k0, Bytes::from_static(b"a")),
+                    (k3, Bytes::from_static(b"b")),
+                ],
+            },
+        };
+        effects_of(|ctx| node.on_message(client, CanopusMsg::Request(req), ctx));
+        assert_eq!(node.cross_shard_txns(), (1, 0));
+        assert_eq!(node.txns.open.len(), 1);
+
+        // Both parts commit: each lane sends its reply through its view,
+        // which swallows the first and releases exactly one aggregated
+        // reply on the last, in its place in the send order.
+        let part_reply = || {
+            CanopusMsg::Reply(ClientReply {
+                op_id: 5,
+                weight: 1,
+                result: OpResult::Written,
+            })
+        };
+        let first = effects_of(|ctx| node.drive(0, ctx, |_, view| view.send(client, part_reply())));
+        assert!(first.is_empty(), "a part is still out: {first:?}");
+        let last = effects_of(|ctx| {
+            node.drive(3, ctx, |_, view| {
+                view.send(NodeId(1), fetch());
+                view.send(client, part_reply());
+                view.send(NodeId(2), fetch());
+            })
+        });
+        let sent: Vec<_> = last
+            .into_iter()
+            .map(|e| match e {
+                Effect::Send { to, msg } => (to, msg),
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        // Protocol frames of a node with several lanes carry the lane.
+        let tagged = CanopusMsg::Lane {
+            lane: 3,
+            msg: Box::new(fetch()),
+        };
+        assert_eq!(
+            sent,
+            [
+                (NodeId(1), tagged.clone()),
+                (client, part_reply()),
+                (NodeId(2), tagged)
+            ]
+        );
+        assert_eq!(node.cross_shard_txns(), (1, 1));
+        assert!(node.txns.open.is_empty());
+
+        // Unrelated replies pass through untouched, and untagged.
+        let plain = CanopusMsg::Reply(ClientReply {
+            op_id: 99,
+            weight: 1,
+            result: OpResult::Batch,
+        });
+        let sent = effects_of(|ctx| node.drive(1, ctx, |_, view| view.send(client, plain.clone())));
+        assert!(matches!(&sent[..], [Effect::Send { msg, .. }] if *msg == plain));
+    }
 }

@@ -725,6 +725,47 @@ fn superleaf_partition_stalls_then_recovers_after_heal() {
     assert!(check_agreement(&commit_histories(&cluster)).is_ok());
 }
 
+/// A cut inside a super-leaf that outlasts an election timeout but not the
+/// failure timeout. A peer usurps the cut-off member's broadcast group
+/// while that member, alive and still serving its client, goes on
+/// proposing under its stale term; when the cut heals Raft truncates what
+/// it proposed. The member must propose it again once it has its group
+/// back: every node waits for that proposal, and nobody tombstones a node
+/// that is alive.
+#[test]
+fn usurped_owner_proposes_again_what_the_usurper_truncated() {
+    let cfg = CanopusConfig {
+        failure_timeout: Dur::millis(100),
+        fetch_timeout: Dur::millis(20),
+        ..CanopusConfig::default()
+    };
+    for seed in 23..27 {
+        let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, seed);
+        let script: Vec<(Dur, Op)> = (0..100)
+            .map(|k| (Dur::millis(2 * k + 1), put(k, k as u8)))
+            .collect();
+        let client = add_client(&mut cluster, NodeId(0), script);
+        cluster.sim.run_for(Dur::millis(20));
+        cluster
+            .fabric_mut()
+            .cut_groups(&[NodeId(0)], &[NodeId(1), NodeId(2)]);
+        cluster.sim.run_for(Dur::millis(40));
+        cluster.fabric_mut().heal_all();
+        cluster.sim.run_for(Dur::millis(800));
+
+        let c = cluster.sim.node::<ScriptClient>(client);
+        assert_eq!(c.replies.len(), 100, "seed {seed}: the cluster wedged");
+        assert!(check_agreement(&commit_histories(&cluster)).is_ok());
+        for &n in &cluster.nodes {
+            let table = cluster.sim.node::<CanopusNode>(n).emulation_table();
+            assert!(
+                table.superleaf_of(NodeId(0)).is_some(),
+                "nobody was excluded"
+            );
+        }
+    }
+}
+
 #[test]
 fn intra_leaf_isolation_excludes_member_and_consensus_continues() {
     let cfg = CanopusConfig {

@@ -259,9 +259,8 @@ impl<P: Protocol> ClusterBuilder<P> {
                         op_bytes: 16,
                         warmup: load.warmup,
                         max_batch: load.client_max_batch,
-                        shards: load.shards,
+                        shards: P::pipelines(&cfg),
                         shard_theta: load.shard_theta,
-                        ..OpenLoopConfig::default()
                     },
                     seed ^ (0xC11E47 + i as u64),
                 )),

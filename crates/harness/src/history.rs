@@ -89,7 +89,7 @@ pub struct HistoryConfig {
     /// Issue every `n`-th write as an [`Op::MultiPut`] spanning the
     /// client's steady-state keys (0 — the default — never does). Against
     /// a sharded deployment this exercises the cross-shard anchor
-    /// protocol; `ShardMsg`'s extra checks then verify all-or-nothing
+    /// protocol; Canopus's extra checks then verify all-or-nothing
     /// presence of every transaction's parts across per-shard logs.
     pub multi_put_every: u64,
     /// When set to `(shard, shards)`, every steady-state and probe key is

@@ -1,7 +1,8 @@
 //! # canopus-harness — experiment orchestration
 //!
-//! Builds full deployments of any of the five protocols (Canopus, sharded
-//! Canopus, EPaxos, the ZooKeeper model, Raft KV) on the topology-aware
+//! Builds full deployments of any of the four protocols (Canopus —
+//! unsharded or shard-parallel, a configuration value — EPaxos, the
+//! ZooKeeper model, Raft KV) on the topology-aware
 //! simulator or on loopback TCP, drives them with the paper's client
 //! model or with history-recording clients, and implements the evaluation
 //! methodology of §8.1: geometric load ladders to the 10 ms latency knee

@@ -14,9 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use canopus::{
-    CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, CycleTrigger, ShardEngine, ShardMsg,
-};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, CycleTrigger, Lane};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
 use canopus_kv::{check_agreement, Key};
 use canopus_obs::NodeObs;
@@ -41,12 +39,9 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
     /// Its configuration.
     type Config: Clone;
 
-    /// Short protocol name for reports.
+    /// Short protocol name for reports; scenario convergence exemptions
+    /// are keyed by it.
     const NAME: &'static str;
-    /// The name scenario convergence exemptions are keyed by — a variant
-    /// deployment of a protocol (sharded Canopus) shares its base
-    /// protocol's exemptions.
-    const FAMILY: &'static str = Self::NAME;
     /// Whether the protocol's read path promises linearizability (the
     /// ZooKeeper model only promises sequential consistency).
     const LINEARIZABLE_READS: bool;
@@ -122,9 +117,9 @@ fn roster(spec: &DeploymentSpec) -> Vec<NodeId> {
     (0..spec.node_count() as u32).map(NodeId).collect()
 }
 
-/// Every operation in a Canopus node's commit log with its cycle's local
+/// Every operation in a Canopus lane's commit log with its cycle's local
 /// commit time, in commit order.
-fn committed_ops(n: &CanopusNode) -> impl Iterator<Item = (Time, &CommittedOp)> {
+fn committed_ops(n: &Lane) -> impl Iterator<Item = (Time, &CommittedOp)> {
     n.committed_log().iter().flat_map(|cc| {
         cc.sets
             .iter()
@@ -147,7 +142,7 @@ fn op_parts(op: &CommittedOp) -> ((NodeId, u64), &[Key]) {
     }
 }
 
-fn canopus_write_records_into(n: &CanopusNode, out: &mut WriteRecords) {
+fn canopus_write_records_into(n: &Lane, out: &mut WriteRecords) {
     for (at, op) in committed_ops(n) {
         let ((client, op_id), keys) = op_parts(op);
         for &key in keys {
@@ -156,10 +151,13 @@ fn canopus_write_records_into(n: &CanopusNode, out: &mut WriteRecords) {
     }
 }
 
-fn canopus_global_log(n: &CanopusNode) -> Vec<(NodeId, u64)> {
+fn canopus_global_log(n: &Lane) -> Vec<(NodeId, u64)> {
     committed_ops(n).map(|(_, op)| op_parts(op).0).collect()
 }
 
+/// Canopus, unsharded or shard-parallel: `cfg.shards` independent LOT
+/// pipelines (lanes) per node behind one transport identity, one CPU lane
+/// and one hub each so they commit concurrently.
 impl Protocol for CanopusMsg {
     type Node = CanopusNode;
     type Config = CanopusConfig;
@@ -198,10 +196,14 @@ impl Protocol for CanopusMsg {
         cfg
     }
 
+    fn pipelines(cfg: &CanopusConfig) -> u16 {
+        cfg.shards.max(1)
+    }
+
     /// One super-leaf per rack/datacenter. The default [`Protocol::restart`]
     /// applies: a restarted node comes back fresh, and the survivors'
-    /// tombstone machinery keeps it excluded (crash-stop rejoin is a
-    /// ROADMAP item) — safe, but its clients see no further progress.
+    /// tombstone machinery (per lane) keeps it excluded (crash-stop rejoin
+    /// is a ROADMAP item) — safe, but its clients see no further progress.
     fn node(
         id: NodeId,
         spec: &DeploymentSpec,
@@ -209,88 +211,34 @@ impl Protocol for CanopusMsg {
         seed: u64,
         hubs: &[NodeObs],
     ) -> CanopusNode {
-        CanopusNode::new(id, emulation_table_for(spec), cfg.clone(), seed).with_obs(hubs[0].clone())
+        CanopusNode::new(id, emulation_table_for(spec), cfg.clone(), seed).with_obs(hubs)
     }
 
+    /// Per-key records merged across every lane: keys are disjoint across
+    /// shards (the router is a pure function of the key), so the merge
+    /// never interleaves two shards' orders on one key.
     fn write_records(node: &CanopusNode) -> WriteRecords {
         let mut out = BTreeMap::new();
-        canopus_write_records_into(node, &mut out);
-        out
-    }
-
-    fn global_log(node: &CanopusNode) -> Option<Vec<(NodeId, u64)>> {
-        Some(canopus_global_log(node))
-    }
-
-    fn healthy(nodes: &[&CanopusNode]) -> bool {
-        nodes.iter().all(|n| n.stats().committed_cycles > 0)
-    }
-}
-
-/// Shard-parallel Canopus: every node hosts independent LOT instances
-/// behind one transport identity ([`ShardEngine`]), one CPU lane and one
-/// hub per shard so the pipelines commit concurrently. The configuration
-/// is `(per-shard Canopus config, shard count)`.
-impl Protocol for ShardMsg {
-    type Node = ShardEngine;
-    type Config = (CanopusConfig, u16);
-    const NAME: &'static str = "canopus_sharded";
-    const FAMILY: &'static str = CanopusMsg::NAME;
-    const LINEARIZABLE_READS: bool = true;
-
-    /// Four shards: the count every recorded sharded result uses.
-    fn sim_config(spec: &DeploymentSpec) -> Self::Config {
-        (CanopusMsg::sim_config(spec), 4)
-    }
-
-    fn live_config(spec: &DeploymentSpec) -> Self::Config {
-        (CanopusMsg::live_config(spec), 4)
-    }
-
-    fn recording((cfg, shards): Self::Config) -> Self::Config {
-        (CanopusMsg::recording(cfg), shards)
-    }
-
-    fn pipelines(cfg: &Self::Config) -> u16 {
-        cfg.1.max(1)
-    }
-
-    /// A restarted node comes back as a fresh engine (the default
-    /// [`Protocol::restart`]); the survivors' per-shard tombstones keep it
-    /// excluded, exactly as for unsharded Canopus.
-    fn node(
-        id: NodeId,
-        spec: &DeploymentSpec,
-        cfg: &Self::Config,
-        seed: u64,
-        hubs: &[NodeObs],
-    ) -> ShardEngine {
-        ShardEngine::new(id, emulation_table_for(spec), cfg.0.clone(), cfg.1, seed)
-            .with_obs(|s| hubs[s as usize].clone())
-    }
-
-    /// Per-key records merged across every hosted shard: keys are
-    /// disjoint across shards (the router is a pure function of the key),
-    /// so the merge never interleaves two shards' orders on one key.
-    fn write_records(e: &ShardEngine) -> WriteRecords {
-        let mut out = BTreeMap::new();
-        for s in 0..e.shard_count() {
-            canopus_write_records_into(e.shard(s), &mut out);
+        for s in 0..node.lane_count() {
+            canopus_write_records_into(node.lane(s), &mut out);
         }
         out
     }
 
-    /// No cross-shard total order is promised — each shard totally orders
-    /// its own traffic; [`Protocol::extra_checks`] covers per-shard
-    /// agreement.
-    fn global_log(_e: &ShardEngine) -> Option<Vec<(NodeId, u64)>> {
-        None
+    /// The one lane's log. A sharded node promises no cross-shard total
+    /// order — each shard totally orders its own traffic;
+    /// [`Protocol::extra_checks`] covers per-shard agreement.
+    fn global_log(node: &CanopusNode) -> Option<Vec<(NodeId, u64)>> {
+        (node.lane_count() == 1).then(|| canopus_global_log(node.lane(0)))
     }
 
-    fn healthy(nodes: &[&ShardEngine]) -> bool {
-        nodes
-            .iter()
-            .all(|e| e.aggregate(|s| s.committed_cycles) > 0)
+    fn healthy(nodes: &[&CanopusNode]) -> bool {
+        nodes.iter().all(|n| {
+            (0..n.lane_count())
+                .map(|s| n.lane(s).stats().committed_cycles)
+                .sum::<u64>()
+                > 0
+        })
     }
 
     /// The sharding-specific safety checks: per-shard total-order
@@ -300,18 +248,18 @@ impl Protocol for ShardMsg {
     /// silently split a key's history), and cross-shard atomicity (a
     /// multi-key transaction's parts land on every trusted replica
     /// all-or-nothing).
-    fn extra_checks(engines: &[(NodeId, &ShardEngine)]) -> Vec<String> {
+    fn extra_checks(engines: &[(NodeId, &CanopusNode)]) -> Vec<String> {
         let mut violations = Vec::new();
         let Some(&(_, first)) = engines.first() else {
             return violations;
         };
-        let shards = first.shard_count();
+        let shards = first.lane_count();
         let router = first.router();
 
         for s in 0..shards {
             let logs: Vec<Vec<(NodeId, u64)>> = engines
                 .iter()
-                .map(|&(_, e)| canopus_global_log(e.shard(s)))
+                .map(|&(_, e)| canopus_global_log(e.lane(s)))
                 .collect();
             if let Err(d) = check_agreement(&logs) {
                 violations.push(format!(
@@ -327,7 +275,7 @@ impl Protocol for ShardMsg {
         for &(node, e) in engines {
             let mut txns: BTreeMap<(NodeId, u64), BTreeSet<Key>> = BTreeMap::new();
             for s in 0..shards {
-                for (_, op) in committed_ops(e.shard(s)) {
+                for (_, op) in committed_ops(e.lane(s)) {
                     let (txn, keys) = op_parts(op);
                     for &key in keys {
                         if router.shard_of_key(key) != s {

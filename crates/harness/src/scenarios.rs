@@ -109,7 +109,7 @@ pub struct ChaosScenario {
     /// The fault schedule.
     pub plan: FaultPlan,
     /// Trusted nodes whose clients are excused from the convergence check
-    /// for the protocol family named ([`crate::Protocol::FAMILY`]; safety
+    /// for the protocol named ([`crate::Protocol::NAME`]; safety
     /// is still enforced for them). A closure so
     /// scenarios can bind the exemption to the node the plan actually
     /// impairs in the given topology.

@@ -128,12 +128,10 @@ pub struct LoadSpec {
     /// ([`canopus_workload::OpenLoopConfig::max_batch`]): 0 aggregates a
     /// whole arrival tick per request, 1 models fully unbatched clients.
     pub client_max_batch: u32,
-    /// Key-space shards the traffic is routed across (1 = unsharded; the
-    /// single-shard path is byte-identical to pre-sharding clients).
-    pub shards: u16,
-    /// Zipf exponent for the per-shard traffic split: `None` spreads the
-    /// offered rate uniformly across shards, `Some(theta)` sends shard
-    /// `s` a share ∝ 1/(s+1)^theta (hot shard 0).
+    /// Zipf exponent for the traffic split across the deployment's shards
+    /// (the protocol configuration says how many): `None` spreads the
+    /// offered rate uniformly, `Some(theta)` sends shard `s` a share
+    /// ∝ 1/(s+1)^theta (hot shard 0).
     pub shard_theta: Option<f64>,
 }
 
@@ -146,7 +144,6 @@ impl LoadSpec {
             warmup: Dur::millis(300),
             duration: Dur::millis(700),
             client_max_batch: 0,
-            shards: 1,
             shard_theta: None,
         }
     }
@@ -160,12 +157,6 @@ impl LoadSpec {
     /// Same load with a different client batch cap.
     pub fn with_client_batch(mut self, max_batch: u32) -> Self {
         self.client_max_batch = max_batch;
-        self
-    }
-
-    /// Same load routed across `shards` key-space shards (uniform split).
-    pub fn with_shards(mut self, shards: u16) -> Self {
-        self.shards = shards.max(1);
         self
     }
 

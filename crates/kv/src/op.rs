@@ -54,7 +54,7 @@ pub enum Op {
     /// An atomic multi-key write. In sharded deployments the touched keys
     /// may live on different shards; the anchor-shard protocol sequences
     /// the transaction in every touched shard's LOT and commits it
-    /// all-or-nothing (see `canopus-core`'s `ShardEngine`).
+    /// all-or-nothing (see `canopus-core`'s `node` module).
     MultiPut {
         /// The writes, in client order. Must be non-empty.
         puts: Vec<(Key, Bytes)>,

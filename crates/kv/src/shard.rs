@@ -1,20 +1,20 @@
 //! Key-space shard routing.
 //!
-//! Sharded deployments run one independent LOT pipeline per key-space
-//! shard (ROADMAP: "Sharded, wait-free parallel consensus"). This module
-//! owns the routing function every layer must agree on — workload clients
-//! deciding where a key's traffic lands, the `ShardEngine` in
-//! `canopus-core` demultiplexing requests, and the chaos verdict grouping
-//! committed logs per shard. The mapping is a pure hash of the key, so it
-//! is identical across nodes, across restarts, and across processes with
-//! no coordination.
+//! A sharded deployment runs one independent LOT pipeline (a *lane*) per
+//! key-space shard inside every Canopus node. This module owns the routing
+//! function every layer must agree on — workload clients deciding where
+//! their traffic lands, `CanopusNode` in `canopus-core` handing a request
+//! to the lane that owns it, the message's CPU-lane hint in the simulator,
+//! and the chaos verdict grouping committed logs per shard. The mapping is
+//! a pure function of the operation, so it is identical across nodes,
+//! across restarts, and across processes with no coordination.
 //!
-//! Routing rules:
+//! Routing rules ([`route_hint`] reduced modulo the shard count):
 //!
 //! * Keyed ops (`Put`/`Get`) go to the shard owning the key.
-//! * Synthetic aggregates carry no keys; they are routed by the *client's*
-//!   id so one client's whole stream lands on one shard, preserving the
-//!   client-FIFO property per shard.
+//! * Synthetic aggregates carry no keys; they go to shard `op_id % shards`,
+//!   so a client that wants a stream on shard `s` numbers its ops
+//!   `seq * shards + s`, and an unsharded client's ids need no thought.
 //! * `MultiPut` touches one shard per distinct key owner; [`ShardRouter::
 //!   split_multi`] partitions the writes and the lowest touched shard id
 //!   is the transaction's *anchor* (the shard whose commit position fixes
@@ -23,7 +23,6 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use canopus_sim::NodeId;
 
 use crate::op::{Key, Op};
 
@@ -36,11 +35,20 @@ pub fn shard_hash(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Salt folded into client-id routing so client streams don't correlate
-/// with the key-space mapping.
-const CLIENT_SALT: u64 = 0xC11E_17A0_5EED_0001;
+/// Where `op` goes, before reduction modulo the shard count: the key's
+/// hash for keyed ops (a `MultiPut` counts as its first key — all of it,
+/// if it stays on one shard; the work of splitting it, if not), the op id
+/// for keyless aggregates. The router and the message's CPU-lane hint both
+/// call this, so the lane a request queues on is the lane that runs it.
+pub fn route_hint(op_id: u64, op: &Op) -> u64 {
+    match op {
+        Op::Put { key, .. } | Op::Get { key } => shard_hash(*key),
+        Op::SyntheticWrite { .. } | Op::SyntheticRead { .. } => op_id,
+        Op::MultiPut { puts } => shard_hash(puts.first().map_or(0, |(k, _)| *k)),
+    }
+}
 
-/// The deterministic key→shard map shared by clients, engines, and
+/// The deterministic op→shard map shared by clients, nodes, and
 /// checkers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ShardRouter {
@@ -65,26 +73,18 @@ impl ShardRouter {
         (shard_hash(key) % u64::from(self.shards)) as u16
     }
 
-    /// The shard a keyless (synthetic) stream from `client` is pinned to.
-    pub fn shard_of_client(&self, client: NodeId) -> u16 {
-        (shard_hash(u64::from(client.0) ^ CLIENT_SALT) % u64::from(self.shards)) as u16
-    }
-
-    /// The single shard handling `op` when issued by `client`, or `None`
-    /// for a `MultiPut` spanning more than one shard (route those through
+    /// The single shard handling `op` with id `op_id`, or `None` for a
+    /// `MultiPut` spanning more than one shard (route those through
     /// [`ShardRouter::split_multi`]).
-    pub fn shard_of(&self, client: NodeId, op: &Op) -> Option<u16> {
-        match op {
-            Op::Put { key, .. } | Op::Get { key } => Some(self.shard_of_key(*key)),
-            Op::SyntheticWrite { .. } | Op::SyntheticRead { .. } => {
-                Some(self.shard_of_client(client))
-            }
-            Op::MultiPut { puts } => {
-                let mut it = puts.iter().map(|(k, _)| self.shard_of_key(*k));
-                let first = it.next()?;
-                it.all(|s| s == first).then_some(first)
+    pub fn shard_of(&self, op_id: u64, op: &Op) -> Option<u16> {
+        if let Op::MultiPut { puts } = op {
+            let mut owners = puts.iter().map(|(k, _)| self.shard_of_key(*k));
+            let first = owners.next();
+            if !owners.all(|s| Some(s) == first) {
+                return None;
             }
         }
+        Some((route_hint(op_id, op) % u64::from(self.shards)) as u16)
     }
 
     /// Partitions a multi-key write by owning shard, preserving the
@@ -147,15 +147,20 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_streams_pin_to_one_shard() {
+    fn keyless_ops_route_by_op_id() {
         let r = ShardRouter::new(8);
-        let client = NodeId(42);
         let w = Op::SyntheticWrite {
             count: 10,
             op_bytes: 16,
         };
         let rd = Op::SyntheticRead { count: 5 };
-        assert_eq!(r.shard_of(client, &w), r.shard_of(client, &rd));
+        for seq in 1..50u64 {
+            for s in 0..8u16 {
+                let op_id = seq * 8 + u64::from(s);
+                assert_eq!(r.shard_of(op_id, &w), Some(s));
+                assert_eq!(r.shard_of(op_id, &rd), Some(s));
+            }
+        }
     }
 
     #[test]
@@ -169,14 +174,14 @@ mod tests {
             (k0, Bytes::from_static(b"b")),
         ];
         let op = Op::MultiPut { puts: puts.clone() };
-        assert_eq!(r.shard_of(NodeId(1), &op), None, "spans two shards");
+        assert_eq!(r.shard_of(1, &op), None, "spans two shards");
         let split = r.split_multi(&puts);
         assert_eq!(split.len(), 2);
         assert_eq!(*split.keys().next().unwrap(), 0);
         assert_eq!(r.anchor_of(&puts), 0);
         // Single-shard multi-put routes like a plain op.
         let same = vec![(k0, Bytes::new()), (k0, Bytes::new())];
-        assert_eq!(r.shard_of(NodeId(1), &Op::MultiPut { puts: same }), Some(0));
+        assert_eq!(r.shard_of(1, &Op::MultiPut { puts: same }), Some(0));
     }
 
     #[test]
@@ -185,6 +190,6 @@ mod tests {
         for key in 0..100u64 {
             assert_eq!(r.shard_of_key(key), 0);
         }
-        assert_eq!(r.shard_of_client(NodeId(7)), 0);
+        assert_eq!(r.shard_of(7, &Op::SyntheticRead { count: 1 }), Some(0));
     }
 }

@@ -21,7 +21,7 @@
 //!   event loop, steps the process and arms its timers.
 //! * [`reactor`] — the socket half of that loop: the node's listener and
 //!   connections on one epoll instance, frame reassembly, coalesced
-//!   writes, bounded per-peer queues and the [`SendGate`].
+//!   writes and bounded per-peer queues.
 //! * [`fault`] — the runtime fault table ([`FaultRules`]) the TCP
 //!   transport consults, so the nemesis engine can partition, impair, and
 //!   crash a *live* cluster the same way it does a simulated one.
@@ -40,8 +40,6 @@ pub mod wire;
 
 pub use clos::ClosFabric;
 pub use fault::FaultRules;
-#[cfg(feature = "tcp")]
-pub use reactor::SendGate;
 pub use topology::{LinkParams, RackId, Topology};
 pub use wan::{SiteId, WanMatrix};
 pub use wire::{Wire, WireError, WireRead};

@@ -25,18 +25,15 @@
 //!   kernel does not take stays buffered and write interest is armed until
 //!   it drains.
 //! - **Backpressure** is explicit: a peer's unwritten bytes are bounded
-//!   (`CANOPUS_NET_QUEUE_BYTES`, default 2 MiB). At the bound `send` first
-//!   writes what the socket will take (a burst inside one loop iteration
-//!   is not a blocked peer); if the bound still stands it returns
-//!   `SendOutcome::Backpressure` without queueing and raises the node's
-//!   [`SendGate`] until the buffer drains below half of it.
+//!   (2 MiB). At the bound `send` first writes what the socket will take
+//!   (a burst inside one loop iteration is not a blocked peer); if the
+//!   bound still stands it returns `SendOutcome::Backpressure` without
+//!   queueing.
 
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -53,8 +50,8 @@ const READ_CHUNK: usize = 64 << 10;
 /// to the other sockets (level-triggered epoll reports it again).
 const READS_PER_POLL: usize = 16;
 
-/// Default bound on a peer's unwritten bytes (headers included).
-const DEFAULT_HIGH_WATER: usize = 2 << 20;
+/// Bound on a peer's unwritten bytes (headers included).
+const HIGH_WATER: usize = 2 << 20;
 
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 const BACKOFF_MAX: Duration = Duration::from_secs(1);
@@ -69,63 +66,11 @@ pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
-/// Per-peer write-queue bound, overridable via `CANOPUS_NET_QUEUE_BYTES`.
-fn high_water() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::env::var("CANOPUS_NET_QUEUE_BYTES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_HIGH_WATER)
-    })
-}
-
 /// Event loops shared between nodes: none. Every node thread is its own
 /// loop, so there is nothing to count or configure; the function remains
 /// because livebench prints it.
 pub fn loop_count() -> usize {
     0
-}
-
-/// Transport saturation signal shared between a node's loop and its
-/// clients (the one piece of transport state another thread reads).
-///
-/// The loop raises the gate when any of the node's peer queues hits its
-/// high-water mark and lowers it once the queue drains below low water.
-/// Open-loop clients consult [`SendGate::is_saturated`] to shed or defer
-/// arrivals instead of piling onto a full queue; `incidents` counts every
-/// raise for test assertions and capacity reports.
-#[derive(Clone, Debug, Default)]
-pub struct SendGate {
-    saturated: Arc<AtomicUsize>,
-    incidents: Arc<AtomicU64>,
-}
-
-impl SendGate {
-    /// A fresh, open gate.
-    pub fn new() -> SendGate {
-        SendGate::default()
-    }
-
-    /// True while at least one of the node's peer queues is full.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated.load(Ordering::Relaxed) > 0
-    }
-
-    /// Total number of queue-full transitions observed so far.
-    pub fn incidents(&self) -> u64 {
-        self.incidents.load(Ordering::Relaxed)
-    }
-
-    fn raise(&self) {
-        self.saturated.fetch_add(1, Ordering::Relaxed);
-        self.incidents.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn lower(&self) {
-        self.saturated.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// Verdict of one [`Reactor::send`].
@@ -162,8 +107,6 @@ struct OutConn {
     want_write: bool,
     /// Listed in `Reactor::dirty` for the next flush.
     dirty: bool,
-    /// Between a high-water raise of the gate and the matching lower.
-    full: bool,
     backoff: Duration,
 }
 
@@ -199,7 +142,6 @@ pub(crate) struct Reactor {
     retries: Vec<(Instant, usize)>,
     scratch: Vec<u8>,
     high_water: usize,
-    gate: Option<SendGate>,
     metrics: ReactorMetrics,
 }
 
@@ -208,7 +150,6 @@ impl Reactor {
     pub(crate) fn new(
         self_id: NodeId,
         listener: TcpListener,
-        gate: Option<SendGate>,
         metrics: ReactorMetrics,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
@@ -227,8 +168,7 @@ impl Reactor {
             dirty: Vec::new(),
             retries: Vec::new(),
             scratch: vec![0u8; READ_CHUNK],
-            high_water: high_water(),
-            gate,
+            high_water: HIGH_WATER,
             metrics,
         })
     }
@@ -453,18 +393,6 @@ impl Reactor {
         self.retries.push((Instant::now() + out.backoff, idx));
         out.backoff = (out.backoff * 2).min(BACKOFF_MAX);
         self.metrics.reconnects.inc();
-        self.settle_gate(idx);
-    }
-
-    /// Lowers the gate once a full queue has drained below low water.
-    fn settle_gate(&mut self, idx: usize) {
-        let out = &mut self.outbound[idx];
-        if out.full && out.unwritten() <= self.high_water / 2 {
-            out.full = false;
-            if let Some(gate) = &self.gate {
-                gate.lower();
-            }
-        }
     }
 
     /// Queues one frame for `addr`, opening (and thereafter reusing) the
@@ -481,7 +409,6 @@ impl Reactor {
                     written: 0,
                     want_write: false,
                     dirty: false,
-                    full: false,
                     backoff: BACKOFF_MIN,
                 });
                 self.out_index.insert(addr, idx);
@@ -496,12 +423,6 @@ impl Reactor {
         }
         let out = &mut self.outbound[idx];
         if out.unwritten() >= self.high_water {
-            if !out.full {
-                out.full = true;
-                if let Some(gate) = &self.gate {
-                    gate.raise();
-                }
-            }
             return SendOutcome::Backpressure;
         }
         append_frame(&mut out.pending, payload);
@@ -569,7 +490,6 @@ impl Reactor {
                 .poller
                 .modify(stream.as_raw_fd(), Self::out_token(idx), interest);
         }
-        self.settle_gate(idx);
     }
 }
 
@@ -602,11 +522,9 @@ mod tests {
         let peer = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = peer.local_addr().unwrap();
         let hub = canopus_obs::NodeObs::disabled();
-        let gate = SendGate::new();
         let mut reactor = Reactor::new(
             NodeId(0),
             TcpListener::bind("127.0.0.1:0").unwrap(),
-            Some(gate.clone()),
             ReactorMetrics {
                 flush_bytes: hub.metrics.histogram("net.flush_bytes"),
                 reconnects: hub.metrics.counter("net.reconnects"),
@@ -627,6 +545,5 @@ mod tests {
             assert_eq!(reactor.send(addr, &[7u8; 1020]), SendOutcome::Queued);
         }
         assert!(reactor.queued_bytes(addr) < 32 << 10);
-        assert_eq!(gate.incidents(), 0);
     }
 }

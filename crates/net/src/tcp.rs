@@ -19,9 +19,8 @@
 //! same address), nonblocking with exponential backoff on failure; like
 //! the simulator's fabric, delivery is not guaranteed across a reconnect
 //! (consensus protocols tolerate loss by design). Per-peer write queues
-//! are bounded: when one fills, the send is shed as loss, counted under
-//! `net.drops.backpressure`, and the node's [`SendGate`] is raised so
-//! clients can back off.
+//! are bounded: when one fills, the send is shed as loss and counted under
+//! `net.drops.backpressure`.
 //!
 //! This module exists to make the library deployable, and to demonstrate
 //! that the protocol crates are genuinely IO-free: `examples/live_cluster.rs`
@@ -44,7 +43,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::fault::FaultRules;
-use crate::reactor::{Reactor, ReactorMetrics, SendGate, SendOutcome};
+use crate::reactor::{Reactor, ReactorMetrics, SendOutcome};
 use crate::wire::{Wire, WireError, MAX_FRAME};
 
 /// Longest wait of the node loop: how often it re-checks the shutdown
@@ -97,14 +96,12 @@ pub fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> std::io::Result<
 }
 
 /// Observability bundle for one TCP node: the node's hub plus a wall-clock
-/// origin for stamping the transport's flight events, plus an optional
-/// [`SendGate`] surfacing transport backpressure to clients. Clones share
-/// the underlying registry, recorder, and gate.
+/// origin for stamping the transport's flight events. Clones share the
+/// underlying registry and recorder.
 #[derive(Clone, Default)]
 pub struct NetObs {
     hub: NodeObs,
     origin: Option<Instant>,
-    gate: Option<SendGate>,
 }
 
 impl NetObs {
@@ -118,22 +115,7 @@ impl NetObs {
         NetObs {
             hub,
             origin: Some(Instant::now()),
-            gate: None,
         }
-    }
-
-    /// Attaches a backpressure gate: the transport raises it while any of
-    /// the node's peer write queues is at high water, and lowers it once
-    /// drained. Clients share the clone and shed or defer load while it
-    /// is saturated.
-    pub fn with_gate(mut self, gate: SendGate) -> Self {
-        self.gate = Some(gate);
-        self
-    }
-
-    /// The attached backpressure gate, if any.
-    pub fn gate(&self) -> Option<&SendGate> {
-        self.gate.as_ref()
     }
 
     /// The wrapped hub.
@@ -313,8 +295,8 @@ where
         flush_bytes: obs.hub.metrics.histogram("net.flush_bytes"),
         reconnects: obs.hub.metrics.counter("net.reconnects"),
     };
-    let reactor = Reactor::new(id, listener, obs.gate.clone(), reactor_metrics)
-        .expect("epoll instance for the node loop");
+    let reactor =
+        Reactor::new(id, listener, reactor_metrics).expect("epoll instance for the node loop");
     let metrics = NodeNetMetrics::new(obs);
     let mut node = NodeLoop {
         id,
@@ -473,8 +455,7 @@ where
             }
             SendOutcome::Backpressure => {
                 // The peer's bounded queue is full: shed as loss (never
-                // stall the protocol loop) and leave the gate raised for
-                // clients to observe.
+                // stall the protocol loop).
                 self.metrics.backpressure_drops.inc();
                 self.metrics.flag_drop(to, "backpressure");
             }
@@ -871,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn full_write_queue_signals_backpressure_and_raises_gate() {
+    fn full_write_queue_signals_backpressure() {
         // A listener that accepts but never reads: the kernel buffers
         // fill, then the bounded peer queue fills, then sends must come
         // back as explicit backpressure.
@@ -894,9 +875,8 @@ mod tests {
 
         let mut peers = PeerMap::new();
         peers.insert(NodeId(1), sink_addr);
-        let gate = SendGate::new();
         let hub = NodeObs::enabled(0, 16);
-        let obs = NetObs::new(hub.clone()).with_gate(gate.clone());
+        let obs = NetObs::new(hub.clone());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         // 256 frames x 256 KiB = 64 MiB >> kernel buffers + 2 MiB queue.
         let handle = spawn_node_obs::<Blob>(
@@ -925,7 +905,6 @@ mod tests {
             dropped > 0,
             "an unread peer must surface explicit backpressure"
         );
-        assert!(gate.incidents() > 0, "gate must record the incident");
         drop(handle.stop());
         let _ = stop_tx.send(());
         acceptor.join().unwrap();

@@ -182,8 +182,11 @@ impl SuperLeafBroadcast {
     }
 
     /// Campaigns to reclaim leadership of this node's own group (no-op if
-    /// already leading). A live owner always wins eventually: its log is
-    /// complete for its group and voters grant higher terms.
+    /// already leading, or if the last such campaign was less than an
+    /// election timeout ago). The owner's log may lack what the usurper
+    /// appended — at least its no-op — and then the campaign is refused;
+    /// the pacing leaves the other members time to elect a leader that
+    /// brings the owner up to date, after which its next campaign wins.
     pub fn reclaim_own_group(&mut self, now: Time, rng: &mut SmallRng, out: &mut Outbox) {
         let group = self.groups.get_mut(&self.me).expect("own group exists");
         group.force_election(now, rng, out);

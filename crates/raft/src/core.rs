@@ -325,6 +325,8 @@ pub struct RaftCore {
     /// The leader has discarded entries this member does not hold.
     needs_snapshot: bool,
     election_deadline: Time,
+    /// Earliest instant of the next [`RaftCore::force_election`] campaign.
+    next_forced: Time,
     next_heartbeat: Time,
     next_index: BTreeMap<NodeId, u64>,
     match_index: BTreeMap<NodeId, u64>,
@@ -366,6 +368,7 @@ impl RaftCore {
             delivered: 0,
             needs_snapshot: false,
             election_deadline: Time::ZERO,
+            next_forced: Time::ZERO,
             next_heartbeat: Time::ZERO,
             next_index: BTreeMap::new(),
             match_index: BTreeMap::new(),
@@ -607,11 +610,17 @@ impl RaftCore {
         }
     }
 
-    /// Immediately campaigns for leadership at a higher term. Used by a
-    /// broadcast-group owner to reclaim its group after a transient
-    /// usurpation (e.g. a false failure suspicion under CPU overload).
+    /// Campaigns for leadership at a higher term without waiting for the
+    /// election timeout. Used by a broadcast-group owner to reclaim its
+    /// group after a transient usurpation (e.g. a false failure suspicion
+    /// under CPU overload). At most one campaign per `election_timeout_max`,
+    /// however often it is called: a campaign this member loses (its log is
+    /// short) still deposes the leader and resets every voter's election
+    /// deadline, so the others need a full timeout between two of them to
+    /// elect a leader that can bring this member up to date.
     pub fn force_election(&mut self, now: Time, rng: &mut SmallRng, out: &mut Outbox) {
-        if self.role != Role::Leader {
+        if self.role != Role::Leader && now >= self.next_forced {
+            self.next_forced = now + self.cfg.election_timeout_max;
             self.start_election(now, rng, out);
         }
     }
@@ -1332,6 +1341,62 @@ mod tests {
         }
         assert_eq!(net.delivered[2].len(), 160);
         assert!(net.cores[1].retained_len() >= 10);
+    }
+
+    /// A broadcast-group owner whose host reclaims the group on every 1 ms
+    /// tick (what `CanopusNode::on_tick` does while it holds unsent items),
+    /// after a peer usurped the group and the one append carrying the
+    /// usurper's no-op to the owner was lost. The owner's log is an entry
+    /// short, so its campaigns are refused; unpaced, each of them also
+    /// deposes whoever leads and resets the voters' election deadlines, and
+    /// nobody ever leads the group again.
+    #[test]
+    fn a_usurped_owner_that_missed_the_no_op_reclaims_its_group() {
+        let mut net = Net::trio();
+        net.propose(0, payload(1));
+        net.deliver(|_, _| false);
+
+        let mut lost_one = false;
+        for ms in 1..=2000 {
+            net.now += Dur::millis(1);
+            let mut out = Outbox::new();
+            if ms == 20 {
+                net.cores[1].force_election(net.now, &mut net.rng, &mut out);
+                net.post(1, std::mem::take(&mut out));
+            }
+            if ms > 20 {
+                net.cores[0].force_election(net.now, &mut net.rng, &mut out);
+                net.post(0, out);
+            }
+            for member in 0..3 {
+                net.tick(member, Dur::ZERO);
+            }
+            // One hop per millisecond: a reply leaves in the next one.
+            for (from, to, msg) in std::mem::take(&mut net.wire) {
+                let carries_entries = matches!(
+                    &msg,
+                    RaftMsg::AppendEntries { entries, .. } if !entries.is_empty()
+                );
+                if !lost_one && (from, to) == (NodeId(1), NodeId(0)) && carries_entries {
+                    lost_one = true;
+                    continue;
+                }
+                let mut out = Outbox::new();
+                net.cores[to.index()].handle(from, msg, net.now, &mut net.rng, &mut out);
+                net.post(to.index(), out);
+            }
+        }
+        assert!(
+            lost_one,
+            "the usurper's first append to the owner was dropped"
+        );
+        let state: Vec<_> = net
+            .cores
+            .iter()
+            .map(|c| (c.role(), c.term(), c.log_len()))
+            .collect();
+        assert!(net.cores[0].is_leader(), "owner never led again: {state:?}");
+        assert!(net.cores[0].term() < 50, "election storm: {state:?}");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use canopus_zab::ZabMsg;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::dist::{poisson, KeyDist};
 use crate::latency::LatencyRecorder;
@@ -42,18 +41,6 @@ impl ProtocolMsg for CanopusMsg {
     fn reply(&self) -> Option<&ClientReply> {
         match self {
             CanopusMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-impl ProtocolMsg for canopus::ShardMsg {
-    fn request(req: ClientRequest) -> Self {
-        canopus::ShardMsg::Client(req)
-    }
-    fn reply(&self) -> Option<&ClientReply> {
-        match self {
-            canopus::ShardMsg::Reply(r) => Some(r),
             _ => None,
         }
     }
@@ -83,27 +70,6 @@ impl ProtocolMsg for ZabMsg {
     }
 }
 
-/// A cheap, callable check for transport saturation, polled by clients
-/// once per tick. A live deployment wires this to the TCP transport's
-/// `SendGate` (`canopus_net::SendGate::is_saturated`); simulated runs
-/// leave it unset. The indirection keeps this crate free of any
-/// transport dependency.
-pub type PressureProbe = Arc<dyn Fn() -> bool + Send + Sync>;
-
-/// What an open-loop client does with a tick's arrivals while the
-/// transport reports backpressure.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PressurePolicy {
-    /// Drop the arrivals (counted in `shed`). This preserves the open-loop
-    /// contract — offered load is independent of the system — and models
-    /// clients whose requests die in a full kernel buffer.
-    Shed,
-    /// Carry the arrivals forward and issue them once pressure clears
-    /// (counted in `deferred`). Offered totals are preserved; the burst on
-    /// release models queued-up clients draining.
-    Defer,
-}
-
 /// Open-loop workload parameters.
 #[derive(Clone, Debug)]
 pub struct OpenLoopConfig {
@@ -125,17 +91,12 @@ pub struct OpenLoopConfig {
     /// models one request per client op, the unbatched baseline the
     /// `throughput_knee` bench measures against.
     pub max_batch: u32,
-    /// Reaction to transport backpressure, consulted only when a
-    /// [`PressureProbe`] is installed ([`OpenLoopClient::with_pressure`]).
-    pub on_pressure: PressurePolicy,
-    /// Key-space shards the synthetic stream is spread across. With the
-    /// default `1` the client behaves exactly as before sharding existed
-    /// (same RNG stream, same wire traffic). Above 1, each tick's
-    /// arrivals are split across `shards` sub-streams, each issued under
-    /// a distinct *pseudo* client identity chosen so the sharded engine's
-    /// client-hash router lands it on the intended shard; only meaningful
-    /// against a shard-parallel engine (which routes replies back to the
-    /// real sender).
+    /// Key-space shards the synthetic stream is spread across: each
+    /// tick's arrivals are split into one sub-stream per shard, and
+    /// sub-stream `s` numbers its ops `seq * shards + s`, which is where
+    /// the router sends a keyless op. Set it to the deployment's
+    /// `CanopusConfig::shards`; with the default `1` op ids are the plain
+    /// sequence.
     pub shards: u16,
     /// Zipf exponent for the per-shard split: `None` spreads arrivals
     /// uniformly, `Some(theta)` gives shard `s` a share ∝ 1/(s+1)^theta
@@ -152,11 +113,34 @@ impl Default for OpenLoopConfig {
             op_bytes: 16,
             warmup: Dur::millis(200),
             max_batch: 0,
-            on_pressure: PressurePolicy::Shed,
             shards: 1,
             shard_theta: None,
         }
     }
+}
+
+/// Cumulative traffic share of each of `shards` shards: uniform, or
+/// ∝ 1/(s+1)^theta.
+fn shard_cdf(shards: u16, theta: Option<f64>) -> Vec<f64> {
+    let weights: Vec<f64> = (0..shards)
+        .map(|s| match theta {
+            None => 1.0,
+            Some(theta) => 1.0 / f64::from(s + 1).powf(theta),
+        })
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut acc = 0.0;
+    let mut cdf: Vec<f64> = weights
+        .iter()
+        .map(|w| {
+            acc += w / total;
+            acc
+        })
+        .collect();
+    if let Some(last) = cdf.last_mut() {
+        *last = 1.0;
+    }
+    cdf
 }
 
 /// Aggregated open-loop Poisson client bound to one protocol node.
@@ -172,19 +156,7 @@ pub struct OpenLoopClient<M: ProtocolMsg> {
     pub reads: LatencyRecorder,
     /// Requests issued (weighted), including warmup.
     pub offered: u64,
-    /// Requests dropped because the transport was saturated
-    /// ([`PressurePolicy::Shed`]).
-    pub shed: u64,
-    /// Requests carried across at least one saturated tick
-    /// ([`PressurePolicy::Defer`]).
-    pub deferred: u64,
-    probe: Option<PressureProbe>,
-    carry_writes: u64,
-    carry_reads: u64,
-    /// Pseudo client id per shard (empty when `cfg.shards <= 1`),
-    /// resolved lazily on start from the process's real id.
-    shard_ids: Vec<NodeId>,
-    /// Cumulative per-shard traffic share (uniform or Zipf-skewed).
+    /// [`shard_cdf`] of the configured shards; its length is their number.
     shard_cdf: Vec<f64>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
@@ -192,6 +164,7 @@ pub struct OpenLoopClient<M: ProtocolMsg> {
 impl<M: ProtocolMsg> OpenLoopClient<M> {
     /// Creates a client targeting `target`.
     pub fn new(target: NodeId, cfg: OpenLoopConfig, seed: u64) -> Self {
+        let shard_cdf = shard_cdf(cfg.shards.max(1), cfg.shard_theta);
         OpenLoopClient {
             cfg,
             target,
@@ -201,26 +174,9 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             writes: LatencyRecorder::default(),
             reads: LatencyRecorder::default(),
             offered: 0,
-            shed: 0,
-            deferred: 0,
-            probe: None,
-            carry_writes: 0,
-            carry_reads: 0,
-            shard_ids: Vec::new(),
-            shard_cdf: Vec::new(),
+            shard_cdf,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Installs a backpressure probe: each tick whose probe reports
-    /// saturation has its arrivals shed or deferred per
-    /// [`OpenLoopConfig::on_pressure`] instead of being queued blindly
-    /// into a transport that cannot drain them. The Poisson draws still
-    /// happen on saturated ticks, so installing a probe never perturbs
-    /// the RNG stream of an unsaturated run.
-    pub fn with_pressure(mut self, probe: PressureProbe) -> Self {
-        self.probe = Some(probe);
-        self
     }
 
     /// Write + read recorders merged (total completion view).
@@ -229,46 +185,6 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
         let mut rng = SmallRng::seed_from_u64(0);
         merged.merge(&self.reads, &mut rng);
         merged
-    }
-
-    /// Resolves the per-shard pseudo identities and traffic shares. The
-    /// pseudo id for shard `s` is the first id in this client's private
-    /// block (`(real_id + 1) << 16`) that the router's client hash maps
-    /// to `s` — a pure function of `(real_id, shards)`, so it survives
-    /// restarts and is identical on every run.
-    fn resolve_shards(&mut self, me: NodeId) {
-        if self.cfg.shards <= 1 {
-            return;
-        }
-        let shards = self.cfg.shards;
-        let router = canopus_kv::ShardRouter::new(shards);
-        let base = (me.0 + 1) << 16;
-        self.shard_ids = (0..shards)
-            .map(|s| {
-                (0..1u32 << 16)
-                    .map(|k| NodeId(base + k))
-                    .find(|&c| router.shard_of_client(c) == s)
-                    .expect("client hash covers every shard well before 2^16 probes")
-            })
-            .collect();
-        let weights: Vec<f64> = (0..shards)
-            .map(|s| match self.cfg.shard_theta {
-                None => 1.0,
-                Some(theta) => 1.0 / f64::from(s + 1).powf(theta),
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        self.shard_cdf = weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect();
-        if let Some(last) = self.shard_cdf.last_mut() {
-            *last = 1.0;
-        }
     }
 
     /// Splits `count` arrivals across shards by largest-cumulative-share
@@ -285,27 +201,15 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
     }
 
     fn issue_tick(&mut self, writes: u64, reads: u64, ctx: &mut Context<'_, M>) {
-        if self.shard_ids.is_empty() {
-            self.send_batch(writes, true, ctx.id(), ctx);
-            self.send_batch(reads, false, ctx.id(), ctx);
-            return;
-        }
         let w_split = self.split_across_shards(writes);
         let r_split = self.split_across_shards(reads);
-        for s in 0..self.shard_ids.len() {
-            let as_client = self.shard_ids[s];
-            self.send_batch(w_split[s], true, as_client, ctx);
-            self.send_batch(r_split[s], false, as_client, ctx);
+        for (s, (w, r)) in w_split.into_iter().zip(r_split).enumerate() {
+            self.send_batch(w, true, s as u64, ctx);
+            self.send_batch(r, false, s as u64, ctx);
         }
     }
 
-    fn send_batch(
-        &mut self,
-        count: u64,
-        is_write: bool,
-        as_client: NodeId,
-        ctx: &mut Context<'_, M>,
-    ) {
+    fn send_batch(&mut self, count: u64, is_write: bool, shard: u64, ctx: &mut Context<'_, M>) {
         if count == 0 {
             return;
         }
@@ -315,22 +219,16 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             while left > 0 {
                 let n = left.min(chunk);
                 left -= n;
-                self.send_one(n, is_write, as_client, ctx);
+                self.send_one(n, is_write, shard, ctx);
             }
         } else {
-            self.send_one(count, is_write, as_client, ctx);
+            self.send_one(count, is_write, shard, ctx);
         }
     }
 
-    fn send_one(
-        &mut self,
-        count: u64,
-        is_write: bool,
-        as_client: NodeId,
-        ctx: &mut Context<'_, M>,
-    ) {
+    fn send_one(&mut self, count: u64, is_write: bool, shard: u64, ctx: &mut Context<'_, M>) {
         self.next_op_id += 1;
-        let op_id = self.next_op_id;
+        let op_id = self.next_op_id * self.shard_cdf.len() as u64 + shard;
         let op = if is_write {
             Op::SyntheticWrite {
                 count: count as u32,
@@ -346,7 +244,7 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
         ctx.send(
             self.target,
             M::request(ClientRequest {
-                client: as_client,
+                client: ctx.id(),
                 op_id,
                 op,
             }),
@@ -356,7 +254,6 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
 
 impl<M: ProtocolMsg + 'static> Process<M> for OpenLoopClient<M> {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        self.resolve_shards(ctx.id());
         // Stagger tick phase across clients to avoid lockstep arrivals.
         let phase = Dur::nanos(self.rng.gen_range(0..self.cfg.tick.as_nanos().max(1)));
         ctx.set_timer(phase, 0);
@@ -368,21 +265,7 @@ impl<M: ProtocolMsg + 'static> Process<M> for OpenLoopClient<M> {
         let read_mean = self.cfg.rate_per_sec * (1.0 - self.cfg.write_ratio) * dt;
         let nw = poisson(&mut self.rng, write_mean);
         let nr = poisson(&mut self.rng, read_mean);
-        let saturated = self.probe.as_ref().is_some_and(|p| p());
-        if saturated {
-            match self.cfg.on_pressure {
-                PressurePolicy::Shed => self.shed += nw + nr,
-                PressurePolicy::Defer => {
-                    self.deferred += nw + nr;
-                    self.carry_writes += nw;
-                    self.carry_reads += nr;
-                }
-            }
-        } else {
-            let nw = nw + std::mem::take(&mut self.carry_writes);
-            let nr = nr + std::mem::take(&mut self.carry_reads);
-            self.issue_tick(nw, nr, ctx);
-        }
+        self.issue_tick(nw, nr, ctx);
         ctx.set_timer(self.cfg.tick, 0);
     }
 
@@ -681,70 +564,45 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_sheds_while_saturated() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (mut sim, _) = canopus_pair(5);
-        let pressed = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&pressed);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            warmup: Dur::ZERO,
-            ..Default::default()
+    fn open_loop_numbers_ops_onto_their_shards() {
+        let sent_ids = |shards: u16| {
+            let cfg = OpenLoopConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9);
+            let mut rng = SmallRng::seed_from_u64(0);
+            let mut seq = 0;
+            let mut ctx = Context::detached(Time::ZERO, NodeId(9), &mut rng, &mut seq);
+            client.issue_tick(8, 4, &mut ctx);
+            let (effects, _) = ctx.into_effects();
+            let ids: Vec<u64> = effects
+                .into_iter()
+                .map(|effect| match effect {
+                    canopus_sim::Effect::Send {
+                        msg: CanopusMsg::Request(req),
+                        ..
+                    } => {
+                        assert_eq!(req.client, NodeId(9), "issued under the real id");
+                        req.op_id
+                    }
+                    other => panic!("unexpected effect {other:?}"),
+                })
+                .collect();
+            assert_eq!(client.offered, 12);
+            ids
         };
-        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9)
-            .with_pressure(Arc::new(move || flag.load(Ordering::Relaxed)));
-        let c = sim.add_node(Box::new(client));
-        sim.run_for(Dur::millis(100));
-        {
-            let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-            assert_eq!(client.offered, 0, "saturated ticks issue nothing");
-            assert!(client.shed > 1000, "arrivals were shed: {}", client.shed);
-        }
-        pressed.store(false, Ordering::Relaxed);
-        sim.run_for(Dur::millis(200));
-        let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        // Shed arrivals are gone for good; fresh ticks flow normally.
-        assert!(client.offered > 1000, "load resumed: {}", client.offered);
-        assert!(client.total().completed() > 0);
-    }
-
-    #[test]
-    fn open_loop_defers_and_drains_on_release() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (mut sim, _) = canopus_pair(6);
-        let pressed = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&pressed);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            warmup: Dur::ZERO,
-            on_pressure: PressurePolicy::Defer,
-            ..Default::default()
-        };
-        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9)
-            .with_pressure(Arc::new(move || flag.load(Ordering::Relaxed)));
-        let c = sim.add_node(Box::new(client));
-        sim.run_for(Dur::millis(100));
-        let held = {
-            let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-            assert_eq!(client.offered, 0, "saturated ticks issue nothing");
-            assert!(
-                client.deferred > 1000,
-                "arrivals carried: {}",
-                client.deferred
-            );
-            client.deferred
-        };
-        pressed.store(false, Ordering::Relaxed);
-        sim.run_for(Dur::millis(200));
-        let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        // Everything carried through the saturated window was issued.
-        assert!(
-            client.offered >= held,
-            "carried arrivals drained: {} offered vs {} deferred",
-            client.offered,
-            client.deferred
-        );
-        assert!(client.total().completed() > 0);
+        assert_eq!(sent_ids(1), [1, 2], "unsharded ids are the plain sequence");
+        // A write and a read per shard, each id naming its shard.
+        let ids = sent_ids(4);
+        assert_eq!(ids.len(), 8);
+        let shards: Vec<u64> = ids.iter().map(|id| id % 4).collect();
+        assert_eq!(shards, [0, 0, 1, 1, 2, 2, 3, 3]);
+        let router = canopus_kv::ShardRouter::new(4);
+        let read = Op::SyntheticRead { count: 1 };
+        assert!(ids
+            .iter()
+            .all(|&id| router.shard_of(id, &read) == Some((id % 4) as u16)));
     }
 
     #[test]

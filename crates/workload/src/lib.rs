@@ -18,10 +18,7 @@ pub mod dist;
 pub mod latency;
 pub mod sessions;
 
-pub use client::{
-    ClosedLoopClient, ClosedLoopConfig, OpenLoopClient, OpenLoopConfig, PressurePolicy,
-    PressureProbe, ProtocolMsg,
-};
+pub use client::{ClosedLoopClient, ClosedLoopConfig, OpenLoopClient, OpenLoopConfig, ProtocolMsg};
 pub use dist::{poisson, KeyDist};
 pub use latency::LatencyRecorder;
 pub use sessions::{SessionMux, SessionMuxConfig};

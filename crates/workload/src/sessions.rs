@@ -10,19 +10,22 @@
 //! reply is routed back by op id alone — session `s` issues ops
 //! `((s + 1) << 32) | seq`, so the wire carries no extra routing state.
 //!
-//! Backpressure-awareness matches [`crate::client::OpenLoopClient`]: an
-//! installed [`PressureProbe`] defers due issues tick by tick while the
-//! transport is saturated, so a slow consensus core degrades session
-//! latency instead of growing an unbounded send queue.
+//! The harness has a second client multiplexer, `ClientMux`
+//! (`crates/harness/src/mux.rs`), and the two stay apart on purpose: that
+//! one hosts a few tens of full `Process` sub-clients, each with its own
+//! timers and a recorded operation history for the chaos verdict, while
+//! this one is a tick wheel over 10⁵ fixed-size session records that keeps
+//! no history at all. A shared type would have to branch on which of the
+//! two it is serving at every step.
 
 use bytes::Bytes;
-use canopus_kv::{ClientRequest, Op, ShardRouter};
+use canopus_kv::{ClientRequest, Op};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-use crate::client::{PressureProbe, ProtocolMsg};
+use crate::client::ProtocolMsg;
 use crate::latency::LatencyRecorder;
 
 /// Bits of op id reserved for a session's own op counter.
@@ -59,10 +62,6 @@ pub struct SessionMuxConfig {
     pub stop_at: Time,
     /// Latency samples before this time are discarded.
     pub warmup: Dur,
-    /// Key-space shards the deployment runs (1 = unsharded). Used only
-    /// for per-shard accounting — routing itself is the engine's job —
-    /// so the mux can report committed throughput per shard.
-    pub shards: u16,
 }
 
 impl Default for SessionMuxConfig {
@@ -80,7 +79,6 @@ impl Default for SessionMuxConfig {
             ramp: Dur::millis(500),
             stop_at: Time::from_nanos(u64::MAX),
             warmup: Dur::ZERO,
-            shards: 1,
         }
     }
 }
@@ -94,8 +92,6 @@ struct Session {
     issued_at: Time,
     is_write: bool,
     completed: u32,
-    /// Shard owning the outstanding op's key.
-    shard: u16,
 }
 
 /// A due event on the tick wheel.
@@ -112,25 +108,18 @@ pub struct SessionMux<M: ProtocolMsg> {
     rng: SmallRng,
     sessions: Vec<Session>,
     wheel: BTreeMap<u64, Vec<Due>>,
-    probe: Option<PressureProbe>,
     /// Ops issued across all sessions.
     pub issued: u64,
     /// Ops completed (a reply arrived before the timeout).
     pub completed: u64,
     /// Ops abandoned at the timeout.
     pub timeouts: u64,
-    /// Issue opportunities pushed back a tick because the transport was
-    /// saturated.
-    pub deferred: u64,
     /// Replies that arrived after their op had already timed out.
     pub late: u64,
     /// Completion latency across all sessions (post-warmup).
     pub latency: LatencyRecorder,
     outstanding_now: u64,
     peak_outstanding: u64,
-    router: ShardRouter,
-    /// `(issued, completed)` per shard, indexed by shard id.
-    per_shard: Vec<(u64, u64)>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -143,32 +132,20 @@ impl<M: ProtocolMsg> SessionMux<M> {
             "session index must fit the op-id namespace"
         );
         let sessions = vec![Session::default(); cfg.sessions];
-        let shards = cfg.shards.max(1);
         SessionMux {
-            router: ShardRouter::new(shards),
-            per_shard: vec![(0, 0); shards as usize],
             cfg,
             rng: SmallRng::seed_from_u64(seed),
             sessions,
             wheel: BTreeMap::new(),
-            probe: None,
             issued: 0,
             completed: 0,
             timeouts: 0,
-            deferred: 0,
             late: 0,
             latency: LatencyRecorder::default(),
             outstanding_now: 0,
             peak_outstanding: 0,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Installs a backpressure probe (see [`PressureProbe`]): while it
-    /// reports saturation, due issues are deferred one tick at a time.
-    pub fn with_pressure(mut self, probe: PressureProbe) -> Self {
-        self.probe = Some(probe);
-        self
     }
 
     /// Sessions hosted.
@@ -192,12 +169,6 @@ impl<M: ProtocolMsg> SessionMux<M> {
         self.sessions.iter().filter(|s| s.completed > 0).count() as u64
     }
 
-    /// `(issued, completed)` per key-space shard, indexed by shard id.
-    /// With `shards == 1` this is the aggregate.
-    pub fn per_shard_counts(&self) -> &[(u64, u64)] {
-        &self.per_shard
-    }
-
     fn tick_index(&self, at: Time) -> u64 {
         at.as_nanos() / self.cfg.tick.as_nanos().max(1)
     }
@@ -219,9 +190,6 @@ impl<M: ProtocolMsg> SessionMux<M> {
         let seq = sess.seq;
         let op_id = ((s as u64 + 1) << SEQ_BITS) | seq as u64;
         let key = self.cfg.key_base + s as u64 * cfg_keys + (seq as u64 % cfg_keys);
-        let shard = self.router.shard_of_key(key);
-        sess.shard = shard;
-        self.per_shard[shard as usize].0 += 1;
         let op = if is_write {
             Op::Put {
                 key,
@@ -264,7 +232,6 @@ impl<M: ProtocolMsg + 'static> Process<M> for SessionMux<M> {
     fn on_timer(&mut self, _t: Timer, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
         let horizon = self.tick_index(now);
-        let saturated = self.probe.as_ref().is_some_and(|p| p());
         while let Some(entry) = self.wheel.first_entry() {
             if *entry.key() > horizon {
                 break;
@@ -276,13 +243,7 @@ impl<M: ProtocolMsg + 'static> Process<M> for SessionMux<M> {
                         if now >= self.cfg.stop_at {
                             continue; // session quiesces
                         }
-                        if saturated {
-                            self.deferred += 1;
-                            let at = now + self.cfg.tick;
-                            self.schedule(at, Due::Issue(s));
-                        } else {
-                            self.issue(s, ctx);
-                        }
+                        self.issue(s, ctx);
                     }
                     Due::Expire(s, seq) => {
                         let sess = &mut self.sessions[s as usize];
@@ -319,7 +280,6 @@ impl<M: ProtocolMsg + 'static> Process<M> for SessionMux<M> {
         sess.outstanding = false;
         sess.completed += 1;
         self.completed += 1;
-        self.per_shard[sess.shard as usize].1 += 1;
         self.outstanding_now -= 1;
         let lat = now.saturating_since(sess.issued_at);
         if now >= Time::ZERO + self.cfg.warmup {
@@ -382,37 +342,6 @@ mod tests {
             "op accounting balances"
         );
         assert!(mux.latency.median().is_some());
-    }
-
-    #[test]
-    fn pressure_defers_issues_until_release() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let mut sim = canopus_trio(12);
-        let pressed = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&pressed);
-        let cfg = SessionMuxConfig {
-            sessions: 500,
-            targets: vec![NodeId(0)],
-            think_time: Dur::millis(10),
-            ramp: Dur::millis(10),
-            ..SessionMuxConfig::default()
-        };
-        let c = sim.add_node(Box::new(
-            SessionMux::<CanopusMsg>::new(cfg, 5)
-                .with_pressure(Arc::new(move || flag.load(Ordering::Relaxed))),
-        ));
-        sim.run_for(Dur::millis(100));
-        {
-            let mux = sim.node::<SessionMux<CanopusMsg>>(c);
-            assert_eq!(mux.issued, 0, "saturated mux issues nothing");
-            assert!(mux.deferred > 0, "issues deferred: {}", mux.deferred);
-        }
-        pressed.store(false, Ordering::Relaxed);
-        sim.run_for(Dur::millis(200));
-        let mux = sim.node::<SessionMux<CanopusMsg>>(c);
-        assert!(mux.completed > 500, "sessions drained: {}", mux.completed);
-        assert_eq!(mux.sessions_served(), 500);
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn main() {
             print!("{}", snap.to_text());
         }
     }
-    let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(CanopusMsg::FAMILY));
+    let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(CanopusMsg::NAME));
     println!(
         "verdict [{}]: {} ops ok, {} timed out, {} reads validity-checked",
         report.protocol, report.ops_ok, report.ops_timed_out, report.reads_checked

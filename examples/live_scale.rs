@@ -6,8 +6,7 @@
 //! LOT tree) listen on loopback TCP, and a handful of [`SessionMux`]
 //! processes host one hundred thousand concurrent closed-loop client
 //! sessions between them — each session ~32 bytes of state, replies routed
-//! back by op id alone, issues deferred tick-by-tick whenever the
-//! transport's [`SendGate`] reports saturation.
+//! back by op id alone.
 //!
 //! Run with: `cargo run --release --example live_scale [-- --record]`
 //!
@@ -39,7 +38,7 @@ use canopus::{CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape};
 use canopus_bench::json::{replace_section, JsonObject};
 use canopus_harness::{live_canopus_config, live_time_unit};
 use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs};
-use canopus_net::{FaultRules, SendGate};
+use canopus_net::FaultRules;
 use canopus_sim::{Dur, NodeId, Time};
 use canopus_workload::{LatencyRecorder, SessionMux, SessionMuxConfig};
 use rand::rngs::SmallRng;
@@ -161,7 +160,6 @@ fn main() {
     let extra = sessions % muxes;
     let stop_at = Time::ZERO + Dur::millis(ramp_ms) + Dur::nanos(run.as_nanos() as u64);
     let t0 = Instant::now();
-    let mut gates = Vec::new();
     let mut mux_handles = Vec::new();
     for (k, listener) in mux_listeners.into_iter().enumerate() {
         let id = NodeId((nodes + k) as u32);
@@ -183,10 +181,7 @@ fn main() {
             key_base: 1 + (k * per + k.min(extra)) as u64,
             ..SessionMuxConfig::default()
         };
-        let gate = SendGate::new();
-        let probe = gate.clone();
-        let mux = SessionMux::<CanopusMsg>::new(scfg, seed ^ (0x9e3779b9 + k as u64))
-            .with_pressure(Arc::new(move || probe.is_saturated()));
+        let mux = SessionMux::<CanopusMsg>::new(scfg, seed ^ (0x9e3779b9 + k as u64));
         mux_handles.push(spawn_node_obs::<CanopusMsg>(
             id,
             Box::new(mux),
@@ -194,9 +189,8 @@ fn main() {
             peers.clone(),
             seed.wrapping_add((nodes + k) as u64),
             Arc::clone(&rules),
-            NetObs::disabled().with_gate(gate.clone()),
+            NetObs::disabled(),
         ));
-        gates.push(gate);
     }
 
     // Ramp + measured window + a bounded drain for in-flight ops.
@@ -213,11 +207,7 @@ fn main() {
         let step = Duration::from_secs(10).min(total - slept);
         std::thread::sleep(step);
         slept += step;
-        let incidents: u64 = gates.iter().map(|g| g.incidents()).sum();
-        println!(
-            "  t+{:>4}s  backpressure incidents: {incidents}",
-            slept.as_secs()
-        );
+        println!("  t+{:>4}s", slept.as_secs());
     }
 
     println!("stopping muxes and collecting session stats ...");
@@ -226,7 +216,6 @@ fn main() {
     let mut completed = 0u64;
     let mut timeouts = 0u64;
     let mut late = 0u64;
-    let mut deferred = 0u64;
     let mut outstanding = 0u64;
     let mut served = 0u64;
     let mut peak = 0u64;
@@ -243,7 +232,6 @@ fn main() {
         completed += mux.completed;
         timeouts += mux.timeouts;
         late += mux.late;
-        deferred += mux.deferred;
         outstanding += mux.outstanding();
         served += mux.sessions_served();
         peak += mux.peak_outstanding();
@@ -270,7 +258,6 @@ fn main() {
         committed_weight = committed_weight.max(s.committed_weight);
     }
 
-    let incidents: u64 = gates.iter().map(|g| g.incidents()).sum();
     let throughput = completed as f64 / elapsed.as_secs_f64();
     let p50 = latency.median().map_or(f64::NAN, |d| d.as_millis_f64());
     let p99 = latency
@@ -279,7 +266,6 @@ fn main() {
     println!("\n=== live_scale ===");
     println!("  nodes: {nodes} ({groups} super-leaves)   sessions: {hosted} over {muxes} muxes");
     println!("  issued: {issued}  completed: {completed}  timeouts: {timeouts}  late: {late}");
-    println!("  deferred issues: {deferred}  backpressure incidents: {incidents}");
     println!("  sessions served: {served}/{hosted}  peak outstanding: {peak}");
     println!(
         "  committed throughput: {throughput:.0} ops/s over {:.0}s",
@@ -322,7 +308,6 @@ fn main() {
             .field_int("issued", issued)
             .field_int("completed", completed)
             .field_int("timeouts", timeouts)
-            .field_int("deferred", deferred)
             .field_int("sessions_served", served)
             .field_int("peak_outstanding", peak)
             .field_num("committed_ops_per_sec", throughput)
@@ -330,7 +315,6 @@ fn main() {
             .field_num("latency_p99_ms", p99)
             .field_int("node_committed_cycles", committed_cycles)
             .field_int("node_committed_writes", committed_weight)
-            .field_int("gate_incidents", incidents)
             .field_int("fd_estimate", fd_estimate as u64);
         if let Some(rss) = peak_rss_mib() {
             section.field_int("peak_rss_mib", rss);

@@ -101,7 +101,7 @@ fn run_one<P: Protocol>(
 ) -> (ChaosReport, Cluster<P>) {
     let mut cluster = builder::<P>(cfg, seed).sim();
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::FAMILY));
+    let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
     (report, cluster)
 }
 

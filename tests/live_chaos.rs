@@ -24,7 +24,7 @@
 //! partition and loss scenarios while ZAB and Raft KV cover
 //! crash/restart.
 
-use canopus::{CanopusConfig, CanopusMsg, ShardMsg};
+use canopus::{CanopusConfig, CanopusMsg};
 use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
     asymmetric_loss, leader_crash_mid_round, superleaf_partition, ChaosScenario,
@@ -72,7 +72,7 @@ fn sweep<M: Protocol + Wire + Send>(
             scenario.name
         );
         let outcome = cluster.shutdown();
-        let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(M::FAMILY));
+        let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(M::NAME));
         assert!(
             report.ok(),
             "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
@@ -123,9 +123,15 @@ fn live_canopus_batched_superleaf_partition() {
     sweep::<CanopusMsg>(Some(batched), superleaf_partition);
 }
 
+/// Four LOT pipelines per node over real sockets: lane-tagged frames on
+/// the wire, the per-shard checks of the verdict engaged.
 #[test]
 fn live_sharded_canopus_superleaf_partition() {
-    sweep::<ShardMsg>(None, superleaf_partition);
+    let sharded = CanopusConfig {
+        shards: 4,
+        ..CanopusMsg::live_config(&live_spec())
+    };
+    sweep::<CanopusMsg>(Some(sharded), superleaf_partition);
 }
 
 #[test]
