@@ -1,23 +1,19 @@
 //! Canopus node configuration.
+//!
+//! When a lane starts a cycle is one rule (`clock.rs`) reading three of
+//! these values: [`CanopusConfig::max_linger`] (how long the first request
+//! of a batch waits for company), [`CanopusConfig::max_batch`] (the batch
+//! that does not wait) and [`CanopusConfig::max_pipeline_depth`] (cycles in
+//! flight). The defaults are a single datacenter's — no window, one cycle
+//! at a time; [`CanopusConfig::wide_area`] is the paper's multi-datacenter
+//! setting of the same three. What no deployment, test or benchmark has
+//! ever set is a constant where it is used (`lane.rs`: representatives per
+//! super-leaf, fetch redundancy, lease span, state retention).
 
 use canopus_raft::RaftConfig;
 use canopus_sim::Dur;
 
 pub use canopus_kv::CostModel;
-
-/// When a node starts its next consensus cycle.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CycleTrigger {
-    /// Self-clocked (§4.4): start the next cycle when the previous one
-    /// commits, if there is pending work — plus on outside prompting.
-    /// Used for single-datacenter deployments where cycles are short.
-    OnCommit,
-    /// Pipelined (§7.1): multiple cycles in flight; a new cycle starts on a
-    /// periodic timer, on batch overflow, or on seeing a later-cycle
-    /// message. Used for wide-area deployments where the cycle time is
-    /// dominated by WAN round trips.
-    Pipelined,
-}
 
 /// How reads are linearized.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -36,34 +32,23 @@ pub enum ReadMode {
 /// Full configuration of a Canopus node.
 #[derive(Clone, Debug)]
 pub struct CanopusConfig {
-    /// Cycle start policy.
-    pub trigger: CycleTrigger,
-    /// Pipelined mode: interval between cycle starts (the paper's
-    /// multi-datacenter runs use 5 ms).
-    pub cycle_interval: Dur,
-    /// Start a new cycle early once this many client requests are pending
-    /// (the paper uses 1000).
+    /// Start a new cycle at once when this many client requests are
+    /// pending (the paper uses 1000).
     pub max_batch: usize,
-    /// Self-clocked batching window: after the first request of a batch
-    /// arrives, hold the cycle open this long so later arrivals aggregate
-    /// into the same proposal. Zero starts a cycle the moment work exists
-    /// (the seed behavior). Overflow ([`CanopusConfig::max_batch`]) and
-    /// outside prompting (§4.4) still start a cycle immediately — lingering
-    /// never delays joining a cycle the rest of the tree already started.
-    /// Ignored in [`CycleTrigger::Pipelined`] mode, where `cycle_interval`
-    /// plays this role.
+    /// Batching window: after the first request of a batch arrives, hold
+    /// the cycle this long so later arrivals share its proposal. Zero
+    /// starts a cycle the moment work exists. A full batch
+    /// ([`CanopusConfig::max_batch`]) and outside prompting (§4.4) start
+    /// the cycle at once — lingering never delays joining a cycle the rest
+    /// of the tree has started. The paper's multi-datacenter runs start a
+    /// cycle every 5 ms.
     pub max_linger: Dur,
-    /// Cap on consensus cycles in flight at once, in either trigger mode.
-    /// At 1, cycle N+1 starts only after cycle N commits (the self-clocked
-    /// single-DC behavior). Above 1, cycle N+1's LOT exchange overlaps
-    /// cycle N's result drain (§7.1 pipelining) — the cycle rate is then
-    /// bounded by the slowest round, not the full commit latency.
+    /// Cap on consensus cycles in flight at once. At 1, cycle N+1 starts
+    /// only after cycle N commits (single-datacenter cycles are short).
+    /// Above 1, cycle N+1's LOT exchange overlaps cycle N's (§7.1
+    /// pipelining) — the cycle rate is then bounded by the slowest round,
+    /// not by the commit latency, which across a WAN is a round trip.
     pub max_pipeline_depth: u64,
-    /// Number of super-leaf representatives fetching remote vnode states.
-    pub representatives: usize,
-    /// How many representatives redundantly fetch each vnode state
-    /// (the paper's example uses 2 for fault tolerance; 1 is leanest).
-    pub fetch_redundancy: usize,
     /// Re-issue a proposal-request if unanswered for this long (covers
     /// emulator failure; must exceed the largest RTT in the deployment).
     pub fetch_timeout: Dur,
@@ -76,17 +61,11 @@ pub struct CanopusConfig {
     pub raft: RaftConfig,
     /// Read linearization mode.
     pub read_mode: ReadMode,
-    /// Cycles a write lease stays active after its granting cycle
-    /// (lease mode only).
-    pub lease_span: u64,
     /// CPU cost model.
     pub costs: CostModel,
     /// Keep per-cycle commit records for inspection by tests (disable for
     /// long benchmark runs; the commit digest is always maintained).
     pub record_log: bool,
-    /// How many completed cycles to retain for answering late
-    /// proposal-requests from lagging super-leaves.
-    pub state_retention: u64,
     /// Key-space shards, each an independent LOT pipeline (lane) inside
     /// every node; the same value at every node of a deployment. 1 — the
     /// default — is the paper's protocol: one pipeline orders everything.
@@ -97,42 +76,35 @@ pub struct CanopusConfig {
 impl Default for CanopusConfig {
     fn default() -> Self {
         CanopusConfig {
-            trigger: CycleTrigger::OnCommit,
-            cycle_interval: Dur::millis(5),
             max_batch: 1000,
             max_linger: Dur::ZERO,
             max_pipeline_depth: 1,
-            representatives: 2,
-            fetch_redundancy: 1,
             fetch_timeout: Dur::millis(700),
             tick_interval: Dur::millis(1),
             failure_timeout: Dur::millis(25),
             raft: RaftConfig::default(),
             read_mode: ReadMode::Delayed,
-            lease_span: 8,
             costs: CostModel::default(),
             record_log: true,
-            state_retention: 64,
             shards: 1,
         }
     }
 }
 
-/// The super-leaf batching window of every configuration that batches:
+/// The batching window of the single-datacenter configurations that batch:
 /// long enough for the requests of one burst to share a proposal, short
 /// against a cycle.
 pub const BATCH_LINGER: Dur = Dur::millis(1);
 
 impl CanopusConfig {
-    /// The paper's multi-datacenter configuration: pipelining on, 5 ms
-    /// cycle timer, 1000-request batches (§8.2). Failure and election
-    /// timeouts are relaxed so heavy load degrades gracefully instead of
-    /// triggering false failovers.
+    /// The paper's multi-datacenter configuration: a cycle every 5 ms
+    /// while there is work, up to 64 in flight, 1000-request batches
+    /// (§8.2). Failure and election timeouts are relaxed so heavy load
+    /// degrades gracefully instead of triggering false failovers.
     pub fn wide_area() -> Self {
         CanopusConfig {
-            trigger: CycleTrigger::Pipelined,
-            cycle_interval: Dur::millis(5),
             max_batch: 1000,
+            max_linger: Dur::millis(5),
             max_pipeline_depth: 64,
             fetch_timeout: Dur::millis(900),
             failure_timeout: Dur::millis(150),
@@ -141,19 +113,6 @@ impl CanopusConfig {
                 election_timeout_min: Dur::millis(50),
                 election_timeout_max: Dur::millis(100),
             },
-            ..Self::default()
-        }
-    }
-
-    /// Throughput-tuned self-clocked configuration: super-leaf batching
-    /// (1 ms linger, 1000-request overflow) plus cross-round pipelining
-    /// (`depth` cycles in flight). `depth` must be ≥ 1. This is the
-    /// configuration the `throughput_knee` bench and the batched chaos
-    /// scenarios exercise; every other knob keeps its default.
-    pub fn batched_pipelined(depth: u64) -> Self {
-        CanopusConfig {
-            max_linger: BATCH_LINGER,
-            max_pipeline_depth: depth.max(1),
             ..Self::default()
         }
     }

@@ -8,9 +8,15 @@
 //! `h` rounds over the LOT (§4.2), self-synchronizes on outside prompting
 //! (§4.4), acts as a super-leaf representative fetching remote vnode states
 //! (§4.5), maintains the emulation table through committed membership
-//! updates (§4.6), linearizes reads by delaying them one or two cycles (§5)
-//! or through write leases (§7.2), and pipelines cycles for wide-area
-//! deployments (§7.1).
+//! updates (§4.6), and linearizes reads by delaying them one or two cycles
+//! (§5) or through write leases (§7.2).
+//!
+//! Two decisions are made elsewhere and only carried out here. *When* a
+//! cycle starts — work, a full batch, outside prompting, how many cycles may
+//! be in flight (§4.4, §7.1) — is the `CycleClock`'s (`clock.rs`); the lane
+//! reports what the rule reads and does what it says. And *that a broadcast
+//! arrives* although a peer may have usurped this member's group meanwhile
+//! is [`SuperLeafBroadcast`]'s promise: the lane hands an item over once.
 //!
 //! The broadcast groups compact their logs (everything delivered locally and
 //! held by every member goes), so a member that restarts without its logs
@@ -31,7 +37,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::Bytes;
 use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
 use canopus_net::wire::Wire;
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
@@ -40,17 +45,31 @@ use canopus_sim::{Dur, NodeId, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{CanopusConfig, CycleTrigger, ReadMode};
+use crate::clock::{CycleClock, Decision};
+use crate::config::{CanopusConfig, ReadMode};
 use crate::emulation::EmulationTable;
 use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
 use crate::node::LaneCtx;
 use crate::proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
 use crate::types::{CycleId, VnodeId};
 
-/// Timer tokens.
+/// Timer tokens: the housekeeping tick, and the close of the batching
+/// window (`clock.rs`).
 const TICK: u64 = 1;
-const CYCLE: u64 = 2;
-const LINGER: u64 = 3;
+const WINDOW: u64 = 2;
+
+/// Super-leaf representatives fetching remote vnode states (§4.5).
+const REPRESENTATIVES: usize = 2;
+/// Representatives that fetch each vnode state. The paper's example uses 2
+/// for fault tolerance; here a fetch that times out is retried with
+/// another emulator and a stalled cycle is rescued by any member.
+const FETCH_REDUNDANCY: usize = 1;
+/// Cycles a write lease stays active after the cycle that granted it
+/// (§7.2).
+const LEASE_SPAN: u64 = 8;
+/// Committed cycles kept for answering late proposal-requests from lagging
+/// super-leaves.
+const STATE_RETENTION: u64 = 64;
 
 /// One committed operation, as recorded in the commit log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,13 +215,8 @@ pub struct Lane {
 
     // Cycle machinery.
     cycles: BTreeMap<CycleId, CycleState>,
-    /// Batching window deadline (§ batching): set when the first request
-    /// of a batch arrives under a nonzero `max_linger`, cleared when the
-    /// cycle carrying the batch starts.
-    linger_until: Option<Time>,
-    last_started: CycleId,
-    last_committed: CycleId,
-    max_seen_cycle: CycleId,
+    /// Which cycles have started and committed, and when the next may.
+    clock: CycleClock,
     /// Buffered proposal-requests for states not yet computed.
     waiting_requests: Vec<(NodeId, CycleId, VnodeId)>,
 
@@ -224,15 +238,6 @@ pub struct Lane {
     /// such, and picks another live emulator").
     remote_suspects: BTreeSet<NodeId>,
 
-    /// Encoded broadcast items that could not be proposed while our own
-    /// group's leadership was usurped; retried each tick after reclaiming.
-    unsent_items: VecDeque<Bytes>,
-    /// Encoded items our own group accepted from us and has not delivered
-    /// back yet, in broadcast order. Until it is committed an entry can
-    /// still be truncated by a usurper of the group — typically one that
-    /// this node, descheduled past the election timeout, proposed under its
-    /// stale term — so these go again once the group is reclaimed.
-    in_flight_items: VecDeque<Bytes>,
     /// State transfer: when the next request may go out, and how many
     /// went (peers are asked in turn).
     state_requests: (Time, usize),
@@ -298,6 +303,7 @@ impl Lane {
         let superleaf_roster: BTreeSet<NodeId> = table.members_of(my_superleaf).collect();
         Lane {
             rng: SmallRng::seed_from_u64(seed ^ (me.0 as u64) << 32),
+            clock: CycleClock::new(&cfg),
             cfg,
             me,
             my_superleaf,
@@ -314,18 +320,12 @@ impl Lane {
             requested_leases: BTreeSet::new(),
             lease_until: BTreeMap::new(),
             cycles: BTreeMap::new(),
-            linger_until: None,
-            last_started: CycleId(0),
-            last_committed: CycleId(0),
-            max_seen_cycle: CycleId(0),
             waiting_requests: Vec::new(),
             superleaf_roster,
             tombstoned: BTreeMap::new(),
             rejoined: BTreeMap::new(),
             pending_tombstones: BTreeMap::new(),
             remote_suspects: BTreeSet::new(),
-            unsent_items: VecDeque::new(),
-            in_flight_items: VecDeque::new(),
             state_requests: (Time::ZERO, 0),
             store: KvStore::new(),
             committed_log: Vec::new(),
@@ -384,12 +384,12 @@ impl Lane {
 
     /// Highest committed cycle.
     pub fn last_committed(&self) -> CycleId {
-        self.last_committed
+        self.clock.last_committed()
     }
 
     /// Highest started cycle.
     pub fn last_started(&self) -> CycleId {
-        self.last_started
+        self.clock.last_started()
     }
 
     /// Human-readable diagnostic of in-flight protocol state.
@@ -400,13 +400,13 @@ impl Lane {
             out,
             "{}: started={} committed={} tombstoned={:?} pending_ts={:?} roster={:?}",
             self.me,
-            self.last_started.0,
-            self.last_committed.0,
+            self.clock.last_started().0,
+            self.clock.last_committed().0,
             self.tombstoned,
             self.pending_tombstones.keys().collect::<Vec<_>>(),
             self.superleaf_roster,
         );
-        for (c, e) in self.cycles.range(self.last_committed.next()..) {
+        for (c, e) in self.cycles.range(self.clock.last_committed().next()..) {
             let _ = write!(
                 out,
                 "
@@ -433,26 +433,15 @@ impl Lane {
     }
 
     fn broadcast_item(&mut self, item: &BroadcastItem, ctx: &mut LaneCtx<'_, '_>) {
-        let data = item.to_bytes();
         let mut out = Outbox::new();
         let bcast = self.bcast.as_mut().expect("started");
-        match bcast.broadcast(data.clone(), ctx.now(), &mut out) {
-            Some(_) => self.in_flight_items.push_back(data),
-            // Not currently leading our own group: a peer transiently
-            // usurped it after a false failure suspicion (heavy CPU load
-            // delays heartbeats). Queue the item; the tick loop reclaims
-            // leadership and retries — proposals are never dropped.
-            None => self.unsent_items.push_back(data),
-        }
+        bcast.broadcast(item.to_bytes(), ctx.now(), &mut out);
         self.flush_raft(out, ctx);
     }
 
     /// Hands the lane what its broadcast groups committed.
     fn deliver(&mut self, deliveries: Vec<Delivery>, ctx: &mut LaneCtx<'_, '_>) {
         for d in deliveries {
-            if d.origin == self.me && self.in_flight_items.front() == Some(&d.data) {
-                self.in_flight_items.pop_front();
-            }
             // Corrupt payloads cannot occur internally; ignore decode errors.
             if let Ok(item) = BroadcastItem::from_bytes(d.data) {
                 self.handle_delivery(d.origin, item, ctx);
@@ -467,7 +456,7 @@ impl Lane {
     fn lease_active_for_next_cycles(&self, key: Key) -> bool {
         self.lease_until
             .get(&key)
-            .is_some_and(|&until| until > self.last_started.0)
+            .is_some_and(|&until| until > self.clock.last_started().0)
     }
 
     fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
@@ -546,10 +535,6 @@ impl Lane {
     // Cycle lifecycle
     // ------------------------------------------------------------------
 
-    fn in_flight(&self) -> u64 {
-        self.last_started.0 - self.last_committed.0
-    }
-
     fn has_local_work(&self) -> bool {
         !self.pending_writes.is_empty()
             || self
@@ -560,80 +545,43 @@ impl Lane {
             || !self.requested_leases.is_empty()
     }
 
-    /// Whether the batching window for the next self-clocked cycle has
-    /// closed. Opens the window (and arms its timer) on the first call
-    /// with pending work, so a request never waits longer than
-    /// `max_linger` before its cycle starts.
-    fn linger_elapsed(&mut self, ctx: &mut LaneCtx<'_, '_>) -> bool {
-        if self.cfg.max_linger.is_zero() {
-            return true;
-        }
-        match self.linger_until {
-            Some(deadline) => {
-                let fired = ctx.now() >= deadline;
-                if fired {
-                    self.obs.linger_fires.inc();
-                    self.obs.hub.event(
-                        ctx.now().as_nanos(),
-                        ObsEvent::LingerFire {
-                            cycle: self.last_started.next().0,
-                            ops: self.pending_writes.len() as u64,
-                        },
-                    );
-                }
-                fired
-            }
-            None => {
-                self.linger_until = Some(ctx.now() + self.cfg.max_linger);
-                ctx.set_timer(self.cfg.max_linger, LINGER);
-                self.obs.hub.event(
-                    ctx.now().as_nanos(),
-                    ObsEvent::LingerArm {
-                        cycle: self.last_started.next().0,
-                        ops: self.pending_writes.len() as u64,
-                    },
-                );
-                false
-            }
-        }
-    }
-
-    /// Starts as many cycles as policy allows (§4.4 prompting, §7.1
-    /// pipelining, super-leaf batching via `max_linger`).
+    /// Starts as many cycles as the clock allows, and opens the batching
+    /// window when it says the first work of a batch is here.
     fn maybe_start_cycles(&mut self, ctx: &mut LaneCtx<'_, '_>) {
         if self.bcast.is_none() {
             return;
         }
         loop {
-            // Both trigger modes bound cycles in flight by the same knob;
-            // depth 1 reproduces the strict start-on-commit behavior.
-            if self.in_flight() >= self.cfg.max_pipeline_depth.max(1) {
-                return;
+            let now = ctx.now();
+            let cycle = self.clock.last_started().next().0;
+            let ops = self.pending_writes.len() as u64;
+            let work = self.has_local_work();
+            match self.clock.decide(now, self.pending_weight, work) {
+                Decision::Wait => return,
+                Decision::OpenWindow(after) => {
+                    let timer = ctx.set_timer(after, WINDOW);
+                    self.clock.window_opened(now + after, timer);
+                    let event = ObsEvent::LingerArm { cycle, ops };
+                    self.obs.hub.event(now.as_nanos(), event);
+                    return;
+                }
+                Decision::Start { window_closed } => {
+                    if window_closed {
+                        self.obs.linger_fires.inc();
+                        let event = ObsEvent::LingerFire { cycle, ops };
+                        self.obs.hub.event(now.as_nanos(), event);
+                    }
+                    self.start_cycle(ctx);
+                }
             }
-            let prompted = self.max_seen_cycle > self.last_started;
-            let overflow = self.pending_weight >= self.cfg.max_batch as u64;
-            let start = prompted
-                || overflow
-                || (self.has_local_work()
-                    && match self.cfg.trigger {
-                        // Self-clocked: start once the batching window
-                        // closes (immediately when `max_linger` is zero).
-                        CycleTrigger::OnCommit => self.linger_elapsed(ctx),
-                        // Pipelined starts on timer/prompt/overflow only,
-                        // except for the very first cycle.
-                        CycleTrigger::Pipelined => self.last_started == CycleId(0),
-                    });
-            if !start {
-                return;
-            }
-            self.start_cycle(ctx);
         }
     }
 
     fn start_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
-        let c = self.last_started.next();
-        self.last_started = c;
-        self.linger_until = None;
+        let (c, unfired_window) = self.clock.start(ctx.now());
+        if let Some(timer) = unfired_window {
+            ctx.cancel_timer(timer);
+        }
 
         // Batch everything pending: writes, lease requests, membership
         // updates. Reads buffered during the previous window are ordered by
@@ -642,7 +590,7 @@ impl Lane {
         let ops: Vec<TimedOp> = self.pending_writes.drain(..).collect();
         self.pending_weight = 0;
 
-        let in_flight = self.in_flight();
+        let in_flight = self.clock.in_flight();
         self.obs.cycles_started.inc();
         self.obs.batch_ops.observe(ops.len() as u64);
         self.obs.batch_weight.observe(batch_weight);
@@ -689,7 +637,6 @@ impl Lane {
         // representatives request remote states as soon as the cycle
         // starts; emulators buffer until the state is ready).
         self.plan_fetches(c, ctx);
-        self.note_cycle_seen(c);
     }
 
     /// Fetches-or-creates the cycle entry with its ancestor slots ready.
@@ -702,13 +649,7 @@ impl Lane {
         entry
     }
 
-    fn note_cycle_seen(&mut self, c: CycleId) {
-        if c > self.max_seen_cycle {
-            self.max_seen_cycle = c;
-        }
-    }
-
-    /// The representative set: the first `representatives` non-excluded
+    /// The representative set: the first [`REPRESENTATIVES`] non-excluded
     /// members of this super-leaf, in id order (§4.5: representatives are
     /// numbered and ordered; assignment needs no communication).
     fn representative_set(&self) -> Vec<NodeId> {
@@ -716,7 +657,7 @@ impl Lane {
             .iter()
             .copied()
             .filter(|m| !self.tombstoned.contains_key(m))
-            .take(self.cfg.representatives.max(1))
+            .take(REPRESENTATIVES)
             .collect()
     }
 
@@ -740,12 +681,7 @@ impl Lane {
                 .filter(|v| *v != own_child)
                 .collect();
             for (j, vnode) in needed.into_iter().enumerate() {
-                let mut mine = false;
-                for k in 0..self.cfg.fetch_redundancy.max(1) {
-                    if reps[(j + k) % reps.len()] == self.me {
-                        mine = true;
-                    }
-                }
+                let mine = (0..FETCH_REDUNDANCY).any(|k| reps[(j + k) % reps.len()] == self.me);
                 if !mine {
                     continue;
                 }
@@ -825,7 +761,7 @@ impl Lane {
         match item {
             BroadcastItem::Proposal(state) => {
                 let c = state.cycle;
-                if c <= self.last_committed {
+                if c <= self.clock.last_committed() {
                     return;
                 }
                 // A tombstoned member's later proposals must not resurrect
@@ -841,7 +777,7 @@ impl Lane {
                 if self.tombstoned.contains_key(&origin) {
                     return;
                 }
-                self.note_cycle_seen(c);
+                self.clock.saw(c);
                 let now = ctx.now();
                 let entry = self.cycle_entry(c);
                 entry.last_progress = now;
@@ -851,10 +787,10 @@ impl Lane {
             }
             BroadcastItem::Remote(state) => {
                 let c = state.cycle;
-                if c <= self.last_committed {
+                if c <= self.clock.last_committed() {
                     return;
                 }
-                self.note_cycle_seen(c);
+                self.clock.saw(c);
                 let now = ctx.now();
                 let entry = self.cycle_entry(c);
                 entry.last_progress = now;
@@ -894,7 +830,7 @@ impl Lane {
                     .cycles
                     .keys()
                     .copied()
-                    .filter(|&c| c > self.last_committed)
+                    .filter(|&c| c > self.clock.last_committed())
                     .collect();
                 for c in in_flight {
                     self.advance_cycle(c, ctx);
@@ -1050,7 +986,7 @@ impl Lane {
 
     fn try_commit(&mut self, ctx: &mut LaneCtx<'_, '_>) {
         loop {
-            let next = self.last_committed.next();
+            let next = self.clock.last_committed().next();
             let ready = self
                 .cycles
                 .get(&next)
@@ -1069,7 +1005,7 @@ impl Lane {
         // from lagging super-leaves, and `lookup_state` answers those from
         // the non-root ancestors: the inputs of the merges, the fetch
         // bookkeeping and the root itself are released now, not
-        // `state_retention` cycles later.
+        // `STATE_RETENTION` cycles later.
         let root = {
             let entry = self.cycles.get_mut(&c).expect("ready");
             entry.committed = true;
@@ -1084,11 +1020,11 @@ impl Lane {
         self.table.apply_all(&root.updates);
 
         // 2. Lease grants (§7.2): requests in this cycle cover the next
-        //    `lease_span` cycles.
+        //    `LEASE_SPAN` cycles.
         let mut unlocked: Vec<Key> = Vec::new();
         for set in &root.sets {
             for &key in &set.lease_requests {
-                self.lease_until.insert(key, c.0 + self.cfg.lease_span);
+                self.lease_until.insert(key, c.0 + LEASE_SPAN);
                 if set.origin == self.me {
                     unlocked.push(key);
                 }
@@ -1188,9 +1124,9 @@ impl Lane {
                 sets: record_sets,
             });
         }
-        self.last_committed = c;
+        self.clock.committed(c);
         self.obs.cycles_committed.inc();
-        self.obs.in_flight.set(self.in_flight() as i64);
+        self.obs.in_flight.set(self.clock.in_flight() as i64);
         self.obs.hub.event(
             now.as_nanos(),
             ObsEvent::Commit {
@@ -1200,7 +1136,7 @@ impl Lane {
         );
 
         // 6. Prune retired cycle state.
-        let keep_from = CycleId(c.0.saturating_sub(self.cfg.state_retention));
+        let keep_from = CycleId(c.0.saturating_sub(STATE_RETENTION));
         let stale: Vec<CycleId> = self.cycles.range(..keep_from).map(|(&k, _)| k).collect();
         for k in stale {
             self.cycles.remove(&k);
@@ -1279,7 +1215,7 @@ impl Lane {
         vnode: VnodeId,
         ctx: &mut LaneCtx<'_, '_>,
     ) {
-        self.note_cycle_seen(cycle);
+        self.clock.saw(cycle);
         match self.lookup_state(cycle, &vnode) {
             Some(state) => {
                 self.stats.fetches_served += 1;
@@ -1296,7 +1232,7 @@ impl Lane {
 
     fn handle_proposal_response(&mut self, state: VnodeState, ctx: &mut LaneCtx<'_, '_>) {
         let c = state.cycle;
-        if c <= self.last_committed {
+        if c <= self.clock.last_committed() {
             return;
         }
         let already = self
@@ -1346,10 +1282,10 @@ impl Lane {
         if !self.superleaf_roster.contains(&from) || bcast.needs_snapshot() {
             return; // not ours to serve, or lost ourselves
         }
-        let in_flight = || self.cycles.range(self.last_committed.next()..);
+        let in_flight = || self.cycles.range(self.clock.last_committed().next()..);
         let snapshot = Snapshot {
             points: bcast.delivered_points(),
-            last_committed: self.last_committed,
+            last_committed: self.clock.last_committed(),
             commit_digest: self.stats.commit_digest,
             committed_cycles: self.stats.committed_cycles,
             committed_weight: self.stats.committed_weight,
@@ -1377,8 +1313,8 @@ impl Lane {
     /// Takes over a peer's replicated state and resumes every broadcast
     /// group where that state stands. Whatever this node did since it came
     /// up without its logs (cycles it started on its own numbering, items
-    /// it could not broadcast) was never part of the super-leaf's history
-    /// and goes; reads waiting on such cycles are ordered afresh.
+    /// the broadcast still held for it) was never part of the super-leaf's
+    /// history and goes; reads waiting on such cycles are ordered afresh.
     fn handle_state_response(
         &mut self,
         from: NodeId,
@@ -1388,7 +1324,7 @@ impl Lane {
         let bcast = self.bcast.as_mut().expect("started");
         if !bcast.needs_snapshot()
             || !self.superleaf_roster.contains(&from)
-            || snapshot.last_committed < self.last_committed
+            || snapshot.last_committed < self.clock.last_committed()
             || !bcast.resume_at(&snapshot.points, ctx.now(), &mut self.rng)
         {
             return; // stale, or behind a group here: the next request will do
@@ -1402,20 +1338,17 @@ impl Lane {
         self.stats.commit_digest = snapshot.commit_digest;
         self.stats.committed_cycles = snapshot.committed_cycles;
         self.stats.committed_weight = snapshot.committed_weight;
-        self.last_committed = snapshot.last_committed;
-        self.last_started = snapshot.last_committed;
-        self.max_seen_cycle = snapshot.last_committed;
-        self.linger_until = None;
+        if let Some(timer) = self.clock.resume_at(snapshot.last_committed) {
+            ctx.cancel_timer(timer);
+        }
         self.cycles.clear();
-        self.unsent_items.clear();
-        self.in_flight_items.clear();
         self.pending_tombstones.clear();
         for read in &mut self.pending_reads {
             read.ordering_cycle = CycleId(0);
         }
         for (origin, state) in snapshot.round1 {
             let c = state.cycle;
-            self.note_cycle_seen(c);
+            self.clock.saw(c);
             let own = origin == self.me;
             let entry = self.cycle_entry(c);
             entry.round1.insert(origin, state);
@@ -1423,11 +1356,11 @@ impl Lane {
                 // Proposed before the restart and still in flight: it
                 // stands, and must not be proposed a second time.
                 entry.started = true;
-                self.last_started = self.last_started.max(c);
+                self.clock.resume_started(c);
             }
         }
         for state in snapshot.remote {
-            self.note_cycle_seen(state.cycle);
+            self.clock.saw(state.cycle);
             let vnode = state.vnode.clone();
             self.cycle_entry(state.cycle).remote.insert(vnode, state);
         }
@@ -1451,37 +1384,13 @@ impl Lane {
         };
         self.flush_raft(out, ctx);
         self.request_state_if_lost(ctx);
-
-        // Reclaim our broadcast group if usurped, then flush queued items.
-        // What was in flight when the group was lost goes again, ahead of
-        // what was queued since; an item that did survive is delivered
-        // twice, which changes nothing.
-        let bcast = self.bcast.as_mut().expect("started");
-        if !bcast.leads_own_group() {
-            while let Some(data) = self.in_flight_items.pop_back() {
-                self.unsent_items.push_front(data);
-            }
-        }
-        if !self.unsent_items.is_empty() {
-            let mut out = Outbox::new();
-            if !bcast.leads_own_group() {
-                bcast.reclaim_own_group(now, &mut self.rng, &mut out);
-            } else {
-                while let Some(data) = self.unsent_items.pop_front() {
-                    if bcast.broadcast(data.clone(), now, &mut out).is_none() {
-                        self.unsent_items.push_front(data);
-                        break;
-                    }
-                    self.in_flight_items.push_back(data);
-                }
-            }
-            self.flush_raft(out, ctx);
-        }
         self.deliver(deliveries, ctx);
 
         // Failure detection: the survivor that wins the dead member's group
-        // election appends the tombstone. Detection usually precedes the
-        // election finishing, so proposals are retried until delivery.
+        // election appends the tombstone. Detection may precede the end of
+        // the election: until this node has proposed the tombstone it looks
+        // again every tick, and from then on every `failure_timeout` until
+        // the tombstone is delivered.
         for peer in self.fd.newly_failed(now) {
             if !self.tombstoned.contains_key(&peer) {
                 self.pending_tombstones.entry(peer).or_insert(Time::ZERO);
@@ -1504,26 +1413,26 @@ impl Lane {
                 self.pending_tombstones.remove(&peer);
                 continue;
             }
-            self.pending_tombstones.insert(peer, now);
-            if self.bcast.as_ref().expect("started").leads_group_of(peer) {
-                let item = BroadcastItem::Tombstone {
-                    node: peer,
-                    from_cycle: self.last_committed.next(),
-                };
-                let data = item.to_bytes();
-                let mut out = Outbox::new();
-                self.bcast
-                    .as_mut()
-                    .expect("started")
-                    .propose_into(peer, data, now, &mut out);
+            let item = BroadcastItem::Tombstone {
+                node: peer,
+                from_cycle: self.clock.last_committed().next(),
+            };
+            let mut out = Outbox::new();
+            let bcast = self.bcast.as_mut().expect("started");
+            // `None`: nobody leads the group yet, or a peer does.
+            if bcast
+                .propose_into(peer, item.to_bytes(), now, &mut out)
+                .is_some()
+            {
                 self.flush_raft(out, ctx);
+                self.pending_tombstones.insert(peer, now);
             }
         }
 
         // Fetch retries: re-ask a different emulator after timeout.
         let timeout = self.cfg.fetch_timeout;
         let mut retries: Vec<(CycleId, VnodeId, u32, NodeId)> = Vec::new();
-        for (&c, entry) in self.cycles.range(self.last_committed.next()..) {
+        for (&c, entry) in self.cycles.range(self.clock.last_committed().next()..) {
             for (vnode, fetch) in &entry.fetches {
                 if !fetch.responded
                     && !entry.remote.contains_key(vnode)
@@ -1551,8 +1460,8 @@ impl Lane {
     /// Fetches any long-missing sibling state of the oldest uncommitted
     /// cycle regardless of representative assignment.
     fn rescue_stalled_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
-        let c = self.last_committed.next();
-        if c > self.last_started {
+        let c = self.clock.last_committed().next();
+        if c > self.clock.last_started() {
             return;
         }
         let stuck_for = self.cfg.fetch_timeout;
@@ -1595,21 +1504,6 @@ impl Lane {
             self.issue_fetch(c, v, 0, ctx);
         }
     }
-
-    fn on_cycle_timer(&mut self, ctx: &mut LaneCtx<'_, '_>) {
-        if self.cfg.trigger == CycleTrigger::Pipelined {
-            let depth_ok = self.in_flight() < self.cfg.max_pipeline_depth;
-            // The periodic timer is the upper bound between cycle starts
-            // (§7.1); it fires a new cycle whenever local work is waiting.
-            // Idle datacenters still participate in cycles started
-            // elsewhere through outside prompting (§4.4), so a fully idle
-            // system quiesces instead of free-running empty cycles.
-            if depth_ok && self.has_local_work() {
-                self.start_cycle(ctx);
-            }
-            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
-        }
-    }
 }
 
 impl Lane {
@@ -1626,9 +1520,6 @@ impl Lane {
         let peers: Vec<NodeId> = members.into_iter().filter(|&p| p != self.me).collect();
         self.fd = FailureDetector::new(&peers, self.cfg.failure_timeout, ctx.now());
         ctx.set_timer(self.cfg.tick_interval, TICK);
-        if self.cfg.trigger == CycleTrigger::Pipelined {
-            ctx.set_timer(self.cfg.cycle_interval, CYCLE);
-        }
     }
 
     pub(crate) fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut LaneCtx<'_, '_>) {
@@ -1664,11 +1555,8 @@ impl Lane {
     pub(crate) fn on_timer(&mut self, token: u64, ctx: &mut LaneCtx<'_, '_>) {
         match token {
             TICK => self.on_tick(ctx),
-            CYCLE => self.on_cycle_timer(ctx),
-            // The batching window closed; the deadline check inside
-            // `linger_elapsed` ignores stale timers from already-started
-            // cycles (their `linger_until` was cleared).
-            LINGER => self.maybe_start_cycles(ctx),
+            // The batching window has run out: the clock starts its cycle.
+            WINDOW => self.maybe_start_cycles(ctx),
             _ => {}
         }
     }

@@ -4,8 +4,8 @@
 //! Canopus totally orders *everything* through one LOT pipeline, but most
 //! KV traffic is single-key and only needs per-key order. A
 //! [`CanopusNode`] therefore hosts `cfg.shards` [`Lane`]s — each a complete
-//! protocol state machine with its own cycle pipeline, linger timer,
-//! batching window, broadcast-group logs, failure detector and store — all
+//! protocol state machine with its own cycle pipeline, batching window,
+//! broadcast-group logs, failure detector and store — all
 //! behind one transport identity (one socket set on TCP, one sim node), and
 //! routes every client request to the lane that owns it
 //! ([`canopus_kv::ShardRouter`]). With the default of one shard the node
@@ -69,7 +69,7 @@ use crate::msg::CanopusMsg;
 use crate::types::CycleId;
 
 /// Bits of a timer token holding the lane's own token; the lane id lives
-/// above them. Lane tokens are tiny constants (tick, cycle, linger).
+/// above them. Lane tokens are tiny constants (tick, batching window).
 const TOKEN_BITS: u32 = 32;
 
 fn pack_token(lane: u16, token: u64) -> u64 {

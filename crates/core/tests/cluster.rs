@@ -6,13 +6,14 @@
 
 use bytes::Bytes;
 use canopus::{
-    CanopusConfig, CanopusMsg, CanopusNode, CanopusStats, CommittedOp, CycleTrigger,
-    EmulationTable, LotShape, ReadMode,
+    CanopusConfig, CanopusMsg, CanopusNode, CanopusStats, CommittedOp, EmulationTable, LotShape,
+    ReadMode,
 };
 use canopus_kv::{
     check_agreement, check_client_fifo, ClientReply, ClientRequest, LinChecker, Op, OpResult,
     ReadObs, ReplyEvent, WriteObs,
 };
+use canopus_obs::{EventKind, NodeObs};
 use canopus_sim::{
     impl_process_any, Context, Dur, LossyFabric, NodeId, PartitionableFabric, Process, Simulation,
     Time, Timer, UniformFabric,
@@ -91,6 +92,8 @@ type TestFabric = PartitionableFabric<LossyFabric<UniformFabric>>;
 struct Cluster {
     sim: Simulation<CanopusMsg, TestFabric>,
     nodes: Vec<NodeId>,
+    /// Each node's flight recorder and counters, by node.
+    hubs: Vec<NodeObs>,
 }
 
 impl Cluster {
@@ -115,14 +118,16 @@ fn build_cluster(shape: LotShape, per_leaf: usize, cfg: &CanopusConfig, seed: u6
     let fabric =
         PartitionableFabric::new(LossyFabric::new(UniformFabric::new(Dur::micros(50)), 0.0));
     let mut sim = Simulation::new(fabric, seed);
+    let hubs: Vec<NodeObs> = (0..next).map(|i| NodeObs::enabled(i, 64)).collect();
     let mut nodes = Vec::new();
     for i in 0..next {
-        let node = CanopusNode::new(NodeId(i), table.clone(), cfg.clone(), seed ^ 0x9e37);
+        let node = CanopusNode::new(NodeId(i), table.clone(), cfg.clone(), seed ^ 0x9e37)
+            .with_obs(std::slice::from_ref(&hubs[i as usize]));
         let id = sim.add_node(Box::new(node));
         assert_eq!(id, NodeId(i));
         nodes.push(id);
     }
-    Cluster { sim, nodes }
+    Cluster { sim, nodes, hubs }
 }
 
 fn add_client(cluster: &mut Cluster, target: NodeId, script: Vec<(Dur, Op)>) -> NodeId {
@@ -368,8 +373,7 @@ fn client_fifo_order_is_preserved() {
 #[test]
 fn pipelined_mode_commits_under_load() {
     let cfg = CanopusConfig {
-        trigger: CycleTrigger::Pipelined,
-        cycle_interval: Dur::millis(2),
+        max_linger: Dur::millis(2),
         max_pipeline_depth: 64,
         ..CanopusConfig::default()
     };
@@ -399,6 +403,57 @@ fn pipelined_mode_commits_under_load() {
         "pipelined mode ran multiple cycles: {}",
         s.committed_cycles
     );
+}
+
+/// The start rule at rest and at its slowest: under the wide-area
+/// configuration an idle cluster starts no cycle and arms no window timer,
+/// and a single request is in a cycle `max_linger` after it arrived — the
+/// one window the whole cluster opens for it — and commits everywhere.
+#[test]
+fn idle_wide_area_cluster_is_quiet_and_one_request_commits_everywhere() {
+    let cfg = CanopusConfig::wide_area();
+    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 13);
+    let sent_at = Dur::millis(300);
+    let client = add_client(&mut cluster, NodeId(4), vec![(sent_at, put(1, 1))]);
+    let windows_armed = |cluster: &Cluster| -> Vec<usize> {
+        let arm = |e: &canopus_obs::FlightEvent| matches!(e.kind, EventKind::LingerArm { .. });
+        (cluster.hubs.iter())
+            .map(|hub| hub.flight.events().iter().filter(|e| arm(e)).count())
+            .collect()
+    };
+    let started = |cluster: &Cluster, n: u32| {
+        let node = cluster.sim.node::<CanopusNode>(NodeId(n));
+        node.last_started().0
+    };
+
+    cluster.sim.run_for(sent_at - Dur::millis(1));
+    assert_eq!(windows_armed(&cluster), [0; 6], "idle, yet a window timer");
+    for n in 0..6 {
+        assert_eq!(started(&cluster, n), 0, "idle, yet n{n} started a cycle");
+        assert_eq!(cluster.hubs[n as usize].flight.recorded(), 0);
+    }
+
+    // The request arrives a network hop after it is sent.
+    cluster.sim.run_for(Dur::millis(1) + cfg.max_linger);
+    assert_eq!(started(&cluster, 4), 0, "the window is still open");
+    cluster.sim.run_for(Dur::millis(1));
+    assert_eq!(
+        started(&cluster, 4),
+        1,
+        "in a cycle a window after arriving"
+    );
+
+    cluster.sim.run_for(Dur::millis(200));
+    for &n in &cluster.nodes {
+        let s = stats_of(&cluster, n);
+        assert_eq!((s.committed_cycles, s.committed_weight), (1, 1), "{n}");
+    }
+    assert_eq!(cluster.sim.node::<ScriptClient>(client).replies.len(), 1);
+    // Everyone else was prompted into the cycle; nobody opened a second.
+    assert_eq!(windows_armed(&cluster), [0, 0, 0, 0, 1, 0]);
+    let fires = |hub: &NodeObs| hub.metrics.snapshot().counter("canopus.linger_fires");
+    assert_eq!(fires(&cluster.hubs[4]), Some(1));
+    assert!((0..6).all(|n| started(&cluster, n) == 1));
 }
 
 #[test]
@@ -432,7 +487,7 @@ fn linger_window_batches_writes_into_fewer_cycles() {
 
 #[test]
 fn on_commit_pipelining_overlaps_cycles() {
-    // Self-clocked mode with depth > 1: cycle N+1's exchange may begin
+    // No batching window, depth > 1: cycle N+1's exchange may begin
     // while cycle N drains. Correctness (agreement, no loss, FIFO of the
     // commit order) must be unaffected.
     let cfg = CanopusConfig {
@@ -461,7 +516,7 @@ fn on_commit_pipelining_overlaps_cycles() {
     let s = stats_of(&cluster, NodeId(0));
     assert!(
         s.committed_cycles >= 3,
-        "pipelined self-clocked mode ran multiple cycles: {}",
+        "depth 4 ran multiple cycles: {}",
         s.committed_cycles
     );
 }
@@ -500,10 +555,11 @@ fn retained_state_stays_bounded_over_ten_thousand_broadcasts() {
         );
     }
     // Three groups of a few entries each; one operation per retained
-    // cycle in the one ancestor a late proposal-request can ask for.
+    // cycle (the lane keeps 64) in the one ancestor a late
+    // proposal-request can ask for.
     assert!(most_raft <= 9, "{most_raft} Raft entries retained");
     assert!(
-        most_ops <= 2 * cfg.state_retention as usize,
+        most_ops <= 2 * 64,
         "{most_ops} operations retained in cycle state"
     );
 }
@@ -905,4 +961,51 @@ fn lease_mode_serves_uncontended_reads_fast_and_linearizably() {
         "uncontended reads took the fast path: {}",
         node4.stats().lease_fast_reads
     );
+}
+
+/// The failure detector can give a member up before that member's broadcast
+/// group has elected the successor that may append the tombstone. From then
+/// on exclusion waits for the election alone: a survivor proposes the
+/// tombstone on the first tick that finds it leading the group, so *when*
+/// the member is excluded no longer depends on the failure timeout. (A
+/// survivor that had looked once used to look again a full failure timeout
+/// later, which put the exclusion on a multiple of it.)
+#[test]
+fn tombstone_follows_the_election_when_detection_comes_first() {
+    let excluded_after = |failure_timeout: Dur, seed: u64| {
+        let cfg = CanopusConfig {
+            failure_timeout,
+            fetch_timeout: Dur::millis(40),
+            ..CanopusConfig::default()
+        };
+        assert!(failure_timeout < cfg.raft.election_timeout_min);
+        let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, seed);
+        let script: Vec<(Dur, Op)> = (0..100)
+            .map(|k| (Dur::millis(k + 1), put(k, k as u8)))
+            .collect();
+        add_client(&mut cluster, NodeId(0), script);
+        cluster.sim.run_for(Dur::millis(10));
+        cluster.sim.crash(NodeId(1));
+        let excluded = |cluster: &Cluster| {
+            (cluster.nodes.iter().filter(|&&n| n != NodeId(1))).all(|&n| {
+                let table = cluster.sim.node::<CanopusNode>(n).emulation_table();
+                table.superleaf_of(NodeId(1)).is_none()
+            })
+        };
+        let mut waited = Dur::ZERO;
+        while !excluded(&cluster) {
+            assert!(waited < Dur::millis(200), "seed {seed}: never excluded");
+            cluster.sim.run_for(cfg.tick_interval);
+            waited += cfg.tick_interval;
+        }
+        waited
+    };
+    for seed in 40..46 {
+        let (short, long) = (Dur::millis(5), Dur::millis(9));
+        assert_eq!(
+            excluded_after(short, seed),
+            excluded_after(long, seed),
+            "seed {seed}: exclusion after the crash, failure timeout {short} vs {long}"
+        );
+    }
 }

@@ -68,20 +68,18 @@ impl ClusterObs {
         ClusterObs { flight_cap }
     }
 
-    /// One hub per (node, pipeline) pair, node-major. A node hosting
-    /// several pipelines tags pipeline `s`'s flight events
-    /// `node * 256 + s`, which keeps the streams distinguishable in a
-    /// failure dump.
+    /// One hub per (node, pipeline) pair, node-major. On a node hosting
+    /// several pipelines the hub of pipeline `s` is labelled with it
+    /// (`n4/l2`), which keeps the streams apart in a failure dump.
     pub(crate) fn hubs(&self, nodes: usize, per_node: usize) -> Vec<NodeObs> {
         (0..nodes as u32)
-            .flat_map(|node| (0..per_node as u32).map(move |s| (node, s)))
+            .flat_map(|node| (0..per_node as u16).map(move |s| (node, s)))
             .map(|(node, s)| {
                 if self.flight_cap == 0 {
                     NodeObs::disabled()
-                } else if per_node == 1 {
-                    NodeObs::enabled(node, self.flight_cap)
                 } else {
-                    NodeObs::enabled(node * 256 + s, self.flight_cap)
+                    let lane = (per_node > 1).then_some(s);
+                    NodeObs::enabled_lane(node, lane, self.flight_cap)
                 }
             })
             .collect()

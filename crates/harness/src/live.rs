@@ -55,7 +55,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use canopus::{CanopusConfig, CycleTrigger, BATCH_LINGER};
+use canopus::{CanopusConfig, BATCH_LINGER};
 use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
 use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
@@ -106,7 +106,7 @@ pub(crate) fn live_raft_config() -> RaftConfig {
     }
 }
 
-/// Canopus configuration for live sockets: self-clocked cycles behind the
+/// Canopus configuration for live sockets: one cycle at a time behind the
 /// 1 ms batching window (without it one request anywhere starts a cycle
 /// that drags every node through a broadcast and the LOT rounds, and an
 /// idle-ish cluster free-runs at the speed of its transport), 4-unit
@@ -115,7 +115,6 @@ pub(crate) fn live_raft_config() -> RaftConfig {
 pub fn live_canopus_config() -> CanopusConfig {
     let unit = live_time_unit();
     CanopusConfig {
-        trigger: CycleTrigger::OnCommit,
         max_linger: BATCH_LINGER,
         fetch_timeout: unit * 4,
         failure_timeout: unit * 40,
@@ -454,11 +453,11 @@ impl<P: Protocol> LiveOutcome<P> {
         flight_dump(&self.hubs, last)
     }
 
-    /// Every hub's metrics registry, snapshotted: `(hub id, snapshot)`.
-    pub fn metrics_snapshots(&self) -> Vec<(u32, Snapshot)> {
+    /// Every hub's metrics registry, snapshotted: `(hub label, snapshot)`.
+    pub fn metrics_snapshots(&self) -> Vec<(String, Snapshot)> {
         self.hubs
             .iter()
-            .map(|hub| (hub.node, hub.metrics.snapshot()))
+            .map(|hub| (hub.label(), hub.metrics.snapshot()))
             .collect()
     }
 

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, CycleTrigger, Lane};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, Lane};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
 use canopus_kv::{check_agreement, Key};
 use canopus_obs::NodeObs;
@@ -164,12 +164,11 @@ impl Protocol for CanopusMsg {
     const NAME: &'static str = "canopus";
     const LINEARIZABLE_READS: bool = true;
 
-    /// Self-clocked cycles in a single datacenter, pipelined 5 ms cycles
-    /// across datacenters (§8.2).
+    /// One cycle at a time, started the moment there is work, in a single
+    /// datacenter; pipelined 5 ms cycles across datacenters (§8.2).
     fn sim_config(spec: &DeploymentSpec) -> CanopusConfig {
         match spec.topo {
             TopoSpec::SingleDc { .. } => CanopusConfig {
-                trigger: CycleTrigger::OnCommit,
                 fetch_timeout: Dur::millis(25),
                 failure_timeout: Dur::millis(60),
                 raft: canopus_raft::RaftConfig {

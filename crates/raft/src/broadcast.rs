@@ -11,8 +11,16 @@
 //! completes any in-flight replication — exactly the paper's "the new
 //! leader completes any incomplete log replication" — after which the group
 //! simply goes quiet (a crashed owner proposes nothing new).
+//!
+//! A live owner can lose its group too: a peer that falsely suspects it
+//! (heavy CPU load delays heartbeats) wins the group's election. What the
+//! owner hands to [`SuperLeafBroadcast::broadcast`] meanwhile waits here,
+//! and what it had proposed on its stale term — which the usurper may
+//! truncate — goes again, once [`SuperLeafBroadcast::tick`] has won the
+//! group back: whatever is broadcast is delivered once the group can be
+//! led, in broadcast order, and the host never sees the usurpation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use canopus_sim::{NodeId, Time};
@@ -39,6 +47,15 @@ pub struct SuperLeafBroadcast {
     /// One Raft group per member, keyed by owner. `groups[me]` is the group
     /// this node leads.
     groups: BTreeMap<NodeId, RaftCore>,
+    /// Broadcasts this node's own group has yet to accept, oldest first:
+    /// handed over, or in flight, while the group was usurped.
+    unsent: VecDeque<Bytes>,
+    /// Broadcasts the own group accepted and has not delivered back yet,
+    /// in broadcast order. Until it is committed an entry can still be
+    /// truncated by a usurper of the group — typically one that this node,
+    /// descheduled past the election timeout, proposed under its stale
+    /// term — so these go again once the group is won back.
+    in_flight: VecDeque<Bytes>,
 }
 
 impl SuperLeafBroadcast {
@@ -66,7 +83,12 @@ impl SuperLeafBroadcast {
             );
             groups.insert(owner, core);
         }
-        SuperLeafBroadcast { me, groups }
+        SuperLeafBroadcast {
+            me,
+            groups,
+            unsent: VecDeque::new(),
+            in_flight: VecDeque::new(),
+        }
     }
 
     /// This node's id.
@@ -79,14 +101,26 @@ impl SuperLeafBroadcast {
         self.groups[&self.me].members()
     }
 
-    /// Reliably broadcasts `data` to the super-leaf (including self-delivery).
-    ///
-    /// Returns the sequence number in this node's broadcast order, or `None`
-    /// if this node currently does not lead its own group (possible briefly
-    /// after a false-positive failure detection; callers may retry).
-    pub fn broadcast(&mut self, data: Bytes, now: Time, out: &mut Outbox) -> Option<u64> {
+    /// Reliably broadcasts `data` to the super-leaf (including
+    /// self-delivery). While this node does not lead its own group the
+    /// payload waits; [`Self::tick`] sends it. A payload in flight when the
+    /// group was usurped may be delivered twice.
+    pub fn broadcast(&mut self, data: Bytes, now: Time, out: &mut Outbox) {
+        self.unsent.push_back(data);
+        self.propose_unsent(now, out);
+    }
+
+    /// Proposes what is queued into the own group, oldest first, for as
+    /// long as this node leads it.
+    fn propose_unsent(&mut self, now: Time, out: &mut Outbox) {
         let group = self.groups.get_mut(&self.me).expect("own group exists");
-        group.propose(data, now, out)
+        while let Some(data) = self.unsent.pop_front() {
+            if group.propose(data.clone(), now, out).is_none() {
+                self.unsent.push_front(data);
+                return;
+            }
+            self.in_flight.push_back(data);
+        }
     }
 
     /// Routes one incoming Raft message to its group; returns any newly
@@ -109,12 +143,31 @@ impl SuperLeafBroadcast {
     }
 
     /// Drives timeouts for all groups; returns any deliveries unlocked by
-    /// elections (rare — only after owner failure).
+    /// elections (rare — only after owner failure). A usurped own group is
+    /// campaigned for while there is something to broadcast, and what
+    /// waited for it goes out once it is led again.
     pub fn tick(&mut self, now: Time, rng: &mut SmallRng, out: &mut Outbox) -> Vec<Delivery> {
         for group in self.groups.values_mut() {
             group.tick(now, rng, out);
         }
-        self.drain_deliveries()
+        let deliveries = self.drain_deliveries();
+        let own = self.groups.get_mut(&self.me).expect("own group exists");
+        if own.is_leader() {
+            self.propose_unsent(now, out);
+        } else {
+            // What was in flight goes again, ahead of what was queued
+            // since; an item that did survive is delivered twice.
+            while let Some(data) = self.in_flight.pop_back() {
+                self.unsent.push_front(data);
+            }
+            if !self.unsent.is_empty() {
+                // Paced by the group: a campaign the owner loses (its
+                // log lacks the usurper's no-op) must leave the others
+                // time to elect a leader that brings it up to date.
+                own.force_election(now, rng, out);
+            }
+        }
+        deliveries
     }
 
     /// Hands over what the groups committed and lets each group drop the
@@ -124,6 +177,9 @@ impl SuperLeafBroadcast {
         let mut deliveries = Vec::new();
         for (&owner, group) in self.groups.iter_mut() {
             for (seq, data) in group.take_delivered() {
+                if owner == self.me && self.in_flight.front() == Some(&data) {
+                    self.in_flight.pop_front();
+                }
                 deliveries.push(Delivery {
                     origin: owner,
                     seq,
@@ -155,8 +211,10 @@ impl SuperLeafBroadcast {
     }
 
     /// Moves every group to a peer's [`Self::delivered_points`], for a
-    /// host that has taken over that peer's state. All or nothing: false
-    /// if any group here has already delivered past its point.
+    /// host that has taken over that peer's state, and forgets what was
+    /// waiting to be broadcast: it belongs to the history the host gave up.
+    /// All or nothing: false if any group here has already delivered past
+    /// its point.
     pub fn resume_at(
         &mut self,
         points: &[(NodeId, (u64, u64))],
@@ -173,35 +231,16 @@ impl SuperLeafBroadcast {
             let group = self.groups.get_mut(owner).expect("checked");
             group.resume_at(*point, now, rng);
         }
+        self.unsent.clear();
+        self.in_flight.clear();
         true
-    }
-
-    /// Whether this node currently leads its own broadcast group.
-    pub fn leads_own_group(&self) -> bool {
-        self.groups[&self.me].is_leader()
-    }
-
-    /// Campaigns to reclaim leadership of this node's own group (no-op if
-    /// already leading, or if the last such campaign was less than an
-    /// election timeout ago). The owner's log may lack what the usurper
-    /// appended — at least its no-op — and then the campaign is refused;
-    /// the pacing leaves the other members time to elect a leader that
-    /// brings the owner up to date, after which its next campaign wins.
-    pub fn reclaim_own_group(&mut self, now: Time, rng: &mut SmallRng, out: &mut Outbox) {
-        let group = self.groups.get_mut(&self.me).expect("own group exists");
-        group.force_election(now, rng, out);
-    }
-
-    /// Whether this node currently leads the group owned by `owner` (true
-    /// after winning the election triggered by `owner`'s failure).
-    pub fn leads_group_of(&self, owner: NodeId) -> bool {
-        self.groups.get(&owner).is_some_and(|g| g.is_leader())
     }
 
     /// Proposes `data` into the group owned by `owner`. Used by a successor
     /// leader to append administrative entries (tombstones) totally ordered
     /// with the owner's broadcasts. Returns the log index, or `None` if
-    /// this node does not lead that group.
+    /// this node does not lead that group (it does after winning the
+    /// election that `owner`'s failure sets off).
     pub fn propose_into(
         &mut self,
         owner: NodeId,
@@ -218,9 +257,11 @@ impl SuperLeafBroadcast {
 mod tests {
     use super::*;
     use canopus_sim::{
-        impl_process_any, Context, Dur, LossyFabric, Payload, Process, Simulation, Timer,
-        UniformFabric,
+        impl_process_any, Context, Dur, LossyFabric, PartitionableFabric, Payload, Process,
+        Simulation, Timer, UniformFabric,
     };
+
+    type Fabric = PartitionableFabric<LossyFabric<UniformFabric>>;
 
     /// Host process used to exercise broadcast inside the simulator.
     #[derive(Debug)]
@@ -245,13 +286,14 @@ mod tests {
 
     impl Process<HostMsg> for Host {
         fn on_start(&mut self, ctx: &mut Context<'_, HostMsg>) {
-            let mut rng = ctx.rng().clone();
+            let (me, now) = (ctx.id(), ctx.now());
+            let cfg = RaftConfig::default();
             self.bcast = Some(SuperLeafBroadcast::new(
-                ctx.id(),
-                &self.members.clone(),
-                RaftConfig::default(),
-                ctx.now(),
-                &mut rng,
+                me,
+                &self.members,
+                cfg,
+                now,
+                ctx.rng(),
             ));
             ctx.set_timer(Dur::millis(1), TICK);
             if !self.to_send.is_empty() {
@@ -262,8 +304,7 @@ mod tests {
         fn on_message(&mut self, from: NodeId, msg: HostMsg, ctx: &mut Context<'_, HostMsg>) {
             let bcast = self.bcast.as_mut().unwrap();
             let mut out = Outbox::new();
-            let mut rng = ctx.rng().clone();
-            let delivered = bcast.handle(from, msg.0, ctx.now(), &mut rng, &mut out);
+            let delivered = bcast.handle(from, msg.0, ctx.now(), ctx.rng(), &mut out);
             self.delivered.extend(delivered);
             for (to, m) in out {
                 ctx.send(to, HostMsg(m));
@@ -273,10 +314,9 @@ mod tests {
         fn on_timer(&mut self, timer: Timer, ctx: &mut Context<'_, HostMsg>) {
             let bcast = self.bcast.as_mut().unwrap();
             let mut out = Outbox::new();
-            let mut rng = ctx.rng().clone();
             match timer.token {
                 TICK => {
-                    let delivered = bcast.tick(ctx.now(), &mut rng, &mut out);
+                    let delivered = bcast.tick(ctx.now(), ctx.rng(), &mut out);
                     self.delivered.extend(delivered);
                     ctx.set_timer(Dur::millis(1), TICK);
                 }
@@ -303,8 +343,9 @@ mod tests {
         payloads_for: impl Fn(usize) -> Vec<Bytes>,
         loss: f64,
         seed: u64,
-    ) -> (Simulation<HostMsg, LossyFabric<UniformFabric>>, Vec<NodeId>) {
-        let fabric = LossyFabric::new(UniformFabric::new(Dur::micros(25)), loss);
+    ) -> (Simulation<HostMsg, Fabric>, Vec<NodeId>) {
+        let lossy = LossyFabric::new(UniformFabric::new(Dur::micros(25)), loss);
+        let fabric = PartitionableFabric::new(lossy);
         let mut sim = Simulation::new(fabric, seed);
         let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         for i in 0..n {
@@ -318,10 +359,7 @@ mod tests {
         (sim, members)
     }
 
-    fn delivered_keys(
-        sim: &Simulation<HostMsg, LossyFabric<UniformFabric>>,
-        id: NodeId,
-    ) -> Vec<(NodeId, u64, Bytes)> {
+    fn delivered_keys(sim: &Simulation<HostMsg, Fabric>, id: NodeId) -> Vec<(NodeId, u64, Bytes)> {
         let host = sim.node::<Host>(id);
         let mut keys: Vec<_> = host
             .delivered
@@ -407,6 +445,51 @@ mod tests {
             .filter(|(origin, _, _)| *origin != members[0])
             .count();
         assert_eq!(survivor_msgs, 4);
+    }
+
+    /// A cut that outlasts an election timeout: a peer usurps node 0's
+    /// group while node 0, alive, goes on broadcasting — first into its
+    /// stale term, where Raft truncates it after the heal, then into the
+    /// queue. Once node 0 has its group back every member has delivered
+    /// every payload, in broadcast order.
+    #[test]
+    fn a_usurped_owner_broadcasts_everything_once_it_leads_again() {
+        // One payload per 100 µs: 60 ms of broadcasting.
+        let sent: Vec<Bytes> = (0..600).map(|k| Bytes::from(format!("m{k:03}"))).collect();
+        let leads_group_0 = |sim: &Simulation<HostMsg, Fabric>, n: u32| {
+            let bcast = sim.node::<Host>(NodeId(n)).bcast.as_ref().unwrap();
+            bcast.groups[&NodeId(0)].is_leader()
+        };
+        for seed in 6..10 {
+            // `to_send` is popped from the back.
+            let script = |i| match i {
+                0 => sent.iter().rev().cloned().collect(),
+                _ => vec![],
+            };
+            let (mut sim, members) = build(3, script, 0.0, seed);
+            sim.run_for(Dur::millis(5));
+            sim.fabric_mut().cut_groups(&members[..1], &members[1..]);
+            sim.run_for(Dur::millis(40));
+            assert!(
+                leads_group_0(&sim, 1) || leads_group_0(&sim, 2),
+                "seed {seed}: the cut did not cost node 0 its group"
+            );
+            sim.fabric_mut().heal_all();
+            sim.run_for(Dur::millis(300));
+
+            assert!(leads_group_0(&sim, 0), "seed {seed}: not won back");
+            let owner = sim.node::<Host>(members[0]).bcast.as_ref().unwrap();
+            assert!(owner.unsent.is_empty() && owner.in_flight.is_empty());
+            for &m in &members {
+                let mut got: Vec<Bytes> = (sim.node::<Host>(m).delivered.iter())
+                    .map(|d| d.data.clone())
+                    .collect();
+                // What was in flight at the usurpation may arrive twice,
+                // next to itself.
+                got.dedup();
+                assert_eq!(got, sent, "seed {seed}: at {m}");
+            }
+        }
     }
 
     #[test]

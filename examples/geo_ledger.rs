@@ -97,7 +97,7 @@ fn main() {
     }
 
     let mut sim = Simulation::new(ClosFabric::new(topo), 7);
-    let cfg = CanopusConfig::wide_area(); // pipelining on, 5 ms cycles
+    let cfg = CanopusConfig::wide_area(); // 5 ms batches, 64 cycles in flight
     for i in 0..(SITES * PER_DC) as u32 {
         sim.add_node(Box::new(CanopusNode::new(
             NodeId(i),

@@ -48,7 +48,7 @@ fn main() {
     let outcome = cluster.shutdown();
     if show_metrics {
         for (id, snap) in outcome.metrics_snapshots() {
-            println!("--- metrics: node {id} ---");
+            println!("--- metrics: {id} ---");
             print!("{}", snap.to_text());
         }
     }

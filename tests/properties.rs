@@ -7,9 +7,7 @@
 //! this offline build), so every CI run explores the identical corpus.
 
 use bytes::Bytes;
-use canopus::{
-    CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, CycleTrigger, EmulationTable, LotShape,
-};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, EmulationTable, LotShape};
 use canopus_kv::{check_agreement, ClientRequest, Op};
 use canopus_sim::{
     impl_process_any, Context, Dur, NodeId, Process, Simulation, Timer, UniformFabric,
@@ -79,9 +77,8 @@ fn run_cluster(
     let table = EmulationTable::new(shape, membership);
     let mut cfg = CanopusConfig::default();
     if pipelined {
-        cfg.trigger = CycleTrigger::Pipelined;
+        cfg.max_linger = Dur::millis(2);
         cfg.max_pipeline_depth = 64;
-        cfg.cycle_interval = Dur::millis(2);
     }
     let mut sim = Simulation::new(UniformFabric::new(Dur::micros(40)), seed);
     let n = superleaves * per_leaf;
