@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 
 use canopus::{CanopusConfig, CanopusMsg};
-use canopus_harness::scenarios::{crash_restart_churn, superleaf_partition};
+use canopus_harness::scenarios::{asymmetric_loss, crash_restart_churn, superleaf_partition};
 use canopus_harness::{
     cross_shard_atomicity_partition, hot_shard_skew, ChaosReport, ChaosScenario, ChaosTimeline,
     ChaosTopology, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig, Protocol,
@@ -254,7 +254,28 @@ fn sharded_determinism_same_seed_identical() {
 /// gates allow 20 %, so nothing else holds the unsharded path to the event.
 #[test]
 fn plain_trace_hash_is_pinned() {
-    let scenario = superleaf_partition(&topo(), &timeline());
+    assert_eq!(
+        plain_traced_run(&superleaf_partition(&topo(), &timeline())),
+        (0xeb02_61b7_3dbb_6feb, 148_994),
+        "plain trace drifted: if intentional, re-pin and say what moved it"
+    );
+}
+
+/// The same plain node under `asymmetric_loss`: the only pin on the loss
+/// path, i.e. on when the fabric draws from the kernel's RNG (one `f64`
+/// per routed message, and only while the sender's loss rate is positive).
+#[test]
+fn asymmetric_loss_trace_hash_is_pinned() {
+    assert_eq!(
+        plain_traced_run(&asymmetric_loss(&topo(), &timeline())),
+        (0x284f_9d62_f86b_eaf5, 193_309),
+        "lossy trace drifted: if intentional, re-pin and say what moved it"
+    );
+}
+
+/// Trace hash and event count of the default simulator configuration under
+/// history clients, seed 7, through the builder's own defaults.
+fn plain_traced_run(scenario: &ChaosScenario) -> (u64, u64) {
     let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec(), 7)
         .clients(Clients::History(history_config()))
         .sim();
@@ -265,14 +286,10 @@ fn plain_trace_hash_is_pinned() {
         &(scenario.exempt)(CanopusMsg::NAME),
     );
     assert!(report.ok(), "violations: {:#?}", report.violations);
-    assert_eq!(
-        (
-            cluster.sim.trace_hash().expect("enabled"),
-            cluster.sim.events_processed()
-        ),
-        (0xeb02_61b7_3dbb_6feb, 148_994),
-        "plain trace drifted: if intentional, re-pin and say what moved it"
-    );
+    (
+        cluster.sim.trace_hash().expect("enabled"),
+        cluster.sim.events_processed(),
+    )
 }
 
 /// `shards: 1` spelled out is the default node: the same hash as
