@@ -15,8 +15,8 @@ use canopus_kv::{
 };
 use canopus_obs::{EventKind, NodeObs};
 use canopus_sim::{
-    impl_process_any, Context, Dur, LossyFabric, NodeId, PartitionableFabric, Process, Simulation,
-    Time, Timer, UniformFabric,
+    impl_process_any, Context, Dur, FaultAction, FaultyFabric, NodeId, Process, Simulation, Time,
+    Timer, UniformFabric,
 };
 
 // ---------------------------------------------------------------------
@@ -85,9 +85,9 @@ impl Process<CanopusMsg> for ScriptClient {
 // Cluster builder
 // ---------------------------------------------------------------------
 
-/// The same composed fault-injection fabric the harness `Cluster` uses,
-/// over the uniform-latency fabric these protocol-level tests want.
-type TestFabric = PartitionableFabric<LossyFabric<UniformFabric>>;
+/// The same fault-injection decorator the harness `Cluster` uses, over the
+/// uniform-latency fabric these protocol-level tests want.
+type TestFabric = FaultyFabric<UniformFabric>;
 
 struct Cluster {
     sim: Simulation<CanopusMsg, TestFabric>,
@@ -97,11 +97,9 @@ struct Cluster {
 }
 
 impl Cluster {
-    /// Fault-injection access, mirroring `canopus_harness::Cluster::fabric_mut`
-    /// — partition setups go through this passthrough instead of reaching
-    /// into `Simulation` internals.
-    fn fabric_mut(&mut self) -> &mut TestFabric {
-        self.sim.fabric_mut()
+    /// Installs (or lifts) a fault on the fabric, now.
+    fn fault(&mut self, action: FaultAction) {
+        self.sim.fabric_mut().faults_mut().apply(&action);
     }
 }
 
@@ -115,9 +113,7 @@ fn build_cluster(shape: LotShape, per_leaf: usize, cfg: &CanopusConfig, seed: u6
         membership.push(members);
     }
     let table = EmulationTable::new(shape, membership);
-    let fabric =
-        PartitionableFabric::new(LossyFabric::new(UniformFabric::new(Dur::micros(50)), 0.0));
-    let mut sim = Simulation::new(fabric, seed);
+    let mut sim = Simulation::new(FaultyFabric::new(UniformFabric::new(Dur::micros(50))), seed);
     let hubs: Vec<NodeObs> = (0..next).map(|i| NodeObs::enabled(i, 64)).collect();
     let mut nodes = Vec::new();
     for i in 0..next {
@@ -757,10 +753,10 @@ fn superleaf_partition_stalls_then_recovers_after_heal() {
     let client = add_client(&mut cluster, NodeId(0), script);
     cluster.sim.run_for(Dur::millis(20));
 
-    // Cut the two super-leaves apart through the fabric passthrough.
+    // Cut the two super-leaves apart.
     let leaf0: Vec<NodeId> = (0..3).map(NodeId).collect();
     let leaf1: Vec<NodeId> = (3..6).map(NodeId).collect();
-    cluster.fabric_mut().cut_groups(&leaf0, &leaf1);
+    cluster.fault(FaultAction::Cut(leaf0, leaf1));
     cluster.sim.run_for(Dur::millis(150));
     let stalled_at = stats_of(&cluster, NodeId(0)).committed_cycles;
     cluster.sim.run_for(Dur::millis(150));
@@ -774,7 +770,7 @@ fn superleaf_partition_stalls_then_recovers_after_heal() {
     assert!(check_agreement(&commit_histories(&cluster)).is_ok());
 
     // …and restored once the partition heals: every write completes.
-    cluster.fabric_mut().heal_all();
+    cluster.fault(FaultAction::HealAll);
     cluster.sim.run_for(Dur::millis(600));
     let c = cluster.sim.node::<ScriptClient>(client);
     assert_eq!(c.replies.len(), 60, "all writes commit after healing");
@@ -802,11 +798,12 @@ fn usurped_owner_proposes_again_what_the_usurper_truncated() {
             .collect();
         let client = add_client(&mut cluster, NodeId(0), script);
         cluster.sim.run_for(Dur::millis(20));
-        cluster
-            .fabric_mut()
-            .cut_groups(&[NodeId(0)], &[NodeId(1), NodeId(2)]);
+        cluster.fault(FaultAction::Cut(
+            vec![NodeId(0)],
+            vec![NodeId(1), NodeId(2)],
+        ));
         cluster.sim.run_for(Dur::millis(40));
-        cluster.fabric_mut().heal_all();
+        cluster.fault(FaultAction::HealAll);
         cluster.sim.run_for(Dur::millis(800));
 
         let c = cluster.sim.node::<ScriptClient>(client);
@@ -836,7 +833,7 @@ fn intra_leaf_isolation_excludes_member_and_consensus_continues() {
     let client = add_client(&mut cluster, NodeId(0), script);
     cluster.sim.run_for(Dur::millis(10));
     // Isolate node 1 (no crash: the process stays alive but unreachable).
-    cluster.fabric_mut().isolate(NodeId(1));
+    cluster.fault(FaultAction::Isolate(NodeId(1)));
     cluster.sim.run_for(Dur::millis(400));
 
     // The survivors tombstone the silent member and keep committing.

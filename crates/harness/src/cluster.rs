@@ -15,22 +15,22 @@
 //! ([`Clients::OpenLoop`]), or a closed-loop [`HistoryClient`] recording
 //! what the chaos verdict replays ([`Clients::History`]).
 //!
-//! Every simulated cluster is built over the composed fault-injection
-//! fabric [`ChaosFabric`] — a [`PartitionableFabric`] over a
-//! [`LossyFabric`] over the Clos topology — so the nemesis engine
-//! ([`canopus_sim::fault`]) can partition, impair, and heal any deployment
-//! mid-run. With no faults installed the decorators are pass-through and
-//! the event schedule is identical to the bare [`ClosFabric`].
+//! Every simulated cluster routes through [`ChaosFabric`] — the nemesis's
+//! fault table in front of the Clos topology — and is a
+//! [`NemesisTarget`], so [`Cluster::run_plan`] can partition, impair, crash
+//! and heal any deployment mid-run (the same `run_plan` a
+//! [`LiveCluster`] offers; see [`canopus_sim::fault`]). With no faults
+//! installed the decorator is pass-through and the event schedule is
+//! identical to the bare [`ClosFabric`].
 
 use std::collections::BTreeSet;
 
 use canopus::{EmulationTable, LotShape};
 use canopus_net::{ClosFabric, Wire};
 use canopus_obs::{NodeObs, Registry, Snapshot};
-use canopus_sim::fault::{FaultAction, FaultPlan, NemesisDriver};
+use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{
-    impl_process_any, Dur, LossyFabric, NodeConfig, NodeId, PartitionableFabric, Payload, Process,
-    Simulation, Time,
+    impl_process_any, Dur, FaultyFabric, NodeConfig, NodeId, Payload, Process, Simulation, Time,
 };
 use canopus_workload::{OpenLoopClient, OpenLoopConfig};
 
@@ -39,9 +39,9 @@ use crate::live::{live_history_config, LiveCluster};
 use crate::protocol::Protocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 
-/// The fabric of every simulated cluster: partitions over loss over the
-/// Clos topology.
-pub type ChaosFabric = PartitionableFabric<LossyFabric<ClosFabric>>;
+/// The fabric of every simulated cluster: the nemesis's fault table in
+/// front of the Clos topology.
+pub type ChaosFabric = FaultyFabric<ClosFabric>;
 
 /// Flight-ring capacity clusters driven by history clients get unless
 /// [`ClusterBuilder::obs`] says otherwise: enough to hold the tail of a
@@ -228,8 +228,7 @@ impl<P: Protocol> ClusterBuilder<P> {
                 topo.add_node(rack)
             })
             .collect();
-        let fabric = PartitionableFabric::new(LossyFabric::new(ClosFabric::new(topo), 0.0));
-        let mut sim = Simulation::new(fabric, seed);
+        let mut sim = Simulation::new(FaultyFabric::new(ClosFabric::new(topo)), seed);
         let node_cfg = NodeConfig::default().with_lanes(per_node as u32);
         let nodes: Vec<NodeId> = (0..n)
             .map(|i| {
@@ -342,21 +341,14 @@ impl<P: Protocol> Cluster<P> {
         self.sim.node::<P::Node>(id)
     }
 
-    /// Applies `plan` while running the simulation for `horizon` of
-    /// virtual time from now, restarting crashed nodes through
-    /// [`Protocol::restart`]. Returns the concrete action timeline that
-    /// was applied.
-    pub fn apply_plan(&mut self, plan: &FaultPlan, horizon: Dur) -> Vec<(Time, FaultAction)> {
-        let mut driver = NemesisDriver::new(plan, self.sim.now(), horizon);
-        let until = self.sim.now() + horizon;
-        let (spec, cfg, seed, hubs) = (&self.spec, &self.cfg, self.seed, &self.hubs);
-        let per_node = P::pipelines(cfg) as usize;
-        driver.run(&mut self.sim, until, &mut |id, old| {
-            P::restart(id, old, spec, cfg, seed, node_hubs(hubs, per_node, id))
-        });
-        self.ever_crashed
-            .extend(driver.ever_crashed().iter().copied());
-        driver.applied().to_vec()
+    /// Replays `plan` over the next `horizon` of virtual time, each action
+    /// at its exact instant, restarting crashed nodes through
+    /// [`Protocol::restart`]. Returns the actions applied, with the
+    /// instants they were applied at.
+    pub fn run_plan(&mut self, plan: &FaultPlan, horizon: Dur) -> Vec<(Time, FaultAction)> {
+        let run = fault::run_plan(self, plan, horizon);
+        self.ever_crashed.extend(run.ever_crashed);
+        run.applied
     }
 
     /// Protocol nodes that are alive and were never crashed — the set the
@@ -419,5 +411,40 @@ impl<P: Protocol> Cluster<P> {
             snap.merge(&hub.metrics.snapshot());
         }
         snap
+    }
+}
+
+/// The simulated cluster under the nemesis: time is the kernel's, the
+/// fault table the fabric's, and a crashed node's process stays in the
+/// kernel until [`Protocol::restart`] recovers what it may from it.
+impl<P: Protocol> NemesisTarget for Cluster<P> {
+    fn now(&self) -> Time {
+        self.sim.now()
+    }
+
+    fn advance_to(&mut self, at: Time) {
+        self.sim.run_until(at);
+    }
+
+    fn link_faults(&mut self, update: impl FnOnce(&mut LinkFaults)) {
+        update(self.sim.fabric_mut().faults_mut());
+    }
+
+    fn crash(&mut self, node: NodeId) -> bool {
+        let alive = self.sim.is_alive(node);
+        if alive {
+            self.sim.crash(node);
+        }
+        alive
+    }
+
+    fn restart(&mut self, node: NodeId) {
+        if self.sim.is_alive(node) {
+            return;
+        }
+        let old = self.sim.take_crashed(node);
+        let hubs = node_hubs(&self.hubs, P::pipelines(&self.cfg) as usize, node);
+        let process = P::restart(node, old, &self.spec, &self.cfg, self.seed, hubs);
+        self.sim.restart(node, process);
     }
 }

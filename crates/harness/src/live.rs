@@ -1,20 +1,24 @@
-//! Live-cluster chaos: the nemesis engine over real TCP sockets.
+//! Live-cluster chaos: a protocol deployment on real TCP sockets, under
+//! the same nemesis as a simulated one.
 //!
 //! [`LiveCluster`] (built by [`crate::ClusterBuilder::live`]) runs a
 //! protocol deployment on the TCP transport
 //! (`canopus_net::tcp`), plus one [`HistoryClient`] per node —
 //! all of them multiplexed onto a single extra transport node by a
-//! [`ClientMux`] — every loop sharing one [`FaultRules`] table.
-//! [`LiveCluster::run_plan`] then replays the *same* [`FaultPlan`]s the
-//! simulator suite uses, on the wall clock:
+//! [`ClientMux`] — every loop sharing one [`FaultRules`] table. It is a
+//! [`NemesisTarget`], so [`LiveCluster::run_plan`] is
+//! `canopus_sim::fault::run_plan`, the driver a simulated
+//! [`Cluster`](crate::Cluster) runs, replaying the *same* [`FaultPlan`]s
+//! on the wall clock. What differs is how this target does each step:
 //!
-//! * network actions (cuts, isolation, loss) are installed into the
-//!   shared [`FaultRules`], which the transport consults on its send and
-//!   receive paths — the live analogue of the simulator's
-//!   `PartitionableFabric<LossyFabric<_>>`;
-//! * `Crash` stops the node's loop (keeping its final process state) and
-//!   marks it crashed in the rules so peers drop its traffic;
-//! * `Restart` rebuilds a replacement process through
+//! * advancing time is sleeping, so an action lands at its scheduled
+//!   instant ± OS scheduling, and is recorded at the instant it did land;
+//! * network actions (cuts, isolation, loss) change the table inside the
+//!   shared [`FaultRules`], which every node loop asks as it sends and
+//!   again as it receives;
+//! * `crash` marks the node down in that table — peers drop what is in
+//!   flight — then stops its loop, keeping the final process state;
+//! * `restart` rebuilds a replacement process through
 //!   [`Protocol::restart`] — the same policy the simulator applies (ZAB
 //!   resyncs as a recovering follower, Raft KV recovers its durable
 //!   state, EPaxos re-installs a crash-stop silent node) — and respawns
@@ -60,7 +64,7 @@ use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs, PeerMap, TcpNodeHa
 use canopus_net::{FaultRules, Wire};
 use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
 use canopus_raft::RaftConfig;
-use canopus_sim::fault::{FaultAction, FaultPlan, NemesisFabric, NemesisSchedule};
+use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 
 use crate::cluster::{flight_dump, node_hubs};
@@ -284,96 +288,20 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         )
     }
 
-    /// Wall-clock time since the cluster started, as a [`Time`].
-    pub fn now(&self) -> Time {
-        Time::from_nanos(self.start.elapsed().as_nanos() as u64)
-    }
-
-    /// Replays `plan` against the live cluster over the next `horizon` of
-    /// wall-clock time, sleeping between actions and applying each at its
-    /// scheduled instant (±OS scheduling). Returns the applied timeline.
+    /// Replays `plan` over the next `horizon` of wall-clock time, sleeping
+    /// between actions, restarting crashed nodes through
+    /// [`Protocol::restart`]. Returns the actions applied, with the
+    /// instants they were applied at.
     pub fn run_plan(&mut self, plan: &FaultPlan, horizon: Dur) -> Vec<(Time, FaultAction)> {
-        let anchor = self.now();
-        let end = anchor + horizon;
-        let mut sched = NemesisSchedule::new(plan, anchor, horizon);
-        loop {
-            let target = match sched.next_at() {
-                Some(at) if at <= end => at,
-                _ => break,
-            };
-            self.sleep_until(target);
-            while let Some((at, action)) = sched.pop_due(self.now()) {
-                self.apply(at, action, &mut sched);
-            }
-        }
-        self.sleep_until(end);
-        sched.applied().to_vec()
-    }
-
-    fn sleep_until(&self, at: Time) {
-        let now = self.now();
-        if at > now {
-            std::thread::sleep(std::time::Duration::from_nanos(
-                at.saturating_since(now).as_nanos(),
-            ));
-        }
-    }
-
-    fn apply(&mut self, at: Time, action: FaultAction, sched: &mut NemesisSchedule) {
-        match &action {
-            FaultAction::Cut(a, b) => self.nemesis_cut_groups(a, b),
-            FaultAction::Heal(a, b) => self.nemesis_heal_groups(a, b),
-            FaultAction::HealAll => self.nemesis_heal_all(),
-            FaultAction::SetLoss(p) => self.nemesis_set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => self.nemesis_set_node_out_loss(*n, *p),
-            FaultAction::Isolate(n) => self.nemesis_isolate(*n),
-            FaultAction::Crash(n) => {
-                if self.crash(*n) {
-                    self.ever_crashed.insert(*n);
-                }
-            }
-            FaultAction::Restart(n) => self.restart(*n),
-        }
-        sched.record(at, action);
+        let run = fault::run_plan(self, plan, horizon);
+        self.ever_crashed.extend(run.ever_crashed);
+        run.applied
     }
 
     fn flight_event(&self, id: NodeId, kind: ObsEvent) {
         if let Some(hub) = self.hubs_of(id).first() {
             hub.event(self.now().as_nanos(), kind);
         }
-    }
-
-    /// Crash-stops a live node: peers start dropping its traffic, then its
-    /// loop is stopped and its final state kept for [`Protocol::restart`].
-    /// Returns `false` if the node was already down.
-    fn crash(&mut self, id: NodeId) -> bool {
-        let Some(handle) = self.nodes[id.index()].handle.take() else {
-            return false;
-        };
-        // Mark first so in-flight traffic is dropped while the loop winds
-        // down — the closest live analogue of an instantaneous crash.
-        self.rules.set_crashed(id, true);
-        self.flight_event(id, ObsEvent::Crash);
-        self.down.insert(id, handle.stop());
-        true
-    }
-
-    /// Restarts a crashed node through [`Protocol::restart`], on the same
-    /// listening socket. No-op if the node is up.
-    fn restart(&mut self, id: NodeId) {
-        if self.nodes[id.index()].handle.is_some() {
-            return;
-        }
-        let old = self.down.remove(&id);
-        let hubs = self.hubs_of(id);
-        let process = P::restart(id, old, &self.spec, &self.cfg, self.seed, hubs);
-        self.flight_event(id, ObsEvent::Restart);
-        // Clear the crash mark before the replacement loop starts, or its
-        // first sends and receives race the still-set mark and get
-        // dropped (the mirror of crash()'s mark-before-stop ordering).
-        self.rules.set_crashed(id, false);
-        let handle = self.launch(id, &self.nodes[id.index()].listener, process);
-        self.nodes[id.index()].handle = Some(handle);
     }
 
     /// Stops every loop (the client mux first, so no new operations race
@@ -409,26 +337,50 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
     }
 }
 
-/// Network fault actions map straight onto the shared [`FaultRules`]
-/// table — the live counterpart of the simulator fabric's implementation.
-impl<P: Protocol + Wire + Send> NemesisFabric for LiveCluster<P> {
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.cut_groups(a, b);
+/// The live cluster under the nemesis: time is the wall clock since
+/// spawn, the fault table the one every node loop shares, and a crashed
+/// node is a stopped thread whose final state waits in `down`.
+impl<P: Protocol + Wire + Send> NemesisTarget for LiveCluster<P> {
+    fn now(&self) -> Time {
+        Time::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.heal_groups(a, b);
+
+    fn advance_to(&mut self, at: Time) {
+        let wait = at.saturating_since(self.now());
+        std::thread::sleep(std::time::Duration::from_nanos(wait.as_nanos()));
     }
-    fn nemesis_heal_all(&mut self) {
-        self.rules.heal_all();
+
+    fn link_faults(&mut self, update: impl FnOnce(&mut LinkFaults)) {
+        self.rules.update(update);
     }
-    fn nemesis_set_loss(&mut self, loss: f64) {
-        self.rules.set_loss(loss);
+
+    fn crash(&mut self, id: NodeId) -> bool {
+        let Some(handle) = self.nodes[id.index()].handle.take() else {
+            return false;
+        };
+        // Mark first so in-flight traffic is dropped while the loop winds
+        // down — as close to an instantaneous crash as threads get.
+        self.rules.set_crashed(id, true);
+        self.flight_event(id, ObsEvent::Crash);
+        self.down.insert(id, handle.stop());
+        true
     }
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64) {
-        self.rules.set_out_loss(node, loss);
-    }
-    fn nemesis_isolate(&mut self, node: NodeId) {
-        self.rules.isolate(node);
+
+    /// On the same listening socket the node had.
+    fn restart(&mut self, id: NodeId) {
+        if self.nodes[id.index()].handle.is_some() {
+            return;
+        }
+        let old = self.down.remove(&id);
+        let hubs = self.hubs_of(id);
+        let process = P::restart(id, old, &self.spec, &self.cfg, self.seed, hubs);
+        self.flight_event(id, ObsEvent::Restart);
+        // Clear the crash mark before the replacement loop starts, or its
+        // first sends and receives race the still-set mark and get
+        // dropped (the mirror of crash()'s mark-before-stop ordering).
+        self.rules.set_crashed(id, false);
+        let handle = self.launch(id, &self.nodes[id.index()].listener, process);
+        self.nodes[id.index()].handle = Some(handle);
     }
 }
 

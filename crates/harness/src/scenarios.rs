@@ -24,6 +24,7 @@ use std::collections::BTreeSet;
 use canopus_sim::fault::{FaultEvent, FaultPlan};
 use canopus_sim::{Dur, NodeId, Time};
 
+use crate::history::ChaosReport;
 use crate::spec::DeploymentSpec;
 
 /// Node placement the scenarios cut along: `groups` super-leaves of
@@ -322,6 +323,53 @@ pub fn cross_shard_atomicity_partition(topo: &ChaosTopology, t: &ChaosTimeline) 
             .at(t.heal_at, FaultEvent::HealAll),
         exempt: no_exemptions(),
     }
+}
+
+/// The seeds a chaos suite sweeps: `base + 1 ..= base + n`, where `n` is
+/// `release_default` in a release build and a tenth of it (at least one)
+/// in a debug build — plain `cargo test --workspace` spot-checks, `cargo
+/// test --release --test <suite>` is the acceptance sweep. The environment
+/// variable `env_var` overrides `n`: `ci` for the fixed CI set (at most
+/// four), `extended` for three times the release sweep, or a number.
+pub fn seed_sweep(env_var: &str, base: u64, release_default: u64) -> Vec<u64> {
+    let n = match std::env::var(env_var).as_deref() {
+        Ok("ci") => release_default.min(4),
+        Ok("extended") => release_default * 3,
+        Ok(other) => other.parse().unwrap_or(release_default),
+        _ if cfg!(debug_assertions) => release_default.div_ceil(10),
+        _ => release_default,
+    };
+    (1..=n).map(|i| base + i).collect()
+}
+
+/// The bar every swept run is held to: no violation, and more than
+/// `min_ops` cleanly completed operations (a run that commits next to
+/// nothing proves nothing). Panics with the run's coordinates and `dump()`
+/// — every node's flight-recorder tail — so forensics start from
+/// structured consensus events instead of a bare assert.
+#[track_caller]
+pub fn assert_verdict(
+    report: &ChaosReport,
+    protocol: &str,
+    scenario: &str,
+    seed: u64,
+    min_ops: u64,
+    dump: impl Fn() -> String,
+) {
+    assert!(
+        report.ok(),
+        "{protocol} / {scenario} / seed {seed:#x}: {} ok, {} timed out, violations: {:#?}\n{}",
+        report.ops_ok,
+        report.ops_timed_out,
+        report.violations,
+        dump()
+    );
+    assert!(
+        report.ops_ok > min_ops,
+        "{protocol} / {scenario} / seed {seed:#x}: suspiciously little progress ({} ops)\n{}",
+        report.ops_ok,
+        dump()
+    );
 }
 
 /// Version of the scenario catalog. Bumped whenever [`all_scenarios`]

@@ -180,7 +180,7 @@ fn crash_and_restart<P: Protocol>(cluster: &mut Cluster<P>, victims: &[NodeId]) 
             .at(Dur::ZERO, FaultEvent::Crash(v))
             .at(Dur::millis(300), FaultEvent::Restart(v));
     }
-    cluster.apply_plan(&plan, Dur::millis(301));
+    cluster.run_plan(&plan, Dur::millis(301));
 }
 
 /// Canopus: the replacement is a fresh node. The super-leaf's broadcast

@@ -257,11 +257,11 @@ impl SuperLeafBroadcast {
 mod tests {
     use super::*;
     use canopus_sim::{
-        impl_process_any, Context, Dur, LossyFabric, PartitionableFabric, Payload, Process,
-        Simulation, Timer, UniformFabric,
+        impl_process_any, Context, Dur, FaultAction, FaultyFabric, Payload, Process, Simulation,
+        Timer, UniformFabric,
     };
 
-    type Fabric = PartitionableFabric<LossyFabric<UniformFabric>>;
+    type Fabric = FaultyFabric<UniformFabric>;
 
     /// Host process used to exercise broadcast inside the simulator.
     #[derive(Debug)]
@@ -344,8 +344,8 @@ mod tests {
         loss: f64,
         seed: u64,
     ) -> (Simulation<HostMsg, Fabric>, Vec<NodeId>) {
-        let lossy = LossyFabric::new(UniformFabric::new(Dur::micros(25)), loss);
-        let fabric = PartitionableFabric::new(lossy);
+        let mut fabric = FaultyFabric::new(UniformFabric::new(Dur::micros(25)));
+        fabric.faults_mut().apply(&FaultAction::SetLoss(loss));
         let mut sim = Simulation::new(fabric, seed);
         let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         for i in 0..n {
@@ -468,13 +468,14 @@ mod tests {
             };
             let (mut sim, members) = build(3, script, 0.0, seed);
             sim.run_for(Dur::millis(5));
-            sim.fabric_mut().cut_groups(&members[..1], &members[1..]);
+            let cut = FaultAction::Cut(members[..1].to_vec(), members[1..].to_vec());
+            sim.fabric_mut().faults_mut().apply(&cut);
             sim.run_for(Dur::millis(40));
             assert!(
                 leads_group_0(&sim, 1) || leads_group_0(&sim, 2),
                 "seed {seed}: the cut did not cost node 0 its group"
             );
-            sim.fabric_mut().heal_all();
+            sim.fabric_mut().faults_mut().apply(&FaultAction::HealAll);
             sim.run_for(Dur::millis(300));
 
             assert!(leads_group_0(&sim, 0), "seed {seed}: not won back");

@@ -3,14 +3,14 @@
 //! The simulation kernel asks its [`Fabric`] what happens to each message:
 //! when it arrives, or that it is lost. `canopus-net` supplies the
 //! topology-aware Clos/WAN fabric used by the experiments; this module
-//! provides simple fabrics for unit tests plus loss/partition decorators
-//! that compose over any inner fabric.
-
-use std::collections::BTreeSet;
+//! provides the uniform-latency fabric unit tests want, and
+//! [`FaultyFabric`], the one decorator that puts the nemesis's
+//! [`LinkFaults`] table in front of any inner fabric.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::fault::LinkFaults;
 use crate::process::{NodeId, Payload};
 use crate::time::{Dur, Time};
 
@@ -53,166 +53,40 @@ impl<M: Payload> Fabric<M> for UniformFabric {
     }
 }
 
-/// Decorator that drops each message with probability `loss`, and otherwise
-/// defers to the inner fabric. The loss rate can be changed mid-run (the
-/// nemesis engine's `SetLoss` event), and asymmetric impairment is modelled
-/// with per-sender overrides: traffic *leaving* an impaired node is dropped
-/// at its own rate while the reverse direction keeps the global rate.
-pub struct LossyFabric<F> {
+/// Decorator that asks a [`LinkFaults`] table about each message as it is
+/// sent, and otherwise defers to the inner fabric: a blocked link (cut,
+/// isolated endpoint) drops it; a sender with a positive loss rate costs
+/// one draw from the kernel's RNG and drops it with that probability. With
+/// nothing installed it draws nothing and is pass-through, so the event
+/// schedule is the inner fabric's (§3.4 of the paper: under partition
+/// Canopus must stall, not diverge — this is how tests partition it).
+pub struct FaultyFabric<F> {
     inner: F,
-    loss: f64,
-    out_loss: std::collections::BTreeMap<NodeId, f64>,
+    faults: LinkFaults,
 }
 
-impl<F> LossyFabric<F> {
-    /// Wraps `inner`, dropping messages with probability `loss` ∈ [0, 1].
-    pub fn new(inner: F, loss: f64) -> Self {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        LossyFabric {
-            inner,
-            loss,
-            out_loss: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Changes the global loss probability.
-    pub fn set_loss(&mut self, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.loss = loss;
-    }
-
-    /// Current global loss probability.
-    pub fn loss(&self) -> f64 {
-        self.loss
-    }
-
-    /// Sets an asymmetric loss rate for traffic sent *by* `node`
-    /// (overrides the global rate for that direction). `loss = 0` removes
-    /// the override only if the global rate is also zero — pass exactly
-    /// what should apply to the node's outbound traffic.
-    pub fn set_out_loss(&mut self, node: NodeId, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.out_loss.insert(node, loss);
-    }
-
-    /// Clears the global and all per-node loss rates.
-    pub fn clear_loss(&mut self) {
-        self.loss = 0.0;
-        self.out_loss.clear();
-    }
-
-    /// Access to the wrapped fabric.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
-    }
-}
-
-impl<M: Payload, F: Fabric<M>> Fabric<M> for LossyFabric<F> {
-    fn route(&mut self, from: NodeId, to: NodeId, msg: &M, now: Time, rng: &mut SmallRng) -> Route {
-        let p = match self.out_loss.get(&from) {
-            Some(&p) => p,
-            None => self.loss,
-        };
-        if p > 0.0 && rng.gen::<f64>() < p {
-            return Route::Drop;
-        }
-        self.inner.route(from, to, msg, now, rng)
-    }
-}
-
-/// Decorator that drops messages crossing an administratively installed
-/// partition. Used by failure-injection tests (§3.4 of the paper: Canopus
-/// must stall, not diverge, under partition).
-pub struct PartitionableFabric<F> {
-    inner: F,
-    /// Pairs (a, b) with a < b such that traffic between a and b is cut.
-    cut: BTreeSet<(NodeId, NodeId)>,
-    /// Nodes cut from everyone (both directions).
-    isolated: BTreeSet<NodeId>,
-}
-
-impl<F> PartitionableFabric<F> {
-    /// Wraps `inner` with no partitions installed.
+impl<F> FaultyFabric<F> {
+    /// Wraps `inner` with no fault installed.
     pub fn new(inner: F) -> Self {
-        PartitionableFabric {
+        FaultyFabric {
             inner,
-            cut: BTreeSet::new(),
-            isolated: BTreeSet::new(),
+            faults: LinkFaults::default(),
         }
     }
 
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Cuts bidirectional connectivity between `a` and `b`.
-    pub fn cut_pair(&mut self, a: NodeId, b: NodeId) {
-        self.cut.insert(Self::key(a, b));
-    }
-
-    /// Restores connectivity between `a` and `b`.
-    pub fn heal_pair(&mut self, a: NodeId, b: NodeId) {
-        self.cut.remove(&Self::key(a, b));
-    }
-
-    /// Cuts every pair with one endpoint in `side_a` and the other in `side_b`.
-    pub fn cut_groups(&mut self, side_a: &[NodeId], side_b: &[NodeId]) {
-        for &a in side_a {
-            for &b in side_b {
-                self.cut_pair(a, b);
-            }
-        }
-    }
-
-    /// Heals every pair with one endpoint in `side_a` and the other in
-    /// `side_b` (the inverse of [`Self::cut_groups`]).
-    pub fn heal_groups(&mut self, side_a: &[NodeId], side_b: &[NodeId]) {
-        for &a in side_a {
-            for &b in side_b {
-                self.heal_pair(a, b);
-            }
-        }
-    }
-
-    /// Cuts `node` off from every other node, both directions.
-    pub fn isolate(&mut self, node: NodeId) {
-        self.isolated.insert(node);
-    }
-
-    /// Reconnects an isolated node.
-    pub fn unisolate(&mut self, node: NodeId) {
-        self.isolated.remove(&node);
-    }
-
-    /// Removes all installed partitions and isolations.
-    pub fn heal_all(&mut self) {
-        self.cut.clear();
-        self.isolated.clear();
-    }
-
-    /// Number of cut pairs currently installed.
-    pub fn cut_count(&self) -> usize {
-        self.cut.len()
-    }
-
-    /// Access to the wrapped fabric.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
+    /// The fault table, to install or lift faults mid-run.
+    pub fn faults_mut(&mut self) -> &mut LinkFaults {
+        &mut self.faults
     }
 }
 
-impl<M: Payload, F: Fabric<M>> Fabric<M> for PartitionableFabric<F> {
+impl<M: Payload, F: Fabric<M>> Fabric<M> for FaultyFabric<F> {
     fn route(&mut self, from: NodeId, to: NodeId, msg: &M, now: Time, rng: &mut SmallRng) -> Route {
-        if !self.isolated.is_empty()
-            && (self.isolated.contains(&from) || self.isolated.contains(&to))
-        {
+        if self.faults.blocks(from, to) {
             return Route::Drop;
         }
-        if self.cut.contains(&Self::key(from, to)) {
+        let p = self.faults.loss_from(from);
+        if p > 0.0 && rng.gen::<f64>() < p {
             return Route::Drop;
         }
         self.inner.route(from, to, msg, now, rng)
@@ -222,6 +96,7 @@ impl<M: Payload, F: Fabric<M>> Fabric<M> for PartitionableFabric<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultAction;
     use rand::SeedableRng;
 
     impl Payload for u32 {
@@ -241,9 +116,17 @@ mod tests {
         );
     }
 
+    fn faulty(actions: &[FaultAction]) -> FaultyFabric<UniformFabric> {
+        let mut f = FaultyFabric::new(UniformFabric::new(Dur::ZERO));
+        for action in actions {
+            f.faults_mut().apply(action);
+        }
+        f
+    }
+
     #[test]
-    fn lossy_fabric_drops_roughly_at_rate() {
-        let mut f = LossyFabric::new(UniformFabric::new(Dur::ZERO), 0.25);
+    fn faulty_fabric_drops_roughly_at_the_loss_rate() {
+        let mut f = faulty(&[FaultAction::SetLoss(0.25)]);
         let mut rng = SmallRng::seed_from_u64(42);
         let mut dropped = 0;
         for _ in 0..10_000 {
@@ -256,57 +139,34 @@ mod tests {
         assert!((2000..3000).contains(&dropped), "dropped {dropped}/10000");
     }
 
+    /// The kernel's RNG is drawn from exactly when the sender can lose the
+    /// message: not with nothing installed, not for a shielded sender, not
+    /// on a blocked link — the draw order every pinned trace depends on.
     #[test]
-    fn zero_loss_never_drops() {
-        let mut f = LossyFabric::new(UniformFabric::new(Dur::ZERO), 0.0);
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            assert_ne!(
-                Fabric::<u32>::route(&mut f, NodeId(0), NodeId(1), &7, Time::ZERO, &mut rng),
-                Route::Drop
-            );
-        }
-    }
+    fn faulty_fabric_draws_only_when_the_sender_can_lose() {
+        let fresh = || SmallRng::seed_from_u64(9);
+        let untouched = |rng: &mut SmallRng| rng.gen::<u64>() == fresh().gen::<u64>();
+        let route = |f: &mut FaultyFabric<UniformFabric>, from, to, rng: &mut SmallRng| {
+            Fabric::<u32>::route(f, NodeId(from), NodeId(to), &7, Time::ZERO, rng)
+        };
 
-    #[test]
-    fn partition_cuts_both_directions_and_heals() {
-        let mut f = PartitionableFabric::new(UniformFabric::new(Dur::ZERO));
-        let mut rng = SmallRng::seed_from_u64(0);
-        f.cut_pair(NodeId(1), NodeId(2));
-        assert_eq!(
-            Fabric::<u32>::route(&mut f, NodeId(1), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-        assert_eq!(
-            Fabric::<u32>::route(&mut f, NodeId(2), NodeId(1), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-        // Unrelated pair unaffected.
-        assert_ne!(
-            Fabric::<u32>::route(&mut f, NodeId(0), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-        f.heal_all();
-        assert_ne!(
-            Fabric::<u32>::route(&mut f, NodeId(1), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-    }
+        let mut rng = fresh();
+        assert_ne!(route(&mut faulty(&[]), 0, 1, &mut rng), Route::Drop);
+        assert!(untouched(&mut rng), "nothing installed");
 
-    #[test]
-    fn cut_groups_cuts_cross_product() {
-        let mut f = PartitionableFabric::new(UniformFabric::new(Dur::ZERO));
-        let mut rng = SmallRng::seed_from_u64(0);
-        f.cut_groups(&[NodeId(0), NodeId(1)], &[NodeId(2)]);
-        for a in [0u32, 1] {
-            assert_eq!(
-                Fabric::<u32>::route(&mut f, NodeId(a), NodeId(2), &7, Time::ZERO, &mut rng),
-                Route::Drop
-            );
-        }
-        assert_ne!(
-            Fabric::<u32>::route(&mut f, NodeId(0), NodeId(1), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
+        let mut f = faulty(&[
+            FaultAction::SetLoss(0.5),
+            FaultAction::SetNodeOutLoss(NodeId(4), 0.0),
+            FaultAction::Cut(vec![NodeId(0)], vec![NodeId(1)]),
+        ]);
+        let mut rng = fresh();
+        assert_ne!(route(&mut f, 4, 0, &mut rng), Route::Drop);
+        assert!(untouched(&mut rng), "shielded sender");
+        let mut rng = fresh();
+        assert_eq!(route(&mut f, 1, 0, &mut rng), Route::Drop);
+        assert!(untouched(&mut rng), "blocked link");
+        let mut rng = fresh();
+        route(&mut f, 0, 2, &mut rng);
+        assert!(!untouched(&mut rng), "a lossy sender costs one draw");
     }
 }

@@ -1,28 +1,38 @@
-//! The deterministic nemesis engine: seeded, time-ordered fault schedules
-//! applied to a running [`Simulation`].
+//! The nemesis: one fault model — crash-stop nodes, lossy links,
+//! partitions (§3 of the paper) — for every cluster, simulated or live.
 //!
-//! A [`FaultPlan`] is a declarative, virtual-time schedule of
-//! [`FaultEvent`]s — partitions, crashes, restarts, loss injection, node
-//! isolation, link flapping — built with combinators (`at`, `then`,
-//! `repeat`, `randomized`). A [`NemesisDriver`] replays the plan against
-//! any simulation whose fabric implements [`NemesisFabric`] (the
-//! [`PartitionableFabric`]`<`[`LossyFabric`]`<F>>` composition provides it
-//! for every inner fabric), interleaving fault application with event
-//! processing so faults land at exact virtual instants.
+//! Three pieces, none of which knows what it runs against:
 //!
-//! Determinism: the plan is data, the jitter is seeded, and the driver
-//! advances the simulation with `run_until` between events — so the same
-//! plan + seed always yields the same execution (guarded by the trace-hash
-//! regression tests in the chaos suite).
+//! * a [`FaultPlan`] is a seeded, time-ordered schedule of [`FaultEvent`]s
+//!   — partitions, crashes, restarts, loss injection, node isolation, link
+//!   flapping — built with combinators (`at`, `then`, `repeat`,
+//!   `randomized`) and expanded into a concrete [`FaultAction`] timeline;
+//! * [`LinkFaults`] is the table of what those actions have done to the
+//!   links so far (cuts, isolation, down marks, loss rates), asked by
+//!   whatever carries the messages;
+//! * [`run_plan`] walks a plan's timeline against a [`NemesisTarget`] —
+//!   anything with a clock, a `LinkFaults` table, and nodes it can crash
+//!   and restart.
+//!
+//! The simulator and the live transport differ only in who holds the table
+//! and when it is asked. A [`Simulation`](crate::Simulation) routes through
+//! a [`FaultyFabric`](crate::fabric::FaultyFabric), which asks once, as a
+//! message is sent; whether a node is alive is the kernel's to know, so no
+//! down mark is ever set. A live node loop asks `canopus_net::FaultRules`
+//! (the same table behind a mutex) at send and again at receive, and a
+//! crashed node is a stopped thread plus a down mark.
+//!
+//! Determinism in the simulator: the plan is data, the jitter is seeded,
+//! and `run_plan` steps the kernel to each action's exact virtual instant
+//! — so the same plan + seed always yields the same execution (guarded by
+//! the trace-hash pins in the chaos suites).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fabric::{Fabric, LossyFabric, PartitionableFabric};
-use crate::process::{NodeId, Payload, Process};
-use crate::sim::Simulation;
+use crate::process::NodeId;
 use crate::time::{Dur, Time};
 
 /// One scheduled fault.
@@ -53,7 +63,7 @@ pub enum FaultEvent {
     /// Cut a node off from everyone (both directions).
     IsolateNode(NodeId),
     /// Toggle the `a`↔`b` cut every `period`, starting cut, until the next
-    /// `HealAll` in the plan (or the driver's horizon).
+    /// `HealAll` in the plan (or the run's horizon).
     FlapLink {
         /// One side of the flapping link.
         a: Vec<NodeId>,
@@ -86,7 +96,7 @@ pub enum FaultAction {
 }
 
 /// A seeded, time-ordered schedule of fault events. Offsets are relative
-/// to the instant the plan is handed to a [`NemesisDriver`].
+/// to the instant the plan is handed to [`run_plan`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     events: Vec<(Dur, FaultEvent)>,
@@ -226,208 +236,170 @@ impl FaultPlan {
     }
 }
 
-/// Fabric operations the nemesis needs. Implemented by the canonical
-/// [`PartitionableFabric`]`<`[`LossyFabric`]`<F>>` composition over any
-/// inner fabric.
-pub trait NemesisFabric {
-    /// Cut the `a` × `b` cross product of links.
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]);
-    /// Heal the `a` × `b` cross product of links.
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]);
-    /// Remove every partition and isolation, and zero all loss.
-    fn nemesis_heal_all(&mut self);
-    /// Set the global loss probability.
-    fn nemesis_set_loss(&mut self, loss: f64);
-    /// Set one node's outbound loss probability.
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64);
-    /// Isolate a node from everyone.
-    fn nemesis_isolate(&mut self, node: NodeId);
-}
-
-impl<F> NemesisFabric for PartitionableFabric<LossyFabric<F>> {
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.cut_groups(a, b);
-    }
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.heal_groups(a, b);
-    }
-    fn nemesis_heal_all(&mut self) {
-        self.heal_all();
-        self.inner_mut().clear_loss();
-    }
-    fn nemesis_set_loss(&mut self, loss: f64) {
-        self.inner_mut().set_loss(loss);
-    }
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64) {
-        self.inner_mut().set_out_loss(node, loss);
-    }
-    fn nemesis_isolate(&mut self, node: NodeId) {
-        self.isolate(node);
-    }
-}
-
-/// Factory invoked by the driver on `Restart`: receives the node id and,
-/// when the kernel still holds it, the crashed process (so protocols with
-/// durable state — e.g. Raft's term/vote/log — can model recovery).
-pub type RestartFn<'a, M> =
-    &'a mut dyn FnMut(NodeId, Option<Box<dyn Process<M>>>) -> Box<dyn Process<M>>;
-
-/// The clock-agnostic core of a nemesis run: a cursor over the expanded
-/// action timeline plus the applied/crash bookkeeping every driver needs.
+/// What the installed faults do to every link: the one table both the
+/// simulator's [`FaultyFabric`](crate::fabric::FaultyFabric) and the live
+/// transport's `canopus_net::FaultRules` consult, and the only code that
+/// knows what a [`FaultAction`] does to a link.
 ///
-/// The schedule knows nothing about *how* time advances — the virtual-time
-/// [`NemesisDriver`] steps a [`Simulation`] between actions, while the
-/// wall-clock live driver in `canopus-harness` sleeps real time between
-/// them. Both pop due actions with [`NemesisSchedule::pop_due`], apply
-/// them to their respective fabrics, and record the outcome with
-/// [`NemesisSchedule::record`].
-pub struct NemesisSchedule {
-    timeline: Vec<(Time, FaultAction)>,
-    next: usize,
-    applied: Vec<(Time, FaultAction)>,
-    ever_crashed: BTreeSet<NodeId>,
+/// Plain data: no clock, no RNG, no locking. Its holder rolls the loss
+/// dice ([`LinkFaults::loss_from`] names the probability) and decides
+/// *when* to ask — the simulator at send time, a live node loop at send
+/// and at receive.
+#[derive(Clone, Debug, Default)]
+pub struct LinkFaults {
+    /// Cut links, both directions, keyed `(low id, high id)`.
+    cut: BTreeSet<(NodeId, NodeId)>,
+    /// Nodes cut off from everyone.
+    isolated: BTreeSet<NodeId>,
+    /// Nodes marked down: like isolation, but not healed by `HealAll`.
+    down: BTreeSet<NodeId>,
+    /// Global loss probability.
+    loss: f64,
+    /// Per-sender loss probabilities, each replacing the global one.
+    out_loss: BTreeMap<NodeId, f64>,
 }
 
-impl NemesisSchedule {
-    /// Expands `plan` into a schedule anchored at `start`, bounded by
-    /// `start + horizon`.
-    pub fn new(plan: &FaultPlan, start: Time, horizon: Dur) -> Self {
-        NemesisSchedule {
-            timeline: plan.timeline(start, horizon),
-            next: 0,
-            applied: Vec::new(),
-            ever_crashed: BTreeSet::new(),
-        }
-    }
+fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    (a.min(b), a.max(b))
+}
 
-    /// The instant of the next unapplied action, if any remain.
-    pub fn next_at(&self) -> Option<Time> {
-        self.timeline.get(self.next).map(|&(t, _)| t)
-    }
+fn probability(p: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "loss must be a probability");
+    p
+}
 
-    /// Pops the next action if it is due at or before `now`. The caller
-    /// applies it to its fabric, then calls [`NemesisSchedule::record`].
-    pub fn pop_due(&mut self, now: Time) -> Option<(Time, FaultAction)> {
-        match self.timeline.get(self.next) {
-            Some(&(at, _)) if at <= now => {
-                let entry = self.timeline[self.next].clone();
-                self.next += 1;
-                Some(entry)
+impl LinkFaults {
+    /// Applies one action. `Crash` and `Restart` change no link: whether a
+    /// node runs is its host's business (the simulation kernel's, or a
+    /// live cluster's threads plus [`LinkFaults::set_down`]).
+    pub fn apply(&mut self, action: &FaultAction) {
+        match action {
+            FaultAction::Cut(a, b) => {
+                for &x in a {
+                    for &y in b {
+                        self.cut.insert(pair(x, y));
+                    }
+                }
             }
-            _ => None,
-        }
-    }
-
-    /// Records an action as applied. `Crash` actions the caller actually
-    /// executed should also be reported via
-    /// [`NemesisSchedule::mark_crashed`].
-    pub fn record(&mut self, at: Time, action: FaultAction) {
-        self.applied.push((at, action));
-    }
-
-    /// Notes that `node` was genuinely crashed (it was alive when the
-    /// `Crash` action fired).
-    pub fn mark_crashed(&mut self, node: NodeId) {
-        self.ever_crashed.insert(node);
-    }
-
-    /// Whether every scheduled action has been popped.
-    pub fn finished(&self) -> bool {
-        self.next >= self.timeline.len()
-    }
-
-    /// The actions applied so far, with their application times.
-    pub fn applied(&self) -> &[(Time, FaultAction)] {
-        &self.applied
-    }
-
-    /// Nodes crashed at least once by this schedule.
-    pub fn ever_crashed(&self) -> &BTreeSet<NodeId> {
-        &self.ever_crashed
-    }
-}
-
-/// Replays a [`FaultPlan`] timeline against a simulation as virtual time
-/// advances.
-pub struct NemesisDriver {
-    sched: NemesisSchedule,
-}
-
-impl NemesisDriver {
-    /// Builds a driver for `plan`, anchored at `start` and expanded up to
-    /// `start + horizon`.
-    pub fn new(plan: &FaultPlan, start: Time, horizon: Dur) -> Self {
-        NemesisDriver {
-            sched: NemesisSchedule::new(plan, start, horizon),
-        }
-    }
-
-    /// Runs `sim` until `until`, applying every scheduled action at its
-    /// exact virtual instant. `restart` builds replacement processes for
-    /// `Restart` actions.
-    pub fn run<M, F>(&mut self, sim: &mut Simulation<M, F>, until: Time, restart: RestartFn<'_, M>)
-    where
-        M: Payload,
-        F: Fabric<M> + NemesisFabric,
-    {
-        while let Some(next) = self.sched.next_at().filter(|&at| at <= until) {
-            sim.run_until(next);
-            while let Some((at, action)) = self.sched.pop_due(next) {
-                self.apply(sim, at, action, restart);
+            FaultAction::Heal(a, b) => {
+                for &x in a {
+                    for &y in b {
+                        self.cut.remove(&pair(x, y));
+                    }
+                }
             }
+            FaultAction::HealAll => {
+                self.cut.clear();
+                self.isolated.clear();
+                self.loss = 0.0;
+                self.out_loss.clear();
+            }
+            FaultAction::SetLoss(p) => self.loss = probability(*p),
+            FaultAction::SetNodeOutLoss(node, p) => {
+                self.out_loss.insert(*node, probability(*p));
+            }
+            FaultAction::Isolate(node) => {
+                self.isolated.insert(*node);
+            }
+            FaultAction::Crash(_) | FaultAction::Restart(_) => {}
         }
-        sim.run_until(until);
     }
 
-    fn apply<M, F>(
-        &mut self,
-        sim: &mut Simulation<M, F>,
-        at: Time,
-        action: FaultAction,
-        restart: RestartFn<'_, M>,
-    ) where
-        M: Payload,
-        F: Fabric<M> + NemesisFabric,
-    {
+    /// Marks `node` down (or clears the mark): while set, everything to
+    /// and from it is blocked, and `HealAll` does not lift it. A live
+    /// cluster marks a node whose loop it has stopped, so peers lose what
+    /// was in flight; the simulator's kernel does that itself.
+    pub fn set_down(&mut self, node: NodeId, down: bool) {
+        if down {
+            self.down.insert(node);
+        } else {
+            self.down.remove(&node);
+        }
+    }
+
+    /// Whether a message `from → to` is blocked outright: an endpoint is
+    /// isolated or down, or the link is cut.
+    pub fn blocks(&self, from: NodeId, to: NodeId) -> bool {
+        self.isolated.contains(&from)
+            || self.isolated.contains(&to)
+            || self.down.contains(&from)
+            || self.down.contains(&to)
+            || self.cut.contains(&pair(from, to))
+    }
+
+    /// The probability with which a message sent by `from` is lost: the
+    /// sender's own rate where one is set (0.0 shields it), else the
+    /// global rate.
+    pub fn loss_from(&self, from: NodeId) -> f64 {
+        self.out_loss.get(&from).copied().unwrap_or(self.loss)
+    }
+
+    /// Whether no fault is installed (nothing blocks, nothing is lost).
+    pub fn is_clear(&self) -> bool {
+        self.cut.is_empty()
+            && self.isolated.is_empty()
+            && self.down.is_empty()
+            && self.loss == 0.0
+            && self.out_loss.is_empty()
+    }
+}
+
+/// What [`run_plan`] drives: a cluster with a clock, a [`LinkFaults`]
+/// table, and nodes it can stop and start. `canopus-harness` implements it
+/// for the simulated `Cluster` (steps the kernel) and for `LiveCluster`
+/// (sleeps, stops and respawns node threads).
+pub trait NemesisTarget {
+    /// The target's clock.
+    fn now(&self) -> Time;
+    /// Runs (or waits) until the clock reads `at`; returns at once when it
+    /// already does.
+    fn advance_to(&mut self, at: Time);
+    /// Lets `update` change the fault table the target's links consult.
+    fn link_faults(&mut self, update: impl FnOnce(&mut LinkFaults));
+    /// Crash-stops `node`; `false` when it was already down.
+    fn crash(&mut self, node: NodeId) -> bool;
+    /// Restarts `node` by the target's recovery policy; nothing when it is
+    /// up.
+    fn restart(&mut self, node: NodeId);
+}
+
+/// What one [`run_plan`] did.
+#[derive(Debug, Default)]
+pub struct NemesisRun {
+    /// Every action, stamped with the target's clock as it was applied.
+    pub applied: Vec<(Time, FaultAction)>,
+    /// Nodes a `Crash` found alive and took down.
+    pub ever_crashed: BTreeSet<NodeId>,
+}
+
+/// Replays `plan` against `target` over the next `horizon` of its clock:
+/// advances to each instant of the [`FaultPlan::timeline`], applies
+/// everything scheduled for it in plan order, and finally advances to the
+/// horizon.
+pub fn run_plan<T: NemesisTarget>(target: &mut T, plan: &FaultPlan, horizon: Dur) -> NemesisRun {
+    let start = target.now();
+    let mut run = NemesisRun::default();
+    let mut instant = None;
+    for (at, action) in plan.timeline(start, horizon) {
+        // One advance per instant: actions that share one are applied back
+        // to back, before the target runs anything they caused.
+        if instant != Some(at) {
+            target.advance_to(at);
+            instant = Some(at);
+        }
         match &action {
-            FaultAction::Cut(a, b) => sim.fabric_mut().nemesis_cut_groups(a, b),
-            FaultAction::Heal(a, b) => sim.fabric_mut().nemesis_heal_groups(a, b),
-            FaultAction::HealAll => sim.fabric_mut().nemesis_heal_all(),
-            FaultAction::SetLoss(p) => sim.fabric_mut().nemesis_set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => {
-                sim.fabric_mut().nemesis_set_node_out_loss(*n, *p);
-            }
-            FaultAction::Isolate(n) => sim.fabric_mut().nemesis_isolate(*n),
-            FaultAction::Crash(n) => {
-                if sim.is_alive(*n) {
-                    sim.crash(*n);
-                    self.sched.mark_crashed(*n);
+            FaultAction::Crash(node) => {
+                if target.crash(*node) {
+                    run.ever_crashed.insert(*node);
                 }
             }
-            FaultAction::Restart(n) => {
-                if !sim.is_alive(*n) {
-                    let old = sim.take_crashed(*n);
-                    sim.restart(*n, restart(*n, old));
-                }
-            }
+            FaultAction::Restart(node) => target.restart(*node),
+            link => target.link_faults(|faults| faults.apply(link)),
         }
-        self.sched.record(at, action);
+        run.applied.push((target.now(), action));
     }
-
-    /// Whether every scheduled action has been applied.
-    pub fn finished(&self) -> bool {
-        self.sched.finished()
-    }
-
-    /// The actions applied so far, with their application times.
-    pub fn applied(&self) -> &[(Time, FaultAction)] {
-        self.sched.applied()
-    }
-
-    /// Nodes crashed at least once by this driver.
-    pub fn ever_crashed(&self) -> &BTreeSet<NodeId> {
-        self.sched.ever_crashed()
-    }
+    target.advance_to(start + horizon);
+    run
 }
 
 #[cfg(test)]
@@ -609,31 +581,226 @@ mod tests {
         assert!(plan.timeline(Time::ZERO, Dur::millis(30)).is_empty());
     }
 
+    /// Every [`FaultAction`] against `blocks` / `loss_from`, one row each.
     #[test]
-    fn schedule_cursor_pops_in_order_and_tracks_bookkeeping() {
+    fn link_faults_table() {
+        use FaultAction::*;
+        struct Case {
+            name: &'static str,
+            /// Nodes marked down before the actions run.
+            down: &'static [u32],
+            actions: Vec<FaultAction>,
+            blocked: &'static [(u32, u32)],
+            open: &'static [(u32, u32)],
+            loss: &'static [(u32, f64)],
+            clear: bool,
+        }
+        let ns = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let cases = [
+            Case {
+                name: "nothing installed",
+                down: &[],
+                actions: vec![],
+                blocked: &[],
+                open: &[(0, 1), (1, 0)],
+                loss: &[(0, 0.0)],
+                clear: true,
+            },
+            Case {
+                name: "a cut is the cross product, both directions",
+                down: &[],
+                actions: vec![Cut(ns(&[0, 1]), ns(&[2]))],
+                blocked: &[(0, 2), (2, 0), (1, 2), (2, 1)],
+                open: &[(0, 1), (2, 3)],
+                loss: &[(0, 0.0)],
+                clear: false,
+            },
+            Case {
+                name: "a heal lifts exactly the pairs it names, in either order",
+                down: &[],
+                actions: vec![Cut(ns(&[0, 1]), ns(&[2])), Heal(ns(&[2]), ns(&[0]))],
+                blocked: &[(1, 2), (2, 1)],
+                open: &[(0, 2), (2, 0)],
+                loss: &[],
+                clear: false,
+            },
+            Case {
+                name: "isolation cuts a node from everyone",
+                down: &[],
+                actions: vec![Isolate(n(5))],
+                blocked: &[(5, 0), (0, 5)],
+                open: &[(0, 1)],
+                loss: &[(5, 0.0)],
+                clear: false,
+            },
+            Case {
+                name: "heal-all lifts cuts, isolation and every loss rate",
+                down: &[],
+                actions: vec![
+                    Cut(ns(&[0]), ns(&[1])),
+                    Isolate(n(5)),
+                    SetLoss(0.3),
+                    SetNodeOutLoss(n(4), 0.9),
+                    HealAll,
+                ],
+                blocked: &[],
+                open: &[(0, 1), (5, 0), (0, 5)],
+                loss: &[(0, 0.0), (4, 0.0)],
+                clear: true,
+            },
+            Case {
+                name: "heal-all keeps down marks",
+                down: &[2],
+                actions: vec![HealAll],
+                blocked: &[(0, 2), (2, 0)],
+                open: &[(0, 1)],
+                loss: &[(2, 0.0)],
+                clear: false,
+            },
+            Case {
+                name: "global loss applies to every sender and blocks nothing",
+                down: &[],
+                actions: vec![SetLoss(0.25)],
+                blocked: &[],
+                open: &[(0, 1)],
+                loss: &[(0, 0.25), (7, 0.25)],
+                clear: false,
+            },
+            Case {
+                name: "a sender's rate applies to that sender only",
+                down: &[],
+                actions: vec![SetNodeOutLoss(n(4), 1.0)],
+                blocked: &[],
+                open: &[(4, 0)],
+                loss: &[(4, 1.0), (0, 0.0)],
+                clear: false,
+            },
+            Case {
+                name: "a sender's rate of 0.0 shields it from global loss",
+                down: &[],
+                actions: vec![SetLoss(1.0), SetNodeOutLoss(n(4), 0.0)],
+                blocked: &[],
+                open: &[],
+                loss: &[(4, 0.0), (0, 1.0)],
+                clear: false,
+            },
+            Case {
+                name: "crash and restart change no link",
+                down: &[],
+                actions: vec![Crash(n(1)), Restart(n(1))],
+                blocked: &[],
+                open: &[(0, 1), (1, 0)],
+                loss: &[(1, 0.0)],
+                clear: true,
+            },
+        ];
+        for case in cases {
+            let mut faults = LinkFaults::default();
+            for &node in case.down {
+                faults.set_down(n(node), true);
+            }
+            for action in &case.actions {
+                faults.apply(action);
+            }
+            for &(from, to) in case.blocked {
+                assert!(faults.blocks(n(from), n(to)), "{}: {from}→{to}", case.name);
+            }
+            for &(from, to) in case.open {
+                assert!(!faults.blocks(n(from), n(to)), "{}: {from}→{to}", case.name);
+            }
+            for &(from, p) in case.loss {
+                assert_eq!(faults.loss_from(n(from)), p, "{}: from {from}", case.name);
+            }
+            assert_eq!(faults.is_clear(), case.clear, "{}", case.name);
+            for &node in case.down {
+                faults.set_down(n(node), false);
+                assert!(!faults.blocks(n(node), n(0)), "{}: mark lifted", case.name);
+            }
+        }
+    }
+
+    /// A target that records what [`run_plan`] asks of it. Like a wall
+    /// clock, it never wakes exactly on time: every advance overshoots by
+    /// a millisecond.
+    #[derive(Default)]
+    struct Recorder {
+        clock: Time,
+        faults: LinkFaults,
+        down: BTreeSet<NodeId>,
+        log: Vec<String>,
+    }
+
+    impl NemesisTarget for Recorder {
+        fn now(&self) -> Time {
+            self.clock
+        }
+        fn advance_to(&mut self, at: Time) {
+            self.log.push(format!("advance {}", at.as_millis()));
+            self.clock = at + Dur::millis(1);
+        }
+        fn link_faults(&mut self, update: impl FnOnce(&mut LinkFaults)) {
+            self.log.push("links".to_string());
+            update(&mut self.faults);
+        }
+        fn crash(&mut self, node: NodeId) -> bool {
+            self.log.push(format!("crash {}", node.0));
+            self.down.insert(node)
+        }
+        fn restart(&mut self, node: NodeId) {
+            self.log.push(format!("restart {}", node.0));
+            self.down.remove(&node);
+        }
+    }
+
+    #[test]
+    fn run_plan_applies_in_order_up_to_the_horizon_and_keeps_the_books() {
         let plan = FaultPlan::new()
+            .at(Dur::millis(40), FaultEvent::HealAll)
             .at(Dur::millis(10), FaultEvent::Crash(n(2)))
-            .then(Dur::millis(10), FaultEvent::Restart(n(2)))
-            .then(Dur::millis(10), FaultEvent::HealAll);
-        let mut sched = NemesisSchedule::new(&plan, Time::ZERO, Dur::secs(1));
-        assert_eq!(sched.next_at(), Some(Time::ZERO + Dur::millis(10)));
-        assert!(sched.pop_due(Time::ZERO + Dur::millis(5)).is_none());
-        let (at, action) = sched.pop_due(Time::ZERO + Dur::millis(25)).expect("due");
-        assert_eq!(action, FaultAction::Crash(n(2)));
-        sched.record(at, action);
-        sched.mark_crashed(n(2));
-        let (at, action) = sched.pop_due(Time::ZERO + Dur::millis(25)).expect("due");
-        assert_eq!(action, FaultAction::Restart(n(2)));
-        sched.record(at, action);
-        assert!(sched.pop_due(Time::ZERO + Dur::millis(25)).is_none());
-        assert!(!sched.finished());
-        assert_eq!(sched.applied().len(), 2);
+            // Same instant as the crash: one advance, plan order.
+            .at(Dur::millis(10), FaultEvent::SetLoss(0.5))
+            // Node 9 is down already: asked, recorded, not counted.
+            .at(Dur::millis(20), FaultEvent::Crash(n(9)))
+            .at(Dur::millis(30), FaultEvent::Restart(n(2)))
+            // Past the horizon: never applied.
+            .at(Dur::millis(90), FaultEvent::IsolateNode(n(1)));
+        let mut target = Recorder {
+            clock: Time::ZERO + Dur::millis(100),
+            down: BTreeSet::from([n(9)]),
+            ..Recorder::default()
+        };
+        let run = run_plan(&mut target, &plan, Dur::millis(50));
+
         assert_eq!(
-            sched.ever_crashed().iter().copied().collect::<Vec<_>>(),
-            [n(2)]
+            target.log,
+            [
+                "advance 110",
+                "crash 2",
+                "links",
+                "advance 120",
+                "crash 9",
+                "advance 130",
+                "restart 2",
+                "advance 140",
+                "links",
+                "advance 150",
+            ]
         );
-        let _ = sched.pop_due(Time::ZERO + Dur::secs(1)).expect("heal due");
-        assert!(sched.finished());
+        // Stamped with the target's clock when applied, not the schedule's.
+        let at = |ms| Time::ZERO + Dur::millis(ms);
+        assert_eq!(
+            run.applied,
+            [
+                (at(111), FaultAction::Crash(n(2))),
+                (at(111), FaultAction::SetLoss(0.5)),
+                (at(121), FaultAction::Crash(n(9))),
+                (at(131), FaultAction::Restart(n(2))),
+                (at(141), FaultAction::HealAll),
+            ]
+        );
+        assert_eq!(run.ever_crashed, BTreeSet::from([n(2)]));
+        assert!(target.faults.is_clear(), "loss installed, then healed");
+        assert_eq!(target.down, BTreeSet::from([n(9)]));
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   give nodes finite processing capacity so saturation behaviour (the
 //!   paper's throughput metric) emerges naturally.
 //! * **Fault injection**: crash-stop, restart, message loss, and partitions
-//!   ([`fabric::LossyFabric`], [`fabric::PartitionableFabric`]) cover the
-//!   failure model of §3 of the paper.
+//!   (one [`fault::LinkFaults`] table behind [`fabric::FaultyFabric`],
+//!   driven by [`fault::run_plan`]) cover the failure model of §3 of the
+//!   paper.
 
 #![warn(missing_docs)]
 
@@ -31,8 +32,8 @@ mod process;
 mod sim;
 mod time;
 
-pub use fabric::{Fabric, LossyFabric, PartitionableFabric, Route, UniformFabric};
-pub use fault::{FaultAction, FaultEvent, FaultPlan, NemesisDriver, NemesisFabric};
+pub use fabric::{Fabric, FaultyFabric, Route, UniformFabric};
+pub use fault::{FaultAction, FaultEvent, FaultPlan};
 pub use process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId};
 pub use sim::{NetStats, NodeConfig, Simulation, TraceEvent, Tracer, EXTERNAL};
 pub use time::{Dur, Time};

@@ -44,7 +44,7 @@ fn main() {
         |cluster: &Cluster<CanopusMsg>| cluster.node(NodeId(0)).stats().committed_cycles;
 
     println!("phase 1: healthy cluster, faults scheduled");
-    let applied = cluster.apply_plan(&plan, Dur::millis(2100));
+    let applied = cluster.run_plan(&plan, Dur::millis(2100));
     for (at, action) in &applied {
         println!("  t={:>5.1}ms  {:?}", at.as_nanos() as f64 / 1e6, action);
     }

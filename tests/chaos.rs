@@ -12,14 +12,17 @@
 //!        fresh keys ── 1800ms ── clients stop ── 2100ms ── verdict
 //! ```
 //!
-//! Seed count: 20 by default (the acceptance sweep), `CHAOS_SEEDS=ci` for
-//! a quick fixed set in CI, `CHAOS_SEEDS=extended` for a deep local sweep.
+//! Seed count (`scenarios::seed_sweep`): 20 in release (the acceptance
+//! sweep), 2 in a debug build (plain `cargo test --workspace` spot-checks),
+//! `CHAOS_SEEDS=ci` for a quick fixed set in CI, `CHAOS_SEEDS=extended` for
+//! a deep local sweep.
 
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
-    asymmetric_loss, crash_restart_churn, leader_crash_mid_round, link_flapping,
-    majority_minority_split, node_isolated, partition_then_crash_restart, superleaf_partition,
+    assert_verdict, asymmetric_loss, crash_restart_churn, leader_crash_mid_round, link_flapping,
+    majority_minority_split, node_isolated, partition_then_crash_restart, seed_sweep,
+    superleaf_partition,
 };
 use canopus_harness::{
     ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology, Clients, Cluster, ClusterBuilder,
@@ -61,19 +64,6 @@ fn batched4() -> CanopusConfig {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    let n = match std::env::var("CHAOS_SEEDS").as_deref() {
-        Ok("ci") => 4,
-        Ok("extended") => 60,
-        Ok(other) => other.parse().unwrap_or(20),
-        // Debug builds (plain `cargo test --workspace`) get a spot check;
-        // the acceptance sweep is `cargo test --release --test chaos`.
-        _ if cfg!(debug_assertions) => 2,
-        _ => 20,
-    };
-    (1..=n).map(|i| 0xC0DE + i).collect()
-}
-
 // ---------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------
@@ -100,7 +90,7 @@ fn run_one<P: Protocol>(
     seed: u64,
 ) -> (ChaosReport, Cluster<P>) {
     let mut cluster = builder::<P>(cfg, seed).sim();
-    cluster.apply_plan(&scenario.plan, timeline().run_for);
+    cluster.run_plan(&scenario.plan, timeline().run_for);
     let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
     (report, cluster)
 }
@@ -110,30 +100,11 @@ fn run_one<P: Protocol>(
 const DUMP_EVENTS: usize = 40;
 
 fn sweep<M: Protocol>(cfg: Option<M::Config>, scenario: ChaosScenario) {
-    for seed in seeds() {
+    for seed in seed_sweep("CHAOS_SEEDS", 0xC0DE, 20) {
         let (report, cluster) = run_one::<M>(cfg.clone(), &scenario, seed);
-        assert!(
-            report.ok(),
-            "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
-{}",
-            M::NAME,
-            scenario.name,
-            seed,
-            report.ops_ok,
-            report.ops_timed_out,
-            report.violations,
+        assert_verdict(&report, M::NAME, scenario.name, seed, 50, || {
             cluster.flight_dump(DUMP_EVENTS)
-        );
-        assert!(
-            report.ops_ok > 50,
-            "{} / {} / seed {:#x}: suspiciously little progress ({} ops)
-{}",
-            M::NAME,
-            scenario.name,
-            seed,
-            report.ops_ok,
-            cluster.flight_dump(DUMP_EVENTS)
-        );
+        });
     }
 }
 
@@ -217,7 +188,7 @@ fn determinism_same_plan_same_seed_identical_traces() {
         let scenario = superleaf_partition(&topo(), &timeline());
         let mut cluster = builder::<CanopusMsg>(None, seed).sim();
         cluster.sim.enable_trace_hash();
-        let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
+        let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         let histories: Vec<Vec<String>> = cluster
             .clients
             .iter()
@@ -262,7 +233,7 @@ fn determinism_obs_enabled_matches_disabled() {
         let scenario = superleaf_partition(&topo(), &timeline());
         let mut cluster = builder::<CanopusMsg>(None, 11).obs(obs).sim();
         cluster.sim.enable_trace_hash();
-        let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
+        let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         (
             cluster.sim.trace_hash().expect("enabled"),
             format!("{applied:?}"),
@@ -285,7 +256,7 @@ fn determinism_crash_restart_raftkv() {
         let scenario = crash_restart_churn(&topo(), &timeline());
         let mut cluster = builder::<RaftKvMsg>(None, 11).sim();
         cluster.sim.enable_trace_hash();
-        cluster.apply_plan(&scenario.plan, timeline().run_for);
+        cluster.run_plan(&scenario.plan, timeline().run_for);
         (
             cluster.sim.trace_hash().expect("enabled"),
             cluster.sim.events_processed(),

@@ -27,7 +27,8 @@
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
-    asymmetric_loss, leader_crash_mid_round, superleaf_partition, ChaosScenario,
+    assert_verdict, asymmetric_loss, leader_crash_mid_round, seed_sweep, superleaf_partition,
+    ChaosScenario,
 };
 use canopus_harness::{
     live_spec, live_time_unit, live_timeline, ChaosTimeline, ChaosTopology, ClusterBuilder,
@@ -36,19 +37,6 @@ use canopus_harness::{
 use canopus_net::Wire;
 use canopus_zab::ZabMsg;
 
-fn seeds() -> Vec<u64> {
-    let n = match std::env::var("LIVE_CHAOS_SEEDS").as_deref() {
-        Ok("ci") => 3,
-        Ok(other) => other.parse().unwrap_or(3),
-        // Debug builds (plain `cargo test --workspace`) spot-check one
-        // seed; the acceptance sweep is `cargo test --release --test
-        // live_chaos`.
-        _ if cfg!(debug_assertions) => 1,
-        _ => 3,
-    };
-    (1..=n).map(|i| 0x11FE + i).collect()
-}
-
 /// `cfg: None` is the protocol's default live configuration.
 fn sweep<M: Protocol + Wire + Send>(
     cfg: Option<M::Config>,
@@ -56,7 +44,7 @@ fn sweep<M: Protocol + Wire + Send>(
 ) {
     let spec = live_spec();
     let t = live_timeline();
-    for seed in seeds() {
+    for seed in seed_sweep("LIVE_CHAOS_SEEDS", 0x11FE, 3) {
         let scenario = scenario_fn(&ChaosTopology::of(&spec), &t);
         let builder = ClusterBuilder::<M>::new(&spec, seed);
         let mut cluster = match cfg.clone() {
@@ -73,28 +61,9 @@ fn sweep<M: Protocol + Wire + Send>(
         );
         let outcome = cluster.shutdown();
         let report = outcome.verdict(t.converge_after(), &(scenario.exempt)(M::NAME));
-        assert!(
-            report.ok(),
-            "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
-{}",
-            M::NAME,
-            scenario.name,
-            seed,
-            report.ops_ok,
-            report.ops_timed_out,
-            report.violations,
+        assert_verdict(&report, M::NAME, scenario.name, seed, 20, || {
             outcome.flight_dump(40)
-        );
-        assert!(
-            report.ops_ok > 20,
-            "{} / {} / seed {:#x}: suspiciously little progress ({} ops)
-{}",
-            M::NAME,
-            scenario.name,
-            seed,
-            report.ops_ok,
-            outcome.flight_dump(40)
-        );
+        });
     }
 }
 

@@ -12,7 +12,9 @@
 use std::collections::BTreeSet;
 
 use canopus::{CanopusConfig, CanopusMsg};
-use canopus_harness::scenarios::{asymmetric_loss, crash_restart_churn, superleaf_partition};
+use canopus_harness::scenarios::{
+    assert_verdict, asymmetric_loss, crash_restart_churn, seed_sweep, superleaf_partition,
+};
 use canopus_harness::{
     cross_shard_atomicity_partition, hot_shard_skew, ChaosReport, ChaosScenario, ChaosTimeline,
     ChaosTopology, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig, Protocol,
@@ -58,17 +60,6 @@ fn hot_shard_config() -> HistoryConfig {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    let n = match std::env::var("CHAOS_SEEDS").as_deref() {
-        Ok("ci") => 4,
-        Ok("extended") => 60,
-        Ok(other) => other.parse().unwrap_or(20),
-        _ if cfg!(debug_assertions) => 2,
-        _ => 20,
-    };
-    (1..=n).map(|i| 0x5A4D + i).collect()
-}
-
 /// `shards` lanes per node (otherwise the default simulator
 /// configuration) under history clients.
 fn sharded(hcfg: &HistoryConfig, seed: u64, shards: u16) -> Cluster<CanopusMsg> {
@@ -88,7 +79,7 @@ fn run_one(
     shards: u16,
 ) -> (ChaosReport, Cluster<CanopusMsg>) {
     let mut cluster = sharded(hcfg, seed, shards);
-    cluster.apply_plan(&scenario.plan, timeline().run_for);
+    cluster.run_plan(&scenario.plan, timeline().run_for);
     let report = cluster.verdict(
         timeline().converge_after(),
         &(scenario.exempt)(CanopusMsg::NAME),
@@ -99,28 +90,11 @@ fn run_one(
 const DUMP_EVENTS: usize = 40;
 
 fn sweep(hcfg: HistoryConfig, scenario: ChaosScenario) {
-    for seed in seeds() {
+    for seed in seed_sweep("CHAOS_SEEDS", 0x5A4D, 20) {
         let (report, cluster) = run_one(&hcfg, &scenario, seed, SHARDS);
-        assert!(
-            report.ok(),
-            "canopus_sharded / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
-{}",
-            scenario.name,
-            seed,
-            report.ops_ok,
-            report.ops_timed_out,
-            report.violations,
+        assert_verdict(&report, "canopus_sharded", scenario.name, seed, 50, || {
             cluster.flight_dump(DUMP_EVENTS)
-        );
-        assert!(
-            report.ops_ok > 50,
-            "canopus_sharded / {} / seed {:#x}: suspiciously little progress ({} ops)
-{}",
-            scenario.name,
-            seed,
-            report.ops_ok,
-            cluster.flight_dump(DUMP_EVENTS)
-        );
+        });
     }
 }
 
@@ -221,11 +195,11 @@ fn key_to_shard_stable_across_restart() {
 // Determinism and the single-shard anchor
 // ---------------------------------------------------------------------
 
-fn traced_run(hcfg: &HistoryConfig, seed: u64, shards: u16) -> (u64, u64) {
-    let scenario = superleaf_partition(&topo(), &timeline());
-    let mut cluster = sharded(hcfg, seed, shards);
+/// Runs `scenario` on `cluster` with the kernel's trace hash on; the
+/// verdict must hold. Returns the hash and the event count.
+fn traced(mut cluster: Cluster<CanopusMsg>, scenario: &ChaosScenario) -> (u64, u64) {
     cluster.sim.enable_trace_hash();
-    cluster.apply_plan(&scenario.plan, timeline().run_for);
+    cluster.run_plan(&scenario.plan, timeline().run_for);
     let report = cluster.verdict(
         timeline().converge_after(),
         &(scenario.exempt)(CanopusMsg::NAME),
@@ -234,6 +208,13 @@ fn traced_run(hcfg: &HistoryConfig, seed: u64, shards: u16) -> (u64, u64) {
     (
         cluster.sim.trace_hash().expect("enabled"),
         cluster.sim.events_processed(),
+    )
+}
+
+fn traced_run(hcfg: &HistoryConfig, seed: u64, shards: u16) -> (u64, u64) {
+    traced(
+        sharded(hcfg, seed, shards),
+        &superleaf_partition(&topo(), &timeline()),
     )
 }
 
@@ -273,23 +254,13 @@ fn asymmetric_loss_trace_hash_is_pinned() {
     );
 }
 
-/// Trace hash and event count of the default simulator configuration under
-/// history clients, seed 7, through the builder's own defaults.
+/// The default simulator configuration under history clients, seed 7,
+/// through the builder's own defaults.
 fn plain_traced_run(scenario: &ChaosScenario) -> (u64, u64) {
-    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec(), 7)
+    let cluster = ClusterBuilder::<CanopusMsg>::new(&spec(), 7)
         .clients(Clients::History(history_config()))
         .sim();
-    cluster.sim.enable_trace_hash();
-    cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = cluster.verdict(
-        timeline().converge_after(),
-        &(scenario.exempt)(CanopusMsg::NAME),
-    );
-    assert!(report.ok(), "violations: {:#?}", report.violations);
-    (
-        cluster.sim.trace_hash().expect("enabled"),
-        cluster.sim.events_processed(),
-    )
+    traced(cluster, scenario)
 }
 
 /// `shards: 1` spelled out is the default node: the same hash as
