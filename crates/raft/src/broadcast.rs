@@ -7,6 +7,18 @@
 //! integrity, agreement) the Canopus proof assumes (A4): either all live
 //! members deliver a message or none do, in a consistent per-origin order.
 //!
+//! How soon a broadcast is delivered depends on the super-leaf's size. In
+//! one of two or three members — livebench's 3×3 cluster, the wide-area
+//! deployments' three per site — the owner and any one peer are a
+//! majority of its group, so a peer delivers as soon as it appends the
+//! owner's entry, half a round trip after the broadcast, and the owner
+//! once the first ack is back, one round trip after it: two messages per
+//! peer, the append and its ack. In a super-leaf of four or more a peer
+//! waits for the owner's commit notification, one and a half round trips,
+//! and each broadcast costs four messages per peer. [`crate::core`]'s
+//! module docs give the safety argument for the first and why the second
+//! falls back.
+//!
 //! If a node fails, the followers of its group elect a new leader who
 //! completes any in-flight replication — exactly the paper's "the new
 //! leader completes any incomplete log replication" — after which the group

@@ -18,6 +18,54 @@
 //! replicas, and a no-op entry appended on leadership change so earlier-term
 //! entries commit promptly.
 //!
+//! # Commit at the follower
+//!
+//! A follower learns what is committed from the leader's commit index on
+//! every `AppendEntries`. In a group of at most three members it also
+//! concludes it by itself: after a successful append whose last matched
+//! entry has the message's term, that entry and everything before it are
+//! committed, and the follower delivers them without waiting for the leader
+//! to say so. In a trio one broadcast is then two appends and two acks —
+//! followers deliver half a round trip after the owner proposes, the owner
+//! one round trip after — where the leader's notification used to add two
+//! more messages, two more acks and a round trip.
+//!
+//! *Why it is Raft's rule.* Raft (§5.4.2) commits an entry once the leader
+//! of the entry's term has stored it on a majority. The leader of term `T`
+//! sent this entry and keeps it; this follower has just stored it; in a
+//! group of at most three the two of them are a majority. The follower is
+//! the member that knows both facts first, so it applies the rule the
+//! leader would apply one round trip later, to the same entry.
+//!
+//! *A leader change between append and delivery.* Suppose the follower has
+//! delivered index `i` of term `T` and the leader fails before anyone has
+//! heard its ack. Every later leader needs votes from a majority, and in a
+//! group of at most three any majority contains the old leader or this
+//! follower. Each held the entry before it could vote in a term after `T`:
+//! the leader appended it in `T`, the follower stored it while its term was
+//! `T` and no leader of `T` or later removes it (Log Matching, and by
+//! induction over the terms that follow). The vote's up-to-date check then
+//! refuses any candidate whose log lacks it, so every later leader holds
+//! entry `i` and, by Log Matching, everything before it: leader
+//! completeness, unchanged from the leader-counted proof. Like that proof
+//! it assumes a member keeps what it appended; the leader's count rests on
+//! the same two members holding the same entry.
+//!
+//! *Why an earlier-term entry never counts.* An entry of term `T' < T` held
+//! by the leader of `T` and one follower is on a majority but not
+//! committed: a candidate whose last entry has a term between `T'` and `T`
+//! can still win votes from members that hold the `T'` entry and overwrite
+//! it (Figure 8 of the Raft paper). So a follower counts only an entry of
+//! the message's own term; an earlier-term entry it holds is delivered once
+//! a current-term entry behind it is — the no-op a new leader appends.
+//!
+//! *Why four or more members fall back.* There the leader and one follower
+//! are not a majority, and no follower can see how many others hold an
+//! entry. The leader counts the acks and, when its commit index moves,
+//! sends every follower an empty `AppendEntries` carrying it; followers of
+//! such groups (the Raft KV baseline's, a super-leaf of five) deliver
+//! through that notification alone. Which path a group takes is its size.
+//!
 //! Two things keep a long-lived group cheap. Replication is pipelined: a
 //! follower's `next_index` advances when an append is *sent*, so each entry
 //! travels to each follower once and a failed reply backs up. And the log
@@ -103,7 +151,8 @@ pub enum RaftMsg {
         /// Whether the vote was granted.
         granted: bool,
     },
-    /// Leader replicates entries (empty = heartbeat / commit notification).
+    /// Leader replicates entries (empty = heartbeat, or in a group of more
+    /// than three the commit notification).
     AppendEntries {
         /// Group this message belongs to.
         group: GroupId,
@@ -147,13 +196,13 @@ impl RaftMsg {
         }
     }
 
-    /// Approximate encoded size, used for network modelling.
+    /// Encoded size, used for network modelling; equal to `encoded_len`.
     pub fn wire_size(&self) -> usize {
         match self {
             RaftMsg::RequestVote { .. } => 29,
             RaftMsg::VoteReply { .. } => 14,
             RaftMsg::AppendEntries { entries, .. } => {
-                41 + entries.iter().map(|e| 12 + e.data.len()).sum::<usize>()
+                49 + entries.iter().map(|e| 12 + e.data.len()).sum::<usize>()
             }
             RaftMsg::AppendReply { .. } => 22,
         }
@@ -468,6 +517,13 @@ impl RaftCore {
         self.members.len() / 2 + 1
     }
 
+    /// Whether the leader and any one follower are a majority — a group of
+    /// at most three — so that a follower knows, when it appends an entry
+    /// of the leader's term, that it is committed (see the module docs).
+    fn follower_commits_on_append(&self) -> bool {
+        self.members.len() <= 3
+    }
+
     fn last_log_index(&self) -> u64 {
         self.base_index + self.log.len() as u64
     }
@@ -770,7 +826,16 @@ impl RaftCore {
                         self.log.push_back(entry);
                     }
                 }
-                self.commit_index = self.commit_index.max(commit.min(index));
+                // Everything up to `index` matches the leader's log. What
+                // of it the leader has committed is committed; in a small
+                // group so is all of it, if it ends in an entry of the
+                // leader's term. (`index > commit_index` keeps `term_at`
+                // above the base.)
+                let own = self.follower_commits_on_append()
+                    && index > self.commit_index
+                    && self.term_at(index) == term;
+                let committed = if own { index } else { commit.min(index) };
+                self.commit_index = self.commit_index.max(committed);
                 self.held_by_all = self.held_by_all.max(discarded.min(index));
                 out.push((
                     from,
@@ -804,10 +869,12 @@ impl RaftCore {
                     *next = (*next).max(match_index + 1);
                     let old_commit = self.commit_index;
                     self.recompute_commit();
-                    if self.commit_index > old_commit {
-                        // Eagerly notify followers so they deliver without
-                        // waiting for the next heartbeat (keeps super-leaf
-                        // broadcast latency at ~1.5 RTT instead of +interval).
+                    if self.commit_index > old_commit && !self.follower_commits_on_append() {
+                        // Followers of a larger group learn the commit only
+                        // from the leader: notify them now rather than at
+                        // the next heartbeat (a broadcast delivers at ~1.5
+                        // RTT instead of +interval; a smaller group's
+                        // followers deliver at 0.5 RTT, on append).
                         // Entries went out when they were proposed, so the
                         // notification itself is empty.
                         self.broadcast_appends(now, out);
@@ -998,7 +1065,8 @@ mod tests {
             .expect("leader proposes");
         assert_eq!(idx, 1);
 
-        // Deliver appends to b and c; collect replies.
+        // Deliver appends to b and c; collect replies. Each follower and
+        // the leader are a majority of three, so both deliver on append.
         let mut replies = Outbox::new();
         for (to, msg) in out.drain(..) {
             match to {
@@ -1007,25 +1075,18 @@ mod tests {
                 other => panic!("unexpected dest {other}"),
             }
         }
-        // First reply commits on the leader (majority of 3 = 2).
+        assert_eq!(b.take_delivered(), vec![(1, Bytes::from_static(b"x"))]);
+        assert_eq!(c.take_delivered(), vec![(1, Bytes::from_static(b"x"))]);
+
+        // First reply commits on the leader (majority of 3 = 2), and the
+        // leader has nobody left to tell.
         let mut notify = Outbox::new();
         let (reply_to_a, msg) = replies.remove(0);
         assert_eq!(reply_to_a, NodeId(0));
         a.handle(NodeId(1), msg, now, &mut r, &mut notify);
         assert_eq!(a.commit_index(), 1);
         assert_eq!(a.take_delivered(), vec![(1, Bytes::from_static(b"x"))]);
-
-        // The eager commit notification lets followers deliver too.
-        for (to, msg) in notify.drain(..) {
-            let mut sink = Outbox::new();
-            match to {
-                NodeId(1) => b.handle(NodeId(0), msg, now, &mut r, &mut sink),
-                NodeId(2) => c.handle(NodeId(0), msg, now, &mut r, &mut sink),
-                other => panic!("unexpected dest {other}"),
-            }
-        }
-        assert_eq!(b.take_delivered(), vec![(1, Bytes::from_static(b"x"))]);
-        assert_eq!(c.take_delivered(), vec![(1, Bytes::from_static(b"x"))]);
+        assert!(notify.is_empty(), "{notify:?}");
     }
 
     #[test]
@@ -1176,9 +1237,9 @@ mod tests {
         let _ = &mut a;
     }
 
-    /// Three members and the wire between them, with every message's
-    /// sender known. `deliver` runs until quiet, handing each member what
-    /// it commits and letting it compact, as a host would.
+    /// Group members (node 0 leads) and the wire between them, with every
+    /// message's sender known. `deliver` runs until quiet, handing each
+    /// member what it commits and letting it compact, as a host would.
     struct Net {
         cores: Vec<RaftCore>,
         rng: SmallRng,
@@ -1191,13 +1252,25 @@ mod tests {
 
     impl Net {
         fn trio() -> Net {
-            let (a, b, c, rng) = trio(Time::ZERO);
+            Net::of(3)
+        }
+
+        fn of(n: u32) -> Net {
+            let mut rng = rng();
+            let members: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let cores = (0..n)
+                .map(|i| {
+                    let cfg = RaftConfig::default();
+                    let m = members.clone();
+                    RaftCore::new(GroupId(0), NodeId(i), m, cfg, i == 0, Time::ZERO, &mut rng)
+                })
+                .collect();
             Net {
-                cores: vec![a, b, c],
+                cores,
                 rng,
                 now: Time::ZERO,
                 wire: Vec::new(),
-                delivered: vec![Vec::new(); 3],
+                delivered: vec![Vec::new(); n as usize],
                 sent: (0, 0),
             }
         }
@@ -1226,18 +1299,23 @@ mod tests {
             while !self.wire.is_empty() {
                 rounds += 1;
                 assert!(rounds < 1000, "message storm");
-                for (from, to, msg) in std::mem::take(&mut self.wire) {
-                    if lost(from.index(), to.index()) {
-                        continue;
-                    }
-                    let mut out = Outbox::new();
-                    self.cores[to.index()].handle(from, msg, self.now, &mut self.rng, &mut out);
-                    self.post(to.index(), out);
+                self.hop(&lost);
+            }
+        }
+
+        /// Delivers what is on the wire now (not what that sends).
+        fn hop(&mut self, lost: impl Fn(usize, usize) -> bool) {
+            for (from, to, msg) in std::mem::take(&mut self.wire) {
+                if lost(from.index(), to.index()) {
+                    continue;
                 }
-                for (core, got) in self.cores.iter_mut().zip(&mut self.delivered) {
-                    got.extend(core.take_delivered());
-                    core.compact();
-                }
+                let mut out = Outbox::new();
+                self.cores[to.index()].handle(from, msg, self.now, &mut self.rng, &mut out);
+                self.post(to.index(), out);
+            }
+            for (core, got) in self.cores.iter_mut().zip(&mut self.delivered) {
+                got.extend(core.take_delivered());
+                core.compact();
             }
         }
 
@@ -1257,25 +1335,165 @@ mod tests {
     fn one_proposal_ships_the_payload_once_per_follower() {
         let mut net = Net::trio();
         net.propose(0, payload(1));
+        // Both followers deliver on append, before the leader has an ack.
+        net.hop(|_, _| false);
+        assert_eq!(net.cores[0].commit_index(), 0);
+        assert_eq!(net.delivered[0], vec![]);
+        for got in &net.delivered[1..] {
+            assert_eq!(got, &vec![(1, payload(1))]);
+        }
         net.deliver(|_, _| false);
-        // Two appends carrying the payload and their acks, then two empty
-        // commit notifications and theirs.
-        assert_eq!(net.sent, (8, 2));
+        // Two appends carrying the payload and their acks; nothing else.
+        assert_eq!(net.sent, (4, 2));
         for got in &net.delivered {
             assert_eq!(got, &vec![(1, payload(1))]);
         }
 
         // An append that is lost is noticed at the next message from the
-        // leader (here the commit notification), refused, and sent again —
-        // once.
+        // leader (here the heartbeat), refused, and sent again — once.
         net.sent = (0, 0);
         net.propose(0, payload(2));
         let (_, to, _) = net.wire.remove(1);
         assert_eq!(to, NodeId(2), "the append to c is the one dropped");
         net.deliver(|_, _| false);
+        assert_eq!(net.delivered[2], vec![(1, payload(1))], "c lacks it");
+        net.tick(0, RaftConfig::default().heartbeat_interval);
+        net.deliver(|_, _| false);
         assert_eq!(net.sent.1, 3, "b, c (lost), c again");
         for got in &net.delivered {
             assert_eq!(got, &vec![(1, payload(1)), (2, payload(2))]);
+        }
+    }
+
+    /// Five members: the leader and one follower are not a majority, so
+    /// followers deliver only when the leader's commit index reaches them
+    /// — in the empty notification it sends when a majority has acked.
+    #[test]
+    fn a_group_of_five_delivers_through_the_leaders_commit_index() {
+        let mut net = Net::of(5);
+        net.propose(0, payload(1));
+        net.hop(|_, _| false);
+        assert!(net.delivered.iter().all(Vec::is_empty), "not on append");
+        net.hop(|_, _| false);
+        assert_eq!(net.delivered[0], vec![(1, payload(1))], "on two acks");
+        assert!(net.delivered[1..].iter().all(Vec::is_empty));
+        net.deliver(|_, _| false);
+        for got in &net.delivered {
+            assert_eq!(got, &vec![(1, payload(1))]);
+        }
+        // Four appends, four acks, four notifications, four acks.
+        assert_eq!(net.sent, (16, 4));
+    }
+
+    /// Two members: the follower is half the group and the leader the
+    /// other half, so the follower commits on append.
+    #[test]
+    fn a_pair_commits_on_append() {
+        let mut net = Net::of(2);
+        net.propose(0, payload(1));
+        net.hop(|_, _| false);
+        assert_eq!(net.delivered[1], vec![(1, payload(1))]);
+        net.deliver(|_, _| false);
+        assert_eq!(net.delivered[0], vec![(1, payload(1))]);
+        assert_eq!(net.sent, (2, 1), "one append, one ack");
+    }
+
+    /// A new leader's append that brings a follower the entry an earlier
+    /// leader could not commit carries the new leader's no-op behind it.
+    /// Split in two, as a leader that sends a prefix of its log may: the
+    /// earlier-term entry alone is appended but not delivered (a majority
+    /// holding it does not make it committed), and it is delivered with
+    /// the no-op.
+    #[test]
+    fn an_earlier_term_entry_is_delivered_with_the_no_op_not_before() {
+        let mut net = Net::trio();
+        // Nobody but a gets the entry. b leads term 2 on an empty log,
+        // hence with no no-op; a follows and keeps its uncommitted entry.
+        net.propose(0, payload(1));
+        net.wire.clear();
+        net.tick(1, Dur::millis(50));
+        net.deliver(|_, _| false);
+        assert!(net.cores[1].is_leader());
+        // a wins term 3 on its longer log; once c has refused the first
+        // append, a sends it the term-1 entry and the no-op.
+        net.tick(0, Dur::millis(50));
+        let whole = |(_, to, msg): &(NodeId, NodeId, RaftMsg)| match msg {
+            RaftMsg::AppendEntries {
+                prev_index,
+                entries,
+                ..
+            } => *to == NodeId(2) && *prev_index == 0 && entries.len() == 2,
+            _ => false,
+        };
+        for _ in 0..4 {
+            if !net.wire.iter().any(whole) {
+                net.hop(|_, _| false);
+            }
+        }
+        assert!(net.cores[0].is_leader());
+        let i = net.wire.iter().position(whole).expect("a's append to c");
+        let (from, to, append) = net.wire.remove(i);
+        net.wire.clear();
+        let RaftMsg::AppendEntries {
+            group,
+            term,
+            entries,
+            commit,
+            discarded,
+            ..
+        } = append
+        else {
+            unreachable!()
+        };
+        assert_eq!(entries.iter().map(|e| e.term).collect::<Vec<_>>(), [1, 3]);
+        let part = |prev_index, prev_term, entries| RaftMsg::AppendEntries {
+            group,
+            term,
+            prev_index,
+            prev_term,
+            entries,
+            commit,
+            discarded,
+        };
+        net.wire.push((from, to, part(0, 0, entries[..1].to_vec())));
+        net.hop(|_, _| false);
+        assert_eq!(net.cores[2].log_len(), 1);
+        assert_eq!(net.delivered[2], vec![], "term 1 in term 3: not counted");
+        net.wire.clear();
+        net.wire.push((from, to, part(1, 1, entries[1..].to_vec())));
+        net.hop(|_, _| false);
+        assert_eq!(net.delivered[2], vec![(1, payload(1))], "with the no-op");
+    }
+
+    /// The owner's append reaches b only, b delivers it, and the owner
+    /// fails before any ack reaches it. c campaigns first and is refused by
+    /// b, whose log is longer; b wins, and index 1 of every member's log —
+    /// the old leader's too, once it is back — is what b delivered.
+    #[test]
+    fn a_leader_change_after_an_append_keeps_what_the_follower_delivered() {
+        let mut net = Net::trio();
+        net.propose(0, payload(1));
+        net.hop(|from, to| (from, to) != (0, 1));
+        net.wire.clear(); // b's ack is lost with a
+        assert_eq!(net.delivered[1], vec![(1, payload(1))]);
+        assert_eq!(net.cores[0].commit_index(), 0);
+
+        let a_down = |from, to| from == 0 || to == 0;
+        net.tick(2, Dur::millis(50));
+        assert_eq!(net.cores[2].role(), Role::Candidate);
+        net.deliver(a_down);
+        assert!(!net.cores[2].is_leader(), "b refuses c's shorter log");
+        net.tick(1, Dur::millis(50));
+        net.deliver(a_down);
+        assert!(net.cores[1].is_leader());
+        assert_eq!(net.delivered[2], vec![(1, payload(1))]);
+
+        // a comes back and follows b.
+        net.tick(1, RaftConfig::default().heartbeat_interval);
+        net.deliver(|_, _| false);
+        assert!(!net.cores[0].is_leader());
+        for (core, got) in net.cores.iter().zip(&net.delivered) {
+            assert_eq!(got, &vec![(1, payload(1))], "at {}", core.me());
         }
     }
 
@@ -1552,6 +1770,47 @@ mod tests {
             let bytes = msg.to_bytes();
             let back = RaftMsg::from_bytes(bytes).expect("decode");
             assert_eq!(back, msg);
+        }
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length() {
+        let entry = |data: &'static [u8]| Entry {
+            term: 2,
+            data: Bytes::from_static(data),
+        };
+        let append = |entries| RaftMsg::AppendEntries {
+            group: GroupId(1),
+            term: 2,
+            prev_index: 4,
+            prev_term: 2,
+            entries,
+            commit: 4,
+            discarded: 3,
+        };
+        let msgs = [
+            RaftMsg::RequestVote {
+                group: GroupId(3),
+                term: 7,
+                last_log_index: 9,
+                last_log_term: 6,
+            },
+            RaftMsg::VoteReply {
+                group: GroupId(3),
+                term: 7,
+                granted: true,
+            },
+            append(vec![]),
+            append(vec![entry(b"hello"), entry(b"")]),
+            RaftMsg::AppendReply {
+                group: GroupId(1),
+                term: 2,
+                success: true,
+                match_index: 3,
+            },
+        ];
+        for msg in msgs {
+            assert_eq!(msg.wire_size(), msg.encoded_len(), "{msg:?}");
         }
     }
 }

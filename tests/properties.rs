@@ -147,7 +147,10 @@ fn prop_agreement_across_shapes() {
     for case in 0..12 {
         // each case runs a full cluster simulation
         let superleaves = rng.gen_range(1usize..4);
-        let per_leaf = rng.gen_range(1usize..4);
+        // Up to five per super-leaf: groups of one to three commit at the
+        // follower on append, larger ones through the leader's commit
+        // notification.
+        let per_leaf = rng.gen_range(1usize..6);
         let pipelined = rng.gen::<bool>();
         let seed = rng.gen::<u64>();
         let scripts = arb_scripts(&mut rng);
