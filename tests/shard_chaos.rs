@@ -7,19 +7,23 @@
 //! The suite also carries the trace anchors: the default (one-lane) node
 //! must reproduce a pinned trace hash, by default and with `shards: 1`
 //! spelled out, so a refactor of the lane plumbing cannot silently change
-//! the unsharded execution.
+//! the unsharded execution; the four-lane node and the three baselines
+//! are pinned the same way.
 
 use std::collections::BTreeSet;
 
 use canopus::{CanopusConfig, CanopusMsg};
+use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
     assert_verdict, asymmetric_loss, crash_restart_churn, seed_sweep, superleaf_partition,
 };
 use canopus_harness::{
     cross_shard_atomicity_partition, hot_shard_skew, ChaosReport, ChaosScenario, ChaosTimeline,
     ChaosTopology, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig, Protocol,
+    RaftKvMsg,
 };
 use canopus_sim::NodeId;
+use canopus_zab::ZabMsg;
 
 const SHARDS: u16 = 4;
 
@@ -197,13 +201,10 @@ fn key_to_shard_stable_across_restart() {
 
 /// Runs `scenario` on `cluster` with the kernel's trace hash on; the
 /// verdict must hold. Returns the hash and the event count.
-fn traced(mut cluster: Cluster<CanopusMsg>, scenario: &ChaosScenario) -> (u64, u64) {
+fn traced<P: Protocol>(mut cluster: Cluster<P>, scenario: &ChaosScenario) -> (u64, u64) {
     cluster.sim.enable_trace_hash();
     cluster.run_plan(&scenario.plan, timeline().run_for);
-    let report = cluster.verdict(
-        timeline().converge_after(),
-        &(scenario.exempt)(CanopusMsg::NAME),
-    );
+    let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
     assert!(report.ok(), "violations: {:#?}", report.violations);
     (
         cluster.sim.trace_hash().expect("enabled"),
@@ -271,10 +272,51 @@ fn asymmetric_loss_trace_hash_is_pinned() {
 /// The default simulator configuration under history clients, seed 7,
 /// through the builder's own defaults.
 fn plain_traced_run(scenario: &ChaosScenario) -> (u64, u64) {
-    let cluster = ClusterBuilder::<CanopusMsg>::new(&spec(), 7)
+    default_traced_run::<CanopusMsg>(scenario)
+}
+
+/// Protocol `P`'s default simulator configuration under history clients,
+/// seed 7, through the builder's own defaults.
+fn default_traced_run<P: Protocol>(scenario: &ChaosScenario) -> (u64, u64) {
+    let cluster = ClusterBuilder::<P>::new(&spec(), 7)
         .clients(Clients::History(history_config()))
         .sim();
     traced(cluster, scenario)
+}
+
+/// The baselines' executions, pinned by value like the plain Canopus node
+/// (seed 7, one super-leaf partitioned and healed): each protocol's
+/// handlers report their own CPU work, so nothing else holds their
+/// simulated timing to the event.
+#[test]
+fn baseline_trace_hashes_are_pinned() {
+    let scenario = superleaf_partition(&topo(), &timeline());
+    assert_eq!(
+        [
+            default_traced_run::<EpaxosMsg>(&scenario),
+            default_traced_run::<ZabMsg>(&scenario),
+            default_traced_run::<RaftKvMsg>(&scenario),
+        ],
+        [
+            (0x960b_0fdd_4e92_f8c1, 67_953),
+            (0x67fa_d22b_8621_9eac, 44_888),
+            (0x99de_2d65_142a_43fc, 101_647),
+        ],
+        "a baseline's trace drifted (EPaxos, ZAB, Raft KV): if intentional, re-pin and say \
+         what moved it"
+    );
+}
+
+/// A node hosting four lanes, each with its own CPU lane in the simulator:
+/// the only pin on the lane-tagged frames and on a lane's work landing on
+/// its own CPU lane.
+#[test]
+fn four_lane_trace_hash_is_pinned() {
+    assert_eq!(
+        traced_run(&history_config(), 7, SHARDS),
+        (0xa481_1af5_1ce1_8ef3, 250_464),
+        "4-lane trace drifted: if intentional, re-pin and say what moved it"
+    );
 }
 
 /// `shards: 1` spelled out is the default node: the same hash as
