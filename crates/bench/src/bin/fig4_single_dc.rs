@@ -75,7 +75,6 @@ fn main() {
             let cfg = EpaxosConfig {
                 batch_duration: Dur::millis(batch_ms),
                 record_log: false,
-                ..EpaxosConfig::default()
             };
             let result = find_max_throughput(
                 |rate| run::<EpaxosMsg>(&spec, &LoadSpec::new(rate), cfg.clone(), 42),

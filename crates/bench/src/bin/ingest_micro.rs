@@ -1,13 +1,15 @@
 //! Parser micro-bench behind the amortized ingest cost model.
 //!
-//! `CostModel::ingest_cost` charges weight-1 requests a full per-request
-//! parse (1200 ns) but aggregates only a per-batch base (1500 ns) plus a
-//! small per-op marginal (120 ns): a batched frame is parsed *once*, and
-//! each additional op inside it costs one length-prefixed slice read, not
-//! another header/dispatch/route trip. This bin measures the real wire
-//! codec to justify that split: it times decoding N separate single-put
-//! `Request` frames against one `MultiPut` frame carrying the same N
-//! puts, then fits the batched curve to `base + marginal × ops`.
+//! The simulator's price table (in `canopus_sim::NodeConfig`) charges a
+//! weight-1 request a full parse (`Work::Request`, 1200 ns) but an
+//! aggregate only a per-batch base (`Work::Aggregate`, 1500 ns) plus a
+//! small per-op marginal (`Work::BatchedOp`, 120 ns): a batched frame is
+//! parsed *once*, and each additional op inside it costs one
+//! length-prefixed slice read, not another header/dispatch/route trip.
+//! This bin measures the real wire codec to justify that split: it times
+//! decoding N separate single-put `Request` frames against one `MultiPut`
+//! frame carrying the same N puts, then fits the batched curve to
+//! `base + marginal × ops`.
 //!
 //! The absolute nanoseconds depend on the host; the *structure* is what
 //! the cost model encodes, so the bench asserts the structural facts —
@@ -19,9 +21,9 @@
 
 use bytes::Bytes;
 use canopus::CanopusMsg;
-use canopus_kv::{ClientRequest, CostModel, Op};
+use canopus_kv::{ClientRequest, Op};
 use canopus_net::wire::Wire;
-use canopus_sim::NodeId;
+use canopus_sim::{NodeConfig, NodeId, Work};
 use std::time::Instant;
 
 /// Wall-clock nanoseconds per decode of `frame`, best of `tries` batches
@@ -74,7 +76,12 @@ fn main() {
     let marginal_ns = (batch2_ns - batch1_ns) / (k2 - k1) as f64;
     let base_ns = batch1_ns - marginal_ns * k1 as f64;
 
-    let model = CostModel::default();
+    let model = NodeConfig::default();
+    let (request, aggregate, batched_op) = (
+        model.price(Work::Request).as_nanos(),
+        model.price(Work::Aggregate).as_nanos(),
+        model.price(Work::BatchedOp).as_nanos(),
+    );
     println!("ingest micro-bench (wall clock, best of {TRIES}):");
     println!("  single-put frame decode:   {single_ns:>8.1} ns");
     println!(
@@ -87,16 +94,11 @@ fn main() {
     );
     println!("  fitted batch base:         {base_ns:>8.1} ns");
     println!("  fitted per-op marginal:    {marginal_ns:>8.1} ns");
-    println!(
-        "  model: per_request={} ns, per_request_batch={} ns, per_batched_op={} ns",
-        model.per_request.as_nanos(),
-        model.per_request_batch.as_nanos(),
-        model.per_batched_op.as_nanos()
-    );
+    println!("  model: Request={request} ns, Aggregate={aggregate} ns, BatchedOp={batched_op} ns");
     println!(
         "  structure: marginal/single = {:.3} (model {:.3})",
         marginal_ns / single_ns,
-        model.per_batched_op.as_nanos() as f64 / model.per_request.as_nanos() as f64
+        batched_op as f64 / request as f64
     );
 
     // The structural claims the cost model rests on. Wall-clock bounds

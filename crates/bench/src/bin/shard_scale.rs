@@ -107,7 +107,7 @@ fn main() {
     // cycles grow to tens of thousands of ops, a commit is counted when its
     // handler starts and charged afterwards, so a window that ends inside
     // one counts CPU the lane never had (2.27 M/s read at 16 M/s offered,
-    // against `per_commit`'s bound of 1 M/s a lane).
+    // against the `Work::Apply` price's bound of 1 M/s a lane).
     let one_rate = OFFERED_RATE / 4.0;
     let quarter = LoadSpec {
         total_rate: one_rate,

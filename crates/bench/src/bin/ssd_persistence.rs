@@ -2,26 +2,27 @@
 //!
 //! The paper verifies that writing logs to an SSD instead of an in-memory
 //! filesystem leaves throughput unchanged and adds under 0.5 ms to the
-//! median completion time. We reproduce this by charging a per-batch
-//! storage cost (an SSD fsync) in the cost model and comparing.
+//! median completion time. We reproduce this by pricing the one batch each
+//! node persists per cycle as an SSD fsync, instead of the default free
+//! in-memory write, and comparing.
 //!
 //! Usage: `cargo run --release -p canopus-bench --bin ssd_persistence`
 
 use canopus::CanopusMsg;
 use canopus_harness::*;
-use canopus_sim::Dur;
+use canopus_sim::{Dur, Work};
 
 fn main() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = LoadSpec::new(200_000.0);
 
-    let mem_cfg = CanopusMsg::sim_config(&spec);
-    let mut ssd_cfg = mem_cfg.clone();
-    // One fsync per proposal batch on a 2013-era SSD (Intel S3700 class).
-    ssd_cfg.costs.storage_per_batch = Dur::micros(120);
-
-    let mem = run::<CanopusMsg>(&spec, &load, mem_cfg, 42);
-    let ssd = run::<CanopusMsg>(&spec, &load, ssd_cfg, 42);
+    let mem = run::<CanopusMsg>(&spec, &load, CanopusMsg::sim_config(&spec), 42);
+    let ssd = ClusterBuilder::<CanopusMsg>::new(&spec, 42)
+        .clients(Clients::OpenLoop(load.clone()))
+        // One fsync per proposal batch on a 2013-era SSD (Intel S3700 class).
+        .price(Work::Persist, Dur::micros(120))
+        .sim()
+        .measure(&load);
 
     let rows = vec![
         vec![

@@ -13,8 +13,6 @@
 use canopus_raft::RaftConfig;
 use canopus_sim::Dur;
 
-pub use canopus_kv::CostModel;
-
 /// How reads are linearized.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReadMode {
@@ -61,8 +59,6 @@ pub struct CanopusConfig {
     pub raft: RaftConfig,
     /// Read linearization mode.
     pub read_mode: ReadMode,
-    /// CPU cost model.
-    pub costs: CostModel,
     /// Keep per-cycle commit records for inspection by tests (disable for
     /// long benchmark runs; the commit digest is always maintained).
     pub record_log: bool,
@@ -84,7 +80,6 @@ impl Default for CanopusConfig {
             failure_timeout: Dur::millis(25),
             raft: RaftConfig::default(),
             read_mode: ReadMode::Delayed,
-            costs: CostModel::default(),
             record_log: true,
             shards: 1,
         }

@@ -41,7 +41,7 @@ use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
 use canopus_net::wire::Wire;
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
 use canopus_raft::{Delivery, FailureDetector, Outbox, SuperLeafBroadcast};
-use canopus_sim::{Dur, NodeId, Time};
+use canopus_sim::{NodeId, Time, Work};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -460,9 +460,15 @@ impl Lane {
     }
 
     fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
-        // Aggregates are parsed once, not per represented op; the cost
-        // model amortizes their ingest (see CostModel::ingest_cost).
-        ctx.charge(self.cfg.costs.ingest_cost(req.op.weight()));
+        // Aggregates are parsed once, not per represented op, so their
+        // ingest is amortized (`ingest_micro` measures the split).
+        match u64::from(req.op.weight()) {
+            w if w <= 1 => ctx.work(Work::Request, 1),
+            w => {
+                ctx.work(Work::Aggregate, 1);
+                ctx.work(Work::BatchedOp, w);
+            }
+        }
         if req.op.is_write() {
             let op = TimedOp {
                 req,
@@ -509,9 +515,7 @@ impl Lane {
 
     fn serve_read(&mut self, req: &ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
         let weight = req.op.weight();
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_read.as_nanos() * weight.min(4096) as u64,
-        ));
+        ctx.work(Work::Read, weight.into());
         let result = match &req.op {
             Op::Get { key } => {
                 let v = self.store.get(*key);
@@ -624,9 +628,7 @@ impl Lane {
         let number = self.rng.gen::<u64>();
         let state = VnodeState::round1(self.me, self.my_parent.clone(), c, number, set, updates);
 
-        if !self.cfg.costs.storage_per_batch.is_zero() {
-            ctx.charge(self.cfg.costs.storage_per_batch);
-        }
+        ctx.work(Work::Persist, 1);
 
         let now = ctx.now();
         let entry = self.cycle_entry(c);
@@ -1150,9 +1152,7 @@ impl Lane {
         ctx: &mut LaneCtx<'_, '_>,
     ) -> CommittedOp {
         let weight = op.req.op.weight();
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
-        ));
+        ctx.work(Work::Apply, weight.into());
         let record = match &op.req.op {
             Op::Put { key, value } => {
                 let version = self.store.put(*key, value.clone());
@@ -1170,9 +1170,7 @@ impl Lane {
             },
             Op::MultiPut { puts } => {
                 // Commit work scales with touched keys, not request weight.
-                ctx.charge(Dur::nanos(
-                    self.cfg.costs.per_commit.as_nanos() * (puts.len().min(4096)) as u64,
-                ));
+                ctx.work(Work::Apply, puts.len() as u64);
                 let mut keys = Vec::with_capacity(puts.len());
                 for (key, value) in puts {
                     self.store.put(*key, value.clone());
@@ -1525,7 +1523,7 @@ impl Lane {
     pub(crate) fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut LaneCtx<'_, '_>) {
         self.fd.record(from, ctx.now());
         self.remote_suspects.remove(&from);
-        ctx.charge(self.cfg.costs.per_protocol_msg);
+        ctx.work(Work::Message, 1);
         match msg {
             CanopusMsg::Raft(raft_msg) => {
                 let mut out = Outbox::new();

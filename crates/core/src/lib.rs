@@ -56,7 +56,7 @@ pub mod node;
 pub mod proposal;
 pub mod types;
 
-pub use config::{CanopusConfig, CostModel, ReadMode, BATCH_LINGER};
+pub use config::{CanopusConfig, ReadMode, BATCH_LINGER};
 pub use emulation::EmulationTable;
 pub use lane::{CanopusStats, CommittedCycle, CommittedOp, CommittedSet, Lane};
 pub use msg::{BroadcastItem, CanopusMsg, Snapshot};

@@ -119,8 +119,8 @@ impl TxnJoin {
 }
 
 /// What a lane sees of the node's context (see the module docs): sends and
-/// timer armings are marked as the lane's, everything else — the clock, CPU
-/// charges, timer cancellation — is the real context's, by deref.
+/// timer armings are marked as the lane's, everything else — the clock, work
+/// reports, timer cancellation — is the real context's, by deref.
 pub(crate) struct LaneCtx<'a, 'c> {
     ctx: &'a mut Context<'c, CanopusMsg>,
     lane: u16,

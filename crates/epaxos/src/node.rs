@@ -17,9 +17,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use canopus_kv::{ClientReply, CostModel, Key, KvStore, Op, OpResult, TimedOp};
+use canopus_kv::{ClientReply, Key, KvStore, Op, OpResult, TimedOp};
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
-use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
+use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer, Work};
 
 use crate::graph::{execution_order, GraphNode};
 use crate::msg::{CmdBatch, EpaxosMsg, InstanceId};
@@ -32,8 +32,6 @@ pub struct EpaxosConfig {
     /// Batching window: requests wait up to this long to form an instance
     /// (the paper evaluates 5 ms and 2 ms).
     pub batch_duration: Dur,
-    /// CPU cost model (shared with the other protocols).
-    pub costs: CostModel,
     /// Record per-key write order for consistency checks.
     pub record_log: bool,
 }
@@ -42,7 +40,6 @@ impl Default for EpaxosConfig {
     fn default() -> Self {
         EpaxosConfig {
             batch_duration: Dur::millis(5),
-            costs: CostModel::default(),
             record_log: true,
         }
     }
@@ -275,9 +272,7 @@ impl EpaxosNode {
             ops: self.pending.drain(..).collect(),
         };
         let (seq, deps) = self.attributes_for(inst, &batch);
-        if !self.cfg.costs.storage_per_batch.is_zero() {
-            ctx.charge(self.cfg.costs.storage_per_batch);
-        }
+        ctx.work(Work::Persist, 1);
         let record = Instance {
             batch: batch.clone(),
             seq,
@@ -444,9 +439,7 @@ impl EpaxosNode {
         let ops = self.instances[&id].batch.ops.clone();
         for op in &ops {
             let weight = op.req.op.weight();
-            ctx.charge(Dur::nanos(
-                self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
-            ));
+            ctx.work(Work::Apply, weight.into());
             self.stats.executed_weight += weight as u64;
             match &op.req.op {
                 Op::Put { key, value } => {
@@ -688,12 +681,10 @@ impl Process<EpaxosMsg> for EpaxosNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: EpaxosMsg, ctx: &mut Context<'_, EpaxosMsg>) {
-        ctx.charge(self.cfg.costs.per_protocol_msg);
+        ctx.work(Work::Message, 1);
         match msg {
             EpaxosMsg::Request(req) => {
-                ctx.charge(Dur::nanos(
-                    self.cfg.costs.per_request.as_nanos() * req.op.weight().min(4096) as u64,
-                ));
+                ctx.work(Work::Request, req.op.weight().into());
                 self.pending.push_back(TimedOp {
                     req,
                     arrival: ctx.now(),

@@ -31,6 +31,7 @@ use canopus_obs::{NodeObs, Registry, Snapshot};
 use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{
     impl_process_any, Dur, FaultyFabric, NodeConfig, NodeId, Payload, Process, Simulation, Time,
+    Work,
 };
 use canopus_workload::{OpenLoopClient, OpenLoopConfig};
 
@@ -145,15 +146,18 @@ pub enum Clients {
 }
 
 /// Assembles a deployment of protocol `P`: the protocol's configuration,
-/// the client model, and observability, ending in [`ClusterBuilder::sim`]
-/// or [`ClusterBuilder::live`]. Everything left unset takes the default
-/// of the fabric the build ends on.
+/// the client model, observability and the simulated nodes' CPU prices,
+/// ending in [`ClusterBuilder::sim`] or [`ClusterBuilder::live`].
+/// Everything left unset takes the default of the fabric the build ends
+/// on.
 pub struct ClusterBuilder<P: Protocol> {
     spec: DeploymentSpec,
     seed: u64,
     config: Option<P::Config>,
     clients: Option<Clients>,
     obs: Option<ClusterObs>,
+    /// CPU model of the simulated protocol nodes (lanes aside).
+    node_cfg: NodeConfig,
 }
 
 impl<P: Protocol> ClusterBuilder<P> {
@@ -166,6 +170,7 @@ impl<P: Protocol> ClusterBuilder<P> {
             config: None,
             clients: None,
             obs: None,
+            node_cfg: NodeConfig::default(),
         }
     }
 
@@ -189,6 +194,14 @@ impl<P: Protocol> ClusterBuilder<P> {
     /// the trace hash, so enabling it cannot change an execution.
     pub fn obs(mut self, obs: ClusterObs) -> Self {
         self.obs = Some(obs);
+        self
+    }
+
+    /// Prices one unit of `kind` of work on the protocol nodes at `price`
+    /// (default: [`NodeConfig::default`]'s table). Simulator only: the
+    /// live fabric prices no work.
+    pub fn price(mut self, kind: Work, price: Dur) -> Self {
+        self.node_cfg = self.node_cfg.with_price(kind, price);
         self
     }
 
@@ -229,7 +242,7 @@ impl<P: Protocol> ClusterBuilder<P> {
             })
             .collect();
         let mut sim = Simulation::new(FaultyFabric::new(ClosFabric::new(topo)), seed);
-        let node_cfg = NodeConfig::default().with_lanes(per_node as u32);
+        let node_cfg = self.node_cfg.with_lanes(per_node as u32);
         let nodes: Vec<NodeId> = (0..n)
             .map(|i| {
                 let id = NodeId(i as u32);
@@ -238,13 +251,7 @@ impl<P: Protocol> ClusterBuilder<P> {
                 id
             })
             .collect();
-        // Client machines are dedicated (15 machines for 180 clients in
-        // the paper); don't let them become the bottleneck.
-        let client_cfg = NodeConfig {
-            base_msg_cost: Dur::nanos(200),
-            per_send_cost: Dur::nanos(100),
-            lanes: 1,
-        };
+        let client_cfg = NodeConfig::client();
         for (i, &slot) in client_slots.iter().enumerate() {
             let client: Box<dyn Process<P>> = match &clients {
                 Clients::OpenLoop(load) => Box::new(OpenLoopClient::<P>::new(

@@ -476,7 +476,6 @@ impl Protocol for RaftKvMsg {
         RaftKvConfig {
             raft: live_raft_config(),
             tick_interval: live_time_unit() / 5,
-            ..RaftKvConfig::default()
         }
     }
 

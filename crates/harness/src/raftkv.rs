@@ -17,11 +17,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{ClientReply, ClientRequest, CostModel, Key, KvStore, Op, OpResult};
+use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
 use canopus_raft::{DurableState, GroupId, Outbox, RaftConfig, RaftCore, RaftMsg};
-use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Time, Timer};
+use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Time, Timer, Work};
 use canopus_workload::ProtocolMsg;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -125,8 +125,6 @@ pub struct RaftKvConfig {
     pub raft: RaftConfig,
     /// Housekeeping tick (drives heartbeats and election timeouts).
     pub tick_interval: Dur,
-    /// CPU cost model (shared with the other protocols).
-    pub costs: CostModel,
 }
 
 impl Default for RaftKvConfig {
@@ -134,7 +132,6 @@ impl Default for RaftKvConfig {
         RaftKvConfig {
             raft: RaftConfig::default(),
             tick_interval: Dur::millis(1),
-            costs: CostModel::default(),
         }
     }
 }
@@ -390,9 +387,7 @@ impl RaftKvNode {
                 continue;
             };
             let weight = req.op.weight();
-            ctx.charge(Dur::nanos(
-                self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
-            ));
+            ctx.work(Work::Apply, weight.into());
             self.stats.applied_weight += weight as u64;
             self.applied.push((req.client, req.op_id));
             let result = match &req.op {
@@ -462,7 +457,7 @@ impl Process<RaftKvMsg> for RaftKvNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: RaftKvMsg, ctx: &mut Context<'_, RaftKvMsg>) {
-        ctx.charge(self.cfg.costs.per_protocol_msg);
+        ctx.work(Work::Message, 1);
         match msg {
             RaftKvMsg::Raft(m) => {
                 // Only an acting leader sends AppendEntries; remember it.
@@ -479,9 +474,7 @@ impl Process<RaftKvMsg> for RaftKvNode {
                 self.observe_core(ctx.now());
             }
             RaftKvMsg::Request(req) => {
-                ctx.charge(Dur::nanos(
-                    self.cfg.costs.per_request.as_nanos() * req.op.weight().min(4096) as u64,
-                ));
+                ctx.work(Work::Request, req.op.weight().into());
                 self.submit(self.me, req, ctx);
             }
             RaftKvMsg::Forward { origin, req } => self.submit(origin, req, ctx),

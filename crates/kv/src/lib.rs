@@ -14,13 +14,11 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod cost;
 pub mod op;
 pub mod shard;
 pub mod store;
 
 pub use check::{check_agreement, check_client_fifo, LinChecker, ReadObs, ReplyEvent, WriteObs};
-pub use cost::CostModel;
 pub use op::{ClientReply, ClientRequest, Key, Op, OpResult, TimedOp};
 pub use shard::{route_hint, shard_hash, ShardRouter};
 pub use store::{KvStore, Versioned};

@@ -16,9 +16,11 @@
 //!   milliseconds of wall time.
 //! * **Determinism**: one seeded RNG, a totally ordered event queue
 //!   (`(time, seq)`), and effect buffering make every run reproducible.
-//! * **CPU model**: per-message base cost plus explicit [`Context::charge`]s
-//!   give nodes finite processing capacity so saturation behaviour (the
-//!   paper's throughput metric) emerges naturally.
+//! * **CPU model**: handlers report the [`Work`] they did
+//!   ([`Context::work`]) and one price table in [`NodeConfig`] turns it,
+//!   plus a per-callback and a per-send cost, into nanoseconds;
+//!   that gives nodes finite processing capacity so saturation behaviour
+//!   (the paper's throughput metric) emerges naturally.
 //! * **Fault injection**: crash-stop, restart, message loss, and partitions
 //!   (one [`fault::LinkFaults`] table behind [`fabric::FaultyFabric`],
 //!   driven by [`fault::run_plan`]) cover the failure model of §3 of the
@@ -34,6 +36,6 @@ mod time;
 
 pub use fabric::{Fabric, FaultyFabric, Route, UniformFabric};
 pub use fault::{FaultAction, FaultEvent, FaultPlan};
-pub use process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId};
+pub use process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId, Work, WorkCounts};
 pub use sim::{NetStats, NodeConfig, Simulation, TraceEvent, Tracer, EXTERNAL};
 pub use time::{Dur, Time};

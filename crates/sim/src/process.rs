@@ -4,7 +4,8 @@
 //! Zab leaders/followers, and workload clients — is a [`Process`]: a state
 //! machine that reacts to message deliveries and timer firings through a
 //! [`Context`]. Processes never perform IO themselves; they only record
-//! intents (sends, timers, CPU charges) that the driving runtime executes.
+//! intents (sends, timers) and the [`Work`] they did, which the driving
+//! runtime executes and prices.
 //! The same process code therefore runs unchanged on the deterministic
 //! simulator and on the TCP driver in `canopus-net`.
 
@@ -85,11 +86,73 @@ pub trait Payload: fmt::Debug + 'static {
     }
 }
 
+/// What a handler did, in the units the simulator's CPU model prices.
+///
+/// A handler reports its work with [`Context::work`] and never says how
+/// long it took: the simulator prices the counts from the one table in
+/// [`crate::NodeConfig`], and the live transport ignores them. One report
+/// counts at most 4096 units (65 536 for ZooKeeper's leader kinds): a
+/// request standing for more ops is accounted as that many. Every kind
+/// but [`Work::Propose`] has its own row in the table.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Work {
+    /// A protocol message handled: reported once per message by every
+    /// protocol node's `on_message`, by no client, on no timer or start.
+    Message,
+    /// A client request ingested, per op it stands for.
+    Request,
+    /// A client aggregate parsed: once per aggregate, whatever it stands
+    /// for (its ops are [`Work::BatchedOp`]s).
+    Aggregate,
+    /// An op inside a parsed aggregate.
+    BatchedOp,
+    /// A read served from local state, per op.
+    Read,
+    /// A committed op applied to the store, per op or per key.
+    Apply,
+    /// A proposal batch persisted to the log.
+    Persist,
+    /// A leader disseminating one request to one destination, per op it
+    /// stands for: ZooKeeper's per-request proposal/INFORM stream.
+    Disseminate,
+    /// A leader sequencing one request into its log, per op it stands
+    /// for: ZooKeeper proposes each request individually. Counted and
+    /// priced as a [`Work::Request`]; only its cap differs.
+    Propose,
+}
+
+impl Work {
+    /// Rows of the price table: one per kind, except `Propose` (the last
+    /// kind), which shares `Request`'s.
+    pub(crate) const ROWS: usize = Work::Propose as usize;
+
+    /// The row of the price table this kind is counted and priced in.
+    pub(crate) const fn row(self) -> usize {
+        match self {
+            Work::Propose => Work::Request as usize,
+            kind => kind as usize,
+        }
+    }
+
+    /// The most units one report of this kind counts.
+    const fn cap(self) -> u64 {
+        match self {
+            Work::Propose | Work::Disseminate => 65_536,
+            _ => 4096,
+        }
+    }
+}
+
+/// Units of [`Work`] reported during one callback, one count per row of
+/// the price table.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounts(pub(crate) [u64; Work::ROWS]);
+
 /// One effect recorded by a process during a callback.
 ///
-/// Effects are consumed by whichever runtime drives the process: the
-/// simulator kernel, or an external driver (e.g. the TCP transport in
-/// `canopus-net`) via [`Context::detached`] / [`Context::into_effects`].
+/// Effects are consumed by whichever runtime drives the process — the
+/// simulator kernel, or an external driver such as the TCP transport in
+/// `canopus-net` — via [`Context::detached`] / [`Context::into_effects`].
 #[derive(Debug)]
 pub enum Effect<M> {
     /// Send `msg` to `to`.
@@ -125,15 +188,16 @@ pub struct Context<'a, M> {
     pub(crate) self_id: NodeId,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) effects: Vec<Effect<M>>,
-    pub(crate) charged: Dur,
+    pub(crate) work: WorkCounts,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) lane: u64,
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Builds a context for an external (non-simulator) driver such as the
-    /// TCP transport. `next_timer_id` must be a counter owned by the
-    /// driver so timer ids stay unique per node lifetime.
+    /// Builds the context of one callback, for the simulator kernel or an
+    /// external driver such as the TCP transport. `next_timer_id` must be
+    /// a counter owned by the driver so timer ids stay unique per node
+    /// lifetime.
     pub fn detached(
         now: Time,
         self_id: NodeId,
@@ -145,17 +209,16 @@ impl<'a, M> Context<'a, M> {
             self_id,
             rng,
             effects: Vec::new(),
-            charged: Dur::ZERO,
+            work: WorkCounts::default(),
             next_timer_id,
             lane: 0,
         }
     }
 
-    /// Consumes the context, yielding the recorded effects and the total
-    /// CPU charge. Only external drivers need this; the simulator kernel
-    /// drains contexts internally.
-    pub fn into_effects(self) -> (Vec<Effect<M>>, Dur) {
-        (self.effects, self.charged)
+    /// Consumes the context, yielding the recorded effects and the work
+    /// counts (which only the simulator prices).
+    pub fn into_effects(self) -> (Vec<Effect<M>>, WorkCounts) {
+        (self.effects, self.work)
     }
 
     /// Current virtual time.
@@ -194,12 +257,13 @@ impl<'a, M> Context<'a, M> {
         self.effects.push(Effect::CancelTimer { id });
     }
 
-    /// Charges `cost` of CPU time to this node, modelling processing work
-    /// (request marshaling, log persistence, state-machine application).
-    /// While a node is busy, subsequent message deliveries queue behind the
-    /// charge, which is how CPU saturation manifests in experiments.
-    pub fn charge(&mut self, cost: Dur) {
-        self.charged += cost;
+    /// Reports `n` units of `kind` of work done by this callback (at most
+    /// the kind's cap per report). Counts in: the simulator turns this
+    /// callback's counts into nanoseconds of CPU from its price table, so
+    /// later deliveries queue behind them, which is how CPU saturation
+    /// manifests in experiments; the live transport ignores them.
+    pub fn work(&mut self, kind: Work, n: u64) {
+        self.work.0[kind.row()] += n.min(kind.cap());
     }
 
     /// Directs this callback's CPU charge at lane `hint % lanes` of a
@@ -270,17 +334,14 @@ mod tests {
             self_id: NodeId(3),
             rng: &mut rng,
             effects: Vec::new(),
-            charged: Dur::ZERO,
+            work: WorkCounts::default(),
             next_timer_id: &mut next_timer,
             lane: 0,
         };
         ctx.send(NodeId(1), 42);
         let t = ctx.set_timer(Dur::millis(5), 7);
         ctx.cancel_timer(t);
-        ctx.charge(Dur::micros(2));
-        ctx.charge(Dur::micros(3));
 
-        assert_eq!(ctx.charged, Dur::micros(5));
         assert_eq!(ctx.effects.len(), 3);
         match &ctx.effects[0] {
             Effect::Send { to, msg } => {
@@ -308,7 +369,7 @@ mod tests {
             self_id: NodeId(0),
             rng: &mut rng,
             effects: Vec::new(),
-            charged: Dur::ZERO,
+            work: WorkCounts::default(),
             next_timer_id: &mut next_timer,
             lane: 0,
         };

@@ -8,14 +8,19 @@
 //!
 //! # CPU model
 //!
-//! Each node has a `busy_until` watermark. Handling a message costs the
-//! node's configured `base_msg_cost` plus whatever the handler explicitly
-//! [`Context::charge`]s. Deliveries to a busy node queue in FIFO order and
+//! Each node has a `busy_until` watermark. Handlers say what they did, not
+//! how long it took: they report counts of [`Work`] through
+//! [`Context::work`], and the kernel turns one callback's counts into
+//! nanoseconds from one price table in [`NodeConfig`] after the handler
+//! returns. A callback then costs the node's `base_msg_cost`, plus
+//! `per_send_cost` per message sent, plus the priced work. Every CPU
+//! constant of the model lives in [`NodeConfig`]; the live transport
+//! ignores the counts. Deliveries to a busy node queue in FIFO order and
 //! are handled when the node frees up — so an overloaded node exhibits
 //! growing queues and rising completion times, which is exactly the signal
 //! the paper's throughput-search methodology (§8.1) keys on. Timers fire at
 //! their scheduled instant regardless of queue depth (they model OS timers,
-//! not work items), but their charges still extend `busy_until`.
+//! not work items), but their cost still extends `busy_until`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -25,22 +30,26 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::fabric::{Fabric, Route};
-use crate::process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId};
+use crate::process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId, Work, WorkCounts};
 use crate::time::{Dur, Time};
 
 /// Sender id used for messages injected from outside the simulation
 /// (test drivers, harness probes).
 pub const EXTERNAL: NodeId = NodeId(u32::MAX);
 
-/// Per-node execution parameters.
+/// Per-node execution parameters: every CPU price of the model, and the
+/// node's lanes.
 #[derive(Copy, Clone, Debug)]
 pub struct NodeConfig {
-    /// CPU time charged for every handled message, before explicit charges.
+    /// CPU time charged for every callback (message, timer or start).
     pub base_msg_cost: Dur,
     /// CPU time charged per message sent (syscall + serialization). This is
     /// what makes large fan-outs — a Zab leader informing observers, an
     /// EPaxos replica broadcasting commits — cost real processor time.
     pub per_send_cost: Dur,
+    /// The price table: CPU time per unit of each kind of [`Work`]
+    /// ([`NodeConfig::price`], [`NodeConfig::with_price`]).
+    prices: [Dur; Work::ROWS],
     /// Independent CPU lanes (cores) this node schedules work across.
     /// Deliveries queue per lane ([`Payload::lane_hint`] modulo this
     /// count), so a node hosting N shard pipelines with N lanes models a
@@ -54,19 +63,77 @@ impl Default for NodeConfig {
     fn default() -> Self {
         // Rough costs of receiving/sending one message on the paper's
         // Xeon E5-2620 class hardware.
-        NodeConfig {
+        let cfg = NodeConfig {
             base_msg_cost: Dur::micros(1),
             per_send_cost: Dur::nanos(500),
+            prices: [Dur::ZERO; Work::ROWS],
             lanes: 1,
-        }
+        };
+        // The price table: request-processing costs on the same hardware,
+        // one price per kind for every protocol, so cross-protocol
+        // throughput reflects protocol structure rather than differing
+        // cost assumptions.
+        //
+        // Two modelling asymmetries between Canopus and the baselines are in
+        // what the handlers report, not here; they are recorded as facts for
+        // calibrating this table and measuring the baselines (ROADMAP), not
+        // fixed: only Canopus reports an aggregate as one `Aggregate` plus
+        // its `BatchedOp`s (1500 + 120·w ns, where the baselines pay 1200·w
+        // as `Request`s), and only Canopus applies a `MultiPut` per key as
+        // well as per op (two `Apply` reports).
+        [
+            (Work::Message, Dur::micros(2)),
+            (Work::Request, Dur::nanos(1200)),
+            (Work::Aggregate, Dur::nanos(1500)),
+            (Work::BatchedOp, Dur::nanos(120)),
+            (Work::Read, Dur::nanos(800)),
+            (Work::Apply, Dur::nanos(1000)),
+            // An in-memory filesystem, as in the paper's §8.1; an SSD
+            // fsync is ~100-500 µs.
+            (Work::Persist, Dur::ZERO),
+            (Work::Disseminate, Dur::nanos(600)),
+        ]
+        .into_iter()
+        .fold(cfg, |cfg, (kind, price)| cfg.with_price(kind, price))
     }
 }
 
 impl NodeConfig {
+    /// A load-generating client: client machines are dedicated (15
+    /// machines for 180 clients in the paper), so their messages are
+    /// cheap enough that they never become the bottleneck.
+    pub fn client() -> Self {
+        NodeConfig {
+            base_msg_cost: Dur::nanos(200),
+            per_send_cost: Dur::nanos(100),
+            ..NodeConfig::default()
+        }
+    }
+
     /// The same cost model spread over `lanes` CPU lanes.
     pub fn with_lanes(mut self, lanes: u32) -> Self {
         self.lanes = lanes.max(1);
         self
+    }
+
+    /// The same cost model with one unit of `kind` priced at `price`
+    /// (for [`Work::Propose`], `Request`'s row).
+    pub fn with_price(mut self, kind: Work, price: Dur) -> Self {
+        self.prices[kind.row()] = price;
+        self
+    }
+
+    /// The CPU time one unit of `kind` costs.
+    pub fn price(&self, kind: Work) -> Dur {
+        self.prices[kind.row()]
+    }
+
+    /// The CPU time `work` costs: counts in, nanoseconds out.
+    fn work_cost(&self, work: &WorkCounts) -> Dur {
+        self.prices
+            .iter()
+            .zip(work.0)
+            .fold(Dur::ZERO, |total, (&price, n)| total + price * n)
     }
 }
 
@@ -564,23 +631,14 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
             Some(p) => p,
             None => return,
         };
-        let mut ctx = Context {
-            now,
-            self_id: node,
-            rng: &mut self.rng,
-            effects: Vec::new(),
-            charged: Dur::ZERO,
-            next_timer_id: &mut self.next_timer_id,
-            lane: 0,
-        };
+        let mut ctx = Context::detached(now, node, &mut self.rng, &mut self.next_timer_id);
         match kind {
             CallbackKind::Start => process.on_start(&mut ctx),
             CallbackKind::Message(from, msg) => process.on_message(from, msg, &mut ctx),
             CallbackKind::Timer(timer) => process.on_timer(timer, &mut ctx),
         }
-        let effects = std::mem::take(&mut ctx.effects);
-        let charged = ctx.charged;
         let lane_hint = ctx.lane;
+        let (effects, work) = ctx.into_effects();
         let slot = &mut self.nodes[node.index()];
         slot.process = Some(process);
         let sends = effects
@@ -594,7 +652,10 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         } else {
             now
         };
-        l.busy_until = start + slot.cfg.base_msg_cost + charged + slot.cfg.per_send_cost * sends;
+        l.busy_until = start
+            + slot.cfg.base_msg_cost
+            + slot.cfg.work_cost(&work)
+            + slot.cfg.per_send_cost * sends;
         let epoch = slot.epoch;
 
         for effect in effects {
@@ -804,7 +865,12 @@ mod tests {
         assert_eq!(sim.node::<Echo>(a).pings_handled, 1);
     }
 
-    /// A process that charges heavy CPU per message.
+    /// A node whose one unit of [`Work::Apply`] costs 1 ms.
+    fn slow_cpu() -> NodeConfig {
+        NodeConfig::default().with_price(Work::Apply, Dur::millis(1))
+    }
+
+    /// A process that reports heavy work per message.
     struct Slow {
         handled: Vec<Time>,
     }
@@ -812,7 +878,7 @@ mod tests {
     impl Process<Msg> for Slow {
         fn on_message(&mut self, _from: NodeId, _msg: Msg, ctx: &mut Context<'_, Msg>) {
             self.handled.push(ctx.now());
-            ctx.charge(Dur::millis(1));
+            ctx.work(Work::Apply, 1);
         }
         impl_process_any!();
     }
@@ -821,9 +887,12 @@ mod tests {
     fn cpu_charge_queues_subsequent_messages() {
         let mut sim: Simulation<Msg, UniformFabric> =
             Simulation::new(UniformFabric::new(Dur::ZERO), 1);
-        let a = sim.add_node(Box::new(Slow {
-            handled: Vec::new(),
-        }));
+        let a = sim.add_node_with(
+            Box::new(Slow {
+                handled: Vec::new(),
+            }),
+            slow_cpu(),
+        );
         for i in 0..3 {
             sim.inject(a, Msg::Ping(i), Dur::ZERO);
         }
@@ -855,7 +924,7 @@ mod tests {
     impl Process<Laned> for SlowLaned {
         fn on_message(&mut self, _from: NodeId, msg: Laned, ctx: &mut Context<'_, Laned>) {
             self.handled.push((ctx.now(), msg.0));
-            ctx.charge(Dur::millis(1));
+            ctx.work(Work::Apply, 1);
         }
         impl_process_any!();
     }
@@ -868,7 +937,7 @@ mod tests {
             Box::new(SlowLaned {
                 handled: Vec::new(),
             }),
-            NodeConfig::default().with_lanes(2),
+            slow_cpu().with_lanes(2),
         );
         // Two heavy messages on different lanes, then one more per lane.
         for hint in [0u64, 1, 2, 3] {
@@ -891,9 +960,12 @@ mod tests {
     fn single_lane_serializes_regardless_of_hints() {
         let mut sim: Simulation<Laned, UniformFabric> =
             Simulation::new(UniformFabric::new(Dur::ZERO), 1);
-        let a = sim.add_node(Box::new(SlowLaned {
-            handled: Vec::new(),
-        }));
+        let a = sim.add_node_with(
+            Box::new(SlowLaned {
+                handled: Vec::new(),
+            }),
+            slow_cpu(),
+        );
         for hint in [5u64, 9, 13] {
             sim.inject(a, Laned(hint), Dur::ZERO);
         }
@@ -915,12 +987,12 @@ mod tests {
         }
         fn on_message(&mut self, _from: NodeId, msg: Laned, ctx: &mut Context<'_, Laned>) {
             self.handled.push((ctx.now(), msg.0));
-            ctx.charge(Dur::micros(10));
+            ctx.work(Work::Message, 1);
         }
         fn on_timer(&mut self, _timer: Timer, ctx: &mut Context<'_, Laned>) {
             // Charge a heavy tick against lane 1 only.
             ctx.use_lane(1);
-            ctx.charge(Dur::millis(1));
+            ctx.work(Work::Apply, 1);
         }
         impl_process_any!();
     }
@@ -933,7 +1005,9 @@ mod tests {
             Box::new(LanedTimer {
                 handled: Vec::new(),
             }),
-            NodeConfig::default().with_lanes(2),
+            slow_cpu()
+                .with_price(Work::Message, Dur::micros(10))
+                .with_lanes(2),
         );
         sim.inject(a, Laned(0), Dur::micros(1));
         sim.inject(a, Laned(1), Dur::micros(1));
@@ -947,6 +1021,117 @@ mod tests {
             t(1) >= Time::ZERO + Dur::millis(1),
             "lane 1 blocked by tick"
         );
+    }
+
+    /// The default price of the work `report` records in one callback.
+    fn priced(report: impl FnOnce(&mut Context<'_, Msg>)) -> Dur {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut seq = 0;
+        let mut ctx = Context::detached(Time::ZERO, NodeId(0), &mut rng, &mut seq);
+        report(&mut ctx);
+        NodeConfig::default().work_cost(&ctx.into_effects().1)
+    }
+
+    /// Each CPU formula of the protocols' cost model, written out in
+    /// nanoseconds, against what the default table makes of the reports
+    /// the handlers make for it: equal at every weight, across both caps.
+    #[test]
+    fn default_prices_reproduce_every_protocol_charge() {
+        // A ZooKeeper leader of nine nodes disseminates to eight others.
+        const FANOUT: u64 = 8;
+        for n in [1u64, 500, 4096, 10_000, 70_000] {
+            let op = n.min(4096);
+            let canopus_ingest = if n <= 1 { 1200 } else { 1500 + 120 * op };
+            let rows = [
+                (
+                    "protocol message",
+                    2000,
+                    priced(|c| c.work(Work::Message, 1)),
+                ),
+                (
+                    "request ingest",
+                    1200 * op,
+                    priced(|c| c.work(Work::Request, n)),
+                ),
+                (
+                    "Canopus ingest",
+                    canopus_ingest,
+                    priced(|c| {
+                        if n <= 1 {
+                            c.work(Work::Request, 1);
+                        } else {
+                            c.work(Work::Aggregate, 1);
+                            c.work(Work::BatchedOp, n);
+                        }
+                    }),
+                ),
+                ("read", 800 * op, priced(|c| c.work(Work::Read, n))),
+                ("apply", 1000 * op, priced(|c| c.work(Work::Apply, n))),
+                (
+                    "Canopus MultiPut apply, n keys",
+                    1000 + 1000 * op,
+                    priced(|c| {
+                        c.work(Work::Apply, 1);
+                        c.work(Work::Apply, n);
+                    }),
+                ),
+                (
+                    "ZooKeeper leader",
+                    (1200 + 600 * FANOUT) * n.min(65_536),
+                    priced(|c| {
+                        c.work(Work::Propose, n);
+                        for _ in 0..FANOUT {
+                            c.work(Work::Disseminate, n);
+                        }
+                    }),
+                ),
+                ("persist", 0, priced(|c| c.work(Work::Persist, 1))),
+            ];
+            for (what, nanos, price) in rows {
+                assert_eq!(price, Dur::nanos(nanos), "{what} at n = {n}");
+            }
+        }
+
+        // An aggregate's ingest is amortized, but not free.
+        let one = priced(|c| c.work(Work::Request, 1));
+        let aggregate = priced(|c| {
+            c.work(Work::Aggregate, 1);
+            c.work(Work::BatchedOp, 500);
+        });
+        assert!(aggregate < one * 500 && aggregate > one);
+        // Every kind costs something by default except persisting, which
+        // models the paper's in-memory filesystem.
+        let cfg = NodeConfig::default();
+        assert!(cfg.price(Work::Persist).is_zero());
+        assert_eq!(cfg.prices.iter().filter(|p| p.is_zero()).count(), 1);
+        // Recalibrating request ingest reprices a ZooKeeper leader's
+        // proposals with it: they share one row.
+        let cfg = cfg.with_price(Work::Request, Dur::nanos(900));
+        assert_eq!(cfg.price(Work::Propose), Dur::nanos(900));
+    }
+
+    #[test]
+    fn work_counts_accumulate_per_kind_each_report_capped() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut seq = 0;
+        let mut ctx = Context::<Msg>::detached(Time::ZERO, NodeId(0), &mut rng, &mut seq);
+        ctx.work(Work::Apply, 3);
+        ctx.work(Work::Read, 5);
+        ctx.work(Work::Apply, 4);
+        ctx.work(Work::BatchedOp, 10_000);
+        ctx.work(Work::BatchedOp, 10_000);
+        ctx.work(Work::Disseminate, 70_000);
+        ctx.work(Work::Request, 10_000);
+        ctx.work(Work::Propose, 70_000);
+        let (_, counts) = ctx.into_effects();
+        let count = |kind: Work| counts.0[kind.row()];
+        assert_eq!(count(Work::Apply), 7);
+        assert_eq!(count(Work::Read), 5);
+        assert_eq!(count(Work::BatchedOp), 2 * 4096);
+        assert_eq!(count(Work::Disseminate), 65_536);
+        // A proposal is counted as requests, under its own cap.
+        assert_eq!(count(Work::Request), 4096 + 65_536);
+        assert_eq!(count(Work::Message), 0);
     }
 
     struct TimerUser {

@@ -19,9 +19,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use canopus_kv::{ClientReply, ClientRequest, CostModel, KvStore, Op, OpResult, TimedOp};
+use canopus_kv::{ClientReply, ClientRequest, KvStore, Op, OpResult, TimedOp};
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
-use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
+use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer, Work};
 
 use crate::msg::{Txn, ZabMsg, Zxid};
 
@@ -50,11 +50,6 @@ pub struct ZabConfig {
     pub election_timeout: Dur,
     /// Housekeeping tick.
     pub tick_interval: Dur,
-    /// Leader CPU per represented request per destination: models the
-    /// unbatched, per-request proposal/INFORM stream of real ZooKeeper.
-    pub per_request_dissemination: Dur,
-    /// CPU cost model.
-    pub costs: CostModel,
 }
 
 impl Default for ZabConfig {
@@ -64,8 +59,6 @@ impl Default for ZabConfig {
             heartbeat: Dur::millis(2),
             election_timeout: Dur::millis(20),
             tick_interval: Dur::millis(1),
-            per_request_dissemination: Dur::nanos(600),
-            costs: CostModel::default(),
         }
     }
 }
@@ -291,13 +284,13 @@ impl ZabNode {
         // Real ZooKeeper proposes each request individually: the leader
         // pays per-request processing and per-request dissemination to
         // every follower and observer. Synthetic batches model the load of
-        // `weight` requests, so the charge scales with weight and fan-out —
+        // `weight` requests, so the work scales with weight and fan-out —
         // this is the centralized bottleneck of Figure 5.
-        let weight = txn.op.req.op.weight() as u64;
-        let fanout = (self.ensemble.len() - 1) as u64;
-        let per_req = self.cfg.costs.per_request.as_nanos()
-            + self.cfg.per_request_dissemination.as_nanos() * fanout;
-        ctx.charge(Dur::nanos(per_req * weight.min(65_536)));
+        let weight = u64::from(txn.op.req.op.weight());
+        ctx.work(Work::Propose, weight);
+        for _ in 1..self.ensemble.len() {
+            ctx.work(Work::Disseminate, weight);
+        }
         self.next_counter += 1;
         let zxid = Zxid {
             epoch: self.epoch,
@@ -305,9 +298,7 @@ impl ZabNode {
         };
         self.log.push((zxid, txn.clone()));
         self.acks.insert(zxid, 1); // self-ack
-        if !self.cfg.costs.storage_per_batch.is_zero() {
-            ctx.charge(self.cfg.costs.storage_per_batch);
-        }
+        ctx.work(Work::Persist, 1);
         for f in self.followers().collect::<Vec<_>>() {
             ctx.send(
                 f,
@@ -369,9 +360,7 @@ impl ZabNode {
         debug_assert!(zxid > self.applied);
         self.applied = zxid;
         let weight = txn.op.req.op.weight();
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
-        ));
+        ctx.work(Work::Apply, weight.into());
         self.stats.applied_weight += weight as u64;
         match &txn.op.req.op {
             Op::Put { key, value } => {
@@ -402,9 +391,7 @@ impl ZabNode {
     }
 
     fn handle_request(&mut self, req: ClientRequest, ctx: &mut Context<'_, ZabMsg>) {
-        ctx.charge(Dur::nanos(
-            self.cfg.costs.per_request.as_nanos() * req.op.weight().min(4096) as u64,
-        ));
+        ctx.work(Work::Request, req.op.weight().into());
         if req.op.is_write() {
             let txn = Txn {
                 op: TimedOp {
@@ -431,9 +418,7 @@ impl ZabNode {
             // Reads are served locally from committed state — the
             // ZooKeeper read path that observers scale (Figure 5).
             let weight = req.op.weight();
-            ctx.charge(Dur::nanos(
-                self.cfg.costs.per_read.as_nanos() * weight.min(4096) as u64,
-            ));
+            ctx.work(Work::Read, weight.into());
             self.stats.reads_served += weight as u64;
             let result = match &req.op {
                 Op::Get { key } => OpResult::Value(self.store.get_value(*key)),
@@ -647,7 +632,7 @@ impl Process<ZabMsg> for ZabNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: ZabMsg, ctx: &mut Context<'_, ZabMsg>) {
-        ctx.charge(self.cfg.costs.per_protocol_msg);
+        ctx.work(Work::Message, 1);
         if from == self.leader {
             self.last_leader_contact = ctx.now();
         }
