@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks of the protocol hot paths: the state merge
-//! that defines the total order, the wire codec, LOT/emulation-table math,
-//! and a full end-to-end simulated consensus cycle.
+//! that defines the total order, the wire codec, the replicated store's
+//! apply, LOT/emulation-table math, and a full end-to-end simulated
+//! consensus cycle.
 
 use bytes::Bytes;
 use canopus::{
     CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape, RequestSet, VnodeId,
     VnodeState,
 };
-use canopus_kv::{ClientRequest, Op, TimedOp};
+use canopus_kv::{ClientRequest, KvStore, Op, TimedOp};
 use canopus_net::wire::Wire;
 use canopus_sim::{Dur, NodeId, Simulation, Time, UniformFabric};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -104,6 +105,34 @@ fn bench_zero_copy_decode(c: &mut Criterion) {
     });
     c.bench_function("decode_string_4k_copy_then_validate", |b| {
         b.iter(|| black_box(copying_string(&mut text.clone()).unwrap()));
+    });
+}
+
+/// One committed write as the 3×3 cluster applies it: nine replicas' stores
+/// of 100 000 keys each in one process, so the working set is as cold as
+/// in `put16_sat`, not one warm store's.
+fn bench_kv_apply(c: &mut Criterion) {
+    const STORES: usize = 9;
+    const KEYS: u64 = 100_000;
+    let value = Bytes::from_static(b"12345678");
+    let mut stores: Vec<KvStore> = (0..STORES)
+        .map(|_| {
+            let mut s = KvStore::new();
+            for key in 0..KEYS {
+                s.put(key, value.clone());
+            }
+            s
+        })
+        .collect();
+    c.bench_function("kv_put_9_stores_100k_keys", |b| {
+        let (mut x, mut next) = (1u64, 0usize);
+        b.iter(|| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            next = (next + 1) % STORES;
+            black_box(stores[next].put((x >> 33) % KEYS, value.clone()))
+        });
     });
 }
 
@@ -353,6 +382,7 @@ criterion_group!(
     bench_merge,
     bench_wire,
     bench_zero_copy_decode,
+    bench_kv_apply,
     bench_lot_math,
     bench_consensus_cycle,
     bench_node_loop_transport
