@@ -110,16 +110,34 @@ fn bench_zero_copy_decode(c: &mut Criterion) {
 
 /// One committed write as the 3×3 cluster applies it: nine replicas' stores
 /// of 100 000 keys each in one process, so the working set is as cold as
-/// in `put16_sat`, not one warm store's.
+/// in `put16_sat`, not one warm store's. Each 8-byte value is decoded out
+/// of a 64 KiB block, one request's worth of bytes after the last, and a
+/// used-up block is replaced by a fresh one, as the node loop copies each
+/// socket read into a fresh block and decodes values out of it: a store
+/// that kept the slice would keep each block alive until the last of its
+/// values is overwritten, and touch its long-cold reference count at every
+/// overwrite.
 fn bench_kv_apply(c: &mut Criterion) {
     const STORES: usize = 9;
     const KEYS: u64 = 100_000;
-    let value = Bytes::from_static(b"12345678");
+    const BLOCK: usize = 64 << 10;
+    const STRIDE: usize = 64;
+    let mut block = Bytes::new();
+    let mut value = move || {
+        if block.is_empty() {
+            let mut fresh = vec![0; BLOCK];
+            for slot in fresh.chunks_mut(STRIDE) {
+                slot[..4].copy_from_slice(&8u32.to_le_bytes());
+            }
+            block = Bytes::from(fresh);
+        }
+        Bytes::decode(&mut block.split_to(STRIDE)).expect("an encoded value")
+    };
     let mut stores: Vec<KvStore> = (0..STORES)
         .map(|_| {
             let mut s = KvStore::new();
             for key in 0..KEYS {
-                s.put(key, value.clone());
+                s.put(key, value());
             }
             s
         })
@@ -131,7 +149,7 @@ fn bench_kv_apply(c: &mut Criterion) {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             next = (next + 1) % STORES;
-            black_box(stores[next].put((x >> 33) % KEYS, value.clone()))
+            black_box(stores[next].put((x >> 33) % KEYS, value()))
         });
     });
 }

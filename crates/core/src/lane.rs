@@ -517,10 +517,7 @@ impl Lane {
         let weight = req.op.weight();
         ctx.work(Work::Read, weight.into());
         let result = match &req.op {
-            Op::Get { key } => {
-                let v = self.store.get(*key);
-                OpResult::Value(v.map(|v| v.value.clone()))
-            }
+            Op::Get { key } => OpResult::Value(self.store.get_value(*key)),
             Op::SyntheticRead { .. } => OpResult::Batch,
             _ => unreachable!("serve_read on a write"),
         };
@@ -1034,7 +1031,7 @@ impl Lane {
         }
 
         // 3. Apply the total order; interleave own reads at their recorded
-        //    positions (§5).
+        //    positions (§5). The commit record is built only if it is kept.
         let mut own_reads: Vec<PendingRead> = Vec::new();
         let mut rest: Vec<PendingRead> = Vec::new();
         for r in std::mem::take(&mut self.pending_reads) {
@@ -1060,8 +1057,7 @@ impl Lane {
                         let r = read_iter.next().expect("peeked");
                         self.serve_read(&r.req, ctx);
                     }
-                    let rec = self.apply_write(op, true, ctx);
-                    record_ops.push(rec);
+                    record_ops.extend(self.apply_write(op, true, ctx));
                     total_weight += op.req.op.weight() as u64;
                 }
                 // Reads positioned after every own write.
@@ -1070,15 +1066,16 @@ impl Lane {
                 }
             } else {
                 for op in &set.ops {
-                    let rec = self.apply_write(op, false, ctx);
-                    record_ops.push(rec);
+                    record_ops.extend(self.apply_write(op, false, ctx));
                     total_weight += op.req.op.weight() as u64;
                 }
             }
-            record_sets.push(CommittedSet {
-                origin: set.origin,
-                ops: record_ops,
-            });
+            if self.cfg.record_log {
+                record_sets.push(CommittedSet {
+                    origin: set.origin,
+                    ops: record_ops,
+                });
+            }
         }
         // If our own set was somehow absent (we never contributed — cannot
         // happen for cycles we committed), serve leftover reads anyway.
@@ -1145,42 +1142,43 @@ impl Lane {
         }
     }
 
+    /// Applies one committed write and, if it is this node's own, replies
+    /// to its client; returns its commit record if the log is kept.
     fn apply_write(
         &mut self,
         op: &TimedOp,
         is_own: bool,
         ctx: &mut LaneCtx<'_, '_>,
-    ) -> CommittedOp {
+    ) -> Option<CommittedOp> {
         let weight = op.req.op.weight();
         ctx.work(Work::Apply, weight.into());
+        let (client, op_id, keep) = (op.req.client, op.req.op_id, self.cfg.record_log);
         let record = match &op.req.op {
             Op::Put { key, value } => {
-                let version = self.store.put(*key, value.clone());
-                CommittedOp::Put {
-                    client: op.req.client,
-                    op_id: op.req.op_id,
+                let version = self.store.put(*key, value);
+                keep.then_some(CommittedOp::Put {
+                    client,
+                    op_id,
                     key: *key,
                     version,
-                }
+                })
             }
-            Op::SyntheticWrite { count, .. } => CommittedOp::Synthetic {
-                client: op.req.client,
-                op_id: op.req.op_id,
+            Op::SyntheticWrite { count, .. } => keep.then_some(CommittedOp::Synthetic {
+                client,
+                op_id,
                 count: *count,
-            },
+            }),
             Op::MultiPut { puts } => {
                 // Commit work scales with touched keys, not request weight.
                 ctx.work(Work::Apply, puts.len() as u64);
-                let mut keys = Vec::with_capacity(puts.len());
                 for (key, value) in puts {
-                    self.store.put(*key, value.clone());
-                    keys.push(*key);
+                    self.store.put(*key, value);
                 }
-                CommittedOp::MultiPut {
-                    client: op.req.client,
-                    op_id: op.req.op_id,
-                    keys,
-                }
+                keep.then(|| CommittedOp::MultiPut {
+                    client,
+                    op_id,
+                    keys: puts.iter().map(|&(key, _)| key).collect(),
+                })
             }
             _ => unreachable!("reads are never in request sets"),
         };

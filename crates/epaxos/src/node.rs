@@ -443,7 +443,7 @@ impl EpaxosNode {
             self.stats.executed_weight += weight as u64;
             match &op.req.op {
                 Op::Put { key, value } => {
-                    self.store.put(*key, value.clone());
+                    self.store.put(*key, value);
                     if self.cfg.record_log {
                         self.write_log.entry(*key).or_default().push((
                             op.req.client,
@@ -468,7 +468,7 @@ impl EpaxosNode {
                 }
                 Op::MultiPut { puts } => {
                     for (key, value) in puts {
-                        self.store.put(*key, value.clone());
+                        self.store.put(*key, value);
                         if self.cfg.record_log {
                             self.write_log.entry(*key).or_default().push((
                                 op.req.client,

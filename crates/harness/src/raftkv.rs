@@ -392,7 +392,7 @@ impl RaftKvNode {
             self.applied.push((req.client, req.op_id));
             let result = match &req.op {
                 Op::Put { key, value } => {
-                    self.store.put(*key, value.clone());
+                    self.store.put(*key, value);
                     self.write_log.entry(*key).or_default().push((
                         req.client,
                         req.op_id,
@@ -404,7 +404,7 @@ impl RaftKvNode {
                 Op::SyntheticWrite { .. } | Op::SyntheticRead { .. } => OpResult::Batch,
                 Op::MultiPut { puts } => {
                     for (key, value) in puts {
-                        self.store.put(*key, value.clone());
+                        self.store.put(*key, value);
                         self.write_log.entry(*key).or_default().push((
                             req.client,
                             req.op_id,

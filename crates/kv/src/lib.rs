@@ -21,4 +21,4 @@ pub mod store;
 pub use check::{check_agreement, check_client_fifo, LinChecker, ReadObs, ReplyEvent, WriteObs};
 pub use op::{ClientReply, ClientRequest, Key, Op, OpResult, TimedOp};
 pub use shard::{route_hint, shard_hash, ShardRouter};
-pub use store::{KvStore, Versioned};
+pub use store::{KvStore, Value, Versioned};

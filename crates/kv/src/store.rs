@@ -7,16 +7,92 @@
 //! Every replica applies every committed write, so `put` is on the hot
 //! path nine times per op in a 3×3 cluster: it is one probe of a
 //! `HashMap` (std's randomly keyed hasher, because clients choose the
-//! keys) and allocates nothing. The two outputs whose order anyone can
-//! observe, [`KvStore::digest`] and the [`Wire`] encoding, walk the
-//! entries sorted by key, so they are functions of the contents alone.
+//! keys) and, for a value of up to 30 bytes, allocates nothing. The two
+//! outputs whose order anyone can observe, [`KvStore::digest`] and the
+//! [`Wire`] encoding, walk the entries sorted by key, so they are
+//! functions of the contents alone.
+//!
+//! The store owns what it holds. A value arrives as a zero-copy slice of
+//! the block the node loop read it into, up to 64 KiB shared with every
+//! other message of that read; kept as such, one 8-byte value would keep
+//! the whole block alive until its key is overwritten. `put` copies the
+//! bytes instead, into the map entry itself when they fit ([`Value`]).
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::fmt;
+use std::ops::Deref;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use canopus_net::wire::{Wire, WireError};
 
 use crate::op::Key;
+
+/// The longest value held inline. With its length byte and the enum's tag
+/// it fills 32 bytes, the size of the `Bytes` it replaces, so a
+/// [`Versioned`] is still 40 bytes.
+const INLINE: usize = 30;
+
+/// A stored value: the store's own copy of the bytes written. Up to 30
+/// bytes live in the map entry; a longer value is copied into an
+/// allocation of its own. Either way it shares no allocation with the
+/// frame it was decoded from.
+#[derive(Clone)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Boxed(Box<[u8]>),
+}
+
+impl Value {
+    fn new(bytes: &[u8]) -> Value {
+        Value(if bytes.len() <= INLINE {
+            let mut inline = [0; INLINE];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            Repr::Inline {
+                len: bytes.len() as u8,
+                bytes: inline,
+            }
+        } else {
+            Repr::Boxed(bytes.into())
+        })
+    }
+}
+
+impl Deref for Value {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        **self == **other
+    }
+}
+impl Eq for Value {}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "b\"{}\"", self.escape_ascii())
+    }
+}
+
+/// Encoded as [`Bytes`] is: a u32 LE length, then the bytes.
+impl Wire for Value {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(Value::new(&Bytes::decode(buf)?))
+    }
+}
 
 /// A versioned value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,7 +100,7 @@ pub struct Versioned {
     /// Monotonic per-key version, starting at 1 for the first write.
     pub version: u64,
     /// The value.
-    pub value: Bytes,
+    pub value: Value,
 }
 
 /// In-memory key-value store with per-key versions.
@@ -40,9 +116,11 @@ impl KvStore {
         KvStore::default()
     }
 
-    /// Applies a write; returns the new version of the key.
-    pub fn put(&mut self, key: Key, value: Bytes) -> u64 {
+    /// Applies a write of a copy of `value`; returns the new version of
+    /// the key.
+    pub fn put(&mut self, key: Key, value: impl AsRef<[u8]>) -> u64 {
         self.applied_writes += 1;
+        let value = Value::new(value.as_ref());
         match self.map.entry(key) {
             Entry::Occupied(mut e) => {
                 let v = e.get_mut();
@@ -59,9 +137,9 @@ impl KvStore {
         self.map.get(&key)
     }
 
-    /// Reads just the value bytes.
+    /// Reads just the value bytes, copied out.
     pub fn get_value(&self, key: Key) -> Option<Bytes> {
-        self.map.get(&key).map(|v| v.value.clone())
+        self.map.get(&key).map(|v| Bytes::copy_from_slice(&v.value))
     }
 
     /// Total writes applied over the store's lifetime.
@@ -122,7 +200,7 @@ impl Wire for KvStore {
         for _ in 0..u32::decode(buf)? {
             let key = Key::decode(buf)?;
             let version = u64::decode(buf)?;
-            let value = Bytes::decode(buf)?;
+            let value = Value::decode(buf)?;
             map.insert(key, Versioned { version, value });
         }
         Ok(KvStore {
@@ -145,7 +223,7 @@ mod tests {
         assert_eq!(s.put(2, Bytes::from_static(b"c")), 1);
         let v = s.get(1).unwrap();
         assert_eq!(v.version, 2);
-        assert_eq!(v.value, Bytes::from_static(b"b"));
+        assert_eq!(&*v.value, b"b");
         assert_eq!(s.applied_writes(), 3);
         assert_eq!(s.len(), 2);
     }
@@ -242,5 +320,45 @@ mod tests {
             assert_eq!(&back, s);
             assert_eq!(back.to_bytes(), s.to_bytes());
         }
+    }
+
+    /// Empty, the longest inline, the shortest boxed and a long value, each
+    /// written over a value held the other way: every read gives the bytes
+    /// back, and `digest()` and the `Snapshot` are the hand-built layout
+    /// (`u32 LE length ‖ bytes` per value), so where a value is held never
+    /// shows outside the store.
+    #[test]
+    fn values_of_every_length_round_trip_in_the_same_layout() {
+        for len in [0, INLINE, INLINE + 1, 4096] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let other = vec![0xaa; if len <= INLINE { 4096 } else { 1 }];
+            let mut s = KvStore::new();
+            s.put(5, Bytes::from(other));
+            assert_eq!(s.put(5, &bytes), 2);
+            let v = s.get(5).expect("written");
+            assert_eq!(&*v.value, &bytes[..], "len {len}");
+            assert_eq!(s.get_value(5), Some(Bytes::from(bytes.clone())));
+
+            let mut value = (len as u32).to_le_bytes().to_vec();
+            value.extend_from_slice(&bytes);
+            assert_eq!(&v.value.to_bytes()[..], &value[..], "len {len}");
+
+            let entry = [&5u64.to_le_bytes()[..], &2u64.to_le_bytes()].concat();
+            let mut snapshot = [&2u64.to_le_bytes()[..], &1u32.to_le_bytes(), &entry].concat();
+            snapshot.extend_from_slice(&value);
+            assert_eq!(&s.to_bytes()[..], &snapshot[..], "len {len}");
+            assert_eq!(s.digest(), fnv(&[&entry[..], &bytes].concat()), "len {len}");
+
+            let back = KvStore::from_bytes(s.to_bytes()).expect("decode");
+            assert_eq!(back, s);
+            assert_eq!(&*back.get(5).expect("decoded").value, &bytes[..]);
+            assert_eq!(back.digest(), s.digest());
+        }
+    }
+
+    #[test]
+    fn an_entry_is_as_small_as_when_it_held_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<Versioned>(), 40);
     }
 }

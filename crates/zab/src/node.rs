@@ -364,11 +364,11 @@ impl ZabNode {
         self.stats.applied_weight += weight as u64;
         match &txn.op.req.op {
             Op::Put { key, value } => {
-                self.store.put(*key, value.clone());
+                self.store.put(*key, value);
             }
             Op::MultiPut { puts } => {
                 for (key, value) in puts {
-                    self.store.put(*key, value.clone());
+                    self.store.put(*key, value);
                 }
             }
             _ => {}
