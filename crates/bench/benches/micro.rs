@@ -154,6 +154,95 @@ fn bench_kv_apply(c: &mut Criterion) {
     });
 }
 
+/// One node's share of a 3×3 cycle at saturation (≈ 2 100 ops): decode
+/// its super-leaf's three 233-op round-1 proposals and the two 700-op
+/// states of the sibling super-leaves as the broadcast delivers them, the
+/// round-1 merge of clones of the proposals, one proposal-response encoded
+/// from a clone of the merged state, the round-2 merge of clones of it and
+/// the remote states, and the apply of the root into a 100 000-key store.
+fn bench_one_node_cycle(c: &mut Criterion) {
+    use canopus::{BroadcastItem, CycleId};
+
+    const KEYS: u64 = 100_000;
+    let mut x = 1u64;
+    let mut key = move || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % KEYS
+    };
+    let mut proposal = |origin: u32, parent: u16| {
+        let ops = (0..233)
+            .map(|i| TimedOp {
+                req: ClientRequest {
+                    client: NodeId(100 + origin),
+                    op_id: i,
+                    op: Op::Put {
+                        key: key(),
+                        value: Bytes::from_static(b"12345678"),
+                    },
+                },
+                arrival: Time::from_nanos(i),
+            })
+            .collect();
+        let set = RequestSet {
+            origin: NodeId(origin),
+            ops,
+            lease_requests: Vec::new(),
+        };
+        let number = u64::from(origin).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        VnodeState::round1(
+            NodeId(origin),
+            VnodeId(vec![parent]),
+            CycleId(1),
+            number,
+            set,
+            Vec::new(),
+        )
+    };
+    let own: Vec<Bytes> = (0..3)
+        .map(|i| BroadcastItem::Proposal(proposal(i, 0)).to_bytes())
+        .collect();
+    let remote: Vec<Bytes> = (1..3u16)
+        .map(|s| {
+            let members = (0..3).map(|i| proposal(u32::from(s) * 3 + i, s)).collect();
+            BroadcastItem::Remote(VnodeState::merge(VnodeId(vec![s]), members)).to_bytes()
+        })
+        .collect();
+    let mut store = KvStore::new();
+    for k in 0..KEYS {
+        store.put(k, b"12345678");
+    }
+    let decode = |bytes: &Bytes| match BroadcastItem::from_bytes(bytes.clone()) {
+        Ok(BroadcastItem::Proposal(s) | BroadcastItem::Remote(s)) => s,
+        other => panic!("not a state: {other:?}"),
+    };
+    c.bench_function("one_node_cycle_2100_ops", |b| {
+        b.iter(|| {
+            let round1: Vec<VnodeState> = own.iter().map(decode).collect();
+            let remote: Vec<VnodeState> = remote.iter().map(decode).collect();
+            let h1 = VnodeState::merge(VnodeId(vec![0]), round1.to_vec());
+            let response = CanopusMsg::ProposalResponse { state: h1.clone() };
+            black_box(response.to_bytes());
+            let mut children = vec![h1.clone()];
+            children.extend(remote.iter().cloned());
+            for child in &mut children {
+                child.tie = child.vnode.last_digit() as u32;
+            }
+            let root = VnodeState::merge(VnodeId::root(), children);
+            let mut version = 0;
+            for set in &root.sets {
+                for op in &set.ops {
+                    if let Op::Put { key, value } = &op.req.op {
+                        version += store.put(*key, value);
+                    }
+                }
+            }
+            black_box(version)
+        });
+    });
+}
+
 fn bench_lot_math(c: &mut Criterion) {
     let shape = LotShape::new(vec![4, 4, 4]);
     c.bench_function("lot_ancestor_and_emulators", |b| {
@@ -401,6 +490,7 @@ criterion_group!(
     bench_wire,
     bench_zero_copy_decode,
     bench_kv_apply,
+    bench_one_node_cycle,
     bench_lot_math,
     bench_consensus_cycle,
     bench_node_loop_transport
