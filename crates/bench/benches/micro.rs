@@ -161,7 +161,7 @@ fn bench_kv_apply(c: &mut Criterion) {
 /// from a clone of the merged state, the round-2 merge of clones of it and
 /// the remote states, and the apply of the root into a 100 000-key store.
 fn bench_one_node_cycle(c: &mut Criterion) {
-    use canopus::{BroadcastItem, CycleId};
+    use canopus::{BroadcastItem, CycleId, WriteView};
 
     const KEYS: u64 = 100_000;
     let mut x = 1u64;
@@ -233,8 +233,8 @@ fn bench_one_node_cycle(c: &mut Criterion) {
             let mut version = 0;
             for set in &root.sets {
                 for op in &set.ops {
-                    if let Op::Put { key, value } = &op.req.op {
-                        version += store.put(*key, value);
+                    if let WriteView::Put { key, value } = op.write {
+                        version += store.put(key, value);
                     }
                 }
             }

@@ -6,8 +6,11 @@
 //! round trip — without waiting for the cycles before it to commit (§7.1).
 //! Batching adds one wait to it: the first request of a batch opens a
 //! window of `max_linger`, and the cycle that carries the batch starts
-//! when the window closes, so later arrivals share the proposal and no
-//! request waits longer than the window for its cycle to start.
+//! when the window closes, so later arrivals share the proposal. The
+//! window opens only while a pipeline slot is free, so the window bounds
+//! a request's wait only if it finds one: at `max_pipeline_depth: 1` a
+//! request that arrives while a cycle is in flight waits for that commit
+//! and then a full window.
 //!
 //! start ⇔ `in_flight < max_pipeline_depth` ∧ (prompted ∨
 //! `pending_weight ≥ max_batch` ∨ (local work ∧ window closed))

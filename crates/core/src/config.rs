@@ -33,11 +33,14 @@ pub struct CanopusConfig {
     /// Start a new cycle at once when this many client requests are
     /// pending (the paper uses 1000).
     pub max_batch: usize,
-    /// Batching window: after the first request of a batch arrives, hold
-    /// the cycle this long so later arrivals share its proposal. Zero
-    /// starts a cycle the moment work exists. A full batch
-    /// ([`CanopusConfig::max_batch`]) and outside prompting (§4.4) start
-    /// the cycle at once — lingering never delays joining a cycle the rest
+    /// Batching window: once the first request of a batch is here and a
+    /// pipeline slot is free, hold the cycle this long so later arrivals
+    /// share its proposal. Zero starts a cycle the moment work exists. The
+    /// window does not bound a request's wait by itself: one that arrives
+    /// while every slot ([`CanopusConfig::max_pipeline_depth`]) is taken
+    /// waits for a commit to free one, then the full window. A full batch
+    /// ([`CanopusConfig::max_batch`]) and outside prompting (§4.4) cut
+    /// the window short — lingering never delays joining a cycle the rest
     /// of the tree has started. The paper's multi-datacenter runs start a
     /// cycle every 5 ms.
     pub max_linger: Dur,

@@ -50,7 +50,9 @@ use crate::config::{CanopusConfig, ReadMode};
 use crate::emulation::EmulationTable;
 use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
 use crate::node::LaneCtx;
-use crate::proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
+use crate::proposal::{
+    MembershipUpdate, OpBlock, OpView, RequestSet, TimedOp, VnodeState, WriteView,
+};
 use crate::types::{CycleId, VnodeId};
 
 /// Timer tokens: the housekeeping tick, and the close of the batching
@@ -588,7 +590,7 @@ impl Lane {
         // updates. Reads buffered during the previous window are ordered by
         // this cycle (§5).
         let batch_weight = self.pending_weight;
-        let ops: Vec<TimedOp> = self.pending_writes.drain(..).collect();
+        let ops: OpBlock = self.pending_writes.drain(..).collect();
         self.pending_weight = 0;
 
         let in_flight = self.clock.in_flight();
@@ -1045,29 +1047,39 @@ impl Lane {
         own_reads.sort_by_key(|r| r.write_prefix);
         let mut read_iter = own_reads.into_iter().peekable();
 
+        // One pass over each set applies its writes, replies to this
+        // node's own clients, and mixes the commit digest.
         let mut total_weight: u64 = 0;
         let mut record_sets = Vec::new();
+        let mut digest = self.stats.commit_digest ^ 0xcbf29ce484222325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                digest ^= b as u64;
+                digest = digest.wrapping_mul(0x100000001b3);
+            }
+        };
+        mix(c.0);
         for set in &root.sets {
             let is_own = set.origin == self.me;
+            mix(set.origin.0 as u64 + 1);
             let mut record_ops = Vec::new();
-            if is_own {
-                // Serve reads positioned before the k-th own write.
-                for (k, op) in set.ops.iter().enumerate() {
-                    while read_iter.peek().is_some_and(|r| r.write_prefix <= k) {
-                        let r = read_iter.next().expect("peeked");
-                        self.serve_read(&r.req, ctx);
-                    }
-                    record_ops.extend(self.apply_write(op, true, ctx));
-                    total_weight += op.req.op.weight() as u64;
+            for (k, op) in set.ops.iter().enumerate() {
+                // Serve own reads positioned before the k-th own write.
+                while is_own && read_iter.peek().is_some_and(|r| r.write_prefix <= k) {
+                    let r = read_iter.next().expect("peeked");
+                    self.serve_read(&r.req, ctx);
                 }
+                let weight = op.write.weight() as u64;
+                mix(op.op_id);
+                mix(op.client.0 as u64);
+                mix(weight);
+                record_ops.extend(self.apply_write(op, is_own, ctx));
+                total_weight += weight;
+            }
+            if is_own {
                 // Reads positioned after every own write.
                 for r in read_iter.by_ref() {
                     self.serve_read(&r.req, ctx);
-                }
-            } else {
-                for op in &set.ops {
-                    record_ops.extend(self.apply_write(op, false, ctx));
-                    total_weight += op.req.op.weight() as u64;
                 }
             }
             if self.cfg.record_log {
@@ -1099,22 +1111,6 @@ impl Lane {
         self.stats.cycle_latency_sum_ns += now.saturating_since(started_at).as_nanos();
         self.stats.committed_cycles += 1;
         self.stats.committed_weight += total_weight;
-        let mut digest = self.stats.commit_digest ^ 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(c.0);
-        for set in &root.sets {
-            mix(set.origin.0 as u64 + 1);
-            for op in &set.ops {
-                mix(op.req.op_id);
-                mix(op.req.client.0 as u64);
-                mix(op.req.op.weight() as u64);
-            }
-        }
         self.stats.commit_digest = digest;
         if self.cfg.record_log {
             self.committed_log.push(CommittedCycle {
@@ -1146,52 +1142,52 @@ impl Lane {
     /// to its client; returns its commit record if the log is kept.
     fn apply_write(
         &mut self,
-        op: &TimedOp,
+        op: OpView<'_>,
         is_own: bool,
         ctx: &mut LaneCtx<'_, '_>,
     ) -> Option<CommittedOp> {
-        let weight = op.req.op.weight();
+        let weight = op.write.weight();
         ctx.work(Work::Apply, weight.into());
-        let (client, op_id, keep) = (op.req.client, op.req.op_id, self.cfg.record_log);
-        let record = match &op.req.op {
-            Op::Put { key, value } => {
-                let version = self.store.put(*key, value);
-                keep.then_some(CommittedOp::Put {
+        let (client, op_id, keep) = (op.client, op.op_id, self.cfg.record_log);
+        let (record, result) = match op.write {
+            WriteView::Put { key, value } => {
+                let version = self.store.put(key, value);
+                let record = CommittedOp::Put {
                     client,
                     op_id,
-                    key: *key,
+                    key,
                     version,
-                })
+                };
+                (keep.then_some(record), OpResult::Written)
             }
-            Op::SyntheticWrite { count, .. } => keep.then_some(CommittedOp::Synthetic {
-                client,
-                op_id,
-                count: *count,
-            }),
-            Op::MultiPut { puts } => {
+            WriteView::SyntheticWrite { count, .. } => {
+                let record = CommittedOp::Synthetic {
+                    client,
+                    op_id,
+                    count,
+                };
+                (keep.then_some(record), OpResult::Batch)
+            }
+            WriteView::MultiPut(puts) => {
                 // Commit work scales with touched keys, not request weight.
                 ctx.work(Work::Apply, puts.len() as u64);
                 for (key, value) in puts {
-                    self.store.put(*key, value);
+                    self.store.put(key, value);
                 }
-                keep.then(|| CommittedOp::MultiPut {
+                let record = keep.then(|| CommittedOp::MultiPut {
                     client,
                     op_id,
-                    keys: puts.iter().map(|&(key, _)| key).collect(),
-                })
+                    keys: puts.map(|(key, _)| key).collect(),
+                });
+                (record, OpResult::Written)
             }
-            _ => unreachable!("reads are never in request sets"),
         };
         if is_own {
             self.stats.own_writes += weight as u64;
-            let result = match op.req.op {
-                Op::Put { .. } | Op::MultiPut { .. } => OpResult::Written,
-                _ => OpResult::Batch,
-            };
             ctx.send(
-                op.req.client,
+                client,
                 CanopusMsg::Reply(ClientReply {
-                    op_id: op.req.op_id,
+                    op_id,
                     weight,
                     result,
                 }),

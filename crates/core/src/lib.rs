@@ -61,5 +61,7 @@ pub use emulation::EmulationTable;
 pub use lane::{CanopusStats, CommittedCycle, CommittedOp, CommittedSet, Lane};
 pub use msg::{BroadcastItem, CanopusMsg, Snapshot};
 pub use node::CanopusNode;
-pub use proposal::{MembershipUpdate, RequestSet, TimedOp, VnodeState};
+pub use proposal::{
+    MembershipUpdate, OpBlock, OpView, Ops, PutPairs, RequestSet, TimedOp, VnodeState, WriteView,
+};
 pub use types::{CycleId, LotShape, VnodeId};

@@ -325,7 +325,7 @@ mod tests {
             12345,
             RequestSet {
                 origin: NodeId(2),
-                ops: vec![crate::proposal::TimedOp {
+                ops: [crate::proposal::TimedOp {
                     req: ClientRequest {
                         client: NodeId(30),
                         op_id: 7,
@@ -335,7 +335,9 @@ mod tests {
                         },
                     },
                     arrival: canopus_sim::Time::from_nanos(500),
-                }],
+                }]
+                .into_iter()
+                .collect(),
                 lease_requests: vec![],
             },
             vec![],
@@ -481,6 +483,57 @@ mod tests {
             let back = BroadcastItem::from_bytes(item.to_bytes()).unwrap();
             assert_eq!(back, item);
         }
+    }
+
+    /// Reads are served where they arrive and never enter a request set:
+    /// a proposal or a proposal-response carrying one is refused at
+    /// decode, rather than ordered and then fatal to every node that
+    /// commits the cycle.
+    #[test]
+    fn a_state_carrying_a_read_is_refused_at_decode() {
+        use crate::proposal::{MembershipUpdate, TimedOp};
+        // `sample_state()` with `op` in place of its `Put`, behind `tag`.
+        let frame = |tag: u8, op: Op| {
+            let mut buf = BytesMut::new();
+            tag.encode(&mut buf);
+            VnodeId(vec![1]).encode(&mut buf);
+            CycleId(4).encode(&mut buf);
+            12345u64.encode(&mut buf);
+            2u32.encode(&mut buf); // tie: the proposer
+            1u32.encode(&mut buf); // one request set
+            NodeId(2).encode(&mut buf); // its origin
+            let req = ClientRequest {
+                client: NodeId(30),
+                op_id: 7,
+                op,
+            };
+            let arrival = canopus_sim::Time::from_nanos(500);
+            vec![TimedOp { req, arrival }].encode(&mut buf);
+            Vec::<Key>::new().encode(&mut buf); // lease requests
+            Vec::<MembershipUpdate>::new().encode(&mut buf);
+            buf.freeze()
+        };
+        let refused = WireError::Invalid("read in a request set");
+        for read in [Op::Get { key: 9 }, Op::SyntheticRead { count: 3 }] {
+            let item = BroadcastItem::from_bytes(frame(0, read.clone()));
+            assert_eq!(item.unwrap_err(), refused);
+            let msg = CanopusMsg::from_bytes(frame(4, read));
+            assert_eq!(msg.unwrap_err(), refused);
+        }
+        let put = Op::Put {
+            key: 9,
+            value: Bytes::from_static(b"12345678"),
+        };
+        assert_eq!(
+            BroadcastItem::from_bytes(frame(0, put.clone())),
+            Ok(BroadcastItem::Proposal(sample_state()))
+        );
+        assert_eq!(
+            CanopusMsg::from_bytes(frame(4, put)),
+            Ok(CanopusMsg::ProposalResponse {
+                state: sample_state()
+            })
+        );
     }
 
     #[test]

@@ -9,10 +9,27 @@
 //! requests contiguous ("requests in a request set are never separated",
 //! §5). The merged state's number is the *largest* number among its
 //! children, so ordering at the next level is again by fresh randomness.
+//!
+//! ## Request sets stay encoded
+//!
+//! Because sets are only ever concatenated, no node needs to look inside
+//! one until it applies the committed cycle: the merges order sets by
+//! their proposals' numbers, and the sizes the network and the counters
+//! see are sums kept per set. So a set's writes are one [`OpBlock`] —
+//! the bytes the wire carries for them, checked once when they are
+//! decoded and read in place, op by op, when the cycle commits. Between
+//! the two, the merges, the clones a lane keeps of each state and the
+//! proposal-responses it serves move reference counts, and encoding a
+//! set copies its bytes. The decoder refuses a block that holds a read
+//! (reads are answered where they arrive, §5), so every block a cycle
+//! commits can be applied.
 
-use bytes::{Bytes, BytesMut};
-use canopus_net::wire::{Wire, WireError, WireRead};
-use canopus_sim::NodeId;
+use std::fmt;
+
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use canopus_kv::Key;
+use canopus_net::wire::{Wire, WireError, WireRead, MAX_FRAME};
+use canopus_sim::{NodeId, Time};
 
 pub use canopus_kv::TimedOp;
 
@@ -71,7 +88,7 @@ pub struct RequestSet {
     /// The node that received these requests from its clients.
     pub origin: NodeId,
     /// The writes, in arrival (client-FIFO) order.
-    pub ops: Vec<TimedOp>,
+    pub ops: OpBlock,
     /// Keys for which this origin requests write leases (§7.2; empty unless
     /// the lease optimization is enabled).
     pub lease_requests: Vec<u64>,
@@ -83,24 +100,19 @@ impl RequestSet {
     pub fn empty(origin: NodeId) -> Self {
         RequestSet {
             origin,
-            ops: Vec::new(),
+            ops: OpBlock::default(),
             lease_requests: Vec::new(),
         }
     }
 
     /// Total client requests represented (synthetic batches count fully).
     pub fn weight(&self) -> u64 {
-        self.ops.iter().map(|op| op.req.op.weight() as u64).sum()
+        self.ops.weight()
     }
 
     /// Payload bytes represented.
     pub fn payload_bytes(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| op.req.op.payload_bytes() + 21)
-            .sum::<usize>()
-            + self.lease_requests.len() * 8
-            + 16
+        self.ops.payload_bytes() + self.lease_requests.len() * 8 + 16
     }
 }
 
@@ -113,10 +125,331 @@ impl Wire for RequestSet {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(RequestSet {
             origin: NodeId::decode(buf)?,
-            ops: Vec::<TimedOp>::decode(buf)?,
+            ops: OpBlock::decode(buf)?,
             lease_requests: Vec::<u64>::decode(buf)?,
         })
     }
+}
+
+/// The writes of one request set, held as the bytes the wire carries for
+/// them: a `u32` count, then each op as [`TimedOp`] encodes it (the bytes
+/// `Vec::<TimedOp>::encode` writes). The count, the weight and the payload
+/// size are computed once, when the block is built or decoded.
+///
+/// Nothing is parsed out of a block before the cycle that orders it
+/// commits; [`OpBlock::iter`] then reads each op in place. A block is
+/// immutable and owns its own allocation: cloning it bumps one reference
+/// count, encoding it copies its bytes, and decoding one copies it out of
+/// the receive frame, so a retained cycle state never keeps a frame alive.
+#[derive(Clone, PartialEq, Eq)]
+pub struct OpBlock {
+    bytes: Bytes,
+    len: u32,
+    weight: u64,
+    payload: usize,
+}
+
+impl OpBlock {
+    /// Number of ops (client requests and synthetic batches alike).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the block holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Client requests represented (a synthetic batch counts fully).
+    pub fn weight(&self) -> u64 {
+        self.weight
+    }
+
+    /// Payload bytes represented: each op's payload plus 21 bytes of
+    /// per-request header.
+    pub fn payload_bytes(&self) -> usize {
+        self.payload
+    }
+
+    /// The ops in arrival order, read in place.
+    pub fn iter(&self) -> Ops<'_> {
+        Ops {
+            rest: &self.bytes[4..],
+            left: self.len,
+        }
+    }
+}
+
+impl Default for OpBlock {
+    fn default() -> Self {
+        OpBlock {
+            bytes: Bytes::copy_from_slice(&0u32.to_le_bytes()),
+            len: 0,
+            weight: 0,
+            payload: 0,
+        }
+    }
+}
+
+/// Encodes client writes into a block.
+///
+/// # Panics
+/// Panics on a read: reads are served locally and never enter a set.
+impl FromIterator<TimedOp> for OpBlock {
+    fn from_iter<I: IntoIterator<Item = TimedOp>>(ops: I) -> Self {
+        let mut buf = BytesMut::new();
+        0u32.encode(&mut buf);
+        let (mut len, mut weight, mut payload) = (0u32, 0u64, 0usize);
+        for op in ops {
+            assert!(op.req.op.is_write(), "a read in a request set");
+            op.encode(&mut buf);
+            len += 1;
+            weight += u64::from(op.req.op.weight());
+            payload += op.req.op.payload_bytes() + 21;
+        }
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        OpBlock {
+            bytes: buf.freeze(),
+            len,
+            weight,
+            payload,
+        }
+    }
+}
+
+impl fmt::Debug for OpBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Wire for OpBlock {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.bytes);
+    }
+
+    /// Walks the ops once to check them and find the block's end, then
+    /// copies the block out of `buf`. Rejects everything
+    /// `Vec::<TimedOp>::decode` rejects, and a read besides.
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let mut rest: &[u8] = buf;
+        let len = read_u32(&mut rest)?;
+        if len as usize > MAX_FRAME {
+            return Err(WireError::TooLarge(len as usize));
+        }
+        let (mut weight, mut payload) = (0u64, 0usize);
+        for _ in 0..len {
+            let op = read_op(&mut rest)?;
+            weight += u64::from(op.write.weight());
+            // Synthetic batches in a crafted frame could overflow the sum.
+            payload = payload.saturating_add(op.write.payload_bytes() + 21);
+        }
+        let size = buf.len() - rest.len();
+        let bytes = Bytes::copy_from_slice(&buf[..size]);
+        buf.advance(size);
+        Ok(OpBlock {
+            bytes,
+            len,
+            weight,
+            payload,
+        })
+    }
+}
+
+/// One op of an [`OpBlock`], borrowed from the block's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpView<'a> {
+    /// The client's process id, to which the origin replies.
+    pub client: NodeId,
+    /// Client-assigned id, echoed in the reply.
+    pub op_id: u64,
+    /// Arrival time at the origin node.
+    pub arrival: Time,
+    /// The write.
+    pub write: WriteView<'a>,
+}
+
+/// The write an [`OpView`] carries: a write variant of
+/// [`canopus_kv::Op`], read in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteView<'a> {
+    /// Write `value` to `key`.
+    Put {
+        /// The key.
+        key: Key,
+        /// The value.
+        value: &'a [u8],
+    },
+    /// `count` aggregated write requests of `op_bytes` each.
+    SyntheticWrite {
+        /// Number of client requests this batch represents.
+        count: u32,
+        /// Bytes per represented request.
+        op_bytes: u16,
+    },
+    /// An atomic multi-key write.
+    MultiPut(PutPairs<'a>),
+}
+
+impl WriteView<'_> {
+    /// The number of client requests this write represents
+    /// ([`canopus_kv::Op::weight`]).
+    pub fn weight(&self) -> u32 {
+        match *self {
+            WriteView::Put { .. } | WriteView::MultiPut(_) => 1,
+            WriteView::SyntheticWrite { count, .. } => count,
+        }
+    }
+
+    /// Bytes it contributes to a proposal's payload
+    /// ([`canopus_kv::Op::payload_bytes`]).
+    pub fn payload_bytes(&self) -> usize {
+        match *self {
+            WriteView::Put { value, .. } => 8 + value.len(),
+            WriteView::SyntheticWrite { count, op_bytes } => count as usize * op_bytes as usize,
+            WriteView::MultiPut(pairs) => pairs.map(|(_, value)| 8 + value.len()).sum(),
+        }
+    }
+}
+
+/// A [`WriteView::MultiPut`]'s `(key, value)` pairs in client order, read
+/// in place.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct PutPairs<'a> {
+    rest: &'a [u8],
+    left: u32,
+}
+
+impl<'a> Iterator for PutPairs<'a> {
+    type Item = (Key, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(read_pair(&mut self.rest).expect("validated at decode"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for PutPairs<'_> {}
+
+impl fmt::Debug for PutPairs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(*self).finish()
+    }
+}
+
+/// The ops of an [`OpBlock`], in order.
+#[derive(Clone)]
+pub struct Ops<'a> {
+    rest: &'a [u8],
+    left: u32,
+}
+
+impl<'a> Iterator for Ops<'a> {
+    type Item = OpView<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(read_op(&mut self.rest).expect("validated at decode"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl<'a> IntoIterator for &'a OpBlock {
+    type Item = OpView<'a>;
+    type IntoIter = Ops<'a>;
+    fn into_iter(self) -> Ops<'a> {
+        self.iter()
+    }
+}
+
+// In-place readers over a block's bytes, with the checks the `Wire`
+// decoders of the same fields make.
+
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    if n > MAX_FRAME {
+        return Err(WireError::TooLarge(n));
+    }
+    if rest.len() < n {
+        return Err(WireError::Truncated);
+    }
+    let (head, tail) = rest.split_at(n);
+    *rest = tail;
+    Ok(head)
+}
+
+fn read_array<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], WireError> {
+    Ok(take(rest, N)?.try_into().expect("N bytes"))
+}
+
+fn read_u32(rest: &mut &[u8]) -> Result<u32, WireError> {
+    read_array(rest).map(u32::from_le_bytes)
+}
+
+fn read_u64(rest: &mut &[u8]) -> Result<u64, WireError> {
+    read_array(rest).map(u64::from_le_bytes)
+}
+
+/// A length-prefixed byte string, as [`Bytes`] encodes it.
+fn read_value<'a>(rest: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
+    let n = read_u32(rest)? as usize;
+    take(rest, n)
+}
+
+fn read_pair<'a>(rest: &mut &'a [u8]) -> Result<(Key, &'a [u8]), WireError> {
+    Ok((read_u64(rest)?, read_value(rest)?))
+}
+
+/// One [`TimedOp`]'s encoding; a read is invalid here.
+fn read_op<'a>(rest: &mut &'a [u8]) -> Result<OpView<'a>, WireError> {
+    let client = NodeId(read_u32(rest)?);
+    let op_id = read_u64(rest)?;
+    let write = match read_array::<1>(rest)?[0] {
+        0 => WriteView::Put {
+            key: read_u64(rest)?,
+            value: read_value(rest)?,
+        },
+        2 => WriteView::SyntheticWrite {
+            count: read_u32(rest)?,
+            op_bytes: u16::from_le_bytes(read_array(rest)?),
+        },
+        4 => {
+            let left = read_u32(rest)?;
+            if left as usize > MAX_FRAME {
+                return Err(WireError::TooLarge(left as usize));
+            }
+            let start = *rest;
+            for _ in 0..left {
+                read_pair(rest)?;
+            }
+            let size = start.len() - rest.len();
+            WriteView::MultiPut(PutPairs {
+                rest: &start[..size],
+                left,
+            })
+        }
+        1 | 3 => return Err(WireError::Invalid("read in a request set")),
+        _ => return Err(WireError::Invalid("op tag")),
+    };
+    let arrival = Time::from_nanos(read_u64(rest)?);
+    Ok(OpView {
+        client,
+        op_id,
+        arrival,
+        write,
+    })
 }
 
 /// The state of a vnode in one cycle, as computed by a pnode (the paper's
@@ -250,7 +583,6 @@ impl Wire for VnodeState {
 mod tests {
     use super::*;
     use canopus_kv::{ClientRequest, Op};
-    use canopus_sim::Time;
 
     fn set_with(origin: u32, keys: &[u64]) -> RequestSet {
         RequestSet {
@@ -378,20 +710,144 @@ mod tests {
         assert_eq!(back, state);
     }
 
-    #[test]
-    fn weights_aggregate() {
-        let mut s = set_with(0, &[1, 2]);
-        s.ops.push(TimedOp {
+    fn timed(op_id: u64, op: Op) -> TimedOp {
+        TimedOp {
             req: ClientRequest {
                 client: NodeId(5),
-                op_id: 9,
-                op: Op::SyntheticWrite {
+                op_id,
+                op,
+            },
+            arrival: Time::from_nanos(op_id * 10),
+        }
+    }
+
+    /// A `Put`, a `SyntheticWrite` and a `MultiPut`.
+    fn mixed_ops() -> Vec<TimedOp> {
+        vec![
+            timed(
+                1,
+                Op::Put {
+                    key: 7,
+                    value: Bytes::from_static(b"12345678"),
+                },
+            ),
+            timed(
+                2,
+                Op::SyntheticWrite {
                     count: 100,
                     op_bytes: 16,
                 },
-            },
-            arrival: Time::ZERO,
-        });
-        assert_eq!(s.weight(), 102);
+            ),
+            timed(
+                3,
+                Op::MultiPut {
+                    puts: vec![(3, Bytes::from_static(b"abc")), (4, Bytes::new())],
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn weights_aggregate() {
+        let block: OpBlock = mixed_ops().into_iter().collect();
+        assert_eq!(block.weight(), 102);
+        let set = RequestSet {
+            origin: NodeId(0),
+            ops: block,
+            lease_requests: vec![9],
+        };
+        assert_eq!(set.weight(), 102);
+        assert_eq!(set.payload_bytes(), 16 + 1600 + 19 + 3 * 21 + 8 + 16);
+    }
+
+    #[test]
+    fn a_block_holds_the_ops_encoding_and_reads_each_op_in_place() {
+        let ops = mixed_ops();
+        let block: OpBlock = ops.iter().cloned().collect();
+        assert_eq!(
+            block.to_bytes(),
+            ops.to_bytes(),
+            "the bytes of Vec<TimedOp>"
+        );
+        assert_eq!((block.len(), block.is_empty()), (3, false));
+        let payload: usize = ops.iter().map(|op| op.req.op.payload_bytes() + 21).sum();
+        assert_eq!(block.payload_bytes(), payload);
+        let views: Vec<OpView<'_>> = block.iter().collect();
+        let value = &b"12345678"[..];
+        assert_eq!(views[0].write, WriteView::Put { key: 7, value });
+        let synthetic = WriteView::SyntheticWrite {
+            count: 100,
+            op_bytes: 16,
+        };
+        assert_eq!(views[1].write, synthetic);
+        let WriteView::MultiPut(pairs) = views[2].write else {
+            panic!("not a MultiPut: {:?}", views[2]);
+        };
+        let pairs: Vec<_> = pairs.collect();
+        assert_eq!(pairs, vec![(3, &b"abc"[..]), (4, &b""[..])]);
+        for (view, op) in views.iter().zip(&ops) {
+            assert_eq!(
+                (view.client, view.op_id, view.arrival),
+                (op.req.client, op.req.op_id, op.arrival)
+            );
+            assert_eq!(view.write.weight(), op.req.op.weight());
+            assert_eq!(view.write.payload_bytes(), op.req.op.payload_bytes());
+        }
+        let empty = OpBlock::default();
+        assert_eq!(empty.to_bytes(), Vec::<TimedOp>::new().to_bytes());
+        assert_eq!(empty, std::iter::empty().collect());
+        assert_eq!((empty.len(), empty.iter().count()), (0, 0));
+    }
+
+    #[test]
+    fn a_decoded_block_owns_its_bytes() {
+        let block: OpBlock = mixed_ops().into_iter().collect();
+        let frame = block.to_bytes();
+        let back = OpBlock::from_bytes(frame.clone()).unwrap();
+        assert_eq!(back, block);
+        assert_eq!(back.weight(), 102);
+        let held = frame.as_ptr_range();
+        assert!(
+            !held.contains(&back.bytes.as_ptr()),
+            "copied out of the frame, not a slice of it"
+        );
+    }
+
+    #[test]
+    fn a_block_is_decoded_as_strictly_as_a_vec_of_ops() {
+        let ops = mixed_ops();
+        let frame = ops.to_bytes();
+        for cut in 0..frame.len() {
+            assert_eq!(
+                OpBlock::decode(&mut frame.slice(..cut)),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut huge = BytesMut::new();
+        u32::MAX.encode(&mut huge);
+        assert!(matches!(
+            OpBlock::decode(&mut huge.freeze()),
+            Err(WireError::TooLarge(_))
+        ));
+        let mut bad_tag = frame.to_vec();
+        bad_tag[4 + 12] = 9; // the first op's tag
+        assert_eq!(
+            OpBlock::from_bytes(Bytes::from(bad_tag)),
+            Err(WireError::Invalid("op tag"))
+        );
+        // The rest of the buffer is left where the block ends.
+        let mut buf = BytesMut::new();
+        ops.encode(&mut buf);
+        7u8.encode(&mut buf);
+        let mut buf = buf.freeze();
+        OpBlock::decode(&mut buf).unwrap();
+        assert_eq!(&buf[..], &[7u8][..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a read in a request set")]
+    fn a_block_is_never_built_with_a_read() {
+        let _: OpBlock = [timed(1, Op::Get { key: 1 })].into_iter().collect();
     }
 }
