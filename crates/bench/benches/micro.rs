@@ -152,6 +152,23 @@ fn bench_kv_apply(c: &mut Criterion) {
             black_box(stores[next].put((x >> 33) % KEYS, value()))
         });
     });
+    // The same writes as a commit hands them over: one run of a saturated
+    // cycle's 2 100 writes per store in turn.
+    c.bench_function("kv_put_many_9_stores_100k_keys", |b| {
+        let (mut x, mut next) = (1u64, 0usize);
+        let mut writes = Vec::with_capacity(2_100);
+        b.iter(|| {
+            writes.clear();
+            for _ in 0..2_100 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                writes.push(((x >> 33) % KEYS, value()));
+            }
+            next = (next + 1) % STORES;
+            black_box(stores[next].put_many(&writes))
+        });
+    });
 }
 
 /// One node's share of a 3×3 cycle at saturation (≈ 2 100 ops): decode
@@ -232,11 +249,15 @@ fn bench_one_node_cycle(c: &mut Criterion) {
             let root = VnodeState::merge(VnodeId::root(), children);
             let mut version = 0;
             for set in &root.sets {
-                for op in &set.ops {
-                    if let WriteView::Put { key, value } = op.write {
-                        version += store.put(key, value);
-                    }
-                }
+                let writes: Vec<_> = set
+                    .ops
+                    .iter()
+                    .filter_map(|op| match op.write {
+                        WriteView::Put { key, value } => Some((key, value)),
+                        _ => None,
+                    })
+                    .collect();
+                version += store.put_many(&writes).iter().sum::<u64>();
             }
             black_box(version)
         });

@@ -1047,8 +1047,10 @@ impl Lane {
         own_reads.sort_by_key(|r| r.write_prefix);
         let mut read_iter = own_reads.into_iter().peekable();
 
-        // One pass over each set applies its writes, replies to this
-        // node's own clients, and mixes the commit digest.
+        // Each set's writes go to the store in runs that end where an own
+        // read is positioned, so the store can overlap their misses; a pass
+        // over each run's ops then mixes the commit digest, records the
+        // versions and replies to this node's own clients, op by op.
         let mut total_weight: u64 = 0;
         let mut record_sets = Vec::new();
         let mut digest = self.stats.commit_digest ^ 0xcbf29ce484222325;
@@ -1059,22 +1061,45 @@ impl Lane {
             }
         };
         mix(c.0);
+        let mut writes: Vec<(Key, &[u8])> = Vec::new();
         for set in &root.sets {
             let is_own = set.origin == self.me;
             mix(set.origin.0 as u64 + 1);
             let mut record_ops = Vec::new();
-            for (k, op) in set.ops.iter().enumerate() {
+            let mut ops = set.ops.iter();
+            let mut k = 0;
+            loop {
                 // Serve own reads positioned before the k-th own write.
                 while is_own && read_iter.peek().is_some_and(|r| r.write_prefix <= k) {
                     let r = read_iter.next().expect("peeked");
                     self.serve_read(&r.req, ctx);
                 }
-                let weight = op.write.weight() as u64;
-                mix(op.op_id);
-                mix(op.client.0 as u64);
-                mix(weight);
-                record_ops.extend(self.apply_write(op, is_own, ctx));
-                total_weight += weight;
+                let end = match read_iter.peek() {
+                    Some(r) if is_own => r.write_prefix.min(set.ops.len()),
+                    _ => set.ops.len(),
+                };
+                if k == end {
+                    break;
+                }
+                writes.clear();
+                for op in ops.clone().take(end - k) {
+                    match op.write {
+                        WriteView::Put { key, value } => writes.push((key, value)),
+                        WriteView::SyntheticWrite { .. } => {}
+                        WriteView::MultiPut(puts) => writes.extend(puts),
+                    }
+                }
+                let mut versions = self.store.put_many(&writes).into_iter();
+                for op in ops.by_ref().take(end - k) {
+                    let weight = op.write.weight() as u64;
+                    mix(op.op_id);
+                    mix(op.client.0 as u64);
+                    mix(weight);
+                    record_ops.extend(self.applied_write(op, &mut versions, is_own, ctx));
+                    total_weight += weight;
+                }
+                debug_assert!(versions.next().is_none(), "a version per put");
+                k = end;
             }
             if is_own {
                 // Reads positioned after every own write.
@@ -1138,11 +1163,14 @@ impl Lane {
         }
     }
 
-    /// Applies one committed write and, if it is this node's own, replies
-    /// to its client; returns its commit record if the log is kept.
-    fn apply_write(
+    /// Finishes one committed write whose puts the store has applied,
+    /// taking their versions from `versions`: counts its work, replies to
+    /// its client if it is this node's own, and returns its commit record
+    /// if the log is kept.
+    fn applied_write(
         &mut self,
         op: OpView<'_>,
+        versions: &mut impl Iterator<Item = u64>,
         is_own: bool,
         ctx: &mut LaneCtx<'_, '_>,
     ) -> Option<CommittedOp> {
@@ -1150,8 +1178,8 @@ impl Lane {
         ctx.work(Work::Apply, weight.into());
         let (client, op_id, keep) = (op.client, op.op_id, self.cfg.record_log);
         let (record, result) = match op.write {
-            WriteView::Put { key, value } => {
-                let version = self.store.put(key, value);
+            WriteView::Put { key, .. } => {
+                let version = versions.next().expect("a version per put");
                 let record = CommittedOp::Put {
                     client,
                     op_id,
@@ -1171,9 +1199,7 @@ impl Lane {
             WriteView::MultiPut(puts) => {
                 // Commit work scales with touched keys, not request weight.
                 ctx.work(Work::Apply, puts.len() as u64);
-                for (key, value) in puts {
-                    self.store.put(key, value);
-                }
+                versions.take(puts.len()).for_each(drop);
                 let record = keep.then(|| CommittedOp::MultiPut {
                     client,
                     op_id,

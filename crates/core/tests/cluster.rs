@@ -10,8 +10,8 @@ use canopus::{
     ReadMode,
 };
 use canopus_kv::{
-    check_agreement, check_client_fifo, ClientReply, ClientRequest, LinChecker, Op, OpResult,
-    ReadObs, ReplyEvent, WriteObs,
+    check_agreement, check_client_fifo, ClientReply, ClientRequest, KvStore, LinChecker, Op,
+    OpResult, ReadObs, ReplyEvent, WriteObs,
 };
 use canopus_obs::{EventKind, NodeObs};
 use canopus_sim::{
@@ -1005,4 +1005,138 @@ fn tombstone_follows_the_election_when_detection_comes_first() {
             "seed {seed}: exclusion after the crash, failure timeout {short} vs {long}"
         );
     }
+}
+
+/// One cycle whose own set at node 0 holds a Put of key 5, a Get of key 5
+/// positioned after it, a second Put of key 5, a MultiPut, a
+/// SyntheticWrite and a Put of key 6, beside another super-leaf's set
+/// writing the same keys (a first Put keeps cycle 1 in flight while they
+/// arrive, so they all wait for cycle 2). The store takes each set's writes in runs split
+/// at the Get; what the cycle leaves behind is what applying it op by op
+/// leaves: the Get sees the first Put, the replies leave in set order, and
+/// the logged versions, the store and `commit_digest` match a replay.
+#[test]
+fn a_cycle_applied_in_runs_matches_applying_it_op_by_op() {
+    let at = Dur::micros(1_100);
+    let own = vec![
+        (Dur::millis(1), put(8, 0)),
+        (at, put(5, 1)),
+        (at, Op::Get { key: 5 }),
+        (at, put(5, 2)),
+        (
+            at,
+            Op::MultiPut {
+                puts: vec![
+                    (6, Bytes::from_static(b"m6")),
+                    (5, Bytes::from(vec![3; 40])),
+                ],
+            },
+        ),
+        (
+            at,
+            Op::SyntheticWrite {
+                count: 3,
+                op_bytes: 16,
+            },
+        ),
+        (at, put(6, 4)),
+    ];
+    let other = vec![(at, put(5, 9)), (at, put(7, 9))];
+    let mut outcomes = Vec::new();
+    for record_log in [true, false] {
+        let cfg = CanopusConfig {
+            record_log,
+            ..CanopusConfig::default()
+        };
+        let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 12);
+        let client = add_client(&mut cluster, NodeId(0), own.clone());
+        let other_client = add_client(&mut cluster, NodeId(3), other.clone());
+        cluster.sim.run_for(Dur::millis(200));
+
+        let replies = &cluster.sim.node::<ScriptClient>(client).replies;
+        let order: Vec<u64> = replies.iter().map(|(op_id, ..)| *op_id).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5, 6], "replies leave in set order");
+        assert_eq!(replies[2].1, OpResult::Value(Some(Bytes::from(vec![1; 8]))));
+
+        let node = cluster.sim.node::<CanopusNode>(NodeId(0));
+        outcomes.push((node.store().digest(), node.stats().commit_digest));
+        if !record_log {
+            continue;
+        }
+        let log = node.committed_log();
+        let own_sets: Vec<usize> = log
+            .iter()
+            .flat_map(|cc| &cc.sets)
+            .filter(|set| set.origin == NodeId(0))
+            .map(|set| set.ops.len())
+            .collect();
+        assert_eq!(
+            own_sets,
+            [1, 5],
+            "the own writes after the first in one set"
+        );
+
+        // Replay the log op by op into a fresh store, mixing the digest
+        // as the commit does.
+        let script = |c: NodeId| {
+            if c == client {
+                &own
+            } else {
+                assert_eq!(c, other_client);
+                &other
+            }
+        };
+        let mut store = KvStore::new();
+        let mut digest = 0u64;
+        for cc in log {
+            let mut h = digest ^ 0xcbf2_9ce4_8422_2325;
+            let mut mix = |v: u64| {
+                for b in v.to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            };
+            mix(cc.cycle.0);
+            for set in &cc.sets {
+                mix(set.origin.0 as u64 + 1);
+                for op in &set.ops {
+                    let (client, op_id) = match *op {
+                        CommittedOp::Put { client, op_id, .. }
+                        | CommittedOp::Synthetic { client, op_id, .. }
+                        | CommittedOp::MultiPut { client, op_id, .. } => (client, op_id),
+                    };
+                    let request = &script(client)[op_id as usize].1;
+                    match (request, op) {
+                        (Op::Put { key, value }, CommittedOp::Put { version, .. }) => {
+                            assert_eq!(store.put(*key, value), *version, "op {op_id}");
+                        }
+                        (Op::MultiPut { puts }, CommittedOp::MultiPut { keys, .. }) => {
+                            assert_eq!(puts.iter().map(|(k, _)| *k).collect::<Vec<_>>(), *keys);
+                            for (key, value) in puts {
+                                store.put(*key, value);
+                            }
+                        }
+                        (Op::SyntheticWrite { count, .. }, CommittedOp::Synthetic { .. }) => {
+                            assert_eq!(
+                                *op,
+                                CommittedOp::Synthetic {
+                                    client,
+                                    op_id,
+                                    count: *count
+                                }
+                            );
+                        }
+                        other => panic!("logged {other:?}"),
+                    }
+                    mix(op_id);
+                    mix(client.0 as u64);
+                    mix(request.weight() as u64);
+                }
+            }
+            digest = h;
+        }
+        assert_eq!(store.get(5).map(|v| v.version), Some(4));
+        assert_eq!(store, *node.store());
+        assert_eq!(digest, node.stats().commit_digest);
+    }
+    assert_eq!(outcomes[0], outcomes[1], "the same with the log off");
 }

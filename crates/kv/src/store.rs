@@ -4,22 +4,46 @@
 //! [`KvStore`]. The store tracks a version counter per key so the
 //! consistency checkers can reconstruct which write a read observed.
 //!
-//! Every replica applies every committed write, so `put` is on the hot
-//! path nine times per op in a 3×3 cluster: it is one probe of a
-//! `HashMap` (std's randomly keyed hasher, because clients choose the
-//! keys) and, for a value of up to 30 bytes, allocates nothing. The two
-//! outputs whose order anyone can observe, [`KvStore::digest`] and the
-//! [`Wire`] encoding, walk the entries sorted by key, so they are
-//! functions of the contents alone.
+//! Every replica applies every committed write, so a write is on the hot
+//! path nine times per op in a 3×3 cluster, and with 100 000 keys per
+//! store nearly every one misses cache.
+//!
+//! *One array.* The store is one array of 48-byte slots, each a key beside
+//! its [`Versioned`] entry, probed linearly from the key's home slot;
+//! version 0 marks an empty slot, and the array doubles when a write could
+//! fill more than 7/8 of it (100 000 keys fit in 131 072 slots). A write
+//! touches one slot, so it costs one miss, and the slot it will touch is
+//! known from the key's hash alone, before the write runs.
+//!
+//! *Runs of 16.* That is what [`KvStore::put_many`] uses: it hashes a
+//! run's writes 16 at a time, loads the 16 home slots in one loop whose
+//! loads do not depend on each other, so the core waits for their misses
+//! together rather than one after another, and then applies the 16 in
+//! order. Plain loads fed to [`black_box`] do it; no prefetch intrinsic.
+//! Sixteen is about as many misses as a core keeps in flight, and a
+//! saturated cycle's sets hold hundreds of writes. [`KvStore::put`] is a
+//! run of one on the same probe; alone it costs what a `HashMap` probe
+//! did, so the gain is the overlap, not the table.
+//!
+//! *SipHash.* Keys are hashed with std's randomly keyed SipHash
+//! ([`RandomState`]), because clients choose the keys: with a fixed or
+//! cheap hash a client could pick keys that share a home slot and turn
+//! every probe into a walk. The hashing is not where the time goes.
+//!
+//! The two outputs whose order anyone can observe, [`KvStore::digest`]
+//! and the [`Wire`] encoding, walk the entries sorted by key, so they are
+//! functions of the contents alone, never of the table's layout.
 //!
 //! The store owns what it holds. A value arrives as a zero-copy slice of
 //! the block the node loop read it into, up to 64 KiB shared with every
 //! other message of that read; kept as such, one 8-byte value would keep
-//! the whole block alive until its key is overwritten. `put` copies the
-//! bytes instead, into the map entry itself when they fit ([`Value`]).
+//! the whole block alive until its key is overwritten. A write copies the
+//! bytes instead, into the slot itself when they fit ([`Value`]).
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::hint::black_box;
 use std::ops::Deref;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -32,10 +56,13 @@ use crate::op::Key;
 /// [`Versioned`] is still 40 bytes.
 const INLINE: usize = 30;
 
+/// Writes whose home slots [`KvStore::put_many`] loads together.
+const LOOKAHEAD: usize = 16;
+
 /// A stored value: the store's own copy of the bytes written. Up to 30
-/// bytes live in the map entry; a longer value is copied into an
-/// allocation of its own. Either way it shares no allocation with the
-/// frame it was decoded from.
+/// bytes live in the slot; a longer value is copied into an allocation of
+/// its own. Either way it shares no allocation with the frame it was
+/// decoded from.
 #[derive(Clone)]
 pub struct Value(Repr);
 
@@ -103,10 +130,38 @@ pub struct Versioned {
     pub value: Value,
 }
 
-/// In-memory key-value store with per-key versions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// One slot of the table: a key and its entry, or empty if the entry's
+/// version is 0.
+#[derive(Clone)]
+struct Slot {
+    key: Key,
+    entry: Versioned,
+}
+
+impl Slot {
+    fn empty() -> Slot {
+        Slot {
+            key: 0,
+            entry: Versioned {
+                version: 0,
+                value: Value::new(&[]),
+            },
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entry.version == 0
+    }
+}
+
+/// In-memory key-value store with per-key versions. Two stores are equal
+/// if they hold the same entries and have applied as many writes.
+#[derive(Clone, Default)]
 pub struct KvStore {
-    map: HashMap<Key, Versioned>,
+    /// Empty, or a power of two of slots, at most 7/8 of them occupied.
+    slots: Vec<Slot>,
+    len: usize,
+    hasher: RandomState,
     applied_writes: u64,
 }
 
@@ -119,27 +174,87 @@ impl KvStore {
     /// Applies a write of a copy of `value`; returns the new version of
     /// the key.
     pub fn put(&mut self, key: Key, value: impl AsRef<[u8]>) -> u64 {
-        self.applied_writes += 1;
-        let value = Value::new(value.as_ref());
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                let v = e.get_mut();
-                v.version += 1;
-                v.value = value;
-                v.version
+        self.apply(self.hasher.hash_one(key), key, value.as_ref())
+    }
+
+    /// Applies a run of writes in order, as many [`KvStore::put`]s would;
+    /// returns each write's new version. Each chunk of 16 loads its home
+    /// slots together before it is applied, so their cache misses overlap.
+    pub fn put_many<V: AsRef<[u8]>>(&mut self, writes: &[(Key, V)]) -> Vec<u64> {
+        let mut versions = Vec::with_capacity(writes.len());
+        for chunk in writes.chunks(LOOKAHEAD) {
+            let mut hashes = [0; LOOKAHEAD];
+            for (hash, (key, _)) in hashes.iter_mut().zip(chunk) {
+                *hash = self.hasher.hash_one(key);
             }
-            Entry::Vacant(e) => e.insert(Versioned { version: 1, value }).version,
+            // A home slot is `hash & mask` until the table grows; a write
+            // that grows it still applies correctly, only unprefetched.
+            if let Some(mask) = self.slots.len().checked_sub(1) {
+                let mut seen = 0;
+                for hash in &hashes[..chunk.len()] {
+                    seen ^= self.slots[*hash as usize & mask].entry.version;
+                }
+                black_box(seen);
+            }
+            for (&hash, (key, value)) in hashes.iter().zip(chunk) {
+                versions.push(self.apply(hash, *key, value.as_ref()));
+            }
         }
+        versions
+    }
+
+    /// The one write path: a probe from `hash`'s home slot, then an
+    /// overwrite or an insert.
+    fn apply(&mut self, hash: u64, key: Key, value: &[u8]) -> u64 {
+        self.applied_writes += 1;
+        self.reserve_one();
+        let i = self.probe(hash, key);
+        let slot = &mut self.slots[i];
+        if slot.is_empty() {
+            slot.key = key;
+            self.len += 1;
+        }
+        slot.entry.version += 1;
+        slot.entry.value = Value::new(value);
+        slot.entry.version
+    }
+
+    /// Grows the table if one more key would fill more than 7/8 of it.
+    fn reserve_one(&mut self) {
+        if (self.len + 1) * 8 <= self.slots.len() * 7 {
+            return;
+        }
+        let size = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::empty(); size]);
+        for slot in old.into_iter().filter(|slot| !slot.is_empty()) {
+            let i = self.probe(self.hasher.hash_one(slot.key), slot.key);
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The index of `key`'s slot, or of the empty slot where it would go.
+    /// The table must not be empty; it is never full.
+    fn probe(&self, hash: u64, key: Key) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while !self.slots[i].is_empty() && self.slots[i].key != key {
+            i = (i + 1) & mask;
+        }
+        i
     }
 
     /// Reads the current value of a key.
     pub fn get(&self, key: Key) -> Option<&Versioned> {
-        self.map.get(&key)
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = &self.slots[self.probe(self.hasher.hash_one(key), key)];
+        (!slot.is_empty()).then_some(&slot.entry)
     }
 
     /// Reads just the value bytes, copied out.
     pub fn get_value(&self, key: Key) -> Option<Bytes> {
-        self.map.get(&key).map(|v| Bytes::copy_from_slice(&v.value))
+        self.get(key).map(|v| Bytes::copy_from_slice(&v.value))
     }
 
     /// Total writes applied over the store's lifetime.
@@ -149,18 +264,23 @@ impl KvStore {
 
     /// Number of distinct keys present.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// The entries in key order.
-    fn sorted(&self) -> Vec<(&Key, &Versioned)> {
-        let mut entries: Vec<_> = self.map.iter().collect();
-        entries.sort_unstable_by_key(|&(key, _)| *key);
+    fn sorted(&self) -> Vec<(Key, &Versioned)> {
+        let mut entries: Vec<_> = self
+            .slots
+            .iter()
+            .filter(|slot| !slot.is_empty())
+            .map(|slot| (slot.key, &slot.entry))
+            .collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
         entries
     }
 
@@ -183,11 +303,40 @@ impl KvStore {
     }
 }
 
+impl PartialEq for KvStore {
+    fn eq(&self, other: &KvStore) -> bool {
+        self.applied_writes == other.applied_writes
+            && self.len == other.len
+            && self
+                .slots
+                .iter()
+                .filter(|slot| !slot.is_empty())
+                .all(|slot| other.get(slot.key) == Some(&slot.entry))
+    }
+}
+impl Eq for KvStore {}
+
+impl fmt::Debug for KvStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "KvStore {{ applied_writes: {}, entries: ",
+            self.applied_writes
+        )?;
+        f.debug_map().entries(self.sorted()).finish()?;
+        f.write_str(" }")
+    }
+}
+
 /// The whole store, for state transfer to a replica that lost its own.
+/// A snapshot that names a key twice, or holds a version outside
+/// `1..=applied_writes`, is refused: no replica could have encoded it
+/// (each write adds one to one key's version). Version 0 marks an empty
+/// slot, and the bound keeps a later write from wrapping a version to 0.
 impl Wire for KvStore {
     fn encode(&self, buf: &mut BytesMut) {
         self.applied_writes.encode(buf);
-        (self.map.len() as u32).encode(buf);
+        (self.len as u32).encode(buf);
         for (key, v) in self.sorted() {
             key.encode(buf);
             v.version.encode(buf);
@@ -195,18 +344,30 @@ impl Wire for KvStore {
         }
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let applied_writes = u64::decode(buf)?;
-        let mut map = HashMap::new();
+        let mut store = KvStore {
+            applied_writes: u64::decode(buf)?,
+            ..KvStore::default()
+        };
+        // The table grows as entries arrive, never sized from the count.
         for _ in 0..u32::decode(buf)? {
             let key = Key::decode(buf)?;
             let version = u64::decode(buf)?;
             let value = Value::decode(buf)?;
-            map.insert(key, Versioned { version, value });
+            if version == 0 || version > store.applied_writes {
+                return Err(WireError::Invalid("store entry version out of range"));
+            }
+            store.reserve_one();
+            let i = store.probe(store.hasher.hash_one(key), key);
+            if !store.slots[i].is_empty() {
+                return Err(WireError::Invalid("store key named twice"));
+            }
+            store.slots[i] = Slot {
+                key,
+                entry: Versioned { version, value },
+            };
+            store.len += 1;
         }
-        Ok(KvStore {
-            map,
-            applied_writes,
-        })
+        Ok(store)
     }
 }
 
@@ -360,5 +521,151 @@ mod tests {
     fn an_entry_is_as_small_as_when_it_held_bytes() {
         assert_eq!(std::mem::size_of::<Value>(), 32);
         assert_eq!(std::mem::size_of::<Versioned>(), 40);
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
+
+    /// `n` writes over `keys` distinct keys spread across the `u64` range,
+    /// values cycling through the lengths 0, 30, 31 and 4096.
+    fn scrambled_run(seed: u64, n: usize, keys: u64) -> Vec<(Key, Vec<u8>)> {
+        let mut x = seed;
+        (0..n)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let key = ((x >> 33) % keys).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let len = [0, INLINE, INLINE + 1, 4096][i % 4];
+                (key, (0..len).map(|j| (j * 3 + i) as u8).collect())
+            })
+            .collect()
+    }
+
+    /// Runs of every length around a chunk of 16, each over few or many
+    /// keys (so a chunk names a key more than once, or grows the table
+    /// part-way), applied by `put_many` to one store and by `put` one by
+    /// one to another: the same versions come back and the stores agree in
+    /// every output.
+    #[test]
+    fn put_many_matches_put_one_by_one() {
+        let mut many = KvStore::new();
+        let mut one = KvStore::new();
+        let mut grew_mid_run = 0;
+        let runs = [
+            (0, 4),
+            (1, 4),
+            (15, 4),
+            (16, 3),
+            (17, 5),
+            (16, 1_000_000),
+            (2_100, 1_500),
+            (17, 1_000_000),
+            (15, 1_000_000),
+            (2_100, 20),
+            (2_100, 1_000_000),
+            (0, 1),
+        ];
+        for (i, &(n, keys)) in runs.iter().enumerate() {
+            let writes = scrambled_run(i as u64 + 1, n, keys);
+            if n == 16 && keys < 16 {
+                let mut chunk: Vec<Key> = writes.iter().map(|&(key, _)| key).collect();
+                chunk.sort_unstable();
+                chunk.dedup();
+                assert!(chunk.len() < 16, "a key repeats within the chunk");
+            }
+            let versions = many.put_many(&writes);
+            let mut expected = Vec::new();
+            for (k, (key, value)) in writes.iter().enumerate() {
+                let size = one.slots.len();
+                expected.push(one.put(*key, value));
+                if one.slots.len() != size && k % LOOKAHEAD != 0 {
+                    grew_mid_run += 1;
+                }
+            }
+            assert_eq!(versions, expected, "run {i}");
+            for (key, _) in &writes {
+                assert_eq!(many.get(*key), one.get(*key), "run {i}");
+            }
+            assert_eq!(many.get(3), None);
+            assert_eq!(many.applied_writes(), one.applied_writes());
+            assert_eq!(many.digest(), one.digest(), "run {i}");
+            assert_eq!(many.to_bytes(), one.to_bytes(), "run {i}");
+            assert_eq!(many, one, "run {i}");
+        }
+        // Writes after the one that grows the table start from stale homes.
+        assert!(
+            grew_mid_run >= 4,
+            "the table grew {grew_mid_run} times mid-chunk"
+        );
+    }
+
+    /// A snapshot entry as `Wire` writes it: key, version, value.
+    fn snapshot_entry(key: Key, version: u64, value: &[u8]) -> Vec<u8> {
+        let len = (value.len() as u32).to_le_bytes();
+        [&key.to_le_bytes()[..], &version.to_le_bytes(), &len, value].concat()
+    }
+
+    fn snapshot(applied: u64, entries: &[Vec<u8>]) -> Bytes {
+        let count = (entries.len() as u32).to_le_bytes();
+        let mut bytes = [&applied.to_le_bytes()[..], &count].concat();
+        for entry in entries {
+            bytes.extend_from_slice(entry);
+        }
+        Bytes::from(bytes)
+    }
+
+    /// No replica encodes a key twice, a version 0 or a version above its
+    /// applied writes, so a snapshot that does is not adopted: with the
+    /// later entry winning, the member would hold a store that no peer has.
+    #[test]
+    fn a_snapshot_naming_a_key_twice_is_refused() {
+        let first = snapshot_entry(5, 1, b"a");
+        let again = snapshot_entry(5, 3, b"b");
+        let other = snapshot_entry(6, 2, b"c");
+        let store = KvStore::from_bytes(snapshot(4, &[first.clone(), other.clone()]))
+            .expect("two keys decode");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get_value(5), Some(Bytes::from_static(b"a")));
+
+        assert_eq!(
+            KvStore::from_bytes(snapshot(4, &[first.clone(), other.clone(), again])),
+            Err(WireError::Invalid("store key named twice"))
+        );
+        for version in [0, 5, u64::MAX] {
+            assert_eq!(
+                KvStore::from_bytes(snapshot(
+                    4,
+                    &[first.clone(), snapshot_entry(7, version, b"")]
+                )),
+                Err(WireError::Invalid("store entry version out of range")),
+                "version {version}"
+            );
+        }
+        let at_bound = snapshot(4, &[first, snapshot_entry(7, 4, b"")]);
+        assert!(KvStore::from_bytes(at_bound).is_ok());
+    }
+
+    /// The entry count comes from a peer: a snapshot that claims
+    /// `u32::MAX` entries and holds none or half of one is truncated. The
+    /// table grows per decoded entry, so nothing is reserved for the claim
+    /// (room for it would be ≈ 200 GB, an allocation that fails and aborts
+    /// the test).
+    #[test]
+    fn a_snapshot_claiming_u32_max_entries_is_truncated() {
+        let claims_max = snapshot(7, &[]);
+        let claims_max = [&claims_max[..8], &u32::MAX.to_le_bytes()].concat();
+        assert_eq!(
+            KvStore::from_bytes(Bytes::from(claims_max.clone())),
+            Err(WireError::Truncated)
+        );
+        let half = [&claims_max[..], &snapshot_entry(5, 1, b"a")[..12]].concat();
+        assert_eq!(
+            KvStore::from_bytes(Bytes::from(half)),
+            Err(WireError::Truncated)
+        );
+        let one = [&claims_max[..], &snapshot_entry(5, 1, b"a")].concat();
+        assert_eq!(
+            KvStore::from_bytes(Bytes::from(one)),
+            Err(WireError::Truncated)
+        );
     }
 }
