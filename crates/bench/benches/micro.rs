@@ -30,7 +30,6 @@ fn proposal(origin: u32, number: u64, ops: usize) -> VnodeState {
                 arrival: Time::ZERO,
             })
             .collect(),
-        lease_requests: Vec::new(),
     };
     VnodeState::round1(
         NodeId(origin),
@@ -205,7 +204,6 @@ fn bench_one_node_cycle(c: &mut Criterion) {
         let set = RequestSet {
             origin: NodeId(origin),
             ops,
-            lease_requests: Vec::new(),
         };
         let number = u64::from(origin).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         VnodeState::round1(

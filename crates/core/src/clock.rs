@@ -93,7 +93,7 @@ impl CycleClock {
 
     /// The start rule (module docs). `pending_weight` is the client
     /// writes waiting for a cycle, `local_work` whether anything at all
-    /// is: writes, reads to order, membership updates, lease requests.
+    /// is: writes, reads to order, membership updates.
     pub(crate) fn decide(&self, now: Time, pending_weight: u64, local_work: bool) -> Decision {
         let start = |window_closed| Decision::Start { window_closed };
         if self.in_flight() >= self.depth {

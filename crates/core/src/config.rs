@@ -8,24 +8,15 @@
 //! at a time; [`CanopusConfig::wide_area`] is the paper's multi-datacenter
 //! setting of the same three. What no deployment, test or benchmark has
 //! ever set is a constant where it is used (`lane.rs`: representatives per
-//! super-leaf, fetch redundancy, lease span, state retention).
+//! super-leaf, state retention).
+//!
+//! Reads have one path and no setting: each waits for the cycle that
+//! orders the concurrent writes to commit, then is interleaved at its
+//! position in the node's own request order (§5). No read crosses the
+//! network.
 
 use canopus_raft::RaftConfig;
 use canopus_sim::Dur;
-
-/// How reads are linearized.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ReadMode {
-    /// §5: delay each read until the cycle that orders the concurrent
-    /// writes commits, then interleave it at its position in the node's own
-    /// request order. No read ever crosses the network.
-    Delayed,
-    /// §7.2: write leases. Reads to keys without an active write lease are
-    /// served immediately from committed state; writes pay an extra lease
-    /// round. Synthetic operations are treated as immediately servable
-    /// reads / lease-free writes.
-    Leases,
-}
 
 /// Full configuration of a Canopus node.
 #[derive(Clone, Debug)]
@@ -60,8 +51,6 @@ pub struct CanopusConfig {
     pub failure_timeout: Dur,
     /// Raft parameters for super-leaf reliable broadcast.
     pub raft: RaftConfig,
-    /// Read linearization mode.
-    pub read_mode: ReadMode,
     /// Keep per-cycle commit records for inspection by tests (disable for
     /// long benchmark runs; the commit digest is always maintained).
     pub record_log: bool,
@@ -82,7 +71,6 @@ impl Default for CanopusConfig {
             tick_interval: Dur::millis(1),
             failure_timeout: Dur::millis(25),
             raft: RaftConfig::default(),
-            read_mode: ReadMode::Delayed,
             record_log: true,
             shards: 1,
         }

@@ -9,7 +9,7 @@
 //! (§4.4), acts as a super-leaf representative fetching remote vnode states
 //! (§4.5), maintains the emulation table through committed membership
 //! updates (§4.6), and linearizes reads by delaying them one or two cycles
-//! (§5) or through write leases (§7.2).
+//! (§5).
 //!
 //! Two decisions are made elsewhere and only carried out here. *When* a
 //! cycle starts — work, a full batch, outside prompting, how many cycles may
@@ -46,7 +46,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::clock::{CycleClock, Decision};
-use crate::config::{CanopusConfig, ReadMode};
+use crate::config::CanopusConfig;
 use crate::emulation::EmulationTable;
 use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
 use crate::node::LaneCtx;
@@ -62,13 +62,6 @@ const WINDOW: u64 = 2;
 
 /// Super-leaf representatives fetching remote vnode states (§4.5).
 const REPRESENTATIVES: usize = 2;
-/// Representatives that fetch each vnode state. The paper's example uses 2
-/// for fault tolerance; here a fetch that times out is retried with
-/// another emulator and a stalled cycle is rescued by any member.
-const FETCH_REDUNDANCY: usize = 1;
-/// Cycles a write lease stays active after the cycle that granted it
-/// (§7.2).
-const LEASE_SPAN: u64 = 8;
 /// Committed cycles kept for answering late proposal-requests from lagging
 /// super-leaves.
 const STATE_RETENTION: u64 = 64;
@@ -139,8 +132,6 @@ pub struct CanopusStats {
     pub own_writes: u64,
     /// Reads served to this node's clients (weighted).
     pub reads_served: u64,
-    /// Reads served immediately under the lease optimization.
-    pub lease_fast_reads: u64,
     /// Proposal-requests answered for other super-leaves.
     pub fetches_served: u64,
     /// Running FNV digest of the commit history (agreement checks).
@@ -208,12 +199,6 @@ pub struct Lane {
     pending_weight: u64,
     pending_reads: Vec<PendingRead>,
     pending_updates: Vec<MembershipUpdate>,
-    /// Lease mode: writes parked until their key's lease activates.
-    awaiting_lease: BTreeMap<Key, Vec<TimedOp>>,
-    /// Lease mode: keys whose lease we will request in the next proposal.
-    requested_leases: BTreeSet<Key>,
-    /// Lease mode: key → last cycle its write lease covers.
-    lease_until: BTreeMap<Key, u64>,
 
     // Cycle machinery.
     cycles: BTreeMap<CycleId, CycleState>,
@@ -318,9 +303,6 @@ impl Lane {
             pending_weight: 0,
             pending_reads: Vec::new(),
             pending_updates: Vec::new(),
-            awaiting_lease: BTreeMap::new(),
-            requested_leases: BTreeSet::new(),
-            lease_until: BTreeMap::new(),
             cycles: BTreeMap::new(),
             waiting_requests: Vec::new(),
             superleaf_roster,
@@ -394,36 +376,6 @@ impl Lane {
         self.clock.last_started()
     }
 
-    /// Human-readable diagnostic of in-flight protocol state.
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{}: started={} committed={} tombstoned={:?} pending_ts={:?} roster={:?}",
-            self.me,
-            self.clock.last_started().0,
-            self.clock.last_committed().0,
-            self.tombstoned,
-            self.pending_tombstones.keys().collect::<Vec<_>>(),
-            self.superleaf_roster,
-        );
-        for (c, e) in self.cycles.range(self.clock.last_committed().next()..) {
-            let _ = write!(
-                out,
-                "
-  {c:?}: started={} r1_from={:?} anc={:?} remote={:?} fetches={:?} root={}",
-                e.started,
-                e.round1.keys().collect::<Vec<_>>(),
-                e.ancestors.iter().map(|a| a.is_some()).collect::<Vec<_>>(),
-                e.remote.keys().collect::<Vec<_>>(),
-                e.fetches.keys().collect::<Vec<_>>(),
-                e.root_done,
-            );
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Broadcast plumbing
     // ------------------------------------------------------------------
@@ -455,12 +407,6 @@ impl Lane {
     // Client intake
     // ------------------------------------------------------------------
 
-    fn lease_active_for_next_cycles(&self, key: Key) -> bool {
-        self.lease_until
-            .get(&key)
-            .is_some_and(|&until| until > self.clock.last_started().0)
-    }
-
     fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
         // Aggregates are parsed once, not per represented op, so their
         // ingest is amortized (`ingest_micro` measures the split).
@@ -472,45 +418,18 @@ impl Lane {
             }
         }
         if req.op.is_write() {
-            let op = TimedOp {
+            self.pending_weight += req.op.weight() as u64;
+            self.pending_writes.push_back(TimedOp {
                 req,
                 arrival: ctx.now(),
-            };
-            let leased_write =
-                self.cfg.read_mode == ReadMode::Leases && matches!(op.req.op, Op::Put { .. });
-            if leased_write {
-                if let Op::Put { key, .. } = op.req.op {
-                    if self.lease_active_for_next_cycles(key) {
-                        self.pending_weight += op.req.op.weight() as u64;
-                        self.pending_writes.push_back(op);
-                    } else {
-                        // Park until the lease round grants coverage.
-                        self.requested_leases.insert(key);
-                        self.awaiting_lease.entry(key).or_default().push(op);
-                    }
-                }
-            } else {
-                self.pending_weight += op.req.op.weight() as u64;
-                self.pending_writes.push_back(op);
-            }
+            });
         } else {
-            // Reads: lease mode may serve immediately; otherwise delay for
-            // linearization (§5).
-            let fast = match (&self.cfg.read_mode, &req.op) {
-                (ReadMode::Leases, Op::Get { key }) => !self.lease_active_for_next_cycles(*key),
-                (ReadMode::Leases, Op::SyntheticRead { .. }) => true,
-                _ => false,
-            };
-            if fast {
-                self.stats.lease_fast_reads += req.op.weight() as u64;
-                self.serve_read(&req, ctx);
-            } else {
-                self.pending_reads.push(PendingRead {
-                    write_prefix: self.pending_writes.len(),
-                    req,
-                    ordering_cycle: CycleId(0),
-                });
-            }
+            // Reads wait for the cycle that orders them (§5).
+            self.pending_reads.push(PendingRead {
+                write_prefix: self.pending_writes.len(),
+                req,
+                ordering_cycle: CycleId(0),
+            });
         }
         self.maybe_start_cycles(ctx);
     }
@@ -545,7 +464,6 @@ impl Lane {
                 .iter()
                 .any(|r| r.ordering_cycle == CycleId(0))
             || !self.pending_updates.is_empty()
-            || !self.requested_leases.is_empty()
     }
 
     /// Starts as many cycles as the clock allows, and opens the batching
@@ -586,8 +504,7 @@ impl Lane {
             ctx.cancel_timer(timer);
         }
 
-        // Batch everything pending: writes, lease requests, membership
-        // updates. Reads buffered during the previous window are ordered by
+        // Batch everything pending: writes and membership updates. Reads buffered during the previous window are ordered by
         // this cycle (§5).
         let batch_weight = self.pending_weight;
         let ops: OpBlock = self.pending_writes.drain(..).collect();
@@ -608,9 +525,6 @@ impl Lane {
                 in_flight,
             },
         );
-        let lease_requests: Vec<Key> = std::mem::take(&mut self.requested_leases)
-            .into_iter()
-            .collect();
         let updates = std::mem::take(&mut self.pending_updates);
         for read in &mut self.pending_reads {
             if read.ordering_cycle == CycleId(0) {
@@ -622,7 +536,6 @@ impl Lane {
         let set = RequestSet {
             origin: self.me,
             ops,
-            lease_requests,
         };
         let number = self.rng.gen::<u64>();
         let state = VnodeState::round1(self.me, self.my_parent.clone(), c, number, set, updates);
@@ -682,8 +595,11 @@ impl Lane {
                 .filter(|v| *v != own_child)
                 .collect();
             for (j, vnode) in needed.into_iter().enumerate() {
-                let mine = (0..FETCH_REDUNDANCY).any(|k| reps[(j + k) % reps.len()] == self.me);
-                if !mine {
+                // One representative fetches each vnode state. The paper's
+                // example uses 2 for fault tolerance; here a fetch that
+                // times out is retried with another emulator and a stalled
+                // cycle is rescued by any member.
+                if reps[j % reps.len()] != self.me {
                     continue;
                 }
                 let entry = self.cycle_entry(c);
@@ -1020,19 +936,7 @@ impl Lane {
         // 1. Membership updates (§4.6) — identical at every node.
         self.table.apply_all(&root.updates);
 
-        // 2. Lease grants (§7.2): requests in this cycle cover the next
-        //    `LEASE_SPAN` cycles.
-        let mut unlocked: Vec<Key> = Vec::new();
-        for set in &root.sets {
-            for &key in &set.lease_requests {
-                self.lease_until.insert(key, c.0 + LEASE_SPAN);
-                if set.origin == self.me {
-                    unlocked.push(key);
-                }
-            }
-        }
-
-        // 3. Apply the total order; interleave own reads at their recorded
+        // 2. Apply the total order; interleave own reads at their recorded
         //    positions (§5). The commit record is built only if it is kept.
         let mut own_reads: Vec<PendingRead> = Vec::new();
         let mut rest: Vec<PendingRead> = Vec::new();
@@ -1120,18 +1024,7 @@ impl Lane {
             self.serve_read(&r.req, ctx);
         }
 
-        // 4. Lease mode: release parked writes whose lease now covers the
-        //    upcoming cycles.
-        for key in unlocked {
-            if let Some(ops) = self.awaiting_lease.remove(&key) {
-                for op in ops {
-                    self.pending_weight += op.req.op.weight() as u64;
-                    self.pending_writes.push_back(op);
-                }
-            }
-        }
-
-        // 5. Bookkeeping.
+        // 3. Bookkeeping.
         let started_at = self.cycles.get(&c).map(|e| e.started_at).unwrap_or(now);
         self.stats.cycle_latency_sum_ns += now.saturating_since(started_at).as_nanos();
         self.stats.committed_cycles += 1;
@@ -1155,7 +1048,7 @@ impl Lane {
             },
         );
 
-        // 6. Prune retired cycle state.
+        // 4. Prune retired cycle state.
         let keep_from = CycleId(c.0.saturating_sub(STATE_RETENTION));
         let stale: Vec<CycleId> = self.cycles.range(..keep_from).map(|(&k, _)| k).collect();
         for k in stale {
@@ -1311,7 +1204,6 @@ impl Lane {
             roster: self.superleaf_roster.iter().copied().collect(),
             tombstoned: self.tombstoned.iter().map(|(&n, &c)| (n, c)).collect(),
             rejoined: self.rejoined.iter().map(|(&n, &c)| (n, c)).collect(),
-            leases: self.lease_until.iter().map(|(&k, &c)| (k, c)).collect(),
             store: self.store.clone(),
             round1: in_flight()
                 .flat_map(|(_, e)| e.round1.iter().map(|(&n, s)| (n, s.clone())))
@@ -1351,7 +1243,6 @@ impl Lane {
         self.superleaf_roster = snapshot.roster.into_iter().collect();
         self.tombstoned = snapshot.tombstoned.into_iter().collect();
         self.rejoined = snapshot.rejoined.into_iter().collect();
-        self.lease_until = snapshot.leases.into_iter().collect();
         self.store = snapshot.store;
         self.stats.commit_digest = snapshot.commit_digest;
         self.stats.committed_cycles = snapshot.committed_cycles;

@@ -12,8 +12,7 @@
 //! super-leaves, so each proposal crosses each oversubscribed or wide-area
 //! link once. Writes are ordered by fresh per-cycle random numbers; reads
 //! are never disseminated at all — they are delayed one or two cycles and
-//! interleaved locally (§5), or served immediately under write leases
-//! (§7.2).
+//! interleaved locally (§5).
 //!
 //! ## Quick start
 //!
@@ -56,7 +55,7 @@ pub mod node;
 pub mod proposal;
 pub mod types;
 
-pub use config::{CanopusConfig, ReadMode, BATCH_LINGER};
+pub use config::{CanopusConfig, BATCH_LINGER};
 pub use emulation::EmulationTable;
 pub use lane::{CanopusStats, CommittedCycle, CommittedOp, CommittedSet, Lane};
 pub use msg::{BroadcastItem, CanopusMsg, Snapshot};

@@ -13,7 +13,7 @@
 //! receiving node routes a request to the lane that owns it.
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{route_hint, ClientReply, ClientRequest, Key, KvStore};
+use canopus_kv::{route_hint, ClientReply, ClientRequest, KvStore};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_raft::RaftMsg;
 use canopus_sim::{NodeId, Payload};
@@ -115,8 +115,6 @@ pub struct Snapshot {
     pub tombstoned: Vec<(NodeId, CycleId)>,
     /// Rejoin markers delivered: member → first cycle it is back in.
     pub rejoined: Vec<(NodeId, CycleId)>,
-    /// Write leases: key → last cycle covered.
-    pub leases: Vec<(Key, u64)>,
     /// The store after `last_committed`.
     pub store: KvStore,
     /// Round-1 proposals delivered for cycles still in flight.
@@ -136,7 +134,6 @@ impl Wire for Snapshot {
         self.roster.encode(buf);
         self.tombstoned.encode(buf);
         self.rejoined.encode(buf);
-        self.leases.encode(buf);
         self.store.encode(buf);
         self.round1.encode(buf);
         self.remote.encode(buf);
@@ -152,7 +149,6 @@ impl Wire for Snapshot {
             roster: Wire::decode(buf)?,
             tombstoned: Wire::decode(buf)?,
             rejoined: Wire::decode(buf)?,
-            leases: Wire::decode(buf)?,
             store: Wire::decode(buf)?,
             round1: Wire::decode(buf)?,
             remote: Wire::decode(buf)?,
@@ -338,7 +334,6 @@ mod tests {
                 }]
                 .into_iter()
                 .collect(),
-                lease_requests: vec![],
             },
             vec![],
         )
@@ -361,7 +356,6 @@ mod tests {
             roster: vec![NodeId(0), NodeId(1), NodeId(2)],
             tombstoned: vec![(NodeId(1), CycleId(3))],
             rejoined: vec![],
-            leases: vec![(9, 6)],
             store,
             round1: vec![(NodeId(2), sample_state())],
             remote: vec![sample_state()],
@@ -509,7 +503,6 @@ mod tests {
             };
             let arrival = canopus_sim::Time::from_nanos(500);
             vec![TimedOp { req, arrival }].encode(&mut buf);
-            Vec::<Key>::new().encode(&mut buf); // lease requests
             Vec::<MembershipUpdate>::new().encode(&mut buf);
             buf.freeze()
         };

@@ -89,9 +89,6 @@ pub struct RequestSet {
     pub origin: NodeId,
     /// The writes, in arrival (client-FIFO) order.
     pub ops: OpBlock,
-    /// Keys for which this origin requests write leases (§7.2; empty unless
-    /// the lease optimization is enabled).
-    pub lease_requests: Vec<u64>,
 }
 
 impl RequestSet {
@@ -101,7 +98,6 @@ impl RequestSet {
         RequestSet {
             origin,
             ops: OpBlock::default(),
-            lease_requests: Vec::new(),
         }
     }
 
@@ -112,7 +108,7 @@ impl RequestSet {
 
     /// Payload bytes represented.
     pub fn payload_bytes(&self) -> usize {
-        self.ops.payload_bytes() + self.lease_requests.len() * 8 + 16
+        self.ops.payload_bytes() + 16
     }
 }
 
@@ -120,13 +116,11 @@ impl Wire for RequestSet {
     fn encode(&self, buf: &mut BytesMut) {
         self.origin.encode(buf);
         self.ops.encode(buf);
-        self.lease_requests.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(RequestSet {
             origin: NodeId::decode(buf)?,
             ops: OpBlock::decode(buf)?,
-            lease_requests: Vec::<u64>::decode(buf)?,
         })
     }
 }
@@ -601,7 +595,6 @@ mod tests {
                     arrival: Time::ZERO,
                 })
                 .collect(),
-            lease_requests: Vec::new(),
         }
     }
 
@@ -705,7 +698,6 @@ mod tests {
             node: NodeId(8),
             superleaf: 2,
         }];
-        state.sets[0].lease_requests = vec![42, 43];
         let back = VnodeState::from_bytes(state.to_bytes()).unwrap();
         assert_eq!(back, state);
     }
@@ -754,10 +746,9 @@ mod tests {
         let set = RequestSet {
             origin: NodeId(0),
             ops: block,
-            lease_requests: vec![9],
         };
         assert_eq!(set.weight(), 102);
-        assert_eq!(set.payload_bytes(), 16 + 1600 + 19 + 3 * 21 + 8 + 16);
+        assert_eq!(set.payload_bytes(), 16 + 1600 + 19 + 3 * 21 + 16);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! These exercise the §6 correctness properties (agreement, FIFO,
 //! linearizability, liveness-or-stall) across LOT shapes, failure
-//! scenarios, and both read modes.
+//! scenarios, and the §5 read path.
 
 use bytes::Bytes;
 use canopus::{
     CanopusConfig, CanopusMsg, CanopusNode, CanopusStats, CommittedOp, EmulationTable, LotShape,
-    ReadMode,
 };
 use canopus_kv::{
     check_agreement, check_client_fifo, ClientReply, ClientRequest, KvStore, LinChecker, Op,
@@ -889,75 +888,60 @@ fn empty_cluster_stays_idle() {
     }
 }
 
+/// A member cut off from every other node but not from its client. The
+/// survivors tombstone it and go on committing, so a write acknowledged
+/// while the cut holds is missing from its store. A read sent to it must
+/// not be answered from that store: it waits for the cycle that orders it
+/// (§5), which cannot commit until the cut heals, and then sees the write.
 #[test]
-fn lease_mode_serves_uncontended_reads_fast_and_linearizably() {
+fn a_member_cut_off_from_the_tree_never_serves_a_stale_read() {
     let cfg = CanopusConfig {
-        read_mode: ReadMode::Leases,
+        failure_timeout: Dur::millis(15),
+        fetch_timeout: Dur::millis(40),
         ..CanopusConfig::default()
     };
-    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 10);
-    // Writer hammers key 1; reader reads both key 1 (contended) and key 99
-    // (never written -> always fast).
-    let writes: Vec<(Dur, Op)> = (0..10)
-        .map(|k| (Dur::millis(3 * k + 1), put(1, k as u8)))
-        .collect();
-    add_client(&mut cluster, NodeId(0), writes);
-    let mut reads = Vec::new();
-    for k in 0..10u64 {
-        reads.push((Dur::millis(3 * k + 2), Op::Get { key: 1 }));
-        reads.push((Dur::micros(3000 * k + 2500), Op::Get { key: 99 }));
-    }
-    reads.sort_by_key(|(d, _)| *d);
-    let reader = add_client(&mut cluster, NodeId(4), reads);
-    cluster.sim.run_for(Dur::millis(600));
-
-    let mut checker = LinChecker::new();
-    {
-        let node = cluster.sim.node::<CanopusNode>(NodeId(0));
-        for cc in node.committed_log() {
-            for set in &cc.sets {
-                for op in &set.ops {
-                    if let CommittedOp::Put { key, version, .. } = *op {
-                        checker.record_write(WriteObs {
-                            key,
-                            version,
-                            committed: cc.at,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let client = cluster.sim.node::<ScriptClient>(reader);
-    assert_eq!(client.replies.len(), 20, "all reads answered");
-    for (op_id, result, at) in &client.replies {
-        let (_, sent) = client.sent[*op_id as usize];
-        // Key is recoverable from the script.
-        let key = match &client.script[*op_id as usize].1 {
-            Op::Get { key } => *key,
-            _ => unreachable!(),
-        };
-        let version = match result {
-            OpResult::Value(None) => 0,
-            OpResult::Value(Some(v)) => v[0] as u64 + 1,
-            other => panic!("unexpected {other:?}"),
-        };
-        checker
-            .check_read(ReadObs {
-                key,
-                version,
-                invoke: sent,
-                respond: *at,
-            })
-            .unwrap_or_else(|e| panic!("lease-mode linearizability violation: {e:?}"));
-    }
-    // The never-written key must have been served from the fast path.
-    let node4 = cluster.sim.node::<CanopusNode>(NodeId(4));
-    assert!(
-        node4.stats().lease_fast_reads >= 10,
-        "uncontended reads took the fast path: {}",
-        node4.stats().lease_fast_reads
+    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 5);
+    let mut writes = vec![(Dur::millis(1), put(7, 1))];
+    writes.extend((0..40).map(|i| (Dur::millis(5 + i), put(100 + i, 0))));
+    writes.push((Dur::millis(150), put(7, 2)));
+    let writer = add_client(&mut cluster, NodeId(0), writes);
+    let read_at = Time::ZERO + Dur::millis(300);
+    let reader = add_client(
+        &mut cluster,
+        NodeId(1),
+        vec![(Dur::millis(300), Op::Get { key: 7 })],
     );
+
+    cluster.sim.run_for(Dur::millis(60));
+    let others: Vec<NodeId> = [0, 2, 3, 4, 5].map(NodeId).to_vec();
+    cluster.fault(FaultAction::Cut(vec![NodeId(1)], others));
+    cluster.sim.run_for(Dur::millis(400));
+
+    let w = cluster.sim.node::<ScriptClient>(writer);
+    let acked = w.replies.iter().find(|(op_id, ..)| *op_id == 41);
+    let &(_, _, acked_at) = acked.expect("the tag-2 write commits without node 1");
+    assert!(
+        acked_at < read_at,
+        "the tag-2 write was acknowledged at {acked_at:?}"
+    );
+    let r = cluster.sim.node::<ScriptClient>(reader);
+    assert_eq!(r.sent.len(), 1, "the read was sent");
+    assert!(
+        r.replies.is_empty(),
+        "a member cut off from the tree answered a read: {:?}",
+        r.replies
+    );
+
+    cluster.fault(FaultAction::HealAll);
+    cluster.sim.run_for(Dur::millis(800));
+    let r = cluster.sim.node::<ScriptClient>(reader);
+    match &r.replies[..] {
+        [(0, OpResult::Value(Some(v)), at)] => {
+            assert_eq!(v[0], 2, "the read after the heal sees the tag-2 write");
+            assert!(*at > read_at);
+        }
+        other => panic!("expected one tag-2 reply after the heal, got {other:?}"),
+    }
 }
 
 /// The failure detector can give a member up before that member's broadcast

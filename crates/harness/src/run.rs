@@ -41,9 +41,9 @@ impl RunResult {
     /// the system kept up with the offered load.
     ///
     /// The write median is checked separately: in systems that serve reads
-    /// locally (ZooKeeper, lease-mode Canopus) a read-heavy mix keeps the
-    /// combined median low even after the write path has collapsed, which
-    /// would otherwise report absurd "sustained" rates.
+    /// locally (ZooKeeper) a read-heavy mix keeps the combined median low
+    /// even after the write path has collapsed, which would otherwise
+    /// report absurd "sustained" rates.
     pub fn is_sustainable(&self, limit: Dur) -> bool {
         self.healthy
             && self.achieved >= 0.75 * self.offered

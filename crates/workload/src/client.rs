@@ -8,8 +8,7 @@
 //!   aggregated into synthetic batches so multi-million-request-per-second
 //!   sweeps stay tractable (see `canopus-kv`'s synthetic ops).
 //! * [`ClosedLoopClient`] — one-outstanding-request clients issuing real
-//!   `Put`/`Get` operations; used for precise latency curves and for the
-//!   lease optimization, which requires blocking clients (§7.2).
+//!   `Put`/`Get` operations; used for precise latency curves.
 //!
 //! Both are generic over the protocol via [`ProtocolMsg`].
 
@@ -305,7 +304,7 @@ pub struct ClosedLoopConfig {
     /// Stop after this many operations (0 = unbounded).
     pub max_ops: u64,
     /// Requests kept in flight at once. 1 (the default) is the strict
-    /// blocking client the §7.2 lease optimization assumes; larger values
+    /// blocking client; larger values
     /// model a client that pipelines several independent operations, which
     /// pairs with the node-side batching knobs to fill larger proposals.
     pub pipeline: usize,
@@ -325,8 +324,8 @@ impl Default for ClosedLoopConfig {
     }
 }
 
-/// A blocking client: one outstanding request at a time (the client model
-/// required by the paper's §7.2 lease optimization).
+/// A blocking client: one outstanding request at a time (more with
+/// [`ClosedLoopConfig::pipeline`]).
 pub struct ClosedLoopClient<M: ProtocolMsg> {
     cfg: ClosedLoopConfig,
     target: NodeId,

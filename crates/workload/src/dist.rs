@@ -2,9 +2,8 @@
 //!
 //! The paper's clients "send requests to nodes according to a Poisson
 //! process at a given inter-arrival rate" with keys "randomly selected
-//! from 1 million keys" (§8.1) — i.e. uniform popularity, the regime the
-//! paper argues PQL-style lease protocols handle poorly. A Zipf sampler is
-//! included for skewed-popularity extensions (e.g. lease-mode ablations).
+//! from 1 million keys" (§8.1) — i.e. uniform popularity. A Zipf sampler
+//! is included for skewed-popularity extensions.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

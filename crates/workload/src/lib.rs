@@ -3,8 +3,7 @@
 //! Load generation and latency accounting for the evaluation (§8): open-
 //! loop Poisson clients with configurable write ratios (the paper's 180
 //! single-DC clients / 100 clients per datacenter), closed-loop blocking
-//! clients for precise latency curves and the §7.2 lease optimization,
-//! Poisson/uniform/Zipf samplers, and mergeable latency recorders with
+//! clients for precise latency curves, Poisson/uniform/Zipf samplers, and mergeable latency recorders with
 //! reservoir-sampled percentiles.
 //!
 //! Clients are generic over the protocol through [`ProtocolMsg`], which is
