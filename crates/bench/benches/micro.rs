@@ -171,11 +171,13 @@ fn bench_kv_apply(c: &mut Criterion) {
 }
 
 /// One node's share of a 3×3 cycle at saturation (≈ 2 100 ops): decode
-/// its super-leaf's three 233-op round-1 proposals and the two 700-op
-/// states of the sibling super-leaves as the broadcast delivers them, the
-/// round-1 merge of clones of the proposals, one proposal-response encoded
-/// from a clone of the merged state, the round-2 merge of clones of it and
-/// the remote states, and the apply of the root into a 100 000-key store.
+/// its super-leaf's three 233-op round-1 proposals as the broadcast
+/// delivers them and the two 700-op states of the sibling super-leaves as
+/// the proposal-responses that bring them (fetched, or forwarded by the
+/// representative), the round-1 merge of clones of the proposals, one
+/// proposal-response encoded from a clone of the merged state, the round-2
+/// merge of clones of it and the remote states, and the apply of the root
+/// into a 100 000-key store.
 fn bench_one_node_cycle(c: &mut Criterion) {
     use canopus::{BroadcastItem, CycleId, WriteView};
 
@@ -221,7 +223,8 @@ fn bench_one_node_cycle(c: &mut Criterion) {
     let remote: Vec<Bytes> = (1..3u16)
         .map(|s| {
             let members = (0..3).map(|i| proposal(u32::from(s) * 3 + i, s)).collect();
-            BroadcastItem::Remote(VnodeState::merge(VnodeId(vec![s]), members)).to_bytes()
+            let state = VnodeState::merge(VnodeId(vec![s]), members);
+            CanopusMsg::ProposalResponse { state }.to_bytes()
         })
         .collect();
     let mut store = KvStore::new();
@@ -229,13 +232,17 @@ fn bench_one_node_cycle(c: &mut Criterion) {
         store.put(k, b"12345678");
     }
     let decode = |bytes: &Bytes| match BroadcastItem::from_bytes(bytes.clone()) {
-        Ok(BroadcastItem::Proposal(s) | BroadcastItem::Remote(s)) => s,
-        other => panic!("not a state: {other:?}"),
+        Ok(BroadcastItem::Proposal(s)) => s,
+        other => panic!("not a proposal: {other:?}"),
+    };
+    let receive = |bytes: &Bytes| match CanopusMsg::from_bytes(bytes.clone()) {
+        Ok(CanopusMsg::ProposalResponse { state }) => state,
+        other => panic!("not a proposal-response: {other:?}"),
     };
     c.bench_function("one_node_cycle_2100_ops", |b| {
         b.iter(|| {
             let round1: Vec<VnodeState> = own.iter().map(decode).collect();
-            let remote: Vec<VnodeState> = remote.iter().map(decode).collect();
+            let remote: Vec<VnodeState> = remote.iter().map(receive).collect();
             let h1 = VnodeState::merge(VnodeId(vec![0]), round1.to_vec());
             let response = CanopusMsg::ProposalResponse { state: h1.clone() };
             black_box(response.to_bytes());

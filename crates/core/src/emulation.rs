@@ -83,11 +83,6 @@ impl EmulationTable {
         out
     }
 
-    /// All live nodes in the tree.
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        self.home.keys().copied().collect()
-    }
-
     /// Applies one committed membership update. Unknown leaves and
     /// duplicate joins are tolerated (updates may be proposed by several
     /// observers and merge idempotently).

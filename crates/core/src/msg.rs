@@ -3,7 +3,10 @@
 //! Three planes share one message enum so a single transport carries them:
 //! the super-leaf reliable-broadcast plane (Raft traffic), the inter-super-
 //! leaf plane (proposal-request / proposal-response, §4.2), and the client
-//! plane (requests in, replies out). A fourth pair of messages is for the
+//! plane (requests in, replies out). Proposal-responses also travel inside a
+//! super-leaf: the representative that fetched a state forwards it to its
+//! peers, since a state every emulator computes alike needs delivery, not
+//! the broadcast's order. A fourth pair of messages is for the
 //! rare member that restarted without its broadcast logs: it asks a
 //! super-leaf peer for a [`Snapshot`].
 //!
@@ -22,13 +25,13 @@ use crate::proposal::VnodeState;
 use crate::types::{CycleId, VnodeId};
 
 /// An item disseminated through super-leaf reliable broadcast (the payload
-/// of a Raft log entry).
+/// of a Raft log entry): only what must be ordered with a member's own
+/// proposals. Fetched remote states are forwarded as
+/// [`CanopusMsg::ProposalResponse`] instead. Tag 1 is unused.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BroadcastItem {
     /// A round-1 proposal from a super-leaf member.
     Proposal(VnodeState),
-    /// A remote vnode state fetched by a representative.
-    Remote(VnodeState),
     /// Proposed into a failed member's group by the successor leader:
     /// the member contributes no proposals from `from_cycle` on, until a
     /// `Rejoin` appears later in the same group's log. Because it is
@@ -56,10 +59,6 @@ impl Wire for BroadcastItem {
                 0u8.encode(buf);
                 state.encode(buf);
             }
-            BroadcastItem::Remote(state) => {
-                1u8.encode(buf);
-                state.encode(buf);
-            }
             BroadcastItem::Tombstone { node, from_cycle } => {
                 2u8.encode(buf);
                 node.encode(buf);
@@ -75,7 +74,6 @@ impl Wire for BroadcastItem {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         match buf.read_u8()? {
             0 => Ok(BroadcastItem::Proposal(VnodeState::decode(buf)?)),
-            1 => Ok(BroadcastItem::Remote(VnodeState::decode(buf)?)),
             2 => Ok(BroadcastItem::Tombstone {
                 node: NodeId::decode(buf)?,
                 from_cycle: CycleId::decode(buf)?,
@@ -119,7 +117,7 @@ pub struct Snapshot {
     pub store: KvStore,
     /// Round-1 proposals delivered for cycles still in flight.
     pub round1: Vec<(NodeId, VnodeState)>,
-    /// Remote vnode states delivered for cycles still in flight.
+    /// Remote vnode states received for cycles still in flight.
     pub remote: Vec<VnodeState>,
 }
 
@@ -172,7 +170,8 @@ pub enum CanopusMsg {
         /// The vnode whose state is requested.
         vnode: VnodeId,
     },
-    /// The emulator's answer (sent once the state is computed).
+    /// The emulator's answer (sent once the state is computed), or the
+    /// representative's forward of it to a super-leaf peer.
     ProposalResponse {
         /// The requested state.
         state: VnodeState,
@@ -463,7 +462,6 @@ mod tests {
     fn broadcast_items_round_trip() {
         let items = vec![
             BroadcastItem::Proposal(sample_state()),
-            BroadcastItem::Remote(sample_state()),
             BroadcastItem::Tombstone {
                 node: NodeId(3),
                 from_cycle: CycleId(12),
@@ -477,6 +475,12 @@ mod tests {
             let back = BroadcastItem::from_bytes(item.to_bytes()).unwrap();
             assert_eq!(back, item);
         }
+        // Tag 1 is unused: fetched remote states are forwarded outside the
+        // broadcast, so an item with that tag is refused.
+        let mut buf = BytesMut::new();
+        1u8.encode(&mut buf);
+        sample_state().encode(&mut buf);
+        assert!(BroadcastItem::from_bytes(buf.freeze()).is_err());
     }
 
     /// Reads are served where they arrive and never enter a request set:

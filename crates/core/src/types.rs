@@ -173,12 +173,6 @@ impl LotShape {
         self.fanouts.iter().map(|&f| f as usize).product()
     }
 
-    /// Fanout at `depth` (children per vnode at that depth). Depth 0 is the
-    /// root. Panics if `depth` addresses the leaf level.
-    pub fn fanout_at(&self, depth: usize) -> u16 {
-        self.fanouts[depth]
-    }
-
     /// The height-1 parent vnode of super-leaf `s` (mixed-radix digits of
     /// `s`, most significant first).
     pub fn superleaf_vnode(&self, s: usize) -> VnodeId {

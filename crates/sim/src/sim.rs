@@ -438,20 +438,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
             .unwrap_or_else(|| panic!("{id} is not a {}", std::any::type_name::<P>()))
     }
 
-    /// Mutably borrows a node's process state, downcast to `P`.
-    ///
-    /// # Panics
-    /// Panics if the node crashed or the type does not match.
-    pub fn node_mut<P: 'static>(&mut self, id: NodeId) -> &mut P {
-        self.nodes[id.index()]
-            .process
-            .as_mut()
-            .unwrap_or_else(|| panic!("node has crashed"))
-            .as_any_mut()
-            .downcast_mut::<P>()
-            .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<P>()))
-    }
-
     /// Crash-stops a node: queued and in-flight messages to it are dropped,
     /// and its armed timers will never fire.
     pub fn crash(&mut self, id: NodeId) {

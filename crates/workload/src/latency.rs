@@ -177,11 +177,6 @@ impl LatencyRecorder {
         self.reservoir = merged;
         self.seen += other.seen;
     }
-
-    /// Discards all samples (used to drop warmup).
-    pub fn reset(&mut self) {
-        *self = LatencyRecorder::new(self.cap);
-    }
 }
 
 #[cfg(test)]

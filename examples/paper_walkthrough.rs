@@ -2,8 +2,9 @@
 //! A..F in two super-leaves Sx = {A, B, C} and Sy = {D, E, F} running one
 //! consensus cycle, with the simulator's tracer printing the protocol
 //! events — round-1 proposal broadcasts, the representatives' cross-leaf
-//! proposal-requests (the figure's Qx/Qy), buffered replies, and the final
-//! identical commit at every node.
+//! proposal-requests (the figure's Qx/Qy), buffered replies, each
+//! representative's forward of the reply to its super-leaf peers, and the
+//! final identical commit at every node.
 //!
 //! Run with: `cargo run --example paper_walkthrough -p canopus-harness`
 
@@ -48,9 +49,15 @@ fn main() {
                         name(*to),
                     )),
                     CanopusMsg::ProposalResponse { state } => Some(format!(
-                        "{at}  {} -> {}  proposal-response P{:?} ({}, {} request sets)",
+                        "{at}  {} -> {}  {} P{:?} ({}, {} request sets)",
                         name(*from),
                         name(*to),
+                        // Super-leaves are {A, B, C} and {D, E, F}.
+                        if from.0 / 3 == to.0 / 3 {
+                            "forwarded proposal-response"
+                        } else {
+                            "proposal-response"
+                        },
                         state.vnode,
                         state.cycle,
                         state.sets.len(),
@@ -99,7 +106,7 @@ fn main() {
 
     sim.run_for(Dur::millis(20));
 
-    println!("== protocol event trace (cross-super-leaf plane) ==");
+    println!("== protocol event trace (proposal-requests and -responses) ==");
     for line in log.borrow().iter() {
         println!("  {line}");
     }
