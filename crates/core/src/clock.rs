@@ -86,6 +86,11 @@ impl CycleClock {
         self.last_started.0 - self.last_committed.0
     }
 
+    /// Highest cycle any message has mentioned.
+    pub(crate) fn max_seen(&self) -> CycleId {
+        self.max_seen
+    }
+
     /// A message mentioned cycle `c`.
     pub(crate) fn saw(&mut self, c: CycleId) {
         self.max_seen = self.max_seen.max(c);

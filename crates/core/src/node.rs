@@ -261,6 +261,12 @@ impl CanopusNode {
         self.lanes[0].retained()
     }
 
+    /// Proposal-requests held until the state they ask for is computed
+    /// here (lane 0).
+    pub fn waiting_requests(&self) -> usize {
+        self.lanes[0].waiting_requests()
+    }
+
     /// Highest committed cycle.
     pub fn last_committed(&self) -> CycleId {
         self.lanes[0].last_committed()
