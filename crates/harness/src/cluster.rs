@@ -422,8 +422,8 @@ impl<P: Protocol> Cluster<P> {
 }
 
 /// The simulated cluster under the nemesis: time is the kernel's, the
-/// fault table the fabric's, and a crashed node's process stays in the
-/// kernel until [`Protocol::restart`] recovers what it may from it.
+/// fault table the fabric's, and a restarted node is whatever
+/// [`Protocol::restart`] builds.
 impl<P: Protocol> NemesisTarget for Cluster<P> {
     fn now(&self) -> Time {
         self.sim.now()
@@ -449,9 +449,8 @@ impl<P: Protocol> NemesisTarget for Cluster<P> {
         if self.sim.is_alive(node) {
             return;
         }
-        let old = self.sim.take_crashed(node);
         let hubs = node_hubs(&self.hubs, P::pipelines(&self.cfg) as usize, node);
-        let process = P::restart(node, old, &self.spec, &self.cfg, self.seed, hubs);
+        let process = P::restart(node, &self.spec, &self.cfg, self.seed, hubs);
         self.sim.restart(node, process);
     }
 }

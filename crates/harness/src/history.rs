@@ -13,7 +13,7 @@
 //! * **client FIFO** ([`check_client_fifo`]) over cleanly completed
 //!   replies,
 //! * **linearizability** ([`LinChecker`]) of reads, for the protocols
-//!   whose read path promises it (Canopus, EPaxos, Raft KV — the
+//!   whose read path promises it (Canopus and EPaxos — the
 //!   ZooKeeper model serves reads locally and only promises sequential
 //!   consistency, so its reads are exempt by construction),
 //! * **convergence**: after the nemesis heals the network, every client

@@ -1,8 +1,8 @@
 //! # canopus-harness — experiment orchestration
 //!
-//! Builds full deployments of any of the four protocols (Canopus —
-//! unsharded or shard-parallel, a configuration value — EPaxos, the
-//! ZooKeeper model, Raft KV) on the topology-aware
+//! Builds full deployments of any of the three protocols the paper
+//! measures (Canopus — unsharded or shard-parallel, a configuration
+//! value — EPaxos and the ZooKeeper model) on the topology-aware
 //! simulator or on loopback TCP, drives them with the paper's client
 //! model or with history-recording clients, and implements the evaluation
 //! methodology of §8.1: geometric load ladders to the 10 ms latency knee
@@ -19,7 +19,6 @@ pub mod history;
 pub mod live;
 pub mod mux;
 pub mod protocol;
-pub mod raftkv;
 pub mod run;
 pub mod scenarios;
 pub mod spec;
@@ -36,7 +35,6 @@ pub use live::{
 };
 pub use mux::{session_op_base, ClientMux};
 pub use protocol::{Protocol, WriteRecords};
-pub use raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode, RaftKvStats};
 pub use run::{
     deterministic_check, find_max_throughput, latency_at_70pct, run, RunResult, SearchResult,
     SearchSpec,

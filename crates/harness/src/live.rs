@@ -20,8 +20,8 @@
 //!   flight — then stops its loop, keeping the final process state;
 //! * `restart` rebuilds a replacement process through
 //!   [`Protocol::restart`] — the same policy the simulator applies (ZAB
-//!   resyncs as a recovering follower, Raft KV recovers its durable
-//!   state, EPaxos re-installs a crash-stop silent node) — and respawns
+//!   resyncs as a recovering follower, EPaxos re-installs a crash-stop
+//!   silent node) — and respawns
 //!   the loop on the *same* listening socket (kept alive across the crash
 //!   via `TcpListener::try_clone`, so no rebind race).
 //!
@@ -51,8 +51,8 @@
 //! deliberately long to avoid false positives — so an amnesiac super-leaf
 //! Raft member could rejoin un-tombstoned. Until the rejoin protocol
 //! lands (ROADMAP), the live suite exercises Canopus under partitions and
-//! loss, and crash/restart under ZAB and Raft KV, whose recovery paths
-//! are sound without a failure-detector race.
+//! loss, and crash/restart under ZAB, whose recovery path is sound
+//! without a failure-detector race.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
@@ -194,8 +194,8 @@ pub struct LiveCluster<P: Protocol + Wire + Send> {
     /// The single transport node hosting every history client (sessions
     /// keep their classic virtual ids `n..2n` inside the [`ClientMux`]).
     mux: LiveSlot<P>,
-    /// Final states of currently-crashed nodes (fed to
-    /// [`Protocol::restart`], mirroring `Simulation::take_crashed`).
+    /// Final states of currently-crashed nodes, for the verdict of a run
+    /// that ends with them down.
     down: BTreeMap<NodeId, Box<dyn Process<P>>>,
     ever_crashed: BTreeSet<NodeId>,
     /// [`Protocol::pipelines`] observability hubs per protocol node,
@@ -371,9 +371,9 @@ impl<P: Protocol + Wire + Send> NemesisTarget for LiveCluster<P> {
         if self.nodes[id.index()].handle.is_some() {
             return;
         }
-        let old = self.down.remove(&id);
+        self.down.remove(&id);
         let hubs = self.hubs_of(id);
-        let process = P::restart(id, old, &self.spec, &self.cfg, self.seed, hubs);
+        let process = P::restart(id, &self.spec, &self.cfg, self.seed, hubs);
         self.flight_event(id, ObsEvent::Restart);
         // Clear the crash mark before the replacement loop starts, or its
         // first sends and receives race the still-set mark and get

@@ -23,8 +23,7 @@ use canopus_workload::ProtocolMsg;
 use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 
 use crate::cluster::{emulation_table_for, SilentNode};
-use crate::live::{live_canopus_config, live_raft_config, live_time_unit};
-use crate::raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode};
+use crate::live::{live_canopus_config, live_time_unit};
 use crate::spec::{DeploymentSpec, TopoSpec};
 
 /// Per-key committed write order at one replica, as
@@ -79,13 +78,11 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
     ) -> Self::Node;
 
     /// Builds the process that replaces node `id` when the nemesis
-    /// restarts it; `old` is the crashed process when the fabric still
-    /// holds it, so protocols with durable state can recover it. The
-    /// default is a fresh node with no memory — sound only where the
-    /// survivors keep such a node out (Canopus tombstones it).
+    /// restarts it. Nothing survives a crash: the default is a fresh node
+    /// with no memory — sound only where the survivors keep such a node
+    /// out (Canopus tombstones it).
     fn restart(
         id: NodeId,
-        _old: Option<Box<dyn Process<Self>>>,
         spec: &DeploymentSpec,
         cfg: &Self::Config,
         seed: u64,
@@ -397,7 +394,6 @@ impl Protocol for EpaxosMsg {
     /// dependency graph.
     fn restart(
         _id: NodeId,
-        _old: Option<Box<dyn Process<Self>>>,
         _spec: &DeploymentSpec,
         _cfg: &EpaxosConfig,
         _seed: u64,
@@ -464,7 +460,6 @@ impl Protocol for ZabMsg {
     /// synchronization phase.
     fn restart(
         id: NodeId,
-        _old: Option<Box<dyn Process<Self>>>,
         spec: &DeploymentSpec,
         cfg: &ZabConfig,
         _seed: u64,
@@ -490,62 +485,6 @@ impl Protocol for ZabMsg {
     }
 
     fn healthy(nodes: &[&ZabNode]) -> bool {
-        nodes.iter().any(|n| n.stats().applied_weight > 0)
-    }
-}
-
-impl Protocol for RaftKvMsg {
-    type Node = RaftKvNode;
-    type Config = RaftKvConfig;
-    const NAME: &'static str = "raftkv";
-    const LINEARIZABLE_READS: bool = true;
-
-    fn sim_config(_spec: &DeploymentSpec) -> RaftKvConfig {
-        RaftKvConfig::default()
-    }
-
-    fn live_config(_spec: &DeploymentSpec) -> RaftKvConfig {
-        RaftKvConfig {
-            raft: live_raft_config(),
-            tick_interval: live_time_unit() / 5,
-        }
-    }
-
-    fn node(
-        id: NodeId,
-        spec: &DeploymentSpec,
-        cfg: &RaftKvConfig,
-        seed: u64,
-        hubs: &[NodeObs],
-    ) -> RaftKvNode {
-        RaftKvNode::new(id, roster(spec), cfg.clone(), seed).with_obs(hubs[0].clone())
-    }
-
-    /// A restarted node recovers its durable Raft state (term, vote, log)
-    /// from the crashed process and rejoins as a follower.
-    fn restart(
-        id: NodeId,
-        old: Option<Box<dyn Process<Self>>>,
-        spec: &DeploymentSpec,
-        cfg: &RaftKvConfig,
-        seed: u64,
-        hubs: &[NodeObs],
-    ) -> Box<dyn Process<Self>> {
-        match old.and_then(|p| p.into_any().downcast::<RaftKvNode>().ok()) {
-            Some(node) => Box::new(RaftKvNode::recover(&node, seed).with_obs(hubs[0].clone())),
-            None => Box::new(Self::node(id, spec, cfg, seed, hubs)),
-        }
-    }
-
-    fn write_records(node: &RaftKvNode) -> WriteRecords {
-        node.write_log_timed().clone()
-    }
-
-    fn global_log(node: &RaftKvNode) -> Option<Vec<(NodeId, u64)>> {
-        Some(node.applied_log().to_vec())
-    }
-
-    fn healthy(nodes: &[&RaftKvNode]) -> bool {
-        nodes.iter().any(|n| n.stats().applied_weight > 0)
+        nodes.iter().all(|n| n.stats().applied_weight > 0)
     }
 }

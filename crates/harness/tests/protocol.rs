@@ -10,7 +10,7 @@ use canopus::CanopusMsg;
 use canopus_epaxos::EpaxosMsg;
 use canopus_harness::{
     live_timeline, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryClient, HistoryConfig,
-    HistoryOp, Protocol, RaftKvMsg, SilentNode, TopoSpec, WriteRecords,
+    HistoryOp, LoadSpec, Protocol, SilentNode, TopoSpec, WriteRecords,
 };
 use canopus_kv::{ClientReply, ClientRequest, Key, Op, OpResult};
 use canopus_net::{Wire, WireError};
@@ -21,7 +21,7 @@ use canopus_workload::ProtocolMsg;
 use canopus_zab::{ZabMsg, ZabRole};
 
 // ---------------------------------------------------------------------
-// (a) A toy fifth protocol: one node answering from its own map
+// (a) A toy fourth protocol: one node answering from its own map
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -133,7 +133,7 @@ fn one_node() -> DeploymentSpec {
 }
 
 #[test]
-fn a_fifth_protocol_is_one_impl_block() {
+fn a_fourth_protocol_is_one_impl_block() {
     let hcfg = HistoryConfig::default();
     let mut sim = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).sim();
     sim.sim.run_for(Dur::millis(2000));
@@ -233,28 +233,6 @@ fn zab_leader_restarts_as_follower_and_resyncs() {
     assert_eq!(back[..common], peer[..common], "resynced a different log");
 }
 
-/// Raft KV: term, vote and log are durable, so a power cycle of the whole
-/// cluster loses nothing that was applied — fresh nodes would come back
-/// with empty logs and no memory of it.
-#[test]
-fn raftkv_keeps_its_log_across_a_full_power_cycle() {
-    let mut c = cluster::<RaftKvMsg>();
-    let everyone = c.nodes.clone();
-    c.sim.run_for(Dur::millis(300));
-    let applied_before = c.node(NodeId(0)).applied_log().to_vec();
-    assert!(applied_before.len() > 20);
-    crash_and_restart(&mut c, &everyone);
-    c.sim.run_for(Dur::millis(600));
-    for &n in &everyone {
-        let applied = c.node(n).applied_log();
-        assert!(
-            applied.starts_with(&applied_before),
-            "{n} lost applied entries across the restart"
-        );
-        assert!(applied.len() > applied_before.len(), "{n} made no progress");
-    }
-}
-
 /// EPaxos has no recovery protocol: the replacement is a silent
 /// crash-stop process, and the other replicas keep committing without it.
 #[test]
@@ -270,4 +248,31 @@ fn epaxos_restart_stays_silent() {
         &c.nodes.iter().copied().collect(),
     );
     assert!(report.ok(), "{:#?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
+// (c) A measured run is healthy only if every node made progress
+// ---------------------------------------------------------------------
+
+/// ZAB on 3 racks × 3 nodes (nodes 5–8 are observers) under the paper's
+/// open-loop clients: an observer that never comes up applies nothing, so
+/// the run is unhealthy even though the quorum commits throughout.
+#[test]
+fn zab_is_unhealthy_when_one_observer_never_applies() {
+    let measure = |down: Option<NodeId>| {
+        let load = LoadSpec::new(20_000.0);
+        let mut c = ClusterBuilder::<ZabMsg>::new(&DeploymentSpec::paper_single_dc(3), 0xD0C)
+            .clients(Clients::OpenLoop(load.clone()))
+            .sim();
+        if let Some(n) = down {
+            assert_eq!(c.node(n).role(), ZabRole::Observer);
+            c.sim.crash(n);
+        }
+        c.measure(&load)
+    };
+    let all_up = measure(None);
+    assert!(all_up.healthy, "{all_up:?}");
+    let one_down = measure(Some(NodeId(8)));
+    assert!(one_down.achieved > 0.0, "{one_down:?}");
+    assert!(!one_down.healthy, "{one_down:?}");
 }

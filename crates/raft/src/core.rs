@@ -63,8 +63,8 @@
 //! are not a majority, and no follower can see how many others hold an
 //! entry. The leader counts the acks and, when its commit index moves,
 //! sends every follower an empty `AppendEntries` carrying it; followers of
-//! such groups (the Raft KV baseline's, a super-leaf of five) deliver
-//! through that notification alone. Which path a group takes is its size.
+//! such groups (a super-leaf of four or more) deliver through that
+//! notification alone. Which path a group takes is its size.
 //!
 //! Two things keep a long-lived group cheap. Replication is pipelined: a
 //! follower's `next_index` advances when an append is *sent*, so each entry
@@ -80,9 +80,7 @@
 //! log it once acknowledged. Such a member is never skipped ahead silently:
 //! it refuses the appends, reports [`RaftCore::needs_snapshot`], and stays
 //! where it is until its host has obtained the state behind some peer's
-//! [`RaftCore::delivered_point`] and calls [`RaftCore::resume_at`]. (A host
-//! that rebuilds its state by replaying the log from the first entry, like
-//! the Raft KV baseline, simply never compacts.)
+//! [`RaftCore::delivered_point`] and calls [`RaftCore::resume_at`].
 
 use bytes::{Bytes, BytesMut};
 use canopus_net::wire::{Wire, WireError, WireRead};
@@ -336,20 +334,6 @@ pub enum Role {
 /// Outbound message buffer: `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, RaftMsg)>;
 
-/// The state Raft requires a member to keep across a crash.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DurableState {
-    /// Current term.
-    pub term: u64,
-    /// Who got this member's vote in `term`.
-    pub voted_for: Option<NodeId>,
-    /// `(index, term)` of the last discarded entry; `(0, 0)` for a log
-    /// that was never compacted.
-    pub base: (u64, u64),
-    /// The retained entries; the first has index `base.0 + 1`.
-    pub log: Vec<Entry>,
-}
-
 /// A single Raft group member.
 #[derive(Debug)]
 pub struct RaftCore {
@@ -427,44 +411,6 @@ impl RaftCore {
         } else {
             core.reset_election_deadline(now, rng);
         }
-        core
-    }
-
-    /// This member's durable state — the fields Raft requires to survive a
-    /// crash (current term, vote, log). Volatile state (commit index,
-    /// delivery cursor, role) is re-derived after recovery.
-    pub fn persistent_state(&self) -> DurableState {
-        DurableState {
-            term: self.term,
-            voted_for: self.voted_for,
-            base: (self.base_index, self.base_term),
-            log: self.log.iter().cloned().collect(),
-        }
-    }
-
-    /// Rebuilds a member from recovered durable state. The node boots as a
-    /// follower; its retained committed entries re-deliver through the
-    /// normal commit path once a leader advances its commit index, so the
-    /// host replays them into its state machine exactly once. What was
-    /// discarded before the crash had been delivered before it.
-    pub fn restore(
-        group: GroupId,
-        me: NodeId,
-        members: Vec<NodeId>,
-        cfg: RaftConfig,
-        now: Time,
-        rng: &mut SmallRng,
-        state: DurableState,
-    ) -> Self {
-        let mut core = RaftCore::new(group, me, members, cfg, false, now, rng);
-        core.term = state.term.max(1);
-        core.voted_for = state.voted_for;
-        (core.base_index, core.base_term) = state.base;
-        core.log = state.log.into();
-        core.held_by_all = core.base_index;
-        core.commit_index = core.base_index;
-        core.delivered = core.base_index;
-        core.reset_election_deadline(now, rng);
         core
     }
 
@@ -1615,39 +1561,6 @@ mod tests {
             .collect();
         assert!(net.cores[0].is_leader(), "owner never led again: {state:?}");
         assert!(net.cores[0].term() < 50, "election storm: {state:?}");
-    }
-
-    #[test]
-    fn a_compacted_member_restores_and_carries_on() {
-        let mut net = Net::trio();
-        for i in 1..=20 {
-            net.propose(0, payload(i));
-            net.deliver(|_, _| false);
-        }
-        let state = net.cores[2].persistent_state();
-        assert_eq!(state.base.0 + state.log.len() as u64, 20);
-        assert!(state.log.len() <= 2, "compacted");
-        let members = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let cfg = RaftConfig::default();
-        net.cores[2] = RaftCore::restore(
-            GroupId(0),
-            NodeId(2),
-            members,
-            cfg,
-            net.now,
-            &mut net.rng,
-            state,
-        );
-        assert_eq!(net.cores[2].log_len(), 20);
-        net.delivered[2].clear();
-        for i in 21..=25 {
-            net.propose(0, payload(i));
-            net.deliver(|_, _| false);
-        }
-        // What it still held is delivered again (once), then the new ones.
-        let last: Vec<u64> = net.delivered[2].iter().map(|d| d.0).collect();
-        assert_eq!(last[last.len() - 5..], [21, 22, 23, 24, 25]);
-        assert!(last.windows(2).all(|w| w[1] == w[0] + 1), "{last:?}");
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod broadcast;
 pub mod core;
 pub mod fd;
 
-pub use crate::core::{DurableState, Entry, GroupId, Outbox, RaftConfig, RaftCore, RaftMsg, Role};
+pub use crate::core::{Entry, GroupId, Outbox, RaftConfig, RaftCore, RaftMsg, Role};
 pub use broadcast::{Delivery, SuperLeafBroadcast};
 pub use fd::FailureDetector;

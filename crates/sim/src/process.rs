@@ -299,8 +299,8 @@ pub trait Process<M>: Any + Send {
     /// Upcasts for harness-side state mutation.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
-    /// Consumes the boxed process for owned downcasting (crash-recovery
-    /// paths reclaim durable state from the dead process this way).
+    /// Consumes the boxed process for owned downcasting (a stopped live
+    /// node loop hands its final state back this way).
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 

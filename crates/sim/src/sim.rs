@@ -424,15 +424,16 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         &self.fabric
     }
 
-    /// Borrows a node's process state, downcast to `P`.
+    /// Borrows a node's process state, downcast to `P`. A crashed node's
+    /// is the state it crashed in.
     ///
     /// # Panics
-    /// Panics if the node crashed or the type does not match.
+    /// Panics if the type does not match.
     pub fn node<P: 'static>(&self, id: NodeId) -> &P {
         self.nodes[id.index()]
             .process
             .as_ref()
-            .unwrap_or_else(|| panic!("{id} has crashed"))
+            .expect("a process is only taken out for its own callback")
             .as_any()
             .downcast_ref::<P>()
             .unwrap_or_else(|| panic!("{id} is not a {}", std::any::type_name::<P>()))
@@ -447,18 +448,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         for lane in &mut slot.lanes {
             lane.pending.clear();
         }
-    }
-
-    /// Takes the crashed process out of a dead node's slot, if it is still
-    /// there. Lets restart paths model durable state (e.g. Raft's
-    /// term/vote/log survive a power cycle) by recovering it from the old
-    /// process. Returns `None` for live nodes or already-taken slots.
-    pub fn take_crashed(&mut self, id: NodeId) -> Option<Box<dyn Process<M>>> {
-        let slot = &mut self.nodes[id.index()];
-        if slot.alive {
-            return None;
-        }
-        slot.process.take()
     }
 
     /// Restarts a crashed node with a fresh process (the rejoin protocol is

@@ -1,6 +1,6 @@
 //! Seed-swept chaos and linearizability suite: every fault scenario runs
-//! against all four protocols (Canopus, Raft KV, EPaxos, the ZooKeeper
-//! model) across a seed sweep, asserting the §6 safety properties always
+//! against all three protocols (Canopus, EPaxos, the ZooKeeper model)
+//! across a seed sweep, asserting the §6 safety properties always
 //! hold — agreement, client FIFO, linearizability where the read path
 //! promises it — and that the cluster converges (commits fresh writes)
 //! after the nemesis heals the network.
@@ -26,7 +26,7 @@ use canopus_harness::scenarios::{
 };
 use canopus_harness::{
     ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology, Clients, Cluster, ClusterBuilder,
-    ClusterObs, DeploymentSpec, HistoryClient, HistoryConfig, Protocol, RaftKvMsg,
+    ClusterObs, DeploymentSpec, HistoryClient, HistoryConfig, Protocol,
 };
 use canopus_sim::Dur;
 use canopus_zab::ZabMsg;
@@ -36,10 +36,18 @@ use canopus_zab::ZabMsg;
 // ---------------------------------------------------------------------
 
 /// 3 super-leaves (racks) × 3 nodes — the smallest deployment where every
-/// protocol tolerates the catalog faults (Canopus leaf majority, Raft/Zab
+/// protocol tolerates the catalog faults (Canopus leaf majority, Zab
 /// quorum, EPaxos fast quorum).
 fn spec() -> DeploymentSpec {
     DeploymentSpec::paper_single_dc(3)
+}
+
+/// 3 super-leaves × 5 nodes: each super-leaf Raft group has five members,
+/// so a follower delivers only once the leader's commit notification
+/// arrives, not on append (the `canopus_raft::core` module doc, "Why four
+/// or more members fall back").
+fn five_per_leaf() -> DeploymentSpec {
+    DeploymentSpec::paper_single_dc(5)
 }
 
 /// The scenario catalog lives in `canopus_harness::scenarios` (shared
@@ -76,8 +84,12 @@ fn history_config() -> HistoryConfig {
 }
 
 /// `cfg: None` is the protocol's default simulator configuration.
-fn builder<P: Protocol>(cfg: Option<P::Config>, seed: u64) -> ClusterBuilder<P> {
-    let b = ClusterBuilder::new(&spec(), seed).clients(Clients::History(history_config()));
+fn builder<P: Protocol>(
+    spec: &DeploymentSpec,
+    cfg: Option<P::Config>,
+    seed: u64,
+) -> ClusterBuilder<P> {
+    let b = ClusterBuilder::new(spec, seed).clients(Clients::History(history_config()));
     match cfg {
         Some(cfg) => b.config(cfg),
         None => b,
@@ -85,11 +97,12 @@ fn builder<P: Protocol>(cfg: Option<P::Config>, seed: u64) -> ClusterBuilder<P> 
 }
 
 fn run_one<P: Protocol>(
+    spec: &DeploymentSpec,
     cfg: Option<P::Config>,
     scenario: &ChaosScenario,
     seed: u64,
 ) -> (ChaosReport, Cluster<P>) {
-    let mut cluster = builder::<P>(cfg, seed).sim();
+    let mut cluster = builder::<P>(spec, cfg, seed).sim();
     cluster.run_plan(&scenario.plan, timeline().run_for);
     let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
     (report, cluster)
@@ -99,9 +112,9 @@ fn run_one<P: Protocol>(
 /// whole ring.
 const DUMP_EVENTS: usize = 40;
 
-fn sweep<M: Protocol>(cfg: Option<M::Config>, scenario: ChaosScenario) {
+fn sweep<M: Protocol>(spec: &DeploymentSpec, cfg: Option<M::Config>, scenario: ChaosScenario) {
     for seed in seed_sweep("CHAOS_SEEDS", 0xC0DE, 20) {
-        let (report, cluster) = run_one::<M>(cfg.clone(), &scenario, seed);
+        let (report, cluster) = run_one::<M>(spec, cfg.clone(), &scenario, seed);
         assert_verdict(&report, M::NAME, scenario.name, seed, 50, || {
             cluster.flight_dump(DUMP_EVENTS)
         });
@@ -116,7 +129,7 @@ fn sweep<M: Protocol>(cfg: Option<M::Config>, scenario: ChaosScenario) {
 #[should_panic(expected = "flight recorder dump")]
 fn broken_verdict_dumps_flight_recorders() {
     let scenario = superleaf_partition(&topo(), &timeline());
-    let (report, cluster) = run_one::<CanopusMsg>(None, &scenario, 0xBAD5EED);
+    let (report, cluster) = run_one::<CanopusMsg>(&spec(), None, &scenario, 0xBAD5EED);
     assert!(
         report.ops_ok == 0, // deliberately impossible: healthy runs commit ops
         "deliberately broken bar ({} ops committed)
@@ -126,12 +139,16 @@ fn broken_verdict_dumps_flight_recorders() {
     );
 }
 
+/// One row: `test: protocol[, config] => scenario[ in deployment];`,
+/// where the deployment defaults to [`spec`].
 macro_rules! chaos_matrix {
-    ($($test:ident: $msg:ty $(, $cfg:expr)? => $scenario:ident;)*) => {
+    ($($test:ident: $msg:ty $(, $cfg:expr)? => $scenario:ident $(in $spec:expr)?;)*) => {
         $(
             #[test]
             fn $test() {
-                sweep::<$msg>(None$(.or(Some($cfg)))?, $scenario(&topo(), &timeline()));
+                let spec = None$(.or(Some($spec)))?.unwrap_or_else(spec);
+                let scenario = $scenario(&ChaosTopology::of(&spec), &timeline());
+                sweep::<$msg>(&spec, None$(.or(Some($cfg)))?, scenario);
             }
         )*
     };
@@ -151,13 +168,9 @@ chaos_matrix! {
     canopus_batched_churn: CanopusMsg, batched4() => crash_restart_churn;
     canopus_batched_partition_crash_restart: CanopusMsg, batched4() => partition_then_crash_restart;
 
-    raftkv_superleaf_partition: RaftKvMsg => superleaf_partition;
-    raftkv_majority_minority: RaftKvMsg => majority_minority_split;
-    raftkv_leader_crash: RaftKvMsg => leader_crash_mid_round;
-    raftkv_churn: RaftKvMsg => crash_restart_churn;
-    raftkv_asymmetric_loss: RaftKvMsg => asymmetric_loss;
-    raftkv_link_flapping: RaftKvMsg => link_flapping;
-    raftkv_node_isolated: RaftKvMsg => node_isolated;
+    canopus_five_per_leaf_leader_crash: CanopusMsg => leader_crash_mid_round in five_per_leaf();
+    canopus_five_per_leaf_churn: CanopusMsg => crash_restart_churn in five_per_leaf();
+    canopus_five_per_leaf_asymmetric_loss: CanopusMsg => asymmetric_loss in five_per_leaf();
 
     epaxos_superleaf_partition: EpaxosMsg => superleaf_partition;
     epaxos_majority_minority: EpaxosMsg => majority_minority_split;
@@ -186,7 +199,7 @@ chaos_matrix! {
 fn determinism_same_plan_same_seed_identical_traces() {
     let run = |seed: u64| {
         let scenario = superleaf_partition(&topo(), &timeline());
-        let mut cluster = builder::<CanopusMsg>(None, seed).sim();
+        let mut cluster = builder::<CanopusMsg>(&spec(), None, seed).sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         let histories: Vec<Vec<String>> = cluster
@@ -231,7 +244,7 @@ fn determinism_same_plan_same_seed_identical_traces() {
 fn determinism_obs_enabled_matches_disabled() {
     let run = |obs: ClusterObs| {
         let scenario = superleaf_partition(&topo(), &timeline());
-        let mut cluster = builder::<CanopusMsg>(None, 11).obs(obs).sim();
+        let mut cluster = builder::<CanopusMsg>(&spec(), None, 11).obs(obs).sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         (
@@ -248,13 +261,14 @@ fn determinism_obs_enabled_matches_disabled() {
     );
 }
 
-/// The same determinism bar holds for a crash/restart plan on the Raft KV
-/// service (restart factories must be deterministic too).
+/// The same determinism bar holds for a crash/restart plan on ZAB, whose
+/// restart builds a recovering follower (restart factories must be
+/// deterministic too).
 #[test]
-fn determinism_crash_restart_raftkv() {
+fn determinism_crash_restart_zab() {
     let run = || {
         let scenario = crash_restart_churn(&topo(), &timeline());
-        let mut cluster = builder::<RaftKvMsg>(None, 11).sim();
+        let mut cluster = builder::<ZabMsg>(&spec(), None, 11).sim();
         cluster.sim.enable_trace_hash();
         cluster.run_plan(&scenario.plan, timeline().run_for);
         (

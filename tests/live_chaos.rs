@@ -21,8 +21,7 @@
 //! Canopus crash/restart scenarios are exercised by the simulator suite
 //! only: live restarts would race the deliberately slow live failure
 //! detector (see `canopus_harness::live`), so here Canopus runs the
-//! partition and loss scenarios while ZAB and Raft KV cover
-//! crash/restart.
+//! partition and loss scenarios while ZAB covers crash/restart.
 
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_epaxos::EpaxosMsg;
@@ -32,7 +31,7 @@ use canopus_harness::scenarios::{
 };
 use canopus_harness::{
     live_spec, live_time_unit, live_timeline, ChaosTimeline, ChaosTopology, ClusterBuilder,
-    Protocol, RaftKvMsg,
+    Protocol,
 };
 use canopus_net::Wire;
 use canopus_zab::ZabMsg;
@@ -121,9 +120,4 @@ fn live_zab_leader_crash_restart() {
 #[test]
 fn live_zab_asymmetric_loss() {
     sweep::<ZabMsg>(None, asymmetric_loss);
-}
-
-#[test]
-fn live_raftkv_leader_crash_restart() {
-    sweep::<RaftKvMsg>(None, leader_crash_mid_round);
 }

@@ -7,7 +7,7 @@
 //! The suite also carries the trace anchors: the default (one-lane) node
 //! must reproduce a pinned trace hash, by default and with `shards: 1`
 //! spelled out, so a refactor of the lane plumbing cannot silently change
-//! the unsharded execution; the four-lane node and the three baselines
+//! the unsharded execution; the four-lane node and the two baselines
 //! are pinned the same way.
 
 use std::collections::BTreeSet;
@@ -20,7 +20,6 @@ use canopus_harness::scenarios::{
 use canopus_harness::{
     cross_shard_atomicity_partition, hot_shard_skew, ChaosReport, ChaosScenario, ChaosTimeline,
     ChaosTopology, Clients, Cluster, ClusterBuilder, DeploymentSpec, HistoryConfig, Protocol,
-    RaftKvMsg,
 };
 use canopus_sim::NodeId;
 use canopus_zab::ZabMsg;
@@ -319,15 +318,12 @@ fn baseline_trace_hashes_are_pinned() {
         [
             default_traced_run::<EpaxosMsg>(&scenario),
             default_traced_run::<ZabMsg>(&scenario),
-            default_traced_run::<RaftKvMsg>(&scenario),
         ],
         [
             (0x960b_0fdd_4e92_f8c1, 67_953),
             (0x67fa_d22b_8621_9eac, 44_888),
-            (0x99de_2d65_142a_43fc, 101_647),
         ],
-        "a baseline's trace drifted (EPaxos, ZAB, Raft KV): if intentional, re-pin and say \
-         what moved it"
+        "a baseline's trace drifted (EPaxos, ZAB): if intentional, re-pin and say what moved it"
     );
 }
 
