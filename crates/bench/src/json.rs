@@ -190,31 +190,31 @@ mod tests {
     #[test]
     fn replace_section_appends_a_first_section() {
         let doc = "{\n  \"a\": 1\n}\n";
-        let out = replace_section(doc, "sharded", "{\n  \"x\": 2\n}");
+        let out = replace_section(doc, "section", "{\n  \"x\": 2\n}");
         assert_eq!(
             out,
-            "{\n  \"a\": 1,\n  \"sharded\": {\n    \"x\": 2\n  }\n}\n"
+            "{\n  \"a\": 1,\n  \"section\": {\n    \"x\": 2\n  }\n}\n"
         );
         assert_eq!(replace_section("{}", "s", "{}"), "{\n  \"s\": {}\n}\n");
     }
 
     #[test]
     fn replace_section_replaces_in_place_of_the_old_one() {
-        let doc = "{\n  \"sharded\": {\"x\": {\"y\": 1}},\n  \"a\": 1\n}\n";
-        let out = replace_section(doc, "sharded", "{\"x\": 3}");
-        assert_eq!(out, "{\n  \"a\": 1,\n  \"sharded\": {\"x\": 3}\n}\n");
+        let doc = "{\n  \"section\": {\"x\": {\"y\": 1}},\n  \"a\": 1\n}\n";
+        let out = replace_section(doc, "section", "{\"x\": 3}");
+        assert_eq!(out, "{\n  \"a\": 1,\n  \"section\": {\"x\": 3}\n}\n");
         // Idempotent, and a nested or string occurrence of the key is not
         // the section.
-        assert_eq!(replace_section(&out, "sharded", "{\"x\": 3}"), out);
+        assert_eq!(replace_section(&out, "section", "{\"x\": 3}"), out);
         assert_eq!(
             replace_section("{\"s\": 1}", "s", "2"),
             "{\n  \"s\": 2\n}\n"
         );
-        let doc = "{\"bench\": \"sharded\", \"in\": {\"sharded\": 0}}";
-        let out = replace_section(doc, "sharded", "1");
+        let doc = "{\"bench\": \"section\", \"in\": {\"section\": 0}}";
+        let out = replace_section(doc, "section", "1");
         assert_eq!(
             out,
-            "{\"bench\": \"sharded\", \"in\": {\"sharded\": 0},\n  \"sharded\": 1\n}\n"
+            "{\"bench\": \"section\", \"in\": {\"section\": 0},\n  \"section\": 1\n}\n"
         );
     }
 

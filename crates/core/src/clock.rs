@@ -1,4 +1,4 @@
-//! When a lane starts its next consensus cycle.
+//! When a node starts its next consensus cycle.
 //!
 //! The paper has one rule. A node starts a cycle when it has work (§4.4),
 //! at once when a batch fills or when the rest of the tree is already in a
@@ -16,16 +16,16 @@
 //! `pending_weight ≥ max_batch` ∨ (local work ∧ window closed))
 //!
 //! [`CycleClock`] is that rule and the counters it reads, without I/O: the
-//! lane asks [`CycleClock::decide`] whenever something the rule reads has
+//! node asks [`CycleClock::decide`] whenever something the rule reads has
 //! changed, arms or cancels the one timer the answer names, and reports
-//! starts and commits back. An idle lane has no window and no timer.
+//! starts and commits back. An idle node has no window and no timer.
 
 use canopus_sim::{Dur, Time, TimerId};
 
 use crate::config::CanopusConfig;
 use crate::types::CycleId;
 
-/// What [`CycleClock::decide`] tells the lane to do.
+/// What [`CycleClock::decide`] tells the node to do.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Decision {
     /// Nothing to start: no work, the pipeline is full, or the batching
@@ -42,7 +42,7 @@ pub(crate) enum Decision {
     },
 }
 
-/// The cycle counters of one lane and the rule that advances them.
+/// The cycle counters of one node and the rule that advances them.
 #[derive(Debug)]
 pub(crate) struct CycleClock {
     max_linger: Dur,
@@ -54,7 +54,7 @@ pub(crate) struct CycleClock {
     /// the outside prompt.
     max_seen: CycleId,
     /// The open batching window: its deadline and the timer that wakes
-    /// the lane then. Opened by the first work of a batch, gone when the
+    /// the node then. Opened by the first work of a batch, gone when the
     /// cycle carrying the batch starts.
     window: Option<(Time, TimerId)>,
 }
@@ -120,7 +120,7 @@ impl CycleClock {
         }
     }
 
-    /// The lane armed `timer` to fire at `deadline` for
+    /// The node armed `timer` to fire at `deadline` for
     /// [`Decision::OpenWindow`].
     pub(crate) fn window_opened(&mut self, deadline: Time, timer: TimerId) {
         debug_assert!(self.window.is_none(), "one window at a time");
@@ -129,7 +129,7 @@ impl CycleClock {
 
     /// Starts the next cycle and returns it, with the window's timer if
     /// that is still to fire (the cycle started by prompt or overflow):
-    /// the lane cancels it, or it would fire into a cycle that has
+    /// the node cancels it, or it would fire into a cycle that has
     /// already started.
     pub(crate) fn start(&mut self, now: Time) -> (CycleId, Option<TimerId>) {
         self.last_started = self.last_started.next();
@@ -144,7 +144,7 @@ impl CycleClock {
         self.last_committed = c;
     }
 
-    /// The lane took over a peer's state that stands at `committed`:
+    /// The node took over a peer's state that stands at `committed`:
     /// nothing is in flight and nothing seen beyond it. Returns the timer
     /// of the window that was open, to cancel.
     pub(crate) fn resume_at(&mut self, committed: CycleId) -> Option<TimerId> {
@@ -154,7 +154,7 @@ impl CycleClock {
         self.window.take().map(|(_, timer)| timer)
     }
 
-    /// With the state it took over the lane found its own proposal for
+    /// With the state it took over the node found its own proposal for
     /// `c` still in flight: that cycle is started.
     pub(crate) fn resume_started(&mut self, c: CycleId) {
         self.last_started = self.last_started.max(c);
@@ -187,7 +187,7 @@ mod tests {
         window_closed: true,
     };
 
-    /// Opens the window at `now` the way the lane does, with timer `id`.
+    /// Opens the window at `now` the way the node does, with timer `id`.
     fn open_window(clock: &mut CycleClock, now: Time, id: u64) {
         assert_eq!(clock.decide(now, 1, true), Decision::OpenWindow(LINGER));
         clock.window_opened(now + LINGER, TimerId(id));

@@ -1,6 +1,6 @@
 //! Canopus node configuration.
 //!
-//! When a lane starts a cycle is one rule (`clock.rs`) reading three of
+//! When a node starts a cycle is one rule (`clock.rs`) reading three of
 //! these values: [`CanopusConfig::max_linger`] (how long the first request
 //! of a batch waits for company), [`CanopusConfig::max_batch`] (the batch
 //! that does not wait) and [`CanopusConfig::max_pipeline_depth`] (cycles in
@@ -54,11 +54,6 @@ pub struct CanopusConfig {
     /// Keep per-cycle commit records for inspection by tests (disable for
     /// long benchmark runs; the commit digest is always maintained).
     pub record_log: bool,
-    /// Key-space shards, each an independent LOT pipeline (lane) inside
-    /// every node; the same value at every node of a deployment. 1 — the
-    /// default — is the paper's protocol: one pipeline orders everything.
-    /// Every other field applies to each lane alike.
-    pub shards: u16,
 }
 
 impl Default for CanopusConfig {
@@ -72,7 +67,6 @@ impl Default for CanopusConfig {
             failure_timeout: Dur::millis(25),
             raft: RaftConfig::default(),
             record_log: true,
-            shards: 1,
         }
     }
 }

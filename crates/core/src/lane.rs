@@ -1,9 +1,7 @@
-//! One LOT pipeline of a Canopus pnode: the complete protocol state
-//! machine (paper §4–§7).
+//! The Canopus pnode: the complete protocol state machine (paper §4–§7).
 //!
-//! A [`Lane`] is everything the paper calls a pnode except the transport
-//! identity, which the hosting [`crate::CanopusNode`] owns: an unsharded
-//! node is exactly one lane. It embeds the super-leaf reliable
+//! A [`CanopusNode`] is everything the paper calls a pnode, and one LOT
+//! pipeline orders everything it commits. It embeds the super-leaf reliable
 //! broadcast (per-member Raft groups, §4.3), executes consensus cycles of
 //! `h` rounds over the LOT (§4.2), self-synchronizes on outside prompting
 //! (§4.4), acts as a super-leaf representative fetching remote vnode states
@@ -13,15 +11,15 @@
 //!
 //! Two decisions are made elsewhere and only carried out here. *When* a
 //! cycle starts — work, a full batch, outside prompting, how many cycles may
-//! be in flight (§4.4, §7.1) — is the `CycleClock`'s (`clock.rs`); the lane
+//! be in flight (§4.4, §7.1) — is the `CycleClock`'s (`clock.rs`); the node
 //! reports what the rule reads and does what it says. And *that a broadcast
 //! arrives* although a peer may have usurped this member's group meanwhile
-//! is [`SuperLeafBroadcast`]'s promise: the lane hands an item over once.
+//! is [`SuperLeafBroadcast`]'s promise: the node hands an item over once.
 //!
 //! The broadcast groups compact their logs (everything delivered locally and
 //! held by every member goes), so a member that restarts without its logs
 //! cannot replay them. Its groups report that (`needs_snapshot`) and the
-//! lane asks a super-leaf peer for a [`Snapshot`] — the replicated part of
+//! node asks a super-leaf peer for a [`Snapshot`] — the replicated part of
 //! the peer's state plus where it stands in each group's log — takes it
 //! over wholesale, and follows the deliveries from there. A member that
 //! kept its logs but fell further behind than emulators keep cycle states
@@ -44,7 +42,7 @@ use canopus_kv::{ClientReply, ClientRequest, Key, KvStore, Op, OpResult};
 use canopus_net::wire::Wire;
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, Histogram, NodeObs};
 use canopus_raft::{Delivery, FailureDetector, Outbox, SuperLeafBroadcast};
-use canopus_sim::{NodeId, Time, Work};
+use canopus_sim::{impl_process_any, Context, NodeId, Process, Time, Timer, Work};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,7 +50,6 @@ use crate::clock::{CycleClock, Decision};
 use crate::config::CanopusConfig;
 use crate::emulation::EmulationTable;
 use crate::msg::{BroadcastItem, CanopusMsg, Snapshot};
-use crate::node::LaneCtx;
 use crate::proposal::{
     MembershipUpdate, OpBlock, OpView, RequestSet, TimedOp, VnodeState, WriteView,
 };
@@ -92,12 +89,11 @@ pub enum CommittedOp {
         /// Requests represented.
         count: u32,
     },
-    /// An atomic multi-key write (the part of a cross-shard transaction
-    /// sequenced in this instance's LOT, or a whole single-shard one).
+    /// An atomic multi-key write.
     MultiPut {
         /// Requesting client.
         client: NodeId,
-        /// Client-assigned id (shared across all shards' parts).
+        /// Client-assigned id.
         op_id: u64,
         /// Keys written, in client order.
         keys: Vec<Key>,
@@ -124,7 +120,7 @@ pub struct CommittedCycle {
     pub sets: Vec<CommittedSet>,
 }
 
-/// Counters exposed by every lane.
+/// Counters exposed by every node.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CanopusStats {
     /// Cycles committed.
@@ -184,9 +180,9 @@ struct CycleState {
     committed: bool,
 }
 
-/// One LOT pipeline: cycles, broadcast groups, failure detector, store and
-/// counters of its own. Hosted and driven by a [`crate::CanopusNode`].
-pub struct Lane {
+/// The Canopus protocol node. Drive it with any [`Process`] runtime — the
+/// deterministic simulator or the real TCP transport.
+pub struct CanopusNode {
     cfg: CanopusConfig,
     me: NodeId,
     table: EmulationTable,
@@ -239,12 +235,12 @@ pub struct Lane {
     committed_log: Vec<CommittedCycle>,
     stats: CanopusStats,
 
-    // Observability (disabled by default; see [`crate::CanopusNode::with_obs`]).
+    // Observability (disabled by default; see [`CanopusNode::with_obs`]).
     obs: CanopusObs,
 }
 
 /// Pre-registered observability handles. All of them are no-ops costing
-/// one branch per update unless [`crate::CanopusNode::with_obs`] installed an
+/// one branch per update unless [`CanopusNode::with_obs`] installed an
 /// enabled hub.
 struct CanopusObs {
     hub: NodeObs,
@@ -277,10 +273,11 @@ impl CanopusObs {
     }
 }
 
-impl Lane {
-    /// Creates the lane of node `me` seeded with `seed` (proposal numbers,
-    /// emulator choice, Raft timeouts).
-    pub(crate) fn new(me: NodeId, table: EmulationTable, cfg: CanopusConfig, seed: u64) -> Self {
+impl CanopusNode {
+    /// Creates node `me`. `table` must be the identical initial table at
+    /// every node (paper assumption A1); `seed` feeds the node's
+    /// deterministic RNG (proposal numbers, emulator choice, Raft timeouts).
+    pub fn new(me: NodeId, table: EmulationTable, cfg: CanopusConfig, seed: u64) -> Self {
         let my_superleaf = table
             .superleaf_of(me)
             .unwrap_or_else(|| panic!("{me} is not in the emulation table"));
@@ -293,7 +290,7 @@ impl Lane {
             .collect();
         let fd = FailureDetector::new(&peers, cfg.failure_timeout, Time::ZERO);
         let superleaf_roster: BTreeSet<NodeId> = table.members_of(my_superleaf).collect();
-        Lane {
+        CanopusNode {
             rng: SmallRng::seed_from_u64(seed ^ (me.0 as u64) << 32),
             clock: CycleClock::new(&cfg),
             cfg,
@@ -324,11 +321,17 @@ impl Lane {
         }
     }
 
-    /// Installs an observability hub (metrics registry + flight recorder);
-    /// without it the lane carries a disabled hub whose updates cost one
-    /// branch each.
-    pub(crate) fn set_obs(&mut self, hub: NodeObs) {
+    /// Installs an observability hub (metrics registry + flight recorder).
+    /// Builder-style; without it the node carries a disabled hub whose
+    /// updates cost one branch each.
+    pub fn with_obs(mut self, hub: NodeObs) -> Self {
         self.obs = CanopusObs::from_hub(hub);
+        self
+    }
+
+    /// This node's id.
+    pub fn id(&self) -> NodeId {
+        self.me
     }
 
     /// Current counters.
@@ -392,21 +395,21 @@ impl Lane {
     // Broadcast plumbing
     // ------------------------------------------------------------------
 
-    fn flush_raft(&mut self, out: Outbox, ctx: &mut LaneCtx<'_, '_>) {
+    fn flush_raft(&mut self, out: Outbox, ctx: &mut Context<'_, CanopusMsg>) {
         for (to, msg) in out {
             ctx.send(to, CanopusMsg::Raft(msg));
         }
     }
 
-    fn broadcast_item(&mut self, item: &BroadcastItem, ctx: &mut LaneCtx<'_, '_>) {
+    fn broadcast_item(&mut self, item: &BroadcastItem, ctx: &mut Context<'_, CanopusMsg>) {
         let mut out = Outbox::new();
         let bcast = self.bcast.as_mut().expect("started");
         bcast.broadcast(item.to_bytes(), ctx.now(), &mut out);
         self.flush_raft(out, ctx);
     }
 
-    /// Hands the lane what its broadcast groups committed.
-    fn deliver(&mut self, deliveries: Vec<Delivery>, ctx: &mut LaneCtx<'_, '_>) {
+    /// Hands the node what its broadcast groups committed.
+    fn deliver(&mut self, deliveries: Vec<Delivery>, ctx: &mut Context<'_, CanopusMsg>) {
         for d in deliveries {
             // Corrupt payloads cannot occur internally; ignore decode errors.
             if let Ok(item) = BroadcastItem::from_bytes(d.data) {
@@ -419,7 +422,7 @@ impl Lane {
     // Client intake
     // ------------------------------------------------------------------
 
-    fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
+    fn handle_client_request(&mut self, req: ClientRequest, ctx: &mut Context<'_, CanopusMsg>) {
         // Aggregates are parsed once, not per represented op, so their
         // ingest is amortized (`ingest_micro` measures the split).
         match u64::from(req.op.weight()) {
@@ -446,7 +449,7 @@ impl Lane {
         self.maybe_start_cycles(ctx);
     }
 
-    fn serve_read(&mut self, req: &ClientRequest, ctx: &mut LaneCtx<'_, '_>) {
+    fn serve_read(&mut self, req: &ClientRequest, ctx: &mut Context<'_, CanopusMsg>) {
         let weight = req.op.weight();
         ctx.work(Work::Read, weight.into());
         let result = match &req.op {
@@ -480,7 +483,7 @@ impl Lane {
 
     /// Starts as many cycles as the clock allows, and opens the batching
     /// window when it says the first work of a batch is here.
-    fn maybe_start_cycles(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn maybe_start_cycles(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         if self.bcast.is_none() {
             return;
         }
@@ -510,7 +513,7 @@ impl Lane {
         }
     }
 
-    fn start_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn start_cycle(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         let (c, unfired_window) = self.clock.start(ctx.now());
         if let Some(timer) = unfired_window {
             ctx.cancel_timer(timer);
@@ -589,7 +592,7 @@ impl Lane {
 
     /// Issues the proposal-requests this node is responsible for in cycle
     /// `c` (every round's fetches are issued immediately; responders buffer).
-    fn plan_fetches(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+    fn plan_fetches(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
         if self.height < 2 {
             return;
         }
@@ -623,7 +626,13 @@ impl Lane {
         }
     }
 
-    fn issue_fetch(&mut self, c: CycleId, vnode: VnodeId, attempt: u32, ctx: &mut LaneCtx<'_, '_>) {
+    fn issue_fetch(
+        &mut self,
+        c: CycleId,
+        vnode: VnodeId,
+        attempt: u32,
+        ctx: &mut Context<'_, CanopusMsg>,
+    ) {
         let all = self.table.emulators(&vnode);
         if all.is_empty() {
             return; // subtree fully departed; cycle will stall (§3.3)
@@ -685,7 +694,12 @@ impl Lane {
         true
     }
 
-    fn handle_delivery(&mut self, origin: NodeId, item: BroadcastItem, ctx: &mut LaneCtx<'_, '_>) {
+    fn handle_delivery(
+        &mut self,
+        origin: NodeId,
+        item: BroadcastItem,
+        ctx: &mut Context<'_, CanopusMsg>,
+    ) {
         match item {
             BroadcastItem::Proposal(state) => {
                 let c = state.cycle;
@@ -771,7 +785,7 @@ impl Lane {
 
     /// Drives cycle `c` forward: completes round 1, merges any completable
     /// higher rounds, answers buffered proposal-requests, and commits.
-    fn advance_cycle(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+    fn advance_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
         // Round 1.
         let need_h1 = {
             let Some(entry) = self.cycles.get(&c) else {
@@ -862,7 +876,7 @@ impl Lane {
     }
 
     /// Answers buffered proposal-requests that newly computed states satisfy.
-    fn answer_waiting(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+    fn answer_waiting(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
         let mut still_waiting = Vec::new();
         let waiting = std::mem::take(&mut self.waiting_requests);
         for (from, cycle, vnode) in waiting {
@@ -896,7 +910,7 @@ impl Lane {
         }
     }
 
-    fn try_commit(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn try_commit(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         loop {
             let next = self.clock.last_committed().next();
             let ready = self
@@ -912,7 +926,7 @@ impl Lane {
         }
     }
 
-    fn commit_cycle(&mut self, c: CycleId, ctx: &mut LaneCtx<'_, '_>) {
+    fn commit_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
         // From here on the cycle's state serves only late proposal-requests
         // from lagging super-leaves, and `lookup_state` answers those from
         // the non-root ancestors: the inputs of the merges, the fetch
@@ -1060,7 +1074,7 @@ impl Lane {
         op: OpView<'_>,
         versions: &mut impl Iterator<Item = u64>,
         is_own: bool,
-        ctx: &mut LaneCtx<'_, '_>,
+        ctx: &mut Context<'_, CanopusMsg>,
     ) -> Option<CommittedOp> {
         let weight = op.write.weight();
         ctx.work(Work::Apply, weight.into());
@@ -1119,7 +1133,7 @@ impl Lane {
         from: NodeId,
         cycle: CycleId,
         vnode: VnodeId,
-        ctx: &mut LaneCtx<'_, '_>,
+        ctx: &mut Context<'_, CanopusMsg>,
     ) {
         self.clock.saw(cycle);
         match self.lookup_state(cycle, &vnode) {
@@ -1146,7 +1160,7 @@ impl Lane {
         &mut self,
         from: NodeId,
         state: VnodeState,
-        ctx: &mut LaneCtx<'_, '_>,
+        ctx: &mut Context<'_, CanopusMsg>,
     ) {
         let c = state.cycle;
         if c <= self.clock.last_committed() {
@@ -1199,7 +1213,7 @@ impl Lane {
 
     /// Asks the super-leaf peers in turn, one per `fetch_timeout`, for as
     /// long as this node needs a peer's state.
-    fn request_state_if_needed(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn request_state_if_needed(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         let (not_before, asked) = self.state_requests;
         if ctx.now() < not_before || !self.needs_state(ctx.now()) {
             return;
@@ -1213,7 +1227,7 @@ impl Lane {
         self.state_requests = (ctx.now() + self.cfg.fetch_timeout, asked + 1);
     }
 
-    fn handle_state_request(&mut self, from: NodeId, ctx: &mut LaneCtx<'_, '_>) {
+    fn handle_state_request(&mut self, from: NodeId, ctx: &mut Context<'_, CanopusMsg>) {
         if !self.superleaf_roster.contains(&from) || self.needs_state(ctx.now()) {
             return; // not ours to serve, or lost ourselves
         }
@@ -1254,7 +1268,7 @@ impl Lane {
         &mut self,
         from: NodeId,
         snapshot: Snapshot,
-        ctx: &mut LaneCtx<'_, '_>,
+        ctx: &mut Context<'_, CanopusMsg>,
     ) {
         if !self.needs_state(ctx.now())
             || !self.superleaf_roster.contains(&from)
@@ -1312,7 +1326,7 @@ impl Lane {
     // Timers
     // ------------------------------------------------------------------
 
-    fn on_tick(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn on_tick(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         let now = ctx.now();
         let mut out = Outbox::new();
         let deliveries = {
@@ -1412,7 +1426,7 @@ impl Lane {
     /// cycle `max_pipeline_depth` past it (its sender has committed the
     /// cycle, so the state exists; the tick lets a forward already on its
     /// way land first).
-    fn rescue_stalled_cycle(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+    fn rescue_stalled_cycle(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         let c = self.clock.last_committed().next();
         let Some(entry) = self
             .cycles
@@ -1450,8 +1464,8 @@ impl Lane {
     }
 }
 
-impl Lane {
-    pub(crate) fn on_start(&mut self, ctx: &mut LaneCtx<'_, '_>) {
+impl Process<CanopusMsg> for CanopusNode {
+    fn on_start(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
         let members: Vec<NodeId> = self.table.members_of(self.my_superleaf).collect();
         let mut bcast_rng = SmallRng::seed_from_u64(self.rng.gen());
         self.bcast = Some(SuperLeafBroadcast::new(
@@ -1466,7 +1480,7 @@ impl Lane {
         ctx.set_timer(self.cfg.tick_interval, TICK);
     }
 
-    pub(crate) fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut LaneCtx<'_, '_>) {
+    fn on_message(&mut self, from: NodeId, msg: CanopusMsg, ctx: &mut Context<'_, CanopusMsg>) {
         self.fd.record(from, ctx.now());
         self.remote_suspects.remove(&from);
         ctx.work(Work::Message, 1);
@@ -1481,9 +1495,8 @@ impl Lane {
                 self.deliver(deliveries, ctx);
             }
             CanopusMsg::Request(req) => self.handle_client_request(req, ctx),
-            // Nodes never receive replies, and the node has taken the lane
-            // tag off before the frame gets here.
-            CanopusMsg::Reply(_) | CanopusMsg::Lane { .. } => {}
+            // Nodes never receive replies.
+            CanopusMsg::Reply(_) => {}
             CanopusMsg::ProposalRequest { cycle, vnode } => {
                 self.handle_proposal_request(from, cycle, vnode, ctx)
             }
@@ -1497,13 +1510,14 @@ impl Lane {
         }
     }
 
-    /// `token` is the one this lane armed the timer with.
-    pub(crate) fn on_timer(&mut self, token: u64, ctx: &mut LaneCtx<'_, '_>) {
-        match token {
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Context<'_, CanopusMsg>) {
+        match timer.token {
             TICK => self.on_tick(ctx),
             // The batching window has run out: the clock starts its cycle.
             WINDOW => self.maybe_start_cycles(ctx),
             _ => {}
         }
     }
+
+    impl_process_any!();
 }

@@ -35,14 +35,6 @@
 //! Nodes are sans-IO [`canopus_sim::Process`] state machines: run them on
 //! the deterministic simulator (`canopus-sim` + `canopus-net`) or on real
 //! sockets (`canopus_net::tcp`). See `examples/` for complete clusters.
-//!
-//! ## Sharding
-//!
-//! [`CanopusConfig::shards`] independent LOT pipelines run inside every
-//! node, one per key-space shard: a [`CanopusNode`] ([`node`]) is the
-//! transport identity, the request router and the cross-shard transaction
-//! join around that many [`Lane`]s ([`lane`]), each the complete protocol
-//! state machine. One shard, the default, is the paper's protocol.
 
 #![warn(missing_docs)]
 
@@ -51,15 +43,13 @@ pub mod config;
 pub mod emulation;
 pub mod lane;
 pub mod msg;
-pub mod node;
 pub mod proposal;
 pub mod types;
 
 pub use config::{CanopusConfig, BATCH_LINGER};
 pub use emulation::EmulationTable;
-pub use lane::{CanopusStats, CommittedCycle, CommittedOp, CommittedSet, Lane};
+pub use lane::{CanopusNode, CanopusStats, CommittedCycle, CommittedOp, CommittedSet};
 pub use msg::{BroadcastItem, CanopusMsg, Snapshot};
-pub use node::CanopusNode;
 pub use proposal::{
     MembershipUpdate, OpBlock, OpView, Ops, PutPairs, RequestSet, TimedOp, VnodeState, WriteView,
 };

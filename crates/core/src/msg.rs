@@ -9,14 +9,9 @@
 //! the broadcast's order. A fourth pair of messages is for the
 //! rare member that restarted without its broadcast logs: it asks a
 //! super-leaf peer for a [`Snapshot`].
-//!
-//! A node hosting several LOT pipelines (lanes) wraps every protocol frame
-//! in [`CanopusMsg::Lane`]; a node with one lane sends them bare, and a
-//! bare frame belongs to lane 0. The client plane is never wrapped: the
-//! receiving node routes a request to the lane that owns it.
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{route_hint, ClientReply, ClientRequest, KvStore};
+use canopus_kv::{ClientReply, ClientRequest, KvStore};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_raft::RaftMsg;
 use canopus_sim::{NodeId, Payload};
@@ -154,7 +149,7 @@ impl Wire for Snapshot {
     }
 }
 
-/// All Canopus wire messages.
+/// All Canopus wire messages. Tag 7 is unused, and refused at decode.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CanopusMsg {
     /// Super-leaf reliable-broadcast traffic.
@@ -184,14 +179,6 @@ pub enum CanopusMsg {
         /// Its state at the moment it answered.
         snapshot: Box<Snapshot>,
     },
-    /// A protocol frame of one lane of a node that hosts several. Never
-    /// wraps a client-plane frame or another `Lane`.
-    Lane {
-        /// The lane (LOT pipeline) the frame belongs to, at both ends.
-        lane: u16,
-        /// The lane's frame.
-        msg: Box<CanopusMsg>,
-    },
 }
 
 impl Payload for CanopusMsg {
@@ -204,7 +191,6 @@ impl Payload for CanopusMsg {
             CanopusMsg::ProposalResponse { state } => 1 + state.wire_bytes(),
             CanopusMsg::StateRequest => 1,
             CanopusMsg::StateResponse { snapshot } => 1 + snapshot.encoded_len(),
-            CanopusMsg::Lane { msg, .. } => 1 + 2 + msg.wire_size(),
         }
     }
 
@@ -217,18 +203,6 @@ impl Payload for CanopusMsg {
             CanopusMsg::ProposalResponse { .. } => "proposal_response",
             CanopusMsg::StateRequest => "state_request",
             CanopusMsg::StateResponse { .. } => "state_response",
-            CanopusMsg::Lane { msg, .. } => msg.kind(),
-        }
-    }
-
-    /// A lane's frames run on the lane's CPU; a request queues where the
-    /// router will send it ([`route_hint`]); a bare protocol frame belongs
-    /// to lane 0.
-    fn lane_hint(&self) -> u64 {
-        match self {
-            CanopusMsg::Request(r) => route_hint(r.op_id, &r.op),
-            CanopusMsg::Lane { lane, .. } => u64::from(*lane),
-            _ => 0,
         }
     }
 }
@@ -262,11 +236,6 @@ impl Wire for CanopusMsg {
                 6u8.encode(buf);
                 snapshot.encode(buf);
             }
-            CanopusMsg::Lane { lane, msg } => {
-                7u8.encode(buf);
-                lane.encode(buf);
-                msg.encode(buf);
-            }
         }
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -285,21 +254,6 @@ impl Wire for CanopusMsg {
             6 => Ok(CanopusMsg::StateResponse {
                 snapshot: Box::new(Snapshot::decode(buf)?),
             }),
-            7 => {
-                let lane = u16::decode(buf)?;
-                // Looked at before the inner frame is decoded, so a frame
-                // of nested tags cannot recurse: requests (1) and replies
-                // (2) travel bare, and a lane frame (7) holds no other.
-                if matches!(buf.first(), Some(1 | 2 | 7)) {
-                    return Err(WireError::Invalid(
-                        "lane frame wraps a client or lane frame",
-                    ));
-                }
-                Ok(CanopusMsg::Lane {
-                    lane,
-                    msg: Box::new(CanopusMsg::decode(buf)?),
-                })
-            }
             _ => Err(WireError::Invalid("canopus msg tag")),
         }
     }
@@ -390,12 +344,6 @@ mod tests {
             CanopusMsg::StateResponse {
                 snapshot: Box::new(sample_snapshot()),
             },
-            CanopusMsg::Lane {
-                lane: 3,
-                msg: Box::new(CanopusMsg::ProposalResponse {
-                    state: sample_state(),
-                }),
-            },
         ];
         for msg in msgs {
             let back = CanopusMsg::from_bytes(msg.to_bytes()).unwrap();
@@ -403,57 +351,16 @@ mod tests {
         }
     }
 
+    /// A frame under tag 7 comes from a build whose nodes ran several
+    /// pipelines; it is refused, not read as the message it wraps.
     #[test]
-    fn lane_frames_carry_the_inner_kind_and_three_more_bytes() {
-        let inner = CanopusMsg::ProposalRequest {
-            cycle: CycleId(8),
-            vnode: VnodeId(vec![0, 2]),
-        };
-        let framed = CanopusMsg::Lane {
-            lane: 2,
-            msg: Box::new(inner.clone()),
-        };
-        assert_eq!(framed.kind(), "proposal_request");
-        assert_eq!(framed.wire_size(), inner.wire_size() + 3);
-        assert_eq!(framed.to_bytes().len(), inner.to_bytes().len() + 3);
-        assert_eq!((framed.lane_hint(), inner.lane_hint()), (2, 0));
-    }
-
-    #[test]
-    fn decode_rejects_a_lane_frame_around_a_client_or_lane_frame() {
-        let request = CanopusMsg::Request(ClientRequest {
-            client: NodeId(44),
-            op_id: 1,
-            op: Op::Get { key: 5 },
-        });
-        let reply = CanopusMsg::Reply(ClientReply {
-            op_id: 1,
-            weight: 1,
-            result: canopus_kv::OpResult::Written,
-        });
-        let nested = CanopusMsg::Lane {
-            lane: 1,
-            msg: Box::new(CanopusMsg::StateRequest),
-        };
-        for inner in [request, reply, nested] {
-            let framed = CanopusMsg::Lane {
-                lane: 0,
-                msg: Box::new(inner),
-            };
-            assert!(matches!(
-                CanopusMsg::from_bytes(framed.to_bytes()),
-                Err(WireError::Invalid(_))
-            ));
-        }
-        // However deep the nesting claims to be, decoding stops at the
-        // second tag.
-        let mut deep = BytesMut::new();
-        for _ in 0..100_000 {
-            7u8.encode(&mut deep);
-            0u16.encode(&mut deep);
-        }
+    fn decode_refuses_the_retired_tag_7() {
+        let mut frame = BytesMut::new();
+        7u8.encode(&mut frame);
+        0u16.encode(&mut frame);
+        5u8.encode(&mut frame); // a StateRequest inside
         assert!(matches!(
-            CanopusMsg::from_bytes(deep.freeze()),
+            CanopusMsg::from_bytes(frame.freeze()),
             Err(WireError::Invalid(_))
         ));
     }

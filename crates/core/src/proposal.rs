@@ -18,7 +18,7 @@
 //! see are sums kept per set. So a set's writes are one [`OpBlock`] —
 //! the bytes the wire carries for them, checked once when they are
 //! decoded and read in place, op by op, when the cycle commits. Between
-//! the two, the merges, the clones a lane keeps of each state and the
+//! the two, the merges, the clones a node keeps of each state and the
 //! proposal-responses it serves move reference counts, and encoding a
 //! set copies its bytes. The decoder refuses a block that holds a read
 //! (reads are answered where they arrive, §5), so every block a cycle

@@ -118,7 +118,7 @@ fn build_cluster(shape: LotShape, per_leaf: usize, cfg: &CanopusConfig, seed: u6
     let mut nodes = Vec::new();
     for i in 0..next {
         let node = CanopusNode::new(NodeId(i), table.clone(), cfg.clone(), seed ^ 0x9e37)
-            .with_obs(std::slice::from_ref(&hubs[i as usize]));
+            .with_obs(hubs[i as usize].clone());
         let id = sim.add_node(Box::new(node));
         assert_eq!(id, NodeId(i));
         nodes.push(id);
@@ -552,7 +552,7 @@ fn retained_state_stays_bounded_over_ten_thousand_broadcasts() {
         );
     }
     // Three groups of a few entries each; one operation per retained
-    // cycle (the lane keeps 64) in the one ancestor a late
+    // cycle (a node keeps 64) in the one ancestor a late
     // proposal-request can ask for.
     assert!(most_raft <= 9, "{most_raft} Raft entries retained");
     assert!(

@@ -69,29 +69,18 @@ impl ClusterObs {
         ClusterObs { flight_cap }
     }
 
-    /// One hub per (node, pipeline) pair, node-major. On a node hosting
-    /// several pipelines the hub of pipeline `s` is labelled with it
-    /// (`n4/l2`), which keeps the streams apart in a failure dump.
-    pub(crate) fn hubs(&self, nodes: usize, per_node: usize) -> Vec<NodeObs> {
+    /// One hub per node, in node order.
+    pub(crate) fn hubs(&self, nodes: usize) -> Vec<NodeObs> {
         (0..nodes as u32)
-            .flat_map(|node| (0..per_node as u16).map(move |s| (node, s)))
-            .map(|(node, s)| {
+            .map(|node| {
                 if self.flight_cap == 0 {
                     NodeObs::disabled()
                 } else {
-                    let lane = (per_node > 1).then_some(s);
-                    NodeObs::enabled_lane(node, lane, self.flight_cap)
+                    NodeObs::enabled(node, self.flight_cap)
                 }
             })
             .collect()
     }
-}
-
-/// Node `id`'s slice of a node-major hub list (empty for ids past the
-/// protocol nodes, i.e. clients).
-pub(crate) fn node_hubs(hubs: &[NodeObs], per_node: usize, id: NodeId) -> &[NodeObs] {
-    let start = id.index() * per_node;
-    hubs.get(start..start + per_node).unwrap_or(&[])
 }
 
 /// Every hub's flight recorder, dumped (`last` events each) into one
@@ -156,7 +145,7 @@ pub struct ClusterBuilder<P: Protocol> {
     config: Option<P::Config>,
     clients: Option<Clients>,
     obs: Option<ClusterObs>,
-    /// CPU model of the simulated protocol nodes (lanes aside).
+    /// CPU model of the simulated protocol nodes.
     node_cfg: NodeConfig,
 }
 
@@ -218,7 +207,7 @@ impl<P: Protocol> ClusterBuilder<P> {
             Clients::History(_) => (P::recording(cfg), ClusterObs::on(CHAOS_FLIGHT_CAP)),
         };
         let obs = self.obs.unwrap_or(default_obs);
-        let hubs = obs.hubs(self.spec.node_count(), P::pipelines(&cfg) as usize);
+        let hubs = obs.hubs(self.spec.node_count());
         (cfg, hubs)
     }
 
@@ -231,7 +220,6 @@ impl<P: Protocol> ClusterBuilder<P> {
         let (cfg, hubs) = self.resolve(P::sim_config, &clients);
         let (spec, seed) = (self.spec, self.seed);
         let n = spec.node_count();
-        let per_node = P::pipelines(&cfg) as usize;
 
         let mut topo = spec.build_topology();
         // Place one client per protocol node in the same rack.
@@ -242,12 +230,11 @@ impl<P: Protocol> ClusterBuilder<P> {
             })
             .collect();
         let mut sim = Simulation::new(FaultyFabric::new(ClosFabric::new(topo)), seed);
-        let node_cfg = self.node_cfg.with_lanes(per_node as u32);
         let nodes: Vec<NodeId> = (0..n)
             .map(|i| {
                 let id = NodeId(i as u32);
-                let node = P::node(id, &spec, &cfg, seed, node_hubs(&hubs, per_node, id));
-                assert_eq!(sim.add_node_with(Box::new(node), node_cfg), id);
+                let node = P::node(id, &spec, &cfg, seed, &hubs[i]);
+                assert_eq!(sim.add_node_with(Box::new(node), self.node_cfg), id);
                 id
             })
             .collect();
@@ -263,8 +250,6 @@ impl<P: Protocol> ClusterBuilder<P> {
                         op_bytes: 16,
                         warmup: load.warmup,
                         max_batch: load.client_max_batch,
-                        shards: P::pipelines(&cfg),
-                        shard_theta: load.shard_theta,
                     },
                     seed ^ (0xC11E47 + i as u64),
                 )),
@@ -330,8 +315,8 @@ pub struct Cluster<P: Protocol> {
     cfg: P::Config,
     seed: u64,
     ever_crashed: BTreeSet<NodeId>,
-    /// [`Protocol::pipelines`] observability hubs per protocol node,
-    /// node-major (all inert when obs is off).
+    /// One observability hub per protocol node (all inert when obs is
+    /// off).
     hubs: Vec<NodeObs>,
     /// The registry the simulator's network layer counts sent messages
     /// and bytes into (by wire kind).
@@ -449,8 +434,8 @@ impl<P: Protocol> NemesisTarget for Cluster<P> {
         if self.sim.is_alive(node) {
             return;
         }
-        let hubs = node_hubs(&self.hubs, P::pipelines(&self.cfg) as usize, node);
-        let process = P::restart(node, &self.spec, &self.cfg, self.seed, hubs);
+        let hub = &self.hubs[node.index()];
+        let process = P::restart(node, &self.spec, &self.cfg, self.seed, hub);
         self.sim.restart(node, process);
     }
 }

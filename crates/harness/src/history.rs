@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use canopus_kv::{
     check_agreement, check_client_fifo, ClientRequest, Key, LinChecker, Op, OpResult, ReadObs,
-    ReplyEvent, ShardRouter, WriteObs,
+    ReplyEvent, WriteObs,
 };
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
 use canopus_workload::ProtocolMsg;
@@ -87,16 +87,10 @@ pub struct HistoryConfig {
     /// the shared transport can be routed back by op id alone.
     pub op_id_base: u64,
     /// Issue every `n`-th write as an [`Op::MultiPut`] spanning the
-    /// client's steady-state keys (0 — the default — never does). Against
-    /// a sharded deployment this exercises the cross-shard anchor
-    /// protocol; Canopus's extra checks then verify all-or-nothing
-    /// presence of every transaction's parts across per-shard logs.
+    /// client's steady-state keys (0 — the default — never does). The
+    /// verdict's per-key checks then hold each of its keys to the same
+    /// write order on every trusted replica.
     pub multi_put_every: u64,
-    /// When set to `(shard, shards)`, every steady-state and probe key is
-    /// remapped to the nearest key the [`ShardRouter`] assigns to that
-    /// shard — the hot-shard skew harness, concentrating the entire
-    /// client population on one LOT pipeline.
-    pub hot_shard: Option<(u16, u16)>,
 }
 
 impl Default for HistoryConfig {
@@ -110,7 +104,6 @@ impl Default for HistoryConfig {
             stop_at: Time::ZERO + Dur::millis(1800),
             op_id_base: 0,
             multi_put_every: 0,
-            hot_shard: None,
         }
     }
 }
@@ -180,34 +173,17 @@ impl<M: ProtocolMsg> HistoryClient<M> {
         &self.ops
     }
 
-    /// Remaps `key` onto the configured hot shard: each base key owns a
-    /// disjoint window of 256 candidates, and the first candidate the
-    /// router assigns to the hot shard wins. Deterministic, and distinct
-    /// base keys collide only with vanishing probability (a miss needs
-    /// 256 consecutive hash misses); the verdict is collision-safe
-    /// anyway — shared keys just share a per-key order.
-    fn pin_hot(&self, key: Key) -> Key {
-        let Some((shard, shards)) = self.cfg.hot_shard else {
-            return key;
-        };
-        let router = ShardRouter::new(shards);
-        let base = key * 256;
-        (base..base + 256)
-            .find(|&k| router.shard_of_key(k) == shard)
-            .unwrap_or(base)
-    }
-
     fn own_key(&self, j: u64) -> Key {
-        self.pin_hot(1 + self.index as u64 * self.cfg.keys_per_client + j)
+        1 + self.index as u64 * self.cfg.keys_per_client + j
     }
 
     fn peer_key(&self, j: u64) -> Key {
         let peer = (self.index + 1) % self.total;
-        self.pin_hot(1 + peer as u64 * self.cfg.keys_per_client + j)
+        1 + peer as u64 * self.cfg.keys_per_client + j
     }
 
     fn probe_key(&self, j: u64) -> Key {
-        self.pin_hot(PROBE_KEY_BASE + self.index as u64 * self.cfg.keys_per_client + j)
+        PROBE_KEY_BASE + self.index as u64 * self.cfg.keys_per_client + j
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, M>) {

@@ -1,8 +1,7 @@
 //! # canopus-harness — experiment orchestration
 //!
 //! Builds full deployments of any of the three protocols the paper
-//! measures (Canopus — unsharded or shard-parallel, a configuration
-//! value — EPaxos and the ZooKeeper model) on the topology-aware
+//! measures (Canopus, EPaxos and the ZooKeeper model) on the topology-aware
 //! simulator or on loopback TCP, drives them with the paper's client
 //! model or with history-recording clients, and implements the evaluation
 //! methodology of §8.1: geometric load ladders to the 10 ms latency knee
@@ -40,9 +39,8 @@ pub use run::{
     SearchSpec,
 };
 pub use scenarios::{
-    all_scenarios, catalog_fingerprint, cross_shard_atomicity_partition, hot_shard_skew,
-    partition_then_crash_restart, sharded_scenarios, ChaosScenario, ChaosTimeline, ChaosTopology,
-    CATALOG_VERSION,
+    all_scenarios, catalog_fingerprint, partition_then_crash_restart, shifting_partition,
+    uniform_loss, ChaosScenario, ChaosTimeline, ChaosTopology, CATALOG_VERSION,
 };
 pub use spec::{DeploymentSpec, LoadSpec, TopoSpec};
 pub use table::{fmt_dur, fmt_rate, render_table};

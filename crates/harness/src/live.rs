@@ -67,7 +67,7 @@ use canopus_raft::RaftConfig;
 use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 
-use crate::cluster::{flight_dump, node_hubs};
+use crate::cluster::flight_dump;
 use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
 use crate::mux::ClientMux;
 use crate::protocol::Protocol;
@@ -198,8 +198,8 @@ pub struct LiveCluster<P: Protocol + Wire + Send> {
     /// that ends with them down.
     down: BTreeMap<NodeId, Box<dyn Process<P>>>,
     ever_crashed: BTreeSet<NodeId>,
-    /// [`Protocol::pipelines`] observability hubs per protocol node,
-    /// node-major (all inert when obs is off).
+    /// One observability hub per protocol node (all inert when obs is
+    /// off).
     hubs: Vec<NodeObs>,
 }
 
@@ -245,7 +245,7 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         };
         for (i, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(i as u32);
-            let node = P::node(id, &cluster.spec, &cluster.cfg, seed, cluster.hubs_of(id));
+            let node = P::node(id, &cluster.spec, &cluster.cfg, seed, &cluster.hubs[i]);
             let handle = cluster.launch(id, &listener, Box::new(node));
             cluster.nodes.push(LiveSlot {
                 id,
@@ -259,9 +259,9 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         cluster
     }
 
-    /// Node `id`'s hubs (empty for the client mux).
-    fn hubs_of(&self, id: NodeId) -> &[NodeObs] {
-        node_hubs(&self.hubs, P::pipelines(&self.cfg) as usize, id)
+    /// Node `id`'s hub (none for the client mux).
+    fn hub_of(&self, id: NodeId) -> Option<&NodeObs> {
+        self.hubs.get(id.index())
     }
 
     fn launch(
@@ -272,8 +272,7 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
     ) -> TcpNodeHandle<P> {
         let listener = listener.try_clone().expect("clone listener");
         let net_obs = self
-            .hubs_of(id)
-            .first()
+            .hub_of(id)
             .filter(|hub| hub.is_enabled())
             .map(|hub| NetObs::new(hub.clone()))
             .unwrap_or_default();
@@ -299,7 +298,7 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
     }
 
     fn flight_event(&self, id: NodeId, kind: ObsEvent) {
-        if let Some(hub) = self.hubs_of(id).first() {
+        if let Some(hub) = self.hub_of(id) {
             hub.event(self.now().as_nanos(), kind);
         }
     }
@@ -372,8 +371,8 @@ impl<P: Protocol + Wire + Send> NemesisTarget for LiveCluster<P> {
             return;
         }
         self.down.remove(&id);
-        let hubs = self.hubs_of(id);
-        let process = P::restart(id, &self.spec, &self.cfg, self.seed, hubs);
+        let hub = &self.hubs[id.index()];
+        let process = P::restart(id, &self.spec, &self.cfg, self.seed, hub);
         self.flight_event(id, ObsEvent::Restart);
         // Clear the crash mark before the replacement loop starts, or its
         // first sends and receives race the still-set mark and get

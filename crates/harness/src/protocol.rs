@@ -12,11 +12,11 @@
 //! measures it, and `verdict()` on either checks it — a further protocol
 //! touches nothing else in the harness.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, Lane};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
-use canopus_kv::{check_agreement, Key};
+use canopus_kv::Key;
 use canopus_obs::NodeObs;
 use canopus_sim::{Dur, NodeId, Process, Time};
 use canopus_workload::ProtocolMsg;
@@ -61,20 +61,14 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
         cfg
     }
 
-    /// Independent commit pipelines one node hosts: the node gets that
-    /// many CPU lanes and that many observability hubs.
-    fn pipelines(_cfg: &Self::Config) -> u16 {
-        1
-    }
-
-    /// Builds node `id` of the deployment. `hubs` holds the node's
-    /// [`Protocol::pipelines`] observability hubs (inert when obs is off).
+    /// Builds node `id` of the deployment with its observability hub
+    /// (inert when obs is off).
     fn node(
         id: NodeId,
         spec: &DeploymentSpec,
         cfg: &Self::Config,
         seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> Self::Node;
 
     /// Builds the process that replaces node `id` when the nemesis
@@ -86,9 +80,9 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
         spec: &DeploymentSpec,
         cfg: &Self::Config,
         seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> Box<dyn Process<Self>> {
-        Box::new(Self::node(id, spec, cfg, seed, hubs))
+        Box::new(Self::node(id, spec, cfg, seed, hub))
     }
 
     /// Per-key committed write order at a replica.
@@ -114,13 +108,13 @@ fn roster(spec: &DeploymentSpec) -> Vec<NodeId> {
     (0..spec.node_count() as u32).map(NodeId).collect()
 }
 
-/// Every operation in a Canopus lane's commit log with its cycle's local
-/// commit time, in commit order, up to where the lane took over a peer's
+/// Every operation in a Canopus node's commit log with its cycle's local
+/// commit time, in commit order, up to where the node took over a peer's
 /// state (a member excluded for longer than emulators keep cycle states
-/// catches up that way). The lane did not apply the cycles it skipped
+/// catches up that way). The node did not apply the cycles it skipped
 /// there, so what it committed afterwards does not continue its own
 /// history.
-fn committed_ops(n: &Lane) -> impl Iterator<Item = (Time, &CommittedOp)> {
+fn committed_ops(n: &CanopusNode) -> impl Iterator<Item = (Time, &CommittedOp)> {
     let log = n.committed_log();
     let skipped = log.windows(2).position(|w| w[1].cycle != w[0].cycle.next());
     log[..skipped.map_or(log.len(), |i| i + 1)]
@@ -147,22 +141,7 @@ fn op_parts(op: &CommittedOp) -> ((NodeId, u64), &[Key]) {
     }
 }
 
-fn canopus_write_records_into(n: &Lane, out: &mut WriteRecords) {
-    for (at, op) in committed_ops(n) {
-        let ((client, op_id), keys) = op_parts(op);
-        for &key in keys {
-            out.entry(key).or_default().push((client, op_id, at));
-        }
-    }
-}
-
-fn canopus_global_log(n: &Lane) -> Vec<(NodeId, u64)> {
-    committed_ops(n).map(|(_, op)| op_parts(op).0).collect()
-}
-
-/// Canopus, unsharded or shard-parallel: `cfg.shards` independent LOT
-/// pipelines (lanes) per node behind one transport identity, one CPU lane
-/// and one hub each so they commit concurrently.
+/// Canopus: one LOT pipeline per node orders everything it commits.
 impl Protocol for CanopusMsg {
     type Node = CanopusNode;
     type Config = CanopusConfig;
@@ -200,148 +179,59 @@ impl Protocol for CanopusMsg {
         cfg
     }
 
-    fn pipelines(cfg: &CanopusConfig) -> u16 {
-        cfg.shards.max(1)
-    }
-
     /// One super-leaf per rack/datacenter. The default [`Protocol::restart`]
     /// applies: a restarted node comes back fresh, and the survivors'
-    /// tombstone machinery (per lane) keeps it excluded (crash-stop rejoin
-    /// is a ROADMAP item) — safe, but its clients see no further progress.
+    /// tombstone machinery keeps it excluded (crash-stop rejoin is a
+    /// ROADMAP item) — safe, but its clients see no further progress.
     fn node(
         id: NodeId,
         spec: &DeploymentSpec,
         cfg: &CanopusConfig,
         seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> CanopusNode {
-        CanopusNode::new(id, emulation_table_for(spec), cfg.clone(), seed).with_obs(hubs)
+        CanopusNode::new(id, emulation_table_for(spec), cfg.clone(), seed).with_obs(hub.clone())
     }
 
-    /// Per-key records merged across every lane: keys are disjoint across
-    /// shards (the router is a pure function of the key), so the merge
-    /// never interleaves two shards' orders on one key.
     fn write_records(node: &CanopusNode) -> WriteRecords {
-        let mut out = BTreeMap::new();
-        for s in 0..node.lane_count() {
-            canopus_write_records_into(node.lane(s), &mut out);
+        let mut out = WriteRecords::new();
+        for (at, op) in committed_ops(node) {
+            let ((client, op_id), keys) = op_parts(op);
+            for &key in keys {
+                out.entry(key).or_default().push((client, op_id, at));
+            }
         }
         out
     }
 
-    /// The one lane's log. A sharded node promises no cross-shard total
-    /// order — each shard totally orders its own traffic;
-    /// [`Protocol::extra_checks`] covers per-shard agreement.
     fn global_log(node: &CanopusNode) -> Option<Vec<(NodeId, u64)>> {
-        (node.lane_count() == 1).then(|| canopus_global_log(node.lane(0)))
+        Some(committed_ops(node).map(|(_, op)| op_parts(op).0).collect())
     }
 
     fn healthy(nodes: &[&CanopusNode]) -> bool {
-        nodes.iter().all(|n| {
-            (0..n.lane_count())
-                .map(|s| n.lane(s).stats().committed_cycles)
-                .sum::<u64>()
-                > 0
-        })
+        nodes.iter().all(|n| n.stats().committed_cycles > 0)
     }
 
-    /// The sharding-specific safety checks: per-shard total-order
-    /// agreement (a total order is promised *within* each shard, not
-    /// across them), key→shard routing stability (every committed key
-    /// lives on the shard the router maps it to — a drifting hash would
-    /// silently split a key's history), and cross-shard atomicity (a
-    /// multi-key transaction's parts land on every trusted replica
-    /// all-or-nothing).
-    fn extra_checks(engines: &[(NodeId, &CanopusNode)]) -> Vec<String> {
+    /// Cycle by cycle, over whole logs: what a node committed after it
+    /// took over a peer's state (past the hole `committed_ops` stops at)
+    /// must match what every other replica committed in those cycles.
+    fn extra_checks(trusted: &[(NodeId, &CanopusNode)]) -> Vec<String> {
         let mut violations = Vec::new();
-        let Some(&(_, first)) = engines.first() else {
-            return violations;
-        };
-        let shards = first.lane_count();
-        let router = first.router();
-
-        for s in 0..shards {
-            let logs: Vec<Vec<(NodeId, u64)>> = engines
-                .iter()
-                .map(|&(_, e)| canopus_global_log(e.lane(s)))
-                .collect();
-            if let Err(d) = check_agreement(&logs) {
-                violations.push(format!(
-                    "shard {s} commit order diverged at index {} (replica {:?})",
-                    d.index, engines[d.replica].0
-                ));
-            }
-        }
-
-        // Cycle by cycle, over whole logs: what a node committed after it
-        // took over a peer's state (past the hole `committed_ops` stops at)
-        // must match what every other replica committed in those cycles.
-        for s in 0..shards {
-            let mut by_cycle: BTreeMap<u64, (NodeId, Vec<(NodeId, u64)>)> = BTreeMap::new();
-            for &(node, e) in engines {
-                for cc in e.lane(s).committed_log() {
-                    let ops: Vec<(NodeId, u64)> = (cc.sets.iter())
-                        .flat_map(|set| set.ops.iter().map(|op| op_parts(op).0))
-                        .collect();
-                    match by_cycle.get(&cc.cycle.0) {
-                        None => {
-                            by_cycle.insert(cc.cycle.0, (node, ops));
-                        }
-                        Some((first, theirs)) if *theirs != ops => violations.push(format!(
-                            "shard {s} cycle {} committed differently on {first} and {node}",
-                            cc.cycle.0
-                        )),
-                        Some(_) => {}
+        let mut by_cycle: BTreeMap<u64, (NodeId, Vec<(NodeId, u64)>)> = BTreeMap::new();
+        for &(node, n) in trusted {
+            for cc in n.committed_log() {
+                let ops: Vec<(NodeId, u64)> = (cc.sets.iter())
+                    .flat_map(|set| set.ops.iter().map(|op| op_parts(op).0))
+                    .collect();
+                match by_cycle.get(&cc.cycle.0) {
+                    None => {
+                        by_cycle.insert(cc.cycle.0, (node, ops));
                     }
-                }
-            }
-        }
-
-        // Routing stability + cross-shard transaction key sets, one walk.
-        let mut per_engine: Vec<(NodeId, BTreeMap<(NodeId, u64), BTreeSet<Key>>)> = Vec::new();
-        let mut full: BTreeMap<(NodeId, u64), BTreeSet<Key>> = BTreeMap::new();
-        for &(node, e) in engines {
-            let mut txns: BTreeMap<(NodeId, u64), BTreeSet<Key>> = BTreeMap::new();
-            for s in 0..shards {
-                for (_, op) in committed_ops(e.lane(s)) {
-                    let (txn, keys) = op_parts(op);
-                    for &key in keys {
-                        if router.shard_of_key(key) != s {
-                            violations.push(format!(
-                                "key {key} committed on shard {s} of node {node} but routes to \
-                                 shard {}",
-                                router.shard_of_key(key)
-                            ));
-                        }
-                    }
-                    if matches!(op, CommittedOp::MultiPut { .. }) {
-                        txns.entry(txn).or_default().extend(keys.iter().copied());
-                    }
-                }
-            }
-            for (t, keys) in &txns {
-                full.entry(*t).or_default().extend(keys.iter().copied());
-            }
-            per_engine.push((node, txns));
-        }
-
-        // All-or-nothing: a replica that committed *any* part of a
-        // transaction must have committed every part some trusted replica
-        // saw. The run leaves a drain margin after clients stop, so a
-        // lingering half-applied transaction is a protocol bug, not tail
-        // latency.
-        for (node, txns) in &per_engine {
-            for (t, keys) in txns {
-                let want = &full[t];
-                if keys != want {
-                    violations.push(format!(
-                        "cross-shard txn (client {:?}, op {}) partially applied on node {node}: \
-                         {} of {} keys",
-                        t.0,
-                        t.1,
-                        keys.len(),
-                        want.len()
-                    ));
+                    Some((first, theirs)) if *theirs != ops => violations.push(format!(
+                        "cycle {} committed differently on {first} and {node}",
+                        cc.cycle.0
+                    )),
+                    Some(_) => {}
                 }
             }
         }
@@ -382,9 +272,9 @@ impl Protocol for EpaxosMsg {
         spec: &DeploymentSpec,
         cfg: &EpaxosConfig,
         _seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> EpaxosNode {
-        EpaxosNode::new(id, roster(spec), cfg.clone()).with_obs(hubs[0].clone())
+        EpaxosNode::new(id, roster(spec), cfg.clone()).with_obs(hub.clone())
     }
 
     /// EPaxos has no recovery protocol (failure-free scope, see the crate
@@ -397,7 +287,7 @@ impl Protocol for EpaxosMsg {
         _spec: &DeploymentSpec,
         _cfg: &EpaxosConfig,
         _seed: u64,
-        _hubs: &[NodeObs],
+        _hub: &NodeObs,
     ) -> Box<dyn Process<Self>> {
         Box::new(SilentNode::<EpaxosMsg>::default())
     }
@@ -448,9 +338,9 @@ impl Protocol for ZabMsg {
         spec: &DeploymentSpec,
         cfg: &ZabConfig,
         _seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> ZabNode {
-        ZabNode::new(id, roster(spec), cfg.clone()).with_obs(hubs[0].clone())
+        ZabNode::new(id, roster(spec), cfg.clone()).with_obs(hub.clone())
     }
 
     /// A restarted node comes back amnesiac as a *follower*
@@ -463,9 +353,9 @@ impl Protocol for ZabMsg {
         spec: &DeploymentSpec,
         cfg: &ZabConfig,
         _seed: u64,
-        hubs: &[NodeObs],
+        hub: &NodeObs,
     ) -> Box<dyn Process<Self>> {
-        Box::new(ZabNode::recovering(id, roster(spec), cfg.clone()).with_obs(hubs[0].clone()))
+        Box::new(ZabNode::recovering(id, roster(spec), cfg.clone()).with_obs(hub.clone()))
     }
 
     fn write_records(node: &ZabNode) -> WriteRecords {

@@ -279,15 +279,11 @@ pub fn partition_then_crash_restart(topo: &ChaosTopology, t: &ChaosTimeline) -> 
     }
 }
 
-/// Uniform background loss while the workload concentrates on one shard
-/// (the sharded chaos suite pairs this plan with a hot-shard
-/// [`crate::history::HistoryConfig`]): the hot shard's pipeline runs at
-/// full linger-free cadence while loss forces Raft re-broadcasts, so any
-/// cross-shard interference in the engine's multiplexing shows up as a
-/// verdict failure on the *cold* shards.
-pub fn hot_shard_skew(_topo: &ChaosTopology, t: &ChaosTimeline) -> ChaosScenario {
+/// The background loss of [`asymmetric_loss`] alone: 12 % on every link
+/// for the fault window, with no sender impaired beyond it.
+pub fn uniform_loss(_topo: &ChaosTopology, t: &ChaosTimeline) -> ChaosScenario {
     ChaosScenario {
-        name: "hot_shard_skew",
+        name: "uniform_loss",
         plan: FaultPlan::new()
             .at(t.fault_at, FaultEvent::SetLoss(0.12))
             .at(t.heal_at, FaultEvent::HealAll),
@@ -295,15 +291,13 @@ pub fn hot_shard_skew(_topo: &ChaosTopology, t: &ChaosTimeline) -> ChaosScenario
     }
 }
 
-/// Two back-to-back partitions along *different* super-leaf boundaries.
-/// Paired with multi-key transaction traffic, this stresses the anchor
-/// shard protocol: a transaction's parts can straddle both cuts, and
-/// atomicity (all-or-nothing on every trusted replica) must survive the
-/// boundary shift.
-pub fn cross_shard_atomicity_partition(topo: &ChaosTopology, t: &ChaosTimeline) -> ChaosScenario {
+/// Two back-to-back partitions along *different* super-leaf boundaries:
+/// the first super-leaf alone, healed, then the last one alone, so the
+/// side that is cut off shifts mid-window.
+pub fn shifting_partition(topo: &ChaosTopology, t: &ChaosTimeline) -> ChaosScenario {
     let w = t.window();
     ChaosScenario {
-        name: "cross_shard_atomicity_partition",
+        name: "shifting_partition",
         plan: FaultPlan::new()
             .at(
                 t.fault_at,
@@ -378,10 +372,12 @@ pub fn assert_verdict(
 /// valid only for a specific version.
 ///
 /// * v1 — PR 2's seven-scenario catalog.
-/// * v2 — folds `partition_then_crash_restart` into the sweep; adds the
-///   sharded-suite scenarios (`hot_shard_skew`,
-///   `cross_shard_atomicity_partition`) as named extras.
-pub const CATALOG_VERSION: u32 = 2;
+/// * v2 — folds `partition_then_crash_restart` into the sweep; adds two
+///   named extras outside it.
+/// * v3 — the two extras are renamed `uniform_loss` and
+///   `shifting_partition` and folded into the sweep, their schedules
+///   unchanged.
+pub const CATALOG_VERSION: u32 = 3;
 
 /// Every scenario in the per-protocol sweep catalog.
 pub fn all_scenarios(topo: &ChaosTopology, t: &ChaosTimeline) -> Vec<ChaosScenario> {
@@ -394,16 +390,8 @@ pub fn all_scenarios(topo: &ChaosTopology, t: &ChaosTimeline) -> Vec<ChaosScenar
         link_flapping(topo, t),
         node_isolated(topo, t),
         partition_then_crash_restart(topo, t),
-    ]
-}
-
-/// The sharded chaos suite's extra scenarios (run against the
-/// shard-parallel engine with skewed / multi-key traffic, on top of the
-/// shared catalog).
-pub fn sharded_scenarios(topo: &ChaosTopology, t: &ChaosTimeline) -> Vec<ChaosScenario> {
-    vec![
-        hot_shard_skew(topo, t),
-        cross_shard_atomicity_partition(topo, t),
+        uniform_loss(topo, t),
+        shifting_partition(topo, t),
     ]
 }
 
@@ -419,10 +407,7 @@ pub fn catalog_fingerprint(topo: &ChaosTopology, t: &ChaosTimeline) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for sc in all_scenarios(topo, t)
-        .iter()
-        .chain(sharded_scenarios(topo, t).iter())
-    {
+    for sc in all_scenarios(topo, t) {
         eat(sc.name.as_bytes());
         for (at, action) in sc.plan.timeline(Time::ZERO, t.run_for) {
             eat(format!("@{}:{action:?}", at.as_millis()).as_bytes());
@@ -473,14 +458,20 @@ mod tests {
     /// The catalog is versioned: any change to sweep membership or a
     /// scenario's fault schedule must bump [`CATALOG_VERSION`] and re-pin
     /// this fingerprint (and re-derive the chaos suites' trace hashes).
+    ///
+    /// Re-pinned from `0x22bf_b69b_05bf_f154` (v2) for v3: the two
+    /// scenarios outside the sweep were renamed and folded into
+    /// [`all_scenarios`], in the position they were hashed in before. The
+    /// fingerprint hashes names; with the old two names the v3 catalog
+    /// gives the v2 value, so no schedule moved.
     #[test]
-    fn catalog_v2_fingerprint_is_pinned() {
-        assert_eq!(CATALOG_VERSION, 2);
+    fn catalog_v3_fingerprint_is_pinned() {
+        assert_eq!(CATALOG_VERSION, 3);
         let topo = ChaosTopology::of(&DeploymentSpec::paper_single_dc(3));
         let t = ChaosTimeline::sim_default();
         assert_eq!(
             catalog_fingerprint(&topo, &t),
-            0x22bf_b69b_05bf_f154,
+            0xf575_3216_16aa_863c,
             "catalog drifted: bump CATALOG_VERSION and re-pin"
         );
     }

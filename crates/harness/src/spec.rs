@@ -128,11 +128,6 @@ pub struct LoadSpec {
     /// ([`canopus_workload::OpenLoopConfig::max_batch`]): 0 aggregates a
     /// whole arrival tick per request, 1 models fully unbatched clients.
     pub client_max_batch: u32,
-    /// Zipf exponent for the traffic split across the deployment's shards
-    /// (the protocol configuration says how many): `None` spreads the
-    /// offered rate uniformly, `Some(theta)` sends shard `s` a share
-    /// ∝ 1/(s+1)^theta (hot shard 0).
-    pub shard_theta: Option<f64>,
 }
 
 impl LoadSpec {
@@ -144,7 +139,6 @@ impl LoadSpec {
             warmup: Dur::millis(300),
             duration: Dur::millis(700),
             client_max_batch: 0,
-            shard_theta: None,
         }
     }
 
@@ -157,12 +151,6 @@ impl LoadSpec {
     /// Same load with a different client batch cap.
     pub fn with_client_batch(mut self, max_batch: u32) -> Self {
         self.client_max_batch = max_batch;
-        self
-    }
-
-    /// Same load with a Zipf-skewed per-shard split (requires sharding).
-    pub fn with_shard_skew(mut self, theta: f64) -> Self {
-        self.shard_theta = Some(theta);
         self
     }
 }

@@ -108,7 +108,7 @@ impl Protocol for EchoMsg {
 
     fn sim_config(_: &DeploymentSpec) {}
     fn live_config(_: &DeploymentSpec) {}
-    fn node(_: NodeId, _: &DeploymentSpec, _: &(), _: u64, _: &[NodeObs]) -> EchoNode {
+    fn node(_: NodeId, _: &DeploymentSpec, _: &(), _: u64, _: &NodeObs) -> EchoNode {
         EchoNode::default()
     }
     fn write_records(node: &EchoNode) -> WriteRecords {

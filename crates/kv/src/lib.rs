@@ -5,8 +5,8 @@
 //! layer, shared by all three protocol implementations:
 //!
 //! * [`Op`] / [`ClientRequest`] / [`ClientReply`] — the uniform client API
-//!   (16-byte kv pairs as in §8.1, plus aggregated synthetic batches for
-//!   throughput experiments).
+//!   (16-byte kv pairs as in §8.1, atomic multi-key writes, and
+//!   aggregated synthetic batches for throughput experiments).
 //! * [`KvStore`] — the versioned key-value state machine.
 //! * [`check`] — mechanical checkers for the paper's §6 properties:
 //!   agreement, client-FIFO, and linearizability.
@@ -15,10 +15,8 @@
 
 pub mod check;
 pub mod op;
-pub mod shard;
 pub mod store;
 
 pub use check::{check_agreement, check_client_fifo, LinChecker, ReadObs, ReplyEvent, WriteObs};
 pub use op::{ClientReply, ClientRequest, Key, Op, OpResult, TimedOp};
-pub use shard::{route_hint, shard_hash, ShardRouter};
 pub use store::{KvStore, Value, Versioned};

@@ -51,10 +51,8 @@ pub enum Op {
         /// Number of client requests this batch represents.
         count: u32,
     },
-    /// An atomic multi-key write. In sharded deployments the touched keys
-    /// may live on different shards; the anchor-shard protocol sequences
-    /// the transaction in every touched shard's LOT and commits it
-    /// all-or-nothing (see `canopus-core`'s `node` module).
+    /// An atomic multi-key write: one op in one request set, so every
+    /// replica applies all of its writes at one position of the total order.
     MultiPut {
         /// The writes, in client order. Must be non-empty.
         puts: Vec<(Key, Bytes)>,

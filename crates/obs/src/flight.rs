@@ -159,15 +159,6 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// Who recorded an event: `n4`, or `n4/l2` for pipeline (lane) 2 of a node
-/// that hosts several.
-pub(crate) fn origin(node: u32, lane: Option<u16>) -> String {
-    match lane {
-        Some(lane) => format!("n{node}/l{lane}"),
-        None => format!("n{node}"),
-    }
-}
-
 /// One recorded event: a per-recorder sequence number, the monotonic
 /// timestamp the caller supplied, the recording node, and the payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -180,8 +171,6 @@ pub struct FlightEvent {
     pub at_nanos: u64,
     /// Raw id of the recording node.
     pub node: u32,
-    /// The recording pipeline, on a node that hosts several.
-    pub lane: Option<u16>,
     /// What happened.
     pub kind: EventKind,
 }
@@ -189,8 +178,11 @@ pub struct FlightEvent {
 impl fmt::Display for FlightEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ms = self.at_nanos as f64 / 1_000_000.0;
-        let who = origin(self.node, self.lane);
-        write!(f, "[{ms:>10.3}ms] {who} #{:<4} {}", self.seq, self.kind)
+        write!(
+            f,
+            "[{ms:>10.3}ms] n{} #{:<4} {}",
+            self.node, self.seq, self.kind
+        )
     }
 }
 
@@ -207,22 +199,14 @@ struct RingInner {
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
     node: u32,
-    lane: Option<u16>,
     ring: Option<Arc<Mutex<RingInner>>>,
 }
 
 impl FlightRecorder {
     /// An enabled recorder for `node` keeping the most recent `cap` events.
     pub fn new(node: u32, cap: usize) -> Self {
-        Self::for_lane(node, None, cap)
-    }
-
-    /// [`FlightRecorder::new`] for pipeline `lane` of a node that hosts
-    /// several (`None`: the node has one).
-    pub fn for_lane(node: u32, lane: Option<u16>, cap: usize) -> Self {
         FlightRecorder {
             node,
-            lane,
             ring: Some(Arc::new(Mutex::new(RingInner {
                 cap: cap.max(1),
                 next_seq: 0,
@@ -251,12 +235,10 @@ impl FlightRecorder {
             if r.events.len() == r.cap {
                 r.events.pop_front();
             }
-            let (node, lane) = (self.node, self.lane);
             r.events.push_back(FlightEvent {
                 seq,
                 at_nanos,
-                node,
-                lane,
+                node: self.node,
                 kind,
             });
         }
@@ -285,8 +267,7 @@ impl FlightRecorder {
     /// [`DUMP_HEADER`]. An empty or disabled recorder says so explicitly
     /// rather than returning an empty string.
     pub fn dump_last(&self, n: usize) -> String {
-        let who = origin(self.node, self.lane);
-        let mut out = format!("{DUMP_HEADER} (node {who}, last {n}):\n");
+        let mut out = format!("{DUMP_HEADER} (node n{}, last {n}):\n", self.node);
         if !self.is_enabled() {
             out.push_str("  <recorder disabled>\n");
             return out;

@@ -50,9 +50,6 @@ pub fn reactor_snapshot() -> Snapshot {
 pub struct NodeObs {
     /// Raw node id (dense index, same as the simulator's `NodeId.0`).
     pub node: u32,
-    /// Which of the node's pipelines (lanes) this hub belongs to, on a node
-    /// that hosts several.
-    pub lane: Option<u16>,
     /// The node's metrics registry.
     pub metrics: Registry,
     /// The node's consensus flight recorder.
@@ -69,23 +66,16 @@ impl NodeObs {
 
     /// An enabled hub for `node` with a flight ring of `flight_cap` events.
     pub fn enabled(node: u32, flight_cap: usize) -> Self {
-        Self::enabled_lane(node, None, flight_cap)
-    }
-
-    /// [`NodeObs::enabled`] for pipeline `lane` of a node that hosts
-    /// several: its events and dumps read `n4/l2` instead of `n4`.
-    pub fn enabled_lane(node: u32, lane: Option<u16>, flight_cap: usize) -> Self {
         NodeObs {
             node,
-            lane,
             metrics: Registry::new(),
-            flight: FlightRecorder::for_lane(node, lane, flight_cap),
+            flight: FlightRecorder::new(node, flight_cap),
         }
     }
 
-    /// `n4`, or `n4/l2` for a lane's hub.
+    /// `n4` for node 4's hub.
     pub fn label(&self) -> String {
-        flight::origin(self.node, self.lane)
+        format!("n{}", self.node)
     }
 
     /// True if either half records anything.

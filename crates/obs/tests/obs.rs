@@ -250,19 +250,6 @@ fn flight_dump_format() {
     assert!(dump.contains("commit"), "{dump}");
     assert!(dump.contains("c7"), "{dump}");
     assert!(dump.contains("n1"), "{dump}");
-
-    // A lane of a node that hosts several says which; a one-lane node
-    // prints as above.
-    let lane = FlightRecorder::for_lane(4, Some(2), 4);
-    lane.record(0, EventKind::Crash);
-    let dump = lane.dump_last(1);
-    assert!(dump.contains("(node n4/l2, last 1)"), "{dump}");
-    assert!(dump.contains("] n4/l2 #0"), "{dump}");
-    assert_eq!(lane.events()[0].lane, Some(2));
-    assert_eq!(
-        NodeObs::enabled_lane(300, Some(256), 1).label(),
-        "n300/l256"
-    );
     assert_eq!(NodeObs::enabled(300, 1).label(), "n300");
 
     let empty = FlightRecorder::new(2, 4).dump_last(5);

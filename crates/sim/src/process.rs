@@ -73,17 +73,6 @@ pub trait Payload: fmt::Debug + 'static {
     fn kind(&self) -> &'static str {
         "msg"
     }
-
-    /// Which CPU lane of a multi-lane node should handle this message.
-    ///
-    /// The kernel reduces the hint modulo the destination's configured
-    /// lane count, so implementations return a stable raw value (a shard
-    /// id, a key hash) without knowing the deployment's lane count. On
-    /// the default single-lane nodes the hint is irrelevant — everything
-    /// maps to lane 0 — so the default of 0 preserves existing behavior.
-    fn lane_hint(&self) -> u64 {
-        0
-    }
 }
 
 /// What a handler did, in the units the simulator's CPU model prices.
@@ -190,7 +179,6 @@ pub struct Context<'a, M> {
     pub(crate) effects: Vec<Effect<M>>,
     pub(crate) work: WorkCounts,
     pub(crate) next_timer_id: &'a mut u64,
-    pub(crate) lane: u64,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -211,7 +199,6 @@ impl<'a, M> Context<'a, M> {
             effects: Vec::new(),
             work: WorkCounts::default(),
             next_timer_id,
-            lane: 0,
         }
     }
 
@@ -264,16 +251,6 @@ impl<'a, M> Context<'a, M> {
     /// manifests in experiments; the live transport ignores them.
     pub fn work(&mut self, kind: Work, n: u64) {
         self.work.0[kind.row()] += n.min(kind.cap());
-    }
-
-    /// Directs this callback's CPU charge at lane `hint % lanes` of a
-    /// multi-lane node instead of the default lane 0. Message deliveries
-    /// pick their lane from [`Payload::lane_hint`] before the handler
-    /// runs (so queuing happens on the right lane); timer and start
-    /// callbacks call this to co-locate their charge with the shard the
-    /// work belongs to. A no-op on single-lane nodes.
-    pub fn use_lane(&mut self, hint: u64) {
-        self.lane = hint;
     }
 }
 
@@ -336,7 +313,6 @@ mod tests {
             effects: Vec::new(),
             work: WorkCounts::default(),
             next_timer_id: &mut next_timer,
-            lane: 0,
         };
         ctx.send(NodeId(1), 42);
         let t = ctx.set_timer(Dur::millis(5), 7);
@@ -371,7 +347,6 @@ mod tests {
             effects: Vec::new(),
             work: WorkCounts::default(),
             next_timer_id: &mut next_timer,
-            lane: 0,
         };
         let a = ctx.set_timer(Dur::millis(1), 0);
         let b = ctx.set_timer(Dur::millis(1), 0);

@@ -37,8 +37,7 @@ use crate::time::{Dur, Time};
 /// (test drivers, harness probes).
 pub const EXTERNAL: NodeId = NodeId(u32::MAX);
 
-/// Per-node execution parameters: every CPU price of the model, and the
-/// node's lanes.
+/// Per-node execution parameters: every CPU price of the model.
 #[derive(Copy, Clone, Debug)]
 pub struct NodeConfig {
     /// CPU time charged for every callback (message, timer or start).
@@ -50,13 +49,6 @@ pub struct NodeConfig {
     /// The price table: CPU time per unit of each kind of [`Work`]
     /// ([`NodeConfig::price`], [`NodeConfig::with_price`]).
     prices: [Dur; Work::ROWS],
-    /// Independent CPU lanes (cores) this node schedules work across.
-    /// Deliveries queue per lane ([`Payload::lane_hint`] modulo this
-    /// count), so a node hosting N shard pipelines with N lanes models a
-    /// core per shard; timers charge the lane the callback selects via
-    /// [`Context::use_lane`] (lane 0 by default). With 1 lane — the
-    /// default — the kernel behaves exactly as the single-core model.
-    pub lanes: u32,
 }
 
 impl Default for NodeConfig {
@@ -67,7 +59,6 @@ impl Default for NodeConfig {
             base_msg_cost: Dur::micros(1),
             per_send_cost: Dur::nanos(500),
             prices: [Dur::ZERO; Work::ROWS],
-            lanes: 1,
         };
         // The price table: request-processing costs on the same hardware,
         // one price per kind for every protocol, so cross-protocol
@@ -108,12 +99,6 @@ impl NodeConfig {
             per_send_cost: Dur::nanos(100),
             ..NodeConfig::default()
         }
-    }
-
-    /// The same cost model spread over `lanes` CPU lanes.
-    pub fn with_lanes(mut self, lanes: u32) -> Self {
-        self.lanes = lanes.max(1);
-        self
     }
 
     /// The same cost model with one unit of `kind` priced at `price`
@@ -220,7 +205,6 @@ enum EventKind<M> {
     },
     Drain {
         node: NodeId,
-        lane: u32,
     },
 }
 
@@ -247,17 +231,16 @@ impl<M> Ord for EventEntry<M> {
     }
 }
 
-/// One CPU lane of a node: its busy watermark and the deliveries queued
-/// behind it.
-struct Lane<M> {
+/// A node's CPU: its busy watermark and the deliveries queued behind it.
+struct Cpu<M> {
     busy_until: Time,
     pending: VecDeque<(NodeId, M)>,
     drain_scheduled: bool,
 }
 
-impl<M> Lane<M> {
+impl<M> Cpu<M> {
     fn idle(at: Time) -> Self {
-        Lane {
+        Cpu {
             busy_until: at,
             pending: VecDeque::new(),
             drain_scheduled: false,
@@ -269,7 +252,7 @@ struct NodeSlot<M> {
     process: Option<Box<dyn Process<M>>>,
     alive: bool,
     epoch: u32,
-    lanes: Vec<Lane<M>>,
+    cpu: Cpu<M>,
     cfg: NodeConfig,
 }
 
@@ -375,17 +358,14 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
     /// Adds a node with an explicit config; `on_start` runs immediately.
     pub fn add_node_with(&mut self, process: Box<dyn Process<M>>, cfg: NodeConfig) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let lanes = (0..cfg.lanes.max(1))
-            .map(|_| Lane::idle(self.time))
-            .collect();
         self.nodes.push(NodeSlot {
             process: Some(process),
             alive: true,
             epoch: 0,
-            lanes,
+            cpu: Cpu::idle(self.time),
             cfg,
         });
-        self.run_callback(id, CallbackKind::Start, self.time, None);
+        self.run_callback(id, CallbackKind::Start, self.time);
         id
     }
 
@@ -445,9 +425,7 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         let slot = &mut self.nodes[id.index()];
         slot.alive = false;
         slot.epoch += 1;
-        for lane in &mut slot.lanes {
-            lane.pending.clear();
-        }
+        slot.cpu.pending.clear();
     }
 
     /// Restarts a crashed node with a fresh process (the rejoin protocol is
@@ -457,11 +435,8 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         assert!(!slot.alive, "restart of a live node");
         slot.process = Some(process);
         slot.alive = true;
-        let now = self.time;
-        for lane in &mut slot.lanes {
-            *lane = Lane::idle(now);
-        }
-        self.run_callback(id, CallbackKind::Start, self.time, None);
+        slot.cpu = Cpu::idle(self.time);
+        self.run_callback(id, CallbackKind::Start, self.time);
     }
 
     /// Injects a message from [`EXTERNAL`] directly to `to` after `delay`,
@@ -529,9 +504,8 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
                     self.stats.msgs_dropped += 1;
                     return;
                 }
-                let lane = (msg.lane_hint() % slot.lanes.len() as u64) as u32;
-                slot.lanes[lane as usize].pending.push_back((from, msg));
-                self.try_drain(to, lane, at);
+                slot.cpu.pending.push_back((from, msg));
+                self.try_drain(to, at);
             }
             EventKind::Timer {
                 node,
@@ -547,21 +521,21 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
                     return; // armed before a crash
                 }
                 self.trace_mix(2, node.0 as u64, at.as_nanos(), token);
-                self.run_callback(node, CallbackKind::Timer(Timer { id, token }), at, None);
+                self.run_callback(node, CallbackKind::Timer(Timer { id, token }), at);
             }
-            EventKind::Drain { node, lane } => {
-                self.nodes[node.index()].lanes[lane as usize].drain_scheduled = false;
-                self.try_drain(node, lane, at);
+            EventKind::Drain { node } => {
+                self.nodes[node.index()].cpu.drain_scheduled = false;
+                self.try_drain(node, at);
             }
         }
     }
 
-    /// Handles as many queued messages as one lane of the node's CPU
-    /// allows at `now`, scheduling a future drain if work remains.
-    fn try_drain(&mut self, node: NodeId, lane: u32, now: Time) {
+    /// Handles as many queued messages as the node's CPU allows at `now`,
+    /// scheduling a future drain if work remains.
+    fn try_drain(&mut self, node: NodeId, now: Time) {
         loop {
             let slot = &mut self.nodes[node.index()];
-            let l = &mut slot.lanes[lane as usize];
+            let l = &mut slot.cpu;
             if !slot.alive {
                 l.pending.clear();
                 return;
@@ -573,7 +547,7 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
                 if !l.drain_scheduled {
                     l.drain_scheduled = true;
                     let at = l.busy_until;
-                    self.push_event(at, EventKind::Drain { node, lane });
+                    self.push_event(at, EventKind::Drain { node });
                 }
                 return;
             }
@@ -593,15 +567,12 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
                 now.as_nanos(),
                 msg.wire_size() as u64,
             );
-            self.run_callback(node, CallbackKind::Message(from, msg), now, Some(lane));
+            self.run_callback(node, CallbackKind::Message(from, msg), now);
         }
     }
 
-    /// Runs one process callback and charges its CPU cost to a lane:
-    /// message deliveries charge the lane they queued on (`lane`), while
-    /// timer/start callbacks charge the lane the callback selected via
-    /// [`Context::use_lane`] (lane 0 unless overridden).
-    fn run_callback(&mut self, node: NodeId, kind: CallbackKind<M>, now: Time, lane: Option<u32>) {
+    /// Runs one process callback and charges its CPU cost to the node.
+    fn run_callback(&mut self, node: NodeId, kind: CallbackKind<M>, now: Time) {
         let mut process = match self.nodes[node.index()].process.take() {
             Some(p) => p,
             None => return,
@@ -612,7 +583,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
             CallbackKind::Message(from, msg) => process.on_message(from, msg, &mut ctx),
             CallbackKind::Timer(timer) => process.on_timer(timer, &mut ctx),
         }
-        let lane_hint = ctx.lane;
         let (effects, work) = ctx.into_effects();
         let slot = &mut self.nodes[node.index()];
         slot.process = Some(process);
@@ -620,8 +590,7 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
             .iter()
             .filter(|e| matches!(e, Effect::Send { .. }))
             .count() as u64;
-        let lane = lane.unwrap_or((lane_hint % slot.lanes.len() as u64) as u32);
-        let l = &mut slot.lanes[lane as usize];
+        let l = &mut slot.cpu;
         let start = if l.busy_until > now {
             l.busy_until
         } else {
@@ -877,125 +846,6 @@ mod tests {
         // Each message handled ~1ms (charge) + 1us (base) after the previous.
         assert!(handled[1] - handled[0] >= Dur::millis(1));
         assert!(handled[2] - handled[1] >= Dur::millis(1));
-    }
-
-    /// Message that names a CPU lane directly.
-    #[derive(Debug, Clone, PartialEq)]
-    struct Laned(u64);
-
-    impl Payload for Laned {
-        fn wire_size(&self) -> usize {
-            8
-        }
-        fn lane_hint(&self) -> u64 {
-            self.0
-        }
-    }
-
-    struct SlowLaned {
-        handled: Vec<(Time, u64)>,
-    }
-
-    impl Process<Laned> for SlowLaned {
-        fn on_message(&mut self, _from: NodeId, msg: Laned, ctx: &mut Context<'_, Laned>) {
-            self.handled.push((ctx.now(), msg.0));
-            ctx.work(Work::Apply, 1);
-        }
-        impl_process_any!();
-    }
-
-    #[test]
-    fn lanes_run_hinted_messages_concurrently() {
-        let mut sim: Simulation<Laned, UniformFabric> =
-            Simulation::new(UniformFabric::new(Dur::ZERO), 1);
-        let a = sim.add_node_with(
-            Box::new(SlowLaned {
-                handled: Vec::new(),
-            }),
-            slow_cpu().with_lanes(2),
-        );
-        // Two heavy messages on different lanes, then one more per lane.
-        for hint in [0u64, 1, 2, 3] {
-            sim.inject(a, Laned(hint), Dur::ZERO);
-        }
-        sim.run_until(Time::ZERO + Dur::millis(10));
-        let handled = &sim.node::<SlowLaned>(a).handled;
-        assert_eq!(handled.len(), 4);
-        // Hints 0 and 1 land on distinct lanes and start immediately; the
-        // 1ms charge from hint 0 must not delay hint 1.
-        let t = |hint: u64| handled.iter().find(|(_, h)| *h == hint).unwrap().0;
-        assert!(t(1) < Time::ZERO + Dur::millis(1), "lane 1 not delayed");
-        // Hints 2 and 3 fold back onto lanes 0 and 1 and queue behind the
-        // first pair's charges.
-        assert!(t(2) >= t(0) + Dur::millis(1));
-        assert!(t(3) >= t(1) + Dur::millis(1));
-    }
-
-    #[test]
-    fn single_lane_serializes_regardless_of_hints() {
-        let mut sim: Simulation<Laned, UniformFabric> =
-            Simulation::new(UniformFabric::new(Dur::ZERO), 1);
-        let a = sim.add_node_with(
-            Box::new(SlowLaned {
-                handled: Vec::new(),
-            }),
-            slow_cpu(),
-        );
-        for hint in [5u64, 9, 13] {
-            sim.inject(a, Laned(hint), Dur::ZERO);
-        }
-        sim.run_until(Time::ZERO + Dur::millis(10));
-        let handled = &sim.node::<SlowLaned>(a).handled;
-        assert_eq!(handled.len(), 3);
-        assert!(handled[1].0 - handled[0].0 >= Dur::millis(1));
-        assert!(handled[2].0 - handled[1].0 >= Dur::millis(1));
-    }
-
-    /// Timer handler that directs its charge at a chosen lane.
-    struct LanedTimer {
-        handled: Vec<(Time, u64)>,
-    }
-
-    impl Process<Laned> for LanedTimer {
-        fn on_start(&mut self, ctx: &mut Context<'_, Laned>) {
-            ctx.set_timer(Dur::ZERO, 0);
-        }
-        fn on_message(&mut self, _from: NodeId, msg: Laned, ctx: &mut Context<'_, Laned>) {
-            self.handled.push((ctx.now(), msg.0));
-            ctx.work(Work::Message, 1);
-        }
-        fn on_timer(&mut self, _timer: Timer, ctx: &mut Context<'_, Laned>) {
-            // Charge a heavy tick against lane 1 only.
-            ctx.use_lane(1);
-            ctx.work(Work::Apply, 1);
-        }
-        impl_process_any!();
-    }
-
-    #[test]
-    fn use_lane_directs_timer_charge() {
-        let mut sim: Simulation<Laned, UniformFabric> =
-            Simulation::new(UniformFabric::new(Dur::ZERO), 1);
-        let a = sim.add_node_with(
-            Box::new(LanedTimer {
-                handled: Vec::new(),
-            }),
-            slow_cpu()
-                .with_price(Work::Message, Dur::micros(10))
-                .with_lanes(2),
-        );
-        sim.inject(a, Laned(0), Dur::micros(1));
-        sim.inject(a, Laned(1), Dur::micros(1));
-        sim.run_until(Time::ZERO + Dur::millis(10));
-        let handled = &sim.node::<LanedTimer>(a).handled;
-        let t = |hint: u64| handled.iter().find(|(_, h)| *h == hint).unwrap().0;
-        // The timer's 1ms charge went to lane 1, so the lane-0 message runs
-        // right away while the lane-1 message waits out the tick.
-        assert!(t(0) < Time::ZERO + Dur::millis(1), "lane 0 stayed free");
-        assert!(
-            t(1) >= Time::ZERO + Dur::millis(1),
-            "lane 1 blocked by tick"
-        );
     }
 
     /// The default price of the work `report` records in one callback.

@@ -90,17 +90,6 @@ pub struct OpenLoopConfig {
     /// models one request per client op, the unbatched baseline the
     /// `throughput_knee` bench measures against.
     pub max_batch: u32,
-    /// Key-space shards the synthetic stream is spread across: each
-    /// tick's arrivals are split into one sub-stream per shard, and
-    /// sub-stream `s` numbers its ops `seq * shards + s`, which is where
-    /// the router sends a keyless op. Set it to the deployment's
-    /// `CanopusConfig::shards`; with the default `1` op ids are the plain
-    /// sequence.
-    pub shards: u16,
-    /// Zipf exponent for the per-shard split: `None` spreads arrivals
-    /// uniformly, `Some(theta)` gives shard `s` a share ∝ 1/(s+1)^theta
-    /// (shard 0 hottest) — the hot-shard-skew workload.
-    pub shard_theta: Option<f64>,
 }
 
 impl Default for OpenLoopConfig {
@@ -112,34 +101,8 @@ impl Default for OpenLoopConfig {
             op_bytes: 16,
             warmup: Dur::millis(200),
             max_batch: 0,
-            shards: 1,
-            shard_theta: None,
         }
     }
-}
-
-/// Cumulative traffic share of each of `shards` shards: uniform, or
-/// ∝ 1/(s+1)^theta.
-fn shard_cdf(shards: u16, theta: Option<f64>) -> Vec<f64> {
-    let weights: Vec<f64> = (0..shards)
-        .map(|s| match theta {
-            None => 1.0,
-            Some(theta) => 1.0 / f64::from(s + 1).powf(theta),
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    let mut cdf: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            acc += w / total;
-            acc
-        })
-        .collect();
-    if let Some(last) = cdf.last_mut() {
-        *last = 1.0;
-    }
-    cdf
 }
 
 /// Aggregated open-loop Poisson client bound to one protocol node.
@@ -155,15 +118,12 @@ pub struct OpenLoopClient<M: ProtocolMsg> {
     pub reads: LatencyRecorder,
     /// Requests issued (weighted), including warmup.
     pub offered: u64,
-    /// [`shard_cdf`] of the configured shards; its length is their number.
-    shard_cdf: Vec<f64>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
 impl<M: ProtocolMsg> OpenLoopClient<M> {
     /// Creates a client targeting `target`.
     pub fn new(target: NodeId, cfg: OpenLoopConfig, seed: u64) -> Self {
-        let shard_cdf = shard_cdf(cfg.shards.max(1), cfg.shard_theta);
         OpenLoopClient {
             cfg,
             target,
@@ -173,7 +133,6 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             writes: LatencyRecorder::default(),
             reads: LatencyRecorder::default(),
             offered: 0,
-            shard_cdf,
             _marker: std::marker::PhantomData,
         }
     }
@@ -186,29 +145,12 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
         merged
     }
 
-    /// Splits `count` arrivals across shards by largest-cumulative-share
-    /// rounding: deterministic, exact (`sum == count`), no RNG draws.
-    fn split_across_shards(&self, count: u64) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.shard_cdf.len());
-        let mut prev = 0u64;
-        for &cdf in &self.shard_cdf {
-            let upto = ((count as f64) * cdf).round() as u64;
-            out.push(upto.saturating_sub(prev));
-            prev = upto.max(prev);
-        }
-        out
-    }
-
     fn issue_tick(&mut self, writes: u64, reads: u64, ctx: &mut Context<'_, M>) {
-        let w_split = self.split_across_shards(writes);
-        let r_split = self.split_across_shards(reads);
-        for (s, (w, r)) in w_split.into_iter().zip(r_split).enumerate() {
-            self.send_batch(w, true, s as u64, ctx);
-            self.send_batch(r, false, s as u64, ctx);
-        }
+        self.send_batch(writes, true, ctx);
+        self.send_batch(reads, false, ctx);
     }
 
-    fn send_batch(&mut self, count: u64, is_write: bool, shard: u64, ctx: &mut Context<'_, M>) {
+    fn send_batch(&mut self, count: u64, is_write: bool, ctx: &mut Context<'_, M>) {
         if count == 0 {
             return;
         }
@@ -218,16 +160,16 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             while left > 0 {
                 let n = left.min(chunk);
                 left -= n;
-                self.send_one(n, is_write, shard, ctx);
+                self.send_one(n, is_write, ctx);
             }
         } else {
-            self.send_one(count, is_write, shard, ctx);
+            self.send_one(count, is_write, ctx);
         }
     }
 
-    fn send_one(&mut self, count: u64, is_write: bool, shard: u64, ctx: &mut Context<'_, M>) {
+    fn send_one(&mut self, count: u64, is_write: bool, ctx: &mut Context<'_, M>) {
         self.next_op_id += 1;
-        let op_id = self.next_op_id * self.shard_cdf.len() as u64 + shard;
+        let op_id = self.next_op_id;
         let op = if is_write {
             Op::SyntheticWrite {
                 count: count as u32,
@@ -563,12 +505,9 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_numbers_ops_onto_their_shards() {
-        let sent_ids = |shards: u16| {
-            let cfg = OpenLoopConfig {
-                shards,
-                ..Default::default()
-            };
+    fn open_loop_numbers_ops_in_sequence() {
+        let sent_ids = || {
+            let cfg = OpenLoopConfig::default();
             let mut client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9);
             let mut rng = SmallRng::seed_from_u64(0);
             let mut seq = 0;
@@ -591,17 +530,8 @@ mod tests {
             assert_eq!(client.offered, 12);
             ids
         };
-        assert_eq!(sent_ids(1), [1, 2], "unsharded ids are the plain sequence");
-        // A write and a read per shard, each id naming its shard.
-        let ids = sent_ids(4);
-        assert_eq!(ids.len(), 8);
-        let shards: Vec<u64> = ids.iter().map(|id| id % 4).collect();
-        assert_eq!(shards, [0, 0, 1, 1, 2, 2, 3, 3]);
-        let router = canopus_kv::ShardRouter::new(4);
-        let read = Op::SyntheticRead { count: 1 };
-        assert!(ids
-            .iter()
-            .all(|&id| router.shard_of(id, &read) == Some((id % 4) as u16)));
+        // One aggregated write and one aggregated read, numbered in turn.
+        assert_eq!(sent_ids(), [1, 2]);
     }
 
     #[test]

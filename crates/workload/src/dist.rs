@@ -166,9 +166,8 @@ mod tests {
 
     #[test]
     fn zipf_is_deterministic_per_seed() {
-        // Shard routing feeds Zipf-skewed keys into per-shard accounting;
-        // the whole pipeline is reproducible only if the sampler is a
-        // pure function of (distribution, seed).
+        // A run is reproducible only if the sampler is a pure function of
+        // (distribution, seed).
         let d = KeyDist::zipf(1_000_000, 0.99);
         let draw = |seed: u64| {
             let mut g = SmallRng::seed_from_u64(seed);

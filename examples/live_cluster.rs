@@ -69,8 +69,7 @@ fn main() {
             NodeObs::disabled()
         };
         hubs.push(hub.clone());
-        let node = CanopusNode::new(id, table.clone(), cfg.clone(), 42)
-            .with_obs(std::slice::from_ref(&hub));
+        let node = CanopusNode::new(id, table.clone(), cfg.clone(), 42).with_obs(hub.clone());
         let (tx, rx) = mpsc::channel();
         shutdowns.push(tx);
         let peer_map = peers.clone();

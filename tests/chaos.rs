@@ -16,19 +16,25 @@
 //! sweep), 2 in a debug build (plain `cargo test --workspace` spot-checks),
 //! `CHAOS_SEEDS=ci` for a quick fixed set in CI, `CHAOS_SEEDS=extended` for
 //! a deep local sweep.
+//!
+//! The suite also carries the trace anchors: the plain Canopus node under
+//! two plans and the two baselines under one must reproduce pinned trace
+//! hashes, so a refactor cannot silently change an execution.
+
+use std::collections::BTreeSet;
 
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_epaxos::EpaxosMsg;
 use canopus_harness::scenarios::{
     assert_verdict, asymmetric_loss, crash_restart_churn, leader_crash_mid_round, link_flapping,
     majority_minority_split, node_isolated, partition_then_crash_restart, seed_sweep,
-    superleaf_partition,
+    shifting_partition, superleaf_partition, uniform_loss,
 };
 use canopus_harness::{
     ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology, Clients, Cluster, ClusterBuilder,
     ClusterObs, DeploymentSpec, HistoryClient, HistoryConfig, Protocol,
 };
-use canopus_sim::Dur;
+use canopus_sim::{Dur, NodeId};
 use canopus_zab::ZabMsg;
 
 // ---------------------------------------------------------------------
@@ -83,13 +89,22 @@ fn history_config() -> HistoryConfig {
     }
 }
 
+/// Every third write a `MultiPut` over the client's whole key set.
+fn multi_put() -> HistoryConfig {
+    HistoryConfig {
+        multi_put_every: 3,
+        ..history_config()
+    }
+}
+
 /// `cfg: None` is the protocol's default simulator configuration.
 fn builder<P: Protocol>(
     spec: &DeploymentSpec,
     cfg: Option<P::Config>,
+    hcfg: &HistoryConfig,
     seed: u64,
 ) -> ClusterBuilder<P> {
-    let b = ClusterBuilder::new(spec, seed).clients(Clients::History(history_config()));
+    let b = ClusterBuilder::new(spec, seed).clients(Clients::History(hcfg.clone()));
     match cfg {
         Some(cfg) => b.config(cfg),
         None => b,
@@ -99,10 +114,11 @@ fn builder<P: Protocol>(
 fn run_one<P: Protocol>(
     spec: &DeploymentSpec,
     cfg: Option<P::Config>,
+    hcfg: &HistoryConfig,
     scenario: &ChaosScenario,
     seed: u64,
 ) -> (ChaosReport, Cluster<P>) {
-    let mut cluster = builder::<P>(spec, cfg, seed).sim();
+    let mut cluster = builder::<P>(spec, cfg, hcfg, seed).sim();
     cluster.run_plan(&scenario.plan, timeline().run_for);
     let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
     (report, cluster)
@@ -112,9 +128,14 @@ fn run_one<P: Protocol>(
 /// whole ring.
 const DUMP_EVENTS: usize = 40;
 
-fn sweep<M: Protocol>(spec: &DeploymentSpec, cfg: Option<M::Config>, scenario: ChaosScenario) {
+fn sweep<M: Protocol>(
+    spec: &DeploymentSpec,
+    cfg: Option<M::Config>,
+    hcfg: &HistoryConfig,
+    scenario: ChaosScenario,
+) {
     for seed in seed_sweep("CHAOS_SEEDS", 0xC0DE, 20) {
-        let (report, cluster) = run_one::<M>(spec, cfg.clone(), &scenario, seed);
+        let (report, cluster) = run_one::<M>(spec, cfg.clone(), hcfg, &scenario, seed);
         assert_verdict(&report, M::NAME, scenario.name, seed, 50, || {
             cluster.flight_dump(DUMP_EVENTS)
         });
@@ -129,7 +150,8 @@ fn sweep<M: Protocol>(spec: &DeploymentSpec, cfg: Option<M::Config>, scenario: C
 #[should_panic(expected = "flight recorder dump")]
 fn broken_verdict_dumps_flight_recorders() {
     let scenario = superleaf_partition(&topo(), &timeline());
-    let (report, cluster) = run_one::<CanopusMsg>(&spec(), None, &scenario, 0xBAD5EED);
+    let (report, cluster) =
+        run_one::<CanopusMsg>(&spec(), None, &history_config(), &scenario, 0xBAD5EED);
     assert!(
         report.ops_ok == 0, // deliberately impossible: healthy runs commit ops
         "deliberately broken bar ({} ops committed)
@@ -139,16 +161,19 @@ fn broken_verdict_dumps_flight_recorders() {
     );
 }
 
-/// One row: `test: protocol[, config] => scenario[ in deployment];`,
-/// where the deployment defaults to [`spec`].
+/// One row: `test: protocol[, config] => scenario[ in deployment][, with
+/// history clients];`, where the deployment defaults to [`spec`] and the
+/// clients to [`history_config`].
 macro_rules! chaos_matrix {
-    ($($test:ident: $msg:ty $(, $cfg:expr)? => $scenario:ident $(in $spec:expr)?;)*) => {
+    ($($test:ident: $msg:ty $(, $cfg:expr)? => $scenario:ident $(in $spec:expr)?
+        $(, with $hcfg:expr)?;)*) => {
         $(
             #[test]
             fn $test() {
                 let spec = None$(.or(Some($spec)))?.unwrap_or_else(spec);
+                let hcfg = None$(.or(Some($hcfg)))?.unwrap_or_else(history_config);
                 let scenario = $scenario(&ChaosTopology::of(&spec), &timeline());
-                sweep::<$msg>(&spec, None$(.or(Some($cfg)))?, scenario);
+                sweep::<$msg>(&spec, None$(.or(Some($cfg)))?, &hcfg, scenario);
             }
         )*
     };
@@ -163,6 +188,8 @@ chaos_matrix! {
     canopus_link_flapping: CanopusMsg => link_flapping;
     canopus_node_isolated: CanopusMsg => node_isolated;
     canopus_partition_crash_restart: CanopusMsg => partition_then_crash_restart;
+    canopus_uniform_loss: CanopusMsg => uniform_loss;
+    canopus_shifting_partition: CanopusMsg => shifting_partition, with multi_put();
 
     canopus_batched_superleaf_partition: CanopusMsg, batched4() => superleaf_partition;
     canopus_batched_churn: CanopusMsg, batched4() => crash_restart_churn;
@@ -190,6 +217,133 @@ chaos_matrix! {
 }
 
 // ---------------------------------------------------------------------
+// Trace pins
+// ---------------------------------------------------------------------
+
+/// Runs `scenario` on `cluster` with the kernel's trace hash on; the
+/// verdict must hold. Returns the hash and the event count.
+fn traced<P: Protocol>(mut cluster: Cluster<P>, scenario: &ChaosScenario) -> (u64, u64) {
+    cluster.sim.enable_trace_hash();
+    cluster.run_plan(&scenario.plan, timeline().run_for);
+    let report = cluster.verdict(timeline().converge_after(), &(scenario.exempt)(P::NAME));
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+    (
+        cluster.sim.trace_hash().expect("enabled"),
+        cluster.sim.events_processed(),
+    )
+}
+
+/// The plain node's execution, pinned by value: default simulator
+/// configuration, history clients, seed 7, one super-leaf partitioned and
+/// healed. `determinism_*` compare a run with a second run and the BENCH
+/// gates allow 20 %, so nothing else holds the Canopus node to the event.
+///
+/// Re-pinned from `0xeb02_61b7_3dbb_6feb` / 148 994 events, for two
+/// reasons landed together: a follower in a super-leaf group of at most
+/// three now commits a current-term entry when it appends it, so the
+/// leader's empty commit notifications and their acks are no longer sent
+/// (four messages per broadcast instead of eight, so far fewer events);
+/// and `RaftMsg::wire_size` now counts the 8-byte `discarded`
+/// field of `AppendEntries`, which the simulator's byte counters and the
+/// trace hash read.
+///
+/// Re-pinned again from `0x716b_6ab7_f0d0_fb7a` (same 112 954 events): an
+/// encoded request set is 4 bytes shorter, having lost the empty §7.2 key
+/// list (a `u32` count) that followed its ops. Raft appends carry encoded
+/// sets, the fabric delays each message by its size and the trace hash
+/// mixes in `wire_size`; a build that still writes a zero `u32` there
+/// reproduces the old value.
+///
+/// Re-pinned again from `0x0622_b8d4_ff9a_2608` / 112 954 events: fetched
+/// states leave the Raft logs. A representative forwards each state it
+/// fetched to its super-leaf peers as a plain proposal-response and takes
+/// it in at once, instead of appending it to its own broadcast group and
+/// waiting for the delivery; the group's appends and acks for it are gone.
+#[test]
+fn plain_trace_hash_is_pinned() {
+    assert_eq!(
+        plain_traced_run(&superleaf_partition(&topo(), &timeline())),
+        (0xb21c_cc02_1ae9_ecf2, 107_450),
+        "plain trace drifted: if intentional, re-pin and say what moved it"
+    );
+}
+
+/// The same plain node under `asymmetric_loss`: the only pin on the loss
+/// path, i.e. on when the fabric draws from the kernel's RNG (one `f64`
+/// per routed message, and only while the sender's loss rate is positive).
+///
+/// Re-pinned from `0x284f_9d62_f86b_eaf5` / 193 309 events for the same
+/// two reasons as [`plain_trace_hash_is_pinned`]: follower-side commit in
+/// groups of at most three (no commit notifications, so fewer messages to
+/// route, draw for and lose) and the corrected `AppendEntries` wire size.
+///
+/// Re-pinned again from `0x83e2_6758_478d_c85a` / 116 563 events for the
+/// reason given at [`plain_trace_hash_is_pinned`]: 4 fewer bytes per
+/// encoded request set.
+///
+/// Re-pinned again from `0xeb53_a652_61c6_8c0a` / 124 400 events for the
+/// reason given at [`plain_trace_hash_is_pinned`]: fetched states leave
+/// the Raft logs. Only this pin also moves with the loss handling that
+/// comes with it: a member whose forward was lost fetches the state as
+/// soon as a later cycle shows that it exists, not only after its cycle
+/// has stalled for `fetch_timeout`.
+#[test]
+fn asymmetric_loss_trace_hash_is_pinned() {
+    assert_eq!(
+        plain_traced_run(&asymmetric_loss(&topo(), &timeline())),
+        (0x0c38_7fc7_d70b_fe46, 114_575),
+        "lossy trace drifted: if intentional, re-pin and say what moved it"
+    );
+}
+
+/// The default simulator configuration under history clients, seed 7,
+/// through the builder's own defaults.
+fn plain_traced_run(scenario: &ChaosScenario) -> (u64, u64) {
+    default_traced_run::<CanopusMsg>(scenario)
+}
+
+/// Protocol `P`'s default simulator configuration under history clients,
+/// seed 7, through the builder's own defaults.
+fn default_traced_run<P: Protocol>(scenario: &ChaosScenario) -> (u64, u64) {
+    traced(
+        builder::<P>(&spec(), None, &history_config(), 7).sim(),
+        scenario,
+    )
+}
+
+/// The baselines' executions, pinned by value like the plain Canopus node
+/// (seed 7, one super-leaf partitioned and healed): each protocol's
+/// handlers report their own CPU work, so nothing else holds their
+/// simulated timing to the event.
+#[test]
+fn baseline_trace_hashes_are_pinned() {
+    let scenario = superleaf_partition(&topo(), &timeline());
+    assert_eq!(
+        [
+            default_traced_run::<EpaxosMsg>(&scenario),
+            default_traced_run::<ZabMsg>(&scenario),
+        ],
+        [
+            (0x960b_0fdd_4e92_f8c1, 67_953),
+            (0x67fa_d22b_8621_9eac, 44_888),
+        ],
+        "a baseline's trace drifted (EPaxos, ZAB): if intentional, re-pin and say what moved it"
+    );
+}
+
+/// The convergence-exemption plumbing reaches the verdict: with every
+/// node exempted the report is still well formed and clean.
+#[test]
+fn verdict_handles_exemptions() {
+    let scenario = superleaf_partition(&topo(), &timeline());
+    let (_, cluster) =
+        run_one::<CanopusMsg>(&spec(), None, &history_config(), &scenario, 0x5A4D + 4);
+    let all: BTreeSet<NodeId> = (0..spec().node_count() as u32).map(NodeId).collect();
+    let report = cluster.verdict(timeline().converge_after(), &all);
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
 // Determinism regression
 // ---------------------------------------------------------------------
 
@@ -199,7 +353,7 @@ chaos_matrix! {
 fn determinism_same_plan_same_seed_identical_traces() {
     let run = |seed: u64| {
         let scenario = superleaf_partition(&topo(), &timeline());
-        let mut cluster = builder::<CanopusMsg>(&spec(), None, seed).sim();
+        let mut cluster = builder::<CanopusMsg>(&spec(), None, &history_config(), seed).sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         let histories: Vec<Vec<String>> = cluster
@@ -244,7 +398,9 @@ fn determinism_same_plan_same_seed_identical_traces() {
 fn determinism_obs_enabled_matches_disabled() {
     let run = |obs: ClusterObs| {
         let scenario = superleaf_partition(&topo(), &timeline());
-        let mut cluster = builder::<CanopusMsg>(&spec(), None, 11).obs(obs).sim();
+        let mut cluster = builder::<CanopusMsg>(&spec(), None, &history_config(), 11)
+            .obs(obs)
+            .sim();
         cluster.sim.enable_trace_hash();
         let applied = cluster.run_plan(&scenario.plan, timeline().run_for);
         (
@@ -268,7 +424,7 @@ fn determinism_obs_enabled_matches_disabled() {
 fn determinism_crash_restart_zab() {
     let run = || {
         let scenario = crash_restart_churn(&topo(), &timeline());
-        let mut cluster = builder::<ZabMsg>(&spec(), None, 11).sim();
+        let mut cluster = builder::<ZabMsg>(&spec(), None, &history_config(), 11).sim();
         cluster.sim.enable_trace_hash();
         cluster.run_plan(&scenario.plan, timeline().run_for);
         (

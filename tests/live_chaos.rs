@@ -91,17 +91,6 @@ fn live_canopus_batched_superleaf_partition() {
     sweep::<CanopusMsg>(Some(batched), superleaf_partition);
 }
 
-/// Four LOT pipelines per node over real sockets: lane-tagged frames on
-/// the wire, the per-shard checks of the verdict engaged.
-#[test]
-fn live_sharded_canopus_superleaf_partition() {
-    let sharded = CanopusConfig {
-        shards: 4,
-        ..CanopusMsg::live_config(&live_spec())
-    };
-    sweep::<CanopusMsg>(Some(sharded), superleaf_partition);
-}
-
 #[test]
 fn live_epaxos_superleaf_partition() {
     sweep::<EpaxosMsg>(None, superleaf_partition);
