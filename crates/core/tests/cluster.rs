@@ -568,58 +568,49 @@ fn node_failure_excludes_and_consensus_continues() {
         fetch_timeout: Dur::millis(40),
         ..CanopusConfig::default()
     };
-    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 7);
-    // Client writes continuously to node 0 (super-leaf 0).
-    let script: Vec<(Dur, Op)> = (0..40)
-        .map(|k| (Dur::millis(2 * k + 1), put(k, k as u8)))
-        .collect();
-    let client = add_client(&mut cluster, NodeId(0), script);
-    // Run a bit, then crash node 1 (same super-leaf as the loaded node).
-    cluster.sim.run_for(Dur::millis(10));
-    cluster.sim.crash(NodeId(1));
-    cluster.sim.run_for(Dur::millis(400));
+    // The client writes to `target` in super-leaf 0 (nodes 0–2). In the
+    // 2×2 tree (four super-leaves of three) super-leaf 0's representatives
+    // are nodes 0 and 1; each round needs one remote state, so node 0
+    // fetches both (round 2's from super-leaf 1, round 3's from the other
+    // height-2 subtree) and node 1 takes over once node 0 is excluded.
+    // Node 6 emulates that other subtree.
+    for (shape, crashed, target) in [
+        (LotShape::flat(2), NodeId(1), NodeId(0)),
+        (LotShape::new(vec![2, 2]), NodeId(1), NodeId(0)),
+        (LotShape::new(vec![2, 2]), NodeId(0), NodeId(2)),
+        (LotShape::new(vec![2, 2]), NodeId(6), NodeId(0)),
+    ] {
+        let case = format!("{shape:?}, {crashed} crashed");
+        let mut cluster = build_cluster(shape, 3, &cfg, 7);
+        let script: Vec<(Dur, Op)> = (0..40)
+            .map(|k| (Dur::millis(2 * k + 1), put(k, k as u8)))
+            .collect();
+        let client = add_client(&mut cluster, target, script);
+        // Run a bit, then crash the node.
+        cluster.sim.run_for(Dur::millis(10));
+        cluster.sim.crash(crashed);
+        cluster.sim.run_for(Dur::millis(400));
 
-    // The survivors must keep committing: all 40 writes eventually commit.
-    let c = cluster.sim.node::<ScriptClient>(client);
-    assert_eq!(c.replies.len(), 40, "writes complete despite peer failure");
-    // Survivor logs agree.
-    let survivors: Vec<Vec<(u64, u32, u64)>> = cluster
-        .nodes
-        .iter()
-        .filter(|&&n| n != NodeId(1))
-        .map(|&n| {
-            cluster
-                .sim
-                .node::<CanopusNode>(n)
-                .committed_log()
-                .iter()
-                .flat_map(|cc| {
-                    cc.sets.iter().flat_map(|s| {
-                        s.ops.iter().map(|op| match *op {
-                            CommittedOp::Put {
-                                client, op_id, key, ..
-                            } => (key, client.0, op_id),
-                            CommittedOp::Synthetic { client, op_id, .. } => {
-                                (u64::MAX, client.0, op_id)
-                            }
-                            CommittedOp::MultiPut { client, op_id, .. } => {
-                                (u64::MAX - 1, client.0, op_id)
-                            }
-                        })
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    assert!(check_agreement(&survivors).is_ok());
-    // The failed node was removed from every surviving emulation table.
-    for &n in cluster.nodes.iter().filter(|&&n| n != NodeId(1)) {
-        let node = cluster.sim.node::<CanopusNode>(n);
+        // The survivors must keep committing: all 40 writes eventually commit.
+        let c = cluster.sim.node::<ScriptClient>(client);
         assert_eq!(
-            node.emulation_table().superleaf_of(NodeId(1)),
-            None,
-            "{n} still lists the dead node"
+            c.replies.len(),
+            40,
+            "{case}: writes complete despite peer failure"
         );
+        // Survivor logs agree.
+        let mut survivors = commit_histories(&cluster);
+        survivors.remove(crashed.0 as usize);
+        assert!(check_agreement(&survivors).is_ok(), "{case}");
+        // The failed node was removed from every surviving emulation table.
+        for &n in cluster.nodes.iter().filter(|&&n| n != crashed) {
+            let node = cluster.sim.node::<CanopusNode>(n);
+            assert_eq!(
+                node.emulation_table().superleaf_of(crashed),
+                None,
+                "{case}: {n} still lists the dead node"
+            );
+        }
     }
 }
 

@@ -23,14 +23,6 @@
 //!
 //! The mux is pure state-machine plumbing (no sockets, no threads), so it
 //! runs — and is tested — under detached contexts directly.
-//!
-//! `canopus_workload::SessionMux` also puts many clients on one transport
-//! node, and the two stay apart on purpose. This one hosts a few tens of
-//! full [`Process`] sub-clients, each with its own timers and the recorded
-//! history the chaos verdict replays, so it must translate arbitrary
-//! effects; that one is a tick wheel over 10⁵ fixed-size session records
-//! that arms one timer and keeps no history. A shared type would branch on
-//! its caller at every step.
 
 use std::collections::HashMap;
 

@@ -3,8 +3,8 @@
 //! writes — the whole sim → net → raft → core → workload → harness stack
 //! in well under a second. CI runs this on every push, so a change that
 //! compiles but breaks the consensus cycle fails here rather than only in
-//! the long-running bench binaries (`crates/harness/examples/smoke.rs` is
-//! the full, slower sweep of the same pipeline).
+//! the long-running bench binaries (`throughput_knee` is the full, slower
+//! sweep of the same pipeline).
 
 use canopus::CanopusMsg;
 use canopus_harness::{deterministic_check, run, DeploymentSpec, LoadSpec, Protocol};

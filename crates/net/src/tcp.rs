@@ -24,9 +24,8 @@
 //!
 //! This module exists to make the library deployable, and to demonstrate
 //! that the protocol crates are genuinely IO-free: `examples/live_cluster.rs`
-//! runs a Canopus group over loopback TCP with zero changes to protocol
-//! code, and `examples/live_scale.rs` runs 100+ nodes on one machine, one
-//! thread each.
+//! runs a twelve-node, height-3 Canopus tree over loopback TCP with zero
+//! changes to protocol code.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};

@@ -3,8 +3,8 @@
 //! Load generation and latency accounting for the evaluation (§8): open-
 //! loop Poisson clients with configurable write ratios (the paper's 180
 //! single-DC clients / 100 clients per datacenter), closed-loop blocking
-//! clients for precise latency curves, Poisson/uniform/Zipf samplers, and mergeable latency recorders with
-//! reservoir-sampled percentiles.
+//! clients for precise latency curves, Poisson/uniform/Zipf samplers, and
+//! mergeable latency recorders with reservoir-sampled percentiles.
 //!
 //! Clients are generic over the protocol through [`ProtocolMsg`], which is
 //! implemented here for Canopus, EPaxos, and the Zab/ZooKeeper model — so
@@ -15,9 +15,7 @@
 pub mod client;
 pub mod dist;
 pub mod latency;
-pub mod sessions;
 
 pub use client::{ClosedLoopClient, ClosedLoopConfig, OpenLoopClient, OpenLoopConfig, ProtocolMsg};
 pub use dist::{poisson, KeyDist};
 pub use latency::LatencyRecorder;
-pub use sessions::{SessionMux, SessionMuxConfig};

@@ -2,10 +2,12 @@
 //!
 //! The same `CanopusNode` state machines that drive every simulation in
 //! this repository here run unmodified on the run-to-completion TCP transport
-//! (`canopus_net::tcp`): six nodes in two super-leaves listen on loopback
-//! TCP, a TCP client (registered in the peer map as node 6) submits writes
-//! and a read through real sockets and receives real replies, and the
-//! nodes' commit digests are compared at shutdown.
+//! (`canopus_net::tcp`): twelve nodes in a height-3 tree (fanouts 2×2, four
+//! super-leaves of three) listen on loopback TCP, a TCP client (registered
+//! in the peer map as node 12) submits writes and a read through real
+//! sockets and receives real replies, and the nodes' commit digests are
+//! compared at shutdown. In every cycle's round 3 each super-leaf fetches
+//! the state of the other height-2 subtree over TCP.
 //!
 //! Run with: `cargo run --example live_cluster [-- --metrics]`
 //!
@@ -28,8 +30,8 @@ use canopus_net::FaultRules;
 use canopus_obs::NodeObs;
 use canopus_sim::NodeId;
 
-const NODES: u32 = 6;
-const CLIENT_ID: NodeId = NodeId(6);
+const NODES: u32 = 12;
+const CLIENT_ID: NodeId = NodeId(12);
 
 /// Flight-ring capacity per node under `--metrics`.
 const FLIGHT_CAP: usize = 64;
@@ -37,11 +39,10 @@ const FLIGHT_CAP: usize = 64;
 fn main() {
     let show_metrics = std::env::args().any(|a| a == "--metrics");
     let table = EmulationTable::new(
-        LotShape::flat(2),
-        vec![
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            vec![NodeId(3), NodeId(4), NodeId(5)],
-        ],
+        LotShape::new(vec![2, 2]),
+        (0..NODES / 3)
+            .map(|leaf| (0..3).map(|i| NodeId(3 * leaf + i)).collect())
+            .collect(),
     );
     // The simulator-tuned defaults (25 ms failure timeout, 10–20 ms Raft
     // elections) assume a deterministic scheduler; on a real OS a loaded
@@ -52,7 +53,7 @@ fn main() {
     let cfg = live_canopus_config();
 
     // Bind every listener up front so the peer map is complete, including
-    // the client's own inbound socket (node 6 in the message namespace).
+    // the client's own inbound socket (node 12 in the message namespace).
     let (mut listeners, peers) = bind_loopback(NODES as usize + 1);
     let client_listener = listeners.pop().expect("client listener");
 
@@ -164,7 +165,7 @@ fn main() {
     }
 
     // Replies arrive as soon as the client's own super-leaf commits; the
-    // remote super-leaf finishes the cycle one exchange later. Give the
+    // remote super-leaves finish the cycle one exchange later. Give the
     // final cycle time to close everywhere before pulling the plug, or the
     // strict digest comparison below races against that last hop.
     std::thread::sleep(Duration::from_millis(500));
