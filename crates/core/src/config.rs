@@ -7,8 +7,9 @@
 //! flight). The defaults are a single datacenter's — no window, one cycle
 //! at a time; [`CanopusConfig::wide_area`] is the paper's multi-datacenter
 //! setting of the same three. What no deployment, test or benchmark has
-//! ever set is a constant where it is used (`lane.rs`: representatives per
-//! super-leaf, state retention).
+//! ever set is a constant where it is used (`lane.rs`: state retention).
+//! Nor is who fetches a sibling state: the members of a super-leaf take
+//! turns by cycle number (`lane.rs`).
 //!
 //! Reads have one path and no setting: each waits for the cycle that
 //! orders the concurrent writes to commit, then is interleaved at its
@@ -43,6 +44,8 @@ pub struct CanopusConfig {
     pub max_pipeline_depth: u64,
     /// Re-issue a proposal-request if unanswered for this long (covers
     /// emulator failure; must exceed the largest RTT in the deployment).
+    /// A cycle that has made no progress for this long has its missing
+    /// sibling states fetched by every member, whoever's turn they were.
     pub fetch_timeout: Dur,
     /// Internal housekeeping tick (drives Raft timeouts, failure detection,
     /// and fetch retries).

@@ -4,10 +4,17 @@
 //! pipeline orders everything it commits. It embeds the super-leaf reliable
 //! broadcast (per-member Raft groups, §4.3), executes consensus cycles of
 //! `h` rounds over the LOT (§4.2), self-synchronizes on outside prompting
-//! (§4.4), acts as a super-leaf representative fetching remote vnode states
-//! and forwarding them to its peers (§4.5), maintains the emulation table
-//! through committed membership updates (§4.6), and linearizes reads by
-//! delaying them one or two cycles (§5).
+//! (§4.4), takes its turn as the super-leaf representative that fetches a
+//! remote vnode state and forwards it to its peers (§4.5), maintains the
+//! emulation table through committed membership updates (§4.6), and
+//! linearizes reads by delaying them one or two cycles (§5).
+//!
+//! Who fetches which sibling state is one rule (`fetch_states`), fixed by
+//! the cycle number and the super-leaf's membership, so no message decides
+//! it: the k-th state cycle c needs (counted in round order) goes to the
+//! non-excluded member at position (c + k) mod their number. Every member
+//! takes its turn, and a state whose fetcher is slow or whose forward was
+//! lost is fetched by whichever member finds it overdue.
 //!
 //! Two decisions are made elsewhere and only carried out here. *When* a
 //! cycle starts — work, a full batch, outside prompting, how many cycles may
@@ -60,8 +67,6 @@ use crate::types::{CycleId, VnodeId};
 const TICK: u64 = 1;
 const WINDOW: u64 = 2;
 
-/// Super-leaf representatives fetching remote vnode states (§4.5).
-const REPRESENTATIVES: usize = 2;
 /// Committed cycles kept for answering late proposal-requests from lagging
 /// super-leaves.
 const STATE_RETENTION: u64 = 64;
@@ -150,7 +155,7 @@ struct PendingRead {
     write_prefix: usize,
 }
 
-/// A representative's in-flight state fetch.
+/// An in-flight proposal-request for a sibling state.
 #[derive(Clone, Debug)]
 struct Fetch {
     sent_at: Time,
@@ -172,9 +177,10 @@ struct CycleState {
     /// `ancestors[k]` = computed state of the height-`k+1` ancestor.
     ancestors: Vec<Option<VnodeState>>,
     /// Sibling vnode states, fetched by this node or forwarded by the
-    /// representative that fetched them.
+    /// member that fetched them.
     remote: BTreeMap<VnodeId, VnodeState>,
-    /// This node's in-flight fetches (as representative).
+    /// This node's in-flight fetches: its turns, retries and overdue
+    /// states (`fetch_states`).
     fetches: BTreeMap<VnodeId, Fetch>,
     root_done: bool,
     committed: bool,
@@ -227,7 +233,7 @@ pub struct CanopusNode {
     /// State transfer: when the next request may go out, and how many
     /// went (peers are asked in turn).
     state_requests: (Time, usize),
-    /// The highest cycle seen by the previous tick (`rescue_stalled_cycle`).
+    /// The highest cycle seen by the previous tick (`fetch_states`).
     seen_by_last_tick: CycleId,
 
     // Commit products.
@@ -562,10 +568,10 @@ impl CanopusNode {
         entry.started = true;
         entry.started_at = now;
         self.broadcast_item(&BroadcastItem::Proposal(state), ctx);
-        // Issue all remote fetches for this cycle up front (§4.7 event 2:
-        // representatives request remote states as soon as the cycle
-        // starts; emulators buffer until the state is ready).
-        self.plan_fetches(c, ctx);
+        // Issue this node's remote fetches for the cycle up front (§4.7
+        // event 2: representatives request remote states as soon as the
+        // cycle starts; emulators buffer until the state is ready).
+        self.fetch_states(c, ctx);
     }
 
     /// Fetches-or-creates the cycle entry with its ancestor slots ready.
@@ -578,51 +584,75 @@ impl CanopusNode {
         entry
     }
 
-    /// The representative set: the first [`REPRESENTATIVES`] non-excluded
-    /// members of this super-leaf, in id order (§4.5: representatives are
-    /// numbered and ordered; assignment needs no communication).
-    fn representative_set(&self) -> Vec<NodeId> {
-        self.superleaf_roster
-            .iter()
-            .copied()
+    /// Sends the proposal-requests cycle `c` needs from this node (§4.5).
+    /// The sibling states the cycle needs are numbered k = 0, 1, … in round
+    /// order, and the k-th is fetched by the non-excluded roster member at
+    /// position (c + k) mod their number: the members take turns, and none
+    /// has to tell another which states it fetches. A fetch unanswered for
+    /// `fetch_timeout` is retried at another emulator. Any member fetches a
+    /// missing state of the oldest uncommitted cycle when it is overdue:
+    /// its round is the lowest incomplete one, the round below is complete,
+    /// and the cycle has made no progress for `fetch_timeout`, or the same
+    /// vnode's state for a later cycle is already here (the forward of this
+    /// one was lost, or its fetch is slow and this one hedges it), or by the
+    /// previous tick a message had named a cycle `max_pipeline_depth` past
+    /// it (its sender has committed the cycle, so the state exists; the tick
+    /// lets a forward already on its way land first). A second copy of a
+    /// state is dropped on arrival.
+    fn fetch_states(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
+        let Some(entry) = (self.cycles.get(&c)).filter(|e| e.started && !e.committed) else {
+            return;
+        };
+        let members: Vec<NodeId> = (self.superleaf_roster.iter().copied())
             .filter(|m| !self.tombstoned.contains_key(m))
-            .take(REPRESENTATIVES)
-            .collect()
-    }
-
-    /// Issues the proposal-requests this node is responsible for in cycle
-    /// `c` (every round's fetches are issued immediately; responders buffer).
-    fn plan_fetches(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
-        if self.height < 2 {
-            return;
-        }
-        let reps = self.representative_set();
-        if reps.is_empty() {
-            return;
-        }
-        let shape = self.table.shape().clone();
+            .collect();
+        let now = ctx.now();
+        let timeout = self.cfg.fetch_timeout;
+        // Overdue states can be only in the oldest cycle's lowest incomplete
+        // round, and only once the round below it is complete.
+        let open_round = (2..=self.height)
+            .find(|&r| entry.ancestors[r - 1].is_none())
+            .filter(|&r| entry.ancestors[r - 2].is_some() && !entry.root_done)
+            .filter(|_| c == self.clock.last_committed().next());
+        let stalled = now.saturating_since(entry.last_progress) >= timeout;
+        let committed = self.seen_by_last_tick.0 >= c.0 + self.cfg.max_pipeline_depth.max(1);
+        let later = self.cycles.range(c.next()..);
+        let shape = self.table.shape();
+        let mut k = 0;
+        let mut sends: Vec<(VnodeId, u32)> = Vec::new();
         for r in 2..=self.height {
-            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
             let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
-            let needed: Vec<VnodeId> = shape
+            let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
+            for v in shape
                 .children(&target)
                 .into_iter()
                 .filter(|v| *v != own_child)
-                .collect();
-            for (j, vnode) in needed.into_iter().enumerate() {
-                // One representative fetches each vnode state. The paper's
-                // example uses 2 for fault tolerance; here a fetch that
-                // times out is retried with another emulator and a stalled
-                // cycle is rescued by any member.
-                if reps[j % reps.len()] != self.me {
+            {
+                let turn = members.get((c.0 + k) as usize % members.len().max(1));
+                k += 1;
+                if entry.remote.contains_key(&v) {
                     continue;
                 }
-                let entry = self.cycle_entry(c);
-                if entry.remote.contains_key(&vnode) || entry.fetches.contains_key(&vnode) {
-                    continue;
+                match entry.fetches.get(&v) {
+                    Some(fetch) if now.saturating_since(fetch.sent_at) >= timeout => {
+                        self.remote_suspects.insert(fetch.target);
+                        sends.push((v, fetch.attempts));
+                    }
+                    Some(_) => {}
+                    None if turn == Some(&self.me)
+                        || (open_round == Some(r)
+                            && (stalled
+                                || committed
+                                || later.clone().any(|(_, e)| e.remote.contains_key(&v)))) =>
+                    {
+                        sends.push((v, 0));
+                    }
+                    None => {}
                 }
-                self.issue_fetch(c, vnode, 0, ctx);
             }
+        }
+        for (v, attempt) in sends {
+            self.issue_fetch(c, v, attempt, ctx);
         }
     }
 
@@ -1150,12 +1180,13 @@ impl CanopusNode {
         }
     }
 
-    /// Takes in a fetched sibling state. The representative that fetched it
-    /// from outside the super-leaf forwards it to every other roster member,
-    /// tombstoned ones included (one may still be alive and following), as a
-    /// plain message: every emulator computes the same state for a cycle
-    /// (Appendix A), so it needs delivery, not ordering. A peer the forward
-    /// misses fetches the state itself (`rescue_stalled_cycle`).
+    /// Takes in a fetched sibling state. The member that fetched it from
+    /// outside the super-leaf (whose turn it was, or that found it overdue)
+    /// forwards it to every other roster member, tombstoned ones included
+    /// (one may still be alive and following), as a plain message: every
+    /// emulator computes the same state for a cycle (Appendix A), so it
+    /// needs delivery, not ordering. A peer the forward misses fetches the
+    /// state itself once it is overdue (`fetch_states`).
     fn handle_proposal_response(
         &mut self,
         from: NodeId,
@@ -1388,79 +1419,16 @@ impl CanopusNode {
         let last_committed = self.clock.last_committed();
         (self.waiting_requests).retain(|&(_, cycle, _)| cycle > last_committed);
 
-        // Fetch retries: re-ask a different emulator after timeout.
-        let timeout = self.cfg.fetch_timeout;
-        let mut retries: Vec<(CycleId, VnodeId, u32, NodeId)> = Vec::new();
-        for (&c, entry) in self.cycles.range(self.clock.last_committed().next()..) {
-            for (vnode, fetch) in &entry.fetches {
-                if !entry.remote.contains_key(vnode)
-                    && now.saturating_since(fetch.sent_at) >= timeout
-                {
-                    retries.push((c, vnode.clone(), fetch.attempts, fetch.target));
-                }
-            }
+        // Fetches: this node's turns, retries and overdue states.
+        let in_flight: Vec<CycleId> = (self.cycles.range(last_committed.next()..))
+            .map(|(&c, _)| c)
+            .collect();
+        for c in in_flight {
+            self.fetch_states(c, ctx);
         }
-        for (c, vnode, attempts, target) in retries {
-            self.remote_suspects.insert(target);
-            self.issue_fetch(c, vnode, attempts, ctx);
-        }
-
-        // Liveness safety net: if the oldest uncommitted cycle has a round
-        // whose sibling state is missing with no fetch in flight anywhere we
-        // can see (possible transiently when representative views diverge
-        // during membership churn, or when a representative's forward was
-        // lost), fetch it ourselves. A second copy of a state is dropped on
-        // arrival.
-        self.rescue_stalled_cycle(ctx);
         self.seen_by_last_tick = self.clock.max_seen();
 
         ctx.set_timer(self.cfg.tick_interval, TICK);
-    }
-
-    /// Fetches a missing sibling state of the oldest uncommitted cycle,
-    /// whoever its representative is, once the cycle has made no progress
-    /// for `fetch_timeout`, or earlier when the state is overdue: the same
-    /// vnode's state for a later cycle is already here (the forward of
-    /// this one was lost, or the representative's fetch of it is slow and
-    /// this one hedges it), or by the previous tick a message had named a
-    /// cycle `max_pipeline_depth` past it (its sender has committed the
-    /// cycle, so the state exists; the tick lets a forward already on its
-    /// way land first).
-    fn rescue_stalled_cycle(&mut self, ctx: &mut Context<'_, CanopusMsg>) {
-        let c = self.clock.last_committed().next();
-        let Some(entry) = self
-            .cycles
-            .get(&c)
-            .filter(|_| c <= self.clock.last_started())
-        else {
-            return;
-        };
-        // The lowest incomplete round, if the one below it is complete.
-        let Some(r) = (2..=self.height).find(|&r| entry.ancestors[r - 1].is_none()) else {
-            return;
-        };
-        if entry.root_done || entry.ancestors[r - 2].is_none() {
-            return;
-        }
-        let stalled = ctx.now().saturating_since(entry.last_progress) >= self.cfg.fetch_timeout;
-        let later = self.cycles.range(c.next()..);
-        let committed = self.seen_by_last_tick.0 >= c.0 + self.cfg.max_pipeline_depth.max(1);
-        let shape = self.table.shape();
-        let own_child = shape.ancestor_of_superleaf(self.my_superleaf, r - 1);
-        let target = shape.ancestor_of_superleaf(self.my_superleaf, r);
-        let to_fetch: Vec<VnodeId> = (shape.children(&target).into_iter())
-            .filter(|v| {
-                *v != own_child
-                    && !entry.remote.contains_key(v)
-                    && !entry.fetches.contains_key(v) // the retry path has those
-                    && (stalled
-                        || committed
-                        || later.clone().any(|(_, e)| e.remote.contains_key(v)))
-            })
-            .collect();
-        for v in to_fetch {
-            self.issue_fetch(c, v, 0, ctx);
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! the super-leaf reliable-broadcast plane (Raft traffic), the inter-super-
 //! leaf plane (proposal-request / proposal-response, §4.2), and the client
 //! plane (requests in, replies out). Proposal-responses also travel inside a
-//! super-leaf: the representative that fetched a state forwards it to its
+//! super-leaf: the member that fetched a state forwards it to its
 //! peers, since a state every emulator computes alike needs delivery, not
 //! the broadcast's order. A fourth pair of messages is for the
 //! rare member that restarted without its broadcast logs: it asks a
@@ -158,7 +158,9 @@ pub enum CanopusMsg {
     Request(ClientRequest),
     /// The node answers a client.
     Reply(ClientReply),
-    /// A representative asks an emulator for a vnode's state (§4.2).
+    /// A super-leaf member asks an emulator for a vnode's state (§4.2): the
+    /// member whose turn it is, a retry after `fetch_timeout`, or a member
+    /// that found the state overdue.
     ProposalRequest {
         /// Cycle the state is needed for.
         cycle: CycleId,
@@ -166,7 +168,7 @@ pub enum CanopusMsg {
         vnode: VnodeId,
     },
     /// The emulator's answer (sent once the state is computed), or the
-    /// representative's forward of it to a super-leaf peer.
+    /// fetching member's forward of it to a super-leaf peer.
     ProposalResponse {
         /// The requested state.
         state: VnodeState,

@@ -4,6 +4,9 @@
 //! linearizability, liveness-or-stall) across LOT shapes, failure
 //! scenarios, and the §5 read path.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use canopus::{
     CanopusConfig, CanopusMsg, CanopusNode, CanopusStats, CommittedOp, CycleId, EmulationTable,
@@ -16,7 +19,7 @@ use canopus_kv::{
 use canopus_obs::{EventKind, NodeObs};
 use canopus_sim::{
     impl_process_any, Context, Dur, FaultAction, FaultyFabric, NodeId, Process, Simulation, Time,
-    Timer, UniformFabric,
+    Timer, TraceEvent, UniformFabric,
 };
 
 // ---------------------------------------------------------------------
@@ -568,17 +571,23 @@ fn node_failure_excludes_and_consensus_continues() {
         fetch_timeout: Dur::millis(40),
         ..CanopusConfig::default()
     };
-    // The client writes to `target` in super-leaf 0 (nodes 0–2). In the
-    // 2×2 tree (four super-leaves of three) super-leaf 0's representatives
-    // are nodes 0 and 1; each round needs one remote state, so node 0
-    // fetches both (round 2's from super-leaf 1, round 3's from the other
-    // height-2 subtree) and node 1 takes over once node 0 is excluded.
-    // Node 6 emulates that other subtree.
+    // The client writes to `target` in super-leaf 0 (nodes 0–2), and the
+    // crash lands between cycles 5 and 6. Super-leaf 0 needs one remote
+    // state a round, and the member at position c + k mod 3 fetches cycle
+    // c's k-th: in the flat tree node 1's turns are cycles 1, 4, 7, …, and
+    // cycle 7 starts only once node 1 is excluded, so node 2 fetches it.
+    // In the 2×2 tree (four super-leaves of three) cycle 6's round-2 state
+    // (from super-leaf 1) is node 0's turn and its round-3 state (from the
+    // other height-2 subtree, nodes 6–11) node 1's. So crashing node 1, or
+    // node 0 with the client on node 2, leaves a turn of the cycle in
+    // flight to the survivors. Node 1 asks node 7 for cycle 6's round-3
+    // state, so crashing node 7 leaves super-leaf 0 waiting on a dead
+    // emulator until the state is overdue and fetched elsewhere.
     for (shape, crashed, target) in [
         (LotShape::flat(2), NodeId(1), NodeId(0)),
         (LotShape::new(vec![2, 2]), NodeId(1), NodeId(0)),
         (LotShape::new(vec![2, 2]), NodeId(0), NodeId(2)),
-        (LotShape::new(vec![2, 2]), NodeId(6), NodeId(0)),
+        (LotShape::new(vec![2, 2]), NodeId(7), NodeId(0)),
     ] {
         let case = format!("{shape:?}, {crashed} crashed");
         let mut cluster = build_cluster(shape, 3, &cfg, 7);
@@ -609,6 +618,73 @@ fn node_failure_excludes_and_consensus_continues() {
                 node.emulation_table().superleaf_of(crashed),
                 None,
                 "{case}: {n} still lists the dead node"
+            );
+        }
+    }
+}
+
+/// Every member of a super-leaf takes its turn fetching sibling states
+/// (§4.5): the k-th state cycle c needs goes to the member at position
+/// (c + k) mod the number of members, so over many cycles no member sends
+/// more than one proposal-request more than another. Checked in a flat tree
+/// (two states a cycle), in fanout-2 trees (one state a round, so a fixed
+/// first representative would fetch them all), in a 3×3 tree, and among
+/// the survivors once a member has been excluded.
+#[test]
+fn every_member_takes_its_turn_fetching() {
+    let crash_cfg = CanopusConfig {
+        failure_timeout: Dur::millis(15),
+        fetch_timeout: Dur::millis(40),
+        ..CanopusConfig::default()
+    };
+    for (shape, cfg, crashed) in [
+        (LotShape::flat(3), CanopusConfig::default(), None),
+        (LotShape::new(vec![2, 2]), CanopusConfig::default(), None),
+        (LotShape::new(vec![3, 3]), CanopusConfig::default(), None),
+        (LotShape::flat(3), crash_cfg, Some(NodeId(1))),
+    ] {
+        let case = format!("{shape:?}, {crashed:?} crashed");
+        let leaves = shape.num_superleaves();
+        let mut cluster = build_cluster(shape, 3, &cfg, 7);
+        // After a crash, count once the exclusion has settled.
+        let count_from = Time::ZERO + Dur::millis(if crashed.is_some() { 150 } else { 0 });
+        let sent = Rc::new(RefCell::new(vec![0u64; cluster.nodes.len()]));
+        let tally = sent.clone();
+        cluster.sim.set_tracer(Box::new(move |event| {
+            if let TraceEvent::Send { from, at, msg, .. } = event {
+                if matches!(msg, CanopusMsg::ProposalRequest { .. }) && *at >= count_from {
+                    tally.borrow_mut()[from.0 as usize] += 1;
+                }
+            }
+        }));
+        let clients: Vec<NodeId> = (0..leaves as u32)
+            .map(|s| {
+                let script = (0..75)
+                    .map(|k| (Dur::millis(4 * k + 1), put(k, s as u8)))
+                    .collect();
+                add_client(&mut cluster, NodeId(3 * s), script)
+            })
+            .collect();
+        cluster.sim.run_for(Dur::millis(50));
+        if let Some(node) = crashed {
+            cluster.sim.crash(node);
+        }
+        cluster.sim.run_for(Dur::millis(450));
+
+        for &client in &clients {
+            let replies = cluster.sim.node::<ScriptClient>(client).replies.len();
+            assert_eq!(replies, 75, "{case}: writes acknowledged to {client}");
+        }
+        let sent = sent.borrow();
+        for leaf in 0..leaves {
+            let counts: Vec<u64> = (3 * leaf..3 * leaf + 3)
+                .filter(|&n| Some(NodeId(n as u32)) != crashed)
+                .map(|n| sent[n])
+                .collect();
+            let (most, least) = (counts.iter().max(), counts.iter().min());
+            assert!(
+                most.unwrap() - least.unwrap() <= 1,
+                "{case}: proposal-requests sent by each node {sent:?}"
             );
         }
     }
@@ -996,12 +1072,13 @@ fn a_member_cut_off_for_longer_than_emulators_keep_states_catches_up() {
     }
 }
 
-/// A representative forwards each state it fetched to its super-leaf peers
-/// once, with no acknowledgement or retransmission. A peer the forward
-/// misses still commits: when its oldest cycle has made no progress for
-/// `fetch_timeout`, it fetches the missing state itself. Node 0 fetches
-/// super-leaf 1's state for super-leaf 0; its link to node 1 is down while
-/// node 3's write goes through the cycle.
+/// A member forwards each state it fetched to its super-leaf peers once,
+/// with no acknowledgement or retransmission. A peer the forward misses
+/// still commits: when its oldest cycle has made no progress for
+/// `fetch_timeout`, it fetches the missing state itself. Node 3's write
+/// starts cycle 1, whose one remote state for super-leaf 0 is node 1's to
+/// fetch (position 1 + 0 mod 3); node 1's link to node 0 is down while the
+/// state comes in, so its forward to node 0 is lost.
 #[test]
 fn a_member_that_misses_the_forward_still_commits() {
     let cfg = CanopusConfig {
@@ -1029,7 +1106,7 @@ fn a_member_that_misses_the_forward_still_commits() {
             "n{n} committed the write at {at:?}"
         );
     }
-    // Super-leaf 1 was asked for its state twice: by node 0, and by node 1
+    // Super-leaf 1 was asked for its state twice: by node 1, and by node 0
     // when its cycle stalled without the forward.
     let served: u64 = (3..6)
         .map(|n| stats_of(&cluster, NodeId(n)).fetches_served)
@@ -1037,12 +1114,13 @@ fn a_member_that_misses_the_forward_still_commits() {
     assert_eq!(served, 2, "fetches of super-leaf 1's state");
 }
 
-/// The forward to node 1 is lost as above, but a second write at 60 ms
-/// starts cycle 2 while node 1 still waits for cycle 1. A message naming
+/// The forward to node 0 is lost as above, but a second write at 60 ms
+/// starts cycle 2 while node 0 still waits for cycle 1. A message naming
 /// a cycle past the pipeline depth shows that cycle 1 committed elsewhere,
-/// and the forward of super-leaf 1's cycle-2 state overtakes the lost one:
-/// either tells node 1 the missing state exists, so it fetches it at once
-/// rather than after `fetch_timeout` without progress.
+/// and node 2's forward of super-leaf 1's cycle-2 state (its turn)
+/// overtakes the lost one: either tells node 0 the missing state exists,
+/// so it fetches it at once rather than after `fetch_timeout` without
+/// progress.
 #[test]
 fn a_member_fetches_a_lost_forward_once_a_later_cycle_shows_it_exists() {
     for depth in [1, 4] {
@@ -1061,12 +1139,12 @@ fn a_member_fetches_a_lost_forward_once_a_later_cycle_shows_it_exists() {
         cluster.sim.run_for(Dur::millis(200));
 
         assert!(check_agreement(&commit_histories(&cluster)).is_ok());
-        let log = cluster.sim.node::<CanopusNode>(NodeId(1)).committed_log();
-        assert_eq!(log.len(), 2, "depth {depth}: cycles committed at n1");
+        let log = cluster.sim.node::<CanopusNode>(NodeId(0)).committed_log();
+        assert_eq!(log.len(), 2, "depth {depth}: cycles committed at n0");
         let second_write = Time::ZERO + Dur::millis(60);
         assert!(
             log[0].at < second_write + cfg.fetch_timeout / 4,
-            "depth {depth}: n1 committed cycle 1 at {:?}",
+            "depth {depth}: n0 committed cycle 1 at {:?}",
             log[0].at
         );
     }

@@ -51,14 +51,6 @@ impl CmdBatch {
             .map(|o| o.req.op.payload_bytes() + 21)
             .sum::<usize>()
     }
-
-    /// The write keys this batch touches (interference set).
-    pub fn write_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ops.iter().filter_map(|o| match &o.req.op {
-            canopus_kv::Op::Put { key, .. } => Some(*key),
-            _ => None,
-        })
-    }
 }
 
 impl Wire for CmdBatch {
@@ -337,7 +329,6 @@ mod tests {
     fn batch_attributes() {
         let b = sample_batch();
         assert_eq!(b.weight(), 1);
-        assert_eq!(b.write_keys().collect::<Vec<_>>(), vec![7]);
         assert!(b.payload_bytes() > 16);
     }
 }

@@ -41,18 +41,6 @@ impl FailureDetector {
         }
     }
 
-    /// Starts tracking a peer that joined (or rejoined) the super-leaf.
-    pub fn add_peer(&mut self, peer: NodeId, now: Time) {
-        self.last_heard.insert(peer, now);
-        self.reported.insert(peer, false);
-    }
-
-    /// Stops tracking a peer that left the super-leaf.
-    pub fn remove_peer(&mut self, peer: NodeId) {
-        self.last_heard.remove(&peer);
-        self.reported.remove(&peer);
-    }
-
     /// Returns peers that crossed the silence threshold since the last call;
     /// each failed peer is reported once until it is heard from again.
     pub fn newly_failed(&mut self, now: Time) -> Vec<NodeId> {
@@ -134,14 +122,5 @@ mod tests {
         let mut fd = FailureDetector::new(&peers, Dur::millis(10), t(0));
         fd.record(NodeId(1), t(8));
         assert_eq!(fd.live_peers(t(12)), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn add_and_remove_peers() {
-        let mut fd = FailureDetector::new(&[NodeId(1)], Dur::millis(10), t(0));
-        fd.add_peer(NodeId(3), t(5));
-        fd.remove_peer(NodeId(1));
-        assert_eq!(fd.newly_failed(t(30)), vec![NodeId(3)]);
-        assert!(fd.live_peers(t(30)).is_empty());
     }
 }

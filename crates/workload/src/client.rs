@@ -1,18 +1,19 @@
-//! Client processes reproducing the paper's workload model (§8.1/§8.2).
+//! The open-loop client reproducing the paper's workload model
+//! (§8.1/§8.2).
 //!
-//! * [`OpenLoopClient`] — Poisson arrivals at a fixed offered rate,
-//!   independent of response times (the paper's load-generation model:
-//!   "clients send requests to nodes according to a Poisson process at a
-//!   given inter-arrival rate"). One process stands for all clients
-//!   attached to one protocol node; arrivals within each 1 ms tick are
-//!   aggregated into synthetic batches so multi-million-request-per-second
-//!   sweeps stay tractable (see `canopus-kv`'s synthetic ops).
-//! * [`ClosedLoopClient`] — one-outstanding-request clients issuing real
-//!   `Put`/`Get` operations; used for precise latency curves.
+//! [`OpenLoopClient`] draws Poisson arrivals at a fixed offered rate,
+//! independent of response times (the paper's load-generation model:
+//! "clients send requests to nodes according to a Poisson process at a
+//! given inter-arrival rate"). One process stands for all clients attached
+//! to one protocol node; arrivals within each 1 ms tick are aggregated into
+//! synthetic batches so multi-million-request-per-second sweeps stay
+//! tractable (see `canopus-kv`'s synthetic ops). It is generic over the
+//! protocol via [`ProtocolMsg`].
 //!
-//! Both are generic over the protocol via [`ProtocolMsg`].
+//! The closed-loop client, which issues real `Put`/`Get` operations one at
+//! a time and records a history the chaos verdict checks, is
+//! `canopus_harness::HistoryClient`.
 
-use bytes::Bytes;
 use canopus::CanopusMsg;
 use canopus_epaxos::EpaxosMsg;
 use canopus_kv::{ClientReply, ClientRequest, Op};
@@ -22,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-use crate::dist::{poisson, KeyDist};
+use crate::dist::poisson;
 use crate::latency::LatencyRecorder;
 
 /// Bridges the shared client API into each protocol's message enum.
@@ -230,148 +231,6 @@ impl<M: ProtocolMsg + 'static> Process<M> for OpenLoopClient<M> {
     impl_process_any!();
 }
 
-/// Closed-loop workload parameters.
-#[derive(Clone, Debug)]
-pub struct ClosedLoopConfig {
-    /// Fraction of operations that are writes.
-    pub write_ratio: f64,
-    /// Key popularity.
-    pub keys: KeyDist,
-    /// Value size for writes.
-    pub value_bytes: usize,
-    /// Pause between receiving a reply and issuing the next op.
-    pub think_time: Dur,
-    /// Samples before this time are discarded.
-    pub warmup: Dur,
-    /// Stop after this many operations (0 = unbounded).
-    pub max_ops: u64,
-    /// Requests kept in flight at once. 1 (the default) is the strict
-    /// blocking client; larger values
-    /// model a client that pipelines several independent operations, which
-    /// pairs with the node-side batching knobs to fill larger proposals.
-    pub pipeline: usize,
-}
-
-impl Default for ClosedLoopConfig {
-    fn default() -> Self {
-        ClosedLoopConfig {
-            write_ratio: 0.2,
-            keys: KeyDist::uniform(1_000_000),
-            value_bytes: 8,
-            think_time: Dur::ZERO,
-            warmup: Dur::millis(100),
-            max_ops: 0,
-            pipeline: 1,
-        }
-    }
-}
-
-/// A blocking client: one outstanding request at a time (more with
-/// [`ClosedLoopConfig::pipeline`]).
-pub struct ClosedLoopClient<M: ProtocolMsg> {
-    cfg: ClosedLoopConfig,
-    target: NodeId,
-    rng: SmallRng,
-    next_op_id: u64,
-    inflight: BTreeMap<u64, (Time, bool)>,
-    /// Completion stats for writes.
-    pub writes: LatencyRecorder,
-    /// Completion stats for reads.
-    pub reads: LatencyRecorder,
-    /// All replies in arrival order: `(op_id, at)` — for FIFO checks.
-    pub reply_order: Vec<(u64, Time)>,
-    _marker: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M: ProtocolMsg> ClosedLoopClient<M> {
-    /// Creates a client targeting `target`.
-    pub fn new(target: NodeId, cfg: ClosedLoopConfig, seed: u64) -> Self {
-        ClosedLoopClient {
-            cfg,
-            target,
-            rng: SmallRng::seed_from_u64(seed),
-            next_op_id: 0,
-            inflight: BTreeMap::new(),
-            writes: LatencyRecorder::default(),
-            reads: LatencyRecorder::default(),
-            reply_order: Vec::new(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Operations completed (reads + writes).
-    pub fn completed(&self) -> u64 {
-        self.writes.completed() + self.reads.completed()
-    }
-
-    /// Issues operations until the pipeline window is full (or the op cap
-    /// is reached). With `pipeline == 1` this is the classic blocking
-    /// client: exactly one issue per call.
-    fn fill(&mut self, ctx: &mut Context<'_, M>) {
-        while self.inflight.len() < self.cfg.pipeline.max(1) {
-            if self.cfg.max_ops > 0 && self.next_op_id >= self.cfg.max_ops {
-                return;
-            }
-            self.next_op_id += 1;
-            let op_id = self.next_op_id;
-            let is_write = self.rng.gen::<f64>() < self.cfg.write_ratio;
-            let key = self.cfg.keys.sample(&mut self.rng);
-            let op = if is_write {
-                Op::Put {
-                    key,
-                    value: Bytes::from(vec![(op_id % 251) as u8; self.cfg.value_bytes]),
-                }
-            } else {
-                Op::Get { key }
-            };
-            self.inflight.insert(op_id, (ctx.now(), is_write));
-            ctx.send(
-                self.target,
-                M::request(ClientRequest {
-                    client: ctx.id(),
-                    op_id,
-                    op,
-                }),
-            );
-        }
-    }
-}
-
-impl<M: ProtocolMsg + 'static> Process<M> for ClosedLoopClient<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        let phase = Dur::micros(self.rng.gen_range(0..500));
-        ctx.set_timer(phase, 0);
-    }
-
-    fn on_timer(&mut self, _t: Timer, ctx: &mut Context<'_, M>) {
-        self.fill(ctx);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: M, ctx: &mut Context<'_, M>) {
-        let Some(reply) = msg.reply() else { return };
-        let Some((sent, is_write)) = self.inflight.remove(&reply.op_id) else {
-            return; // stale duplicate
-        };
-        self.reply_order.push((reply.op_id, ctx.now()));
-        if ctx.now() >= Time::ZERO + self.cfg.warmup {
-            let lat = ctx.now().saturating_since(sent);
-            let recorder = if is_write {
-                &mut self.writes
-            } else {
-                &mut self.reads
-            };
-            recorder.record(lat, reply.weight, ctx.now(), &mut self.rng);
-        }
-        if self.cfg.think_time.is_zero() {
-            self.fill(ctx);
-        } else {
-            ctx.set_timer(self.cfg.think_time, 0);
-        }
-    }
-
-    impl_process_any!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,30 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_completes_ops_in_order() {
-        let (mut sim, _) = canopus_pair(2);
-        let cfg = ClosedLoopConfig {
-            write_ratio: 0.5,
-            keys: KeyDist::uniform(100),
-            warmup: Dur::ZERO,
-            max_ops: 50,
-            ..Default::default()
-        };
-        let c = sim.add_node(Box::new(ClosedLoopClient::<CanopusMsg>::new(
-            NodeId(1),
-            cfg,
-            7,
-        )));
-        sim.run_for(Dur::secs(2));
-        let client = sim.node::<ClosedLoopClient<CanopusMsg>>(c);
-        assert_eq!(client.completed(), 50, "all ops completed");
-        // Strictly increasing op ids = FIFO at the client.
-        for pair in client.reply_order.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-        }
-    }
-
-    #[test]
     fn open_loop_max_batch_splits_ticks() {
         let (mut sim, _) = canopus_pair(3);
         let cfg = OpenLoopConfig {
@@ -476,32 +311,6 @@ mod tests {
             client.next_op_id,
             client.offered
         );
-    }
-
-    #[test]
-    fn closed_loop_pipeline_keeps_window_full() {
-        let (mut sim, _) = canopus_pair(4);
-        let cfg = ClosedLoopConfig {
-            write_ratio: 0.5,
-            keys: KeyDist::uniform(100),
-            warmup: Dur::ZERO,
-            max_ops: 60,
-            pipeline: 4,
-            ..Default::default()
-        };
-        let c = sim.add_node(Box::new(ClosedLoopClient::<CanopusMsg>::new(
-            NodeId(1),
-            cfg,
-            7,
-        )));
-        sim.run_for(Dur::secs(2));
-        let client = sim.node::<ClosedLoopClient<CanopusMsg>>(c);
-        assert_eq!(client.completed(), 60, "all ops completed");
-        // Replies arrive in op order: Canopus preserves per-client FIFO
-        // even with four requests in flight.
-        for pair in client.reply_order.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-        }
     }
 
     #[test]

@@ -1,82 +1,52 @@
 //! Quickstart: a six-node Canopus group on the deterministic simulator.
 //!
 //! Builds the paper's minimal interesting deployment — two super-leaves of
-//! three nodes (Figure 2's topology) — submits interleaved writes and
-//! reads from closed-loop clients, and shows that every node commits the
-//! identical total order while reads observe linearizable values.
+//! three nodes (Figure 2's topology) — drives it with one closed-loop
+//! client per node issuing interleaved writes and reads, shows that every
+//! node commits the identical total order, and checks the clients'
+//! histories: agreement, per-client FIFO and linearizable reads.
 //!
-//! Run with: `cargo run --example quickstart -p canopus-harness`
+//! Run with: `cargo run --example quickstart`
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape};
-use canopus_net::{ClosFabric, LinkParams, Topology};
-use canopus_sim::{Dur, NodeId, Simulation};
-use canopus_workload::{ClosedLoopClient, ClosedLoopConfig, KeyDist};
+use canopus::{CanopusMsg, CommittedOp};
+use canopus_harness::{ClusterBuilder, DeploymentSpec, HistoryConfig, TopoSpec};
+use canopus_net::LinkParams;
+use canopus_sim::{Dur, NodeId};
 
 fn main() {
     // ---------------------------------------------------------------
     // 1. Describe the deployment: one datacenter, two racks, three
     //    Canopus nodes per rack. Each rack is one super-leaf.
     // ---------------------------------------------------------------
-    let mut topo = Topology::single_dc(2, 3, LinkParams::default());
-    let shape = LotShape::flat(2);
-    let membership = vec![
-        vec![NodeId(0), NodeId(1), NodeId(2)], // super-leaf 0 = rack 0
-        vec![NodeId(3), NodeId(4), NodeId(5)], // super-leaf 1 = rack 1
-    ];
-    let table = EmulationTable::new(shape, membership);
-
-    // Clients live in the same racks as the nodes they talk to.
-    let client_a = topo.add_node(topo.rack_of(NodeId(0)));
-    let client_b = topo.add_node(topo.rack_of(NodeId(4)));
-
-    // ---------------------------------------------------------------
-    // 2. Build the simulation: topology-aware fabric + protocol nodes.
-    // ---------------------------------------------------------------
-    let mut sim = Simulation::new(ClosFabric::new(topo), 42);
-    for i in 0..6u32 {
-        sim.add_node(Box::new(CanopusNode::new(
-            NodeId(i),
-            table.clone(),
-            CanopusConfig::default(),
-            42,
-        )));
-    }
-
-    // ---------------------------------------------------------------
-    // 3. Attach two blocking clients issuing a 50/50 read-write mix.
-    // ---------------------------------------------------------------
-    let cfg = ClosedLoopConfig {
-        write_ratio: 0.5,
-        keys: KeyDist::uniform(16),
-        warmup: Dur::ZERO,
-        max_ops: 40,
-        ..Default::default()
+    let spec = DeploymentSpec {
+        topo: TopoSpec::SingleDc {
+            racks: 2,
+            nodes_per_rack: 3,
+        },
+        link: LinkParams::default(),
     };
-    let a = sim.add_node(Box::new(ClosedLoopClient::<CanopusMsg>::new(
-        NodeId(0),
-        cfg.clone(),
-        7,
-    )));
-    assert_eq!(a, client_a);
-    let b = sim.add_node(Box::new(ClosedLoopClient::<CanopusMsg>::new(
-        NodeId(4),
-        cfg,
-        8,
-    )));
-    assert_eq!(b, client_b);
 
     // ---------------------------------------------------------------
-    // 4. Run one virtual second and inspect the outcome.
+    // 2. Build the simulation: a topology-aware fabric, the six protocol
+    //    nodes, and in each node's rack a client that writes and reads
+    //    its own keys, one operation at a time (`HistoryConfig`).
     // ---------------------------------------------------------------
-    sim.run_for(Dur::secs(1));
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec, 42).sim();
+
+    // ---------------------------------------------------------------
+    // 3. Run past the moment the clients stop and inspect the outcome.
+    // ---------------------------------------------------------------
+    let clients = HistoryConfig::default();
+    cluster.sim.run_for(Dur::secs(2));
 
     println!("== per-node state ==");
-    let reference = sim.node::<CanopusNode>(NodeId(0)).stats().commit_digest;
-    for i in 0..6u32 {
-        let node = sim.node::<CanopusNode>(NodeId(i));
+    let reference = cluster.node(NodeId(0)).stats().commit_digest;
+    for &n in &cluster.nodes {
+        let node = cluster.node(n);
         let s = node.stats();
         println!(
-            "node {i}: cycles={:<3} writes_committed={:<3} store_keys={:<2} digest={:016x}",
+            "node {}: cycles={:<3} writes_committed={:<3} store_keys={:<2} digest={:016x}",
+            n.0,
             s.committed_cycles,
             s.committed_weight,
             node.store().len(),
@@ -86,24 +56,19 @@ fn main() {
     }
 
     println!("\n== first committed cycles at node 0 ==");
-    for cc in sim
-        .node::<CanopusNode>(NodeId(0))
-        .committed_log()
-        .iter()
-        .take(4)
-    {
+    for cc in cluster.node(NodeId(0)).committed_log().iter().take(4) {
         let ops: Vec<String> = cc
             .sets
             .iter()
             .flat_map(|set| {
                 set.ops.iter().map(move |op| match op {
-                    canopus::CommittedOp::Put { key, version, .. } => {
+                    CommittedOp::Put { key, version, .. } => {
                         format!("{}:put(k{key})->v{version}", set.origin)
                     }
-                    canopus::CommittedOp::Synthetic { count, .. } => {
+                    CommittedOp::Synthetic { count, .. } => {
                         format!("{}:batch({count})", set.origin)
                     }
-                    canopus::CommittedOp::MultiPut { keys, .. } => {
+                    CommittedOp::MultiPut { keys, .. } => {
                         format!("{}:txn({} keys)", set.origin, keys.len())
                     }
                 })
@@ -112,20 +77,11 @@ fn main() {
         println!("  {:?} @ {}: [{}]", cc.cycle, cc.at, ops.join(", "));
     }
 
-    for (name, id) in [("A", client_a), ("B", client_b)] {
-        let c = sim.node::<ClosedLoopClient<CanopusMsg>>(id);
-        println!(
-            "\nclient {name}: {} ops, write p50 = {}, read p50 = {}",
-            c.completed(),
-            c.writes
-                .median()
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "-".into()),
-            c.reads
-                .median()
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "-".into()),
-        );
-    }
+    let report = cluster.verdict(clients.probe_at, &Default::default());
+    println!(
+        "\nclients: {} ops ok, {} timed out, {} reads checked for linearizability",
+        report.ops_ok, report.ops_timed_out, report.reads_checked
+    );
+    assert!(report.ok(), "verdict failed: {:?}", report.violations);
     println!("\nAll six nodes committed the identical total order. ✓");
 }
