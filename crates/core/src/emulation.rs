@@ -68,11 +68,6 @@ impl EmulationTable {
         self.members[s].iter().copied()
     }
 
-    /// Number of live members of super-leaf `s`.
-    pub fn member_count(&self, s: usize) -> usize {
-        self.members[s].len()
-    }
-
     /// All live pnodes that emulate `vnode` (members of every super-leaf
     /// beneath it), in id order.
     pub fn emulators(&self, vnode: &VnodeId) -> Vec<NodeId> {
@@ -186,10 +181,10 @@ mod tests {
         t.apply(&MembershipUpdate::Leave { node: NodeId(1) });
         assert_eq!(t.superleaf_of(NodeId(1)), None);
         assert_eq!(t.emulators(&VnodeId(vec![0])), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(t.member_count(0), 2);
+        assert_eq!(t.members_of(0).count(), 2);
         // Leave of an unknown node is a no-op.
         t.apply(&MembershipUpdate::Leave { node: NodeId(99) });
-        assert_eq!(t.member_count(0), 2);
+        assert_eq!(t.members_of(0).count(), 2);
     }
 
     #[test]
@@ -200,7 +195,7 @@ mod tests {
             superleaf: 1,
         });
         assert_eq!(t.superleaf_of(NodeId(9)), Some(1));
-        assert_eq!(t.member_count(1), 4);
+        assert_eq!(t.members_of(1).count(), 4);
         let digest = t.digest();
         t.apply(&MembershipUpdate::Join {
             node: NodeId(9),

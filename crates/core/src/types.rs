@@ -79,11 +79,6 @@ impl VnodeId {
         VnodeId(path)
     }
 
-    /// Whether `self` is an ancestor of (or equal to) `other`.
-    pub fn is_prefix_of(&self, other: &VnodeId) -> bool {
-        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
-    }
-
     /// The last path digit (used as a deterministic merge tie-break among
     /// siblings), or 0 for the root.
     pub fn last_digit(&self) -> u16 {
@@ -186,16 +181,6 @@ impl LotShape {
         VnodeId(digits)
     }
 
-    /// Inverse of [`superleaf_vnode`](Self::superleaf_vnode).
-    pub fn superleaf_index(&self, v: &VnodeId) -> usize {
-        assert_eq!(v.depth(), self.fanouts.len(), "not a super-leaf vnode");
-        let mut s = 0usize;
-        for (i, &d) in v.0.iter().enumerate() {
-            s = s * self.fanouts[i] as usize + d as usize;
-        }
-        s
-    }
-
     /// The height-`height` ancestor vnode of super-leaf `s`.
     /// `height` ranges from 1 (the super-leaf's parent) to `h` (the root).
     pub fn ancestor_of_superleaf(&self, s: usize, height: usize) -> VnodeId {
@@ -241,7 +226,6 @@ mod tests {
         assert_eq!(s.num_superleaves(), 3);
         assert_eq!(s.superleaf_vnode(0), VnodeId(vec![0]));
         assert_eq!(s.superleaf_vnode(2), VnodeId(vec![2]));
-        assert_eq!(s.superleaf_index(&VnodeId(vec![1])), 1);
         assert_eq!(s.ancestor_of_superleaf(1, 1), VnodeId(vec![1]));
         assert_eq!(s.ancestor_of_superleaf(1, 2), VnodeId::root());
     }
@@ -263,7 +247,6 @@ mod tests {
         assert_eq!(s.num_superleaves(), 9);
         // Super-leaf 4 = digits [1,1]: the "1.1.2"-style middle of the tree.
         assert_eq!(s.superleaf_vnode(4), VnodeId(vec![1, 1]));
-        assert_eq!(s.superleaf_index(&VnodeId(vec![1, 1])), 4);
         assert_eq!(s.ancestor_of_superleaf(4, 2), VnodeId(vec![1]));
         assert_eq!(s.ancestor_of_superleaf(4, 3), VnodeId::root());
         assert_eq!(
@@ -285,19 +268,8 @@ mod tests {
         assert_eq!(v.parent(), Some(VnodeId(vec![1])));
         assert_eq!(VnodeId::root().parent(), None);
         assert_eq!(v.child(0), VnodeId(vec![1, 2, 0]));
-        assert!(VnodeId(vec![1]).is_prefix_of(&v));
-        assert!(!VnodeId(vec![2]).is_prefix_of(&v));
-        assert!(VnodeId::root().is_prefix_of(&v));
         assert_eq!(v.depth(), 2);
         assert_eq!(v.last_digit(), 2);
-    }
-
-    #[test]
-    fn uneven_radix_round_trips() {
-        let s = LotShape::new(vec![2, 5]);
-        for i in 0..s.num_superleaves() {
-            assert_eq!(s.superleaf_index(&s.superleaf_vnode(i)), i);
-        }
     }
 
     #[test]

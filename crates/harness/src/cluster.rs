@@ -279,9 +279,8 @@ impl<P: Protocol> ClusterBuilder<P> {
         }
     }
 
-    /// Spawns the deployment on loopback TCP, one node loop (one thread)
-    /// per protocol node plus one [`crate::ClientMux`] node hosting the
-    /// history clients.
+    /// Spawns the deployment on loopback TCP: one node loop (one thread)
+    /// per protocol node and one per history client.
     ///
     /// # Panics
     /// Panics when built with [`Clients::OpenLoop`]: the live fabric hosts

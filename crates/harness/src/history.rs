@@ -80,12 +80,6 @@ pub struct HistoryConfig {
     pub probe_at: Time,
     /// Stop issuing operations at this instant (quiesce before verdict).
     pub stop_at: Time,
-    /// Offset added to every op id this client assigns (ids are
-    /// `base+1, base+2, ...`). Zero — the default — preserves the classic
-    /// dense 1-based ids. A client multiplexer ([`crate::mux::ClientMux`])
-    /// gives each hosted session a disjoint base so replies arriving on
-    /// the shared transport can be routed back by op id alone.
-    pub op_id_base: u64,
     /// Issue every `n`-th write as an [`Op::MultiPut`] spanning the
     /// client's steady-state keys (0 — the default — never does). The
     /// verdict's per-key checks then hold each of its keys to the same
@@ -102,7 +96,6 @@ impl Default for HistoryConfig {
             keys_per_client: 2,
             probe_at: Time::ZERO + Dur::millis(1100),
             stop_at: Time::ZERO + Dur::millis(1800),
-            op_id_base: 0,
             multi_put_every: 0,
         }
     }
@@ -111,8 +104,8 @@ impl Default for HistoryConfig {
 /// One recorded operation.
 #[derive(Clone, Debug)]
 pub struct HistoryOp {
-    /// Client-assigned id (dense from `op_id_base + 1`; 1-based with the
-    /// default base of zero).
+    /// Client-assigned id, dense and 1-based: the op's index in the
+    /// history plus one.
     pub op_id: u64,
     /// Key operated on.
     pub key: Key,
@@ -189,7 +182,7 @@ impl<M: ProtocolMsg> HistoryClient<M> {
     fn issue(&mut self, ctx: &mut Context<'_, M>) {
         let c = self.counter;
         self.counter += 1;
-        let op_id = self.cfg.op_id_base + c + 1;
+        let op_id = c + 1;
         let j = c % self.cfg.keys_per_client;
         let probing = ctx.now() >= self.cfg.probe_at;
         let (key, is_write) = if probing {
@@ -291,11 +284,7 @@ impl<M: ProtocolMsg + 'static> Process<M> for HistoryClient<M> {
 
     fn on_message(&mut self, _from: NodeId, msg: M, ctx: &mut Context<'_, M>) {
         let Some(reply) = msg.reply() else { return };
-        let Some(idx) = reply
-            .op_id
-            .checked_sub(self.cfg.op_id_base + 1)
-            .map(|i| i as usize)
-        else {
+        let Some(idx) = reply.op_id.checked_sub(1).map(|i| i as usize) else {
             return;
         };
         let Some(op) = self.ops.get_mut(idx) else {

@@ -16,7 +16,6 @@
 pub mod cluster;
 pub mod history;
 pub mod live;
-pub mod mux;
 pub mod protocol;
 pub mod run;
 pub mod scenarios;
@@ -29,10 +28,9 @@ pub use cluster::{
 };
 pub use history::{decode_tag, encode_tag, ChaosReport, HistoryClient, HistoryConfig, HistoryOp};
 pub use live::{
-    live_canopus_config, live_history_config, live_spec, live_time_unit, live_timeline,
-    LiveCluster, LiveOutcome, LIVE_TIME_UNIT,
+    live_canopus_config, live_history_config, live_spec, live_timeline, LiveCluster, LiveOutcome,
+    LIVE_TIME_UNIT,
 };
-pub use mux::{session_op_base, ClientMux};
 pub use protocol::{Protocol, WriteRecords};
 pub use run::{
     deterministic_check, find_max_throughput, latency_at_70pct, run, RunResult, SearchResult,

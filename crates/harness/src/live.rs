@@ -2,14 +2,14 @@
 //! the same nemesis as a simulated one.
 //!
 //! [`LiveCluster`] (built by [`crate::ClusterBuilder::live`]) runs a
-//! protocol deployment on the TCP transport
-//! (`canopus_net::tcp`), plus one [`HistoryClient`] per node —
-//! all of them multiplexed onto a single extra transport node by a
-//! [`ClientMux`] — every loop sharing one [`FaultRules`] table. It is a
-//! [`NemesisTarget`], so [`LiveCluster::run_plan`] is
-//! `canopus_sim::fault::run_plan`, the driver a simulated
-//! [`Cluster`](crate::Cluster) runs, replaying the *same* [`FaultPlan`]s
-//! on the wall clock. What differs is how this target does each step:
+//! protocol deployment on the TCP transport (`canopus_net::tcp`), plus one
+//! [`HistoryClient`] per node, each on a transport node of its own (client
+//! `i` has id `n + i` and targets node `i`, as on the simulator), every
+//! loop sharing one [`FaultRules`] table. It is a [`NemesisTarget`], so
+//! [`LiveCluster::run_plan`] is `canopus_sim::fault::run_plan`, the driver
+//! a simulated [`Cluster`](crate::Cluster) runs, replaying the *same*
+//! [`FaultPlan`]s on the wall clock. What differs is how this target does
+//! each step:
 //!
 //! * advancing time is sleeping, so an action lands at its scheduled
 //!   instant ± OS scheduling, and is recorded at the instant it did land;
@@ -34,13 +34,12 @@
 //!
 //! # Timing
 //!
-//! All real-time-sensitive timeouts derive from one value,
-//! [`live_time_unit`] (default [`LIVE_TIME_UNIT`], overridable with the
-//! `LIVE_TIME_UNIT_MS` environment variable): the simulator's
-//! microsecond-scale defaults assume a deterministic scheduler, and on a
-//! real OS a descheduled thread would trigger false failovers (PR 1
-//! learned this with `examples/live_cluster.rs`; this module centralizes
-//! the relaxed values instead of scattering magic numbers).
+//! All real-time-sensitive timeouts are multiples of one value,
+//! [`LIVE_TIME_UNIT`]: the simulator's microsecond-scale defaults assume
+//! a deterministic scheduler, and on a real OS a descheduled thread would
+//! trigger false failovers (`examples/live_cluster.rs` first showed this;
+//! this module keeps the relaxed values in one place instead of
+//! scattering magic numbers).
 //!
 //! # Canopus crash scenarios
 //!
@@ -56,7 +55,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use canopus::{CanopusConfig, BATCH_LINGER};
@@ -69,40 +68,18 @@ use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 
 use crate::cluster::flight_dump;
 use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
-use crate::mux::ClientMux;
 use crate::protocol::Protocol;
 use crate::scenarios::ChaosTimeline;
 use crate::spec::{DeploymentSpec, TopoSpec};
 
-/// The default real-time "tick" for live clusters. Every live election,
-/// failure, and fetch timeout is a multiple of the unit; runs read it via
-/// [`live_time_unit`], which allows an environment override.
+/// The real-time "tick" for live clusters: every live election, failure
+/// and fetch timeout is a multiple of it.
 pub const LIVE_TIME_UNIT: Dur = Dur::millis(50);
-
-/// One real-time "tick" for live clusters: [`LIVE_TIME_UNIT`] unless the
-/// `LIVE_TIME_UNIT_MS` environment variable names a positive whole number
-/// of milliseconds — the retune knob for slow or oversubscribed CI
-/// machines (e.g. `LIVE_TIME_UNIT_MS=100` doubles every live timeout).
-/// Read once; the first call pins the unit for the process lifetime so a
-/// cluster can never see two different units.
-pub fn live_time_unit() -> Dur {
-    static UNIT: OnceLock<Dur> = OnceLock::new();
-    *UNIT.get_or_init(|| match std::env::var("LIVE_TIME_UNIT_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Dur::millis(ms),
-            _ => {
-                eprintln!("ignoring invalid LIVE_TIME_UNIT_MS={raw:?} (want a positive integer)");
-                LIVE_TIME_UNIT
-            }
-        },
-        Err(_) => LIVE_TIME_UNIT,
-    })
-}
 
 /// Raft timing for live sockets: 1-unit heartbeats, 6–12-unit elections
 /// (the values PR 1 validated under concurrent stress on loaded hosts).
 pub(crate) fn live_raft_config() -> RaftConfig {
-    let unit = live_time_unit();
+    let unit = LIVE_TIME_UNIT;
     RaftConfig {
         heartbeat_interval: unit,
         election_timeout_min: unit * 6,
@@ -117,7 +94,7 @@ pub(crate) fn live_raft_config() -> RaftConfig {
 /// fetch retries, and a 40-unit (2 s) failure detector so OS scheduling
 /// hiccups never look like node failures.
 pub fn live_canopus_config() -> CanopusConfig {
-    let unit = live_time_unit();
+    let unit = LIVE_TIME_UNIT;
     CanopusConfig {
         max_linger: BATCH_LINGER,
         fetch_timeout: unit * 4,
@@ -131,9 +108,9 @@ pub fn live_canopus_config() -> CanopusConfig {
 
 /// The wall-clock chaos schedule matched to the live timeouts: faults at
 /// 6 units, heal at 24, convergence probes from 30, clients stop at 40,
-/// run ends at 45 (2.25 s per run with the default unit).
+/// run ends at 45 (2.25 s per run).
 pub fn live_timeline() -> ChaosTimeline {
-    let unit = live_time_unit();
+    let unit = LIVE_TIME_UNIT;
     ChaosTimeline {
         fault_at: unit * 6,
         heal_at: unit * 24,
@@ -156,12 +133,11 @@ pub fn live_spec() -> DeploymentSpec {
 }
 
 /// History-client parameters matched to [`live_timeline`] — like every
-/// other live timeout they derive from [`live_time_unit`], so raising the
-/// unit retunes the clients along with the protocols (at the default
-/// 50 ms unit: 150 ms op timeout, 6.25 ms gap, 3.125 ms tick — the same
-/// scale as the simulator suite's 150/6/3 ms).
+/// other live timeout they are multiples of [`LIVE_TIME_UNIT`] (150 ms op
+/// timeout, 6.25 ms gap, 3.125 ms tick — the same scale as the simulator
+/// suite's 150/6/3 ms).
 pub fn live_history_config() -> HistoryConfig {
-    let unit = live_time_unit();
+    let unit = LIVE_TIME_UNIT;
     let t = live_timeline();
     HistoryConfig {
         op_timeout: unit * 3,
@@ -191,9 +167,9 @@ pub struct LiveCluster<P: Protocol + Wire + Send> {
     rules: Arc<FaultRules>,
     peers: PeerMap,
     nodes: Vec<LiveSlot<P>>,
-    /// The single transport node hosting every history client (sessions
-    /// keep their classic virtual ids `n..2n` inside the [`ClientMux`]).
-    mux: LiveSlot<P>,
+    /// One loop per history client: client `i` has id `n + i` and targets
+    /// node `i`. Clients are never crashed.
+    clients: Vec<TcpNodeHandle<P>>,
     /// Final states of currently-crashed nodes, for the verdict of a run
     /// that ends with them down.
     down: BTreeMap<NodeId, Box<dyn Process<P>>>,
@@ -204,14 +180,11 @@ pub struct LiveCluster<P: Protocol + Wire + Send> {
 }
 
 impl<P: Protocol + Wire + Send> LiveCluster<P> {
-    /// Binds one listener per protocol node plus one for the client mux on
-    /// loopback ephemeral ports and spawns every loop. The mux hosts `n`
-    /// [`HistoryClient`] sessions (virtual ids `n..2n`, each targeting its
-    /// co-indexed node) behind a single listener — the peer map points
-    /// every virtual client id at that listener, so replies multiplex over
-    /// one connection per node. Enabled hubs are wired into both the
-    /// node's process and its transport (per-peer traffic, flush sizes,
-    /// queue depth).
+    /// Binds `2n` listeners on loopback ephemeral ports and spawns every
+    /// loop: protocol node `i` on listener `i`, and the [`HistoryClient`]
+    /// that targets it, with id `n + i`, on listener `n + i`. Enabled hubs
+    /// are wired into both the node's process and its transport (per-peer
+    /// traffic, flush sizes, queue depth).
     pub(crate) fn spawn(
         spec: DeploymentSpec,
         cfg: P::Config,
@@ -220,12 +193,8 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         hubs: Vec<NodeObs>,
     ) -> Self {
         let n = spec.node_count();
-        let (mut listeners, mut peers) = bind_loopback(n + 1);
-        let mux_id = NodeId(n as u32);
-        let mux_addr = peers.get(mux_id).expect("mux addr");
-        for i in 1..n {
-            peers.insert(NodeId((n + i) as u32), mux_addr);
-        }
+        let (mut listeners, peers) = bind_loopback(2 * n);
+        let client_listeners = listeners.split_off(n);
         let mut cluster = LiveCluster {
             spec,
             cfg,
@@ -234,11 +203,7 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
             rules: Arc::new(FaultRules::new(seed)),
             peers,
             nodes: Vec::with_capacity(n),
-            mux: LiveSlot {
-                id: mux_id,
-                listener: listeners.pop().expect("mux listener"),
-                handle: None,
-            },
+            clients: Vec::with_capacity(n),
             down: BTreeMap::new(),
             ever_crashed: BTreeSet::new(),
             hubs,
@@ -253,13 +218,15 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
                 handle: Some(handle),
             });
         }
-        let mux = ClientMux::<P>::new(n, n as u32, hcfg, seed);
-        let handle = cluster.launch(mux_id, &cluster.mux.listener, Box::new(mux));
-        cluster.mux.handle = Some(handle);
+        for (i, listener) in client_listeners.iter().enumerate() {
+            let client = HistoryClient::<P>::new(i, n, NodeId(i as u32), hcfg.clone());
+            let handle = cluster.launch(NodeId((n + i) as u32), listener, Box::new(client));
+            cluster.clients.push(handle);
+        }
         cluster
     }
 
-    /// Node `id`'s hub (none for the client mux).
+    /// Node `id`'s hub (none for a client).
     fn hub_of(&self, id: NodeId) -> Option<&NodeObs> {
         self.hubs.get(id.index())
     }
@@ -303,17 +270,17 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         }
     }
 
-    /// Stops every loop (the client mux first, so no new operations race
-    /// the teardown) and returns the final processes for the verdict. The
-    /// mux is unpacked into its sessions, so the outcome keeps its
-    /// one-entry-per-client shape.
+    /// Stops every loop (the clients first, so no new operations race the
+    /// teardown) and returns the final processes for the verdict.
     pub fn shutdown(mut self) -> LiveOutcome<P> {
-        let handle = self.mux.handle.take().expect("mux is never crashed");
-        let mux = handle
-            .stop()
-            .into_any()
-            .downcast::<ClientMux<P>>()
-            .expect("client mux");
+        let clients = self
+            .clients
+            .drain(..)
+            .map(|handle| {
+                let client = handle.stop().into_any().downcast::<HistoryClient<P>>();
+                *client.expect("a history client")
+            })
+            .collect();
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for slot in &mut self.nodes {
             match slot.handle.take() {
@@ -329,7 +296,7 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         }
         LiveOutcome {
             nodes,
-            clients: mux.into_sessions(),
+            clients,
             ever_crashed: self.ever_crashed,
             hubs: self.hubs,
         }

@@ -23,7 +23,7 @@ use canopus_workload::ProtocolMsg;
 use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 
 use crate::cluster::{emulation_table_for, SilentNode};
-use crate::live::{live_canopus_config, live_time_unit};
+use crate::live::{live_canopus_config, LIVE_TIME_UNIT};
 use crate::spec::{DeploymentSpec, TopoSpec};
 
 /// Per-key committed write order at one replica, as
@@ -49,7 +49,7 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
     fn sim_config(spec: &DeploymentSpec) -> Self::Config;
 
     /// The default configuration over real sockets: every timeout a
-    /// multiple of [`live_time_unit`], so a descheduled thread never looks
+    /// multiple of [`LIVE_TIME_UNIT`], so a descheduled thread never looks
     /// like a failed node.
     fn live_config(spec: &DeploymentSpec) -> Self::Config;
 
@@ -257,7 +257,7 @@ impl Protocol for EpaxosMsg {
     /// simulator's 2 ms at the default unit.
     fn live_config(_spec: &DeploymentSpec) -> EpaxosConfig {
         EpaxosConfig {
-            batch_duration: live_time_unit() / 25,
+            batch_duration: LIVE_TIME_UNIT / 25,
             ..EpaxosConfig::default()
         }
     }
@@ -324,7 +324,7 @@ impl Protocol for ZabMsg {
 
     /// 1-unit heartbeats, 8-unit election silence.
     fn live_config(spec: &DeploymentSpec) -> ZabConfig {
-        let unit = live_time_unit();
+        let unit = LIVE_TIME_UNIT;
         ZabConfig {
             heartbeat: unit,
             election_timeout: unit * 8,

@@ -155,6 +155,37 @@ fn a_fourth_protocol_is_one_impl_block() {
     assert!(report.ops_ok > 20, "{report:?}");
 }
 
+/// Every history client is a node of its own on both fabrics: isolating
+/// client 0 cuts off client 0 and nobody else.
+#[test]
+fn a_fault_on_one_client_leaves_the_other_client_alone() {
+    let spec = DeploymentSpec {
+        topo: TopoSpec::SingleDc {
+            racks: 1,
+            nodes_per_rack: 2,
+        },
+        link: Default::default(),
+    };
+    // Nodes 0 and 1; client 0 is NodeId(2), client 1 is NodeId(3).
+    let plan = FaultPlan::new().at(Dur::ZERO, FaultEvent::IsolateNode(NodeId(2)));
+    let clean = |ops: &[HistoryOp]| ops.iter().filter(|o| o.clean()).count();
+
+    let mut sim = ClusterBuilder::<EchoMsg>::new(&spec, 5).sim();
+    sim.run_plan(&plan, Dur::secs(2));
+    let sim_clean: Vec<usize> = (0..2)
+        .map(|i| clean(sim.sim.node::<HistoryClient<EchoMsg>>(sim.clients[i]).ops()))
+        .collect();
+    assert_eq!(sim_clean[0], 0, "sim: {sim_clean:?}");
+    assert!(sim_clean[1] > 50, "sim: {sim_clean:?}");
+
+    let mut live = ClusterBuilder::<EchoMsg>::new(&spec, 5).live();
+    live.run_plan(&plan, live_timeline().run_for);
+    let outcome = live.shutdown();
+    let live_clean: Vec<usize> = outcome.clients.iter().map(|c| clean(c.ops())).collect();
+    assert_eq!(live_clean[0], 0, "live: {live_clean:?}");
+    assert!(live_clean[1] > 20, "live: {live_clean:?}");
+}
+
 // ---------------------------------------------------------------------
 // (b) Restart policies, through the trait
 // ---------------------------------------------------------------------

@@ -496,9 +496,7 @@ where
 
 /// Binds `n` listeners on loopback ephemeral ports and registers listener
 /// `i` as [`NodeId`]`(i)` in a fresh [`PeerMap`]. Binding everything before
-/// anything is spawned makes the peer map complete from the first send;
-/// ids that share a listener (client sessions behind one mux) are aliased
-/// by a further [`PeerMap::insert`] of that listener's address.
+/// anything is spawned makes the peer map complete from the first send.
 pub fn bind_loopback(n: usize) -> (Vec<TcpListener>, PeerMap) {
     let mut peers = PeerMap::new();
     let listeners = (0..n)

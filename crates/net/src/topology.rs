@@ -169,14 +169,6 @@ impl Topology {
         self.site_of(a) == self.site_of(b)
     }
 
-    /// All nodes placed in `rack`, in id order.
-    pub fn nodes_in_rack(&self, rack: RackId) -> Vec<NodeId> {
-        (0..self.node_count())
-            .map(|i| NodeId(i as u32))
-            .filter(|&n| self.rack_of(n) == rack)
-            .collect()
-    }
-
     /// One-way propagation delay between two nodes, ignoring queueing.
     pub fn propagation(&self, a: NodeId, b: NodeId) -> Dur {
         if a == b {
@@ -244,8 +236,6 @@ mod tests {
         let a = t.add_node(r0);
         let b = t.add_node(r1);
         assert_eq!(t.propagation(a, b), params.cross_rack_one_way);
-        assert_eq!(t.nodes_in_rack(r0), vec![a]);
-        assert_eq!(t.nodes_in_rack(r1), vec![b]);
     }
 
     #[test]

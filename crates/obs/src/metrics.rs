@@ -10,8 +10,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use crate::json_escape;
-
 /// Number of histogram buckets: bucket 0 holds the value `0`, bucket
 /// `b ∈ 1..=64` holds values in `[2^(b-1), 2^b - 1]` (so `u64::MAX` lands
 /// in bucket 64).
@@ -326,48 +324,6 @@ impl Snapshot {
             }
             let _ = writeln!(out);
         }
-        out
-    }
-
-    /// Compact JSON exposition:
-    /// `{"counters":{..},"gauges":{..},"histograms":{"name":{"count":..,"sum":..,"buckets":[[lo,hi,n],..]}}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                json_escape(name),
-                h.count,
-                h.sum
-            );
-            for (j, &(b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let (lo, hi) = bucket_bounds(b);
-                let _ = write!(out, "[{lo},{hi},{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
         out
     }
 

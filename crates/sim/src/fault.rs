@@ -3,10 +3,10 @@
 //!
 //! Three pieces, none of which knows what it runs against:
 //!
-//! * a [`FaultPlan`] is a seeded, time-ordered schedule of [`FaultEvent`]s
-//!   — partitions, crashes, restarts, loss injection, node isolation, link
-//!   flapping — built with combinators (`at`, `then`, `repeat`,
-//!   `randomized`) and expanded into a concrete [`FaultAction`] timeline;
+//! * a [`FaultPlan`] is a time-ordered schedule of [`FaultEvent`]s —
+//!   partitions, crashes, restarts, loss injection, node isolation, link
+//!   flapping — built with combinators (`at`, `then`, `repeat`) and
+//!   expanded into a concrete [`FaultAction`] timeline;
 //! * [`LinkFaults`] is the table of what those actions have done to the
 //!   links so far (cuts, isolation, down marks, loss rates), asked by
 //!   whatever carries the messages;
@@ -22,15 +22,12 @@
 //! (the same table behind a mutex) at send and again at receive, and a
 //! crashed node is a stopped thread plus a down mark.
 //!
-//! Determinism in the simulator: the plan is data, the jitter is seeded,
-//! and `run_plan` steps the kernel to each action's exact virtual instant
-//! — so the same plan + seed always yields the same execution (guarded by
-//! the trace-hash pins in the chaos suites).
+//! Determinism in the simulator: the plan is data, and `run_plan` steps
+//! the kernel to each action's exact virtual instant — so the same plan +
+//! seed always yields the same execution (guarded by the trace-hash pins
+//! in the chaos suites).
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::process::NodeId;
 use crate::time::{Dur, Time};
@@ -95,7 +92,7 @@ pub enum FaultAction {
     Isolate(NodeId),
 }
 
-/// A seeded, time-ordered schedule of fault events. Offsets are relative
+/// A time-ordered schedule of fault events. Offsets are relative
 /// to the instant the plan is handed to [`run_plan`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -132,22 +129,6 @@ impl FaultPlan {
             }
         }
         self
-    }
-
-    /// Applies deterministic jitter of up to `jitter` to every event
-    /// offset, drawn from a `seed`ed RNG. Same seed ⇒ same jitter.
-    pub fn randomized(mut self, seed: u64, jitter: Dur) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x4e454d45_53495321);
-        for (d, _) in &mut self.events {
-            let j = Dur::nanos(rng.gen_range(0..jitter.as_nanos().max(1)));
-            *d += j;
-        }
-        self
-    }
-
-    /// The raw schedule, in insertion order.
-    pub fn events(&self) -> &[(Dur, FaultEvent)] {
-        &self.events
     }
 
     /// Expands the plan into a concrete, time-sorted action timeline
@@ -445,26 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn randomized_is_deterministic_per_seed() {
-        let base = || {
-            FaultPlan::new()
-                .at(Dur::millis(10), FaultEvent::HealAll)
-                .then(Dur::millis(10), FaultEvent::Crash(n(2)))
-        };
-        let a = base()
-            .randomized(7, Dur::millis(3))
-            .timeline(Time::ZERO, Dur::secs(1));
-        let b = base()
-            .randomized(7, Dur::millis(3))
-            .timeline(Time::ZERO, Dur::secs(1));
-        let c = base()
-            .randomized(8, Dur::millis(3))
-            .timeline(Time::ZERO, Dur::secs(1));
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seed jitters differently");
-    }
-
-    #[test]
     fn flap_expands_until_heal_all() {
         let plan = FaultPlan::new()
             .at(
@@ -518,32 +479,6 @@ mod tests {
             .map(|(_, a)| matches!(a, FaultAction::Crash(_)))
             .collect();
         assert_eq!(kinds, vec![true, true, true, false, false, false]);
-    }
-
-    #[test]
-    fn randomized_jitter_is_bounded_and_identical_across_identical_seeds() {
-        let base = || {
-            FaultPlan::new()
-                .at(Dur::millis(5), FaultEvent::Crash(n(0)))
-                .then(Dur::millis(5), FaultEvent::Restart(n(0)))
-                .repeat(3, Dur::millis(20))
-        };
-        let jitter = Dur::millis(4);
-        let a = base().randomized(99, jitter);
-        let b = base().randomized(99, jitter);
-        assert_eq!(
-            a.timeline(Time::ZERO, Dur::secs(1)),
-            b.timeline(Time::ZERO, Dur::secs(1)),
-            "identical seeds must jitter identically"
-        );
-        // Every jittered offset stays within [original, original + jitter).
-        for ((d, _), (orig, _)) in a.events().iter().zip(base().events()) {
-            assert!(*d >= *orig, "jitter never moves events earlier");
-            assert!(
-                *d < *orig + jitter,
-                "jitter bounded: {d:?} vs {orig:?} + {jitter:?}"
-            );
-        }
     }
 
     #[test]

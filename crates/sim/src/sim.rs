@@ -399,11 +399,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
         &mut self.fabric
     }
 
-    /// Immutable access to the fabric.
-    pub fn fabric(&self) -> &F {
-        &self.fabric
-    }
-
     /// Borrows a node's process state, downcast to `P`. A crashed node's
     /// is the state it crashed in.
     ///
@@ -474,18 +469,6 @@ impl<M: Payload, F: Fabric<M>> Simulation<M, F> {
     pub fn run_for(&mut self, d: Dur) {
         let deadline = self.time + d;
         self.run_until(deadline);
-    }
-
-    /// Dispatches a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        match self.events.pop() {
-            Some(Reverse(entry)) => {
-                self.time = entry.at;
-                self.dispatch(entry);
-                true
-            }
-            None => false,
-        }
     }
 
     fn push_event(&mut self, at: Time, kind: EventKind<M>) {

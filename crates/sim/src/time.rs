@@ -79,11 +79,6 @@ impl Dur {
         Dur(s * 1_000_000_000)
     }
 
-    /// Builds a span from fractional seconds (negative values clamp to zero).
-    pub fn from_secs_f64(s: f64) -> Dur {
-        Dur((s.max(0.0) * 1e9).round() as u64)
-    }
-
     /// Builds a span from fractional milliseconds (negative values clamp to zero).
     pub fn from_millis_f64(ms: f64) -> Dur {
         Dur((ms.max(0.0) * 1e6).round() as u64)
@@ -122,11 +117,6 @@ impl Dur {
     /// Element-wise maximum of two spans.
     pub fn max(self, other: Dur) -> Dur {
         Dur(self.0.max(other.0))
-    }
-
-    /// Multiplies the span by a float factor, clamping negatives to zero.
-    pub fn mul_f64(self, k: f64) -> Dur {
-        Dur((self.0 as f64 * k).max(0.0).round() as u64)
     }
 }
 
@@ -230,7 +220,6 @@ mod tests {
         assert_eq!(Dur::micros(3).as_nanos(), 3_000);
         assert_eq!(Dur::millis(7).as_micros(), 7_000);
         assert_eq!(Dur::secs(2).as_millis(), 2_000);
-        assert_eq!(Dur::from_secs_f64(0.5).as_millis(), 500);
         assert_eq!(Dur::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
@@ -249,13 +238,11 @@ mod tests {
         assert_eq!(d.as_millis(), 6);
         assert_eq!(d / 2, Dur::millis(3));
         assert_eq!(d - Dur::millis(10), Dur::ZERO, "saturating subtraction");
-        assert_eq!(Dur::millis(1).mul_f64(2.5), Dur::micros(2500));
     }
 
     #[test]
     fn negative_float_clamps() {
-        assert_eq!(Dur::from_secs_f64(-1.0), Dur::ZERO);
-        assert_eq!(Dur::millis(1).mul_f64(-3.0), Dur::ZERO);
+        assert_eq!(Dur::from_millis_f64(-1.0), Dur::ZERO);
     }
 
     #[test]

@@ -47,9 +47,8 @@ fn main() {
     // The simulator-tuned defaults (25 ms failure timeout, 10–20 ms Raft
     // elections) assume a deterministic scheduler; on a real OS a loaded
     // box can deschedule a node thread longer than that and trigger false
-    // failovers. All real-time-sensitive timeouts derive from one place:
-    // `canopus_harness::live::live_time_unit()` (`LIVE_TIME_UNIT_MS` to
-    // override at run time).
+    // failovers. All real-time-sensitive timeouts are multiples of one
+    // value, `canopus_harness::LIVE_TIME_UNIT` (50 ms).
     let cfg = live_canopus_config();
 
     // Bind every listener up front so the peer map is complete, including

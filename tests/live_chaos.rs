@@ -30,8 +30,8 @@ use canopus_harness::scenarios::{
     ChaosScenario,
 };
 use canopus_harness::{
-    live_spec, live_time_unit, live_timeline, ChaosTimeline, ChaosTopology, ClusterBuilder,
-    Protocol,
+    live_spec, live_timeline, ChaosTimeline, ChaosTopology, ClusterBuilder, Protocol,
+    LIVE_TIME_UNIT,
 };
 use canopus_net::Wire;
 use canopus_zab::ZabMsg;
@@ -84,7 +84,7 @@ fn live_canopus_asymmetric_loss() {
 #[test]
 fn live_canopus_batched_superleaf_partition() {
     let batched = CanopusConfig {
-        max_linger: live_time_unit() / 8,
+        max_linger: LIVE_TIME_UNIT / 8,
         max_pipeline_depth: 4,
         ..CanopusMsg::live_config(&live_spec())
     };
