@@ -83,6 +83,15 @@ impl ClusterObs {
     }
 }
 
+/// History clients are crash-stop on both fabrics: nothing rebuilds one,
+/// so a plan that restarts one is refused, not half carried out.
+pub(crate) fn refuse_client_restart(id: NodeId, nodes: usize) {
+    assert!(
+        id.index() < nodes,
+        "{id:?} is a history client: clients are crash-stop and never restarted"
+    );
+}
+
 /// Every hub's flight recorder, dumped (`last` events each) into one
 /// string — the panic artifact chaos failures attach.
 pub(crate) fn flight_dump(hubs: &[NodeObs], last: usize) -> String {
@@ -430,6 +439,7 @@ impl<P: Protocol> NemesisTarget for Cluster<P> {
     }
 
     fn restart(&mut self, node: NodeId) {
+        refuse_client_restart(node, self.nodes.len());
         if self.sim.is_alive(node) {
             return;
         }

@@ -17,7 +17,8 @@
 //!   shared [`FaultRules`], which every node loop asks as it sends and
 //!   again as it receives;
 //! * `crash` marks the node down in that table — peers drop what is in
-//!   flight — then stops its loop, keeping the final process state;
+//!   flight — then stops its loop, keeping the final process state; a
+//!   history client crashes the same way, for good;
 //! * `restart` rebuilds a replacement process through
 //!   [`Protocol::restart`] — the same policy the simulator applies (ZAB
 //!   resyncs as a recovering follower, EPaxos re-installs a crash-stop
@@ -66,7 +67,7 @@ use canopus_raft::RaftConfig;
 use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 
-use crate::cluster::flight_dump;
+use crate::cluster::{flight_dump, refuse_client_restart};
 use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
 use crate::protocol::Protocol;
 use crate::scenarios::ChaosTimeline;
@@ -168,10 +169,11 @@ pub struct LiveCluster<P: Protocol + Wire + Send> {
     peers: PeerMap,
     nodes: Vec<LiveSlot<P>>,
     /// One loop per history client: client `i` has id `n + i` and targets
-    /// node `i`. Clients are never crashed.
-    clients: Vec<TcpNodeHandle<P>>,
-    /// Final states of currently-crashed nodes, for the verdict of a run
-    /// that ends with them down.
+    /// node `i`; `None` once the nemesis crashed it (clients are not
+    /// restarted).
+    clients: Vec<Option<TcpNodeHandle<P>>>,
+    /// Final states of currently-crashed nodes and clients, for the
+    /// verdict of a run that ends with them down.
     down: BTreeMap<NodeId, Box<dyn Process<P>>>,
     ever_crashed: BTreeSet<NodeId>,
     /// One observability hub per protocol node (all inert when obs is
@@ -221,9 +223,17 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
         for (i, listener) in client_listeners.iter().enumerate() {
             let client = HistoryClient::<P>::new(i, n, NodeId(i as u32), hcfg.clone());
             let handle = cluster.launch(NodeId((n + i) as u32), listener, Box::new(client));
-            cluster.clients.push(handle);
+            cluster.clients.push(Some(handle));
         }
         cluster
+    }
+
+    /// The loop of node or client `id`; `None` while it is down.
+    fn handle(&mut self, id: NodeId) -> &mut Option<TcpNodeHandle<P>> {
+        match id.index().checked_sub(self.nodes.len()) {
+            None => &mut self.nodes[id.index()].handle,
+            Some(client) => &mut self.clients[client],
+        }
     }
 
     /// Node `id`'s hub (none for a client).
@@ -273,11 +283,19 @@ impl<P: Protocol + Wire + Send> LiveCluster<P> {
     /// Stops every loop (the clients first, so no new operations race the
     /// teardown) and returns the final processes for the verdict.
     pub fn shutdown(mut self) -> LiveOutcome<P> {
-        let clients = self
-            .clients
-            .drain(..)
-            .map(|handle| {
-                let client = handle.stop().into_any().downcast::<HistoryClient<P>>();
+        let n = self.nodes.len();
+        let clients = std::mem::take(&mut self.clients)
+            .into_iter()
+            .enumerate()
+            .map(|(i, handle)| {
+                let process = match handle {
+                    Some(handle) => handle.stop(),
+                    None => self
+                        .down
+                        .remove(&NodeId((n + i) as u32))
+                        .expect("crashed client state retained"),
+                };
+                let client = process.into_any().downcast::<HistoryClient<P>>();
                 *client.expect("a history client")
             })
             .collect();
@@ -321,7 +339,7 @@ impl<P: Protocol + Wire + Send> NemesisTarget for LiveCluster<P> {
     }
 
     fn crash(&mut self, id: NodeId) -> bool {
-        let Some(handle) = self.nodes[id.index()].handle.take() else {
+        let Some(handle) = self.handle(id).take() else {
             return false;
         };
         // Mark first so in-flight traffic is dropped while the loop winds
@@ -334,6 +352,7 @@ impl<P: Protocol + Wire + Send> NemesisTarget for LiveCluster<P> {
 
     /// On the same listening socket the node had.
     fn restart(&mut self, id: NodeId) {
+        refuse_client_restart(id, self.nodes.len());
         if self.nodes[id.index()].handle.is_some() {
             return;
         }

@@ -186,6 +186,49 @@ fn a_fault_on_one_client_leaves_the_other_client_alone() {
     assert!(live_clean[1] > 20, "live: {live_clean:?}");
 }
 
+/// A history client is a node of its own, so the nemesis can crash it on
+/// either fabric: the run goes on to the end and the client's history
+/// stops at the crash.
+#[test]
+fn a_crashed_client_stops_issuing_and_the_run_goes_on() {
+    // Node 0; its client is NodeId(1).
+    let plan = FaultPlan::new().at(Dur::millis(100), FaultEvent::Crash(NodeId(1)));
+    let issued_before = |ops: &[HistoryOp], crash: Time| {
+        assert!(ops.len() > 5, "{} ops before the crash", ops.len());
+        let late: Vec<_> = ops.iter().filter(|o| o.invoke > crash).collect();
+        assert!(
+            late.is_empty(),
+            "issued after the crash at {crash:?}: {late:?}"
+        );
+    };
+
+    let mut sim = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).sim();
+    let applied = sim.run_plan(&plan, Dur::secs(1));
+    assert_eq!(sim.sim.now(), Time::ZERO + Dur::secs(1));
+    let ops = sim.sim.node::<HistoryClient<EchoMsg>>(sim.clients[0]).ops();
+    issued_before(ops, applied[0].0);
+
+    let t = live_timeline();
+    let mut live = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).live();
+    let applied = live.run_plan(&plan, t.run_for);
+    let outcome = live.shutdown();
+    assert_eq!(outcome.clients.len(), 1);
+    // The client's clock started after the cluster's, so it reads less.
+    issued_before(outcome.clients[0].ops(), applied[0].0);
+}
+
+/// Nothing rebuilds a crashed client, so a plan that restarts one is
+/// refused outright.
+#[test]
+#[should_panic(expected = "n1 is a history client: clients are crash-stop")]
+fn restarting_a_client_is_refused() {
+    let plan = FaultPlan::new()
+        .at(Dur::millis(100), FaultEvent::Crash(NodeId(1)))
+        .at(Dur::millis(200), FaultEvent::Restart(NodeId(1)));
+    let mut sim = ClusterBuilder::<EchoMsg>::new(&one_node(), 5).sim();
+    sim.run_plan(&plan, Dur::secs(1));
+}
+
 // ---------------------------------------------------------------------
 // (b) Restart policies, through the trait
 // ---------------------------------------------------------------------

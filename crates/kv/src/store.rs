@@ -8,12 +8,16 @@
 //! path nine times per op in a 3×3 cluster, and with 100 000 keys per
 //! store nearly every one misses cache.
 //!
-//! *One array.* The store is one array of 48-byte slots, each a key beside
+//! *One array.* The store is one array of 32-byte slots, each a key beside
 //! its [`Versioned`] entry, probed linearly from the key's home slot;
 //! version 0 marks an empty slot, and the array doubles when a write could
-//! fill more than 7/8 of it (100 000 keys fit in 131 072 slots). A write
-//! touches one slot, so it costs one miss, and the slot it will touch is
-//! known from the key's hash alone, before the write runs.
+//! fill more than 7/8 of it (100 000 keys fit in 131 072 slots, 4 MiB). A
+//! slot is aligned to 32 bytes, so two fit a 64-byte cache line and none
+//! straddles two: a write touches one slot, so it costs one miss, and the
+//! slot it will touch is known from the key's hash alone, before the write
+//! runs. (Unaligned, a table this large starts where the allocator's
+//! `mmap` header leaves it, 16 bytes into a line, and half its slots would
+//! span two lines, at 48 bytes as at 32.)
 //!
 //! *Runs of 16.* That is what [`KvStore::put_many`] uses: it hashes a
 //! run's writes 16 at a time, loads the 16 home slots in one loop whose
@@ -52,24 +56,25 @@ use canopus_net::wire::{Wire, WireError};
 use crate::op::Key;
 
 /// The longest value held inline. With its length byte and the enum's tag
-/// it fills 32 bytes, the size of the `Bytes` it replaces, so a
-/// [`Versioned`] is still 40 bytes.
-const INLINE: usize = 30;
+/// it fills 16 bytes, as much as the boxed form's tag and pointer take, so
+/// a [`Versioned`] is 24 bytes and a slot 32.
+const INLINE: usize = 14;
 
 /// Writes whose home slots [`KvStore::put_many`] loads together.
 const LOOKAHEAD: usize = 16;
 
-/// A stored value: the store's own copy of the bytes written. Up to 30
+/// A stored value: the store's own copy of the bytes written. Up to 14
 /// bytes live in the slot; a longer value is copied into an allocation of
-/// its own. Either way it shares no allocation with the frame it was
-/// decoded from.
+/// its own, reached through one thin pointer (a boxed slice is a pointer
+/// and a length, too wide to leave room in 16 bytes). Either way it shares
+/// no allocation with the frame it was decoded from.
 #[derive(Clone)]
 pub struct Value(Repr);
 
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, bytes: [u8; INLINE] },
-    Boxed(Box<[u8]>),
+    Boxed(Box<Box<[u8]>>),
 }
 
 impl Value {
@@ -82,7 +87,7 @@ impl Value {
                 bytes: inline,
             }
         } else {
-            Repr::Boxed(bytes.into())
+            Repr::Boxed(Box::new(bytes.into()))
         })
     }
 }
@@ -131,8 +136,9 @@ pub struct Versioned {
 }
 
 /// One slot of the table: a key and its entry, or empty if the entry's
-/// version is 0.
+/// version is 0. Aligned to its size, so it never spans two cache lines.
 #[derive(Clone)]
+#[repr(align(32))]
 struct Slot {
     key: Key,
     entry: Versioned,
@@ -517,15 +523,25 @@ mod tests {
         }
     }
 
+    /// Two slots to a 64-byte line, none across two, in a table as large
+    /// as a replica's: 100 000 keys.
     #[test]
-    fn an_entry_is_as_small_as_when_it_held_bytes() {
-        assert_eq!(std::mem::size_of::<Value>(), 32);
-        assert_eq!(std::mem::size_of::<Versioned>(), 40);
-        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    fn a_slot_is_32_bytes_and_never_straddles_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<Versioned>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::align_of::<Slot>(), 32);
+
+        let mut s = KvStore::new();
+        for key in 0..100_000 {
+            s.put(key, key.to_le_bytes());
+        }
+        assert_eq!(s.slots.len(), 131_072);
+        assert_eq!(s.slots.as_ptr() as usize % 32, 0);
     }
 
     /// `n` writes over `keys` distinct keys spread across the `u64` range,
-    /// values cycling through the lengths 0, 30, 31 and 4096.
+    /// values cycling through the lengths 0, 14, 15 and 4096.
     fn scrambled_run(seed: u64, n: usize, keys: u64) -> Vec<(Key, Vec<u8>)> {
         let mut x = seed;
         (0..n)
