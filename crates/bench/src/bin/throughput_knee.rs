@@ -11,10 +11,10 @@
 //!   overflow, 4 cycles in flight, clients aggregating up to 1000
 //!   requests per op.
 //!
-//! Results — knees, per-node committed-op rates, the ladders, the Table-1
-//! fabric validation, and a deterministic fixed-rate *smoke* section — are
-//! emitted as schema-versioned JSON (committed as `BENCH_canopus.json` at
-//! the repo root). The smoke numbers come from fixed seeds on the
+//! Results — knees, per-node committed-op rates, the ladders, and a
+//! deterministic fixed-rate *smoke* section — are emitted as
+//! schema-versioned JSON (committed as `BENCH_canopus.json` at the repo
+//! root). The smoke numbers come from fixed seeds on the
 //! deterministic simulator, so they reproduce bit-for-bit on any machine;
 //! CI regenerates them with `BENCH_SWEEP=smoke` and `--check` fails the
 //! build on a >20 % throughput regression against the committed file.
@@ -30,9 +30,8 @@ use canopus_harness::{
     fmt_rate, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol, RunResult,
     SearchSpec,
 };
-use canopus_net::{ClosFabric, LinkParams, Topology, WanMatrix};
 use canopus_obs::{bucket_bounds, json_escape, HistogramSnapshot, Snapshot};
-use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Simulation, Time};
+use canopus_sim::Dur;
 
 /// The schema of the emitted JSON. Bump when keys change meaning.
 const SCHEMA_VERSION: u64 = 1;
@@ -219,95 +218,6 @@ fn ladder_json(ladder: &[Measured]) -> Vec<String> {
 }
 
 // -------------------------------------------------------------------
-// Table-1 fabric validation (the same ping-pong as `table1_latencies`,
-// reduced to the numbers the JSON records).
-// -------------------------------------------------------------------
-
-#[derive(Debug)]
-enum PingMsg {
-    Ping { seq: u64 },
-    Pong { seq: u64 },
-}
-
-impl Payload for PingMsg {
-    fn wire_size(&self) -> usize {
-        64
-    }
-}
-
-struct Pinger {
-    peers: Vec<NodeId>,
-    sent: std::collections::BTreeMap<u64, (NodeId, Time)>,
-    rtts: Vec<(NodeId, Dur)>,
-    next_seq: u64,
-}
-
-impl Process<PingMsg> for Pinger {
-    fn on_start(&mut self, ctx: &mut Context<'_, PingMsg>) {
-        for peer in self.peers.clone() {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.sent.insert(seq, (peer, ctx.now()));
-            ctx.send(peer, PingMsg::Ping { seq });
-        }
-    }
-    fn on_message(&mut self, from: NodeId, msg: PingMsg, ctx: &mut Context<'_, PingMsg>) {
-        match msg {
-            PingMsg::Ping { seq } => ctx.send(from, PingMsg::Pong { seq }),
-            PingMsg::Pong { seq } => {
-                if let Some((peer, at)) = self.sent.remove(&seq) {
-                    self.rtts.push((peer, ctx.now().saturating_since(at)));
-                }
-            }
-        }
-    }
-    impl_process_any!();
-}
-
-/// Measures the Table-1 RTT matrix in the fabric; returns the measured
-/// rows (ms) and the worst deviation from the paper's matrix (ms).
-fn table1_measured() -> (Vec<Vec<f64>>, f64) {
-    let wan = WanMatrix::paper_table1();
-    let sites = wan.len();
-    let topo = Topology::multi_dc(wan.clone(), 1, LinkParams::default());
-    let mut sim = Simulation::new(ClosFabric::new(topo), 1);
-    let all: Vec<NodeId> = (0..sites as u32).map(NodeId).collect();
-    for i in 0..sites as u32 {
-        let peers = all.iter().copied().filter(|&p| p != NodeId(i)).collect();
-        sim.add_node(Box::new(Pinger {
-            peers,
-            sent: Default::default(),
-            rtts: Vec::new(),
-            next_seq: 0,
-        }));
-    }
-    sim.run_for(Dur::secs(2));
-
-    let mut rows = Vec::new();
-    let mut worst = 0.0f64;
-    for (i, a) in wan.sites().enumerate() {
-        let pinger = sim.node::<Pinger>(NodeId(i as u32));
-        let mut row = Vec::with_capacity(sites);
-        for (j, b) in wan.sites().enumerate() {
-            if i == j {
-                row.push(0.0);
-                continue;
-            }
-            let measured = pinger
-                .rtts
-                .iter()
-                .find(|(p, _)| *p == NodeId(j as u32))
-                .map(|(_, d)| d.as_millis_f64())
-                .expect("pong received");
-            worst = worst.max((measured - wan.rtt(a, b).as_millis_f64()).abs());
-            row.push(measured);
-        }
-        rows.push(row);
-    }
-    (rows, worst)
-}
-
-// -------------------------------------------------------------------
 
 fn check_baseline(doc: &str, fresh_unbatched: f64, fresh_batched: f64) -> Result<(), String> {
     let version = extract_number(doc, "schema_version")
@@ -470,26 +380,6 @@ fn main() {
             )
             .field_array("ladder_unbatched", &ladder_json(&ladder_u))
             .field_array("ladder_batched", &ladder_json(&ladder_b));
-
-        // Table-1 fabric validation.
-        eprintln!("== table 1 fabric validation ==");
-        let (rtt_rows, worst) = table1_measured();
-        let rows: Vec<String> = rtt_rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "[{}]",
-                    row.iter().map(|v| number(*v)).collect::<Vec<_>>().join(",")
-                )
-            })
-            .collect();
-        doc.field_num("table1_worst_rtt_deviation_ms", worst)
-            .field_num(
-                "table1_max_rtt_ms",
-                WanMatrix::paper_table1().max_rtt().as_millis_f64(),
-            )
-            .field_array("table1_measured_rtt_ms", &rows);
-        eprintln!("table 1 worst deviation: {worst:.3} ms");
     }
 
     let rendered = doc.render();

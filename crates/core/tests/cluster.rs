@@ -19,7 +19,7 @@ use canopus_kv::{
 use canopus_obs::{EventKind, NodeObs};
 use canopus_sim::{
     impl_process_any, Context, Dur, FaultAction, FaultyFabric, NodeId, Process, Simulation, Time,
-    Timer, TraceEvent, UniformFabric,
+    Timer, TraceEvent, UniformFabric, EXTERNAL,
 };
 
 // ---------------------------------------------------------------------
@@ -243,6 +243,53 @@ fn two_superleaves_agree_on_total_order() {
                 .digest(),
             t0
         );
+    }
+}
+
+/// The paper's §4.7 example (Figure 2): super-leaves Sx = {A, B, C} and
+/// Sy = {D, E, F}; A, B and D hold requests RA, RB and RD when the cycle
+/// starts, and C, E and F propose empty sets. The expected order was read
+/// off this run with every node seeded 2017 (`build_cluster` gives each
+/// node `seed ^ 0x9e37`). It is deterministic: the proposals' random
+/// numbers set it, and the empty sets take positions like the others.
+#[test]
+fn paper_example_commits_whole_request_sets_in_one_order() {
+    let cfg = CanopusConfig::default();
+    let mut cluster = build_cluster(LotShape::flat(2), 3, &cfg, 2017 ^ 0x9e37);
+    for (node, key) in [(0u32, 100u64), (1, 200), (3, 300)] {
+        let req = ClientRequest {
+            client: EXTERNAL,
+            op_id: key,
+            op: put(key, b'8'),
+        };
+        let req = CanopusMsg::Request(req);
+        cluster.sim.inject(NodeId(node), req, Dur::micros(10));
+    }
+    cluster.sim.run_for(Dur::millis(20));
+
+    // One cycle, one set per node: (origin, keys written).
+    let (a, b, c, d, e, f) = (0, 1, 2, 3, 4, 5);
+    let expected = vec![
+        (c, vec![]),
+        (b, vec![200]),
+        (a, vec![100]),
+        (e, vec![]),
+        (d, vec![300]),
+        (f, vec![]),
+    ];
+    for &n in &cluster.nodes {
+        let log = cluster.sim.node::<CanopusNode>(n).committed_log();
+        assert_eq!(log.len(), 1, "{n} committed one cycle");
+        let sets: Vec<(u32, Vec<u64>)> = (log[0].sets.iter())
+            .map(|set| {
+                let keys = (set.ops.iter()).map(|op| match op {
+                    CommittedOp::Put { key, .. } => *key,
+                    other => panic!("only Puts were sent: {other:?}"),
+                });
+                (set.origin.0, keys.collect())
+            })
+            .collect();
+        assert_eq!(sets, expected, "{n}'s order");
     }
 }
 

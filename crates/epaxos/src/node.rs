@@ -177,21 +177,10 @@ impl EpaxosNode {
         &self.store
     }
 
-    /// Per-key write order, for consistency checks (EPaxos guarantees
-    /// identical order only for interfering commands, so cross-replica
-    /// agreement is per key, not over the whole sequence). Builds a fresh
-    /// map with the per-replica execution times stripped (they differ
-    /// across replicas and would defeat equality checks) — cold-path only;
-    /// hot consumers should use [`Self::write_log_timed`].
-    pub fn write_log(&self) -> BTreeMap<Key, Vec<(NodeId, u64)>> {
-        self.write_log
-            .iter()
-            .map(|(&k, v)| (k, v.iter().map(|&(c, id, _)| (c, id)).collect()))
-            .collect()
-    }
-
-    /// Per-key write order with this replica's execution times (the chaos
-    /// verdict uses the earliest time any replica executed a version as its
+    /// Per-key write order with this replica's execution times, for
+    /// consistency checks: EPaxos orders only interfering commands, so
+    /// replicas agree per key, not over the whole sequence. The times differ
+    /// across replicas (the chaos verdict uses the earliest as a version's
     /// visibility lower bound).
     pub fn write_log_timed(&self) -> &BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
         &self.write_log
@@ -875,14 +864,15 @@ mod tests {
         }
         sim.run_for(Dur::millis(500));
         // All replicas must apply writes to key 42 in the same order.
-        let reference = sim.node::<EpaxosNode>(replicas[0]).write_log()[&42].clone();
+        // The order of writes, without each replica's own execution times.
+        let order = |r: NodeId| -> Vec<(NodeId, u64)> {
+            let log = sim.node::<EpaxosNode>(r).write_log_timed();
+            log[&42].iter().map(|&(c, id, _)| (c, id)).collect()
+        };
+        let reference = order(replicas[0]);
         assert_eq!(reference.len(), 20);
         for &r in &replicas[1..] {
-            assert_eq!(
-                sim.node::<EpaxosNode>(r).write_log()[&42],
-                reference,
-                "per-key write order diverged at {r}"
-            );
+            assert_eq!(order(r), reference, "per-key write order diverged at {r}");
         }
         let s0 = sim.node::<EpaxosNode>(replicas[0]).stats();
         let s1 = sim.node::<EpaxosNode>(replicas[1]).stats();

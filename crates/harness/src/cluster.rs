@@ -33,10 +33,10 @@ use canopus_sim::{
     impl_process_any, Dur, FaultyFabric, NodeConfig, NodeId, Payload, Process, Simulation, Time,
     Work,
 };
-use canopus_workload::{OpenLoopClient, OpenLoopConfig};
 
 use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
 use crate::live::{live_history_config, LiveCluster};
+use crate::open_loop::{OpenLoopClient, OpenLoopConfig};
 use crate::protocol::Protocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 
@@ -120,6 +120,8 @@ impl<M: Payload> Process<M> for SilentNode<M> {
 }
 
 /// The emulation table for a deployment: one super-leaf per rack/DC.
+/// Every harness cluster is a flat LOT; height-3 trees run only in
+/// `crates/core/tests/cluster.rs` and `examples/live_cluster.rs`.
 pub fn emulation_table_for(spec: &DeploymentSpec) -> EmulationTable {
     let groups = spec.group_count();
     let per = spec.per_group();

@@ -34,7 +34,6 @@ use canopus_kv::{
     ReplyEvent, WriteObs,
 };
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
-use canopus_workload::ProtocolMsg;
 
 use crate::protocol::{Protocol, WriteRecords};
 
@@ -131,7 +130,7 @@ impl HistoryOp {
 }
 
 /// Deterministic closed-loop client recording a full op history.
-pub struct HistoryClient<M: ProtocolMsg> {
+pub struct HistoryClient<M: Protocol> {
     cfg: HistoryConfig,
     target: NodeId,
     index: usize,
@@ -144,7 +143,7 @@ pub struct HistoryClient<M: ProtocolMsg> {
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
-impl<M: ProtocolMsg> HistoryClient<M> {
+impl<M: Protocol> HistoryClient<M> {
     /// Creates the client with index `index` of `total`, bound to `target`.
     pub fn new(index: usize, total: usize, target: NodeId, cfg: HistoryConfig) -> Self {
         HistoryClient {
@@ -254,7 +253,7 @@ impl<M: ProtocolMsg> HistoryClient<M> {
     }
 }
 
-impl<M: ProtocolMsg + 'static> Process<M> for HistoryClient<M> {
+impl<M: Protocol> Process<M> for HistoryClient<M> {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         // Stagger client phases deterministically by index.
         let phase = Dur::micros(173 * self.index as u64 + 211);

@@ -3,19 +3,22 @@
 //! Builds full deployments of any of the three protocols the paper
 //! measures (Canopus, EPaxos and the ZooKeeper model) on the topology-aware
 //! simulator or on loopback TCP, drives them with the paper's client
-//! model or with history-recording clients, and implements the evaluation
+//! model (open-loop Poisson clients and mergeable latency recorders) or
+//! with history-recording clients, and implements the evaluation
 //! methodology of §8.1: geometric load ladders to the 10 ms latency knee
 //! for maximum throughput, and representative latency at 70 % of that
 //! maximum. Three pieces carry all of it: one [`Protocol`] impl per
 //! protocol, one [`ClusterBuilder`] ending in `.sim()` or `.live()`, and
 //! one verdict (`verdict()` on either result). The `canopus-bench`
-//! binaries regenerate every table and figure from these pieces.
+//! binaries regenerate every figure from these pieces.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod history;
+pub mod latency;
 pub mod live;
+pub mod open_loop;
 pub mod protocol;
 pub mod run;
 pub mod scenarios;
@@ -27,10 +30,12 @@ pub use cluster::{
     CHAOS_FLIGHT_CAP,
 };
 pub use history::{decode_tag, encode_tag, ChaosReport, HistoryClient, HistoryConfig, HistoryOp};
+pub use latency::LatencyRecorder;
 pub use live::{
     live_canopus_config, live_history_config, live_spec, live_timeline, LiveCluster, LiveOutcome,
     LIVE_TIME_UNIT,
 };
+pub use open_loop::{poisson, OpenLoopClient, OpenLoopConfig};
 pub use protocol::{Protocol, WriteRecords};
 pub use run::{
     deterministic_check, find_max_throughput, latency_at_70pct, run, RunResult, SearchResult,

@@ -62,7 +62,7 @@ use std::time::Instant;
 use canopus::{CanopusConfig, BATCH_LINGER};
 use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
-use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
+use canopus_obs::{EventKind as ObsEvent, NodeObs};
 use canopus_raft::RaftConfig;
 use canopus_sim::fault::{self, FaultAction, FaultPlan, LinkFaults, NemesisTarget};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
@@ -388,14 +388,6 @@ impl<P: Protocol> LiveOutcome<P> {
     /// string — the panic artifact chaos failures attach.
     pub fn flight_dump(&self, last: usize) -> String {
         flight_dump(&self.hubs, last)
-    }
-
-    /// Every hub's metrics registry, snapshotted: `(hub label, snapshot)`.
-    pub fn metrics_snapshots(&self) -> Vec<(String, Snapshot)> {
-        self.hubs
-            .iter()
-            .map(|hub| (hub.label(), hub.metrics.snapshot()))
-            .collect()
     }
 
     /// Runs the shared chaos verdict over the recovered states of the

@@ -4,22 +4,22 @@
 //! The paper's evaluation (§8) is the same deployment and the same client
 //! model with a different protocol plugged in. [`Protocol`] is that plug:
 //! it is implemented on the protocol's *message* type (the type parameter
-//! of [`Process`]) and names the node state machine, its configuration on
-//! each fabric, how a node is built and what comes back after a crash,
-//! and how the verdict reads committed state out of a node. Given an
-//! `impl Protocol`, [`crate::ClusterBuilder`] yields a simulated
-//! [`crate::Cluster`] or a [`crate::LiveCluster`] over TCP, [`crate::run()`]
-//! measures it, and `verdict()` on either checks it — a further protocol
-//! touches nothing else in the harness.
+//! of [`Process`]) and says how a client request goes into that type and
+//! a reply comes out of it, names the node state machine, its
+//! configuration on each fabric, how a node is built and what comes back
+//! after a crash, and how the verdict reads committed state out of a
+//! node. Given an `impl Protocol`, [`crate::ClusterBuilder`] yields a
+//! simulated [`crate::Cluster`] or a [`crate::LiveCluster`] over TCP,
+//! [`crate::run()`] measures it, and `verdict()` on either checks it — a
+//! further protocol touches nothing else in the harness.
 
 use std::collections::BTreeMap;
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
-use canopus_kv::Key;
+use canopus_kv::{ClientReply, ClientRequest, Key};
 use canopus_obs::NodeObs;
-use canopus_sim::{Dur, NodeId, Process, Time};
-use canopus_workload::ProtocolMsg;
+use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 
 use crate::cluster::{emulation_table_for, SilentNode};
@@ -32,7 +32,7 @@ pub type WriteRecords = BTreeMap<Key, Vec<(NodeId, u64, Time)>>;
 
 /// A consensus protocol as the harness sees it, implemented on the
 /// protocol's message type.
-pub trait Protocol: ProtocolMsg + Sized + 'static {
+pub trait Protocol: Payload + Sized + 'static {
     /// The replica state machine.
     type Node: Process<Self>;
     /// Its configuration.
@@ -44,6 +44,12 @@ pub trait Protocol: ProtocolMsg + Sized + 'static {
     /// Whether the protocol's read path promises linearizability (the
     /// ZooKeeper model only promises sequential consistency).
     const LINEARIZABLE_READS: bool;
+
+    /// Wraps a client request.
+    fn request(req: ClientRequest) -> Self;
+
+    /// Unwraps a reply, if this message is one.
+    fn reply(&self) -> Option<&ClientReply>;
 
     /// The default configuration on the simulator's virtual clock.
     fn sim_config(spec: &DeploymentSpec) -> Self::Config;
@@ -148,6 +154,17 @@ impl Protocol for CanopusMsg {
     const NAME: &'static str = "canopus";
     const LINEARIZABLE_READS: bool = true;
 
+    fn request(req: ClientRequest) -> Self {
+        CanopusMsg::Request(req)
+    }
+
+    fn reply(&self) -> Option<&ClientReply> {
+        match self {
+            CanopusMsg::Reply(r) => Some(r),
+            _ => None,
+        }
+    }
+
     /// One cycle at a time, started the moment there is work, in a single
     /// datacenter; pipelined 5 ms cycles across datacenters (§8.2).
     fn sim_config(spec: &DeploymentSpec) -> CanopusConfig {
@@ -245,6 +262,17 @@ impl Protocol for EpaxosMsg {
     const NAME: &'static str = "epaxos";
     const LINEARIZABLE_READS: bool = true;
 
+    fn request(req: ClientRequest) -> Self {
+        EpaxosMsg::Request(req)
+    }
+
+    fn reply(&self) -> Option<&ClientReply> {
+        match self {
+            EpaxosMsg::Reply(r) => Some(r),
+            _ => None,
+        }
+    }
+
     /// 2 ms batches, the shorter of the two windows the paper evaluates.
     fn sim_config(_spec: &DeploymentSpec) -> EpaxosConfig {
         EpaxosConfig {
@@ -313,6 +341,17 @@ impl Protocol for ZabMsg {
     const NAME: &'static str = "zab";
     const LINEARIZABLE_READS: bool = false; // local reads: sequential consistency.
 
+    fn request(req: ClientRequest) -> Self {
+        ZabMsg::Request(req)
+    }
+
+    fn reply(&self) -> Option<&ClientReply> {
+        match self {
+            ZabMsg::Reply(r) => Some(r),
+            _ => None,
+        }
+    }
+
     /// At most five quorum participants (leader = node 0), the rest
     /// observers.
     fn sim_config(spec: &DeploymentSpec) -> ZabConfig {
@@ -376,5 +415,31 @@ impl Protocol for ZabMsg {
 
     fn healthy(nodes: &[&ZabNode]) -> bool {
         nodes.iter().all(|n| n.stats().applied_weight > 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use canopus_kv::{Op, OpResult};
+
+    #[test]
+    fn request_and_reply_bridge_every_protocol() {
+        let req = ClientRequest {
+            client: NodeId(1),
+            op_id: 2,
+            op: Op::Get { key: 3 },
+        };
+        assert!(CanopusMsg::request(req.clone()).reply().is_none());
+        assert!(EpaxosMsg::request(req.clone()).reply().is_none());
+        assert!(ZabMsg::request(req).reply().is_none());
+        let reply = ClientReply {
+            op_id: 2,
+            weight: 1,
+            result: OpResult::Batch,
+        };
+        assert!(CanopusMsg::Reply(reply.clone()).reply().is_some());
+        assert!(EpaxosMsg::Reply(reply.clone()).reply().is_some());
+        assert!(ZabMsg::Reply(reply).reply().is_some());
     }
 }

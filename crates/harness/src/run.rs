@@ -7,11 +7,12 @@
 
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_sim::Dur;
-use canopus_workload::{LatencyRecorder, OpenLoopClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cluster::{Clients, Cluster, ClusterBuilder};
+use crate::latency::LatencyRecorder;
+use crate::open_loop::OpenLoopClient;
 use crate::protocol::Protocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 

@@ -125,7 +125,7 @@ pub struct LoadSpec {
     /// Measured period after warmup.
     pub duration: Dur,
     /// Per-request cap for the open-loop clients
-    /// ([`canopus_workload::OpenLoopConfig::max_batch`]): 0 aggregates a
+    /// ([`crate::OpenLoopConfig::max_batch`]): 0 aggregates a
     /// whole arrival tick per request, 1 models fully unbatched clients.
     pub client_max_batch: u32,
 }

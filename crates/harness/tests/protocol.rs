@@ -17,7 +17,6 @@ use canopus_net::{Wire, WireError};
 use canopus_obs::NodeObs;
 use canopus_sim::fault::{FaultEvent, FaultPlan};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Time};
-use canopus_workload::ProtocolMsg;
 use canopus_zab::{ZabMsg, ZabRole};
 
 // ---------------------------------------------------------------------
@@ -33,18 +32,6 @@ enum EchoMsg {
 impl Payload for EchoMsg {
     fn wire_size(&self) -> usize {
         self.to_bytes().len()
-    }
-}
-
-impl ProtocolMsg for EchoMsg {
-    fn request(req: ClientRequest) -> Self {
-        EchoMsg::Request(req)
-    }
-    fn reply(&self) -> Option<&ClientReply> {
-        match self {
-            EchoMsg::Reply(r) => Some(r),
-            EchoMsg::Request(_) => None,
-        }
     }
 }
 
@@ -106,6 +93,15 @@ impl Protocol for EchoMsg {
     const NAME: &'static str = "echo";
     const LINEARIZABLE_READS: bool = true;
 
+    fn request(req: ClientRequest) -> Self {
+        EchoMsg::Request(req)
+    }
+    fn reply(&self) -> Option<&ClientReply> {
+        match self {
+            EchoMsg::Reply(r) => Some(r),
+            EchoMsg::Request(_) => None,
+        }
+    }
     fn sim_config(_: &DeploymentSpec) {}
     fn live_config(_: &DeploymentSpec) {}
     fn node(_: NodeId, _: &DeploymentSpec, _: &(), _: u64, _: &NodeObs) -> EchoNode {

@@ -509,40 +509,6 @@ pub fn bind_loopback(n: usize) -> (Vec<TcpListener>, PeerMap) {
     (listeners, peers)
 }
 
-/// Spawns a whole cluster on loopback TCP with ephemeral ports, sharing
-/// one [`FaultRules`] table so a test or nemesis driver can partition,
-/// impair, and heal it mid-run.
-///
-/// Returns one handle per process, in order. Intended for examples and
-/// integration tests; deployments use [`run_node_obs`] with externally
-/// managed listeners and peer maps.
-pub fn spawn_local_cluster<M>(
-    processes: Vec<Box<dyn Process<M>>>,
-    seed: u64,
-    rules: Arc<FaultRules>,
-) -> Vec<TcpNodeHandle<M>>
-where
-    M: Wire + Payload + Send,
-{
-    let (listeners, peers) = bind_loopback(processes.len());
-    processes
-        .into_iter()
-        .zip(listeners)
-        .enumerate()
-        .map(|(i, (process, listener))| {
-            spawn_node_obs(
-                NodeId(i as u32),
-                process,
-                listener,
-                peers.clone(),
-                seed.wrapping_add(i as u64),
-                Arc::clone(&rules),
-                NetObs::disabled(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,58 +633,51 @@ mod tests {
         assert!(got.is_err(), "truncated oversized frame must error");
     }
 
-    #[test]
-    fn fault_rules_cut_blocks_delivery_until_healed() {
-        let a = Counter {
-            peer: Some(NodeId(1)),
-            count: 50,
-            seen: Vec::new(),
-        };
-        let b = Counter {
-            peer: None,
-            count: 0,
-            seen: Vec::new(),
-        };
-        let rules = Arc::new(FaultRules::new(3));
-        rules.update(|table| table.apply(&FaultAction::Cut(vec![NodeId(0)], vec![NodeId(1)])));
-        let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7, rules.clone());
-        std::thread::sleep(StdDuration::from_millis(200));
-        let mut processes = Vec::new();
-        for h in handles {
-            processes.push(h.stop());
-        }
+    /// Sends `1..=count` from node 0 to node 1 over loopback TCP under
+    /// `rules`; returns what node 1 received.
+    fn send_over_loopback(count: u64, rules: Arc<FaultRules>) -> Vec<u64> {
+        let (listeners, peers) = bind_loopback(2);
+        let handles: Vec<TcpNodeHandle<Num>> = (listeners.into_iter().enumerate())
+            .map(|(i, listener)| {
+                let counter = Counter {
+                    peer: (i == 0).then_some(NodeId(1)),
+                    count,
+                    seen: Vec::new(),
+                };
+                spawn_node_obs(
+                    NodeId(i as u32),
+                    Box::new(counter),
+                    listener,
+                    peers.clone(),
+                    7 + i as u64,
+                    Arc::clone(&rules),
+                    NetObs::disabled(),
+                )
+            })
+            .collect();
+        // Give delivery a moment.
+        std::thread::sleep(StdDuration::from_millis(300));
+        let mut processes: Vec<_> = handles.into_iter().map(TcpNodeHandle::stop).collect();
         let b_final = processes.pop().unwrap();
         let counter = b_final.as_any().downcast_ref::<Counter>().expect("counter");
+        counter.seen.clone()
+    }
+
+    #[test]
+    fn fault_rules_cut_blocks_delivery_until_healed() {
+        let rules = Arc::new(FaultRules::new(3));
+        rules.update(|table| table.apply(&FaultAction::Cut(vec![NodeId(0)], vec![NodeId(1)])));
+        let seen = send_over_loopback(50, rules);
         assert!(
-            counter.seen.is_empty(),
-            "cut link must drop everything, saw {:?}",
-            counter.seen
+            seen.is_empty(),
+            "cut link must drop everything, saw {seen:?}"
         );
     }
 
     #[test]
     fn cluster_delivers_messages_in_order() {
-        let a = Counter {
-            peer: Some(NodeId(1)),
-            count: 100,
-            seen: Vec::new(),
-        };
-        let b = Counter {
-            peer: None,
-            count: 0,
-            seen: Vec::new(),
-        };
-        let rules = Arc::new(FaultRules::new(7));
-        let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7, rules);
-        // Give delivery a moment.
-        std::thread::sleep(StdDuration::from_millis(300));
-        let mut processes = Vec::new();
-        for h in handles {
-            processes.push(h.stop());
-        }
-        let b_final = processes.pop().unwrap();
-        let counter = b_final.as_any().downcast_ref::<Counter>().expect("counter");
-        assert_eq!(counter.seen, (1..=100).collect::<Vec<_>>());
+        let seen = send_over_loopback(100, Arc::new(FaultRules::new(7)));
+        assert_eq!(seen, (1..=100).collect::<Vec<_>>());
     }
 
     /// Spawns a lone sink node with no peers; returns its handle.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use canopus_net::tcp::spawn_local_cluster;
+use canopus_net::tcp::{bind_loopback, spawn_node_obs, NetObs};
 use canopus_net::{FaultRules, Wire, WireError};
 use canopus_sim::{impl_process_any, Context, NodeId, Payload, Process};
 
@@ -56,14 +56,25 @@ fn open_fds() -> usize {
 #[test]
 fn stop_closes_every_fd_the_node_opened() {
     let before = open_fds();
-    let pair = |peer| -> Box<dyn Process<Num>> {
-        Box::new(Pair {
-            peer: NodeId(peer),
-            seen: 0,
-        })
-    };
     let rules = Arc::new(FaultRules::new(1));
-    let handles = spawn_local_cluster::<Num>(vec![pair(1), pair(0)], 1, rules);
+    let (listeners, peers) = bind_loopback(2);
+    let handles: Vec<_> = (listeners.into_iter().enumerate())
+        .map(|(i, listener)| {
+            let pair = Pair {
+                peer: NodeId(1 - i as u32),
+                seen: 0,
+            };
+            spawn_node_obs(
+                NodeId(i as u32),
+                Box::new(pair),
+                listener,
+                peers.clone(),
+                1 + i as u64,
+                Arc::clone(&rules),
+                NetObs::disabled(),
+            )
+        })
+        .collect();
     // Two listeners, two epoll instances, four connection ends.
     let deadline = Instant::now() + Duration::from_secs(5);
     while open_fds() < before + 8 {

@@ -73,11 +73,6 @@ impl NodeObs {
         }
     }
 
-    /// `n4` for node 4's hub.
-    pub fn label(&self) -> String {
-        format!("n{}", self.node)
-    }
-
     /// True if either half records anything.
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled() || self.flight.is_enabled()

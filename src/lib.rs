@@ -20,5 +20,4 @@ pub use canopus_kv;
 pub use canopus_net;
 pub use canopus_raft;
 pub use canopus_sim;
-pub use canopus_workload;
 pub use canopus_zab;

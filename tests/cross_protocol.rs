@@ -69,6 +69,36 @@ fn canopus_multi_dc_latency_tracks_wan_rtt() {
     );
 }
 
+/// The paper's motivating application (§1), a geo-replicated ledger: three
+/// of Table 1's datacenters (Ireland, California, Virginia; 133 ms worst
+/// RTT), one super-leaf each, `wide_area()` cycles, and closed-loop
+/// history clients writing and reading concurrently in every datacenter.
+/// The ops' timeout is several times the worst RTT, so a timed-out op is a
+/// stall, not the WAN.
+#[test]
+fn canopus_across_three_datacenters_agrees_on_every_write() {
+    let spec = DeploymentSpec::paper_multi_dc(3);
+    let hcfg = HistoryConfig {
+        op_timeout: Dur::secs(1),
+        ..HistoryConfig::default()
+    };
+    let mut cluster = ClusterBuilder::<CanopusMsg>::new(&spec, 7)
+        .clients(Clients::History(hcfg.clone()))
+        .sim();
+    // Quiesce well past the clients' stop and the last cycle's WAN round.
+    cluster.sim.run_for(Dur::millis(2500));
+    let report = cluster.verdict(hcfg.probe_at, &Default::default());
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_eq!(report.ops_timed_out, 0);
+    assert!(report.ops_ok > 0);
+    let first = cluster.node(cluster.nodes[0]).store();
+    assert!(!first.is_empty());
+    for &n in &cluster.nodes {
+        let store = cluster.node(n).store();
+        assert_eq!(store.digest(), first.digest(), "{n}'s store diverged");
+    }
+}
+
 #[test]
 fn epaxos_cluster_converges_under_load() {
     let spec = DeploymentSpec::paper_single_dc(3);
