@@ -1,7 +1,8 @@
 //! Throughput knee: batching + pipelining vs the unbatched baseline.
 //!
-//! Sweeps offered load on the paper's single-DC testbed (§8.1, 3 racks ×
-//! 3 nodes) until the 10 ms saturation knee, for two Canopus
+//! Searches for the highest offered load under the 10 ms saturation knee
+//! on the paper's single-DC testbed (§8.1, 3 racks × 3 nodes), with the
+//! harness's one search (`find_max_throughput`), for two Canopus
 //! configurations:
 //!
 //! * **unbatched** — every client request is its own wire-level op
@@ -11,10 +12,11 @@
 //!   overflow, 4 cycles in flight, clients aggregating up to 1000
 //!   requests per op.
 //!
-//! Results — knees, per-node committed-op rates, the ladders, and a
-//! deterministic fixed-rate *smoke* section — are emitted as
-//! schema-versioned JSON (committed as `BENCH_canopus.json` at the repo
-//! root). The smoke numbers come from fixed seeds on the
+//! Results — knees, per-node committed-op rates, every probe of the
+//! searches, and a deterministic fixed-rate *smoke* section — are emitted
+//! as schema-versioned JSON (committed as `BENCH_canopus.json` at the repo
+//! root), marked `"kind": "modelled"`: every number is an output of the
+//! simulator's price table. The smoke numbers come from fixed seeds on the
 //! deterministic simulator, so they reproduce bit-for-bit on any machine;
 //! CI regenerates them with `BENCH_SWEEP=smoke` and `--check` fails the
 //! build on a >20 % throughput regression against the committed file.
@@ -27,8 +29,8 @@
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_bench::json::{extract_number, number, JsonObject};
 use canopus_harness::{
-    fmt_rate, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol, RunResult,
-    SearchSpec,
+    find_max_throughput, Clients, ClusterBuilder, ClusterObs, DeploymentSpec, LoadSpec, Protocol,
+    RunResult, SearchResult,
 };
 use canopus_obs::{bucket_bounds, json_escape, HistogramSnapshot, Snapshot};
 use canopus_sim::Dur;
@@ -39,12 +41,11 @@ const SCHEMA_VERSION: u64 = 1;
 /// Allowed relative throughput drop before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// Offered rates of the deterministic smoke runs. Each config is driven
-/// just under its own measured knee (from the committed full sweep:
-/// unbatched saturates near 0.8 M/s offered, batched near 2.1 M/s), so
-/// the recorded committed-op rates are capacity proxies — any protocol
-/// slowdown pushes the config past its knee and the number collapses,
-/// which is exactly what the CI regression gate wants to catch.
+/// Offered rates of the deterministic smoke runs, each about 60 % of its
+/// config's modelled knee (the committed full search: unbatched 1.23 M/s,
+/// batched 3.34 M/s). A slowdown that pushes a config past its knee
+/// collapses its committed-op rate, which the CI regression gate
+/// catches; one too small to reach the knee leaves the rate as it is.
 const SMOKE_RATE_UNBATCHED: f64 = 780_000.0;
 const SMOKE_RATE_BATCHED: f64 = 2_000_000.0;
 
@@ -63,6 +64,23 @@ struct Measured {
     /// Merged cluster metrics at the end of the run (empty when the point
     /// was measured with observability off).
     metrics: Snapshot,
+}
+
+impl AsRef<RunResult> for Measured {
+    fn as_ref(&self) -> &RunResult {
+        &self.run
+    }
+}
+
+/// Formats a rate as `12.3 k/s` / `4.56 M/s`.
+fn fmt_rate(rate: f64) -> String {
+    if rate >= 1e6 {
+        format!("{:.2} M/s", rate / 1e6)
+    } else if rate >= 1e3 {
+        format!("{:.1} k/s", rate / 1e3)
+    } else {
+        format!("{rate:.0} /s")
+    }
 }
 
 fn measure(
@@ -156,18 +174,14 @@ fn batched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
     (cfg, 1000)
 }
 
-/// Geometric ladder to the knee, keeping the node-side rates.
-fn knee_sweep(
+/// The one search to the 10 ms knee, keeping the node-side rates.
+fn knee_search(
     spec: &DeploymentSpec,
     cfg: &CanopusConfig,
     client_batch: u32,
-    search: &SearchSpec,
     seed: u64,
-) -> (Vec<Measured>, Option<Measured>) {
-    let mut ladder = Vec::new();
-    let mut best: Option<Measured> = None;
-    let mut rate = search.start_rate;
-    for _ in 0..search.max_steps {
+) -> SearchResult<Measured> {
+    find_max_throughput(Dur::millis(10), |rate| {
         let load = LoadSpec::new(rate).with_client_batch(client_batch);
         let m = measure(
             spec,
@@ -176,29 +190,23 @@ fn knee_sweep(
             seed,
             ClusterObs::on(BENCH_FLIGHT_CAP),
         );
-        let sustainable = m.run.is_sustainable(search.latency_limit);
         eprintln!(
-            "  offered={} achieved={} median={:?} node0={}/s{}",
+            "  offered={} achieved={} median={:?} node0={}",
             fmt_rate(m.run.offered),
             fmt_rate(m.run.achieved),
             m.run.median,
             fmt_rate(m.node0_committed_per_sec),
-            if sustainable { "" } else { "  [knee]" },
         );
-        ladder.push(m.clone());
-        if sustainable {
-            best = Some(m);
-            rate *= search.growth;
-        } else {
-            break;
-        }
-    }
-    (ladder, best)
+        m
+    })
 }
 
-fn ladder_json(ladder: &[Measured]) -> Vec<String> {
-    ladder
-        .iter()
+/// Every probe of a search, in increasing offered load.
+fn probes_json(search: &SearchResult<Measured>) -> Vec<String> {
+    let mut probes: Vec<&Measured> = search.probes().iter().collect();
+    probes.sort_by(|a, b| a.run.offered.total_cmp(&b.run.offered));
+    probes
+        .into_iter()
         .map(|m| {
             let mut o = JsonObject::new();
             o.field_num("offered_per_sec", m.run.offered)
@@ -267,6 +275,7 @@ fn main() {
     let mut doc = JsonObject::new();
     doc.field_int("schema_version", SCHEMA_VERSION)
         .field_str("bench", "throughput_knee")
+        .field_str("kind", "modelled")
         .field_str("sweep", if full { "full" } else { "smoke" })
         .field_str("deployment", "paper_single_dc_3x3")
         .field_num("smoke_rate_unbatched_per_sec", SMOKE_RATE_UNBATCHED)
@@ -301,7 +310,7 @@ fn main() {
     );
     let smoke_speedup = smoke_b.node0_committed_per_sec / smoke_u.node0_committed_per_sec;
     eprintln!(
-        "smoke: unbatched {}/s, batched {}/s ({smoke_speedup:.2}x)",
+        "smoke: unbatched {}, batched {} ({smoke_speedup:.2}x)",
         fmt_rate(smoke_u.node0_committed_per_sec),
         fmt_rate(smoke_b.node0_committed_per_sec),
     );
@@ -318,29 +327,18 @@ fn main() {
     .field_raw("smoke_batched_metrics", metrics_json(&smoke_b.metrics));
 
     if full {
-        let search = SearchSpec {
-            start_rate: 30_000.0,
-            growth: 1.6,
-            latency_limit: Dur::millis(10),
-            max_steps: 12,
-        };
-        eprintln!("== knee sweep: unbatched ==");
-        let (ladder_u, best_u) = knee_sweep(&spec, &cfg_unbatched, client_unbatched, &search, 42);
-        eprintln!("== knee sweep: batched ==");
-        let (ladder_b, best_b) = knee_sweep(&spec, &cfg_batched, client_batched, &search, 42);
+        eprintln!("== knee search: unbatched ==");
+        let search_u = knee_search(&spec, &cfg_unbatched, client_unbatched, 42);
+        eprintln!("== knee search: batched ==");
+        let search_b = knee_search(&spec, &cfg_batched, client_batched, 42);
 
-        let knee_u = best_u.as_ref().map(|m| m.run.achieved).unwrap_or(0.0);
-        let knee_b = best_b.as_ref().map(|m| m.run.achieved).unwrap_or(0.0);
-        let node0_u = best_u
-            .as_ref()
-            .map(|m| m.node0_committed_per_sec)
-            .unwrap_or(0.0);
-        let node0_b = best_b
-            .as_ref()
-            .map(|m| m.node0_committed_per_sec)
-            .unwrap_or(0.0);
+        let knee_u = search_u.max_throughput().unwrap_or(0.0);
+        let knee_b = search_b.max_throughput().unwrap_or(0.0);
+        let node0 =
+            |s: &SearchResult<Measured>| s.best().map_or(0.0, |m| m.node0_committed_per_sec);
+        let (node0_u, node0_b) = (node0(&search_u), node0(&search_b));
         eprintln!(
-            "knee: unbatched {}/s, batched {}/s ({:.2}x); node0 committed {:.0}/s vs {:.0}/s ({:.2}x)",
+            "knee: unbatched {}, batched {} ({:.2}x); node0 committed {:.0}/s vs {:.0}/s ({:.2}x)",
             fmt_rate(knee_u),
             fmt_rate(knee_b),
             knee_b / knee_u,
@@ -378,8 +376,8 @@ fn main() {
                 "latency70_batched_median_us",
                 lat(knee_b, &cfg_batched, client_batched),
             )
-            .field_array("ladder_unbatched", &ladder_json(&ladder_u))
-            .field_array("ladder_batched", &ladder_json(&ladder_b));
+            .field_array("probes_unbatched", &probes_json(&search_u))
+            .field_array("probes_batched", &probes_json(&search_b));
     }
 
     let rendered = doc.render();
@@ -448,5 +446,17 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rates_format() {
+        assert_eq!(fmt_rate(2_610_000.0), "2.61 M/s");
+        assert_eq!(fmt_rate(45_300.0), "45.3 k/s");
+        assert_eq!(fmt_rate(120.0), "120 /s");
     }
 }

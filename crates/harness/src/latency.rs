@@ -6,7 +6,7 @@
 //! update per reply at millions of represented requests per second, keep a
 //! bounded reservoir for percentile estimates, and merge across clients.
 
-use canopus_sim::{Dur, Time};
+use canopus_sim::Dur;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -18,12 +18,9 @@ pub const DEFAULT_RESERVOIR: usize = 4096;
 pub struct LatencyRecorder {
     completed: u64,
     sum_ns: u128,
-    max_ns: u64,
     reservoir: Vec<u64>,
     cap: usize,
     seen: u64,
-    first: Option<Time>,
-    last: Option<Time>,
 }
 
 impl Default for LatencyRecorder {
@@ -39,17 +36,14 @@ impl LatencyRecorder {
         LatencyRecorder {
             completed: 0,
             sum_ns: 0,
-            max_ns: 0,
             reservoir: Vec::with_capacity(cap.min(1024)),
             cap,
             seen: 0,
-            first: None,
-            last: None,
         }
     }
 
     /// Records one reply standing for `weight` client requests completing
-    /// with latency `lat` at time `at`.
+    /// with latency `lat`.
     ///
     /// The reservoir must be weighted per *request*, not per reply —
     /// synthetic read and write batches carry different weights, and an
@@ -57,14 +51,9 @@ impl LatencyRecorder {
     /// rarer class. Each represented request is one algorithm-R insertion,
     /// capped to bound per-reply cost (weights within one workload stay in
     /// proportion far below the cap).
-    pub fn record(&mut self, lat: Dur, weight: u32, at: Time, rng: &mut SmallRng) {
+    pub fn record(&mut self, lat: Dur, weight: u32, rng: &mut SmallRng) {
         self.completed += weight as u64;
         self.sum_ns += lat.as_nanos() as u128 * weight as u128;
-        self.max_ns = self.max_ns.max(lat.as_nanos());
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.last = Some(at);
         let insertions = weight.clamp(1, 256);
         for _ in 0..insertions {
             self.seen += 1;
@@ -92,15 +81,6 @@ impl LatencyRecorder {
         Some(Dur::nanos((self.sum_ns / self.completed as u128) as u64))
     }
 
-    /// Maximum observed latency.
-    pub fn max(&self) -> Option<Dur> {
-        if self.completed == 0 {
-            None
-        } else {
-            Some(Dur::nanos(self.max_ns))
-        }
-    }
-
     /// Estimated `p`-th percentile (0 < p ≤ 100) from the reservoir.
     pub fn percentile(&self, p: f64) -> Option<Dur> {
         if self.reservoir.is_empty() {
@@ -117,22 +97,6 @@ impl LatencyRecorder {
         self.percentile(50.0)
     }
 
-    /// The first/last record timestamps (the measurement window).
-    pub fn window(&self) -> Option<(Time, Time)> {
-        Some((self.first?, self.last?))
-    }
-
-    /// Achieved completion rate over the measurement window, in requests
-    /// per second.
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        let (first, last) = self.window()?;
-        let span = last.saturating_since(first);
-        if span.is_zero() {
-            return None;
-        }
-        Some(self.completed as f64 / span.as_secs_f64())
-    }
-
     /// Merges another recorder into this one.
     ///
     /// When the combined reservoir overflows, the merged sample set is
@@ -144,15 +108,6 @@ impl LatencyRecorder {
     pub fn merge(&mut self, other: &LatencyRecorder, rng: &mut SmallRng) {
         self.completed += other.completed;
         self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.first = match (self.first, other.first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last = match (self.last, other.last) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
         if other.reservoir.is_empty() {
             self.seen += other.seen;
             return;
@@ -188,19 +143,14 @@ mod tests {
         SmallRng::seed_from_u64(7)
     }
 
-    fn t(ms: u64) -> Time {
-        Time::ZERO + Dur::millis(ms)
-    }
-
     #[test]
     fn counts_and_mean() {
         let mut r = LatencyRecorder::default();
         let mut g = rng();
-        r.record(Dur::millis(2), 1, t(1), &mut g);
-        r.record(Dur::millis(4), 3, t(2), &mut g);
+        r.record(Dur::millis(2), 1, &mut g);
+        r.record(Dur::millis(4), 3, &mut g);
         assert_eq!(r.completed(), 4);
         assert_eq!(r.mean(), Some(Dur::from_millis_f64(3.5)));
-        assert_eq!(r.max(), Some(Dur::millis(4)));
     }
 
     #[test]
@@ -208,7 +158,7 @@ mod tests {
         let mut r = LatencyRecorder::default();
         let mut g = rng();
         for i in 1..=101u64 {
-            r.record(Dur::millis(i), 1, t(i), &mut g);
+            r.record(Dur::millis(i), 1, &mut g);
         }
         let median = r.median().unwrap();
         assert_eq!(median, Dur::millis(51));
@@ -220,7 +170,7 @@ mod tests {
         let mut r = LatencyRecorder::new(64);
         let mut g = rng();
         for i in 0..10_000u64 {
-            r.record(Dur::micros(i), 1, t(i), &mut g);
+            r.record(Dur::micros(i), 1, &mut g);
         }
         assert_eq!(r.reservoir.len(), 64);
         assert_eq!(r.completed(), 10_000);
@@ -230,32 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn rate_over_window() {
-        let mut r = LatencyRecorder::default();
-        let mut g = rng();
-        for i in 0..=1000u64 {
-            r.record(Dur::millis(1), 1, t(i), &mut g);
-        }
-        // 1001 requests over 1 second.
-        let rate = r.rate_per_sec().unwrap();
-        assert!((rate - 1001.0).abs() < 2.0, "rate={rate}");
-    }
-
-    #[test]
     fn merge_combines() {
         let mut a = LatencyRecorder::new(128);
         let mut b = LatencyRecorder::new(128);
         let mut g = rng();
-        for i in 0..100u64 {
-            a.record(Dur::millis(1), 1, t(i), &mut g);
-            b.record(Dur::millis(3), 1, t(i + 50), &mut g);
+        for _ in 0..100 {
+            a.record(Dur::millis(1), 1, &mut g);
+            b.record(Dur::millis(3), 1, &mut g);
         }
         a.merge(&b, &mut g);
         assert_eq!(a.completed(), 200);
         assert_eq!(a.mean(), Some(Dur::millis(2)));
-        let (first, last) = a.window().unwrap();
-        assert_eq!(first, t(0));
-        assert_eq!(last, t(149));
     }
 
     #[test]
@@ -263,6 +198,5 @@ mod tests {
         let r = LatencyRecorder::default();
         assert!(r.mean().is_none());
         assert!(r.median().is_none());
-        assert!(r.rate_per_sec().is_none());
     }
 }

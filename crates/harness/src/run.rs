@@ -1,9 +1,8 @@
 //! Running experiments and searching for maximum throughput.
 //!
 //! Reproduces the paper's methodology (§8.1): offered load is increased
-//! until the median request completion time exceeds 10 ms; the last point
-//! is the system's maximum throughput, and representative latency is
-//! reported at 70 % of that maximum.
+//! until the median request completion time exceeds 10 ms, and the
+//! highest rate that stays under it is the system's maximum throughput.
 
 use canopus::{CanopusConfig, CanopusMsg};
 use canopus_sim::Dur;
@@ -98,73 +97,116 @@ pub fn run<P: Protocol>(
         .measure(load)
 }
 
-/// Parameters of the max-throughput search.
-#[derive(Clone, Debug)]
-pub struct SearchSpec {
-    /// First offered rate tried.
-    pub start_rate: f64,
-    /// Geometric growth factor between steps.
-    pub growth: f64,
-    /// The paper's saturation knee.
-    pub latency_limit: Dur,
-    /// Upper bound on steps.
-    pub max_steps: usize,
+/// The search's first offered rate (requests/second, whole deployment).
+const START_RATE: f64 = 100_000.0;
+
+/// The search stops once the knee is bracketed this tightly: the lowest
+/// rate found not sustained is at most 2 % above the highest sustained.
+const RESOLUTION: f64 = 1.02;
+
+/// Doublings tried before the search stops bracketing (100 k/s × 2¹²
+/// ≈ 410 M/s, far past any modelled deployment's knee).
+const MAX_DOUBLINGS: u32 = 12;
+
+/// What a throughput search ran: every probe in the order it ran, and the
+/// two that bracket the knee.
+#[derive(Debug)]
+pub struct SearchResult<T> {
+    latency_limit: Dur,
+    probes: Vec<T>,
+    best: Option<usize>,
+    above: Option<usize>,
 }
 
-impl Default for SearchSpec {
-    fn default() -> Self {
-        SearchSpec {
-            start_rate: 20_000.0,
-            growth: 1.6,
-            latency_limit: Dur::millis(10),
-            max_steps: 14,
-        }
+impl<T: AsRef<RunResult>> SearchResult<T> {
+    /// Every probe, in the order the search ran it (not in offered load).
+    pub fn probes(&self) -> &[T] {
+        &self.probes
+    }
+
+    /// The highest sustained probe (§8.1's "maximum throughput"), or
+    /// `None` when the first probe did not sustain.
+    pub fn best(&self) -> Option<&T> {
+        self.best.map(|i| &self.probes[i])
+    }
+
+    /// The lowest probe that did not sustain: the knee lies between
+    /// [`best`](Self::best) and it, and its offered load is at most 2 %
+    /// above `best`'s. `None` when every doubling sustained.
+    pub fn above(&self) -> Option<&T> {
+        self.above.map(|i| &self.probes[i])
+    }
+
+    /// Max throughput: the highest achieved rate among the sustained
+    /// probes, or `None` when none sustained. This need not be
+    /// [`best`](Self::best)'s: a probe sustains at 75 % of its offered
+    /// load, and past a WAN knee a higher offered rate can achieve less.
+    pub fn max_throughput(&self) -> Option<f64> {
+        self.probes
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|r| r.is_sustainable(self.latency_limit))
+            .map(|r| r.achieved)
+            .reduce(f64::max)
     }
 }
 
-/// Result of a throughput search: the best sustainable point and the whole
-/// measured ladder (for latency-vs-throughput curves).
-#[derive(Clone, Debug)]
-pub struct SearchResult {
-    /// The highest sustainable point (§8.1's "maximum throughput").
-    pub best: Option<RunResult>,
-    /// All measured points, in increasing offered load.
-    pub ladder: Vec<RunResult>,
-}
-
-impl SearchResult {
-    /// Max throughput (achieved rate at the best point), or 0.
-    pub fn max_throughput(&self) -> f64 {
-        self.best.as_ref().map(|b| b.achieved).unwrap_or(0.0)
+impl AsRef<RunResult> for RunResult {
+    fn as_ref(&self) -> &RunResult {
+        self
     }
 }
 
-/// Geometric load ladder until the latency knee (the paper's §8.1 search).
-pub fn find_max_throughput(
-    mut run: impl FnMut(f64) -> RunResult,
-    search: &SearchSpec,
-) -> SearchResult {
-    let mut ladder = Vec::new();
-    let mut best: Option<RunResult> = None;
-    let mut rate = search.start_rate;
-    for _ in 0..search.max_steps {
-        let result = run(rate);
-        let sustainable = result.is_sustainable(search.latency_limit);
-        ladder.push(result.clone());
-        if sustainable {
-            best = Some(result);
-            rate *= search.growth;
+/// The paper's §8.1 search for maximum throughput: the highest offered
+/// rate whose probe [sustains](RunResult::is_sustainable) under
+/// `latency_limit` (10 ms in one datacenter, 500 ms across the WAN).
+///
+/// It doubles the offered rate from 100 k/s until a probe does not
+/// sustain, then bisects that bracket geometrically until its ends are
+/// within 2 % of each other. `probe(rate)` runs one measurement at
+/// `rate`; it may return anything that carries a [`RunResult`].
+pub fn find_max_throughput<T: AsRef<RunResult>>(
+    latency_limit: Dur,
+    mut probe: impl FnMut(f64) -> T,
+) -> SearchResult<T> {
+    let mut search = SearchResult {
+        latency_limit,
+        probes: Vec::new(),
+        best: None,
+        above: None,
+    };
+    let mut try_rate = |search: &mut SearchResult<T>, rate: f64| {
+        let result = probe(rate);
+        let sustained = result.as_ref().is_sustainable(latency_limit);
+        search.probes.push(result);
+        let index = Some(search.probes.len() - 1);
+        if sustained {
+            search.best = index;
         } else {
+            search.above = index;
+        }
+        sustained
+    };
+    let (mut lo, mut hi) = (START_RATE, START_RATE);
+    for _ in 0..=MAX_DOUBLINGS {
+        if !try_rate(&mut search, hi) {
             break;
         }
+        lo = hi;
+        hi *= 2.0;
     }
-    SearchResult { best, ladder }
-}
-
-/// Runs the representative-latency measurement at 70 % of max throughput
-/// (the paper reports medians at that operating point).
-pub fn latency_at_70pct(max_rate: f64, mut run: impl FnMut(f64) -> RunResult) -> RunResult {
-    run(max_rate * 0.7)
+    if search.best.is_none() || search.above.is_none() {
+        return search;
+    }
+    while hi / lo > RESOLUTION {
+        let mid = (lo * hi).sqrt();
+        if try_rate(&mut search, mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    search
 }
 
 /// Identity and health check used by tests: same seed twice ⇒ identical
