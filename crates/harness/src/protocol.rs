@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, OpView, WriteView};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
 use canopus_kv::{ClientReply, ClientRequest, Key};
 use canopus_obs::NodeObs;
@@ -120,7 +120,7 @@ fn roster(spec: &DeploymentSpec) -> Vec<NodeId> {
 /// catches up that way). The node did not apply the cycles it skipped
 /// there, so what it committed afterwards does not continue its own
 /// history.
-fn committed_ops(n: &CanopusNode) -> impl Iterator<Item = (Time, &CommittedOp)> {
+fn committed_ops(n: &CanopusNode) -> impl Iterator<Item = (Time, OpView<'_>)> {
     let log = n.committed_log();
     let skipped = log.windows(2).position(|w| w[1].cycle != w[0].cycle.next());
     log[..skipped.map_or(log.len(), |i| i + 1)]
@@ -132,19 +132,15 @@ fn committed_ops(n: &CanopusNode) -> impl Iterator<Item = (Time, &CommittedOp)> 
         })
 }
 
-/// `(client, op_id)` and the keys one committed operation wrote.
-fn op_parts(op: &CommittedOp) -> ((NodeId, u64), &[Key]) {
-    match op {
-        CommittedOp::Put {
-            client, op_id, key, ..
-        } => ((*client, *op_id), std::slice::from_ref(key)),
-        CommittedOp::MultiPut {
-            client,
-            op_id,
-            keys,
-        } => ((*client, *op_id), keys),
-        CommittedOp::Synthetic { client, op_id, .. } => ((*client, *op_id), &[]),
-    }
+/// The keys one committed write wrote, in client order.
+fn written_keys(write: WriteView<'_>) -> impl Iterator<Item = Key> + '_ {
+    let (put, multi) = match write {
+        WriteView::Put { key, .. } => (Some(key), None),
+        WriteView::MultiPut(pairs) => (None, Some(pairs)),
+        WriteView::SyntheticWrite { .. } => (None, None),
+    };
+    put.into_iter()
+        .chain(multi.into_iter().flatten().map(|(key, _)| key))
 }
 
 /// Canopus: one LOT pipeline per node orders everything it commits.
@@ -213,16 +209,19 @@ impl Protocol for CanopusMsg {
     fn write_records(node: &CanopusNode) -> WriteRecords {
         let mut out = WriteRecords::new();
         for (at, op) in committed_ops(node) {
-            let ((client, op_id), keys) = op_parts(op);
-            for &key in keys {
-                out.entry(key).or_default().push((client, op_id, at));
+            for key in written_keys(op.write) {
+                out.entry(key).or_default().push((op.client, op.op_id, at));
             }
         }
         out
     }
 
     fn global_log(node: &CanopusNode) -> Option<Vec<(NodeId, u64)>> {
-        Some(committed_ops(node).map(|(_, op)| op_parts(op).0).collect())
+        Some(
+            committed_ops(node)
+                .map(|(_, op)| (op.client, op.op_id))
+                .collect(),
+        )
     }
 
     fn healthy(nodes: &[&CanopusNode]) -> bool {
@@ -238,7 +237,7 @@ impl Protocol for CanopusMsg {
         for &(node, n) in trusted {
             for cc in n.committed_log() {
                 let ops: Vec<(NodeId, u64)> = (cc.sets.iter())
-                    .flat_map(|set| set.ops.iter().map(|op| op_parts(op).0))
+                    .flat_map(|set| set.ops.iter().map(|op| (op.client, op.op_id)))
                     .collect();
                 match by_cycle.get(&cc.cycle.0) {
                     None => {

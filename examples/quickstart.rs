@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use canopus::{CanopusMsg, CommittedOp};
+use canopus::{CanopusMsg, WriteView};
 use canopus_harness::{ClusterBuilder, DeploymentSpec, HistoryConfig, TopoSpec};
 use canopus_net::LinkParams;
 use canopus_sim::{Dur, NodeId};
@@ -61,15 +61,13 @@ fn main() {
             .sets
             .iter()
             .flat_map(|set| {
-                set.ops.iter().map(move |op| match op {
-                    CommittedOp::Put { key, version, .. } => {
-                        format!("{}:put(k{key})->v{version}", set.origin)
-                    }
-                    CommittedOp::Synthetic { count, .. } => {
+                set.ops.iter().map(move |op| match op.write {
+                    WriteView::Put { key, .. } => format!("{}:put(k{key})", set.origin),
+                    WriteView::SyntheticWrite { count, .. } => {
                         format!("{}:batch({count})", set.origin)
                     }
-                    CommittedOp::MultiPut { keys, .. } => {
-                        format!("{}:txn({} keys)", set.origin, keys.len())
+                    WriteView::MultiPut(puts) => {
+                        format!("{}:txn({} keys)", set.origin, puts.len())
                     }
                 })
             })

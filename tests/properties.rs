@@ -7,7 +7,7 @@
 //! this offline build), so every CI run explores the identical corpus.
 
 use bytes::Bytes;
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CommittedOp, EmulationTable, LotShape};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape};
 use canopus_kv::{check_agreement, ClientRequest, Op};
 use canopus_sim::{
     impl_process_any, Context, Dur, NodeId, Process, Simulation, Timer, UniformFabric,
@@ -110,15 +110,9 @@ fn run_cluster(
         histories.push(
             node.committed_log()
                 .iter()
-                .flat_map(|cc| {
-                    cc.sets.iter().flat_map(|s| {
-                        s.ops.iter().map(|op| match *op {
-                            CommittedOp::Put { client, op_id, .. } => (client.0, op_id),
-                            CommittedOp::Synthetic { client, op_id, .. } => (client.0, op_id),
-                            CommittedOp::MultiPut { client, op_id, .. } => (client.0, op_id),
-                        })
-                    })
-                })
+                .flat_map(|cc| &cc.sets)
+                .flat_map(|s| &s.ops)
+                .map(|op| (op.client.0, op.op_id))
                 .collect::<Vec<_>>(),
         );
     }
