@@ -1271,6 +1271,83 @@ mod tests {
             self.cores[member].tick(self.now, &mut self.rng, &mut out);
             self.post(member, out);
         }
+
+        /// Delivers the `i`-th message on the wire alone, and hands its
+        /// receiver what that commits.
+        fn deliver_one(&mut self, i: usize) {
+            let (from, to, msg) = self.wire.remove(i);
+            let (to, mut out) = (to.index(), Outbox::new());
+            self.cores[to].handle(from, msg, self.now, &mut self.rng, &mut out);
+            self.post(to, out);
+            self.delivered[to].extend(self.cores[to].take_delivered());
+            self.cores[to].compact();
+        }
+    }
+
+    /// Schedules explored per run of
+    /// [`no_schedule_delivers_two_payloads_at_one_index`], and steps per
+    /// schedule.
+    const SCHEDULES: u64 = 5_000;
+    const STEPS: usize = 300;
+
+    /// A schedule explorer: a seeded adversary (one seed per schedule)
+    /// drives a trio, at each step delivering *any* in-flight message (not
+    /// only the oldest), dropping one, advancing the clock (by up to one
+    /// heartbeat interval, one time in ten by up to one election timeout)
+    /// and ticking one member, or proposing at a leader.
+    /// After every step, no two deliveries of one index, at any members,
+    /// may carry different payloads. Members keep their state throughout
+    /// (no restarts).
+    #[test]
+    fn no_schedule_delivers_two_payloads_at_one_index() {
+        let cfg = RaftConfig::default();
+        let heartbeat = cfg.heartbeat_interval.as_nanos();
+        let election = cfg.election_timeout_max.as_nanos();
+        for seed in 0..SCHEDULES {
+            let mut net = Net::trio();
+            let mut adversary = SmallRng::seed_from_u64(seed);
+            let mut at_index: BTreeMap<u64, Bytes> = BTreeMap::new();
+            let mut checked = [0; 3];
+            let mut proposed = 0;
+            for step in 0..STEPS {
+                match adversary.gen_range(0..20) {
+                    0..=9 if !net.wire.is_empty() => {
+                        net.deliver_one(adversary.gen_range(0..net.wire.len()));
+                    }
+                    10 if !net.wire.is_empty() => {
+                        net.wire.remove(adversary.gen_range(0..net.wire.len()));
+                    }
+                    11..=15 => {
+                        let gap = if adversary.gen_bool(0.1) {
+                            election
+                        } else {
+                            heartbeat
+                        };
+                        let after = Dur::nanos(adversary.gen_range(0..=gap));
+                        net.tick(adversary.gen_range(0..3), after);
+                    }
+                    _ => {
+                        let leaders: Vec<usize> =
+                            (0..3).filter(|&m| net.cores[m].is_leader()).collect();
+                        if !leaders.is_empty() {
+                            proposed += 1;
+                            let leader = leaders[adversary.gen_range(0..leaders.len())];
+                            net.propose(leader, payload(proposed));
+                        }
+                    }
+                }
+                for (member, got) in net.delivered.iter().enumerate() {
+                    for (index, data) in &got[checked[member]..] {
+                        let first = at_index.entry(*index).or_insert_with(|| data.clone());
+                        assert_eq!(
+                            first, data,
+                            "schedule {seed}, step {step}: index {index} at member {member}"
+                        );
+                    }
+                    checked[member] = got.len();
+                }
+            }
+        }
     }
 
     fn payload(i: u64) -> Bytes {
