@@ -36,7 +36,7 @@ use canopus_sim::{
 
 use crate::history::{self, ChaosReport, ClientHistory, HistoryClient, HistoryConfig};
 use crate::live::{live_history_config, LiveCluster};
-use crate::open_loop::{OpenLoopClient, OpenLoopConfig};
+use crate::open_loop::OpenLoopClient;
 use crate::protocol::Protocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 
@@ -254,14 +254,8 @@ impl<P: Protocol> ClusterBuilder<P> {
             let client: Box<dyn Process<P>> = match &clients {
                 Clients::OpenLoop(load) => Box::new(OpenLoopClient::<P>::new(
                     nodes[i],
-                    OpenLoopConfig {
-                        rate_per_sec: load.total_rate / n as f64,
-                        write_ratio: load.write_ratio,
-                        tick: Dur::millis(1),
-                        op_bytes: 16,
-                        warmup: load.warmup,
-                        max_batch: load.client_max_batch,
-                    },
+                    load,
+                    load.total_rate / n as f64,
                     seed ^ (0xC11E47 + i as u64),
                 )),
                 Clients::History(hcfg) => {

@@ -34,7 +34,7 @@ pub use live::{
     live_canopus_config, live_history_config, live_spec, live_timeline, LiveCluster, LiveOutcome,
     LIVE_TIME_UNIT,
 };
-pub use open_loop::{OpenLoopClient, OpenLoopConfig};
+pub use open_loop::OpenLoopClient;
 pub use protocol::{Protocol, WriteRecords};
 pub use run::{deterministic_check, find_max_throughput, run, RunResult, SearchResult};
 pub use scenarios::{

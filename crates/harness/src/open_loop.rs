@@ -22,46 +22,24 @@ use std::collections::BTreeMap;
 
 use crate::latency::LatencyRecorder;
 use crate::protocol::Protocol;
+use crate::spec::LoadSpec;
 
-/// Open-loop workload parameters.
-#[derive(Clone, Debug)]
-pub struct OpenLoopConfig {
-    /// Offered load in requests per second (for this client process).
-    pub rate_per_sec: f64,
-    /// Fraction of requests that are writes (the paper sweeps 1–100 %).
-    pub write_ratio: f64,
-    /// Arrival aggregation tick.
-    pub tick: Dur,
-    /// Bytes per represented request (16-byte kv pairs in the paper).
-    pub op_bytes: u16,
-    /// Samples recorded before this time are discarded (warmup).
-    pub warmup: Dur,
-    /// Largest number of requests folded into one synthetic op. Zero (the
-    /// default) aggregates a whole tick's arrivals into a single op — the
-    /// seed behavior. A positive value splits each tick's draws into chunks
-    /// of at most this many requests, each tracked (and latency-recorded)
-    /// as its own wire-level request; `1` disables aggregation entirely and
-    /// models one request per client op, the unbatched baseline the
-    /// `throughput_knee` bench measures against.
-    pub max_batch: u32,
-}
+/// Arrival aggregation tick.
+const TICK: Dur = Dur::millis(1);
 
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            rate_per_sec: 10_000.0,
-            write_ratio: 0.2,
-            tick: Dur::millis(1),
-            op_bytes: 16,
-            warmup: Dur::millis(200),
-            max_batch: 0,
-        }
-    }
-}
+/// Bytes per represented request (16-byte kv pairs in the paper).
+const OP_BYTES: u16 = 16;
 
 /// Aggregated open-loop Poisson client bound to one protocol node.
 pub struct OpenLoopClient<M: Protocol> {
-    cfg: OpenLoopConfig,
+    /// The load: its write ratio, warmup and per-request cap
+    /// (`client_max_batch`: 0 aggregates a whole tick's arrivals into one
+    /// op; a positive value splits each tick's draws into chunks of at
+    /// most that many requests, each tracked as its own wire-level
+    /// request; 1 disables aggregation).
+    load: LoadSpec,
+    /// This client's share of `load.total_rate`, requests per second.
+    rate_per_sec: f64,
     target: NodeId,
     rng: SmallRng,
     next_op_id: u64,
@@ -76,10 +54,12 @@ pub struct OpenLoopClient<M: Protocol> {
 }
 
 impl<M: Protocol> OpenLoopClient<M> {
-    /// Creates a client targeting `target`.
-    pub fn new(target: NodeId, cfg: OpenLoopConfig, seed: u64) -> Self {
+    /// Creates a client targeting `target` that offers `rate_per_sec`, its
+    /// share of `load`'s total rate.
+    pub fn new(target: NodeId, load: &LoadSpec, rate_per_sec: f64, seed: u64) -> Self {
         OpenLoopClient {
-            cfg,
+            load: load.clone(),
+            rate_per_sec,
             target,
             rng: SmallRng::seed_from_u64(seed),
             next_op_id: 0,
@@ -100,8 +80,8 @@ impl<M: Protocol> OpenLoopClient<M> {
         if count == 0 {
             return;
         }
-        if self.cfg.max_batch > 0 {
-            let chunk = u64::from(self.cfg.max_batch);
+        if self.load.client_max_batch > 0 {
+            let chunk = u64::from(self.load.client_max_batch);
             let mut left = count;
             while left > 0 {
                 let n = left.min(chunk);
@@ -119,7 +99,7 @@ impl<M: Protocol> OpenLoopClient<M> {
         let op = if is_write {
             Op::SyntheticWrite {
                 count: count as u32,
-                op_bytes: self.cfg.op_bytes,
+                op_bytes: OP_BYTES,
             }
         } else {
             Op::SyntheticRead {
@@ -142,18 +122,18 @@ impl<M: Protocol> OpenLoopClient<M> {
 impl<M: Protocol> Process<M> for OpenLoopClient<M> {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         // Stagger tick phase across clients to avoid lockstep arrivals.
-        let phase = Dur::nanos(self.rng.gen_range(0..self.cfg.tick.as_nanos().max(1)));
+        let phase = Dur::nanos(self.rng.gen_range(0..TICK.as_nanos()));
         ctx.set_timer(phase, 0);
     }
 
     fn on_timer(&mut self, _t: Timer, ctx: &mut Context<'_, M>) {
-        let dt = self.cfg.tick.as_secs_f64();
-        let write_mean = self.cfg.rate_per_sec * self.cfg.write_ratio * dt;
-        let read_mean = self.cfg.rate_per_sec * (1.0 - self.cfg.write_ratio) * dt;
+        let dt = TICK.as_secs_f64();
+        let write_mean = self.rate_per_sec * self.load.write_ratio * dt;
+        let read_mean = self.rate_per_sec * (1.0 - self.load.write_ratio) * dt;
         let nw = poisson(&mut self.rng, write_mean);
         let nr = poisson(&mut self.rng, read_mean);
         self.issue_tick(nw, nr, ctx);
-        ctx.set_timer(self.cfg.tick, 0);
+        ctx.set_timer(TICK, 0);
     }
 
     fn on_message(&mut self, _from: NodeId, msg: M, ctx: &mut Context<'_, M>) {
@@ -161,7 +141,7 @@ impl<M: Protocol> Process<M> for OpenLoopClient<M> {
         let Some((sent, is_write)) = self.outstanding.remove(&reply.op_id) else {
             return;
         };
-        if ctx.now() < Time::ZERO + self.cfg.warmup {
+        if ctx.now() < Time::ZERO + self.load.warmup {
             return;
         }
         let lat = ctx.now().saturating_since(sent);
@@ -233,17 +213,10 @@ mod tests {
     #[test]
     fn open_loop_drives_canopus_and_measures() {
         let (mut sim, _) = canopus_pair(1);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            write_ratio: 0.5,
-            warmup: Dur::millis(50),
-            ..Default::default()
-        };
-        let c = sim.add_node(Box::new(OpenLoopClient::<CanopusMsg>::new(
-            NodeId(0),
-            cfg,
-            99,
-        )));
+        let mut load = LoadSpec::new(20_000.0).with_writes(0.5);
+        load.warmup = Dur::millis(50);
+        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), &load, load.total_rate, 99);
+        let c = sim.add_node(Box::new(client));
         sim.run_for(Dur::millis(400));
         let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
         assert!(client.writes.completed() > 1000, "writes flowed");
@@ -260,18 +233,12 @@ mod tests {
     #[test]
     fn open_loop_max_batch_splits_ticks() {
         let (mut sim, _) = canopus_pair(3);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            write_ratio: 0.5,
-            warmup: Dur::millis(50),
-            max_batch: 4,
-            ..Default::default()
-        };
-        let c = sim.add_node(Box::new(OpenLoopClient::<CanopusMsg>::new(
-            NodeId(0),
-            cfg,
-            99,
-        )));
+        let mut load = LoadSpec::new(20_000.0)
+            .with_writes(0.5)
+            .with_client_batch(4);
+        load.warmup = Dur::millis(50);
+        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), &load, load.total_rate, 99);
+        let c = sim.add_node(Box::new(client));
         sim.run_for(Dur::millis(300));
         let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
         // At 20k/s a 1 ms tick draws ~20 arrivals; chunks of ≤4 mean many
@@ -279,7 +246,8 @@ mod tests {
         // the cap.
         let completed = client.writes.completed() + client.reads.completed();
         assert!(completed > 1000, "ops flowed");
-        // Every wire-level request carries at most `max_batch` arrivals, so
+        // Every wire-level request carries at most `client_max_batch`
+        // arrivals, so
         // the distinct-request count is at least offered/4.
         assert!(
             client.next_op_id >= client.offered / 4,
@@ -292,8 +260,8 @@ mod tests {
     #[test]
     fn open_loop_numbers_ops_in_sequence() {
         let sent_ids = || {
-            let cfg = OpenLoopConfig::default();
-            let mut client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9);
+            let load = LoadSpec::new(10_000.0);
+            let mut client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), &load, 10_000.0, 9);
             let mut rng = SmallRng::seed_from_u64(0);
             let mut seq = 0;
             let mut ctx = Context::detached(Time::ZERO, NodeId(9), &mut rng, &mut seq);

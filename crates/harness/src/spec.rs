@@ -125,8 +125,8 @@ pub struct LoadSpec {
     /// Measured period after warmup.
     pub duration: Dur,
     /// Per-request cap for the open-loop clients
-    /// ([`crate::OpenLoopConfig::max_batch`]): 0 aggregates a
-    /// whole arrival tick per request, 1 models fully unbatched clients.
+    /// ([`crate::OpenLoopClient`]): 0 aggregates a whole arrival tick per
+    /// request, 1 models fully unbatched clients.
     pub client_max_batch: u32,
 }
 
