@@ -8,9 +8,9 @@ use canopus::{
     CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape, RequestSet, VnodeId,
     VnodeState,
 };
-use canopus_kv::{ClientRequest, KvStore, Op, TimedOp};
+use canopus_kv::{ClientRequest, KvStore, Op};
 use canopus_net::wire::Wire;
-use canopus_sim::{Dur, NodeId, Simulation, Time, UniformFabric};
+use canopus_sim::{Dur, NodeId, Simulation, UniformFabric};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -18,16 +18,13 @@ fn proposal(origin: u32, number: u64, ops: usize) -> VnodeState {
     let set = RequestSet {
         origin: NodeId(origin),
         ops: (0..ops)
-            .map(|k| TimedOp {
-                req: ClientRequest {
-                    client: NodeId(100),
-                    op_id: k as u64,
-                    op: Op::Put {
-                        key: k as u64,
-                        value: Bytes::from_static(b"12345678"),
-                    },
+            .map(|k| ClientRequest {
+                client: NodeId(100),
+                op_id: k as u64,
+                op: Op::Put {
+                    key: k as u64,
+                    value: Bytes::from_static(b"12345678"),
                 },
-                arrival: Time::ZERO,
             })
             .collect(),
     };
@@ -191,16 +188,13 @@ fn bench_one_node_cycle(c: &mut Criterion) {
     };
     let mut proposal = |origin: u32, parent: u16| {
         let ops = (0..233)
-            .map(|i| TimedOp {
-                req: ClientRequest {
-                    client: NodeId(100 + origin),
-                    op_id: i,
-                    op: Op::Put {
-                        key: key(),
-                        value: Bytes::from_static(b"12345678"),
-                    },
+            .map(|i| ClientRequest {
+                client: NodeId(100 + origin),
+                op_id: i,
+                op: Op::Put {
+                    key: key(),
+                    value: Bytes::from_static(b"12345678"),
                 },
-                arrival: Time::from_nanos(i),
             })
             .collect();
         let set = RequestSet {

@@ -276,16 +276,13 @@ mod tests {
             12345,
             RequestSet {
                 origin: NodeId(2),
-                ops: [crate::proposal::TimedOp {
-                    req: ClientRequest {
-                        client: NodeId(30),
-                        op_id: 7,
-                        op: Op::Put {
-                            key: 9,
-                            value: Bytes::from_static(b"12345678"),
-                        },
+                ops: [ClientRequest {
+                    client: NodeId(30),
+                    op_id: 7,
+                    op: Op::Put {
+                        key: 9,
+                        value: Bytes::from_static(b"12345678"),
                     },
-                    arrival: canopus_sim::Time::from_nanos(500),
                 }]
                 .into_iter()
                 .collect(),
@@ -398,7 +395,7 @@ mod tests {
     /// commits the cycle.
     #[test]
     fn a_state_carrying_a_read_is_refused_at_decode() {
-        use crate::proposal::{MembershipUpdate, TimedOp};
+        use crate::proposal::MembershipUpdate;
         // `sample_state()` with `op` in place of its `Put`, behind `tag`.
         let frame = |tag: u8, op: Op| {
             let mut buf = BytesMut::new();
@@ -414,8 +411,7 @@ mod tests {
                 op_id: 7,
                 op,
             };
-            let arrival = canopus_sim::Time::from_nanos(500);
-            vec![TimedOp { req, arrival }].encode(&mut buf);
+            vec![req].encode(&mut buf);
             Vec::<MembershipUpdate>::new().encode(&mut buf);
             buf.freeze()
         };

@@ -27,11 +27,9 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use canopus_kv::Key;
+use canopus_kv::{ClientRequest, Key};
 use canopus_net::wire::{Wire, WireError, WireRead, MAX_FRAME};
-use canopus_sim::{NodeId, Time};
-
-pub use canopus_kv::TimedOp;
+use canopus_sim::NodeId;
 
 use crate::types::{CycleId, VnodeId};
 
@@ -126,9 +124,9 @@ impl Wire for RequestSet {
 }
 
 /// The writes of one request set, held as the bytes the wire carries for
-/// them: a `u32` count, then each op as [`TimedOp`] encodes it (the bytes
-/// `Vec::<TimedOp>::encode` writes). The count, the weight and the payload
-/// size are computed once, when the block is built or decoded.
+/// them: a `u32` count, then each op as [`ClientRequest`] encodes it (the
+/// bytes `Vec::<ClientRequest>::encode` writes). The count, the weight and
+/// the payload size are computed once, when the block is built or decoded.
 ///
 /// Nothing is parsed out of a block before the cycle that orders it
 /// commits; [`OpBlock::iter`] then reads each op in place. A block is
@@ -159,8 +157,8 @@ impl OpBlock {
         self.weight
     }
 
-    /// Payload bytes represented: each op's payload plus 21 bytes of
-    /// per-request header.
+    /// Payload bytes represented: each op's payload plus 13 bytes of
+    /// per-request header (client, op id and tag).
     pub fn payload_bytes(&self) -> usize {
         self.payload
     }
@@ -189,17 +187,17 @@ impl Default for OpBlock {
 ///
 /// # Panics
 /// Panics on a read: reads are served locally and never enter a set.
-impl FromIterator<TimedOp> for OpBlock {
-    fn from_iter<I: IntoIterator<Item = TimedOp>>(ops: I) -> Self {
+impl FromIterator<ClientRequest> for OpBlock {
+    fn from_iter<I: IntoIterator<Item = ClientRequest>>(ops: I) -> Self {
         let mut buf = BytesMut::new();
         0u32.encode(&mut buf);
         let (mut len, mut weight, mut payload) = (0u32, 0u64, 0usize);
-        for op in ops {
-            assert!(op.req.op.is_write(), "a read in a request set");
-            op.encode(&mut buf);
+        for req in ops {
+            assert!(req.op.is_write(), "a read in a request set");
+            req.encode(&mut buf);
             len += 1;
-            weight += u64::from(op.req.op.weight());
-            payload += op.req.op.payload_bytes() + 21;
+            weight += u64::from(req.op.weight());
+            payload += req.op.payload_bytes() + 13;
         }
         buf[..4].copy_from_slice(&len.to_le_bytes());
         OpBlock {
@@ -224,7 +222,7 @@ impl Wire for OpBlock {
 
     /// Walks the ops once to check them and find the block's end, then
     /// copies the block out of `buf`. Rejects everything
-    /// `Vec::<TimedOp>::decode` rejects, and a read besides.
+    /// `Vec::<ClientRequest>::decode` rejects, and a read besides.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         let mut rest: &[u8] = buf;
         let len = read_u32(&mut rest)?;
@@ -236,7 +234,7 @@ impl Wire for OpBlock {
             let op = read_op(&mut rest)?;
             weight += u64::from(op.write.weight());
             // Synthetic batches in a crafted frame could overflow the sum.
-            payload = payload.saturating_add(op.write.payload_bytes() + 21);
+            payload = payload.saturating_add(op.write.payload_bytes() + 13);
         }
         let size = buf.len() - rest.len();
         let bytes = Bytes::copy_from_slice(&buf[..size]);
@@ -257,8 +255,6 @@ pub struct OpView<'a> {
     pub client: NodeId,
     /// Client-assigned id, echoed in the reply.
     pub op_id: u64,
-    /// Arrival time at the origin node.
-    pub arrival: Time,
     /// The write.
     pub write: WriteView<'a>,
 }
@@ -406,7 +402,7 @@ fn read_pair<'a>(rest: &mut &'a [u8]) -> Result<(Key, &'a [u8]), WireError> {
     Ok((read_u64(rest)?, read_value(rest)?))
 }
 
-/// One [`TimedOp`]'s encoding; a read is invalid here.
+/// One [`ClientRequest`]'s encoding; a read is invalid here.
 fn read_op<'a>(rest: &mut &'a [u8]) -> Result<OpView<'a>, WireError> {
     let client = NodeId(read_u32(rest)?);
     let op_id = read_u64(rest)?;
@@ -437,11 +433,9 @@ fn read_op<'a>(rest: &mut &'a [u8]) -> Result<OpView<'a>, WireError> {
         1 | 3 => return Err(WireError::Invalid("read in a request set")),
         _ => return Err(WireError::Invalid("op tag")),
     };
-    let arrival = Time::from_nanos(read_u64(rest)?);
     Ok(OpView {
         client,
         op_id,
-        arrival,
         write,
     })
 }
@@ -576,23 +570,20 @@ impl Wire for VnodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canopus_kv::{ClientRequest, Op};
+    use canopus_kv::Op;
 
     fn set_with(origin: u32, keys: &[u64]) -> RequestSet {
         RequestSet {
             origin: NodeId(origin),
             ops: keys
                 .iter()
-                .map(|&k| TimedOp {
-                    req: ClientRequest {
-                        client: NodeId(100 + origin),
-                        op_id: k,
-                        op: Op::Put {
-                            key: k,
-                            value: Bytes::from_static(b"12345678"),
-                        },
+                .map(|&k| ClientRequest {
+                    client: NodeId(100 + origin),
+                    op_id: k,
+                    op: Op::Put {
+                        key: k,
+                        value: Bytes::from_static(b"12345678"),
                     },
-                    arrival: Time::ZERO,
                 })
                 .collect(),
         }
@@ -702,35 +693,32 @@ mod tests {
         assert_eq!(back, state);
     }
 
-    fn timed(op_id: u64, op: Op) -> TimedOp {
-        TimedOp {
-            req: ClientRequest {
-                client: NodeId(5),
-                op_id,
-                op,
-            },
-            arrival: Time::from_nanos(op_id * 10),
+    fn request(op_id: u64, op: Op) -> ClientRequest {
+        ClientRequest {
+            client: NodeId(5),
+            op_id,
+            op,
         }
     }
 
     /// A `Put`, a `SyntheticWrite` and a `MultiPut`.
-    fn mixed_ops() -> Vec<TimedOp> {
+    fn mixed_ops() -> Vec<ClientRequest> {
         vec![
-            timed(
+            request(
                 1,
                 Op::Put {
                     key: 7,
                     value: Bytes::from_static(b"12345678"),
                 },
             ),
-            timed(
+            request(
                 2,
                 Op::SyntheticWrite {
                     count: 100,
                     op_bytes: 16,
                 },
             ),
-            timed(
+            request(
                 3,
                 Op::MultiPut {
                     puts: vec![(3, Bytes::from_static(b"abc")), (4, Bytes::new())],
@@ -748,7 +736,7 @@ mod tests {
             ops: block,
         };
         assert_eq!(set.weight(), 102);
-        assert_eq!(set.payload_bytes(), 16 + 1600 + 19 + 3 * 21 + 16);
+        assert_eq!(set.payload_bytes(), 16 + 1600 + 19 + 3 * 13 + 16);
     }
 
     #[test]
@@ -758,10 +746,10 @@ mod tests {
         assert_eq!(
             block.to_bytes(),
             ops.to_bytes(),
-            "the bytes of Vec<TimedOp>"
+            "the bytes of Vec<ClientRequest>"
         );
         assert_eq!((block.len(), block.is_empty()), (3, false));
-        let payload: usize = ops.iter().map(|op| op.req.op.payload_bytes() + 21).sum();
+        let payload: usize = ops.iter().map(|req| req.op.payload_bytes() + 13).sum();
         assert_eq!(block.payload_bytes(), payload);
         let views: Vec<OpView<'_>> = block.iter().collect();
         let value = &b"12345678"[..];
@@ -776,16 +764,13 @@ mod tests {
         };
         let pairs: Vec<_> = pairs.collect();
         assert_eq!(pairs, vec![(3, &b"abc"[..]), (4, &b""[..])]);
-        for (view, op) in views.iter().zip(&ops) {
-            assert_eq!(
-                (view.client, view.op_id, view.arrival),
-                (op.req.client, op.req.op_id, op.arrival)
-            );
-            assert_eq!(view.write.weight(), op.req.op.weight());
-            assert_eq!(view.write.payload_bytes(), op.req.op.payload_bytes());
+        for (view, req) in views.iter().zip(&ops) {
+            assert_eq!((view.client, view.op_id), (req.client, req.op_id));
+            assert_eq!(view.write.weight(), req.op.weight());
+            assert_eq!(view.write.payload_bytes(), req.op.payload_bytes());
         }
         let empty = OpBlock::default();
-        assert_eq!(empty.to_bytes(), Vec::<TimedOp>::new().to_bytes());
+        assert_eq!(empty.to_bytes(), Vec::<ClientRequest>::new().to_bytes());
         assert_eq!(empty, std::iter::empty().collect());
         assert_eq!((empty.len(), empty.iter().count()), (0, 0));
     }
@@ -839,6 +824,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "a read in a request set")]
     fn a_block_is_never_built_with_a_read() {
-        let _: OpBlock = [timed(1, Op::Get { key: 1 })].into_iter().collect();
+        let _: OpBlock = [request(1, Op::Get { key: 1 })].into_iter().collect();
     }
 }

@@ -5,20 +5,17 @@
 
 use bytes::Bytes;
 use canopus::{
-    BroadcastItem, CanopusMsg, CycleId, MembershipUpdate, RequestSet, TimedOp, VnodeId, VnodeState,
+    BroadcastItem, CanopusMsg, CycleId, MembershipUpdate, RequestSet, VnodeId, VnodeState,
 };
 use canopus_kv::{ClientRequest, Op};
 use canopus_net::wire::Wire;
-use canopus_sim::{NodeId, Payload, Time};
+use canopus_sim::{NodeId, Payload};
 
-fn timed(client: u32, op_id: u64, op: Op, arrival_ns: u64) -> TimedOp {
-    TimedOp {
-        req: ClientRequest {
-            client: NodeId(client),
-            op_id,
-            op,
-        },
-        arrival: Time::from_nanos(arrival_ns),
+fn request(client: u32, op_id: u64, op: Op) -> ClientRequest {
+    ClientRequest {
+        client: NodeId(client),
+        op_id,
+        op,
     }
 }
 
@@ -26,31 +23,28 @@ fn timed(client: u32, op_id: u64, op: Op, arrival_ns: u64) -> TimedOp {
 /// one `SyntheticWrite`, one `MultiPut` and a `Leave`.
 fn state() -> VnodeState {
     let ops = [
-        timed(
+        request(
             30,
             7,
             Op::Put {
                 key: 9,
                 value: Bytes::from_static(b"12345678"),
             },
-            500,
         ),
-        timed(
+        request(
             31,
             8,
             Op::SyntheticWrite {
                 count: 100,
                 op_bytes: 16,
             },
-            600,
         ),
-        timed(
+        request(
             32,
             9,
             Op::MultiPut {
                 puts: vec![(3, Bytes::from_static(b"abc")), (4, Bytes::new())],
             },
-            700,
         ),
     ];
     VnodeState::round1(
@@ -89,7 +83,6 @@ fn state_bytes() -> Vec<u8> {
     u64(&mut b, 9);
     u32(&mut b, 8);
     b.extend_from_slice(b"12345678");
-    u64(&mut b, 500); // arrival
 
     // SyntheticWrite: client, op_id, tag 2, count, op_bytes.
     u32(&mut b, 31);
@@ -97,7 +90,6 @@ fn state_bytes() -> Vec<u8> {
     b.push(2);
     u32(&mut b, 100);
     u16(&mut b, 16);
-    u64(&mut b, 600);
 
     // MultiPut: client, op_id, tag 4, pair count, then key and value each.
     u32(&mut b, 32);
@@ -109,7 +101,6 @@ fn state_bytes() -> Vec<u8> {
     b.extend_from_slice(b"abc");
     u64(&mut b, 4);
     u32(&mut b, 0);
-    u64(&mut b, 700);
 
     // Membership updates: count, then Leave (tag 1) of node 5.
     u32(&mut b, 1);
@@ -122,16 +113,21 @@ fn state_bytes() -> Vec<u8> {
 fn a_proposal_and_a_proposal_response_keep_their_bytes_and_sizes() {
     let state = state();
     assert_eq!(state.weight(), 102, "1 + 100 + 1 requests");
-    // The four figures below moved once, when the request set lost the
-    // §7.2 key list it carried after its ops (the paper's read
+    // The four figures below moved twice. First when the request set lost
+    // the §7.2 key list it carried after its ops (the paper's read
     // optimization, removed): 8 bytes of payload for the one key this set
-    // listed, and 12 encoded bytes (the list's `u32` count and the key).
-    assert_eq!(state.sets[0].payload_bytes(), 1714);
-    assert_eq!(state.wire_bytes(), 1757);
+    // listed, and 12 encoded bytes (the list's `u32` count and the key);
+    // they read 1 714, 1 757, 165 and 1 758 after that. Then when each op
+    // lost the 8-byte arrival time the origin stamped on it and nothing
+    // read: 24 bytes for the three ops, in the payload and the encoding
+    // alike. A build that writes a zero `u64` after each op (and counts 21
+    // header bytes per op) reproduces the old four.
+    assert_eq!(state.sets[0].payload_bytes(), 1690);
+    assert_eq!(state.wire_bytes(), 1733);
 
     let mut proposal = vec![0u8]; // BroadcastItem::Proposal
     proposal.extend(state_bytes());
-    assert_eq!(proposal.len(), 165);
+    assert_eq!(proposal.len(), 141);
     let item = BroadcastItem::Proposal(state.clone());
     assert_eq!(item.to_bytes(), Bytes::from(proposal.clone()));
     assert_eq!(BroadcastItem::from_bytes(Bytes::from(proposal)), Ok(item));
@@ -144,5 +140,5 @@ fn a_proposal_and_a_proposal_response_keep_their_bytes_and_sizes() {
         CanopusMsg::from_bytes(Bytes::from(response)),
         Ok(msg.clone())
     );
-    assert_eq!(msg.wire_size(), 1758);
+    assert_eq!(msg.wire_size(), 1734);
 }

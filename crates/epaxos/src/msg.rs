@@ -1,7 +1,7 @@
 //! EPaxos wire messages and instance identifiers.
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{ClientReply, ClientRequest, TimedOp};
+use canopus_kv::{ClientReply, ClientRequest};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_sim::{NodeId, Payload};
 
@@ -35,20 +35,20 @@ pub struct CmdBatch {
     /// The operations, in arrival order. Unlike Canopus, reads travel
     /// through the protocol too (§2.2: "these protocols broadcast both
     /// read and write requests").
-    pub ops: Vec<TimedOp>,
+    pub ops: Vec<ClientRequest>,
 }
 
 impl CmdBatch {
     /// Total client requests represented.
     pub fn weight(&self) -> u64 {
-        self.ops.iter().map(|o| o.req.op.weight() as u64).sum()
+        self.ops.iter().map(|o| o.op.weight() as u64).sum()
     }
 
     /// Encoded payload size for network modelling.
     pub fn payload_bytes(&self) -> usize {
         self.ops
             .iter()
-            .map(|o| o.req.op.payload_bytes() + 21)
+            .map(|o| o.op.payload_bytes() + 13)
             .sum::<usize>()
     }
 }
@@ -59,7 +59,7 @@ impl Wire for CmdBatch {
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(CmdBatch {
-            ops: Vec::<TimedOp>::decode(buf)?,
+            ops: Vec::<ClientRequest>::decode(buf)?,
         })
     }
 }
@@ -260,20 +260,16 @@ impl Wire for EpaxosMsg {
 mod tests {
     use super::*;
     use canopus_kv::Op;
-    use canopus_sim::Time;
 
     fn sample_batch() -> CmdBatch {
         CmdBatch {
-            ops: vec![TimedOp {
-                req: ClientRequest {
-                    client: NodeId(9),
-                    op_id: 3,
-                    op: Op::Put {
-                        key: 7,
-                        value: Bytes::from_static(b"12345678"),
-                    },
+            ops: vec![ClientRequest {
+                client: NodeId(9),
+                op_id: 3,
+                op: Op::Put {
+                    key: 7,
+                    value: Bytes::from_static(b"12345678"),
                 },
-                arrival: Time::from_nanos(100),
             }],
         }
     }

@@ -18,5 +18,5 @@ pub mod op;
 pub mod store;
 
 pub use check::{check_agreement, check_client_fifo, LinChecker, ReadObs, ReplyEvent, WriteObs};
-pub use op::{ClientReply, ClientRequest, Key, Op, OpResult, TimedOp};
+pub use op::{ClientReply, ClientRequest, Key, Op, OpResult};
 pub use store::{KvStore, Value, Versioned};

@@ -200,29 +200,6 @@ impl Wire for OpResult {
     }
 }
 
-/// A client write with its arrival time at the origin node (used by the
-/// origin for completion-time accounting; other replicas ignore it).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimedOp {
-    /// The client request.
-    pub req: ClientRequest,
-    /// Arrival time at the origin node.
-    pub arrival: canopus_sim::Time,
-}
-
-impl Wire for TimedOp {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.req.encode(buf);
-        self.arrival.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(TimedOp {
-            req: ClientRequest::decode(buf)?,
-            arrival: canopus_sim::Time::decode(buf)?,
-        })
-    }
-}
-
 /// A protocol node's reply to a client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientReply {

@@ -254,15 +254,6 @@ impl Wire for canopus_sim::NodeId {
     }
 }
 
-impl Wire for canopus_sim::Time {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.as_nanos());
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(canopus_sim::Time::from_nanos(buf.read_u64()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Zab protocol messages.
 
 use bytes::{Bytes, BytesMut};
-use canopus_kv::{ClientReply, ClientRequest, TimedOp};
+use canopus_kv::{ClientReply, ClientRequest};
 use canopus_net::wire::{Wire, WireError, WireRead};
 use canopus_sim::{NodeId, Payload};
 
@@ -31,20 +31,20 @@ impl Wire for Zxid {
 /// its client (which owes the reply).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Txn {
-    /// The operation with arrival time.
-    pub op: TimedOp,
+    /// The client's request.
+    pub req: ClientRequest,
     /// The node that received it from the client.
     pub origin: NodeId,
 }
 
 impl Wire for Txn {
     fn encode(&self, buf: &mut BytesMut) {
-        self.op.encode(buf);
+        self.req.encode(buf);
         self.origin.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(Txn {
-            op: TimedOp::decode(buf)?,
+            req: ClientRequest::decode(buf)?,
             origin: NodeId::decode(buf)?,
         })
     }
@@ -123,17 +123,17 @@ impl Payload for ZabMsg {
             ZabMsg::Request(r) => 1 + 13 + r.op.payload_bytes().min(64),
             ZabMsg::Reply(_) => 1 + 14,
             ZabMsg::Forward(txn) | ZabMsg::Propose { txn, .. } => {
-                1 + 16 + txn.op.req.op.payload_bytes() + 25
+                1 + 16 + txn.req.op.payload_bytes() + 17
             }
             ZabMsg::Ack { .. } | ZabMsg::Commit { .. } => 1 + 12,
-            ZabMsg::Inform { txn, .. } => 1 + 16 + txn.op.req.op.payload_bytes() + 25,
+            ZabMsg::Inform { txn, .. } => 1 + 16 + txn.req.op.payload_bytes() + 17,
             ZabMsg::Ping { .. } => 1 + 4,
             ZabMsg::Election { .. } => 1 + 16,
             ZabMsg::NewLeader { history, .. } => {
                 1 + 16
                     + history
                         .iter()
-                        .map(|(_, t)| 12 + t.op.req.op.payload_bytes() + 25)
+                        .map(|(_, t)| 12 + t.req.op.payload_bytes() + 17)
                         .sum::<usize>()
             }
             ZabMsg::FollowerAck { .. } => 1 + 4,
@@ -263,20 +263,16 @@ impl Wire for ZabMsg {
 mod tests {
     use super::*;
     use canopus_kv::Op;
-    use canopus_sim::Time;
 
     fn txn() -> Txn {
         Txn {
-            op: TimedOp {
-                req: ClientRequest {
-                    client: NodeId(9),
-                    op_id: 1,
-                    op: Op::Put {
-                        key: 3,
-                        value: Bytes::from_static(b"12345678"),
-                    },
+            req: ClientRequest {
+                client: NodeId(9),
+                op_id: 1,
+                op: Op::Put {
+                    key: 3,
+                    value: Bytes::from_static(b"12345678"),
                 },
-                arrival: Time::from_nanos(5),
             },
             origin: NodeId(2),
         }

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use canopus_kv::{ClientReply, ClientRequest, KvStore, Op, OpResult, TimedOp};
+use canopus_kv::{ClientReply, ClientRequest, KvStore, Op, OpResult};
 use canopus_obs::{Counter, EventKind as ObsEvent, Gauge, NodeObs};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer, Work};
 
@@ -231,7 +231,7 @@ impl ZabNode {
         self.log
             .iter()
             .filter(|(z, _)| *z <= self.applied)
-            .map(|(_, t)| (t.op.req.client, t.op.req.op_id))
+            .map(|(_, t)| (t.req.client, t.req.op_id))
             .collect()
     }
 
@@ -242,11 +242,11 @@ impl ZabNode {
             .iter()
             .filter(|(z, _)| *z <= self.applied)
             .map(|(_, t)| {
-                let key = match &t.op.req.op {
+                let key = match &t.req.op {
                     Op::Put { key, .. } => Some(*key),
                     _ => None,
                 };
-                (key, t.op.req.client, t.op.req.op_id)
+                (key, t.req.client, t.req.op_id)
             })
             .collect()
     }
@@ -286,7 +286,7 @@ impl ZabNode {
         // every follower and observer. Synthetic batches model the load of
         // `weight` requests, so the work scales with weight and fan-out —
         // this is the centralized bottleneck of Figure 5.
-        let weight = u64::from(txn.op.req.op.weight());
+        let weight = u64::from(txn.req.op.weight());
         ctx.work(Work::Propose, weight);
         for _ in 1..self.ensemble.len() {
             ctx.work(Work::Disseminate, weight);
@@ -359,10 +359,10 @@ impl ZabNode {
     fn apply_one(&mut self, zxid: Zxid, txn: Txn, ctx: &mut Context<'_, ZabMsg>) {
         debug_assert!(zxid > self.applied);
         self.applied = zxid;
-        let weight = txn.op.req.op.weight();
+        let weight = txn.req.op.weight();
         ctx.work(Work::Apply, weight.into());
         self.stats.applied_weight += weight as u64;
-        match &txn.op.req.op {
+        match &txn.req.op {
             Op::Put { key, value } => {
                 self.store.put(*key, value);
             }
@@ -375,14 +375,14 @@ impl ZabNode {
         }
         if txn.origin == self.me {
             self.stats.own_completed += weight as u64;
-            let result = match txn.op.req.op {
+            let result = match txn.req.op {
                 Op::Put { .. } | Op::MultiPut { .. } => OpResult::Written,
                 _ => OpResult::Batch,
             };
             ctx.send(
-                txn.op.req.client,
+                txn.req.client,
                 ZabMsg::Reply(ClientReply {
-                    op_id: txn.op.req.op_id,
+                    op_id: txn.req.op_id,
                     weight,
                     result,
                 }),
@@ -394,10 +394,7 @@ impl ZabNode {
         ctx.work(Work::Request, req.op.weight().into());
         if req.op.is_write() {
             let txn = Txn {
-                op: TimedOp {
-                    req,
-                    arrival: ctx.now(),
-                },
+                req,
                 origin: self.me,
             };
             match self.role {
